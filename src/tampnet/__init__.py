@@ -31,7 +31,8 @@ from .petri import (END, VISIT, Atom, Marking, PetriNet, ReplayResult,
                     enabled, fire, replay, sequence_cost)
 from .planner import (Infeasible, OfflineModel, TargetChoice, backtrack,
                       build_offline, decompose_agents, diagnose_infeasibility,
-                      escape_steps, linearize_explanation, plan, select_target)
+                      escape_steps, linearize_explanation, load_offline, plan,
+                      select_target)
 from .taskspec import (BooleanSpec, SpecVectors, compile_vectors, format_spec,
                        holds, parse)
 
@@ -54,7 +55,8 @@ __all__ = [
     "escape_steps", "fire", "format_spec", "free_cells", "full_graph_reference",
     "generate_instance", "grid_index", "holds", "joint_search",
     "labeled_places", "lift", "linearize_explanation", "load_cache",
-    "load_env", "minimal_explanations", "minimal_sequence", "net_digest",
+    "load_env", "load_offline", "minimal_explanations", "minimal_sequence",
+    "net_digest",
     "parse", "parse_env", "pareto_minimal", "plan", "plan_json_text",
     "plan_to_json", "random_instance", "render", "replay", "run_bench",
     "save_cache", "select_target", "sequence_cost", "validate_partition",

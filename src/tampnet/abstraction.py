@@ -6,6 +6,13 @@ connected by cheapest move sequences that touch no other labeled place in
 between. Each such sequence becomes one abstract transition; the abstract
 run is lifted back to grid moves afterwards.
 
+The reduction runs in exact integers: move costs are scaled once by the LCM
+of their denominators, and ``Fraction`` appears only in the results
+(``MinimalSequence.cost`` and the reduced net's costs). It runs one
+Dijkstra per source place, with the other labeled places as sinks that are
+reached but never expanded, and reads each target's sequence off the
+cheapest-route DAG of that one search.
+
 The monitored net adds one latch place per trajectory proposition: every
 abstract transition that ends on a cell carrying the proposition also
 produces one token into the latch (saturating at one), so "was this region
@@ -17,9 +24,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .petri import VISIT, Atom, Marking, PetriNet
+from .petri import VISIT, Atom, PetriNet, integer_costs
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,80 @@ def labeled_places(net: PetriNet) -> Tuple[int, ...]:
     return tuple(p for p in range(net.num_places) if net.labels[p])
 
 
+class _Moves:
+    """Single-input single-output transitions (moves) of a net as integer
+    adjacency, built once per net.
+
+    ``out[p]`` lists ``(t, q, w)`` in ascending transition id for the moves
+    from ``p`` to ``q``; ``into[q]`` lists ``(p, w)`` for the moves into
+    ``q``. ``w`` is the move's cost times ``scale``, the LCM of all cost
+    denominators, so every weight and every route cost is an exact integer.
+    """
+
+    def __init__(self, net: PetriNet):
+        weights, self.scale = integer_costs(net.cost)
+        self.out = [[] for _ in range(net.num_places)]
+        self.into = [[] for _ in range(net.num_places)]
+        for t in range(net.num_transitions):
+            if len(net.pre[t]) == 1 and len(net.post[t]) == 1:
+                p, q = net.pre[t][0], net.post[t][0]
+                self.out[p].append((t, q, weights[t]))
+                self.into[q].append((p, weights[t]))
+
+    def cheapest(self, source: int, sinks) -> List[Optional[int]]:
+        """Dijkstra from ``source``: scaled cost of the cheapest route to
+        every place (None if unreachable). Places in ``sinks`` are reached
+        but never expanded, so no route passes through one."""
+        dist: List[Optional[int]] = [None] * len(self.out)
+        dist[source] = 0
+        heap = [(0, source)]
+        out = self.out
+        while heap:
+            d, p = heapq.heappop(heap)
+            if d > dist[p] or p in sinks:
+                continue
+            for _, q, w in out[p]:
+                nd = d + w
+                old = dist[q]
+                if old is None or nd < old:
+                    dist[q] = nd
+                    heapq.heappush(heap, (nd, q))
+        return dist
+
+    def route(self, dist: List[Optional[int]], source: int, target: int,
+              sinks) -> MinimalSequence:
+        """Lexicographically smallest cheapest route from ``source`` to a
+        reached ``target``, read off the cheapest-route DAG of ``dist``.
+
+        The DAG holds the moves ``p -> q`` with ``dist[p] + w == dist[q]``
+        out of expanded places; its paths from source to target are exactly
+        the cheapest routes. A backward sweep from the target marks the
+        places that still reach it; the forward walk then takes, at every
+        step, the smallest transition id whose head is marked. Costs are
+        positive, so no cheapest route is a prefix of another and this
+        greedy choice yields the smallest transition-id tuple.
+        """
+        reaches = {target}
+        stack = [target]
+        while stack:
+            q = stack.pop()
+            for p, w in self.into[q]:
+                if p not in reaches and p not in sinks and dist[p] is not None \
+                        and dist[p] + w == dist[q]:
+                    reaches.add(p)
+                    stack.append(p)
+        seq = []
+        p = source
+        while p != target:
+            for t, q, w in self.out[p]:
+                if q in reaches and dist[p] + w == dist[q]:
+                    seq.append(t)
+                    p = q
+                    break
+        return MinimalSequence(source, target, tuple(seq),
+                               Fraction(dist[target], self.scale))
+
+
 def minimal_sequence(net: PetriNet, source: int, target: int,
                      blocked: Iterable[int] = ()) -> Optional[MinimalSequence]:
     """Cheapest transition sequence moving one token from source to target
@@ -71,6 +152,10 @@ def minimal_sequence(net: PetriNet, source: int, target: int,
     cost resolve to the lexicographically smallest transition-id sequence,
     which is well defined because all costs are positive. Returns None when
     no admissible sequence exists.
+
+    Runs the same integer search as :func:`build_simplified`, with the
+    blocked places as sinks: a sink is never expanded, so a route to any
+    other place never passes through it.
     """
     for p in (source, target):
         if not 0 <= p < net.num_places:
@@ -80,28 +165,11 @@ def minimal_sequence(net: PetriNet, source: int, target: int,
     blocked = frozenset(blocked) - {source}
     if target in blocked:
         return None
-
-    out = [[] for _ in range(net.num_places)]
-    for t in range(net.num_transitions):
-        if len(net.pre[t]) == 1 and len(net.post[t]) == 1:
-            out[net.pre[t][0]].append((t, net.post[t][0]))
-
-    best = {source: (Fraction(0), ())}
-    heap = [(Fraction(0), (), source)]
-    while heap:
-        cost, seq, place = heapq.heappop(heap)
-        if best.get(place, (None, None)) != (cost, seq):
-            continue
-        if place == target:
-            return MinimalSequence(source, target, seq, cost)
-        for t, nxt in out[place]:
-            if nxt in blocked:
-                continue
-            cand = (cost + net.cost[t], seq + (t,))
-            if nxt not in best or cand < best[nxt]:
-                best[nxt] = cand
-                heapq.heappush(heap, (cand[0], cand[1], nxt))
-    return None
+    moves = _Moves(net)
+    dist = moves.cheapest(source, blocked)
+    if dist[target] is None:
+        return None
+    return moves.route(dist, source, target, blocked)
 
 
 def build_simplified(net: PetriNet) -> SimplifiedNet:
@@ -109,36 +177,43 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
 
     One abstract transition is created for every ordered pair (p, p') with
     p a start or labeled place, p' a labeled place, p != p', for which an
-    admissible minimal sequence exists. Transitions are numbered by
-    ascending (p, p') base place ids.
+    admissible minimal sequence exists (one that touches no labeled place
+    other than p and p'). Transitions are numbered by ascending (p, p')
+    base place ids.
+
+    The move adjacency and its integer weights are built once, and one
+    Dijkstra runs per source p with every other labeled place as a sink.
+    A sink is never expanded, so the routes to p' avoid every labeled place
+    but p and p', as the per-pair search with ``blocked = labeled - {p, p'}``
+    does; p' being a sink too changes nothing, since with positive costs a
+    cheapest route never passes through its own end. Each target's
+    sequence is then read off that one search (see ``_Moves.route``).
     """
     labeled = labeled_places(net)
     started = tuple(p for p in range(net.num_places) if net.initial_marking[p] > 0)
     base = tuple(sorted(set(labeled) | set(started)))
     index = {p: i for i, p in enumerate(base)}
     labeled_set = frozenset(labeled)
+    moves = _Moves(net)
 
     lift_map = []
     pre = []
     post = []
-    cost = []
     for p in base:
+        sinks = labeled_set - {p}
+        dist = moves.cheapest(p, sinks)
         for q in labeled:
-            if p == q:
+            if q == p or dist[q] is None:
                 continue
-            ms = minimal_sequence(net, p, q, blocked=labeled_set - {p, q})
-            if ms is None:
-                continue
-            lift_map.append(ms)
+            lift_map.append(moves.route(dist, p, q, sinks))
             pre.append((index[p],))
             post.append((index[q],))
-            cost.append(ms.cost)
 
     reduced = PetriNet(
         num_places=len(base),
         pre=tuple(pre),
         post=tuple(post),
-        cost=tuple(cost),
+        cost=tuple(ms.cost for ms in lift_map),
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )

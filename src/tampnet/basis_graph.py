@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
                      IntegrityError, StateBudgetError)
-from .petri import END, Marking, PetriNet, enabled, fire
+from .petri import END, Marking, PetriNet, enabled, fire, integer_costs
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
@@ -240,83 +240,82 @@ def build_graph(qm: MonitoredNet, part: Optional[BasisPartition] = None,
     else:
         validate_partition(qm, part)
     net = qm.net
-    single_input = all(len(net.pre[t]) == 1 for t in part.explicit)
-    if not part.implicit and single_input:
+    explicit = sorted(part.explicit)
+    single_input = all(len(net.pre[t]) == 1 for t in explicit)
+    by_source = single_input and all(
+        net.pre[a][0] <= net.pre[b][0] for a, b in zip(explicit, explicit[1:]))
+    binary_latches = all(net.initial_marking[p] <= 1 for p in net.clamp_at_one)
+    if not part.implicit and by_source and binary_latches:
         return _build_packed(qm, part, state_cap)
     return _build_general(qm, part, state_cap)
 
 
 def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
-    """Fast path: no implicit transitions, single-input explicit transitions.
+    """Fast path: no implicit transitions, single-input explicit transitions
+    numbered by ascending source place, latches starting at 0 or 1.
 
     Markings are packed into one integer, a fixed-width field per place.
-    Expansion order matches the general path (ascending transition id; with
-    transitions numbered ascending by source place, grouping by source
-    preserves that order).
+    Expansion order matches the general path: gathering the enabled
+    transitions source place by source place already lists them in
+    ascending transition id. Costs are exact integers, scaled by the LCM of
+    the transition cost denominators; they become ``Fraction`` only in the
+    returned edges.
     """
     net = qm.net
     n = net.num_places
     tokens = max(1, sum(net.initial_marking))
     shift = max(4, tokens.bit_length() + 1)
     clamped = net.clamp_at_one
-
-    def pack(m: Marking) -> int:
-        return sum(c << (shift * p) for p, c in enumerate(m))
-
-    def unpack(v: int) -> Marking:
-        mask = (1 << shift) - 1
-        return tuple((v >> (shift * p)) & mask for p in range(n))
+    weights, scale = integer_costs(net.cost)
 
     place_bit = [1 << (shift * p) for p in range(n)]
-    place_mask = [((1 << shift) - 1) << (shift * p) for p in range(n)]
-
-    by_source: List[List[Tuple[int, int, Tuple[int, ...], object]]] = [[] for _ in range(n)]
-    exact_int = all(net.cost[t].denominator == 1 for t in range(net.num_transitions))
+    # Latch fields hold 0 or 1, so producing into one is an OR of its low
+    # bit; no other field can carry, since counts stay below 2**(shift-1).
+    by_source: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for t in sorted(part.explicit):
         src = net.pre[t][0]
-        producing = tuple(p for p in net.post[t] if p in clamped)
         plain = sum(place_bit[p] for p in net.post[t] if p not in clamped) - place_bit[src]
-        weight = int(net.cost[t]) if exact_int else net.cost[t]
-        by_source[src].append((t, plain, producing, weight))
+        latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
+        by_source[src].append((t, plain, latch, weights[t]))
+    field = (1 << shift) - 1
+    sources = [(field << (shift * p), moves) for p, moves in enumerate(by_source) if moves]
 
-    root = pack(net.initial_marking)
-    dist = {root: 0}
-    via: Dict[int, Optional[Tuple[int, int]]] = {root: None}
+    root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
+    # best[m] = (q, parent index, transition) of the cheapest edge into m so
+    # far; an entry popped with a larger q than best[m] is stale.
+    best: Dict[int, Tuple[int, int, int]] = {root: (0, -1, -1)}
     heap = [(0, 0, root)]
     counter = 1
     order: List[int] = []
-    index: Dict[int, int] = {}
-    edges: List[Optional[Edge]] = []
+    entries: List[Tuple[int, int, int]] = []
 
     while heap:
         q, _, m = heapq.heappop(heap)
-        if m in index or q > dist[m]:
+        entry = best[m]
+        if q > entry[0]:
             continue
         if len(order) >= state_cap:
             raise StateBudgetError(state_cap, what="basis graph construction")
         idx = len(order)
-        index[m] = idx
         order.append(m)
-        came = via[m]
-        edges.append(None if came is None else Edge(index[came[0]], came[1], (), q))
-        candidates = [x for src in range(n) if m & place_mask[src] for x in by_source[src]]
-        candidates.sort()
-        for t, plain, producing, weight in candidates:
-            child = m + plain
-            for p in producing:
-                if not child & place_mask[p]:
-                    child += place_bit[p]
-            nq = q + weight
-            old = dist.get(child)
-            if old is None or nq < old:
-                dist[child] = nq
-                via[child] = (m, t)
-                heapq.heappush(heap, (nq, counter, child))
-                counter += 1
+        entries.append(entry)
+        for mask, moves in sources:
+            if not m & mask:
+                continue
+            for t, plain, latch, weight in moves:
+                child = (m + plain) | latch
+                nq = q + weight
+                old = best.get(child)
+                if old is None or nq < old[0]:
+                    best[child] = (nq, idx, t)
+                    heapq.heappush(heap, (nq, counter, child))
+                    counter += 1
 
-    markings = tuple(unpack(m) for m in order)
-    edges = tuple(e if e is None else Edge(e.parent, e.transition, (), Fraction(e.cost))
-                  for e in edges)
+    del best
+    shifts = [shift * p for p in range(n)]
+    markings = tuple(tuple([(m >> s) & field for s in shifts]) for m in order)
+    edges = (None,) + tuple(Edge(parent, t, (), Fraction(q, scale))
+                            for q, parent, t in entries[1:])
     return BasisGraph(markings, edges, packed=tuple(order), packed_shift=shift)
 
 

@@ -12,12 +12,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .basis_graph import DEFAULT_STATE_CAP, load_cache, save_cache
+from .basis_graph import DEFAULT_STATE_CAP, save_cache
 from .bench import MODES, BenchConfig, run_bench
 from .errors import TampError
-from .grid import cost_json, env_to_pn, free_cells, load_env, plan_json_text, render
+from .grid import cost_json, load_env, plan_json_text, render
 from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
-from .planner import Infeasible, OfflineModel, build_offline, plan
+from .planner import Infeasible, build_offline, load_offline, plan
 from .taskspec import parse
 
 STATE_CAP_ENV = "TAMP_STATE_CAP"
@@ -122,31 +122,15 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _offline_from_cache(env, cache_path: str) -> OfflineModel:
-    from .abstraction import build_monitored, build_simplified
-    from .planner import escape_steps
-
-    net = env_to_pn(env)
-    props = set()
-    for region in env.regions:
-        props |= region.trajectory_props
-    simplified = build_simplified(net)
-    monitored = build_monitored(simplified, props)
-    graph, partition = load_cache(cache_path, monitored)
-    return OfflineModel(env, net, free_cells(env), simplified, monitored,
-                        partition, graph, escape_steps(net, simplified.base_place))
-
-
 def _cmd_plan(args) -> int:
     if args.render and not args.render_out:
         raise _UsageError("--render requires --render-out")
     env = load_env(args.env)
     spec = parse(_read_spec(args))
     cap = _state_cap(args.state_cap, DEFAULT_STATE_CAP)
-    offline = None
     if args.cache and os.path.exists(args.cache):
-        offline = _offline_from_cache(env, args.cache)
-    if offline is None:
+        offline = load_offline(env, args.cache)
+    else:
         offline = build_offline(env, state_cap=cap)
         if args.cache:
             save_cache(offline.graph, offline.monitored, offline.partition, args.cache)

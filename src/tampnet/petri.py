@@ -4,7 +4,8 @@ Places and transitions are dense integer indices. Arcs have unit weight and
 are stored sparsely: ``pre[t]`` / ``post[t]`` list the input / output places
 of transition ``t``. Markings are plain tuples of non-negative token counts
 indexed by place. Costs are exact :class:`fractions.Fraction` values so that
-every derived cost in the pipeline is bit-stable.
+every derived cost in the pipeline is bit-stable; the offline searches scale
+them to integers with :func:`integer_costs` and convert back on output.
 
 Places listed in ``clamp_at_one`` are latch places: transitions may produce
 into them but never consume from them, and their count saturates at one
@@ -14,6 +15,7 @@ built by :mod:`tampnet.abstraction` use them for visit indicators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -147,6 +149,15 @@ def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
         _check_transition(net, t)
         total += net.cost[t]
     return total
+
+
+def integer_costs(costs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """Exact integer weights for ``costs``: returns ``(weights, scale)`` with
+    ``weights[i] == costs[i] * scale``, where ``scale`` is the LCM of the
+    denominators. Sums and comparisons of weights then match those of the
+    costs exactly; divide by ``scale`` to get a cost back."""
+    scale = math.lcm(*(c.denominator for c in costs))
+    return tuple(c.numerator * (scale // c.denominator) for c in costs), scale
 
 
 def _check_transition(net: PetriNet, t) -> None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
                           build_simplified, lift)
 from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, BasisPartition,
-                          build_graph, choose_partition)
+                          build_graph, choose_partition, load_cache)
 from .errors import IntegrityError
 from .grid import Cell, Environment, Plan, env_to_pn, free_cells
 from .petri import PetriNet, enabled, fire, replay, sequence_cost
@@ -82,18 +82,37 @@ def escape_steps(net: PetriNet,
     return tuple(best)
 
 
-def build_offline(env: Environment, state_cap: Optional[int] = None) -> OfflineModel:
+def _offline(env: Environment,
+             graph_for: Callable[[MonitoredNet], Tuple[BasisGraph, BasisPartition]],
+             ) -> OfflineModel:
+    """Compile ``env`` into an offline model: movement net, reduction,
+    visit latches and escape moves, plus the basis graph and partition that
+    ``graph_for`` returns for the monitored net (built or loaded)."""
     net = env_to_pn(env)
     props = set()
     for region in env.regions:
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    partition = choose_partition(monitored)
-    graph = build_graph(monitored, partition,
-                        state_cap=DEFAULT_STATE_CAP if state_cap is None else state_cap)
+    graph, partition = graph_for(monitored)
     return OfflineModel(env, net, free_cells(env), simplified, monitored,
                         partition, graph, escape_steps(net, simplified.base_place))
+
+
+def build_offline(env: Environment, state_cap: Optional[int] = None) -> OfflineModel:
+    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
+
+    def graph_for(monitored: MonitoredNet):
+        partition = choose_partition(monitored)
+        return build_graph(monitored, partition, state_cap=cap), partition
+
+    return _offline(env, graph_for)
+
+
+def load_offline(env: Environment, cache_path) -> OfflineModel:
+    """Offline model whose basis graph is read from a ``save_cache`` file
+    instead of being rebuilt; raises CacheError when it does not match."""
+    return _offline(env, lambda monitored: load_cache(cache_path, monitored))
 
 
 def _supports(vec) -> Tuple[int, ...]:

@@ -85,6 +85,46 @@ def test_minimal_sequence_matches_brute_force(seed):
     assert checked > 0
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_build_simplified_matches_brute_force(seed):
+    # every reduced transition against the all-simple-paths reference, on
+    # maps with obstacles, overlapping two-cell regions, a proposition shared
+    # by two regions, a labeled start cell and costs with denominators 2, 3, 7
+    rng = random.Random(f"reduce:{seed}")
+    side = rng.choice([3, 4, 5])
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    n_obstacles = rng.randrange(1, side)
+    obstacles, free = cells[:n_obstacles], cells[n_obstacles:]
+    regions = [
+        {"name": "A", "cells": [list(free[0]), list(free[1])],
+         "trajectory_props": ["a", "s"]},
+        {"name": "B", "cells": [list(free[1]), list(free[2])],
+         "trajectory_props": ["b"], "final_props": ["e"]},
+        {"name": "C", "cells": [list(c) for c in free[3:3 + rng.randint(1, 2)]],
+         "trajectory_props": ["s"]},
+    ]
+    costs = ["1/3", "2/7", "1/2", 1]
+    rng.shuffle(costs)
+    env = square_env(side, regions, agents=[free[0], free[-1]],
+                     obstacles=obstacles,
+                     move_cost=dict(zip(("up", "right", "down", "left"), costs)))
+    net = env_to_pn(env)
+    simplified = build_simplified(net)
+    labeled = set(labeled_places(net))
+
+    expected = {}
+    for source in simplified.base_place:
+        for target in sorted(labeled - {source}):
+            ref = brute_minimal_sequence(net, source, target,
+                                         labeled - {source, target})
+            if ref is not None:
+                expected[source, target] = ref
+    got = {(m.source, m.target): (m.cost, m.sequence) for m in simplified.lift_map}
+    assert expected and got == expected
+    assert any(cost.denominator > 1 for cost, _ in got.values())
+
+
 def test_minimal_sequence_detours_around_labeled_interior():
     # a wall of labeled cells across the middle: the route must go around it
     regions = [

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from tampnet import (CacheDigestError, CacheFormatError, CacheVersionError,
-                     Explanation, StateBudgetError, apply_explanation,
-                     build_graph, choose_partition, full_graph_reference,
-                     load_cache, minimal_explanations, net_digest, save_cache,
+                     Explanation, MonitoredNet, PetriNet, StateBudgetError,
+                     apply_explanation, build_graph, build_offline,
+                     choose_partition, full_graph_reference, load_cache,
+                     minimal_explanations, net_digest, save_cache,
                      validate_partition)
 from tampnet.basis_graph import BasisPartition, Edge, _build_general
 from tampnet.oracle import _brute_explanations
@@ -16,7 +17,8 @@ from tampnet.planner import backtrack, linearize_explanation
 from tampnet import replay, sequence_cost
 
 from conftest import (EMPTY, as_monitored, end_label, hand_net, hop_chain_net,
-                      join_net, relay_net, two_cycle_net, two_feeders_net)
+                      join_net, relay_net, square_env, two_cycle_net,
+                      two_feeders_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
 
@@ -224,6 +226,41 @@ def test_general_build_agrees_with_packed_fast_path(demo_offline):
     assert general.markings == packed.markings
     assert general.edges == packed.edges
     assert general.packed is not None
+
+
+def test_packed_path_agrees_with_general_on_fractional_costs():
+    # integer-scaled weights must give the same tree and exact costs
+    regions = [{"name": "a", "cells": [[0, 3], [1, 3]], "trajectory_props": ["a"]},
+               {"name": "b", "cells": [[1, 3], [3, 0]], "trajectory_props": ["b"]},
+               {"name": "c", "cells": [[2, 2]], "final_props": ["c"]}]
+    env = square_env(4, regions, agents=[(0, 0), (3, 3)], obstacles=[(1, 1)],
+                     move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
+    offline = build_offline(env)
+    general = _build_general(offline.monitored, offline.partition, 10 ** 6)
+    assert offline.graph.markings == general.markings
+    assert offline.graph.edges == general.edges
+    assert any(edge.cost.denominator > 1 for edge in offline.graph.edges[1:])
+
+
+def test_transitions_out_of_source_order_expand_in_id_order():
+    # t0 leaves place 1 and t1 leaves place 0; equal-cost children must
+    # still be discovered in transition id order
+    net = hand_net(4, [((1,), (2,), 1), ((0,), (3,), 1)],
+                   [EMPTY, EMPTY, end_label("x"), end_label("y")], (1, 1, 0, 0))
+    qm = as_monitored(net)
+    graph = build_graph(qm)
+    assert graph.markings[1] == (1, 0, 1, 0)
+    general = _build_general(qm, choose_partition(qm), 10 ** 6)
+    assert graph.markings == general.markings
+    assert graph.edges == general.edges
+
+
+def test_latch_starting_above_one_saturates_as_fire_does():
+    # producing into a latch that holds 2 leaves it at 1, as petri.fire does
+    net = PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
+                   (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
+    graph = build_graph(MonitoredNet(net, {"v": 2}, (0, 1), (0, 1)))
+    assert graph.markings == ((1, 0, 2), (0, 1, 1))
 
 
 def test_build_honors_the_state_cap(demo_offline):

@@ -1,0 +1,89 @@
+"""Byte-identity guard for the offline half.
+
+Pins the SHA-256 of the ``save_cache`` output and of ``plan_json_text`` for
+the demo map, the plant map and one seeded map with fractional
+per-direction costs. Any rewrite of the reduction or the graph build must
+leave caches and plan JSON byte for byte as they are; a changed digest here
+means a changed answer or a changed cache format, not a style difference.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from tampnet import Plan, build_offline, parse_env, plan, plan_json_text, save_cache
+
+DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
+PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
+              " & !visit(5) & end(1) & end(7)")
+FRACTIONAL_SPEC = "visit(d) & visit(a) & end(c)"
+
+# (save_cache SHA-256, plan_json_text SHA-256); computed before the
+# integer rewrite of the reduction and the graph build.
+GOLDEN = {
+    "demo": ("7c6b3d1bc9e5e04646faa8ebefd7099ad9f991c87d102b5023588f7607f9e4f9",
+             "c4da7cfd328ad3e898fcd04287015da017f9d897c15c3f261df929835e246ad5"),
+    "plant": ("de51f8df265b7b456ca4d1179cc7465f5a5c273a8835283c5230071218885509",
+              "6ce9e836a7c954eb808a820ecdcd1328dbc8d23c0866eb669573d778eb5644b5"),
+    "fractional": ("36060bea523a8025cbb73e8e14920ac7708fb197cfd548e50efac69d729c4d6d",
+                   "76e523fa03300b8be5c30f5f6cc8336d000284644bac1bff95512d6d508af9f9"),
+}
+
+
+def fractional_env():
+    """Seeded 10x10 map: obstacles, overlapping two-cell regions, a shared
+    proposition and per-direction costs with denominators 3, 7 and 2."""
+    rng = random.Random("golden:fractional")
+    side = 10
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    obstacles, free = cells[:12], sorted(cells[12:])
+    rng.shuffle(free)
+
+    def pair(anchor):
+        r, c = anchor
+        for nb in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+            if nb in free:
+                return [list(anchor), list(nb)]
+        return [list(anchor)]
+
+    regions = [
+        {"name": "A", "cells": pair(free[0]), "trajectory_props": ["a"]},
+        {"name": "B", "cells": pair(free[1]), "trajectory_props": ["b", "s"]},
+        {"name": "C", "cells": [list(free[2])], "final_props": ["c"]},
+        {"name": "D", "cells": [list(free[3])], "trajectory_props": ["d", "s"]},
+    ]
+    # E overlaps A on A's first cell
+    regions.append({"name": "E", "cells": [list(free[0]), list(free[4])],
+                    "final_props": ["e"]})
+    return parse_env({
+        "grid": {"rows": side, "cols": side},
+        "obstacles": [list(c) for c in obstacles],
+        "regions": regions,
+        "agents": [list(free[5]), list(free[6])],
+        "move_cost": {"up": "1/3", "right": "2/7", "down": "1/2", "left": 1},
+    })
+
+
+def _digests(env, offline, spec, tmp_path):
+    cache = tmp_path / "graph.json"
+    save_cache(offline.graph, offline.monitored, offline.partition, cache)
+    result = plan(env, spec, offline)
+    assert isinstance(result, Plan)
+    return (hashlib.sha256(cache.read_bytes()).hexdigest(),
+            hashlib.sha256(plan_json_text(env, result).encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cache_and_plan_bytes_are_pinned(name, request, tmp_path):
+    if name == "demo":
+        env, offline, spec = (request.getfixturevalue("demo_env"),
+                              request.getfixturevalue("demo_offline"), DEMO_SPEC)
+    elif name == "plant":
+        env, offline, spec = (request.getfixturevalue("plant_env"),
+                              request.getfixturevalue("plant_offline"), PLANT_SPEC)
+    else:
+        env = fractional_env()
+        offline, spec = build_offline(env), FRACTIONAL_SPEC
+    assert _digests(env, offline, spec, tmp_path) == GOLDEN[name]
