@@ -7,6 +7,10 @@ one explicit firing. The builder runs a lowest-cost-first expansion, so each
 basis marking is finalized with its minimal accumulated cost q and exactly
 one parent edge; the result is a tree with |edges| = |markings| - 1.
 
+Every graph, built or loaded, carries one occupancy index: per place, an
+int with one bit per marking. Queries combine these bitsets with a few
+big-int AND/OR operations instead of reading the markings.
+
 For nets produced by this pipeline every abstract transition targets a
 labeled place and is therefore explicit; the implicit machinery still runs
 for hand-built nets and is exercised by the structural tests.
@@ -17,8 +21,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .abstraction import MonitoredNet
@@ -60,15 +67,20 @@ class Edge(NamedTuple):
 class BasisGraph:
     """Markings in finalization order (ascending q); edges[0] is None.
 
-    ``packed`` optionally mirrors the markings as single integers (one
-    fixed-width field per place) for fast scanning; it carries no extra
-    information.
+    ``occupied[p]`` is the occupancy index of place ``p``: an int whose bit
+    ``i`` is set iff marking ``i`` has a token on ``p``. It is derived from
+    the markings when not given and carries no extra information.
     """
 
     markings: Tuple[Marking, ...]
     edges: Tuple[Optional[Edge], ...]
-    packed: Optional[Tuple[int, ...]] = None
-    packed_shift: Optional[int] = None
+    occupied: Tuple[int, ...] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.occupied is None:
+            places = len(self.markings[0]) if self.markings else 0
+            flat = bytes(map(bool, chain.from_iterable(self.markings)))
+            self.occupied = _occupancy(flat, places, 1)
 
     def q(self, i: int):
         edge = self.edges[i]
@@ -76,6 +88,28 @@ class BasisGraph:
 
     def __len__(self) -> int:
         return len(self.markings)
+
+
+# translate table: byte 0 becomes the digit "0", any other byte "1"
+_BIT_DIGIT = b"0" + b"1" * 255
+
+
+def _occupancy(flat: bytes, places: int, width: int) -> Tuple[int, ...]:
+    """Occupancy index of ``flat``, consecutive markings of ``places``
+    little-endian fields ``width`` bytes wide: bit i of entry p is set iff
+    field p of marking i is nonzero.
+
+    Each byte column is one strided slice, mapped to binary digits with
+    ``translate`` and read (reversed, so marking 0 is bit 0) by ``int``.
+    """
+    stride = places * width
+    occupied = []
+    for start in range(0, stride, width):
+        bits = 0
+        for k in range(start, start + width):
+            bits |= int(b"0" + flat[k::stride].translate(_BIT_DIGIT)[::-1], 2)
+        occupied.append(bits)
+    return tuple(occupied)
 
 
 def choose_partition(qm: MonitoredNet) -> BasisPartition:
@@ -245,16 +279,29 @@ def build_graph(qm: MonitoredNet, part: Optional[BasisPartition] = None,
     by_source = single_input and all(
         net.pre[a][0] <= net.pre[b][0] for a, b in zip(explicit, explicit[1:]))
     binary_latches = all(net.initial_marking[p] <= 1 for p in net.clamp_at_one)
-    if not part.implicit and by_source and binary_latches:
+    # no count may outgrow the initial token total (at most one non-latch
+    # output per transition), and that total must fit a field of 8 bytes
+    bounded = sum(net.initial_marking) < 1 << 64 and all(
+        sum(p not in net.clamp_at_one for p in net.post[t]) <= 1 for t in explicit)
+    if not part.implicit and by_source and binary_latches and bounded:
         return _build_packed(qm, part, state_cap)
     return _build_general(qm, part, state_cap)
 
 
+# array type codes of unsigned fields 1, 2, 4 and 8 bytes wide
+_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
     """Fast path: no implicit transitions, single-input explicit transitions
-    numbered by ascending source place, latches starting at 0 or 1.
+    numbered by ascending source place, latches starting at 0 or 1, no
+    transition adding tokens.
 
-    Markings are packed into one integer, a fixed-width field per place.
+    Markings are packed into one integer, a field of 1, 2, 4 or 8 whole
+    bytes per place, wide enough for the initial token total. The finished
+    markings are unpacked through one flat byte string, which also feeds
+    the occupancy index.
+
     Expansion order matches the general path: gathering the enabled
     transitions source place by source place already lists them in
     ascending transition id. Costs are exact integers, scaled by the LCM of
@@ -264,21 +311,22 @@ def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> Bas
     net = qm.net
     n = net.num_places
     tokens = max(1, sum(net.initial_marking))
-    shift = max(4, tokens.bit_length() + 1)
+    width = next(w for w in (1, 2, 4, 8) if tokens < 1 << 8 * w)
+    shift = 8 * width
     clamped = net.clamp_at_one
     weights, scale = integer_costs(net.cost)
 
     place_bit = [1 << (shift * p) for p in range(n)]
     # Latch fields hold 0 or 1, so producing into one is an OR of its low
-    # bit; no other field can carry, since counts stay below 2**(shift-1).
+    # bit; no other field can carry, since counts stay below 2**shift.
     by_source: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for t in sorted(part.explicit):
         src = net.pre[t][0]
         plain = sum(place_bit[p] for p in net.post[t] if p not in clamped) - place_bit[src]
         latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
         by_source[src].append((t, plain, latch, weights[t]))
-    field = (1 << shift) - 1
-    sources = [(field << (shift * p), moves) for p, moves in enumerate(by_source) if moves]
+    full = (1 << shift) - 1
+    sources = [(full << (shift * p), moves) for p, moves in enumerate(by_source) if moves]
 
     root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
     # best[m] = (q, parent index, transition) of the cheapest edge into m so
@@ -312,11 +360,15 @@ def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> Bas
                     counter += 1
 
     del best
-    shifts = [shift * p for p in range(n)]
-    markings = tuple(tuple([(m >> s) & field for s in shifts]) for m in order)
+    flat = b"".join([m.to_bytes(n * width, "little") for m in order])
+    del order
+    counts = array(_FIELD_CODE[width], flat)
+    if sys.byteorder == "big":
+        counts.byteswap()
+    markings = tuple([tuple(counts[i * n:i * n + n]) for i in range(len(entries))])
     edges = (None,) + tuple(Edge(parent, t, (), Fraction(q, scale))
                             for q, parent, t in entries[1:])
-    return BasisGraph(markings, edges, packed=tuple(order), packed_shift=shift)
+    return BasisGraph(markings, edges, _occupancy(flat, n, width))
 
 
 def _build_general(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
@@ -354,22 +406,7 @@ def _build_general(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> Ba
                     heapq.heappush(heap, (nq, counter, child))
                     counter += 1
 
-    graph = BasisGraph(tuple(order), tuple(edges))
-    _attach_packed(graph)
-    return graph
-
-
-def _attach_packed(graph: BasisGraph) -> None:
-    if not graph.markings:
-        return
-    peak = max(max(m) for m in graph.markings)
-    n = len(graph.markings[0])
-    shift = max(4, peak.bit_length() + 1)
-    if n * shift > 4096:
-        return
-    graph.packed = tuple(
-        sum(c << (shift * p) for p, c in enumerate(m)) for m in graph.markings)
-    graph.packed_shift = shift
+    return BasisGraph(tuple(order), tuple(edges))
 
 
 def net_digest(net: PetriNet) -> str:
@@ -411,7 +448,10 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, part: BasisPartition, path) 
 
 
 def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
-    """Load a cache written by save_cache, checking format, version, digest."""
+    """Load a cache written by save_cache, checking format, version, digest.
+
+    The occupancy index is built after the parsed JSON is released, so it
+    does not add to the peak memory of the load."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             container = json.load(fh)
@@ -450,8 +490,7 @@ def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CacheFormatError(f"cache {path} has a malformed body: {exc}") from exc
+    del container
     if len(edges) != len(markings) or not markings or edges[0] is not None:
         raise CacheFormatError(f"cache {path} has inconsistent markings/edges")
-    graph = BasisGraph(tuple(markings), tuple(edges))
-    _attach_packed(graph)
-    return graph, partition
+    return BasisGraph(tuple(markings), tuple(edges)), partition

@@ -2,10 +2,11 @@
 
 The offline half compiles an environment once (movement net, reduction,
 indicators, basis graph); the online half answers one formula: compile it to
-clause vectors, scan the basis markings for the cheapest one meeting every
-clause, walk the parent edges back to the root, expand explanations, lift
-abstract transitions to grid moves, and split the move sequence into
-per-agent paths. Infeasibility is a first-class result, not an exception.
+clause vectors, combine the basis graph's per-place occupancy bitsets to
+find the cheapest marking meeting every clause, walk the parent edges back
+to the root, expand explanations, lift abstract transitions to grid moves,
+and split the move sequence into per-agent paths. Infeasibility is a
+first-class result, not an exception.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class TargetChoice(NamedTuple):
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Which clause families could not be met (checked one family at a time;
-    'combination' means each family is satisfiable alone but never jointly)."""
+    """Which clause families could not be met (checked one family at a time
+    on the occupancy index; 'combination' means each family is satisfiable
+    alone but never jointly)."""
 
     families: Tuple[str, ...]
 
@@ -119,13 +121,56 @@ def _supports(vec) -> Tuple[int, ...]:
     return tuple(p for p, v in enumerate(vec) if v)
 
 
+class _Constraints(NamedTuple):
+    """A formula's clause vectors as place lists over the reduced net.
+
+    ``final`` clauses leave out the ``soft`` forbidden places (those an
+    agent may step off, so a token there no longer counts as ending there).
+    ``stuck`` lists the forbidden places that disqualify a marking: soft
+    places without an escape move, and the rest of the forbidden places.
+    """
+
+    trajectory: List[Tuple[int, ...]]
+    final: List[Tuple[int, ...]]
+    soft: List[int]
+    stuck: List[int]
+
+
+def _constraints(graph: BasisGraph, vectors: SpecVectors,
+                 escapes: Optional[Sequence]) -> _Constraints:
+    n = len(graph.occupied)
+    for vec in (*vectors.z_list, *vectors.d_list, vectors.g):
+        if len(vec) != n:
+            raise ValueError("clause vector length does not match the net")
+    g_sup = _supports(vectors.g)
+    mobility = len(escapes) if escapes is not None else 0
+    soft = [p for p in g_sup if p < mobility]
+    stuck = [p for p in g_sup if p >= mobility or escapes[p] is None]
+    final = [tuple(p for p in _supports(v) if p not in soft) for v in vectors.d_list]
+    return _Constraints([_supports(v) for v in vectors.z_list], final, soft, stuck)
+
+
+def _any_of(graph: BasisGraph, places) -> int:
+    """Bitset of the markings with a token on at least one of ``places``."""
+    bits = 0
+    for p in places:
+        bits |= graph.occupied[p]
+    return bits
+
+
+def _meeting(graph: BasisGraph, clauses) -> int:
+    """Bitset of the markings with a token in every clause (all markings
+    when there are no clauses, none when a clause is empty)."""
+    bits = (1 << len(graph)) - 1
+    for places in clauses:
+        bits &= _any_of(graph, places)
+    return bits
+
+
 def select_target(graph: BasisGraph, vectors: SpecVectors,
                   escapes: Optional[Sequence[Optional[Tuple[int, Fraction]]]] = None,
                   ) -> Optional[TargetChoice]:
     """Cheapest way to end on a basis marking meeting every clause vector.
-
-    Markings are stored in ascending-q order, so without escape pricing the
-    first match is minimal, ties broken by smallest marking index.
 
     ``escapes`` (indexed like the reduced places, see OfflineModel) enables
     pricing of forbidden final places: each token ending on forbidden place
@@ -133,108 +178,53 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
     but then no longer counts toward any final clause. The reported cost
     includes those hops. Omitting ``escapes`` treats every forbidden place
     as a hard exclusion.
+
+    The candidates come from the graph's occupancy index: the AND over the
+    clauses of the OR of their places' bitsets, minus the markings with a
+    token on a disqualifying place. Markings are stored in ascending-q
+    order, so the lowest candidate is cheapest unless escape hops add to
+    its cost; candidates are then walked in ascending order (reading only
+    the ones that pay hops) until q alone reaches the best total. Ties go
+    to the smallest marking index.
     """
-    if not graph.markings:
-        return None
-    n = len(graph.markings[0])
-    for vec in (*vectors.z_list, *vectors.d_list, vectors.g):
-        if len(vec) != n:
-            raise ValueError("clause vector length does not match the net")
-
-    g_sup = _supports(vectors.g)
-    mobility = len(escapes) if escapes is not None else 0
-    soft = [p for p in g_sup if p < mobility]
-    hard = [p for p in g_sup if p >= mobility]
-    drop = frozenset(soft)
-
-    if graph.packed is not None:
-        shift = graph.packed_shift
-        field = (1 << shift) - 1
-
-        def mask(places) -> int:
-            return sum(field << (shift * p) for p in places)
-
-        need = [mask(_supports(v)) for v in vectors.z_list]
-        need += [mask(p for p in _supports(v) if p not in drop) for v in vectors.d_list]
-        avoid = mask(hard)
-        if not soft:
-            for i, m in enumerate(graph.packed):
-                if not m & avoid and all(m & req for req in need):
-                    return TargetChoice(i, graph.q(i))
-            return None
-        best: Optional[TargetChoice] = None
-        for i, m in enumerate(graph.packed):
-            if best is not None and graph.q(i) >= best.cost:
-                break
-            if m & avoid or not all(m & req for req in need):
-                continue
-            total = graph.q(i)
-            for p in soft:
-                count = (m >> (shift * p)) & field
-                if not count:
-                    continue
-                if escapes[p] is None:
-                    total = None
-                    break
-                total += count * escapes[p][1]
-            if total is not None and (best is None or total < best.cost):
-                best = TargetChoice(i, total)
-        return best
-
-    need = [_supports(v) for v in vectors.z_list]
-    need += [tuple(p for p in _supports(v) if p not in drop) for v in vectors.d_list]
-    if not soft:
-        for i, m in enumerate(graph.markings):
-            if any(m[p] for p in hard):
-                continue
-            if all(any(m[p] for p in sup) for sup in need):
-                return TargetChoice(i, graph.q(i))
-        return None
-    best = None
-    for i, m in enumerate(graph.markings):
-        if best is not None and graph.q(i) >= best.cost:
-            break
-        if any(m[p] for p in hard):
-            continue
-        if not all(any(m[p] for p in sup) for sup in need):
-            continue
+    con = _constraints(graph, vectors, escapes)
+    candidates = _meeting(graph, con.trajectory + con.final) \
+        & ~_any_of(graph, con.stuck)
+    hopping = _any_of(graph, con.soft)
+    best: Optional[TargetChoice] = None
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
         total = graph.q(i)
-        for p in soft:
-            if not m[p]:
-                continue
-            if escapes[p] is None:
-                total = None
-                break
-            total += m[p] * escapes[p][1]
-        if total is not None and (best is None or total < best.cost):
+        if best is not None and total >= best.cost:
+            break
+        if low & hopping:
+            m = graph.markings[i]
+            for p in con.soft:
+                if m[p]:
+                    total += m[p] * escapes[p][1]
+        if best is None or total < best.cost:
             best = TargetChoice(i, total)
     return best
 
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
                            escapes: Optional[Sequence] = None) -> Tuple[str, ...]:
-    """Name the clause families that no basis marking satisfies alone."""
-    g_sup = _supports(vectors.g)
-    mobility = len(escapes) if escapes is not None else 0
-    soft = frozenset(p for p in g_sup if p < mobility)
-    hard = [p for p in g_sup if p >= mobility]
-    z_sup = [_supports(v) for v in vectors.z_list]
-    d_sup = [tuple(p for p in _supports(v) if p not in soft) for v in vectors.d_list]
+    """Name the clause families that no basis marking satisfies alone.
 
-    def ever(check) -> bool:
-        return any(check(m) for m in graph.markings)
-
-    def clearable(m) -> bool:
-        if any(m[p] for p in hard):
-            return False
-        return all(not m[p] or escapes[p] is not None for p in soft)
-
+    Each family is checked on the occupancy index, without reading any
+    marking: 'trajectory' and 'final' when no marking meets all of that
+    family's clauses, 'forbidden' when every marking has a token on a
+    disqualifying place, and 'combination' when each family holds alone.
+    """
+    con = _constraints(graph, vectors, escapes)
     failing = []
-    if z_sup and not ever(lambda m: all(any(m[p] for p in s) for s in z_sup)):
+    if con.trajectory and not _meeting(graph, con.trajectory):
         failing.append("trajectory")
-    if d_sup and not ever(lambda m: all(any(m[p] for p in s) for s in d_sup)):
+    if con.final and not _meeting(graph, con.final):
         failing.append("final")
-    if g_sup and not ever(clearable):
+    if (con.soft or con.stuck) and not _meeting(graph, ()) & ~_any_of(graph, con.stuck):
         failing.append("forbidden")
     return tuple(failing) if failing else ("combination",)
 

@@ -5,8 +5,8 @@ from typing import Sequence, Tuple
 
 import pytest
 
-from tampnet import (Atom, END, MonitoredNet, PetriNet, build_offline,
-                     load_env, parse_env)
+from tampnet import (Atom, END, MonitoredNet, PetriNet, TargetChoice,
+                     build_offline, load_env, parse_env)
 from tampnet.data import fixture_path
 
 EMPTY = frozenset()
@@ -93,6 +93,73 @@ def brute_minimal_sequence(net, source, target, blocked):
                 continue
             stack.append((nxt, seq + (t,), cost + net.cost[t], seen | {nxt}))
     return best
+
+
+def occupancy_reference(markings):
+    """Per-place bitsets built one marking at a time: bit i of entry p is
+    set iff marking i has a token on place p."""
+    places = len(markings[0]) if markings else 0
+    return tuple(sum(1 << i for i, m in enumerate(markings) if m[p])
+                 for p in range(places))
+
+
+def _split_forbidden(vectors, escapes):
+    mobility = len(escapes) if escapes is not None else 0
+    g_sup = [p for p, v in enumerate(vectors.g) if v]
+    soft = [p for p in g_sup if p < mobility]
+    hard = [p for p in g_sup if p >= mobility]
+    return g_sup, soft, hard
+
+
+def scan_select(graph, vectors, escapes):
+    """Reference for select_target: plain full scan over the marking
+    tuples, no early exit."""
+    _, soft, hard = _split_forbidden(vectors, escapes)
+    need = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
+    need += [[p for p, v in enumerate(d) if v and p not in soft]
+             for d in vectors.d_list]
+    best = None
+    for i, m in enumerate(graph.markings):
+        if any(m[p] for p in hard):
+            continue
+        if not all(any(m[p] for p in sup) for sup in need):
+            continue
+        total = graph.q(i)
+        for p in soft:
+            if not m[p]:
+                continue
+            if escapes[p] is None:
+                total = None
+                break
+            total += m[p] * escapes[p][1]
+        if total is not None and (best is None or total < best.cost):
+            best = TargetChoice(i, total)
+    return best
+
+
+def scan_diagnose(graph, vectors, escapes):
+    """Reference for diagnose_infeasibility: one tuple scan per family."""
+    g_sup, soft, hard = _split_forbidden(vectors, escapes)
+    z_sup = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
+    d_sup = [[p for p, v in enumerate(d) if v and p not in soft]
+             for d in vectors.d_list]
+
+    def ever(check) -> bool:
+        return any(check(m) for m in graph.markings)
+
+    def clearable(m) -> bool:
+        if any(m[p] for p in hard):
+            return False
+        return all(not m[p] or escapes[p] is not None for p in soft)
+
+    failing = []
+    if z_sup and not ever(lambda m: all(any(m[p] for p in s) for s in z_sup)):
+        failing.append("trajectory")
+    if d_sup and not ever(lambda m: all(any(m[p] for p in s) for s in d_sup)):
+        failing.append("final")
+    if g_sup and not ever(clearable):
+        failing.append("forbidden")
+    return tuple(failing) if failing else ("combination",)
 
 
 def square_env(side: int, regions, agents, obstacles=(), move_cost=1):

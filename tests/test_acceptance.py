@@ -15,12 +15,11 @@ from itertools import combinations
 
 import pytest
 
-from tampnet import (BasisPartition, Infeasible, OfflineModel, Plan,
-                     backtrack, build_graph, build_monitored, build_offline,
-                     build_simplified, choose_partition, env_to_pn,
-                     escape_steps, free_cells, full_graph_reference,
+from tampnet import (BasisPartition, Infeasible, Plan, backtrack,
+                     build_graph, build_offline, build_simplified,
+                     choose_partition, env_to_pn, full_graph_reference,
                      generate_instance, holds, joint_search, labeled_places,
-                     lift, load_cache, minimal_explanations, parse, plan,
+                     lift, load_offline, minimal_explanations, parse, plan,
                      plan_json_text, replay, save_cache, sequence_cost,
                      validate_partition)
 from tampnet.oracle import _brute_explanations
@@ -346,19 +345,6 @@ def test_c7_plant_case_study(plant_env, plant_offline, announce):
         assert result.total_cost == oracle.cost == Fraction(28)
 
 
-def _offline_via_cache(env, path):
-    net = env_to_pn(env)
-    props = set()
-    for region in env.regions:
-        props |= region.trajectory_props
-    simplified = build_simplified(net)
-    monitored = build_monitored(simplified, props)
-    graph, partition = load_cache(path, monitored)
-    return OfflineModel(env, net, free_cells(env), simplified, monitored,
-                        partition, graph,
-                        escape_steps(net, simplified.base_place))
-
-
 def test_c8_cache_determinism(tmp_path, demo_env, announce):
     with announce(8, "cache determinism"):
         acc8_env, acc8_spec = generate_instance("acc8", 8, 8, 2, 4, 6)
@@ -372,7 +358,7 @@ def test_c8_cache_determinism(tmp_path, demo_env, announce):
             save_cache(off_b.graph, off_b.monitored, off_b.partition, second)
             assert first.read_bytes() == second.read_bytes()
 
-            cached = _offline_via_cache(env, first)
+            cached = load_offline(env, first)
             fresh_plan = plan(env, spec, off_a)
             cached_plan = plan(env, spec, cached)
             assert isinstance(fresh_plan, Plan)

@@ -17,8 +17,8 @@ from tampnet.planner import backtrack, linearize_explanation
 from tampnet import replay, sequence_cost
 
 from conftest import (EMPTY, as_monitored, end_label, hand_net, hop_chain_net,
-                      join_net, relay_net, square_env, two_cycle_net,
-                      two_feeders_net)
+                      join_net, occupancy_reference, relay_net, square_env,
+                      two_cycle_net, two_feeders_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
 
@@ -162,7 +162,7 @@ def test_demo_graph_shape(demo_offline):
     assert len(graph) == 23
     assert len(graph.edges) == 23
     assert graph.edges[0] is None
-    assert graph.packed is not None and graph.packed_shift == 4
+    assert graph.occupied == occupancy_reference(graph.markings)
     assert all(e.explanation == () for e in graph.edges[1:])
     assert all(isinstance(e.cost, Fraction) for e in graph.edges[1:])
 
@@ -225,7 +225,7 @@ def test_general_build_agrees_with_packed_fast_path(demo_offline):
     packed = demo_offline.graph
     assert general.markings == packed.markings
     assert general.edges == packed.edges
-    assert general.packed is not None
+    assert general.occupied == packed.occupied == occupancy_reference(packed.markings)
 
 
 def test_packed_path_agrees_with_general_on_fractional_costs():
@@ -263,6 +263,20 @@ def test_latch_starting_above_one_saturates_as_fire_does():
     assert graph.markings == ((1, 0, 2), (0, 1, 1))
 
 
+def test_transition_adding_tokens_keeps_exact_counts():
+    # t0 splits each of 130 tokens in two, so place 1 ends up with 260: more
+    # than a field sized for the initial total holds
+    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
+                   [EMPTY, end_label("x"), end_label("y")], (130, 0, 0))
+    qm = as_monitored(net)
+    graph = build_graph(qm)
+    assert graph.markings[-1] == (0, 260, 0)
+    general = _build_general(qm, choose_partition(qm), 10 ** 6)
+    assert graph.markings == general.markings
+    assert graph.edges == general.edges
+    assert graph.occupied == occupancy_reference(graph.markings)
+
+
 def test_build_honors_the_state_cap(demo_offline):
     with pytest.raises(StateBudgetError) as err:
         build_graph(demo_offline.monitored, demo_offline.partition, state_cap=5)
@@ -290,7 +304,7 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     loaded, loaded_part = load_cache(one, qm)
     assert loaded.markings == graph.markings
     assert loaded.edges == graph.edges
-    assert loaded.packed == graph.packed
+    assert loaded.occupied == graph.occupied
     assert loaded_part == part
 
 

@@ -1,0 +1,290 @@
+"""Queries on the occupancy index against plain marking scans.
+
+``select_target`` and ``diagnose_infeasibility`` answer from per-place
+bitsets. These tests compare them with the tuple-scan references in
+conftest on built and cache-loaded graphs of the demo, the plant and seeded
+maps, on hand-built nets whose counts overflow one byte or that are more
+than a thousand places wide, and count the markings a query reads.
+"""
+
+import random
+from collections.abc import Sequence
+from fractions import Fraction
+
+import pytest
+
+from tampnet import (SpecVectors, build_graph, build_offline,
+                     choose_partition, compile_vectors, diagnose_infeasibility,
+                     load_cache, parse, parse_env, save_cache, select_target)
+from tampnet.basis_graph import BasisGraph, _build_general
+
+from conftest import (EMPTY, as_monitored, end_label, hand_net,
+                      occupancy_reference, scan_diagnose, scan_select,
+                      square_env)
+
+PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
+              " & !visit(5) & end(1) & end(7)")
+
+
+def random_vectors(rng, n, mobility, indicators, pool=None):
+    """Clause vectors over ``n`` places: trajectory clauses over the
+    indicator places, final clauses over the first ``mobility`` places and
+    forbidden places anywhere in ``pool``; sometimes every place of one
+    final clause is also forbidden, so dropping the soft ones empties it."""
+    pool = list(range(n)) if pool is None else list(pool)
+    finals = [p for p in pool if p < mobility]
+
+    def clause(places):
+        sup = set(rng.sample(places, rng.randrange(1, min(3, len(places)) + 1)))
+        return tuple(int(p in sup) for p in range(n))
+
+    z_list = tuple(clause(indicators) for _ in range(rng.randrange(0, 3))) \
+        if indicators else ()
+    d_list = tuple(clause(finals) for _ in range(rng.randrange(0, 3))) \
+        if finals else ()
+    g = set(rng.sample(pool, rng.randrange(0, min(4, len(pool)) + 1)))
+    if d_list and rng.random() < 0.2:
+        g |= {p for p, v in enumerate(d_list[0]) if v}
+    return SpecVectors(z_list, d_list, tuple(int(p in g) for p in range(n)))
+
+
+def random_escapes(rng, mobility, real=None):
+    """None, the model's own escapes, or random ones with some places
+    lacking an escape and fractional costs."""
+    draw = rng.random()
+    if draw < 0.2:
+        return None
+    if real is not None and draw < 0.4:
+        return real
+    return tuple(None if rng.random() < 0.2
+                 else (0, Fraction(rng.randint(1, 4), rng.choice([1, 2, 3])))
+                 for _ in range(mobility))
+
+
+def assert_answers_like_scan(graphs, vectors, escapes):
+    expected = scan_select(graphs[0], vectors, escapes)
+    families = scan_diagnose(graphs[0], vectors, escapes)
+    for graph in graphs:
+        assert select_target(graph, vectors, escapes) == expected
+        assert diagnose_infeasibility(graph, vectors, escapes) == families
+
+
+def loaded_copy(offline, path):
+    save_cache(offline.graph, offline.monitored, offline.partition, path)
+    graph, _ = load_cache(path, offline.monitored)
+    assert graph.markings == offline.graph.markings
+    assert graph.occupied == offline.graph.occupied
+    return graph
+
+
+def check_model(offline, loaded, rng, rounds, specs=()):
+    n = offline.monitored.net.num_places
+    mobility = len(offline.escapes)
+    indicators = sorted(offline.monitored.indicator_of.values())
+    graphs = (offline.graph, loaded)
+    for text in specs:
+        vectors = compile_vectors(parse(text), offline.monitored.net,
+                                  offline.monitored.indicator_of)
+        for escapes in (offline.escapes, None):
+            assert_answers_like_scan(graphs, vectors, escapes)
+    for _ in range(rounds):
+        vectors = random_vectors(rng, n, mobility, indicators)
+        escapes = random_escapes(rng, mobility, offline.escapes)
+        assert_answers_like_scan(graphs, vectors, escapes)
+
+
+def random_env(rng):
+    """Small map with obstacles, overlapping one- and two-cell regions, a
+    proposition shared by two regions and fractional per-direction costs."""
+    side = rng.choice([3, 4, 4, 5])
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    obstacles, free = cells[:rng.randrange(0, side)], cells[side:]
+    names = ["a", "b", "c", "d"]
+    regions = []
+    for k in range(rng.randrange(2, 5)):
+        anchor = rng.choice(free)
+        near = [c for c in free if abs(c[0] - anchor[0]) + abs(c[1] - anchor[1]) == 1]
+        region_cells = [anchor] + rng.sample(near, min(len(near), rng.randrange(0, 2)))
+        regions.append({
+            "name": f"R{k}",
+            "cells": [list(c) for c in region_cells],
+            "trajectory_props": [names[k]] if rng.random() < 0.8 else [],
+            "final_props": [names[(k + 1) % len(names)]] if rng.random() < 0.7 else [],
+        })
+    regions[-1]["trajectory_props"] = regions[0]["trajectory_props"] or ["a"]
+    costs = [1, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)]
+    rng.shuffle(costs)
+    return parse_env({
+        "grid": {"rows": side, "cols": side},
+        "obstacles": [list(c) for c in obstacles],
+        "regions": regions,
+        "agents": [list(rng.choice(free)) for _ in range(rng.randrange(1, 4))],
+        "move_cost": {d: str(c) for d, c in zip(("up", "right", "down", "left"), costs)},
+    })
+
+
+def test_demo_answers_like_scan(demo_offline, tmp_path):
+    loaded = loaded_copy(demo_offline, tmp_path / "demo.json")
+    check_model(demo_offline, loaded, random.Random("occ:demo"), 200,
+                specs=("visit(2) & end(3) & !visit(1)", "visit(1) & !visit(2)",
+                       "visit(2) & !end(3)", "true"))
+
+
+def test_plant_answers_like_scan(plant_offline, tmp_path):
+    loaded = loaded_copy(plant_offline, tmp_path / "plant.json")
+    check_model(plant_offline, loaded, random.Random("occ:plant"), 12,
+                specs=(PLANT_SPEC, "visit(5) & !end(1) & !end(7)", "true"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_maps_answer_like_scan(seed, tmp_path):
+    rng = random.Random(f"occ:map:{seed}")
+    offline = build_offline(random_env(rng))
+    loaded = loaded_copy(offline, tmp_path / "map.json")
+    check_model(offline, loaded, rng, 30)
+
+
+def test_walled_off_region_answers_like_scan(tmp_path):
+    # the labeled corner is unreachable, so trajectory clauses can fail
+    env = square_env(3, [{"name": "far", "cells": [[0, 2]],
+                          "trajectory_props": ["far"], "final_props": ["fin"]},
+                         {"name": "near", "cells": [[2, 2]],
+                          "trajectory_props": ["near"], "final_props": ["fin"]}],
+                     agents=[(2, 0), (1, 0)], obstacles=[(0, 1), (1, 2)])
+    offline = build_offline(env)
+    loaded = loaded_copy(offline, tmp_path / "island.json")
+    check_model(offline, loaded, random.Random("occ:island"), 60,
+                specs=("visit(far)", "visit(near) & end(fin)", "visit(far) & !end(fin)"))
+
+
+def test_final_clause_emptied_by_soft_places(demo_offline):
+    # places 0..4 are the demo's reduced places; forbidding every place of
+    # a final clause leaves it empty once an agent may step off them
+    graph = demo_offline.graph
+    d = tuple(int(p in (1, 2)) for p in range(7))
+    vectors = SpecVectors((), (d,), d)
+    for escapes in (demo_offline.escapes, (None,) * 5):
+        assert select_target(graph, vectors, escapes) is None
+        assert diagnose_infeasibility(graph, vectors, escapes) \
+            == scan_diagnose(graph, vectors, escapes) == ("final",)
+    # without escape pricing the same places are hard exclusions
+    assert select_target(graph, vectors, None) is None
+    assert diagnose_infeasibility(graph, vectors, None) \
+        == scan_diagnose(graph, vectors, None)
+
+
+def check_hand_net(net, rng, rounds, tmp_path, pool):
+    qm = as_monitored(net)
+    part = choose_partition(qm)
+    graph = build_graph(qm, part)
+    general = _build_general(qm, part, 10 ** 6)
+    assert general.markings == graph.markings
+    assert general.edges == graph.edges
+    assert graph.occupied == general.occupied == occupancy_reference(graph.markings)
+    path = tmp_path / "hand.json"
+    save_cache(graph, qm, part, path)
+    loaded, _ = load_cache(path, qm)
+    assert loaded.occupied == graph.occupied
+    n = net.num_places
+    for _ in range(rounds):
+        mobility = rng.randrange(0, n + 1)
+        vectors = random_vectors(rng, n, mobility, pool, pool)
+        assert_answers_like_scan((graph, general, loaded), vectors,
+                                 random_escapes(rng, mobility))
+    return graph
+
+
+def test_counts_above_one_byte(tmp_path):
+    # 260 tokens on place 0 need two-byte fields
+    net = hand_net(4, [((0,), (1,), 1), ((2,), (3,), "1/2")],
+                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (260, 0, 1, 0))
+    graph = check_hand_net(net, random.Random("occ:byte"), 60, tmp_path, range(4))
+    assert len(graph) == 261 * 2
+    assert max(map(max, graph.markings)) == 260
+
+
+def test_net_wider_than_4096_bits(tmp_path):
+    # 1,100 places: two short chains, far apart, and idle places holding
+    # tokens between them
+    width = 1100
+    arcs = [((p,), (p + 1,), 1) for p in range(6)]
+    arcs += [((p,), (p + 1,), "1/2") for p in range(1000, 1005)]
+    labels = [end_label(f"l{p}") if 1 <= p <= 6 or 1001 <= p <= 1005 else EMPTY
+              for p in range(width)]
+    m0 = [0] * width
+    m0[0] = m0[1000] = 1
+    m0[500] = 3
+    m0[1099] = 1
+    net = hand_net(width, arcs, labels, m0)
+    pool = list(range(8)) + [500, 501, 1099] + list(range(1000, 1007))
+    graph = check_hand_net(net, random.Random("occ:wide"), 60, tmp_path, pool)
+    assert len(graph) == 7 * 6
+
+
+class CountingSequence(Sequence):
+    """Read-only view of a sequence that counts the items read from it."""
+
+    def __init__(self, items):
+        self._items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, index):
+        got = self._items[index]
+        self.reads += len(got) if isinstance(index, slice) else 1
+        return got
+
+
+def enumerated_bound(graph, vectors, escapes):
+    """Candidates a query may read: every marking meeting the clauses,
+    in index order, up to the first one that pays no escape hop."""
+    mobility = len(escapes)
+    g_sup = [p for p, v in enumerate(vectors.g) if v]
+    soft = [p for p in g_sup if p < mobility]
+    stuck = [p for p in g_sup if p >= mobility or escapes[p] is None]
+    need = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
+    need += [[p for p, v in enumerate(d) if v and p not in soft]
+             for d in vectors.d_list]
+    count = 0
+    for m in graph.markings:
+        if any(m[p] for p in stuck):
+            continue
+        if not all(any(m[p] for p in sup) for sup in need):
+            continue
+        count += 1
+        if not any(m[p] for p in soft):
+            break
+    return count
+
+
+def test_queries_read_no_marking_without_escape_hops(plant_offline):
+    built = plant_offline.graph
+    markings = CountingSequence(built.markings)
+    graph = BasisGraph(markings, built.edges, built.occupied)
+    monitored = plant_offline.monitored
+    n = monitored.net.num_places
+    mobility = len(plant_offline.escapes)
+    indicators = sorted(monitored.indicator_of.values())
+    rng = random.Random("occ:reads")
+    specs = [compile_vectors(parse(text), monitored.net, monitored.indicator_of)
+             for text in (PLANT_SPEC, "visit(5) & !end(1) & !end(7)", "end(1) & end(7)")]
+    specs += [random_vectors(rng, n, mobility, indicators) for _ in range(10)]
+    hopping = 0
+    for vectors in specs:
+        for escapes in (None, plant_offline.escapes):
+            markings.reads = 0
+            choice = select_target(graph, vectors, escapes)
+            soft = escapes is not None and any(vectors.g[:mobility])
+            if soft:
+                hopping += 1
+                assert markings.reads <= enumerated_bound(built, vectors, escapes)
+            else:
+                assert markings.reads == 0
+            markings.reads = 0
+            diagnose_infeasibility(graph, vectors, escapes)
+            assert markings.reads == 0
+            assert choice == scan_select(built, vectors, escapes)
+    assert hopping >= 3

@@ -3,52 +3,29 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Infeasible, Plan, SpecVectors, TargetChoice,
-                     build_offline, cell_labels, decompose_agents,
-                     escape_steps, generate_instance, holds, joint_search,
-                     parse, parse_env, plan, replay, select_target,
-                     sequence_cost)
-from tampnet.basis_graph import BasisGraph
+from tampnet import (Infeasible, Plan, SpecVectors, build_offline,
+                     cell_labels, decompose_agents, escape_steps,
+                     generate_instance, holds, joint_search, load_cache,
+                     parse, parse_env, plan, replay, save_cache,
+                     select_target, sequence_cost)
 from tampnet.errors import IntegrityError
 from tampnet.grid import DIRECTIONS
 
-from conftest import EMPTY, hand_net, square_env
+from conftest import EMPTY, hand_net, scan_select, square_env
 
 
-def _scan_select(graph, vectors, escapes):
-    """Reference for select_target: plain full scan, no early exit."""
-    mobility = len(escapes) if escapes is not None else 0
-    g_sup = [p for p, v in enumerate(vectors.g) if v]
-    soft = [p for p in g_sup if p < mobility]
-    hard = [p for p in g_sup if p >= mobility]
-    need = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
-    need += [[p for p, v in enumerate(d) if v and p not in soft]
-             for d in vectors.d_list]
-    best = None
-    for i, m in enumerate(graph.markings):
-        if any(m[p] for p in hard):
-            continue
-        if not all(any(m[p] for p in sup) for sup in need):
-            continue
-        total = graph.q(i)
-        for p in soft:
-            if not m[p]:
-                continue
-            if escapes[p] is None:
-                total = None
-                break
-            total += m[p] * escapes[p][1]
-        if total is not None and (best is None or total < best.cost):
-            best = TargetChoice(i, total)
-    return best
+@pytest.fixture(scope="module")
+def demo_loaded(demo_offline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("demo") / "cache.json"
+    save_cache(demo_offline.graph, demo_offline.monitored,
+               demo_offline.partition, path)
+    return load_cache(path, demo_offline.monitored)[0]
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_select_target_agrees_with_full_scan(demo_offline, seed):
+def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
     rng = random.Random(f"sel:{seed}")
-    packed = demo_offline.graph
-    unpacked = BasisGraph(packed.markings, packed.edges)
-    assert unpacked.packed is None
+    built = demo_offline.graph
     n = 7
     mobility = 5
 
@@ -71,9 +48,9 @@ def test_select_target_agrees_with_full_scan(demo_offline, seed):
             else (0, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])))
             for _ in range(mobility))
 
-    expected = _scan_select(packed, vectors, escapes)
-    assert select_target(packed, vectors, escapes) == expected
-    assert select_target(unpacked, vectors, escapes) == expected
+    expected = scan_select(built, vectors, escapes)
+    assert select_target(built, vectors, escapes) == expected
+    assert select_target(demo_loaded, vectors, escapes) == expected
 
 
 def test_select_target_checks_vector_length(demo_offline):
