@@ -11,6 +11,13 @@ Every graph, built or loaded, carries one occupancy index: per place, an
 int with one bit per marking. Queries combine these bitsets with a few
 big-int AND/OR operations instead of reading the markings.
 
+A cache file stores only the tree's parent and transition columns.
+Loading it replays the tree: each marking is its parent's fired by its
+transition and each cost its parent's plus the transition's, with the same
+packed-int layout and shared finishing helper as the fast build path, and
+the replay checks the file as it goes. Only graphs that path builds can be
+cached.
+
 For nets produced by this pipeline every abstract transition targets a
 labeled place and is therefore explicit; the implicit machinery still runs
 for hand-built nets and is exercised by the structural tests.
@@ -25,7 +32,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .abstraction import MonitoredNet
@@ -35,7 +42,9 @@ from .petri import END, Marking, PetriNet, enabled, fire, integer_costs
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+# array type code of a 4-byte unsigned int, for the cache columns
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 @dataclass(frozen=True)
@@ -273,34 +282,99 @@ def build_graph(qm: MonitoredNet, part: Optional[BasisPartition] = None,
         part = choose_partition(qm)
     else:
         validate_partition(qm, part)
-    net = qm.net
+    if _packable(qm.net, part):
+        return _build_packed(qm, state_cap)
+    return _build_general(qm, part, state_cap)
+
+
+def _packable(net: PetriNet, part: BasisPartition) -> bool:
+    """Whether ``build_graph`` takes the packed path for ``net`` under
+    ``part``, which is also what ``save_cache`` requires: no implicit
+    transitions, single-input transitions numbered by ascending source
+    place, latches starting at 0 or 1, and no transition adding tokens to
+    non-latch places, with the token total below 2**64 (so no count can
+    outgrow a field sized for the initial total)."""
+    if part.implicit:
+        return False
     explicit = sorted(part.explicit)
-    single_input = all(len(net.pre[t]) == 1 for t in explicit)
-    by_source = single_input and all(
-        net.pre[a][0] <= net.pre[b][0] for a, b in zip(explicit, explicit[1:]))
+    if not all(len(net.pre[t]) == 1 for t in explicit):
+        return False
+    by_source = all(net.pre[a][0] <= net.pre[b][0] for a, b in zip(explicit, explicit[1:]))
     binary_latches = all(net.initial_marking[p] <= 1 for p in net.clamp_at_one)
-    # no count may outgrow the initial token total (at most one non-latch
-    # output per transition), and that total must fit a field of 8 bytes
     bounded = sum(net.initial_marking) < 1 << 64 and all(
         sum(p not in net.clamp_at_one for p in net.post[t]) <= 1 for t in explicit)
-    if not part.implicit and by_source and binary_latches and bounded:
-        return _build_packed(qm, part, state_cap)
-    return _build_general(qm, part, state_cap)
+    return by_source and binary_latches and bounded
 
 
 # array type codes of unsigned fields 1, 2, 4 and 8 bytes wide
 _FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
-    """Fast path: no implicit transitions, single-input explicit transitions
-    numbered by ascending source place, latches starting at 0 or 1, no
-    transition adding tokens.
+class _Layout(NamedTuple):
+    """Packed-int layout of a ``_packable`` net: each of its ``places`` is a
+    little-endian field of ``width`` bytes (1, 2, 4 or 8, wide enough for
+    the initial token total); ``root`` is the packed initial marking;
+    ``moves[t]`` is (mask of the source field, amount added to plain fields,
+    latch bits ORed in, integer weight). Costs are ``weight / scale``."""
 
-    Markings are packed into one integer, a field of 1, 2, 4 or 8 whole
-    bytes per place, wide enough for the initial token total. The finished
-    markings are unpacked through one flat byte string, which also feeds
-    the occupancy index.
+    width: int
+    places: int
+    root: int
+    moves: Tuple[Tuple[int, int, int, int], ...]
+    scale: int
+
+
+def _layout(net: PetriNet) -> _Layout:
+    n = net.num_places
+    tokens = max(1, sum(net.initial_marking))
+    width = next(w for w in (1, 2, 4, 8) if tokens < 1 << 8 * w)
+    shift = 8 * width
+    clamped = net.clamp_at_one
+    weights, scale = integer_costs(net.cost)
+    place_bit = [1 << (shift * p) for p in range(n)]
+    full = (1 << shift) - 1
+    # Latch fields hold 0 or 1, so producing into one is an OR of its low
+    # bit; no other field can carry, since counts stay below 2**shift.
+    moves = []
+    for t in range(net.num_transitions):
+        src = net.pre[t][0]
+        plain = sum(place_bit[p] for p in net.post[t] if p not in clamped) - place_bit[src]
+        latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
+        moves.append((full << (shift * src), plain, latch, weights[t]))
+    root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
+    return _Layout(width, n, root, tuple(moves), scale)
+
+
+def _packed_graph(order: List[int], qs: Sequence[int], parents: Sequence[int],
+                  transitions: Sequence[int], layout: _Layout) -> BasisGraph:
+    """The ``BasisGraph`` of the packed markings ``order``; the columns
+    ``qs``, ``parents`` and ``transitions`` hold the integer cost and the
+    tree edge of markings 1, 2, ... in order.
+
+    The markings are unpacked through one flat byte string, which also
+    feeds the occupancy index. Each distinct integer ``q`` becomes one
+    ``Fraction(q, scale)``, shared by every edge with that cost. Empties
+    ``order`` once its bytes are taken, so it is not held alongside them.
+    """
+    width, n = layout.width, layout.places
+    flat = b"".join([m.to_bytes(n * width, "little") for m in order])
+    count = len(order)
+    order.clear()
+    counts = array(_FIELD_CODE[width], flat)
+    if sys.byteorder == "big":
+        counts.byteswap()
+    fields = iter(counts)
+    markings = tuple(zip(*[fields] * n)) if n else ((),) * count
+    del counts, fields
+    costs = {q: Fraction(q, layout.scale) for q in set(qs)}
+    edges = (None,) + tuple(map(Edge, parents, transitions, repeat(()),
+                                map(costs.__getitem__, qs)))
+    return BasisGraph(markings, edges, _occupancy(flat, n, width))
+
+
+def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
+    """Fast path for ``_packable`` nets: lowest-q-first expansion over
+    markings packed into one integer each (see ``_layout``).
 
     Expansion order matches the general path: gathering the enabled
     transitions source place by source place already lists them in
@@ -309,26 +383,15 @@ def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> Bas
     returned edges.
     """
     net = qm.net
-    n = net.num_places
-    tokens = max(1, sum(net.initial_marking))
-    width = next(w for w in (1, 2, 4, 8) if tokens < 1 << 8 * w)
-    shift = 8 * width
-    clamped = net.clamp_at_one
-    weights, scale = integer_costs(net.cost)
+    layout = _layout(net)
+    # transitions grouped by source field, in ascending transition id
+    sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
+    for t, (mask, plain, latch, weight) in enumerate(layout.moves):
+        if not sources or sources[-1][0] != mask:
+            sources.append((mask, []))
+        sources[-1][1].append((t, plain, latch, weight))
 
-    place_bit = [1 << (shift * p) for p in range(n)]
-    # Latch fields hold 0 or 1, so producing into one is an OR of its low
-    # bit; no other field can carry, since counts stay below 2**shift.
-    by_source: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for t in sorted(part.explicit):
-        src = net.pre[t][0]
-        plain = sum(place_bit[p] for p in net.post[t] if p not in clamped) - place_bit[src]
-        latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
-        by_source[src].append((t, plain, latch, weights[t]))
-    full = (1 << shift) - 1
-    sources = [(full << (shift * p), moves) for p, moves in enumerate(by_source) if moves]
-
-    root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
+    root = layout.root
     # best[m] = (q, parent index, transition) of the cheapest edge into m so
     # far; an entry popped with a larger q than best[m] is stale.
     best: Dict[int, Tuple[int, int, int]] = {root: (0, -1, -1)}
@@ -360,15 +423,9 @@ def _build_packed(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> Bas
                     counter += 1
 
     del best
-    flat = b"".join([m.to_bytes(n * width, "little") for m in order])
-    del order
-    counts = array(_FIELD_CODE[width], flat)
-    if sys.byteorder == "big":
-        counts.byteswap()
-    markings = tuple([tuple(counts[i * n:i * n + n]) for i in range(len(entries))])
-    edges = (None,) + tuple(Edge(parent, t, (), Fraction(q, scale))
-                            for q, parent, t in entries[1:])
-    return BasisGraph(markings, edges, _occupancy(flat, n, width))
+    qs, parents, transitions = zip(*entries)
+    del entries
+    return _packed_graph(order, qs[1:], parents[1:], transitions[1:], layout)
 
 
 def _build_general(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
@@ -425,72 +482,108 @@ def net_digest(net: PetriNet) -> str:
 
 
 def save_cache(graph: BasisGraph, qm: MonitoredNet, part: BasisPartition, path) -> None:
-    """Persist the graph as canonical JSON; byte-identical for equal inputs."""
-    container = {
+    """Persist the tree as its parent and transition columns; byte-identical
+    for equal inputs.
+
+    The file is one line of canonical JSON (``format``, ``version``, the
+    net ``digest``, the marking count ``markings`` and the ``sha256`` of the
+    body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]`` as
+    little-endian uint32. Markings and costs are not stored; ``load_cache``
+    recomputes them, so only graphs of ``_packable`` nets can be saved.
+    Raises ValueError for any other graph.
+    """
+    if not _packable(qm.net, part):
+        raise ValueError("only graphs built on the packed path can be cached: "
+                         "the net has implicit transitions or does not fit packed markings")
+    columns = (array(_U32, [e.parent for e in graph.edges[1:]]),
+               array(_U32, [e.transition for e in graph.edges[1:]]))
+    if sys.byteorder == "big":
+        for column in columns:
+            column.byteswap()
+    body = b"".join(column.tobytes() for column in columns)
+    header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "digest": net_digest(qm.net),
-        "partition": {
-            "explicit": sorted(part.explicit),
-            "implicit": sorted(part.implicit),
-        },
-        "markings": [[[p, c] for p, c in enumerate(m) if c] for m in graph.markings],
-        "edges": [
-            None if e is None else
-            [e.parent, e.transition, [list(pair) for pair in e.explanation],
-             [Fraction(e.cost).numerator, Fraction(e.cost).denominator]]
-            for e in graph.edges
-        ],
+        "markings": len(graph),
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    text = json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(line + b"\n" + body)
 
 
 def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
-    """Load a cache written by save_cache, checking format, version, digest.
+    """Load a cache written by ``save_cache`` and rebuild the tree from it.
 
-    The occupancy index is built after the parsed JSON is released, so it
-    does not add to the peak memory of the load."""
+    Checks the format tag, the version (CacheVersionError), the net digest
+    (CacheDigestError), and the body length and SHA-256 against the header.
+    Then, in one pass over the columns, each marking is its parent's
+    marking fired by its transition and each ``q`` is ``q(parent)`` plus the
+    transition's weight, in the packed-int integers of ``_build_packed``;
+    the pass checks that every parent precedes its child, every transition
+    id is in range and enabled at the parent, ``q`` never decreases, and no
+    marking repeats. Any failure raises CacheFormatError, as does a net
+    whose ``choose_partition`` the packed path does not accept. Returns the
+    graph and that partition.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            container = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CacheFormatError(f"cache {path} is truncated or not JSON: {exc}") from exc
-    if not isinstance(container, dict) or container.get("format") != CACHE_FORMAT:
-        raise CacheFormatError(f"{path} is not a basis graph cache")
-    if container.get("version") != CACHE_VERSION:
-        raise CacheVersionError(container.get("version"), CACHE_VERSION)
-    expected = net_digest(qm.net)
-    if container.get("digest") != expected:
-        raise CacheDigestError(str(container.get("digest")), expected)
-
-    n = qm.net.num_places
+    line, newline, body = data.partition(b"\n")
+    del data
     try:
-        markings = []
-        for sparse in container["markings"]:
-            counts = [0] * n
-            for p, c in sparse:
-                counts[p] = c
-            markings.append(tuple(counts))
-        edges: List[Optional[Edge]] = []
-        for raw in container["edges"]:
-            if raw is None:
-                edges.append(None)
-                continue
-            parent, transition, explanation, (num, den) = raw
-            edges.append(Edge(parent, transition,
-                              tuple((t, c) for t, c in explanation),
-                              Fraction(num, den)))
-        partition = BasisPartition(
-            frozenset(container["partition"]["explicit"]),
-            frozenset(container["partition"]["implicit"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CacheFormatError(f"cache {path} has a malformed body: {exc}") from exc
-    del container
-    if len(edges) != len(markings) or not markings or edges[0] is not None:
-        raise CacheFormatError(f"cache {path} has inconsistent markings/edges")
-    return BasisGraph(tuple(markings), tuple(edges)), partition
+        header = json.loads(line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheFormatError(f"cache {path} has no readable header: {exc}") from exc
+    if not newline or not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
+        raise CacheFormatError(f"{path} is not a basis graph cache")
+    if header.get("version") != CACHE_VERSION:
+        raise CacheVersionError(header.get("version"), CACHE_VERSION)
+    expected = net_digest(qm.net)
+    if header.get("digest") != expected:
+        raise CacheDigestError(str(header.get("digest")), expected)
+    count = header.get("markings")
+    if type(count) is not int or count < 1:
+        raise CacheFormatError(f"cache {path} has a bad marking count {count!r}")
+    if len(body) != 8 * (count - 1):
+        raise CacheFormatError(
+            f"cache {path} body is {len(body)} bytes, expected {8 * (count - 1)}")
+    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
+        raise CacheFormatError(f"cache {path} body does not match its checksum")
+
+    net = qm.net
+    partition = choose_partition(qm)
+    if not _packable(net, partition):
+        raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
+    parents = array(_U32, body[:4 * (count - 1)])
+    transitions = array(_U32, body[4 * (count - 1):])
+    del body
+    if sys.byteorder == "big":
+        parents.byteswap()
+        transitions.byteswap()
+
+    layout = _layout(net)
+    moves = layout.moves
+    order = [layout.root]
+    qs = [0]
+    for i, (parent, t) in enumerate(zip(parents, transitions), 1):
+        if parent >= i:
+            raise CacheFormatError(f"cache {path}: marking {i} has parent {parent}")
+        if t >= len(moves):
+            raise CacheFormatError(f"cache {path}: marking {i} has transition {t}")
+        mask, plain, latch, weight = moves[t]
+        m = order[parent]
+        if not m & mask:
+            raise CacheFormatError(
+                f"cache {path}: transition {t} is not enabled at marking {parent}")
+        q = qs[parent] + weight
+        if q < qs[-1]:
+            raise CacheFormatError(f"cache {path}: cost decreases at marking {i}")
+        order.append((m + plain) | latch)
+        qs.append(q)
+    if len(set(order)) != count:
+        raise CacheFormatError(f"cache {path} lists a marking twice")
+    return _packed_graph(order, qs[1:], parents, transitions, layout), partition

@@ -1,16 +1,18 @@
+import hashlib
 import json
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
-from tampnet import (CacheDigestError, CacheFormatError, CacheVersionError,
-                     Explanation, MonitoredNet, PetriNet, StateBudgetError,
-                     apply_explanation, build_graph, build_offline,
-                     choose_partition, full_graph_reference, load_cache,
-                     minimal_explanations, net_digest, save_cache,
-                     validate_partition)
-from tampnet.basis_graph import BasisPartition, Edge, _build_general
+from tampnet import (CacheDigestError, CacheError, CacheFormatError,
+                     CacheVersionError, Explanation, MonitoredNet, PetriNet,
+                     StateBudgetError, apply_explanation, build_graph,
+                     build_offline, choose_partition, full_graph_reference,
+                     generate_instance, load_cache, minimal_explanations,
+                     net_digest, save_cache, validate_partition)
+from tampnet.basis_graph import CACHE_FORMAT, BasisPartition, Edge, _build_general
 from tampnet.oracle import _brute_explanations
 from tampnet.planner import backtrack, linearize_explanation
 
@@ -308,27 +310,72 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     assert loaded_part == part
 
 
-def _tampered(tmp_path, demo_offline, mutate):
-    qm = demo_offline.monitored
-    path = tmp_path / "cache.json"
-    save_cache(demo_offline.graph, qm, demo_offline.partition, path)
-    container = json.loads(path.read_text())
-    mutate(container)
-    path.write_text(json.dumps(container))
+def _tampered(tmp_path, offline, edit, rehash=True):
+    """Save ``offline``'s graph, let ``edit(header, body)`` change the parsed
+    header dict and the body bytearray in place, and write both back; with
+    ``rehash`` the header's checksum is recomputed over the edited body."""
+    qm = offline.monitored
+    path = tmp_path / "cache.bin"
+    save_cache(offline.graph, qm, offline.partition, path)
+    line, _, body = path.read_bytes().partition(b"\n")
+    header, body = json.loads(line), bytearray(body)
+    edit(header, body)
+    if rehash:
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(body))
     return path, qm
+
+
+def _set_entry(body, column, i, value):
+    """Set the parent (column 0) or transition (column 1) of marking i."""
+    offset = 4 * (column * (len(body) // 8) + i - 1)
+    struct.pack_into("<I", body, offset, value)
 
 
 def test_cache_rejects_wrong_version(tmp_path, demo_offline):
     path, qm = _tampered(tmp_path, demo_offline,
-                         lambda c: c.update(version=99))
+                         lambda header, body: header.update(version=99))
     with pytest.raises(CacheVersionError) as err:
         load_cache(path, qm)
     assert err.value.found == 99
 
 
+# SHA-256 of the demo cache as the version-1 writer wrote it
+V1_DEMO_SHA256 = "7c6b3d1bc9e5e04646faa8ebefd7099ad9f991c87d102b5023588f7607f9e4f9"
+
+
+def _v1_text(graph, qm, part):
+    """A cache in the version-1 layout: one canonical JSON object holding
+    the partition, every marking and every edge."""
+    container = {
+        "format": CACHE_FORMAT,
+        "version": 1,
+        "digest": net_digest(qm.net),
+        "partition": {"explicit": sorted(part.explicit),
+                      "implicit": sorted(part.implicit)},
+        "markings": [[[p, c] for p, c in enumerate(m) if c] for m in graph.markings],
+        "edges": [None if e is None else
+                  [e.parent, e.transition, [list(pair) for pair in e.explanation],
+                   [e.cost.numerator, e.cost.denominator]]
+                  for e in graph.edges],
+    }
+    return json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_cache_rejects_a_version_1_cache(tmp_path, demo_offline):
+    qm = demo_offline.monitored
+    text = _v1_text(demo_offline.graph, qm, demo_offline.partition)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == V1_DEMO_SHA256
+    path = tmp_path / "v1.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CacheVersionError) as err:
+        load_cache(path, qm)
+    assert err.value.found == 1
+
+
 def test_cache_rejects_wrong_digest(tmp_path, demo_offline):
     path, qm = _tampered(tmp_path, demo_offline,
-                         lambda c: c.update(digest="0" * 64))
+                         lambda header, body: header.update(digest="0" * 64))
     with pytest.raises(CacheDigestError):
         load_cache(path, qm)
 
@@ -336,39 +383,154 @@ def test_cache_rejects_wrong_digest(tmp_path, demo_offline):
 def test_cache_rejects_foreign_and_broken_files(tmp_path, demo_offline):
     qm = demo_offline.monitored
 
-    missing = tmp_path / "nope.json"
+    missing = tmp_path / "nope.bin"
     with pytest.raises(CacheFormatError):
         load_cache(missing, qm)
 
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("{this is not json")
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"{this is not json\n\x00\x01")
     with pytest.raises(CacheFormatError):
         load_cache(garbage, qm)
 
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00\n")
+    with pytest.raises(CacheFormatError):
+        load_cache(binary, qm)
+
     other = tmp_path / "other.json"
-    other.write_text(json.dumps({"format": "something-else"}))
+    other.write_text(json.dumps({"format": "something-else"}) + "\n")
     with pytest.raises(CacheFormatError):
         load_cache(other, qm)
 
-    good = tmp_path / "good.json"
+    good = tmp_path / "good.bin"
     save_cache(demo_offline.graph, qm, demo_offline.partition, good)
-    truncated = tmp_path / "truncated.json"
-    truncated.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+    data = good.read_bytes()
+    for cut in (data.index(b"\n"), len(data) // 2, len(data) - 1):
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(data[:cut])
+        with pytest.raises(CacheFormatError):
+            load_cache(truncated, qm)
+
+
+@pytest.mark.parametrize("count", ["23", 0, -1, True, None, 2.5])
+def test_cache_rejects_a_bad_marking_count(tmp_path, demo_offline, count):
+    path, qm = _tampered(tmp_path, demo_offline,
+                         lambda header, body: header.update(markings=count))
     with pytest.raises(CacheFormatError):
-        load_cache(truncated, qm)
+        load_cache(path, qm)
 
 
 def test_cache_rejects_malformed_body(tmp_path, demo_offline):
-    def break_edge(container):
-        container["edges"][1] = [0]
+    # a body truncated or with bytes appended, checksum recomputed or not
+    edits = (lambda header, body: body.__delitem__(slice(-1, None)),
+             lambda header, body: body.__delitem__(slice(-8, None)),
+             lambda header, body: body.extend(b"\x00"),
+             lambda header, body: body.extend(bytes(8)))
+    for edit in edits:
+        for rehash in (True, False):
+            path, qm = _tampered(tmp_path, demo_offline, edit, rehash=rehash)
+            with pytest.raises(CacheFormatError, match="bytes"):
+                load_cache(path, qm)
 
-    path, qm = _tampered(tmp_path, demo_offline, break_edge)
-    with pytest.raises(CacheFormatError):
+
+def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
+    def flip(offset):
+        def edit(header, body):
+            body[offset] ^= 1
+        return edit
+
+    size = len(demo_offline.graph)
+    for offset in (0, 4 * 5, 4 * (size - 1), 4 * (size - 1) + 4 * 5):
+        path, qm = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
+        with pytest.raises(CacheFormatError, match="checksum"):
+            load_cache(path, qm)
+    path, qm = _tampered(tmp_path, demo_offline,
+                         lambda header, body: header.update(sha256=None), rehash=False)
+    with pytest.raises(CacheFormatError, match="checksum"):
         load_cache(path, qm)
 
-    def root_with_parent(container):
-        container["edges"][0] = [0, 0, [], [1, 1]]
 
-    path, qm = _tampered(tmp_path, demo_offline, root_with_parent)
-    with pytest.raises(CacheFormatError):
+def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_offline):
+    size = len(demo_offline.graph)
+    for i in (1, 7, size - 1):
+        for parent in (i, i + 1, 2 ** 32 - 1):
+            path, qm = _tampered(tmp_path, demo_offline,
+                                 lambda header, body: _set_entry(body, 0, i, parent))
+            with pytest.raises(CacheFormatError, match="parent"):
+                load_cache(path, qm)
+
+
+def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_offline):
+    transitions = demo_offline.monitored.net.num_transitions
+    for i in (1, 12):
+        for t in (transitions, 2 ** 32 - 1):
+            path, qm = _tampered(tmp_path, demo_offline,
+                                 lambda header, body: _set_entry(body, 1, i, t))
+            with pytest.raises(CacheFormatError, match="transition"):
+                load_cache(path, qm)
+
+
+def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
+    # re-parenting demo marking 9 or 10 onto marking 8 replays to distinct,
+    # enabled markings, but cheaper than the marking stored before them
+    for i in (9, 10):
+        path, qm = _tampered(tmp_path, demo_offline,
+                             lambda header, body: _set_entry(body, 0, i, 8))
+        with pytest.raises(CacheFormatError, match="cost decreases"):
+            load_cache(path, qm)
+
+
+def acc8_offline():
+    env, _ = generate_instance("acc8", 8, 8, 2, 4, 6)
+    return build_offline(env)
+
+
+@pytest.mark.parametrize("name", ["demo", "acc8"])
+def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
+    # the tree holds every reachable marking, so another transition is not
+    # enabled, or it reaches a marking stored elsewhere or one too cheap for
+    # its place in the order
+    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    transitions = offline.monitored.net.num_transitions
+    edits = 0
+    for i, edge in enumerate(offline.graph.edges[1:], 1):
+        for t in range(transitions):
+            if t == edge.transition:
+                continue
+            path, qm = _tampered(tmp_path, offline,
+                                 lambda header, body: _set_entry(body, 1, i, t))
+            with pytest.raises(CacheError):
+                load_cache(path, qm)
+            edits += 1
+    assert edits == (len(offline.graph) - 1) * (transitions - 1)
+
+
+def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
+    # a well-formed file whose digest matches a net with an implicit move
+    qm = relay_net()
+    body = struct.pack("<II", 0, 1)
+    header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(qm.net),
+              "markings": 2, "sha256": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "relay.bin"
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+    with pytest.raises(CacheFormatError, match="rebuilt"):
         load_cache(path, qm)
+
+
+def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
+    relay = relay_net()
+    part = choose_partition(relay)
+    assert part.implicit
+    with pytest.raises(ValueError):
+        save_cache(build_graph(relay, part), relay, part, tmp_path / "relay.bin")
+
+    # a transition that adds tokens sends the build to the general path
+    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
+                   [EMPTY, end_label("x"), end_label("y")], (3, 0, 0))
+    qm = as_monitored(net)
+    part = choose_partition(qm)
+    assert not part.implicit
+    with pytest.raises(ValueError):
+        save_cache(build_graph(qm, part), qm, part, tmp_path / "split.bin")
+    assert not (tmp_path / "relay.bin").exists()
+    assert not (tmp_path / "split.bin").exists()

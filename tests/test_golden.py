@@ -5,6 +5,8 @@ the demo map, the plant map and one seeded map with fractional
 per-direction costs. Any rewrite of the reduction or the graph build must
 leave caches and plan JSON byte for byte as they are; a changed digest here
 means a changed answer or a changed cache format, not a style difference.
+Each cache must also be its header line plus two uint32 columns of
+``markings - 1`` entries, and nothing more.
 """
 
 import hashlib
@@ -19,14 +21,15 @@ PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
 FRACTIONAL_SPEC = "visit(d) & visit(a) & end(c)"
 
-# (save_cache SHA-256, plan_json_text SHA-256); computed before the
-# integer rewrite of the reduction and the graph build.
+# (save_cache SHA-256, plan_json_text SHA-256). The plan digests were
+# computed before the integer rewrite of the reduction and the graph build;
+# the cache digests are those of the version-2 (column) format.
 GOLDEN = {
-    "demo": ("7c6b3d1bc9e5e04646faa8ebefd7099ad9f991c87d102b5023588f7607f9e4f9",
+    "demo": ("e92a90ba68dc9a8a7a4085537ab51ddad4af6c893966fed0b9e048ae132e6399",
              "c4da7cfd328ad3e898fcd04287015da017f9d897c15c3f261df929835e246ad5"),
-    "plant": ("de51f8df265b7b456ca4d1179cc7465f5a5c273a8835283c5230071218885509",
+    "plant": ("264454a25a683180f39c23019e7f76cce15d089efaa8fb20d54a7338a7e0b9f1",
               "6ce9e836a7c954eb808a820ecdcd1328dbc8d23c0866eb669573d778eb5644b5"),
-    "fractional": ("36060bea523a8025cbb73e8e14920ac7708fb197cfd548e50efac69d729c4d6d",
+    "fractional": ("23f2a8c76d701507f062bfa9ca9ca51ffd6e81ad17afafee50549f4b79da0d82",
                    "76e523fa03300b8be5c30f5f6cc8336d000284644bac1bff95512d6d508af9f9"),
 }
 
@@ -67,11 +70,13 @@ def fractional_env():
 
 
 def _digests(env, offline, spec, tmp_path):
-    cache = tmp_path / "graph.json"
+    cache = tmp_path / "graph.bin"
     save_cache(offline.graph, offline.monitored, offline.partition, cache)
+    data = cache.read_bytes()
+    assert len(data) == data.index(b"\n") + 1 + 8 * (len(offline.graph) - 1)
     result = plan(env, spec, offline)
     assert isinstance(result, Plan)
-    return (hashlib.sha256(cache.read_bytes()).hexdigest(),
+    return (hashlib.sha256(data).hexdigest(),
             hashlib.sha256(plan_json_text(env, result).encode("utf-8")).hexdigest())
 
 

@@ -73,6 +73,7 @@ def loaded_copy(offline, path):
     save_cache(offline.graph, offline.monitored, offline.partition, path)
     graph, _ = load_cache(path, offline.monitored)
     assert graph.markings == offline.graph.markings
+    assert graph.edges == offline.graph.edges
     assert graph.occupied == offline.graph.occupied
     return graph
 
@@ -185,6 +186,8 @@ def check_hand_net(net, rng, rounds, tmp_path, pool):
     path = tmp_path / "hand.json"
     save_cache(graph, qm, part, path)
     loaded, _ = load_cache(path, qm)
+    assert loaded.markings == graph.markings
+    assert loaded.edges == graph.edges
     assert loaded.occupied == graph.occupied
     n = net.num_places
     for _ in range(rounds):
