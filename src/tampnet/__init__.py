@@ -12,10 +12,8 @@ back to per-agent cell routes.
 from .abstraction import (MinimalSequence, MonitoredNet, SimplifiedNet,
                           build_monitored, build_simplified, labeled_places,
                           lift, minimal_sequence)
-from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, BasisPartition, Edge,
-                          Explanation, apply_explanation, build_graph,
-                          choose_partition, load_cache, minimal_explanations,
-                          net_digest, save_cache, validate_partition)
+from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, Edge, build_graph,
+                          load_cache, net_digest, save_cache)
 from .bench import BenchConfig, generate_instance, random_instance, run_bench
 from .errors import (CacheDigestError, CacheError, CacheFormatError,
                      CacheVersionError, FiringError, IntegrityError,
@@ -26,38 +24,34 @@ from .grid import (Cell, Environment, Plan, Region, cell_labels, cost_json,
                    cost_text, env_to_pn, free_cells, grid_index, load_env,
                    parse_env, plan_json_text, plan_to_json, render)
 from .oracle import (DEFAULT_ORACLE_BUDGET, OracleResult, full_graph_reference,
-                     joint_search, pareto_minimal)
+                     joint_search)
 from .petri import (END, VISIT, Atom, Marking, PetriNet, ReplayResult,
                     enabled, fire, replay, sequence_cost)
 from .planner import (Infeasible, OfflineModel, TargetChoice, backtrack,
                       build_offline, decompose_agents, diagnose_infeasibility,
-                      escape_steps, linearize_explanation, load_offline, plan,
-                      select_target)
+                      escape_steps, load_offline, plan, select_target)
 from .taskspec import (BooleanSpec, SpecVectors, compile_vectors, format_spec,
                        holds, parse)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "BasisGraph", "BasisPartition", "BenchConfig", "BooleanSpec",
-    "CacheDigestError", "CacheError", "CacheFormatError", "CacheVersionError",
-    "Cell", "DEFAULT_ORACLE_BUDGET", "DEFAULT_STATE_CAP", "Edge",
-    "Environment", "Explanation", "FiringError", "Infeasible",
-    "IntegrityError", "Marking", "MinimalSequence", "MonitoredNet",
-    "OfflineModel", "OracleResult", "PetriNet", "Plan", "Region",
-    "ReplayResult", "SimplifiedNet", "SpecError", "SpecShapeError",
-    "SpecSyntaxError", "SpecVectors", "StateBudgetError", "TampError",
-    "TargetChoice", "UnknownPropositionError", "VISIT", "END",
-    "ValidationError", "apply_explanation", "backtrack", "build_graph",
-    "build_monitored", "build_offline", "build_simplified", "cell_labels",
-    "choose_partition", "compile_vectors", "cost_json", "cost_text",
-    "decompose_agents", "diagnose_infeasibility", "enabled", "env_to_pn",
-    "escape_steps", "fire", "format_spec", "free_cells", "full_graph_reference",
-    "generate_instance", "grid_index", "holds", "joint_search",
-    "labeled_places", "lift", "linearize_explanation", "load_cache",
-    "load_env", "load_offline", "minimal_explanations", "minimal_sequence",
-    "net_digest",
-    "parse", "parse_env", "pareto_minimal", "plan", "plan_json_text",
-    "plan_to_json", "random_instance", "render", "replay", "run_bench",
-    "save_cache", "select_target", "sequence_cost", "validate_partition",
+    "Atom", "BasisGraph", "BenchConfig", "BooleanSpec", "CacheDigestError",
+    "CacheError", "CacheFormatError", "CacheVersionError", "Cell",
+    "DEFAULT_ORACLE_BUDGET", "DEFAULT_STATE_CAP", "Edge", "Environment",
+    "FiringError", "Infeasible", "IntegrityError", "Marking",
+    "MinimalSequence", "MonitoredNet", "OfflineModel", "OracleResult",
+    "PetriNet", "Plan", "Region", "ReplayResult", "SimplifiedNet", "SpecError",
+    "SpecShapeError", "SpecSyntaxError", "SpecVectors", "StateBudgetError",
+    "TampError", "TargetChoice", "UnknownPropositionError", "VISIT", "END",
+    "ValidationError", "backtrack", "build_graph", "build_monitored",
+    "build_offline", "build_simplified", "cell_labels", "compile_vectors",
+    "cost_json", "cost_text", "decompose_agents", "diagnose_infeasibility",
+    "enabled", "env_to_pn", "escape_steps", "fire", "format_spec",
+    "free_cells", "full_graph_reference", "generate_instance", "grid_index",
+    "holds", "joint_search", "labeled_places", "lift", "load_cache",
+    "load_env", "load_offline", "minimal_sequence", "net_digest", "parse",
+    "parse_env", "plan", "plan_json_text", "plan_to_json", "random_instance",
+    "render", "replay", "run_bench", "save_cache", "select_target",
+    "sequence_cost",
 ]

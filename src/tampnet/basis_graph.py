@@ -1,11 +1,13 @@
-"""Incremental min-cost basis reachability graph over a monitored net.
+"""Min-cost basis reachability tree over a monitored net.
 
-Transitions are split into explicit ones (every firing is a graph edge) and
-implicit ones (cheap moves that only appear inside explanations). A basis
-marking is reached by alternating minimal implicit explanation vectors with
-one explicit firing. The builder runs a lowest-cost-first expansion, so each
-basis marking is finalized with its minimal accumulated cost q and exactly
-one parent edge; the result is a tree with |edges| = |markings| - 1.
+Every transition of the monitored net moves one token out of one place, and
+every firing is a graph edge: in the reduced net each abstract transition
+moves into a labeled place, which carries a visit latch or an end label, so
+no move can be folded away. The builder runs a lowest-cost-first expansion
+over the reachable markings, so each marking is finalized with its minimal
+accumulated cost q and exactly one parent edge; the result is a tree with
+|edges| = |markings| - 1. Markings are packed into one integer each while
+the tree grows; nets that do not fit that layout are refused.
 
 Every graph, built or loaded, carries one occupancy index: per place, an
 int with one bit per marking. Queries combine these bitsets with a few
@@ -14,13 +16,8 @@ big-int AND/OR operations instead of reading the markings.
 A cache file stores only the tree's parent and transition columns.
 Loading it replays the tree: each marking is its parent's fired by its
 transition and each cost its parent's plus the transition's, with the same
-packed-int layout and shared finishing helper as the fast build path, and
-the replay checks the file as it goes. Only graphs that path builds can be
-cached.
-
-For nets produced by this pipeline every abstract transition targets a
-labeled place and is therefore explicit; the implicit machinery still runs
-for hand-built nets and is exercised by the structural tests.
+packed-int layout and shared finishing helper as the build, and the replay
+checks the file as it goes.
 """
 
 from __future__ import annotations
@@ -32,13 +29,13 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
-                     IntegrityError, StateBudgetError)
-from .petri import END, Marking, PetriNet, enabled, fire, integer_costs
+                     StateBudgetError)
+from .petri import Marking, PetriNet, integer_costs
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
@@ -47,28 +44,9 @@ CACHE_VERSION = 2
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
-@dataclass(frozen=True)
-class BasisPartition:
-    """Explicit/implicit transition split with an acyclic implicit subnet."""
-
-    explicit: frozenset
-    implicit: frozenset
-
-
-class Explanation(NamedTuple):
-    """Minimal implicit firing vector enabling some explicit transition.
-
-    ``vector`` is sparse: ((transition, count), ...) sorted by transition.
-    """
-
-    vector: Tuple[Tuple[int, int], ...]
-    cost: Fraction
-
-
 class Edge(NamedTuple):
     parent: int
     transition: int
-    explanation: Tuple[Tuple[int, int], ...]
     cost: Fraction  # accumulated q at the child
 
 
@@ -121,188 +99,35 @@ def _occupancy(flat: bytes, places: int, width: int) -> Tuple[int, ...]:
     return tuple(occupied)
 
 
-def choose_partition(qm: MonitoredNet) -> BasisPartition:
-    """Split transitions per the basis rules.
-
-    Transitions producing into an indicator place or an end-labeled place
-    must be explicit; the rest start implicit and are promoted greedily
-    (smallest transition id in a found cycle first) until the implicit
-    subnet is acyclic.
-    """
-    net = qm.net
-    indicators = set(qm.indicator_of.values())
-    implicit = set()
-    for t in range(net.num_transitions):
-        watched = any(
-            p in indicators or any(a.kind == END for a in net.labels[p])
-            for p in net.post[t])
-        if not watched:
-            implicit.add(t)
-    while True:
-        cycle = _find_cycle(net, implicit)
-        if cycle is None:
-            break
-        implicit.discard(min(cycle))
-    explicit = frozenset(range(net.num_transitions)) - frozenset(implicit)
-    return BasisPartition(explicit, frozenset(implicit))
-
-
-def validate_partition(qm: MonitoredNet, part: BasisPartition) -> None:
-    net = qm.net
-    everything = set(range(net.num_transitions))
-    if part.explicit | part.implicit != everything or part.explicit & part.implicit:
-        raise ValueError("partition must split the transition set exactly")
-    indicators = set(qm.indicator_of.values())
-    for t in sorted(part.implicit):
-        for p in net.post[t]:
-            if p in indicators or any(a.kind == END for a in net.labels[p]):
-                raise ValueError(
-                    f"transition {t} feeds a watched place and must be explicit")
-    if _find_cycle(net, part.implicit) is not None:
-        raise ValueError("implicit transitions must induce an acyclic subnet")
-
-
-def _find_cycle(net: PetriNet, implicit) -> Optional[List[int]]:
-    """Return the transition ids on one cycle of the implicit subnet, if any."""
-    succ: Dict[tuple, List[tuple]] = {}
-    for t in sorted(implicit):
-        succ[("t", t)] = [("p", p) for p in net.post[t]]
-        for p in net.pre[t]:
-            succ.setdefault(("p", p), []).append(("t", t))
-    for node in succ.values():
-        node.sort()
-
-    color: Dict[tuple, int] = {}
-    for start in sorted(succ):
-        if color.get(start):
-            continue
-        path = [start]
-        iters = [iter(succ.get(start, ()))]
-        color[start] = 1
-        while path:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                color[path.pop()] = 2
-                iters.pop()
-                continue
-            state = color.get(nxt, 0)
-            if state == 1:
-                cycle = path[path.index(nxt):]
-                return [n[1] for n in cycle if n[0] == "t"]
-            if state == 0:
-                color[nxt] = 1
-                path.append(nxt)
-                iters.append(iter(succ.get(nxt, ())))
-    return None
-
-
-def minimal_explanations(qm: MonitoredNet, part: BasisPartition, m: Marking,
-                         t: int) -> List[Explanation]:
-    """All minimal implicit firing vectors y enabling explicit ``t`` from m.
-
-    Returned in ascending order of the sparse (transition, count) vectors.
-    When ``t`` is already enabled the unique answer is the zero vector.
-    Search walks implicit firings breadth-first, stopping each branch at
-    first enablement: a proper prefix of a minimal explanation is never
-    enabling, so this loses nothing.
-    """
-    net = qm.net
-    if t not in part.explicit:
-        raise ValueError(f"transition {t} is not explicit")
-    if enabled(net, m, t):
-        return [Explanation((), Fraction(0))]
-
-    implicit = sorted(part.implicit)
-    zero = (0,) * len(implicit)
-    frontier = [(m, zero)]
-    seen: Set[tuple] = {zero}
-    hits = []
-    guard = 0
-    while frontier:
-        next_frontier = []
-        for mk, y in frontier:
-            for k, ti in enumerate(implicit):
-                if not enabled(net, mk, ti):
-                    continue
-                y2 = y[:k] + (y[k] + 1,) + y[k + 1:]
-                if y2 in seen:
-                    continue
-                seen.add(y2)
-                guard += 1
-                if guard > 1_000_000:
-                    raise IntegrityError(
-                        "explanation search did not converge; implicit subnet is likely cyclic")
-                mk2 = fire(net, mk, ti)
-                if enabled(net, mk2, t):
-                    hits.append(y2)
-                else:
-                    next_frontier.append((mk2, y2))
-        frontier = next_frontier
-
-    out = []
-    for y in _pareto(hits):
-        cost = sum((net.cost[implicit[k]] * n for k, n in enumerate(y) if n), Fraction(0))
-        sparse = tuple((implicit[k], n) for k, n in enumerate(y) if n)
-        out.append(Explanation(sparse, cost))
-    out.sort(key=lambda e: e.vector)
-    return out
-
-
-def _pareto(vectors):
-    vectors = sorted(set(vectors))
-    return [v for v in vectors
-            if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vectors)]
-
-
-def apply_explanation(net: PetriNet, m: Marking, vector) -> Marking:
-    """Marking after firing an explanation vector (order-independent)."""
-    out = list(m)
-    for t, count in vector:
-        for p in net.pre[t]:
-            out[p] -= count
-        for p in net.post[t]:
-            out[p] += count
-            if p in net.clamp_at_one and out[p] > 1:
-                out[p] = 1
-    if any(v < 0 for v in out):
-        raise IntegrityError("explanation vector is not fireable from this marking")
-    return tuple(out)
-
-
-def build_graph(qm: MonitoredNet, part: Optional[BasisPartition] = None,
+def build_graph(qm: MonitoredNet,
                 state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
-    """Build the min-cost basis graph by lowest-q-first expansion.
+    """Build the min-cost basis tree by lowest-q-first expansion.
 
     Deterministic: markings come out in ascending (q, discovery) order,
-    children are generated in ascending transition id then ascending
-    explanation vector, and the first minimal-cost parent edge wins.
-    Raises StateBudgetError when more than ``state_cap`` markings arise.
+    children are generated in ascending transition id, and the first
+    minimal-cost parent edge wins. Raises ValueError for a net that is not
+    ``_packable`` and StateBudgetError when more than ``state_cap``
+    markings arise.
     """
-    if part is None:
-        part = choose_partition(qm)
-    else:
-        validate_partition(qm, part)
-    if _packable(qm.net, part):
-        return _build_packed(qm, state_cap)
-    return _build_general(qm, part, state_cap)
+    if not _packable(qm.net):
+        raise ValueError("the net does not fit packed markings: it needs "
+                         "single-input transitions numbered by source place, "
+                         "latches starting at 0 or 1 and no transition adding tokens")
+    return _build_packed(qm, state_cap)
 
 
-def _packable(net: PetriNet, part: BasisPartition) -> bool:
-    """Whether ``build_graph`` takes the packed path for ``net`` under
-    ``part``, which is also what ``save_cache`` requires: no implicit
-    transitions, single-input transitions numbered by ascending source
-    place, latches starting at 0 or 1, and no transition adding tokens to
+def _packable(net: PetriNet) -> bool:
+    """Whether ``build_graph``, ``save_cache`` and ``load_cache`` accept
+    ``net``: single-input transitions numbered by ascending source place,
+    latches starting at 0 or 1, and no transition adding tokens to
     non-latch places, with the token total below 2**64 (so no count can
     outgrow a field sized for the initial total)."""
-    if part.implicit:
+    if not all(len(pre) == 1 for pre in net.pre):
         return False
-    explicit = sorted(part.explicit)
-    if not all(len(net.pre[t]) == 1 for t in explicit):
-        return False
-    by_source = all(net.pre[a][0] <= net.pre[b][0] for a, b in zip(explicit, explicit[1:]))
+    by_source = all(a[0] <= b[0] for a, b in zip(net.pre, net.pre[1:]))
     binary_latches = all(net.initial_marking[p] <= 1 for p in net.clamp_at_one)
     bounded = sum(net.initial_marking) < 1 << 64 and all(
-        sum(p not in net.clamp_at_one for p in net.post[t]) <= 1 for t in explicit)
+        sum(p not in net.clamp_at_one for p in post) <= 1 for post in net.post)
     return by_source and binary_latches and bounded
 
 
@@ -367,18 +192,18 @@ def _packed_graph(order: List[int], qs: Sequence[int], parents: Sequence[int],
     markings = tuple(zip(*[fields] * n)) if n else ((),) * count
     del counts, fields
     costs = {q: Fraction(q, layout.scale) for q in set(qs)}
-    edges = (None,) + tuple(map(Edge, parents, transitions, repeat(()),
+    edges = (None,) + tuple(map(Edge, parents, transitions,
                                 map(costs.__getitem__, qs)))
     return BasisGraph(markings, edges, _occupancy(flat, n, width))
 
 
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
-    """Fast path for ``_packable`` nets: lowest-q-first expansion over
-    markings packed into one integer each (see ``_layout``).
+    """Lowest-q-first expansion over markings packed into one integer each
+    (see ``_layout``).
 
-    Expansion order matches the general path: gathering the enabled
-    transitions source place by source place already lists them in
-    ascending transition id. Costs are exact integers, scaled by the LCM of
+    Gathering the enabled transitions source place by source place lists
+    them in ascending transition id, since ``_packable`` nets number them
+    by source place. Costs are exact integers, scaled by the LCM of
     the transition cost denominators; they become ``Fraction`` only in the
     returned edges.
     """
@@ -428,44 +253,6 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     return _packed_graph(order, qs[1:], parents[1:], transitions[1:], layout)
 
 
-def _build_general(qm: MonitoredNet, part: BasisPartition, state_cap: int) -> BasisGraph:
-    net = qm.net
-    explicit = sorted(part.explicit)
-    root = net.initial_marking
-    dist = {root: Fraction(0)}
-    via: Dict[Marking, Optional[Tuple[Marking, int, tuple]]] = {root: None}
-    heap = [(Fraction(0), 0, root)]
-    counter = 1
-    order: List[Marking] = []
-    index: Dict[Marking, int] = {}
-    edges: List[Optional[Edge]] = []
-
-    while heap:
-        q, _, m = heapq.heappop(heap)
-        if m in index or q > dist[m]:
-            continue
-        if len(order) >= state_cap:
-            raise StateBudgetError(state_cap, what="basis graph construction")
-        idx = len(order)
-        index[m] = idx
-        order.append(m)
-        came = via[m]
-        edges.append(None if came is None else Edge(index[came[0]], came[1], came[2], q))
-        for t in explicit:
-            for expl in minimal_explanations(qm, part, m, t):
-                staged = apply_explanation(net, m, expl.vector)
-                child = fire(net, staged, t)
-                nq = q + expl.cost + net.cost[t]
-                old = dist.get(child)
-                if old is None or nq < old:
-                    dist[child] = nq
-                    via[child] = (m, t, expl.vector)
-                    heapq.heappush(heap, (nq, counter, child))
-                    counter += 1
-
-    return BasisGraph(tuple(order), tuple(edges))
-
-
 def net_digest(net: PetriNet) -> str:
     """Stable fingerprint of a net, used to pair caches with their model."""
     payload = {
@@ -481,7 +268,7 @@ def net_digest(net: PetriNet) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_cache(graph: BasisGraph, qm: MonitoredNet, part: BasisPartition, path) -> None:
+def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     """Persist the tree as its parent and transition columns; byte-identical
     for equal inputs.
 
@@ -492,9 +279,8 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, part: BasisPartition, path) 
     recomputes them, so only graphs of ``_packable`` nets can be saved.
     Raises ValueError for any other graph.
     """
-    if not _packable(qm.net, part):
-        raise ValueError("only graphs built on the packed path can be cached: "
-                         "the net has implicit transitions or does not fit packed markings")
+    if not _packable(qm.net):
+        raise ValueError("only graphs of nets that fit packed markings can be cached")
     columns = (array(_U32, [e.parent for e in graph.edges[1:]]),
                array(_U32, [e.transition for e in graph.edges[1:]]))
     if sys.byteorder == "big":
@@ -513,7 +299,7 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, part: BasisPartition, path) 
         fh.write(line + b"\n" + body)
 
 
-def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
+def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     """Load a cache written by ``save_cache`` and rebuild the tree from it.
 
     Checks the format tag, the version (CacheVersionError), the net digest
@@ -524,8 +310,7 @@ def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
     the pass checks that every parent precedes its child, every transition
     id is in range and enabled at the parent, ``q`` never decreases, and no
     marking repeats. Any failure raises CacheFormatError, as does a net
-    whose ``choose_partition`` the packed path does not accept. Returns the
-    graph and that partition.
+    that is not ``_packable``.
     """
     try:
         with open(path, "rb") as fh:
@@ -555,8 +340,7 @@ def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
         raise CacheFormatError(f"cache {path} body does not match its checksum")
 
     net = qm.net
-    partition = choose_partition(qm)
-    if not _packable(net, partition):
+    if not _packable(net):
         raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
     parents = array(_U32, body[:4 * (count - 1)])
     transitions = array(_U32, body[4 * (count - 1):])
@@ -586,4 +370,4 @@ def load_cache(path, qm: MonitoredNet) -> Tuple[BasisGraph, BasisPartition]:
         qs.append(q)
     if len(set(order)) != count:
         raise CacheFormatError(f"cache {path} lists a marking twice")
-    return _packed_graph(order, qs[1:], parents, transitions, layout), partition
+    return _packed_graph(order, qs[1:], parents, transitions, layout)

@@ -116,7 +116,7 @@ def _cmd_build(args) -> int:
     env = load_env(args.env)
     cap = _state_cap(args.state_cap, DEFAULT_STATE_CAP)
     offline = build_offline(env, state_cap=cap)
-    save_cache(offline.graph, offline.monitored, offline.partition, args.out)
+    save_cache(offline.graph, offline.monitored, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
           f"{len(offline.graph.edges) - 1} edges")
     return 0
@@ -133,7 +133,7 @@ def _cmd_plan(args) -> int:
     else:
         offline = build_offline(env, state_cap=cap)
         if args.cache:
-            save_cache(offline.graph, offline.monitored, offline.partition, args.cache)
+            save_cache(offline.graph, offline.monitored, args.cache)
     result = plan(env, spec, offline)
     if isinstance(result, Infeasible):
         print(result.message, file=sys.stderr)

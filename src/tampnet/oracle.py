@@ -2,23 +2,24 @@
 
 ``joint_search`` answers a task query by exact uniform-cost search over the
 joint agent state (a sorted multiset of cells plus visit bits), knowing
-nothing about the abstraction pipeline. ``full_graph_reference`` rebuilds the
-basis reachability relation exhaustively, keeping every edge, with its own
-brute-force explanation enumeration; it exists so the incremental builder can
-be checked against something that shares none of its shortcuts.
+nothing about the abstraction pipeline. ``full_graph_reference`` lists every
+reachable marking of a net by breadth-first search over enabled transitions
+and labels each with its minimal cost by Dijkstra's algorithm; it exists so
+the basis tree builder can be checked against something that shares none of
+its shortcuts (packed markings, the single lowest-cost-first pass).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import StateBudgetError, UnknownPropositionError
 from .grid import DIRECTIONS, Cell, Environment, cell_labels, free_cells
-from .petri import END, VISIT, Marking, PetriNet, enabled, fire
+from .petri import END, VISIT, Marking, PetriNet, fire
 from .taskspec import BooleanSpec
 
 DEFAULT_ORACLE_BUDGET = 1_000_000
@@ -177,106 +178,65 @@ def joint_search(env: Environment, spec: BooleanSpec,
 
 @dataclass(frozen=True)
 class ReferenceGraph:
-    """Exhaustive basis reachability relation with min-cost labels."""
+    """Every reachable marking, in breadth-first order, with its minimal
+    cost from the initial marking."""
 
     markings: Tuple[Marking, ...]
-    edges: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...], Fraction, int], ...]
     labels: Tuple[Fraction, ...]
 
 
-def full_graph_reference(qm, part, state_budget: int = 100_000) -> ReferenceGraph:
-    """Rebuild the basis graph keeping all edges, by plain breadth search.
+def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
+    """Reachable markings of ``qm.net`` and their min-cost labels.
 
-    ``qm`` is a monitored net wrapper exposing ``.net``; ``part`` exposes
-    ``.explicit`` / ``.implicit``. Explanations are enumerated by exhaustive
-    implicit-sequence search with no dominance pruning, then filtered to the
-    minimal ones, so this path shares nothing with the incremental builder.
+    A breadth-first search fires every enabled transition of every marking
+    with ``petri.fire``, keeping each edge as (child index, transition);
+    Dijkstra's algorithm then labels the markings over those edges. Costs
+    are integers scaled by the LCM of the cost denominators until the end.
+    Raises StateBudgetError past ``state_budget`` markings.
     """
     net: PetriNet = qm.net
-    explicit = sorted(part.explicit)
-    implicit = sorted(part.implicit)
+    scale = math.lcm(*(c.denominator for c in net.cost))
+    weight = [c.numerator * scale // c.denominator for c in net.cost]
+    # each transition is tried only where its first input place is marked
+    by_input: List[List[int]] = [[] for _ in range(net.num_places)]
+    for t, pre in enumerate(net.pre):
+        by_input[pre[0]].append(t)
 
     root = net.initial_marking
     markings = [root]
     index = {root: 0}
-    edges = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        m = markings[i]
-        for t in explicit:
-            for y_sparse, y_cost, staged in _brute_explanations(net, implicit, m, t):
-                dst_marking = fire(net, staged, t)
-                dst = index.get(dst_marking)
-                if dst is None:
+    edges: List[List[int]] = []  # edges[i]: child, transition, child, ...
+    for m in markings:  # the loop also visits markings appended below
+        out = []
+        for p, tokens in enumerate(m):
+            if not tokens:
+                continue
+            for t in by_input[p]:
+                if not all(m[s] for s in net.pre[t]):
+                    continue
+                child = fire(net, m, t)
+                j = index.get(child)
+                if j is None:
                     if len(markings) >= state_budget:
                         raise StateBudgetError(state_budget, what="reference graph")
-                    dst = len(markings)
-                    index[dst_marking] = dst
-                    markings.append(dst_marking)
-                    queue.append(dst)
-                edges.append((i, t, y_sparse, y_cost + net.cost[t], dst))
+                    j = index[child] = len(markings)
+                    markings.append(child)
+                out += (j, t)
+        edges.append(out)
 
-    adjacency: List[List[Tuple[int, Fraction]]] = [[] for _ in markings]
-    for src, _, _, weight, dst in edges:
-        adjacency[src].append((dst, weight))
-    labels = [None] * len(markings)
-    labels[0] = Fraction(0)
-    heap = [(Fraction(0), 0)]
+    labels: List[Optional[int]] = [None] * len(markings)
+    labels[0] = 0
+    heap = [(0, 0)]
     while heap:
-        cost, i = heapq.heappop(heap)
-        if labels[i] is not None and cost > labels[i]:
+        q, i = heapq.heappop(heap)
+        if q > labels[i]:
             continue
-        for dst, weight in adjacency[i]:
-            cand = cost + weight
-            if labels[dst] is None or cand < labels[dst]:
-                labels[dst] = cand
-                heapq.heappush(heap, (cand, dst))
-    return ReferenceGraph(tuple(markings), tuple(edges), tuple(labels))
-
-
-def _brute_explanations(net: PetriNet, implicit: Sequence[int], m: Marking, t: int,
-                        node_budget: int = 200_000):
-    """All minimal implicit firing vectors enabling t from m.
-
-    Returns (sparse vector, cost, marking after the vector) triples sorted by
-    vector. Exhaustive: walks every implicit firing sequence (deduped by
-    reached vector) before minimizing.
-    """
-    zero = (0,) * len(implicit)
-    reached = {zero: m}
-    stack = [(m, zero)]
-    visited = 0
-    while stack:
-        mk, y = stack.pop()
-        visited += 1
-        if visited > node_budget:
-            raise StateBudgetError(node_budget, what="explanation enumeration")
-        for k, ti in enumerate(implicit):
-            if not enabled(net, mk, ti):
-                continue
-            y2 = y[:k] + (y[k] + 1,) + y[k + 1:]
-            if y2 in reached:
-                continue
-            mk2 = fire(net, mk, ti)
-            reached[y2] = mk2
-            stack.append((mk2, y2))
-
-    enabling = [y for y, mk in reached.items() if enabled(net, mk, t)]
-    minimal = pareto_minimal(enabling)
-    out = []
-    for y in sorted(minimal):
-        cost = sum((net.cost[implicit[k]] * n for k, n in enumerate(y) if n), Fraction(0))
-        sparse = tuple((implicit[k], n) for k, n in enumerate(y) if n)
-        out.append((sparse, cost, reached[y]))
-    return out
-
-
-def pareto_minimal(vectors):
-    """Keep vectors not componentwise dominated by another (minimality)."""
-    vectors = sorted(set(map(tuple, vectors)))
-    out = []
-    for v in vectors:
-        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vectors):
-            out.append(v)
-    return out
+        out = edges[i]
+        for k in range(0, len(out), 2):
+            j = out[k]
+            cand = q + weight[out[k + 1]]
+            if labels[j] is None or cand < labels[j]:
+                labels[j] = cand
+                heapq.heappush(heap, (cand, j))
+    return ReferenceGraph(tuple(markings),
+                          tuple(Fraction(q, scale) for q in labels))

@@ -4,9 +4,9 @@ The offline half compiles an environment once (movement net, reduction,
 indicators, basis graph); the online half answers one formula: compile it to
 clause vectors, combine the basis graph's per-place occupancy bitsets to
 find the cheapest marking meeting every clause, walk the parent edges back
-to the root, expand explanations, lift abstract transitions to grid moves,
-and split the move sequence into per-agent paths. Infeasibility is a
-first-class result, not an exception.
+to the root, lift abstract transitions to grid moves, and split the move
+sequence into per-agent paths. Infeasibility is a first-class result, not
+an exception.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
                           build_simplified, lift)
-from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, BasisPartition,
-                          build_graph, choose_partition, load_cache)
+from .basis_graph import DEFAULT_STATE_CAP, BasisGraph, build_graph, load_cache
 from .errors import IntegrityError
 from .grid import Cell, Environment, Plan, env_to_pn, free_cells
-from .petri import PetriNet, enabled, fire, replay, sequence_cost
+from .petri import PetriNet, replay, sequence_cost
 from .taskspec import BooleanSpec, SpecVectors, compile_vectors, holds, parse
 
 
@@ -41,7 +40,6 @@ class OfflineModel:
     cells: Tuple[Cell, ...]
     simplified: SimplifiedNet
     monitored: MonitoredNet
-    partition: BasisPartition
     graph: BasisGraph
     escapes: Tuple[Optional[Tuple[int, Fraction]], ...]
 
@@ -85,30 +83,23 @@ def escape_steps(net: PetriNet,
 
 
 def _offline(env: Environment,
-             graph_for: Callable[[MonitoredNet], Tuple[BasisGraph, BasisPartition]],
-             ) -> OfflineModel:
+             graph_for: Callable[[MonitoredNet], BasisGraph]) -> OfflineModel:
     """Compile ``env`` into an offline model: movement net, reduction,
-    visit latches and escape moves, plus the basis graph and partition that
-    ``graph_for`` returns for the monitored net (built or loaded)."""
+    visit latches and escape moves, plus the basis graph that ``graph_for``
+    returns for the monitored net (built or loaded)."""
     net = env_to_pn(env)
     props = set()
     for region in env.regions:
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    graph, partition = graph_for(monitored)
     return OfflineModel(env, net, free_cells(env), simplified, monitored,
-                        partition, graph, escape_steps(net, simplified.base_place))
+                        graph_for(monitored), escape_steps(net, simplified.base_place))
 
 
 def build_offline(env: Environment, state_cap: Optional[int] = None) -> OfflineModel:
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-
-    def graph_for(monitored: MonitoredNet):
-        partition = choose_partition(monitored)
-        return build_graph(monitored, partition, state_cap=cap), partition
-
-    return _offline(env, graph_for)
+    return _offline(env, lambda monitored: build_graph(monitored, state_cap=cap))
 
 
 def load_offline(env: Environment, cache_path) -> OfflineModel:
@@ -229,49 +220,16 @@ def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
     return tuple(failing) if failing else ("combination",)
 
 
-def linearize_explanation(qm: MonitoredNet, part: BasisPartition, m,
-                          vector) -> Tuple[int, ...]:
-    """Order an explanation vector into a fireable implicit sequence,
-    choosing the smallest enabled transition id at every step."""
-    remaining = {}
-    for t, count in vector:
-        if t not in part.implicit:
-            raise ValueError(f"transition {t} is not implicit")
-        remaining[t] = remaining.get(t, 0) + count
-    seq = []
-    cur = m
-    while remaining:
-        for t in sorted(remaining):
-            if enabled(qm.net, cur, t):
-                cur = fire(qm.net, cur, t)
-                seq.append(t)
-                remaining[t] -= 1
-                if not remaining[t]:
-                    del remaining[t]
-                break
-        else:
-            raise IntegrityError("explanation vector cannot be ordered from this marking")
-    return tuple(seq)
-
-
-def backtrack(qm: MonitoredNet, part: BasisPartition, graph: BasisGraph,
-              target: int) -> Tuple[int, ...]:
-    """Abstract firing sequence (explanations expanded) from the root to a
-    basis marking; ends exactly at the target, no trailing implicit moves."""
+def backtrack(qm: MonitoredNet, graph: BasisGraph, target: int) -> Tuple[int, ...]:
+    """Abstract firing sequence from the root to a basis marking: the
+    transitions of the tree edges on the way down, one per edge."""
     if not 0 <= target < len(graph.markings):
         raise ValueError(f"unknown basis marking index {target}")
-    chain = []
-    i = target
-    while graph.edges[i] is not None:
-        chain.append(i)
-        i = graph.edges[i].parent
     seq: List[int] = []
-    for i in reversed(chain):
-        edge = graph.edges[i]
-        parent_marking = graph.markings[edge.parent]
-        seq.extend(linearize_explanation(qm, part, parent_marking, edge.explanation))
-        seq.append(edge.transition)
-    return tuple(seq)
+    while graph.edges[target] is not None:
+        seq.append(graph.edges[target].transition)
+        target = graph.edges[target].parent
+    return tuple(reversed(seq))
 
 
 def decompose_agents(net: PetriNet, sigma: Sequence[int],
@@ -312,8 +270,7 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         return Infeasible(diagnose_infeasibility(offline.graph, vectors,
                                                  offline.escapes))
 
-    sigma_m = backtrack(offline.monitored, offline.partition, offline.graph,
-                        choice.index)
+    sigma_m = backtrack(offline.monitored, offline.graph, choice.index)
     sigma_q = lift(offline.simplified, sigma_m)
     run = replay(offline.net, offline.net.initial_marking, sigma_q)
 

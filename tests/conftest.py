@@ -6,7 +6,7 @@ from typing import Sequence, Tuple
 import pytest
 
 from tampnet import (Atom, END, MonitoredNet, PetriNet, TargetChoice,
-                     build_offline, load_env, parse_env)
+                     build_offline, full_graph_reference, load_env, parse_env)
 from tampnet.data import fixture_path
 
 EMPTY = frozenset()
@@ -103,6 +103,15 @@ def occupancy_reference(markings):
                  for p in range(places))
 
 
+def assert_matches_reference(qm, graph):
+    """``graph`` holds every reachable marking once, each with the minimal
+    cost that ``full_graph_reference`` finds for it."""
+    ref = full_graph_reference(qm)
+    labels = dict(zip(ref.markings, ref.labels))
+    assert len(graph) == len(labels) and labels.keys() == set(graph.markings)
+    assert [labels[m] for m in graph.markings] == [graph.q(i) for i in range(len(graph))]
+
+
 def _split_forbidden(vectors, escapes):
     mobility = len(escapes) if escapes is not None else 0
     g_sup = [p for p, v in enumerate(vectors.g) if v]
@@ -169,6 +178,37 @@ def square_env(side: int, regions, agents, obstacles=(), move_cost=1):
         "regions": regions,
         "agents": [list(a) for a in agents],
         "move_cost": move_cost,
+    })
+
+
+def random_env(rng):
+    """Small map with obstacles, overlapping one- and two-cell regions, a
+    proposition shared by two regions and fractional per-direction costs."""
+    side = rng.choice([3, 4, 4, 5])
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    obstacles, free = cells[:rng.randrange(0, side)], cells[side:]
+    names = ["a", "b", "c", "d"]
+    regions = []
+    for k in range(rng.randrange(2, 5)):
+        anchor = rng.choice(free)
+        near = [c for c in free if abs(c[0] - anchor[0]) + abs(c[1] - anchor[1]) == 1]
+        region_cells = [anchor] + rng.sample(near, min(len(near), rng.randrange(0, 2)))
+        regions.append({
+            "name": f"R{k}",
+            "cells": [list(c) for c in region_cells],
+            "trajectory_props": [names[k]] if rng.random() < 0.8 else [],
+            "final_props": [names[(k + 1) % len(names)]] if rng.random() < 0.7 else [],
+        })
+    regions[-1]["trajectory_props"] = regions[0]["trajectory_props"] or ["a"]
+    costs = [1, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)]
+    rng.shuffle(costs)
+    return parse_env({
+        "grid": {"rows": side, "cols": side},
+        "obstacles": [list(c) for c in obstacles],
+        "regions": regions,
+        "agents": [list(rng.choice(free)) for _ in range(rng.randrange(1, 4))],
+        "move_cost": {d: str(c) for d, c in zip(("up", "right", "down", "left"), costs)},
     })
 
 

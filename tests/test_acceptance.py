@@ -11,27 +11,21 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from tampnet import (BasisPartition, Infeasible, Plan, backtrack,
-                     build_graph, build_offline, build_simplified,
-                     choose_partition, env_to_pn, full_graph_reference,
-                     generate_instance, holds, joint_search, labeled_places,
-                     lift, load_offline, minimal_explanations, parse, plan,
-                     plan_json_text, replay, save_cache, sequence_cost,
-                     validate_partition)
-from tampnet.oracle import _brute_explanations
+from tampnet import (Infeasible, Plan, backtrack, build_graph, build_offline,
+                     build_simplified, env_to_pn, generate_instance, holds,
+                     joint_search, labeled_places, lift, load_offline, parse,
+                     plan, plan_json_text, replay, save_cache, sequence_cost)
 
-from conftest import (EMPTY, as_monitored, brute_minimal_sequence, hand_net,
-                      hop_chain_net, join_net, relay_net, square_env,
-                      two_cycle_net, two_feeders_net)
+from conftest import (assert_matches_reference, brute_minimal_sequence,
+                      hop_chain_net, relay_net, square_env, two_cycle_net,
+                      two_feeders_net)
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
-REFERENCE_LIMIT = 100_000
 
 
 @pytest.fixture
@@ -97,61 +91,6 @@ def test_c2_oracle_equivalence_sweep(announce):
         assert elapsed < 300.0
 
 
-def _random_watched_chain(seed):
-    """Forward implicit hops feeding one watched move; token count shrinks
-    on every watched firing, so the reachable set stays small."""
-    rng = random.Random(f"acc3:net:{seed}")
-    places = rng.randrange(4, 7)
-    arcs = []
-    for _ in range(rng.randrange(places, 2 * places)):
-        a = rng.randrange(0, places - 1)
-        b = rng.randrange(a + 1, places)
-        arcs.append(((a,), (b,), rng.choice([1, 1, 2, "1/2"])))
-    width = rng.randrange(1, 3)
-    inputs = tuple(sorted(rng.sample(range(1, places), width)))
-    arcs.append((inputs, (places - 1,), 1))
-    m0 = tuple(rng.choice([1, 1, 2]) if p < places - 1 else 0
-               for p in range(places))
-    net = hand_net(places, arcs, [EMPTY] * places, m0)
-    qm = as_monitored(net)
-    part = BasisPartition(frozenset({len(arcs) - 1}),
-                          frozenset(range(len(arcs) - 1)))
-    return qm, part
-
-
-def _implicit_place_graph_acyclic(net, implicit):
-    succ = {}
-    nodes = set()
-    for t in implicit:
-        for p in net.pre[t]:
-            nodes.add(p)
-            for p2 in net.post[t]:
-                nodes.add(p2)
-                succ.setdefault(p, set()).add(p2)
-    indeg = {p: 0 for p in nodes}
-    for outs in succ.values():
-        for p2 in outs:
-            indeg[p2] += 1
-    ready = [p for p in nodes if indeg[p] == 0]
-    seen = 0
-    while ready:
-        p = ready.pop()
-        seen += 1
-        for p2 in succ.get(p, ()):
-            indeg[p2] -= 1
-            if indeg[p2] == 0:
-                ready.append(p2)
-    return seen == len(nodes)
-
-
-def _incomparable(a, b):
-    da, db = dict(a), dict(b)
-    keys = set(da) | set(db)
-    a_le_b = all(da.get(k, 0) <= db.get(k, 0) for k in keys)
-    b_le_a = all(db.get(k, 0) <= da.get(k, 0) for k in keys)
-    return not a_le_b and not b_le_a
-
-
 def _assert_tree(graph):
     assert graph.edges[0] is None
     assert len(graph.edges) == len(graph.markings)
@@ -163,28 +102,18 @@ def _assert_tree(graph):
             assert edge.parent < i
 
 
-def _assert_replays(qm, part, graph):
+def _assert_replays(qm, graph):
     root = qm.net.initial_marking
     for i, marking in enumerate(graph.markings):
-        sigma = backtrack(qm, part, graph, i)
+        sigma = backtrack(qm, graph, i)
         run = replay(qm.net, root, sigma)
         assert run.final == marking
         assert sequence_cost(qm.net, sigma) == graph.q(i)
 
 
-def _assert_reference_labels(qm, part, graph):
-    ref = full_graph_reference(qm, part, state_budget=REFERENCE_LIMIT)
-    index = {m: i for i, m in enumerate(ref.markings)}
-    assert set(index) == set(graph.markings)
-    for i, marking in enumerate(graph.markings):
-        assert graph.q(i) == ref.labels[index[marking]]
-
-
 def test_c3_reachability_graph_structure(demo_offline, plant_offline, announce):
     with announce(3, "reachability graph structure"):
-        members = []
-        for off in (demo_offline, plant_offline):
-            members.append((off.monitored, off.partition, off.graph))
+        members = [(off.monitored, off.graph) for off in (demo_offline, plant_offline)]
         walled = square_env(3, [
             {"name": "zone1", "cells": [[0, 2]], "trajectory_props": ["1", "2"]},
             {"name": "zone2", "cells": [[2, 0]], "trajectory_props": ["2"]},
@@ -196,44 +125,15 @@ def test_c3_reachability_graph_structure(demo_offline, plant_offline, announce):
         pipeline_envs.append(generate_instance("acc3:mid7", 6, 6, 3, 7, 7)[0])
         for env in pipeline_envs:
             off = build_offline(env)
-            members.append((off.monitored, off.partition, off.graph))
-        hand_members = []
-        for make in (relay_net, two_feeders_net, hop_chain_net,
-                     two_cycle_net, join_net):
+            members.append((off.monitored, off.graph))
+        for make in (relay_net, two_feeders_net, hop_chain_net, two_cycle_net):
             qm = make()
-            part = choose_partition(qm)
-            hand_members.append((qm, part, build_graph(qm, part)))
-        for seed in range(8):
-            qm, part = _random_watched_chain(seed)
-            hand_members.append((qm, part, build_graph(qm, part)))
+            members.append((qm, build_graph(qm)))
 
-        for qm, part, graph in members + hand_members:
-            validate_partition(qm, part)
-            assert _implicit_place_graph_acyclic(qm.net, part.implicit)
+        for qm, graph in members:
             _assert_tree(graph)
-            _assert_replays(qm, part, graph)
-            assert len(graph.markings) <= REFERENCE_LIMIT
-            _assert_reference_labels(qm, part, graph)
-
-        # movement pipelines never produce implicit moves; the hand nets do,
-        # and on those every explanation set must match exhaustive
-        # enumeration and be pairwise incomparable
-        for _, part, _ in members:
-            assert not part.implicit
-        incomparable_pairs = 0
-        for qm, part, graph in hand_members:
-            assert qm.net.num_transitions <= 12
-            for marking in graph.markings:
-                for t in sorted(part.explicit):
-                    got = minimal_explanations(qm, part, marking, t)
-                    expected = _brute_explanations(
-                        qm.net, sorted(part.implicit), marking, t)
-                    assert [(e.vector, e.cost) for e in got] == sorted(
-                        (vec, cost) for vec, cost, _ in expected)
-                    for a, b in combinations([e.vector for e in got], 2):
-                        assert _incomparable(a, b)
-                        incomparable_pairs += 1
-        assert incomparable_pairs > 0
+            _assert_replays(qm, graph)
+            assert_matches_reference(qm, graph)
 
 
 def test_c4_cost_chain_across_reductions(demo_offline, plant_offline, announce):
@@ -255,10 +155,10 @@ def test_c4_cost_chain_across_reductions(demo_offline, plant_offline, announce):
         rng = random.Random("acc4")
         runs = 0
         for off, count in families:
-            qm, part, graph = off.monitored, off.partition, off.graph
+            qm, graph = off.monitored, off.graph
             for _ in range(count):
                 i = rng.randrange(len(graph.markings))
-                sigma = backtrack(qm, part, graph, i)
+                sigma = backtrack(qm, graph, i)
                 monitored_cost = sequence_cost(qm.net, sigma)
                 simplified_cost = sequence_cost(off.simplified.net, sigma)
                 lifted = lift(off.simplified, sigma)
@@ -354,8 +254,8 @@ def test_c8_cache_determinism(tmp_path, demo_env, announce):
             second = tmp_path / f"case{n}_second.json"
             off_a = build_offline(env)
             off_b = build_offline(env)
-            save_cache(off_a.graph, off_a.monitored, off_a.partition, first)
-            save_cache(off_b.graph, off_b.monitored, off_b.partition, second)
+            save_cache(off_a.graph, off_a.monitored, first)
+            save_cache(off_b.graph, off_b.monitored, second)
             assert first.read_bytes() == second.read_bytes()
 
             cached = load_offline(env, first)

@@ -1,162 +1,124 @@
 import hashlib
 import json
-import random
 import struct
 from fractions import Fraction
 
 import pytest
 
 from tampnet import (CacheDigestError, CacheError, CacheFormatError,
-                     CacheVersionError, Explanation, MonitoredNet, PetriNet,
-                     StateBudgetError, apply_explanation, build_graph,
-                     build_offline, choose_partition, full_graph_reference,
-                     generate_instance, load_cache, minimal_explanations,
-                     net_digest, save_cache, validate_partition)
-from tampnet.basis_graph import CACHE_FORMAT, BasisPartition, Edge, _build_general
-from tampnet.oracle import _brute_explanations
-from tampnet.planner import backtrack, linearize_explanation
+                     CacheVersionError, MonitoredNet, PetriNet,
+                     StateBudgetError, build_graph, build_offline, fire,
+                     generate_instance, load_cache, net_digest, save_cache)
+from tampnet.basis_graph import CACHE_FORMAT, BasisGraph, Edge
+from tampnet.planner import backtrack
 
 from tampnet import replay, sequence_cost
 
-from conftest import (EMPTY, as_monitored, end_label, hand_net, hop_chain_net,
-                      join_net, occupancy_reference, relay_net, square_env,
-                      two_cycle_net, two_feeders_net)
+from conftest import (EMPTY, as_monitored, assert_matches_reference, end_label,
+                      hand_net, hop_chain_net, join_net, occupancy_reference,
+                      relay_net, square_env, two_cycle_net, two_feeders_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
 
 
-def test_partition_forces_watched_targets_explicit():
+def test_relay_graph_shape_and_reference():
+    # t0: 0 -> 1 costs 1, t1: 1 -> 2 costs 1; the token walks the line,
+    # so q = 0, 0 + 1 = 1, 1 + 1 = 2
     qm = relay_net()
-    part = choose_partition(qm)
-    assert sorted(part.explicit) == [1]
-    assert sorted(part.implicit) == [0]
-    validate_partition(qm, part)
+    graph = build_graph(qm)
+    assert graph.markings == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert graph.edges == (None, Edge(parent=0, transition=0, cost=Fraction(1)),
+                           Edge(parent=1, transition=1, cost=Fraction(2)))
+    assert_matches_reference(qm, graph)
 
 
-def test_partition_breaks_cycles_at_smallest_id():
-    qm = two_cycle_net()
-    part = choose_partition(qm)
-    assert sorted(part.explicit) == [0, 2]
-    assert sorted(part.implicit) == [1]
-    validate_partition(qm, part)
-
-
-def test_validate_partition_rejects_bad_splits():
-    qm = two_cycle_net()
-    with pytest.raises(ValueError):
-        validate_partition(qm, BasisPartition(frozenset({0}), frozenset({1})))
-    with pytest.raises(ValueError):
-        validate_partition(qm, BasisPartition(frozenset({0, 1, 2}), frozenset({1})))
-    with pytest.raises(ValueError):
-        validate_partition(qm, BasisPartition(frozenset({0, 1}), frozenset({2})))
-    with pytest.raises(ValueError):
-        validate_partition(qm, BasisPartition(frozenset({2}), frozenset({0, 1})))
-
-
-def test_relay_graph_carries_the_explanation():
-    qm = relay_net()
-    graph = build_graph(qm, choose_partition(qm))
-    assert graph.markings == ((1, 0, 0), (0, 0, 1))
-    assert graph.edges[0] is None
-    assert graph.edges[1] == Edge(parent=0, transition=1,
-                                  explanation=((0, 1),), cost=Fraction(2))
-
-
-def test_minimal_explanations_frozen_cases():
-    qm = two_feeders_net()
-    part = choose_partition(qm)
-    assert minimal_explanations(qm, part, qm.net.initial_marking, 2) == [
-        Explanation(((0, 1),), Fraction(1)),
-        Explanation(((1, 1),), Fraction(2)),
-    ]
-
+def test_hop_chain_graph_shape_and_reference():
+    # t0: 0 -> 1 costs 1, t1: 1 -> 2 costs 2, t2: 2 -> 3 costs 5, so
+    # q = 0, 1, 1 + 2 = 3, 3 + 5 = 8
     qm = hop_chain_net()
-    part = choose_partition(qm)
-    assert minimal_explanations(qm, part, qm.net.initial_marking, 2) == [
-        Explanation(((0, 1), (1, 1)), Fraction(3)),
-    ]
-
-    qm = join_net()
-    part = choose_partition(qm)
-    assert minimal_explanations(qm, part, qm.net.initial_marking, 2) == [
-        Explanation(((0, 1), (1, 1)), Fraction(2)),
-    ]
-
-
-def test_minimal_explanations_zero_vector_when_enabled():
-    qm = relay_net()
-    part = choose_partition(qm)
-    assert minimal_explanations(qm, part, (0, 1, 0), 1) == [Explanation((), Fraction(0))]
-    with pytest.raises(ValueError):
-        minimal_explanations(qm, part, (1, 0, 0), 0)
-
-
-def test_linearize_explanation_orders_the_chain():
-    qm = hop_chain_net()
-    part = choose_partition(qm)
-    m0 = qm.net.initial_marking
-    assert linearize_explanation(qm, part, m0, ((0, 1), (1, 1))) == (0, 1)
-    with pytest.raises(ValueError):
-        linearize_explanation(qm, part, m0, ((2, 1),))
-
-
-def test_chain_and_join_accumulated_costs():
-    for make, want in ((hop_chain_net, Fraction(8)), (join_net, Fraction(3))):
-        qm = make()
-        graph = build_graph(qm, choose_partition(qm))
-        assert len(graph) == 2
-        assert graph.q(1) == want
+    graph = build_graph(qm)
+    assert graph.markings == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert [graph.q(i) for i in range(4)] == [0, 1, 3, 8]
+    assert [e.transition for e in graph.edges[1:]] == [0, 1, 2]
+    assert_matches_reference(qm, graph)
 
 
 def test_two_feeders_graph_shape_and_reference():
+    # t0: 0 -> 2 costs 1, t1: 1 -> 2 costs 2, t2: 2 -> 3 costs 1, from
+    # (1, 1, 0, 0). Each token reaches place 2 (by t0 or t1) and may go on
+    # to place 3 (t2), so a marking's q is the sum of its tokens' costs:
+    #   (0,1,1,0) = 1              (1,0,1,0) = 2
+    #   (0,1,0,1) = 1 + 1 = 2      (0,0,2,0) = 1 + 2 = 3
+    #   (1,0,0,1) = 2 + 1 = 3      (0,0,1,1) = 1 + 1 + 2 = 4
+    #   (0,0,0,2) = 1 + 1 + 2 + 1 = 5
+    # Ties keep the first parent found: (0,0,2,0) comes from (0,1,1,0) by
+    # t1, and (0,0,1,1) from (0,1,0,1) by t1.
     qm = two_feeders_net()
-    part = choose_partition(qm)
-    graph = build_graph(qm, part)
-    assert graph.markings == ((1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 0, 2))
-    assert [graph.q(i) for i in range(4)] == [0, 2, 3, 5]
-
-    ref = full_graph_reference(qm, part)
-    idx = {m: i for i, m in enumerate(ref.markings)}
-    assert set(ref.markings) == set(graph.markings)
-    for i, m in enumerate(graph.markings):
-        assert graph.q(i) == ref.labels[idx[m]]
+    graph = build_graph(qm)
+    assert graph.markings == ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
+                              (0, 0, 2, 0), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2))
+    assert [graph.q(i) for i in range(8)] == [0, 1, 2, 2, 3, 3, 4, 5]
+    assert [(e.parent, e.transition) for e in graph.edges[1:]] == [
+        (0, 0), (0, 1), (1, 2), (1, 1), (2, 2), (3, 1), (6, 2)]
+    assert_matches_reference(qm, graph)
 
 
 def test_cycle_graph_costs():
+    # t0: 0 -> 1 and t1: 1 -> 0 form a cycle, t2: 1 -> 2 leaves it; all
+    # cost 1. Going round the cycle (t0 then t1) only returns to the root,
+    # so q = 0, 1, 1 + 1 = 2
     qm = two_cycle_net()
-    graph = build_graph(qm, choose_partition(qm))
+    graph = build_graph(qm)
     assert graph.markings == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [graph.q(i) for i in range(3)] == [0, 1, 2]
+    assert [(e.parent, e.transition) for e in graph.edges[1:]] == [(0, 0), (1, 2)]
+    assert_matches_reference(qm, graph)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_minimal_explanations_match_exhaustive_search(seed):
-    rng = random.Random(f"expl:{seed}")
-    places = rng.randrange(4, 7)
-    arcs = []
-    for _ in range(rng.randrange(3, 9)):
-        a = rng.randrange(0, places - 1)
-        b = rng.randrange(a + 1, places)
-        arcs.append(((a,), (b,), rng.choice([1, 1, 2, "1/2"])))
-    width = rng.randrange(1, 3)
-    inputs = tuple(sorted(rng.sample(range(places), width)))
-    arcs.append((inputs, (places - 1,), 1))
-    explicit_id = len(arcs) - 1
-    m0 = tuple(rng.randrange(0, 3) for _ in range(places))
-    if sum(m0) == 0:
-        m0 = (1,) + m0[1:]
-    net = hand_net(places, arcs, [EMPTY] * places, m0)
-    qm = as_monitored(net)
-    part = BasisPartition(frozenset({explicit_id}),
-                          frozenset(range(explicit_id)))
-    validate_partition(qm, part)
+def _out_of_source_order_net():
+    # t0 leaves place 1 and t1 leaves place 0
+    net = hand_net(4, [((1,), (2,), 1), ((0,), (3,), 1)],
+                   [EMPTY, EMPTY, end_label("x"), end_label("y")], (1, 1, 0, 0))
+    return as_monitored(net)
 
-    got = minimal_explanations(qm, part, m0, explicit_id)
-    expected = _brute_explanations(net, sorted(part.implicit), m0, explicit_id)
-    assert [(e.vector, e.cost) for e in got] == sorted(
-        (sparse, cost) for sparse, cost, _ in expected)
-    for sparse, _, staged in expected:
-        assert apply_explanation(net, m0, sparse) == staged
+
+def _token_splitting_net():
+    # t0 splits each of 130 tokens in two, so place 1 could reach 260: more
+    # than a field sized for the initial total holds
+    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
+                   [EMPTY, end_label("x"), end_label("y")], (130, 0, 0))
+    return as_monitored(net)
+
+
+def _latch_starting_at_two_net():
+    net = PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
+                   (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
+    return MonitoredNet(net, {"v": 2}, (0, 1), (0, 1))
+
+
+UNPACKABLE = {"join": join_net, "order": _out_of_source_order_net,
+              "split": _token_splitting_net, "latch": _latch_starting_at_two_net}
+
+
+@pytest.mark.parametrize("name", sorted(UNPACKABLE))
+def test_build_refuses_nets_it_cannot_pack(name):
+    # a two-input transition, transitions not numbered by source place, a
+    # transition adding tokens and a latch holding 2 do not fit packed
+    # markings
+    with pytest.raises(ValueError, match="packed"):
+        build_graph(UNPACKABLE[name]())
+
+
+def test_fractional_costs_match_reference():
+    # integer-scaled weights must give exact costs
+    regions = [{"name": "a", "cells": [[0, 3], [1, 3]], "trajectory_props": ["a"]},
+               {"name": "b", "cells": [[1, 3], [3, 0]], "trajectory_props": ["b"]},
+               {"name": "c", "cells": [[2, 2]], "final_props": ["c"]}]
+    env = square_env(4, regions, agents=[(0, 0), (3, 3)], obstacles=[(1, 1)],
+                     move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
+    offline = build_offline(env)
+    assert_matches_reference(offline.monitored, offline.graph)
+    assert any(edge.cost.denominator > 1 for edge in offline.graph.edges[1:])
 
 
 def test_demo_graph_shape(demo_offline):
@@ -165,7 +127,6 @@ def test_demo_graph_shape(demo_offline):
     assert len(graph.edges) == 23
     assert graph.edges[0] is None
     assert graph.occupied == occupancy_reference(graph.markings)
-    assert all(e.explanation == () for e in graph.edges[1:])
     assert all(isinstance(e.cost, Fraction) for e in graph.edges[1:])
 
     probe = (1, 0, 0, 0, 1, 0, 0)
@@ -192,96 +153,28 @@ def test_demo_and_plant_graphs_are_trees(demo_offline, plant_offline):
 
 def test_backtrack_replays_to_every_demo_marking(demo_offline):
     qm = demo_offline.monitored
-    part = demo_offline.partition
     graph = demo_offline.graph
     for i in range(len(graph)):
-        seq = backtrack(qm, part, graph, i)
+        seq = backtrack(qm, graph, i)
         run = replay(qm.net, qm.net.initial_marking, seq)
         assert run.final == graph.markings[i]
         assert sequence_cost(qm.net, seq) == graph.q(i)
     with pytest.raises(ValueError):
-        backtrack(qm, part, graph, len(graph))
+        backtrack(qm, graph, len(graph))
 
 
 def test_demo_graph_matches_exhaustive_reference(demo_offline):
+    qm = demo_offline.monitored
     graph = demo_offline.graph
-    ref = full_graph_reference(demo_offline.monitored, demo_offline.partition)
-    idx = {m: i for i, m in enumerate(ref.markings)}
-    assert set(ref.markings) == set(graph.markings)
-    for i, m in enumerate(graph.markings):
-        assert graph.q(i) == ref.labels[idx[m]]
-
-    ref_edges = {(src, t, y, dst): w for src, t, y, w, dst in ref.edges}
-    for i, edge in enumerate(graph.edges):
-        if edge is None:
-            continue
-        key = (idx[graph.markings[edge.parent]], edge.transition,
-               edge.explanation, idx[graph.markings[i]])
-        assert key in ref_edges
-        assert ref_edges[key] == graph.q(i) - graph.q(edge.parent)
-
-
-def test_general_build_agrees_with_packed_fast_path(demo_offline):
-    general = _build_general(demo_offline.monitored, demo_offline.partition,
-                             10 ** 6)
-    packed = demo_offline.graph
-    assert general.markings == packed.markings
-    assert general.edges == packed.edges
-    assert general.occupied == packed.occupied == occupancy_reference(packed.markings)
-
-
-def test_packed_path_agrees_with_general_on_fractional_costs():
-    # integer-scaled weights must give the same tree and exact costs
-    regions = [{"name": "a", "cells": [[0, 3], [1, 3]], "trajectory_props": ["a"]},
-               {"name": "b", "cells": [[1, 3], [3, 0]], "trajectory_props": ["b"]},
-               {"name": "c", "cells": [[2, 2]], "final_props": ["c"]}]
-    env = square_env(4, regions, agents=[(0, 0), (3, 3)], obstacles=[(1, 1)],
-                     move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
-    offline = build_offline(env)
-    general = _build_general(offline.monitored, offline.partition, 10 ** 6)
-    assert offline.graph.markings == general.markings
-    assert offline.graph.edges == general.edges
-    assert any(edge.cost.denominator > 1 for edge in offline.graph.edges[1:])
-
-
-def test_transitions_out_of_source_order_expand_in_id_order():
-    # t0 leaves place 1 and t1 leaves place 0; equal-cost children must
-    # still be discovered in transition id order
-    net = hand_net(4, [((1,), (2,), 1), ((0,), (3,), 1)],
-                   [EMPTY, EMPTY, end_label("x"), end_label("y")], (1, 1, 0, 0))
-    qm = as_monitored(net)
-    graph = build_graph(qm)
-    assert graph.markings[1] == (1, 0, 1, 0)
-    general = _build_general(qm, choose_partition(qm), 10 ** 6)
-    assert graph.markings == general.markings
-    assert graph.edges == general.edges
-
-
-def test_latch_starting_above_one_saturates_as_fire_does():
-    # producing into a latch that holds 2 leaves it at 1, as petri.fire does
-    net = PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
-                   (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
-    graph = build_graph(MonitoredNet(net, {"v": 2}, (0, 1), (0, 1)))
-    assert graph.markings == ((1, 0, 2), (0, 1, 1))
-
-
-def test_transition_adding_tokens_keeps_exact_counts():
-    # t0 splits each of 130 tokens in two, so place 1 ends up with 260: more
-    # than a field sized for the initial total holds
-    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
-                   [EMPTY, end_label("x"), end_label("y")], (130, 0, 0))
-    qm = as_monitored(net)
-    graph = build_graph(qm)
-    assert graph.markings[-1] == (0, 260, 0)
-    general = _build_general(qm, choose_partition(qm), 10 ** 6)
-    assert graph.markings == general.markings
-    assert graph.edges == general.edges
-    assert graph.occupied == occupancy_reference(graph.markings)
+    assert_matches_reference(qm, graph)
+    for i, edge in enumerate(graph.edges[1:], 1):
+        assert fire(qm.net, graph.markings[edge.parent], edge.transition) == graph.markings[i]
+        assert graph.q(i) - graph.q(edge.parent) == qm.net.cost[edge.transition]
 
 
 def test_build_honors_the_state_cap(demo_offline):
     with pytest.raises(StateBudgetError) as err:
-        build_graph(demo_offline.monitored, demo_offline.partition, state_cap=5)
+        build_graph(demo_offline.monitored, state_cap=5)
     assert err.value.budget == 5
 
 
@@ -295,19 +188,17 @@ def test_net_digest_is_stable(demo_offline):
 
 def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     qm = demo_offline.monitored
-    part = demo_offline.partition
     graph = demo_offline.graph
     one = tmp_path / "one.json"
     two = tmp_path / "two.json"
-    save_cache(graph, qm, part, one)
-    save_cache(graph, qm, part, two)
+    save_cache(graph, qm, one)
+    save_cache(graph, qm, two)
     assert one.read_bytes() == two.read_bytes()
 
-    loaded, loaded_part = load_cache(one, qm)
+    loaded = load_cache(one, qm)
     assert loaded.markings == graph.markings
     assert loaded.edges == graph.edges
     assert loaded.occupied == graph.occupied
-    assert loaded_part == part
 
 
 def _tampered(tmp_path, offline, edit, rehash=True):
@@ -316,7 +207,7 @@ def _tampered(tmp_path, offline, edit, rehash=True):
     ``rehash`` the header's checksum is recomputed over the edited body."""
     qm = offline.monitored
     path = tmp_path / "cache.bin"
-    save_cache(offline.graph, qm, offline.partition, path)
+    save_cache(offline.graph, qm, path)
     line, _, body = path.read_bytes().partition(b"\n")
     header, body = json.loads(line), bytearray(body)
     edit(header, body)
@@ -344,19 +235,20 @@ def test_cache_rejects_wrong_version(tmp_path, demo_offline):
 V1_DEMO_SHA256 = "7c6b3d1bc9e5e04646faa8ebefd7099ad9f991c87d102b5023588f7607f9e4f9"
 
 
-def _v1_text(graph, qm, part):
+def _v1_text(graph, qm):
     """A cache in the version-1 layout: one canonical JSON object holding
-    the partition, every marking and every edge."""
+    every marking and every edge, with the transition split that version
+    stored (every transition explicit) and an empty implicit firing vector
+    on every edge."""
     container = {
         "format": CACHE_FORMAT,
         "version": 1,
         "digest": net_digest(qm.net),
-        "partition": {"explicit": sorted(part.explicit),
-                      "implicit": sorted(part.implicit)},
+        "partition": {"explicit": list(range(qm.net.num_transitions)),
+                      "implicit": []},
         "markings": [[[p, c] for p, c in enumerate(m) if c] for m in graph.markings],
         "edges": [None if e is None else
-                  [e.parent, e.transition, [list(pair) for pair in e.explanation],
-                   [e.cost.numerator, e.cost.denominator]]
+                  [e.parent, e.transition, [], [e.cost.numerator, e.cost.denominator]]
                   for e in graph.edges],
     }
     return json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
@@ -364,7 +256,7 @@ def _v1_text(graph, qm, part):
 
 def test_cache_rejects_a_version_1_cache(tmp_path, demo_offline):
     qm = demo_offline.monitored
-    text = _v1_text(demo_offline.graph, qm, demo_offline.partition)
+    text = _v1_text(demo_offline.graph, qm)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == V1_DEMO_SHA256
     path = tmp_path / "v1.json"
     path.write_text(text, encoding="utf-8")
@@ -403,7 +295,7 @@ def test_cache_rejects_foreign_and_broken_files(tmp_path, demo_offline):
         load_cache(other, qm)
 
     good = tmp_path / "good.bin"
-    save_cache(demo_offline.graph, qm, demo_offline.partition, good)
+    save_cache(demo_offline.graph, qm, good)
     data = good.read_bytes()
     for cut in (data.index(b"\n"), len(data) // 2, len(data) - 1):
         truncated = tmp_path / "truncated.bin"
@@ -506,31 +398,24 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
-    # a well-formed file whose digest matches a net with an implicit move
-    qm = relay_net()
-    body = struct.pack("<II", 0, 1)
+    # a well-formed file whose digest matches a net with a two-input move
+    qm = join_net()
+    body = struct.pack("<II", 0, 0)
     header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(qm.net),
               "markings": 2, "sha256": hashlib.sha256(body).hexdigest()}
-    path = tmp_path / "relay.bin"
+    path = tmp_path / "join.bin"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
     with pytest.raises(CacheFormatError, match="rebuilt"):
         load_cache(path, qm)
 
 
 def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
-    relay = relay_net()
-    part = choose_partition(relay)
-    assert part.implicit
-    with pytest.raises(ValueError):
-        save_cache(build_graph(relay, part), relay, part, tmp_path / "relay.bin")
-
-    # a transition that adds tokens sends the build to the general path
-    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
-                   [EMPTY, end_label("x"), end_label("y")], (3, 0, 0))
-    qm = as_monitored(net)
-    part = choose_partition(qm)
-    assert not part.implicit
-    with pytest.raises(ValueError):
-        save_cache(build_graph(qm, part), qm, part, tmp_path / "split.bin")
-    assert not (tmp_path / "relay.bin").exists()
-    assert not (tmp_path / "split.bin").exists()
+    # build_graph refuses these nets, so their trees are assembled by hand
+    for name in ("join", "split"):
+        qm = UNPACKABLE[name]()
+        m0 = qm.net.initial_marking
+        tree = BasisGraph((m0, fire(qm.net, m0, 0)),
+                          (None, Edge(0, 0, qm.net.cost[0])))
+        with pytest.raises(ValueError):
+            save_cache(tree, qm, tmp_path / f"{name}.bin")
+        assert not (tmp_path / f"{name}.bin").exists()

@@ -71,7 +71,7 @@ def fractional_env():
 
 def _digests(env, offline, spec, tmp_path):
     cache = tmp_path / "graph.bin"
-    save_cache(offline.graph, offline.monitored, offline.partition, cache)
+    save_cache(offline.graph, offline.monitored, cache)
     data = cache.read_bytes()
     assert len(data) == data.index(b"\n") + 1 + 8 * (len(offline.graph) - 1)
     result = plan(env, spec, offline)

@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 
 from tampnet import (SpecVectors, build_graph, build_offline,
-                     choose_partition, compile_vectors, diagnose_infeasibility,
-                     load_cache, parse, parse_env, save_cache, select_target)
-from tampnet.basis_graph import BasisGraph, _build_general
+                     compile_vectors, diagnose_infeasibility, load_cache,
+                     parse, save_cache, select_target)
+from tampnet.basis_graph import BasisGraph
 
-from conftest import (EMPTY, as_monitored, end_label, hand_net,
-                      occupancy_reference, scan_diagnose, scan_select,
-                      square_env)
+from conftest import (EMPTY, as_monitored, assert_matches_reference,
+                      end_label, hand_net, occupancy_reference, random_env,
+                      scan_diagnose, scan_select, square_env)
 
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
@@ -70,8 +70,8 @@ def assert_answers_like_scan(graphs, vectors, escapes):
 
 
 def loaded_copy(offline, path):
-    save_cache(offline.graph, offline.monitored, offline.partition, path)
-    graph, _ = load_cache(path, offline.monitored)
+    save_cache(offline.graph, offline.monitored, path)
+    graph = load_cache(path, offline.monitored)
     assert graph.markings == offline.graph.markings
     assert graph.edges == offline.graph.edges
     assert graph.occupied == offline.graph.occupied
@@ -92,37 +92,6 @@ def check_model(offline, loaded, rng, rounds, specs=()):
         vectors = random_vectors(rng, n, mobility, indicators)
         escapes = random_escapes(rng, mobility, offline.escapes)
         assert_answers_like_scan(graphs, vectors, escapes)
-
-
-def random_env(rng):
-    """Small map with obstacles, overlapping one- and two-cell regions, a
-    proposition shared by two regions and fractional per-direction costs."""
-    side = rng.choice([3, 4, 4, 5])
-    cells = [(r, c) for r in range(side) for c in range(side)]
-    rng.shuffle(cells)
-    obstacles, free = cells[:rng.randrange(0, side)], cells[side:]
-    names = ["a", "b", "c", "d"]
-    regions = []
-    for k in range(rng.randrange(2, 5)):
-        anchor = rng.choice(free)
-        near = [c for c in free if abs(c[0] - anchor[0]) + abs(c[1] - anchor[1]) == 1]
-        region_cells = [anchor] + rng.sample(near, min(len(near), rng.randrange(0, 2)))
-        regions.append({
-            "name": f"R{k}",
-            "cells": [list(c) for c in region_cells],
-            "trajectory_props": [names[k]] if rng.random() < 0.8 else [],
-            "final_props": [names[(k + 1) % len(names)]] if rng.random() < 0.7 else [],
-        })
-    regions[-1]["trajectory_props"] = regions[0]["trajectory_props"] or ["a"]
-    costs = [1, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)]
-    rng.shuffle(costs)
-    return parse_env({
-        "grid": {"rows": side, "cols": side},
-        "obstacles": [list(c) for c in obstacles],
-        "regions": regions,
-        "agents": [list(rng.choice(free)) for _ in range(rng.randrange(1, 4))],
-        "move_cost": {d: str(c) for d, c in zip(("up", "right", "down", "left"), costs)},
-    })
 
 
 def test_demo_answers_like_scan(demo_offline, tmp_path):
@@ -177,15 +146,12 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
 
 def check_hand_net(net, rng, rounds, tmp_path, pool):
     qm = as_monitored(net)
-    part = choose_partition(qm)
-    graph = build_graph(qm, part)
-    general = _build_general(qm, part, 10 ** 6)
-    assert general.markings == graph.markings
-    assert general.edges == graph.edges
-    assert graph.occupied == general.occupied == occupancy_reference(graph.markings)
+    graph = build_graph(qm)
+    assert graph.occupied == occupancy_reference(graph.markings)
+    assert_matches_reference(qm, graph)
     path = tmp_path / "hand.json"
-    save_cache(graph, qm, part, path)
-    loaded, _ = load_cache(path, qm)
+    save_cache(graph, qm, path)
+    loaded = load_cache(path, qm)
     assert loaded.markings == graph.markings
     assert loaded.edges == graph.edges
     assert loaded.occupied == graph.occupied
@@ -193,7 +159,7 @@ def check_hand_net(net, rng, rounds, tmp_path, pool):
     for _ in range(rounds):
         mobility = rng.randrange(0, n + 1)
         vectors = random_vectors(rng, n, mobility, pool, pool)
-        assert_answers_like_scan((graph, general, loaded), vectors,
+        assert_answers_like_scan((graph, loaded), vectors,
                                  random_escapes(rng, mobility))
     return graph
 

@@ -11,15 +11,14 @@ from tampnet import (Infeasible, Plan, SpecVectors, build_offline,
 from tampnet.errors import IntegrityError
 from tampnet.grid import DIRECTIONS
 
-from conftest import EMPTY, hand_net, scan_select, square_env
+from conftest import EMPTY, hand_net, random_env, scan_select, square_env
 
 
 @pytest.fixture(scope="module")
 def demo_loaded(demo_offline, tmp_path_factory):
     path = tmp_path_factory.mktemp("demo") / "cache.json"
-    save_cache(demo_offline.graph, demo_offline.monitored,
-               demo_offline.partition, path)
-    return load_cache(path, demo_offline.monitored)[0]
+    save_cache(demo_offline.graph, demo_offline.monitored, path)
+    return load_cache(path, demo_offline.monitored)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -198,3 +197,47 @@ def test_plan_outputs_hang_together(seed):
         for (r1, c1), (r2, c2) in zip(path, path[1:]):
             walked += by_delta[(r2 - r1, c2 - c1)]
     assert walked == result.total_cost
+
+
+def random_formula(rng, env):
+    """A formula over ``env``'s propositions: each one is left out, negated
+    or asked for, and the asked-for ones of a kind are grouped into
+    clauses of one or two atoms."""
+    terms = []
+    for kind, names in (("visit", {n for r in env.regions for n in r.trajectory_props}),
+                        ("end", {n for r in env.regions for n in r.final_props})):
+        wanted = []
+        for name in sorted(names):
+            draw = rng.random()
+            if draw < 0.25:
+                terms.append(f"!{kind}({name})")
+            elif draw < 0.8:
+                wanted.append(f"{kind}({name})")
+        rng.shuffle(wanted)
+        while wanted:
+            width = rng.randint(1, 2)
+            clause, wanted = wanted[:width], wanted[width:]
+            terms.append(clause[0] if len(clause) == 1 else f"({' | '.join(clause)})")
+    rng.shuffle(terms)
+    return " & ".join(terms) or "true"
+
+
+def test_plan_matches_the_oracle_on_random_maps():
+    # maps with obstacles, overlapping regions, a shared proposition and
+    # fractional per-direction costs; formulas with negations and disjunctions
+    rng = random.Random("diff:oracle")
+    verdicts = {"feasible": 0, "infeasible": 0}
+    for _ in range(60):
+        env = random_env(rng)
+        offline = build_offline(env)
+        for _ in range(5):
+            spec = parse(random_formula(rng, env))
+            result = plan(env, spec, offline)
+            oracle = joint_search(env, spec)
+            if isinstance(result, Plan):
+                assert oracle is not None and oracle.cost == result.total_cost, spec
+                verdicts["feasible"] += 1
+            else:
+                assert oracle is None, spec
+                verdicts["infeasible"] += 1
+    assert min(verdicts.values()) > 0
