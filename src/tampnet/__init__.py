@@ -12,7 +12,7 @@ back to per-agent cell routes.
 from .abstraction import (MinimalSequence, MonitoredNet, SimplifiedNet,
                           build_monitored, build_simplified, labeled_places,
                           lift, minimal_sequence)
-from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, Edge, build_graph,
+from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, build_graph,
                           load_cache, net_digest, save_cache)
 from .bench import BenchConfig, generate_instance, random_instance, run_bench
 from .errors import (CacheDigestError, CacheError, CacheFormatError,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom", "BasisGraph", "BenchConfig", "BooleanSpec", "CacheDigestError",
     "CacheError", "CacheFormatError", "CacheVersionError", "Cell",
-    "DEFAULT_ORACLE_BUDGET", "DEFAULT_STATE_CAP", "Edge", "Environment",
+    "DEFAULT_ORACLE_BUDGET", "DEFAULT_STATE_CAP", "Environment",
     "FiringError", "Infeasible", "IntegrityError", "Marking",
     "MinimalSequence", "MonitoredNet", "OfflineModel", "OracleResult",
     "PetriNet", "Plan", "Region", "ReplayResult", "SimplifiedNet", "SpecError",

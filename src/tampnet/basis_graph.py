@@ -6,18 +6,18 @@ moves into a labeled place, which carries a visit latch or an end label, so
 no move can be folded away. The builder runs a lowest-cost-first expansion
 over the reachable markings, so each marking is finalized with its minimal
 accumulated cost q and exactly one parent edge; the result is a tree with
-|edges| = |markings| - 1. Markings are packed into one integer each while
+N markings and N - 1 edges. Markings are packed into one integer each while
 the tree grows; nets that do not fit that layout are refused.
 
-Every graph, built or loaded, carries one occupancy index: per place, an
-int with one bit per marking. Queries combine these bitsets with a few
-big-int AND/OR operations instead of reading the markings.
+A ``BasisGraph`` holds the tree as columns: packed markings, integer
+costs, parents, transitions and per-place occupancy bitsets. Queries
+combine the bitsets and unpack only the markings they read.
 
-A cache file stores only the tree's parent and transition columns.
-Loading it replays the tree: each marking is its parent's fired by its
-transition and each cost its parent's plus the transition's, with the same
-packed-int layout and shared finishing helper as the build, and the replay
-checks the file as it goes.
+A cache file stores only the parent and transition columns. Loading it
+replays the tree: each marking is its parent's fired by its transition and
+each cost its parent's plus the transition's, with the same packed-int
+layout and shared finishing helper as the build, and the replay checks the
+file as it goes.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -40,41 +40,47 @@ from .petri import Marking, PetriNet, integer_costs
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
 CACHE_VERSION = 2
-# array type code of a 4-byte unsigned int, for the cache columns
+# array type code of a 4-byte unsigned int, for the parent/transition columns
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
-
-
-class Edge(NamedTuple):
-    parent: int
-    transition: int
-    cost: Fraction  # accumulated q at the child
+# struct codes of unsigned fields 1, 2, 4 and 8 bytes wide
+_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass
 class BasisGraph:
-    """Markings in finalization order (ascending q); edges[0] is None.
+    """The tree's markings in finalization order (ascending q), as columns.
 
-    ``occupied[p]`` is the occupancy index of place ``p``: an int whose bit
-    ``i`` is set iff marking ``i`` has a token on ``p``. It is derived from
-    the markings when not given and carries no extra information.
+    ``packed`` holds marking i at bytes ``i * places * width`` onward:
+    ``places`` little-endian unsigned fields of ``width`` bytes each.
+    ``qs[i] / scale`` is the cost of marking i. ``parent[i - 1]`` and
+    ``transition[i - 1]`` are the tree edge into marking i (the root,
+    marking 0, has none), laid out as in the cache body. ``occupied[p]`` is
+    the occupancy index of place ``p``: an int whose bit ``i`` is set iff
+    marking ``i`` has a token on ``p``.
     """
 
-    markings: Tuple[Marking, ...]
-    edges: Tuple[Optional[Edge], ...]
-    occupied: Tuple[int, ...] = field(default=None, repr=False, compare=False)
+    packed: bytes
+    width: int
+    places: int
+    qs: List[int]
+    scale: int
+    parent: array
+    transition: array
+    # no repr: a large graph's bitsets exceed the int-to-str digit limit
+    occupied: Tuple[int, ...] = field(repr=False)
 
-    def __post_init__(self):
-        if self.occupied is None:
-            places = len(self.markings[0]) if self.markings else 0
-            flat = bytes(map(bool, chain.from_iterable(self.markings)))
-            self.occupied = _occupancy(flat, places, 1)
+    def marking(self, i: int) -> Marking:
+        """Marking ``i`` as a tuple of token counts, one per place."""
+        if not 0 <= i < len(self.qs):
+            raise IndexError(f"no marking {i} in a graph of {len(self.qs)}")
+        return struct.unpack_from(f"<{self.places}{_FIELD_CODE[self.width]}",
+                                  self.packed, i * self.places * self.width)
 
-    def q(self, i: int):
-        edge = self.edges[i]
-        return edge.cost if edge is not None else Fraction(0)
+    def q(self, i: int) -> Fraction:
+        return Fraction(self.qs[i], self.scale)
 
     def __len__(self) -> int:
-        return len(self.markings)
+        return len(self.qs)
 
 
 # translate table: byte 0 becomes the digit "0", any other byte "1"
@@ -103,11 +109,14 @@ def build_graph(qm: MonitoredNet,
                 state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
     """Build the min-cost basis tree by lowest-q-first expansion.
 
-    Deterministic: markings come out in ascending (q, discovery) order,
-    children are generated in ascending transition id, and the first
-    minimal-cost parent edge wins. Raises ValueError for a net that is not
-    ``_packable`` and StateBudgetError when more than ``state_cap``
-    markings arise.
+    The tree is a function of the net alone. Its markings are the reachable
+    ones, each once, in strictly ascending ``(q, parent, transition)``:
+    ``q`` is the marking's minimal accumulated cost, and its tree edge
+    ``(parent, transition)`` is the smallest (parent index, transition id)
+    among the edges into it from a marking of cost ``q`` minus the
+    transition's cost. ``load_cache`` checks this order. Raises ValueError
+    for a net that is not ``_packable`` and StateBudgetError when more than
+    ``state_cap`` markings arise.
     """
     if not _packable(qm.net):
         raise ValueError("the net does not fit packed markings: it needs "
@@ -129,10 +138,6 @@ def _packable(net: PetriNet) -> bool:
     bounded = sum(net.initial_marking) < 1 << 64 and all(
         sum(p not in net.clamp_at_one for p in post) <= 1 for post in net.post)
     return by_source and binary_latches and bounded
-
-
-# array type codes of unsigned fields 1, 2, 4 and 8 bytes wide
-_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class _Layout(NamedTuple):
@@ -170,31 +175,16 @@ def _layout(net: PetriNet) -> _Layout:
     return _Layout(width, n, root, tuple(moves), scale)
 
 
-def _packed_graph(order: List[int], qs: Sequence[int], parents: Sequence[int],
-                  transitions: Sequence[int], layout: _Layout) -> BasisGraph:
-    """The ``BasisGraph`` of the packed markings ``order``; the columns
-    ``qs``, ``parents`` and ``transitions`` hold the integer cost and the
-    tree edge of markings 1, 2, ... in order.
-
-    The markings are unpacked through one flat byte string, which also
-    feeds the occupancy index. Each distinct integer ``q`` becomes one
-    ``Fraction(q, scale)``, shared by every edge with that cost. Empties
-    ``order`` once its bytes are taken, so it is not held alongside them.
-    """
+def _packed_graph(order: List[int], qs: List[int], parent: array,
+                  transition: array, layout: _Layout) -> BasisGraph:
+    """The ``BasisGraph`` of the packed markings ``order`` and the other
+    columns. Empties ``order`` once its bytes are taken, so it is not held
+    alongside them."""
     width, n = layout.width, layout.places
-    flat = b"".join([m.to_bytes(n * width, "little") for m in order])
-    count = len(order)
+    packed = b"".join([m.to_bytes(n * width, "little") for m in order])
     order.clear()
-    counts = array(_FIELD_CODE[width], flat)
-    if sys.byteorder == "big":
-        counts.byteswap()
-    fields = iter(counts)
-    markings = tuple(zip(*[fields] * n)) if n else ((),) * count
-    del counts, fields
-    costs = {q: Fraction(q, layout.scale) for q in set(qs)}
-    edges = (None,) + tuple(map(Edge, parents, transitions,
-                                map(costs.__getitem__, qs)))
-    return BasisGraph(markings, edges, _occupancy(flat, n, width))
+    return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
+                      _occupancy(packed, n, width))
 
 
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
@@ -204,8 +194,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     Gathering the enabled transitions source place by source place lists
     them in ascending transition id, since ``_packable`` nets number them
     by source place. Costs are exact integers, scaled by the LCM of
-    the transition cost denominators; they become ``Fraction`` only in the
-    returned edges.
+    the transition cost denominators.
     """
     net = qm.net
     layout = _layout(net)
@@ -219,22 +208,26 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     root = layout.root
     # best[m] = (q, parent index, transition) of the cheapest edge into m so
     # far; an entry popped with a larger q than best[m] is stale.
-    best: Dict[int, Tuple[int, int, int]] = {root: (0, -1, -1)}
+    best: Dict[int, Tuple[int, int, int]] = {root: (0, 0, 0)}
     heap = [(0, 0, root)]
     counter = 1
     order: List[int] = []
-    entries: List[Tuple[int, int, int]] = []
+    qs: List[int] = []
+    parent, transition = array(_U32), array(_U32)
 
     while heap:
         q, _, m = heapq.heappop(heap)
-        entry = best[m]
-        if q > entry[0]:
+        best_q, via_parent, via_t = best[m]
+        if q > best_q:
             continue
         if len(order) >= state_cap:
             raise StateBudgetError(state_cap, what="basis graph construction")
         idx = len(order)
         order.append(m)
-        entries.append(entry)
+        qs.append(q)
+        if idx:
+            parent.append(via_parent)
+            transition.append(via_t)
         for mask, moves in sources:
             if not m & mask:
                 continue
@@ -248,9 +241,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                     counter += 1
 
     del best
-    qs, parents, transitions = zip(*entries)
-    del entries
-    return _packed_graph(order, qs[1:], parents[1:], transitions[1:], layout)
+    return _packed_graph(order, qs, parent, transition, layout)
 
 
 def net_digest(net: PetriNet) -> str:
@@ -281,9 +272,9 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     """
     if not _packable(qm.net):
         raise ValueError("only graphs of nets that fit packed markings can be cached")
-    columns = (array(_U32, [e.parent for e in graph.edges[1:]]),
-               array(_U32, [e.transition for e in graph.edges[1:]]))
+    columns = [graph.parent, graph.transition]
     if sys.byteorder == "big":
+        columns = [array(_U32, column) for column in columns]
         for column in columns:
             column.byteswap()
     body = b"".join(column.tobytes() for column in columns)
@@ -308,9 +299,10 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     marking fired by its transition and each ``q`` is ``q(parent)`` plus the
     transition's weight, in the packed-int integers of ``_build_packed``;
     the pass checks that every parent precedes its child, every transition
-    id is in range and enabled at the parent, ``q`` never decreases, and no
-    marking repeats. Any failure raises CacheFormatError, as does a net
-    that is not ``_packable``.
+    id is in range and enabled at the parent, the markings come in the
+    strictly ascending ``(q, parent, transition)`` order of ``build_graph``,
+    and no marking repeats. Any failure raises CacheFormatError, as does a
+    net that is not ``_packable``.
     """
     try:
         with open(path, "rb") as fh:
@@ -353,6 +345,7 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     moves = layout.moves
     order = [layout.root]
     qs = [0]
+    last = (0, -1, -1)  # (q, parent, transition) of the previous marking
     for i, (parent, t) in enumerate(zip(parents, transitions), 1):
         if parent >= i:
             raise CacheFormatError(f"cache {path}: marking {i} has parent {parent}")
@@ -364,10 +357,13 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
             raise CacheFormatError(
                 f"cache {path}: transition {t} is not enabled at marking {parent}")
         q = qs[parent] + weight
-        if q < qs[-1]:
-            raise CacheFormatError(f"cache {path}: cost decreases at marking {i}")
+        key = (q, parent, t)
+        if key <= last:
+            raise CacheFormatError(
+                f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
+        last = key
         order.append((m + plain) | latch)
         qs.append(q)
     if len(set(order)) != count:
         raise CacheFormatError(f"cache {path} lists a marking twice")
-    return _packed_graph(order, qs[1:], parents, transitions, layout)
+    return _packed_graph(order, qs, parents, transitions, layout)

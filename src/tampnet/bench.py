@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TampError, ValidationError
 from .grid import Environment, Plan, cost_text, parse_env
-from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
+from .oracle import joint_search
 from .petri import END, VISIT, Atom
 from .planner import build_offline, plan
 from .taskspec import BooleanSpec, format_spec

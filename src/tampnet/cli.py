@@ -118,7 +118,7 @@ def _cmd_build(args) -> int:
     offline = build_offline(env, state_cap=cap)
     save_cache(offline.graph, offline.monitored, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
-          f"{len(offline.graph.edges) - 1} edges")
+          f"{len(offline.graph) - 1} edges")
     return 0
 
 

@@ -13,11 +13,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 from xml.sax.saxutils import escape
 
 from .errors import ValidationError
-from .petri import END, VISIT, Atom, Marking, PetriNet
+from .petri import END, VISIT, Atom, PetriNet
 
 Cell = Tuple[int, int]
 

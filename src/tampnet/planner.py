@@ -33,6 +33,7 @@ class OfflineModel:
     neighbor is labeled or blocked. It prices clearing a forbidden final
     place: an agent that must not end on a labeled cell can always stop one
     step away on anonymous ground, which the reduced net cannot express.
+    ``starts[a]`` is the place of agent ``a``'s start cell in ``net``.
     """
 
     env: Environment
@@ -42,6 +43,7 @@ class OfflineModel:
     monitored: MonitoredNet
     graph: BasisGraph
     escapes: Tuple[Optional[Tuple[int, Fraction]], ...]
+    starts: Tuple[int, ...]
 
 
 class TargetChoice(NamedTuple):
@@ -93,8 +95,10 @@ def _offline(env: Environment,
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    return OfflineModel(env, net, free_cells(env), simplified, monitored,
-                        graph_for(monitored), escape_steps(net, simplified.base_place))
+    cells = free_cells(env)
+    return OfflineModel(env, net, cells, simplified, monitored,
+                        graph_for(monitored), escape_steps(net, simplified.base_place),
+                        tuple(map(cells.index, env.agents)))
 
 
 def build_offline(env: Environment, state_cap: Optional[int] = None) -> OfflineModel:
@@ -191,7 +195,7 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
         if best is not None and total >= best.cost:
             break
         if low & hopping:
-            m = graph.markings[i]
+            m = graph.marking(i)
             for p in con.soft:
                 if m[p]:
                     total += m[p] * escapes[p][1]
@@ -220,15 +224,15 @@ def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
     return tuple(failing) if failing else ("combination",)
 
 
-def backtrack(qm: MonitoredNet, graph: BasisGraph, target: int) -> Tuple[int, ...]:
+def backtrack(graph: BasisGraph, target: int) -> Tuple[int, ...]:
     """Abstract firing sequence from the root to a basis marking: the
     transitions of the tree edges on the way down, one per edge."""
-    if not 0 <= target < len(graph.markings):
+    if not 0 <= target < len(graph):
         raise ValueError(f"unknown basis marking index {target}")
     seq: List[int] = []
-    while graph.edges[target] is not None:
-        seq.append(graph.edges[target].transition)
-        target = graph.edges[target].parent
+    while target:
+        seq.append(graph.transition[target - 1])
+        target = graph.parent[target - 1]
     return tuple(reversed(seq))
 
 
@@ -270,12 +274,12 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         return Infeasible(diagnose_infeasibility(offline.graph, vectors,
                                                  offline.escapes))
 
-    sigma_m = backtrack(offline.monitored, offline.graph, choice.index)
+    sigma_m = backtrack(offline.graph, choice.index)
     sigma_q = lift(offline.simplified, sigma_m)
     run = replay(offline.net, offline.net.initial_marking, sigma_q)
 
     # Agents left on forbidden final places hop onto anonymous ground.
-    target = offline.graph.markings[choice.index]
+    target = offline.graph.marking(choice.index)
     hops: List[int] = []
     for p in range(len(offline.escapes)):
         if vectors.g[p] and target[p]:
@@ -295,9 +299,7 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         raise IntegrityError("selected run does not satisfy the formula")
 
     team = sigma_q + tuple(hops)
-    index = {cell: i for i, cell in enumerate(offline.cells)}
-    starts = [index[cell] for cell in env.agents]
-    place_paths = decompose_agents(offline.net, team, starts)
+    place_paths = decompose_agents(offline.net, team, offline.starts)
     cell_paths = tuple(tuple(offline.cells[p] for p in path) for path in place_paths)
     return Plan(
         total_cost=total,

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 import pytest
 
-from tampnet import (Atom, END, MonitoredNet, PetriNet, TargetChoice,
-                     build_offline, full_graph_reference, load_env, parse_env)
+from tampnet import (Atom, BasisGraph, END, MonitoredNet, PetriNet,
+                     TargetChoice, build_offline, full_graph_reference,
+                     load_env, parse_env)
 from tampnet.data import fixture_path
 
 EMPTY = frozenset()
@@ -95,6 +97,27 @@ def brute_minimal_sequence(net, source, target, blocked):
     return best
 
 
+def assert_same_graph(graph, other):
+    """``graph`` and ``other`` hold equal values in every column."""
+    for column in dataclasses.fields(BasisGraph):
+        assert getattr(graph, column.name) == getattr(other, column.name), column.name
+
+
+# the graph last unpacked by markings_of and its markings
+_unpacked = (None, ())
+
+
+def markings_of(graph):
+    """Every marking of ``graph`` as a tuple, read through ``marking(i)``.
+
+    The last graph's markings are kept, so the scan references below,
+    called many times on one graph, unpack it once."""
+    global _unpacked
+    if _unpacked[0] is not graph:
+        _unpacked = (graph, tuple(graph.marking(i) for i in range(len(graph))))
+    return _unpacked[1]
+
+
 def occupancy_reference(markings):
     """Per-place bitsets built one marking at a time: bit i of entry p is
     set iff marking i has a token on place p."""
@@ -108,8 +131,9 @@ def assert_matches_reference(qm, graph):
     cost that ``full_graph_reference`` finds for it."""
     ref = full_graph_reference(qm)
     labels = dict(zip(ref.markings, ref.labels))
-    assert len(graph) == len(labels) and labels.keys() == set(graph.markings)
-    assert [labels[m] for m in graph.markings] == [graph.q(i) for i in range(len(graph))]
+    markings = markings_of(graph)
+    assert len(graph) == len(labels) and labels.keys() == set(markings)
+    assert [labels[m] for m in markings] == [graph.q(i) for i in range(len(graph))]
 
 
 def _split_forbidden(vectors, escapes):
@@ -128,7 +152,7 @@ def scan_select(graph, vectors, escapes):
     need += [[p for p, v in enumerate(d) if v and p not in soft]
              for d in vectors.d_list]
     best = None
-    for i, m in enumerate(graph.markings):
+    for i, m in enumerate(markings_of(graph)):
         if any(m[p] for p in hard):
             continue
         if not all(any(m[p] for p in sup) for sup in need):
@@ -154,7 +178,7 @@ def scan_diagnose(graph, vectors, escapes):
              for d in vectors.d_list]
 
     def ever(check) -> bool:
-        return any(check(m) for m in graph.markings)
+        return any(check(m) for m in markings_of(graph))
 
     def clearable(m) -> bool:
         if any(m[p] for p in hard):

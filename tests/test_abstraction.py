@@ -1,13 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from tampnet import (Atom, VISIT, build_monitored, build_simplified,
-                     env_to_pn, labeled_places, lift, minimal_sequence,
-                     replay, sequence_cost)
+from tampnet import (VISIT, build_monitored, build_simplified, env_to_pn,
+                     labeled_places, lift, minimal_sequence, replay,
+                     sequence_cost)
 
-from conftest import EMPTY, brute_minimal_sequence, hand_net, square_env
+from conftest import EMPTY, brute_minimal_sequence, square_env
 
 
 def test_demo_simplified_shape(demo_offline):

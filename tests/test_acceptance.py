@@ -20,8 +20,8 @@ from tampnet import (Infeasible, Plan, backtrack, build_graph, build_offline,
                      plan, plan_json_text, replay, save_cache, sequence_cost)
 
 from conftest import (assert_matches_reference, brute_minimal_sequence,
-                      hop_chain_net, relay_net, square_env, two_cycle_net,
-                      two_feeders_net)
+                      hop_chain_net, markings_of, relay_net, square_env,
+                      two_cycle_net, two_feeders_net)
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
@@ -92,20 +92,18 @@ def test_c2_oracle_equivalence_sweep(announce):
 
 
 def _assert_tree(graph):
-    assert graph.edges[0] is None
-    assert len(graph.edges) == len(graph.markings)
-    assert len(set(graph.markings)) == len(graph.markings)
-    qs = [graph.q(i) for i in range(len(graph.markings))]
+    assert len(graph.parent) == len(graph.transition) == len(graph) - 1
+    assert len(set(markings_of(graph))) == len(graph)
+    qs = [graph.q(i) for i in range(len(graph))]
     assert qs == sorted(qs)
-    for i, edge in enumerate(graph.edges):
-        if i > 0:
-            assert edge.parent < i
+    for i, parent in enumerate(graph.parent, 1):
+        assert parent < i
 
 
 def _assert_replays(qm, graph):
     root = qm.net.initial_marking
-    for i, marking in enumerate(graph.markings):
-        sigma = backtrack(qm, graph, i)
+    for i, marking in enumerate(markings_of(graph)):
+        sigma = backtrack(graph, i)
         run = replay(qm.net, root, sigma)
         assert run.final == marking
         assert sequence_cost(qm.net, sigma) == graph.q(i)
@@ -157,8 +155,8 @@ def test_c4_cost_chain_across_reductions(demo_offline, plant_offline, announce):
         for off, count in families:
             qm, graph = off.monitored, off.graph
             for _ in range(count):
-                i = rng.randrange(len(graph.markings))
-                sigma = backtrack(qm, graph, i)
+                i = rng.randrange(len(graph))
+                sigma = backtrack(graph, i)
                 monitored_cost = sequence_cost(qm.net, sigma)
                 simplified_cost = sequence_cost(off.simplified.net, sigma)
                 lifted = lift(off.simplified, sigma)

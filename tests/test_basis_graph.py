@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,22 @@ from tampnet import (CacheDigestError, CacheError, CacheFormatError,
                      CacheVersionError, MonitoredNet, PetriNet,
                      StateBudgetError, build_graph, build_offline, fire,
                      generate_instance, load_cache, net_digest, save_cache)
-from tampnet.basis_graph import CACHE_FORMAT, BasisGraph, Edge
+from tampnet.basis_graph import _U32, CACHE_FORMAT, BasisGraph
 from tampnet.planner import backtrack
 
 from tampnet import replay, sequence_cost
 
-from conftest import (EMPTY, as_monitored, assert_matches_reference, end_label,
-                      hand_net, hop_chain_net, join_net, occupancy_reference,
-                      relay_net, square_env, two_cycle_net, two_feeders_net)
+from conftest import (EMPTY, as_monitored, assert_matches_reference,
+                      assert_same_graph, end_label, hand_net, hop_chain_net,
+                      join_net, markings_of, occupancy_reference, relay_net,
+                      square_env, two_cycle_net, two_feeders_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
+
+
+def tree_edges(graph):
+    """(parent, transition) of markings 1, 2, ..."""
+    return list(zip(graph.parent, graph.transition))
 
 
 def test_relay_graph_shape_and_reference():
@@ -26,9 +33,9 @@ def test_relay_graph_shape_and_reference():
     # so q = 0, 0 + 1 = 1, 1 + 1 = 2
     qm = relay_net()
     graph = build_graph(qm)
-    assert graph.markings == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert graph.edges == (None, Edge(parent=0, transition=0, cost=Fraction(1)),
-                           Edge(parent=1, transition=1, cost=Fraction(2)))
+    assert markings_of(graph) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert [graph.q(i) for i in range(3)] == [0, 1, 2]
+    assert tree_edges(graph) == [(0, 0), (1, 1)]
     assert_matches_reference(qm, graph)
 
 
@@ -37,9 +44,9 @@ def test_hop_chain_graph_shape_and_reference():
     # q = 0, 1, 1 + 2 = 3, 3 + 5 = 8
     qm = hop_chain_net()
     graph = build_graph(qm)
-    assert graph.markings == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert markings_of(graph) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert [graph.q(i) for i in range(4)] == [0, 1, 3, 8]
-    assert [e.transition for e in graph.edges[1:]] == [0, 1, 2]
+    assert list(graph.transition) == [0, 1, 2]
     assert_matches_reference(qm, graph)
 
 
@@ -55,10 +62,11 @@ def test_two_feeders_graph_shape_and_reference():
     # t1, and (0,0,1,1) from (0,1,0,1) by t1.
     qm = two_feeders_net()
     graph = build_graph(qm)
-    assert graph.markings == ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
-                              (0, 0, 2, 0), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2))
+    assert markings_of(graph) == (
+        (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
+        (0, 0, 2, 0), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2))
     assert [graph.q(i) for i in range(8)] == [0, 1, 2, 2, 3, 3, 4, 5]
-    assert [(e.parent, e.transition) for e in graph.edges[1:]] == [
+    assert tree_edges(graph) == [
         (0, 0), (0, 1), (1, 2), (1, 1), (2, 2), (3, 1), (6, 2)]
     assert_matches_reference(qm, graph)
 
@@ -69,9 +77,9 @@ def test_cycle_graph_costs():
     # so q = 0, 1, 1 + 1 = 2
     qm = two_cycle_net()
     graph = build_graph(qm)
-    assert graph.markings == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert markings_of(graph) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [graph.q(i) for i in range(3)] == [0, 1, 2]
-    assert [(e.parent, e.transition) for e in graph.edges[1:]] == [(0, 0), (1, 2)]
+    assert tree_edges(graph) == [(0, 0), (1, 2)]
     assert_matches_reference(qm, graph)
 
 
@@ -118,31 +126,32 @@ def test_fractional_costs_match_reference():
                      move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
     offline = build_offline(env)
     assert_matches_reference(offline.monitored, offline.graph)
-    assert any(edge.cost.denominator > 1 for edge in offline.graph.edges[1:])
+    graph = offline.graph
+    assert any(graph.q(i).denominator > 1 for i in range(1, len(graph)))
 
 
 def test_demo_graph_shape(demo_offline):
     graph = demo_offline.graph
     assert len(graph) == 23
-    assert len(graph.edges) == 23
-    assert graph.edges[0] is None
-    assert graph.occupied == occupancy_reference(graph.markings)
-    assert all(isinstance(e.cost, Fraction) for e in graph.edges[1:])
+    assert len(graph.parent) == len(graph.transition) == 22
+    assert graph.occupied == occupancy_reference(markings_of(graph))
+    assert all(isinstance(graph.q(i), Fraction) for i in range(len(graph)))
+    for outside in (-1, len(graph)):
+        with pytest.raises(IndexError):
+            graph.marking(outside)
 
     probe = (1, 0, 0, 0, 1, 0, 0)
-    qs = {m: graph.q(i) for i, m in enumerate(graph.markings)}
+    qs = {m: graph.q(i) for i, m in enumerate(markings_of(graph))}
     assert qs[probe] == 1
 
 
 def _check_tree(graph):
-    assert graph.edges[0] is None
+    assert len(graph.parent) == len(graph.transition) == len(graph) - 1
     costs = [graph.q(i) for i in range(len(graph))]
     assert costs == sorted(costs)
-    for i, edge in enumerate(graph.edges):
-        if i == 0:
-            continue
-        assert edge.parent < i
-    assert len(set(graph.markings)) == len(graph)
+    for i, parent in enumerate(graph.parent, 1):
+        assert parent < i
+    assert len(set(markings_of(graph))) == len(graph)
 
 
 def test_demo_and_plant_graphs_are_trees(demo_offline, plant_offline):
@@ -155,21 +164,22 @@ def test_backtrack_replays_to_every_demo_marking(demo_offline):
     qm = demo_offline.monitored
     graph = demo_offline.graph
     for i in range(len(graph)):
-        seq = backtrack(qm, graph, i)
+        seq = backtrack(graph, i)
         run = replay(qm.net, qm.net.initial_marking, seq)
-        assert run.final == graph.markings[i]
+        assert run.final == graph.marking(i)
         assert sequence_cost(qm.net, seq) == graph.q(i)
     with pytest.raises(ValueError):
-        backtrack(qm, graph, len(graph))
+        backtrack(graph, len(graph))
 
 
 def test_demo_graph_matches_exhaustive_reference(demo_offline):
     qm = demo_offline.monitored
     graph = demo_offline.graph
     assert_matches_reference(qm, graph)
-    for i, edge in enumerate(graph.edges[1:], 1):
-        assert fire(qm.net, graph.markings[edge.parent], edge.transition) == graph.markings[i]
-        assert graph.q(i) - graph.q(edge.parent) == qm.net.cost[edge.transition]
+    markings = markings_of(graph)
+    for i, (parent, t) in enumerate(tree_edges(graph), 1):
+        assert fire(qm.net, markings[parent], t) == markings[i]
+        assert graph.q(i) - graph.q(parent) == qm.net.cost[t]
 
 
 def test_build_honors_the_state_cap(demo_offline):
@@ -196,9 +206,7 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     assert one.read_bytes() == two.read_bytes()
 
     loaded = load_cache(one, qm)
-    assert loaded.markings == graph.markings
-    assert loaded.edges == graph.edges
-    assert loaded.occupied == graph.occupied
+    assert_same_graph(loaded, graph)
 
 
 def _tampered(tmp_path, offline, edit, rehash=True):
@@ -246,10 +254,9 @@ def _v1_text(graph, qm):
         "digest": net_digest(qm.net),
         "partition": {"explicit": list(range(qm.net.num_transitions)),
                       "implicit": []},
-        "markings": [[[p, c] for p, c in enumerate(m) if c] for m in graph.markings],
-        "edges": [None if e is None else
-                  [e.parent, e.transition, [], [e.cost.numerator, e.cost.denominator]]
-                  for e in graph.edges],
+        "markings": [[[p, c] for p, c in enumerate(m) if c] for m in markings_of(graph)],
+        "edges": [None] + [[parent, t, [], [graph.q(i).numerator, graph.q(i).denominator]]
+                           for i, (parent, t) in enumerate(tree_edges(graph), 1)],
     }
     return json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -368,7 +375,7 @@ def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
     for i in (9, 10):
         path, qm = _tampered(tmp_path, demo_offline,
                              lambda header, body: _set_entry(body, 0, i, 8))
-        with pytest.raises(CacheFormatError, match="cost decreases"):
+        with pytest.raises(CacheFormatError, match="order"):
             load_cache(path, qm)
 
 
@@ -385,9 +392,9 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
     offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
     transitions = offline.monitored.net.num_transitions
     edits = 0
-    for i, edge in enumerate(offline.graph.edges[1:], 1):
+    for i, current in enumerate(offline.graph.transition, 1):
         for t in range(transitions):
-            if t == edge.transition:
+            if t == current:
                 continue
             path, qm = _tampered(tmp_path, offline,
                                  lambda header, body: _set_entry(body, 1, i, t))
@@ -395,6 +402,42 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
                 load_cache(path, qm)
             edits += 1
     assert edits == (len(offline.graph) - 1) * (transitions - 1)
+
+
+@pytest.mark.parametrize("name", ["demo", "acc8"])
+def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request, name):
+    # re-parenting marking i gives it and its descendants new costs; every
+    # edit whose replayed (q, parent, transition) sequence is not strictly
+    # ascending is refused, also the ones whose q alone never decreases
+    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    graph = offline.graph
+    weights = [q - graph.qs[p] for q, p in zip(graph.qs[1:], graph.parent)]
+    path = tmp_path / "cache.bin"
+    save_cache(graph, offline.monitored, path)
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    breaking = q_sorted = 0
+    for i in range(1, len(graph)):
+        for parent in range(i):
+            if parent == graph.parent[i - 1]:
+                continue
+            parents = list(graph.parent)
+            parents[i - 1] = parent
+            qs = [0]
+            for p, w in zip(parents, weights):
+                qs.append(qs[p] + w)
+            keys = list(zip(qs[1:], parents, graph.transition))
+            if all(a < b for a, b in zip(keys, keys[1:])):
+                continue
+            breaking += 1
+            q_sorted += qs == sorted(qs)
+            edited = bytearray(body)
+            _set_entry(edited, 0, i, parent)
+            header["sha256"] = hashlib.sha256(edited).hexdigest()
+            path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(edited))
+            with pytest.raises(CacheFormatError):
+                load_cache(path, offline.monitored)
+    assert breaking and q_sorted
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
@@ -414,8 +457,10 @@ def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
     for name in ("join", "split"):
         qm = UNPACKABLE[name]()
         m0 = qm.net.initial_marking
-        tree = BasisGraph((m0, fire(qm.net, m0, 0)),
-                          (None, Edge(0, 0, qm.net.cost[0])))
+        markings = (m0, fire(qm.net, m0, 0))
+        tree = BasisGraph(bytes(m0 + markings[1]), 1, len(m0), [0, 1], 1,
+                          array(_U32, [0]), array(_U32, [0]),
+                          occupancy_reference(markings))
         with pytest.raises(ValueError):
             save_cache(tree, qm, tmp_path / f"{name}.bin")
         assert not (tmp_path / f"{name}.bin").exists()

@@ -7,8 +7,8 @@ maps, on hand-built nets whose counts overflow one byte or that are more
 than a thousand places wide, and count the markings a query reads.
 """
 
+import dataclasses
 import random
-from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -16,11 +16,11 @@ import pytest
 from tampnet import (SpecVectors, build_graph, build_offline,
                      compile_vectors, diagnose_infeasibility, load_cache,
                      parse, save_cache, select_target)
-from tampnet.basis_graph import BasisGraph
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
-                      end_label, hand_net, occupancy_reference, random_env,
-                      scan_diagnose, scan_select, square_env)
+                      assert_same_graph, end_label, hand_net, markings_of,
+                      occupancy_reference, random_env, scan_diagnose,
+                      scan_select, square_env)
 
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
@@ -72,9 +72,7 @@ def assert_answers_like_scan(graphs, vectors, escapes):
 def loaded_copy(offline, path):
     save_cache(offline.graph, offline.monitored, path)
     graph = load_cache(path, offline.monitored)
-    assert graph.markings == offline.graph.markings
-    assert graph.edges == offline.graph.edges
-    assert graph.occupied == offline.graph.occupied
+    assert_same_graph(graph, offline.graph)
     return graph
 
 
@@ -147,14 +145,12 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
 def check_hand_net(net, rng, rounds, tmp_path, pool):
     qm = as_monitored(net)
     graph = build_graph(qm)
-    assert graph.occupied == occupancy_reference(graph.markings)
+    assert graph.occupied == occupancy_reference(markings_of(graph))
     assert_matches_reference(qm, graph)
     path = tmp_path / "hand.json"
     save_cache(graph, qm, path)
     loaded = load_cache(path, qm)
-    assert loaded.markings == graph.markings
-    assert loaded.edges == graph.edges
-    assert loaded.occupied == graph.occupied
+    assert_same_graph(loaded, graph)
     n = net.num_places
     for _ in range(rounds):
         mobility = rng.randrange(0, n + 1)
@@ -170,7 +166,7 @@ def test_counts_above_one_byte(tmp_path):
                    [EMPTY, end_label("x"), EMPTY, end_label("y")], (260, 0, 1, 0))
     graph = check_hand_net(net, random.Random("occ:byte"), 60, tmp_path, range(4))
     assert len(graph) == 261 * 2
-    assert max(map(max, graph.markings)) == 260
+    assert max(map(max, markings_of(graph))) == 260
 
 
 def test_net_wider_than_4096_bits(tmp_path):
@@ -191,20 +187,16 @@ def test_net_wider_than_4096_bits(tmp_path):
     assert len(graph) == 7 * 6
 
 
-class CountingSequence(Sequence):
-    """Read-only view of a sequence that counts the items read from it."""
+class CountingMarkings:
+    """Stand-in for ``BasisGraph.marking`` that counts its calls."""
 
-    def __init__(self, items):
-        self._items = items
+    def __init__(self, graph):
+        self._marking = graph.marking
         self.reads = 0
 
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, index):
-        got = self._items[index]
-        self.reads += len(got) if isinstance(index, slice) else 1
-        return got
+    def __call__(self, i):
+        self.reads += 1
+        return self._marking(i)
 
 
 def enumerated_bound(graph, vectors, escapes):
@@ -218,7 +210,7 @@ def enumerated_bound(graph, vectors, escapes):
     need += [[p for p, v in enumerate(d) if v and p not in soft]
              for d in vectors.d_list]
     count = 0
-    for m in graph.markings:
+    for m in markings_of(graph):
         if any(m[p] for p in stuck):
             continue
         if not all(any(m[p] for p in sup) for sup in need):
@@ -231,8 +223,8 @@ def enumerated_bound(graph, vectors, escapes):
 
 def test_queries_read_no_marking_without_escape_hops(plant_offline):
     built = plant_offline.graph
-    markings = CountingSequence(built.markings)
-    graph = BasisGraph(markings, built.edges, built.occupied)
+    graph = dataclasses.replace(built)
+    graph.marking = markings = CountingMarkings(built)
     monitored = plant_offline.monitored
     n = monitored.net.num_places
     mobility = len(plant_offline.escapes)

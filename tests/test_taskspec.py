@@ -4,7 +4,7 @@ from tampnet import (Atom, BooleanSpec, END, SpecShapeError, SpecSyntaxError,
                      UnknownPropositionError, VISIT, compile_vectors,
                      format_spec, holds, parse)
 
-from conftest import EMPTY, hand_net
+from conftest import hand_net
 
 
 @pytest.mark.parametrize("text", [
