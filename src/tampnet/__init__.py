@@ -23,8 +23,7 @@ from .errors import (CacheDigestError, CacheError, CacheFormatError,
 from .grid import (Cell, Environment, Plan, Region, cell_labels, cost_json,
                    cost_text, env_to_pn, free_cells, grid_index, load_env,
                    parse_env, plan_json_text, plan_to_json, render)
-from .oracle import (DEFAULT_ORACLE_BUDGET, OracleResult, full_graph_reference,
-                     joint_search)
+from .oracle import DEFAULT_ORACLE_BUDGET, OracleResult, joint_search
 from .petri import (END, VISIT, Atom, Marking, PetriNet, ReplayResult,
                     enabled, fire, replay, sequence_cost)
 from .planner import (Infeasible, OfflineModel, TargetChoice, backtrack,
@@ -48,10 +47,9 @@ __all__ = [
     "build_offline", "build_simplified", "cell_labels", "compile_vectors",
     "cost_json", "cost_text", "decompose_agents", "diagnose_infeasibility",
     "enabled", "env_to_pn", "escape_steps", "fire", "format_spec",
-    "free_cells", "full_graph_reference", "generate_instance", "grid_index",
-    "holds", "joint_search", "labeled_places", "lift", "load_cache",
-    "load_env", "load_offline", "minimal_sequence", "net_digest", "parse",
-    "parse_env", "plan", "plan_json_text", "plan_to_json", "random_instance",
-    "render", "replay", "run_bench", "save_cache", "select_target",
-    "sequence_cost",
+    "free_cells", "generate_instance", "grid_index", "holds", "joint_search",
+    "labeled_places", "lift", "load_cache", "load_env", "load_offline",
+    "minimal_sequence", "net_digest", "parse", "parse_env", "plan",
+    "plan_json_text", "plan_to_json", "random_instance", "render", "replay",
+    "run_bench", "save_cache", "select_target", "sequence_cost",
 ]

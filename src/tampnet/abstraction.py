@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .petri import VISIT, Atom, PetriNet, integer_costs
+from .petri import VISIT, Atom, PetriNet
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class _Moves:
     """
 
     def __init__(self, net: PetriNet):
-        weights, self.scale = integer_costs(net.cost)
+        weights, self.scale = net.integer_costs
         self.out = [[] for _ in range(net.num_places)]
         self.into = [[] for _ in range(net.num_places)]
         for t in range(net.num_transitions):

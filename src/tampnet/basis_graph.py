@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
                      StateBudgetError)
-from .petri import Marking, PetriNet, integer_costs
+from .petri import Marking, PetriNet
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
@@ -160,7 +160,7 @@ def _layout(net: PetriNet) -> _Layout:
     width = next(w for w in (1, 2, 4, 8) if tokens < 1 << 8 * w)
     shift = 8 * width
     clamped = net.clamp_at_one
-    weights, scale = integer_costs(net.cost)
+    weights, scale = net.integer_costs
     place_bit = [1 << (shift * p) for p in range(n)]
     full = (1 << shift) - 1
     # Latch fields hold 0 or 1, so producing into one is an OR of its low
@@ -189,7 +189,9 @@ def _packed_graph(order: List[int], qs: List[int], parent: array,
 
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     """Lowest-q-first expansion over markings packed into one integer each
-    (see ``_layout``).
+    (see ``_layout``), with a bucket queue: one FIFO list per pending cost.
+    Within a cost, markings are final in the order their edges were found,
+    which is ascending (parent index, transition).
 
     Gathering the enabled transitions source place by source place lists
     them in ascending transition id, since ``_packable`` nets number them
@@ -205,40 +207,49 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
             sources.append((mask, []))
         sources[-1][1].append((t, plain, latch, weight))
 
+    # best[m] is the cost of the cheapest edge into m so far, or -1 once m
+    # is final. buckets[q] lists the edges (child, parent index, transition)
+    # that lowered a child's best to q, in the order they were found. Scaled
+    # costs can lie far apart, so ``pending`` is a heap of the bucket costs
+    # rather than a scan of q + 1, q + 2, ... An entry whose child's best is
+    # no longer its bucket's q is stale.
     root = layout.root
-    # best[m] = (q, parent index, transition) of the cheapest edge into m so
-    # far; an entry popped with a larger q than best[m] is stale.
-    best: Dict[int, Tuple[int, int, int]] = {root: (0, 0, 0)}
-    heap = [(0, 0, root)]
-    counter = 1
+    best: Dict[int, int] = {root: 0}
+    buckets: Dict[int, List[Tuple[int, int, int]]] = {0: [(root, 0, 0)]}
+    pending = [0]
     order: List[int] = []
     qs: List[int] = []
     parent, transition = array(_U32), array(_U32)
 
-    while heap:
-        q, _, m = heapq.heappop(heap)
-        best_q, via_parent, via_t = best[m]
-        if q > best_q:
-            continue
-        if len(order) >= state_cap:
-            raise StateBudgetError(state_cap, what="basis graph construction")
-        idx = len(order)
-        order.append(m)
-        qs.append(q)
-        if idx:
-            parent.append(via_parent)
-            transition.append(via_t)
-        for mask, moves in sources:
-            if not m & mask:
+    while pending:
+        q = heapq.heappop(pending)
+        for m, via_parent, via_t in buckets.pop(q):
+            if best[m] != q:
                 continue
-            for t, plain, latch, weight in moves:
-                child = (m + plain) | latch
-                nq = q + weight
-                old = best.get(child)
-                if old is None or nq < old[0]:
-                    best[child] = (nq, idx, t)
-                    heapq.heappush(heap, (nq, counter, child))
-                    counter += 1
+            if len(order) >= state_cap:
+                raise StateBudgetError(state_cap, what="basis graph construction")
+            best[m] = -1
+            idx = len(order)
+            order.append(m)
+            qs.append(q)
+            if idx:
+                parent.append(via_parent)
+                transition.append(via_t)
+            for mask, moves in sources:
+                if not m & mask:
+                    continue
+                for t, plain, latch, weight in moves:
+                    child = (m + plain) | latch
+                    nq = q + weight
+                    old = best.get(child)
+                    if old is None or nq < old:
+                        best[child] = nq
+                        bucket = buckets.get(nq)
+                        if bucket is None:
+                            buckets[nq] = [(child, idx, t)]
+                            heapq.heappush(pending, nq)
+                        else:
+                            bucket.append((child, idx, t))
 
     del best
     return _packed_graph(order, qs, parent, transition, layout)

@@ -1,25 +1,19 @@
-"""Independent ground-truth searches used to certify the planner.
+"""Independent ground truth used to certify the planner.
 
 ``joint_search`` answers a task query by exact uniform-cost search over the
 joint agent state (a sorted multiset of cells plus visit bits), knowing
-nothing about the abstraction pipeline. ``full_graph_reference`` lists every
-reachable marking of a net by breadth-first search over enabled transitions
-and labels each with its minimal cost by Dijkstra's algorithm; it exists so
-the basis tree builder can be checked against something that shares none of
-its shortcuts (packed markings, the single lowest-cost-first pass).
+nothing about the abstraction pipeline.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import StateBudgetError, UnknownPropositionError
 from .grid import DIRECTIONS, Cell, Environment, cell_labels, free_cells
-from .petri import END, VISIT, Marking, PetriNet, fire
+from .petri import END, VISIT
 from .taskspec import BooleanSpec
 
 DEFAULT_ORACLE_BUDGET = 1_000_000
@@ -174,69 +168,3 @@ def joint_search(env: Environment, spec: BooleanSpec,
         agent_at[agent] = dst
         moves.append((agent, cells[src], cells[dst]))
     return OracleResult(Fraction(dist[goal_state]), tuple(moves))
-
-
-@dataclass(frozen=True)
-class ReferenceGraph:
-    """Every reachable marking, in breadth-first order, with its minimal
-    cost from the initial marking."""
-
-    markings: Tuple[Marking, ...]
-    labels: Tuple[Fraction, ...]
-
-
-def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
-    """Reachable markings of ``qm.net`` and their min-cost labels.
-
-    A breadth-first search fires every enabled transition of every marking
-    with ``petri.fire``, keeping each edge as (child index, transition);
-    Dijkstra's algorithm then labels the markings over those edges. Costs
-    are integers scaled by the LCM of the cost denominators until the end.
-    Raises StateBudgetError past ``state_budget`` markings.
-    """
-    net: PetriNet = qm.net
-    scale = math.lcm(*(c.denominator for c in net.cost))
-    weight = [c.numerator * scale // c.denominator for c in net.cost]
-    # each transition is tried only where its first input place is marked
-    by_input: List[List[int]] = [[] for _ in range(net.num_places)]
-    for t, pre in enumerate(net.pre):
-        by_input[pre[0]].append(t)
-
-    root = net.initial_marking
-    markings = [root]
-    index = {root: 0}
-    edges: List[List[int]] = []  # edges[i]: child, transition, child, ...
-    for m in markings:  # the loop also visits markings appended below
-        out = []
-        for p, tokens in enumerate(m):
-            if not tokens:
-                continue
-            for t in by_input[p]:
-                if not all(m[s] for s in net.pre[t]):
-                    continue
-                child = fire(net, m, t)
-                j = index.get(child)
-                if j is None:
-                    if len(markings) >= state_budget:
-                        raise StateBudgetError(state_budget, what="reference graph")
-                    j = index[child] = len(markings)
-                    markings.append(child)
-                out += (j, t)
-        edges.append(out)
-
-    labels: List[Optional[int]] = [None] * len(markings)
-    labels[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        q, i = heapq.heappop(heap)
-        if q > labels[i]:
-            continue
-        out = edges[i]
-        for k in range(0, len(out), 2):
-            j = out[k]
-            cand = q + weight[out[k + 1]]
-            if labels[j] is None or cand < labels[j]:
-                labels[j] = cand
-                heapq.heappush(heap, (cand, j))
-    return ReferenceGraph(tuple(markings),
-                          tuple(Fraction(q, scale) for q in labels))

@@ -4,8 +4,9 @@ Places and transitions are dense integer indices. Arcs have unit weight and
 are stored sparsely: ``pre[t]`` / ``post[t]`` list the input / output places
 of transition ``t``. Markings are plain tuples of non-negative token counts
 indexed by place. Costs are exact :class:`fractions.Fraction` values so that
-every derived cost in the pipeline is bit-stable; the offline searches scale
-them to integers with :func:`integer_costs` and convert back on output.
+every derived cost in the pipeline is bit-stable; the searches and
+:func:`sequence_cost` sum them as the integers of
+:attr:`PetriNet.integer_costs` and convert back on output.
 
 Places listed in ``clamp_at_one`` are latch places: transitions may produce
 into them but never consume from them, and their count saturates at one
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FiringError
@@ -45,7 +48,6 @@ class Atom(NamedTuple):
 
 class ReplayResult(NamedTuple):
     final: Marking
-    markings: Tuple[Marking, ...]
     word: Tuple[frozenset, ...]
 
 
@@ -98,6 +100,22 @@ class PetriNet:
     def num_transitions(self) -> int:
         return len(self.pre)
 
+    @cached_property
+    def integer_costs(self) -> Tuple[Tuple[int, ...], int]:
+        """Exact integer weights of the costs, computed on first use:
+        ``(weights, scale)`` with ``weights[t] == cost[t] * scale``, where
+        ``scale`` is the LCM of the denominators. Sums and comparisons of
+        weights match those of the costs exactly; divide by ``scale`` to
+        get a cost back."""
+        scale = math.lcm(*(c.denominator for c in self.cost))
+        return tuple(c.numerator * (scale // c.denominator) for c in self.cost), scale
+
+    @cached_property
+    def place_ids(self) -> Tuple[int, ...]:
+        """``tuple(range(num_places))``, kept so that ``compress`` over a
+        marking finds its occupied places without making an int per place."""
+        return tuple(range(self.num_places))
+
 
 def enabled(net: PetriNet, m: Marking, t: int) -> bool:
     """True when every input place of ``t`` holds a token under ``m``."""
@@ -124,44 +142,54 @@ def fire(net: PetriNet, m: Marking, t: int, step: Optional[int] = None) -> Marki
 
 
 def replay(net: PetriNet, m: Marking, sigma: Sequence[int]) -> ReplayResult:
-    """Fire ``sigma`` in order from ``m``.
+    """Fire ``sigma`` in order from ``m``, with the checks of :func:`fire`.
 
-    Returns every intermediate marking plus the proposition word of the run.
-    The word's first element holds the atoms of places occupied at ``m``
+    Returns the final marking and the proposition word of the run. The
+    word's first element holds the atoms of places occupied at ``m``
     (starting inside a labeled region counts as a visit); each later element
     holds the atoms produced by one step, i.e. the labels of the fired
     transition's output places.
+
+    Only occupied places are tracked, so a step costs the size of its
+    transition's arcs; ``m`` is read and the final marking built once.
     """
     _check_marking(net, m)
-    markings = [m]
-    word = [frozenset().union(*(net.labels[p] for p in range(net.num_places) if m[p] > 0))]
-    cur = m
+    pre, post, labels, clamped = net.pre, net.post, net.labels, net.clamp_at_one
+    occupied = list(compress(net.place_ids, m))
+    counts = dict(zip(occupied, map(m.__getitem__, occupied)))
+    word = [frozenset().union(*map(labels.__getitem__, occupied))]
     for i, t in enumerate(sigma):
-        cur = fire(net, cur, t, step=i)
-        markings.append(cur)
-        word.append(frozenset().union(*(net.labels[p] for p in net.post[t])))
-    return ReplayResult(cur, tuple(markings), tuple(word))
+        _check_transition(net, t)
+        for p in pre[t]:
+            if counts.get(p, 0) < 1:
+                raise FiringError(t, p, counts.get(p, 0), step=i)
+        for p in pre[t]:
+            if counts[p] == 1:
+                del counts[p]
+            else:
+                counts[p] -= 1
+        for p in post[t]:
+            counts[p] = 1 if p in clamped else counts.get(p, 0) + 1
+        word.append(frozenset().union(*map(labels.__getitem__, post[t])))
+    final = [0] * net.num_places
+    for p, c in counts.items():
+        final[p] = c
+    return ReplayResult(tuple(final), tuple(word))
 
 
 def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
-    total = Fraction(0)
+    """Exact total cost of ``sigma``, summed in the net's integer weights;
+    raises ValueError for an unknown transition id."""
+    weights, scale = net.integer_costs
+    total = 0
     for t in sigma:
         _check_transition(net, t)
-        total += net.cost[t]
-    return total
-
-
-def integer_costs(costs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """Exact integer weights for ``costs``: returns ``(weights, scale)`` with
-    ``weights[i] == costs[i] * scale``, where ``scale`` is the LCM of the
-    denominators. Sums and comparisons of weights then match those of the
-    costs exactly; divide by ``scale`` to get a cost back."""
-    scale = math.lcm(*(c.denominator for c in costs))
-    return tuple(c.numerator * (scale // c.denominator) for c in costs), scale
+        total += weights[t]
+    return Fraction(total, scale)
 
 
 def _check_transition(net: PetriNet, t) -> None:
-    if not isinstance(t, int) or not 0 <= t < net.num_transitions:
+    if not isinstance(t, int) or not 0 <= t < len(net.pre):
         raise ValueError(f"unknown transition id {t!r}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence, Tuple
 
 from .errors import SpecShapeError, SpecSyntaxError, UnknownPropositionError
@@ -259,17 +260,14 @@ def holds(spec: BooleanSpec, word: Sequence[frozenset], final_marking: Marking,
 
     ``word`` is the proposition word from :func:`tampnet.petri.replay`
     (initial occupancy included); ``labels`` are the movement net's place
-    labels, aligned with ``final_marking``.
+    labels, aligned with ``final_marking``. Only the labels of occupied
+    places are read.
     """
     if len(final_marking) != len(labels):
         raise ValueError("final marking and labels disagree on place count")
-    visited = set()
-    for atoms in word:
-        visited.update(a.name for a in atoms if a.kind == VISIT)
-    occupied_ends = set()
-    for p, count in enumerate(final_marking):
-        if count > 0:
-            occupied_ends.update(a.name for a in labels[p] if a.kind == END)
+    visited = {a.name for a in frozenset().union(*word) if a.kind == VISIT}
+    occupied_ends = {a.name for a in frozenset().union(*compress(labels, final_marking))
+                     if a.kind == END}
     for clause in spec.trajectory_clauses:
         if not clause & visited:
             return False

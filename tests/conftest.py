@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import math
 from fractions import Fraction
-from typing import Sequence, Tuple
+from itertools import groupby
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from tampnet import (Atom, BasisGraph, END, MonitoredNet, PetriNet,
-                     TargetChoice, build_offline, full_graph_reference,
+from tampnet import (Atom, BasisGraph, END, Marking, MonitoredNet, PetriNet,
+                     StateBudgetError, TargetChoice, build_offline, fire,
                      load_env, parse_env)
 from tampnet.data import fixture_path
 
@@ -126,14 +129,105 @@ def occupancy_reference(markings):
                  for p in range(places))
 
 
+@dataclasses.dataclass(frozen=True)
+class ReferenceGraph:
+    """Every reachable marking with its minimal cost, in the canonical tree
+    order: ascending (cost, pi), where pi is the smallest (parent rank,
+    transition) among the marking's in-edges that attain its cost.
+    ``parent[i - 1]`` and ``transition[i - 1]`` are pi of marking i."""
+
+    markings: Tuple[Marking, ...]
+    labels: Tuple[Fraction, ...]
+    parent: Tuple[int, ...]
+    transition: Tuple[int, ...]
+
+
+def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
+    """The canonical tree of ``qm.net``, derived without the builder.
+
+    A breadth-first search fires every enabled transition of every marking
+    with ``petri.fire``, keeping each edge as (child index, transition);
+    Dijkstra's algorithm then labels the markings over those edges, in
+    integers scaled by the LCM of the cost denominators. Last, the markings
+    are ranked level by level in ascending cost: every min-cost in-edge of
+    a level comes from a cheaper level, already ranked, so each marking's
+    pi is known before its level is sorted by it. Raises StateBudgetError
+    past ``state_budget`` markings.
+    """
+    net: PetriNet = qm.net
+    scale = math.lcm(*(c.denominator for c in net.cost))
+    weight = [c.numerator * scale // c.denominator for c in net.cost]
+    # each transition is tried only where its first input place is marked
+    by_input: List[List[int]] = [[] for _ in range(net.num_places)]
+    for t, pre in enumerate(net.pre):
+        by_input[pre[0]].append(t)
+
+    root = net.initial_marking
+    markings = [root]
+    index = {root: 0}
+    edges: List[List[int]] = []  # edges[i]: child, transition, child, ...
+    for m in markings:  # the loop also visits markings appended below
+        out = []
+        for p, tokens in enumerate(m):
+            if not tokens:
+                continue
+            for t in by_input[p]:
+                if not all(m[s] for s in net.pre[t]):
+                    continue
+                child = fire(net, m, t)
+                j = index.get(child)
+                if j is None:
+                    if len(markings) >= state_budget:
+                        raise StateBudgetError(state_budget, what="reference graph")
+                    j = index[child] = len(markings)
+                    markings.append(child)
+                out += (j, t)
+        edges.append(out)
+
+    cost: List[Optional[int]] = [None] * len(markings)
+    cost[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        q, i = heapq.heappop(heap)
+        if q > cost[i]:
+            continue
+        out = iter(edges[i])
+        for j, t in zip(out, out):
+            cand = q + weight[t]
+            if cost[j] is None or cand < cost[j]:
+                cost[j] = cand
+                heapq.heappush(heap, (cand, j))
+
+    pi: List[Optional[Tuple[int, int]]] = [None] * len(markings)
+    pi[0] = (-1, -1)  # the root has no in-edge
+    ranked: List[int] = []
+    rank = [0] * len(markings)
+    by_cost = sorted(range(len(markings)), key=cost.__getitem__)
+    for _, level in groupby(by_cost, key=cost.__getitem__):
+        level = sorted(level, key=pi.__getitem__)
+        for i in level:
+            rank[i] = len(ranked)
+            ranked.append(i)
+        for i in level:
+            out = iter(edges[i])
+            for j, t in zip(out, out):
+                if cost[i] + weight[t] == cost[j] and (pi[j] is None or (rank[i], t) < pi[j]):
+                    pi[j] = (rank[i], t)
+    return ReferenceGraph(tuple(markings[i] for i in ranked),
+                          tuple(Fraction(cost[i], scale) for i in ranked),
+                          tuple(pi[i][0] for i in ranked[1:]),
+                          tuple(pi[i][1] for i in ranked[1:]))
+
+
 def assert_matches_reference(qm, graph):
-    """``graph`` holds every reachable marking once, each with the minimal
-    cost that ``full_graph_reference`` finds for it."""
+    """``graph`` is the canonical tree of ``full_graph_reference``: every
+    reachable marking once, in the same order, with the same minimal costs
+    and the same tree edges."""
     ref = full_graph_reference(qm)
-    labels = dict(zip(ref.markings, ref.labels))
-    markings = markings_of(graph)
-    assert len(graph) == len(labels) and labels.keys() == set(markings)
-    assert [labels[m] for m in markings] == [graph.q(i) for i in range(len(graph))]
+    assert markings_of(graph) == ref.markings
+    assert [graph.q(i) for i in range(len(graph))] == list(ref.labels)
+    assert tuple(graph.parent) == ref.parent
+    assert tuple(graph.transition) == ref.transition
 
 
 def _split_forbidden(vectors, escapes):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tampnet import (VISIT, build_monitored, build_simplified, env_to_pn,
+from tampnet import (VISIT, build_monitored, build_simplified, env_to_pn, fire,
                      labeled_places, lift, minimal_sequence, replay,
                      sequence_cost)
 
@@ -135,8 +135,10 @@ def test_minimal_sequence_detours_around_labeled_interior():
     blocked = set(labeled_places(net)) - {0, 6}
     ms = minimal_sequence(net, 0, 6, blocked)
     assert ms.cost == 6
-    trace = replay(net, _one_token(net, 0), ms.sequence)
-    interior = {m for m in trace.markings[1:-1]}
+    trace = [_one_token(net, 0)]
+    for t in ms.sequence:
+        trace.append(fire(net, trace[-1], t))
+    interior = {m for m in trace[1:-1]}
     for marking in interior:
         occupied = {p for p, c in enumerate(marking) if c}
         assert not occupied & blocked

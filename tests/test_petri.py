@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from tampnet import (Atom, END, VISIT, FiringError, PetriNet, enabled, fire,
-                     replay, sequence_cost)
+from tampnet import (Atom, END, VISIT, FiringError, PetriNet, build_offline,
+                     enabled, fire, replay, sequence_cost)
 
-from conftest import EMPTY, hand_net
+from conftest import EMPTY, hand_net, square_env
 
 
 def _chain():
@@ -39,7 +40,10 @@ def test_replay_trace_and_word():
     net = _chain()
     run = replay(net, net.initial_marking, (0, 1))
     assert run.final == (0, 0, 1)
-    assert run.markings == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    trace = [net.initial_marking]
+    for t in (0, 1):
+        trace.append(fire(net, trace[-1], t))
+    assert tuple(trace) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert run.word[0] == frozenset()
     assert run.word[1] == frozenset()
     assert run.word[2] == {Atom(VISIT, "x"), Atom(END, "x")}
@@ -56,6 +60,107 @@ def test_sequence_cost_is_exact():
     net = _chain()
     assert sequence_cost(net, (0, 1)) == Fraction(5, 2)
     assert sequence_cost(net, ()) == 0
+
+
+def test_sequence_cost_sums_integer_weights_to_the_fraction_sum():
+    costs = ["1/3", "2/7", "1/2", "3/2", 1]
+    net = hand_net(2, [((0,), (1,), c) for c in costs] + [((1,), (0,), c) for c in costs],
+                   [EMPTY, EMPTY], (1, 0))
+    assert net.integer_costs is net.integer_costs  # computed once per net
+    rng = random.Random("sequence-cost")
+    for _ in range(50):
+        sigma = [rng.randrange(net.num_transitions) for _ in range(rng.randrange(1, 30))]
+        got = sequence_cost(net, sigma)
+        assert isinstance(got, Fraction)
+        assert got == sum((net.cost[t] for t in sigma), Fraction(0))
+    empty = sequence_cost(net, ())
+    assert isinstance(empty, Fraction) and empty == 0
+    for bad in (net.num_transitions, -1, "0", 1.0, None):
+        with pytest.raises(ValueError, match="unknown transition id"):
+            sequence_cost(net, (0, bad))
+
+
+def _fold_with_fire(net, m, sigma):
+    """Final marking and proposition word of ``sigma`` from ``m``, one
+    ``fire`` at a time."""
+    word = [frozenset().union(*(net.labels[p] for p, c in enumerate(m) if c > 0))]
+    for i, t in enumerate(sigma):
+        m = fire(net, m, t, step=i)
+        word.append(frozenset().union(*(net.labels[p] for p in net.post[t])))
+    return m, tuple(word)
+
+
+def _random_run(net, m, rng, steps):
+    """Up to ``steps`` transitions, each enabled where it fires."""
+    sigma = []
+    for _ in range(steps):
+        options = [t for t in range(net.num_transitions) if enabled(net, m, t)]
+        if not options:
+            break
+        sigma.append(rng.choice(options))
+        m = fire(net, m, sigma[-1])
+    return sigma
+
+
+def _latch_net():
+    # place 1 is a latch that starts above one and saturates when produced into
+    return PetriNet(
+        num_places=3,
+        pre=((0,), (0,), (2,)),
+        post=((0, 1), (2,), (0,)),
+        cost=(Fraction(1, 3), Fraction(2, 7), Fraction(3, 2)),
+        labels=(EMPTY, EMPTY, frozenset({Atom(VISIT, "v")})),
+        initial_marking=(2, 2, 0),
+        clamp_at_one=frozenset({1}),
+    )
+
+
+def _replay_nets(demo_offline, plant_offline):
+    fractional = square_env(4, [
+        {"name": "a", "cells": [[0, 3], [1, 3]], "trajectory_props": ["a"]},
+        {"name": "c", "cells": [[2, 2]], "final_props": ["c"]},
+    ], agents=[(0, 0), (3, 3)], obstacles=[(1, 1)],
+        move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
+    off = build_offline(fractional)
+    return {"demo-monitored": demo_offline.monitored.net, "fractional": off.net,
+            "fractional-monitored": off.monitored.net, "plant": plant_offline.net,
+            "latch": _latch_net()}
+
+
+def test_replay_matches_firing_step_by_step(demo_offline, plant_offline):
+    rng = random.Random("replay-vs-fire")
+    for name, net in _replay_nets(demo_offline, plant_offline).items():
+        for _ in range(25):
+            start = net.initial_marking
+            prefix = _random_run(net, start, rng, rng.randrange(0, 10))
+            start = replay(net, start, prefix).final
+            sigma = _random_run(net, start, rng, rng.randrange(0, 60))
+            run = replay(net, start, sigma)
+            assert (run.final, run.word) == _fold_with_fire(net, start, sigma), name
+            assert sequence_cost(net, sigma) == sum((net.cost[t] for t in sigma), Fraction(0))
+
+
+def test_replay_raises_the_firing_error_of_fire(demo_offline, plant_offline):
+    rng = random.Random("replay-illegal")
+    for name, net in _replay_nets(demo_offline, plant_offline).items():
+        for _ in range(10):
+            m = net.initial_marking
+            legal = _random_run(net, m, rng, rng.randrange(0, 20))
+            m = replay(net, m, legal).final
+            disabled = [t for t in range(net.num_transitions) if not enabled(net, m, t)]
+            if not disabled:
+                continue
+            bad = rng.choice(disabled)
+            with pytest.raises(FiringError) as expected:
+                fire(net, m, bad, step=len(legal))
+            with pytest.raises(FiringError) as got:
+                replay(net, net.initial_marking, legal + [bad] + legal)
+            assert (got.value.transition, got.value.place, got.value.step) \
+                == (expected.value.transition, expected.value.place, len(legal)), name
+            assert str(got.value) == str(expected.value)
+        for bad in (net.num_transitions, -1, "0"):
+            with pytest.raises(ValueError, match="unknown transition id"):
+                replay(net, net.initial_marking, (bad,))
 
 
 def test_fire_saturates_clamped_places():
