@@ -6,8 +6,13 @@ moves into a labeled place, which carries a visit latch or an end label, so
 no move can be folded away. The builder runs a lowest-cost-first expansion
 over the reachable markings, so each marking is finalized with its minimal
 accumulated cost q and exactly one parent edge; the result is a tree with
-N markings and N - 1 edges. Markings are packed into one integer each while
-the tree grows; nets that do not fit that layout are refused.
+N markings and N - 1 edges. Markings are packed into one integer each;
+nets that do not fit that layout are refused. While the tree grows, the
+search splits each marking into a placement, its plain fields, numbered
+densely, and a mask of its latch places, and keys it by the small int
+``placement id << latch count | mask``. Latches are only ever set, so the
+moves out of a placement, and the placements they lead to, are worked out
+once and reused for every mask the placement meets.
 
 A ``BasisGraph`` holds the tree as columns: packed markings, integer
 costs, parents, transitions and per-place occupancy bitsets. Queries
@@ -145,13 +150,15 @@ class _Layout(NamedTuple):
     little-endian field of ``width`` bytes (1, 2, 4 or 8, wide enough for
     the initial token total); ``root`` is the packed initial marking;
     ``moves[t]`` is (mask of the source field, amount added to plain fields,
-    latch bits ORed in, integer weight). Costs are ``weight / scale``."""
+    latch bits ORed in, integer weight). Costs are ``weight / scale``.
+    ``latches`` lists the latch places in ascending order."""
 
     width: int
     places: int
     root: int
     moves: Tuple[Tuple[int, int, int, int], ...]
     scale: int
+    latches: Tuple[int, ...]
 
 
 def _layout(net: PetriNet) -> _Layout:
@@ -172,7 +179,7 @@ def _layout(net: PetriNet) -> _Layout:
         latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
         moves.append((full << (shift * src), plain, latch, weights[t]))
     root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
-    return _Layout(width, n, root, tuple(moves), scale)
+    return _Layout(width, n, root, tuple(moves), scale, tuple(sorted(clamped)))
 
 
 def _packed_graph(order: List[int], qs: List[int], parent: array,
@@ -187,71 +194,128 @@ def _packed_graph(order: List[int], qs: List[int], parent: array,
                       _occupancy(packed, n, width))
 
 
+class _Ids(dict):
+    """Dense ids for keys, in order of first lookup: ``ids.order[i]`` is
+    the i-th new key, and ``ids[key]`` is its i shifted left by ``shift``."""
+
+    def __init__(self, shift: int):
+        super().__init__()
+        self.shift = shift
+        self.order: List[int] = []
+
+    def __missing__(self, key: int) -> int:
+        i = self[key] = len(self.order) << self.shift
+        self.order.append(key)
+        return i
+
+
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
-    """Lowest-q-first expansion over markings packed into one integer each
-    (see ``_layout``), with a bucket queue: one FIFO list per pending cost.
-    Within a cost, markings are final in the order their edges were found,
-    which is ascending (parent index, transition).
+    """Lowest-q-first expansion with a bucket queue: one FIFO list per
+    pending cost. Within a cost, markings are final in the order their edges
+    were found, which is ascending (parent index, transition).
 
-    Gathering the enabled transitions source place by source place lists
-    them in ascending transition id, since ``_packable`` nets number them
-    by source place. Costs are exact integers, scaled by the LCM of
-    the transition cost denominators.
+    A marking is searched as the small int key ``pid << bits | mask``.
+    ``pid`` numbers its placement, the packed marking of ``_layout`` with
+    the latch fields cleared, in order of discovery; bit j of ``mask`` is
+    the token of latch place ``latches[j]``. Latches are never consumed, so
+    a move's effect on the placement does not depend on the mask, and on
+    the mask it is an OR of fixed bits. Each placement's successor row is
+    therefore built once, on its first expansion, and reused for every mask
+    it meets: for its enabled transitions in ascending id (``_packable``
+    nets number them by source place), the child's ``pid << bits`` ORed
+    with the move's latch bits, beside (integer weight, transition id). A
+    child's key is that base ORed with the mask. A net without latches
+    meets each placement once and keeps no row. At the end the keys become
+    packed markings again.
+
+    Costs are exact integers, scaled by the LCM of the transition cost
+    denominators.
     """
-    net = qm.net
-    layout = _layout(net)
-    # transitions grouped by source field, in ascending transition id
-    sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
-    for t, (mask, plain, latch, weight) in enumerate(layout.moves):
-        if not sources or sources[-1][0] != mask:
-            sources.append((mask, []))
-        sources[-1][1].append((t, plain, latch, weight))
+    layout = _layout(qm.net)
+    shift, latches = 8 * layout.width, layout.latches
+    bits = len(latches)
+    low = (1 << bits) - 1
 
-    # best[m] is the cost of the cheapest edge into m so far, or -1 once m
-    # is final. buckets[q] lists the edges (child, parent index, transition)
-    # that lowered a child's best to q, in the order they were found. Scaled
-    # costs can lie far apart, so ``pending`` is a heap of the bucket costs
-    # rather than a scan of q + 1, q + 2, ... An entry whose child's best is
-    # no longer its bucket's q is stale.
-    root = layout.root
+    def latch_mask(packed: int) -> int:
+        return sum(1 << j for j, p in enumerate(latches) if packed >> shift * p & 1)
+
+    def latch_fields(mask: int) -> int:
+        return sum(1 << shift * p for j, p in enumerate(latches) if mask >> j & 1)
+
+    # transitions grouped by source field, in ascending transition id, as
+    # (field mask, [(plain, latch bits)], [(weight, transition)])
+    sources: List[Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]]] = []
+    for t, (field_mask, plain, latch, weight) in enumerate(layout.moves):
+        if not sources or sources[-1][0] != field_mask:
+            sources.append((field_mask, [], []))
+        sources[-1][1].append((plain, latch_mask(latch)))
+        sources[-1][2].append((weight, t))
+
+    # the initial marking's key: placement 0 and the latches it starts with
+    root = latch_mask(layout.root)
+    pids = _Ids(bits)
+    pids[layout.root - latch_fields(root)]
+    placements = pids.order
+    rows: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
+
+    # best[key] is the cost of the cheapest edge into the marking so far, or
+    # -1 once it is final. buckets[q] lists the edges (child, parent index,
+    # transition) that lowered a child's best to q, in the order they were
+    # found. Scaled costs can lie far apart, so ``pending`` is a heap of the
+    # bucket costs rather than a scan of q + 1, q + 2, ... An entry whose
+    # child's best is no longer its bucket's q is stale.
     best: Dict[int, int] = {root: 0}
     buckets: Dict[int, List[Tuple[int, int, int]]] = {0: [(root, 0, 0)]}
     pending = [0]
     order: List[int] = []
     qs: List[int] = []
     parent, transition = array(_U32), array(_U32)
+    get = best.get
 
     while pending:
         q = heapq.heappop(pending)
-        for m, via_parent, via_t in buckets.pop(q):
-            if best[m] != q:
+        for key, via_parent, via_t in buckets.pop(q):
+            if best[key] != q:
                 continue
             if len(order) >= state_cap:
                 raise StateBudgetError(state_cap, what="basis graph construction")
-            best[m] = -1
+            best[key] = -1
             idx = len(order)
-            order.append(m)
+            order.append(key)
             qs.append(q)
             if idx:
                 parent.append(via_parent)
                 transition.append(via_t)
-            for mask, moves in sources:
-                if not m & mask:
-                    continue
-                for t, plain, latch, weight in moves:
-                    child = (m + plain) | latch
-                    nq = q + weight
-                    old = best.get(child)
-                    if old is None or nq < old:
-                        best[child] = nq
-                        bucket = buckets.get(nq)
-                        if bucket is None:
-                            buckets[nq] = [(child, idx, t)]
-                            heapq.heappush(pending, nq)
-                        else:
-                            bucket.append((child, idx, t))
+            pid = key >> bits
+            row = rows.get(pid)
+            if row is None:
+                placement = placements[pid]
+                enabled = [source for source in sources if placement & source[0]]
+                # ORing in zero would copy the int; passing the id's own
+                # object on lets the dict lookups below match it by identity
+                row = ([pids[placement + plain] | lb if lb else pids[placement + plain]
+                        for _, moves, _ in enabled for plain, lb in moves],
+                       [move for _, _, moves in enabled for move in moves])
+                if bits:
+                    rows[pid] = row
+            mask = key & low
+            for base, (weight, t) in zip(*row):
+                child = base | mask if mask else base
+                nq = q + weight
+                old = get(child)
+                if old is None or nq < old:
+                    best[child] = nq
+                    bucket = buckets.get(nq)
+                    if bucket is None:
+                        buckets[nq] = [(child, idx, t)]
+                        heapq.heappush(pending, nq)
+                    else:
+                        bucket.append((child, idx, t))
 
-    del best
+    del best, get, rows, pids, row
+    fields = {mask: latch_fields(mask) for mask in {key & low for key in order}}
+    order[:] = [placements[key >> bits] | fields[key & low] for key in order]
+    del placements
     return _packed_graph(order, qs, parent, transition, layout)
 
 
@@ -308,7 +372,7 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     (CacheDigestError), and the body length and SHA-256 against the header.
     Then, in one pass over the columns, each marking is its parent's
     marking fired by its transition and each ``q`` is ``q(parent)`` plus the
-    transition's weight, in the packed-int integers of ``_build_packed``;
+    transition's weight, in the packed-int integers of ``_layout``;
     the pass checks that every parent precedes its child, every transition
     id is in range and enabled at the parent, the markings come in the
     strictly ascending ``(q, parent, transition)`` order of ``build_graph``,

@@ -268,10 +268,9 @@ def cost_json(value: Fraction):
 def plan_to_json(env: Environment, plan: Plan) -> dict:
     """Stable JSON form of a plan (see README for the schema)."""
     visited = frozenset().union(*plan.satisfied_trace) if plan.satisfied_trace else frozenset()
-    by_cell = cell_labels(env)
-    final_atoms = set()
-    for path in plan.per_agent_paths:
-        final_atoms.update(a for a in by_cell.get(path[-1], frozenset()) if a.kind == END)
+    final_atoms = {Atom(END, p) for path in plan.per_agent_paths
+                   for region in env.regions if path[-1] in region.cells
+                   for p in region.final_props}
     satisfied = sorted(a.text() for a in set(a for a in visited if a.kind == VISIT) | final_atoms)
     return {
         "total_cost": cost_json(plan.total_cost),

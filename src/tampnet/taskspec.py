@@ -225,7 +225,8 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
                 f"trajectory proposition {name!r} is not defined by the environment") from None
 
     def end_places(name: str):
-        places = [p for p in range(n) if Atom(END, name) in net.labels[p]]
+        atom = Atom(END, name)
+        places = [p for p in range(n) if atom in net.labels[p]]
         if not places:
             raise UnknownPropositionError(
                 f"final proposition {name!r} is not defined by the environment")

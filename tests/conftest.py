@@ -73,6 +73,31 @@ def join_net() -> MonitoredNet:
     return as_monitored(net)
 
 
+def two_byte_net(clamp=frozenset()) -> PetriNet:
+    """260 tokens on place 0 need two-byte fields; ``clamp`` may make the
+    never-consumed places 1 and 3 latches."""
+    net = hand_net(4, [((0,), (1,), 1), ((2,), (3,), "1/2")],
+                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (260, 0, 1, 0))
+    return dataclasses.replace(net, clamp_at_one=frozenset(clamp))
+
+
+def wide_net(clamp=frozenset()) -> PetriNet:
+    """1,100 places: two short chains, far apart, and idle places holding
+    tokens between them; ``clamp`` may make chain ends or idle places
+    holding at most one token latches."""
+    width = 1100
+    arcs = [((p,), (p + 1,), 1) for p in range(6)]
+    arcs += [((p,), (p + 1,), "1/2") for p in range(1000, 1005)]
+    labels = [end_label(f"l{p}") if 1 <= p <= 6 or 1001 <= p <= 1005 else EMPTY
+              for p in range(width)]
+    m0 = [0] * width
+    m0[0] = m0[1000] = 1
+    m0[500] = 3
+    m0[1099] = 1
+    net = hand_net(width, arcs, labels, m0)
+    return dataclasses.replace(net, clamp_at_one=frozenset(clamp))
+
+
 def brute_minimal_sequence(net, source, target, blocked):
     """All-simple-paths reference for minimal_sequence (small nets only)."""
     blocked = frozenset(blocked) - {source}

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import random
 import struct
 from array import array
 from fractions import Fraction
@@ -17,8 +19,9 @@ from tampnet import replay, sequence_cost
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
-                      join_net, markings_of, occupancy_reference, relay_net,
-                      square_env, two_cycle_net, two_feeders_net)
+                      join_net, markings_of, occupancy_reference, random_env,
+                      relay_net, square_env, two_byte_net, two_cycle_net,
+                      two_feeders_net, wide_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
 
@@ -186,6 +189,81 @@ def test_build_honors_the_state_cap(demo_offline):
     with pytest.raises(StateBudgetError) as err:
         build_graph(demo_offline.monitored, state_cap=5)
     assert err.value.budget == 5
+
+
+def _latch_free(env):
+    """``env`` with every trajectory proposition stripped: its monitored net
+    has no latch places."""
+    return dataclasses.replace(env, regions=tuple(
+        dataclasses.replace(region, trajectory_props=frozenset())
+        for region in env.regions))
+
+
+def _interleaved_latches_net(m0):
+    # latches 1 and 3 sit between the plain places 0, 2, 4 and 5; moves
+    # set no latch, one or both
+    net = hand_net(6, [((0,), (2, 1), 1), ((0,), (4,), 2), ((2,), (0,), "1/2"),
+                       ((2,), (4, 3), 1), ((4,), (0, 1, 3), "3/2"),
+                       ((4,), (5,), 1), ((5,), (2,), "1/3")],
+                   [EMPTY, EMPTY, end_label("x"), EMPTY, EMPTY, end_label("y")], m0)
+    return as_monitored(dataclasses.replace(net, clamp_at_one=frozenset({1, 3})))
+
+
+def _first_place_latch_net():
+    # place 0 is a latch, the last place plain and holding two tokens
+    net = hand_net(4, [((1,), (3, 0), 1), ((3,), (1, 2), 2)],
+                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (0, 1, 0, 2))
+    return as_monitored(dataclasses.replace(net, clamp_at_one=frozenset({0, 2})))
+
+
+# Nets whose markings split into a placement and a latch mask in every
+# way: latches between, before and after plain places, latches starting at
+# 1, and latches in two-byte fields and 1,100 places wide (test_occupancy
+# checks the latch-free two-byte and wide nets).
+SPLIT_KEY_NETS = {
+    "interleaved": lambda: _interleaved_latches_net((2, 0, 0, 0, 0, 0)),
+    "interleaved-set": lambda: _interleaved_latches_net((1, 1, 1, 0, 0, 0)),
+    "interleaved-crowded": lambda: _interleaved_latches_net((0, 0, 1, 1, 2, 1)),
+    "first-place": _first_place_latch_net,
+    "two-byte-latch": lambda: as_monitored(two_byte_net(clamp={1})),
+    "wide-latches": lambda: as_monitored(wide_net(clamp={6, 501, 1005, 1099})),
+}
+
+
+def _assert_canonical_and_cached(qm, graph, path):
+    assert_matches_reference(qm, graph)
+    save_cache(graph, qm, path)
+    assert_same_graph(load_cache(path, qm), graph)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_KEY_NETS))
+def test_split_key_nets_match_reference_and_cache(name, tmp_path):
+    qm = SPLIT_KEY_NETS[name]()
+    _assert_canonical_and_cached(qm, build_graph(qm), tmp_path / "net.bin")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_latch_free_maps_match_reference_and_cache(seed, tmp_path):
+    offline = build_offline(_latch_free(random_env(random.Random(f"latch-free:{seed}"))))
+    assert not offline.monitored.net.clamp_at_one
+    _assert_canonical_and_cached(offline.monitored, offline.graph, tmp_path / "map.bin")
+
+
+@pytest.mark.parametrize("name", ["demo", "latch-free", "interleaved", "two-byte-latch"])
+def test_state_cap_is_exact(name, demo_offline):
+    # a cap of one marking fewer than the tree refuses it; the tree's own
+    # size builds the same tree
+    if name == "demo":
+        qm = demo_offline.monitored
+    elif name == "latch-free":
+        qm = build_offline(_latch_free(random_env(random.Random("latch-free:cap")))).monitored
+    else:
+        qm = SPLIT_KEY_NETS[name]()
+    graph = build_graph(qm)
+    with pytest.raises(StateBudgetError) as err:
+        build_graph(qm, state_cap=len(graph) - 1)
+    assert err.value.budget == len(graph) - 1
+    assert_same_graph(build_graph(qm, state_cap=len(graph)), graph)
 
 
 def test_net_digest_is_stable(demo_offline):

@@ -17,10 +17,10 @@ from tampnet import (SpecVectors, build_graph, build_offline,
                      compile_vectors, diagnose_infeasibility, load_cache,
                      parse, save_cache, select_target)
 
-from conftest import (EMPTY, as_monitored, assert_matches_reference,
-                      assert_same_graph, end_label, hand_net, markings_of,
-                      occupancy_reference, random_env, scan_diagnose,
-                      scan_select, square_env)
+from conftest import (as_monitored, assert_matches_reference,
+                      assert_same_graph, markings_of, occupancy_reference,
+                      random_env, scan_diagnose, scan_select, square_env,
+                      two_byte_net, wide_net)
 
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
@@ -161,27 +161,14 @@ def check_hand_net(net, rng, rounds, tmp_path, pool):
 
 
 def test_counts_above_one_byte(tmp_path):
-    # 260 tokens on place 0 need two-byte fields
-    net = hand_net(4, [((0,), (1,), 1), ((2,), (3,), "1/2")],
-                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (260, 0, 1, 0))
+    net = two_byte_net()
     graph = check_hand_net(net, random.Random("occ:byte"), 60, tmp_path, range(4))
     assert len(graph) == 261 * 2
     assert max(map(max, markings_of(graph))) == 260
 
 
 def test_net_wider_than_4096_bits(tmp_path):
-    # 1,100 places: two short chains, far apart, and idle places holding
-    # tokens between them
-    width = 1100
-    arcs = [((p,), (p + 1,), 1) for p in range(6)]
-    arcs += [((p,), (p + 1,), "1/2") for p in range(1000, 1005)]
-    labels = [end_label(f"l{p}") if 1 <= p <= 6 or 1001 <= p <= 1005 else EMPTY
-              for p in range(width)]
-    m0 = [0] * width
-    m0[0] = m0[1000] = 1
-    m0[500] = 3
-    m0[1099] = 1
-    net = hand_net(width, arcs, labels, m0)
+    net = wide_net()
     pool = list(range(8)) + [500, 501, 1099] + list(range(1000, 1007))
     graph = check_hand_net(net, random.Random("occ:wide"), 60, tmp_path, pool)
     assert len(graph) == 7 * 6
