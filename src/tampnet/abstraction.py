@@ -61,8 +61,6 @@ class MonitoredNet:
 
     net: PetriNet
     indicator_of: Dict[str, int]
-    mobility_places: Tuple[int, ...]
-    base_place: Tuple[int, ...]
 
 
 def labeled_places(net: PetriNet) -> Tuple[int, ...]:
@@ -143,50 +141,22 @@ class _Moves:
                                Fraction(dist[target], self.scale))
 
 
-def minimal_sequence(net: PetriNet, source: int, target: int,
-                     blocked: Iterable[int] = ()) -> Optional[MinimalSequence]:
-    """Cheapest transition sequence moving one token from source to target
-    without ever entering a blocked place.
-
-    Only single-input single-output transitions (moves) are followed. Ties on
-    cost resolve to the lexicographically smallest transition-id sequence,
-    which is well defined because all costs are positive. Returns None when
-    no admissible sequence exists.
-
-    Runs the same integer search as :func:`build_simplified`, with the
-    blocked places as sinks: a sink is never expanded, so a route to any
-    other place never passes through it.
-    """
-    for p in (source, target):
-        if not 0 <= p < net.num_places:
-            raise ValueError(f"unknown place {p}")
-    if source == target:
-        raise ValueError("source and target must differ")
-    blocked = frozenset(blocked) - {source}
-    if target in blocked:
-        return None
-    moves = _Moves(net)
-    dist = moves.cheapest(source, blocked)
-    if dist[target] is None:
-        return None
-    return moves.route(dist, source, target, blocked)
-
-
 def build_simplified(net: PetriNet) -> SimplifiedNet:
     """Reduce the base net to start places plus labeled places.
 
     One abstract transition is created for every ordered pair (p, p') with
     p a start or labeled place, p' a labeled place, p != p', for which an
     admissible minimal sequence exists (one that touches no labeled place
-    other than p and p'). Transitions are numbered by ascending (p, p')
-    base place ids.
+    other than p and p'). Only single-input single-output transitions
+    (moves) are followed, and ties on cost go to the lexicographically
+    smallest transition-id sequence. Transitions are numbered by ascending
+    (p, p') base place ids.
 
     The move adjacency and its integer weights are built once, and one
     Dijkstra runs per source p with every other labeled place as a sink.
     A sink is never expanded, so the routes to p' avoid every labeled place
-    but p and p', as the per-pair search with ``blocked = labeled - {p, p'}``
-    does; p' being a sink too changes nothing, since with positive costs a
-    cheapest route never passes through its own end. Each target's
+    but p and p'; p' being a sink too changes nothing, since with positive
+    costs a cheapest route never passes through its own end. Each target's
     sequence is then read off that one search (see ``_Moves.route``).
     """
     labeled = labeled_places(net)
@@ -266,5 +236,4 @@ def build_monitored(simplified: SimplifiedNet,
         initial_marking=tuple(counts),
         clamp_at_one=frozenset(indicator_of.values()),
     )
-    return MonitoredNet(monitored, indicator_of, tuple(range(mobility)),
-                        simplified.base_place)
+    return MonitoredNet(monitored, indicator_of)

@@ -12,8 +12,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from .basis_graph import DEFAULT_STATE_CAP
 from .errors import TampError, ValidationError
 from .grid import Environment, Plan, cost_text, parse_env
 from .oracle import joint_search
@@ -22,6 +23,10 @@ from .planner import build_offline, plan
 from .taskspec import BooleanSpec, format_spec
 
 MODES = ("agents", "size", "props")
+
+# shape of the drawn formulas: atoms per clause, forbidden atoms per formula
+CLAUSE_MAX_WIDTH = 3
+MAX_FORBIDDEN = 2
 
 CSV_COLUMNS = (
     "mode",
@@ -53,9 +58,7 @@ class BenchConfig:
     agent_counts: Tuple[int, ...] = (3,)
     prop_range: Tuple[int, int] = (2, 10)
     repetitions: int = 20
-    clause_max_width: int = 3
-    max_forbidden: int = 2
-    state_cap: Optional[int] = None
+    state_cap: int = DEFAULT_STATE_CAP
     oracle_budget: int = 0
 
     def validate(self) -> None:
@@ -70,10 +73,6 @@ class BenchConfig:
         lo, hi = self.prop_range
         if lo < 1 or hi < lo:
             raise ValidationError(f"prop range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
-        if self.clause_max_width < 1:
-            raise ValidationError("clause_max_width must be at least 1")
-        if self.max_forbidden < 0:
-            raise ValidationError("max_forbidden must be non-negative")
 
 
 def sweep_values(cfg: BenchConfig) -> Tuple[int, ...]:
@@ -90,16 +89,8 @@ def total_draws(cfg: BenchConfig) -> int:
     return len(sweep_values(cfg)) * cfg.repetitions
 
 
-def generate_instance(
-    seed_key: str,
-    rows: int,
-    cols: int,
-    agents: int,
-    prop_lo: int,
-    prop_hi: int,
-    clause_max_width: int = 3,
-    max_forbidden: int = 2,
-) -> Tuple[Environment, BooleanSpec]:
+def generate_instance(seed_key: str, rows: int, cols: int, agents: int,
+                      prop_lo: int, prop_hi: int) -> Tuple[Environment, BooleanSpec]:
     """Draw one random environment plus formula from a string-keyed RNG.
 
     Labeled cells are distinct single-cell regions named "1", "2", ...; each
@@ -142,7 +133,7 @@ def generate_instance(
         n_traj = 1
 
     def draw_clause() -> frozenset:
-        width = rng.randint(1, min(clause_max_width, n_labels))
+        width = rng.randint(1, min(CLAUSE_MAX_WIDTH, n_labels))
         return frozenset(rng.sample(names, width))
 
     trajectory = tuple(draw_clause() for _ in range(n_traj))
@@ -151,7 +142,7 @@ def generate_instance(
     used_end = set().union(*final) if final else set()
 
     forbidden: set = set()
-    for _ in range(rng.randint(0, max_forbidden)):
+    for _ in range(rng.randint(0, MAX_FORBIDDEN)):
         kind = rng.choice((VISIT, END))
         used = used_visit if kind == VISIT else used_end
         taken = {a.name for a in forbidden if a.kind == kind}
@@ -183,9 +174,7 @@ def random_instance(cfg: BenchConfig, draw: int) -> Tuple[Environment, BooleanSp
         k = cfg.agent_counts[0]
         lo = hi = param
     seed_key = f"{cfg.seed}:{cfg.mode}:{param}:{rep}"
-    env, spec = generate_instance(
-        seed_key, rows, cols, k, lo, hi, cfg.clause_max_width, cfg.max_forbidden
-    )
+    env, spec = generate_instance(seed_key, rows, cols, k, lo, hi)
     return env, spec, {"param": param, "rep": rep}
 
 

@@ -35,19 +35,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _state_cap(flag_value: Optional[int], default: Optional[int]) -> Optional[int]:
+def _positive(value: int, name: str) -> int:
+    if value < 1:
+        raise _UsageError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _state_cap(flag_value: Optional[int]) -> int:
+    """The state cap: ``--state-cap``, else TAMP_STATE_CAP, else the default.
+    A value below 1 from either source is a usage error."""
     if flag_value is not None:
-        return flag_value
+        return _positive(flag_value, "--state-cap")
     raw = os.environ.get(STATE_CAP_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _UsageError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}")
-        if value < 1:
-            raise _UsageError(f"{STATE_CAP_ENV} must be positive, got {value}")
-        return value
-    return default
+    if raw is None:
+        return DEFAULT_STATE_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _UsageError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}")
+    return _positive(value, STATE_CAP_ENV)
 
 
 def _read_spec(args) -> str:
@@ -114,8 +120,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_build(args) -> int:
     env = load_env(args.env)
-    cap = _state_cap(args.state_cap, DEFAULT_STATE_CAP)
-    offline = build_offline(env, state_cap=cap)
+    offline = build_offline(env, state_cap=_state_cap(args.state_cap))
     save_cache(offline.graph, offline.monitored, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
           f"{len(offline.graph) - 1} edges")
@@ -127,7 +132,7 @@ def _cmd_plan(args) -> int:
         raise _UsageError("--render requires --render-out")
     env = load_env(args.env)
     spec = parse(_read_spec(args))
-    cap = _state_cap(args.state_cap, DEFAULT_STATE_CAP)
+    cap = _state_cap(args.state_cap)
     if args.cache and os.path.exists(args.cache):
         offline = load_offline(env, args.cache)
     else:
@@ -153,7 +158,7 @@ def _cmd_plan(args) -> int:
 def _cmd_oracle(args) -> int:
     env = load_env(args.env)
     spec = parse(_read_spec(args))
-    result = joint_search(env, spec, state_budget=args.budget)
+    result = joint_search(env, spec, state_budget=_positive(args.budget, "--budget"))
     if result is None:
         print("infeasible", file=sys.stderr)
         return 2
@@ -173,7 +178,7 @@ def _cmd_bench(args) -> int:
         agent_counts=tuple(args.agents),
         prop_range=(args.props[0], args.props[1]),
         repetitions=args.reps,
-        state_cap=_state_cap(args.state_cap, None),
+        state_cap=_state_cap(args.state_cap),
         oracle_budget=args.oracle_budget,
     )
     rows = run_bench(cfg, args.out)

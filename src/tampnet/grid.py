@@ -96,6 +96,10 @@ def parse_env(data, source="<env>") -> Environment:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValidationError(f"{source}: grid.{label} must be a positive integer")
 
+    for key in ("obstacles", "regions"):
+        if not isinstance(data.get(key, []), list):
+            raise ValidationError(f"{source}: {key} must be a list")
+
     obstacles = set()
     for i, raw in enumerate(data.get("obstacles", [])):
         obstacles.add(_cell(raw, rows, cols, f"{source}: obstacles[{i}]"))

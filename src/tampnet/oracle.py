@@ -8,6 +8,7 @@ nothing about the abstraction pipeline.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -97,9 +98,10 @@ def joint_search(env: Environment, spec: BooleanSpec,
     for i in start:
         bits0 |= cell_bits[i]
 
-    exact_int = all(c.denominator == 1 for c in env.move_cost)
-    costs = [int(c) if exact_int else c for c in env.move_cost]
-    neighbors: List[List[Tuple[int, object]]] = [[] for _ in cells]
+    # exact integer costs: each cost times the LCM of the denominators
+    scale = math.lcm(*(c.denominator for c in env.move_cost))
+    costs = [c.numerator * (scale // c.denominator) for c in env.move_cost]
+    neighbors: List[List[Tuple[int, int]]] = [[] for _ in cells]
     for i, (r, c) in enumerate(cells):
         for d, (_, (dr, dc)) in enumerate(DIRECTIONS):
             j = index.get((r + dr, c + dc))
@@ -167,4 +169,4 @@ def joint_search(env: Environment, spec: BooleanSpec,
         agent = agent_at.index(src)
         agent_at[agent] = dst
         moves.append((agent, cells[src], cells[dst]))
-    return OracleResult(Fraction(dist[goal_state]), tuple(moves))
+    return OracleResult(Fraction(dist[goal_state], scale), tuple(moves))

@@ -101,9 +101,8 @@ def _offline(env: Environment,
                         tuple(map(cells.index, env.agents)))
 
 
-def build_offline(env: Environment, state_cap: Optional[int] = None) -> OfflineModel:
-    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-    return _offline(env, lambda monitored: build_graph(monitored, state_cap=cap))
+def build_offline(env: Environment, state_cap: int = DEFAULT_STATE_CAP) -> OfflineModel:
+    return _offline(env, lambda monitored: build_graph(monitored, state_cap=state_cap))
 
 
 def load_offline(env: Environment, cache_path) -> OfflineModel:
@@ -132,13 +131,13 @@ class _Constraints(NamedTuple):
 
 
 def _constraints(graph: BasisGraph, vectors: SpecVectors,
-                 escapes: Optional[Sequence]) -> _Constraints:
+                 escapes: Sequence) -> _Constraints:
     n = len(graph.occupied)
     for vec in (*vectors.z_list, *vectors.d_list, vectors.g):
         if len(vec) != n:
             raise ValueError("clause vector length does not match the net")
     g_sup = _supports(vectors.g)
-    mobility = len(escapes) if escapes is not None else 0
+    mobility = len(escapes)
     soft = [p for p in g_sup if p < mobility]
     stuck = [p for p in g_sup if p >= mobility or escapes[p] is None]
     final = [tuple(p for p in _supports(v) if p not in soft) for v in vectors.d_list]
@@ -163,7 +162,7 @@ def _meeting(graph: BasisGraph, clauses) -> int:
 
 
 def select_target(graph: BasisGraph, vectors: SpecVectors,
-                  escapes: Optional[Sequence[Optional[Tuple[int, Fraction]]]] = None,
+                  escapes: Sequence[Optional[Tuple[int, Fraction]]] = (),
                   ) -> Optional[TargetChoice]:
     """Cheapest way to end on a basis marking meeting every clause vector.
 
@@ -171,8 +170,8 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
     pricing of forbidden final places: each token ending on forbidden place
     p may hop off for escapes[p].cost instead of disqualifying the marking,
     but then no longer counts toward any final clause. The reported cost
-    includes those hops. Omitting ``escapes`` treats every forbidden place
-    as a hard exclusion.
+    includes those hops. Empty ``escapes`` (the default) treats every
+    forbidden place as a hard exclusion.
 
     The candidates come from the graph's occupancy index: the AND over the
     clauses of the OR of their places' bitsets, minus the markings with a
@@ -205,7 +204,7 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
 
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
-                           escapes: Optional[Sequence] = None) -> Tuple[str, ...]:
+                           escapes: Sequence = ()) -> Tuple[str, ...]:
     """Name the clause families that no basis marking satisfies alone.
 
     Each family is checked on the occupancy index, without reading any
@@ -260,13 +259,12 @@ def decompose_agents(net: PetriNet, sigma: Sequence[int],
 
 
 def plan(env: Environment, spec: Union[BooleanSpec, str],
-         offline: Optional[OfflineModel] = None,
-         state_cap: Optional[int] = None) -> Union[Plan, Infeasible]:
+         offline: Optional[OfflineModel] = None) -> Union[Plan, Infeasible]:
     """End-to-end planning call. Returns a Plan or an Infeasible result."""
     if isinstance(spec, str):
         spec = parse(spec)
     if offline is None:
-        offline = build_offline(env, state_cap=state_cap)
+        offline = build_offline(env)
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
     choice = select_target(offline.graph, vectors, offline.escapes)
@@ -292,7 +290,7 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     if total != choice.cost or \
             sequence_cost(offline.monitored.net, sigma_m) != offline.graph.q(choice.index):
         raise IntegrityError("abstract and base run costs disagree")
-    for i, p in enumerate(offline.monitored.base_place):
+    for i, p in enumerate(offline.simplified.base_place):
         if run.final[p] != target[i]:
             raise IntegrityError("base run does not reproduce the target marking")
     if not holds(spec, word, tail.final, offline.net.labels):

@@ -9,10 +9,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from tampnet import (Atom, BasisGraph, END, Marking, MonitoredNet, PetriNet,
-                     StateBudgetError, TargetChoice, build_offline, fire,
-                     load_env, parse_env)
+from tampnet import (BasisGraph, StateBudgetError, build_offline, load_env,
+                     parse_env)
+from tampnet.abstraction import MonitoredNet
 from tampnet.data import fixture_path
+from tampnet.petri import Atom, END, Marking, PetriNet, fire
+from tampnet.planner import TargetChoice
 
 EMPTY = frozenset()
 
@@ -36,8 +38,7 @@ def hand_net(num_places: int, arcs: Sequence[Tuple[tuple, tuple, object]],
 
 def as_monitored(net: PetriNet) -> MonitoredNet:
     """Wrap a hand-built net so the basis-graph layer accepts it."""
-    places = tuple(range(net.num_places))
-    return MonitoredNet(net, {}, places, places)
+    return MonitoredNet(net, {})
 
 
 def relay_net() -> MonitoredNet:
@@ -99,7 +100,9 @@ def wide_net(clamp=frozenset()) -> PetriNet:
 
 
 def brute_minimal_sequence(net, source, target, blocked):
-    """All-simple-paths reference for minimal_sequence (small nets only)."""
+    """All-simple-paths reference for the reduction's minimal sequences:
+    cheapest (cost, transition ids) from source to target that never
+    enters a blocked place (small nets only)."""
     blocked = frozenset(blocked) - {source}
     if target in blocked:
         return None
@@ -256,7 +259,7 @@ def assert_matches_reference(qm, graph):
 
 
 def _split_forbidden(vectors, escapes):
-    mobility = len(escapes) if escapes is not None else 0
+    mobility = len(escapes)
     g_sup = [p for p, v in enumerate(vectors.g) if v]
     soft = [p for p in g_sup if p < mobility]
     hard = [p for p in g_sup if p >= mobility]

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from tampnet import (VISIT, build_monitored, build_simplified, env_to_pn, fire,
-                     labeled_places, lift, minimal_sequence, replay,
-                     sequence_cost)
+from tampnet.abstraction import (build_monitored, build_simplified,
+                                 labeled_places, lift)
+from tampnet.grid import env_to_pn
+from tampnet.petri import VISIT, fire, replay, sequence_cost
 
 from conftest import EMPTY, brute_minimal_sequence, square_env
 
@@ -28,28 +29,39 @@ def test_demo_transitions_ordered_by_base_pair(demo_offline):
         assert m.target in labeled
 
 
-def test_minimal_sequence_argument_checks(demo_offline):
-    net = demo_offline.net
-    with pytest.raises(ValueError):
-        minimal_sequence(net, 0, 99)
-    with pytest.raises(ValueError):
-        minimal_sequence(net, 3, 3)
-    assert minimal_sequence(net, 0, 8, blocked=[8]) is None
-
-
 def test_minimal_sequence_lexicographic_tie_break():
     # uniform costs on an open 3x3: many equal-cost routes, the chosen
     # transition ids must be the smallest tuple among them
     env = square_env(3, [{"name": "z", "cells": [[2, 2]], "final_props": ["1"]}],
                      agents=[(0, 0)])
     net = env_to_pn(env)
-    ms = minimal_sequence(net, 0, 8)
+    (ms,) = build_simplified(net).lift_map
+    assert (ms.source, ms.target) == (0, 8)
     assert ms.cost == 4
     assert (ms.cost, ms.sequence) == brute_minimal_sequence(net, 0, 8, ())
 
 
+def assert_lift_map_matches_brute_force(net):
+    """Every reduced transition, and the set of (source, target) pairs that
+    have one, equal the all-simple-paths reference."""
+    simplified = build_simplified(net)
+    labeled = set(labeled_places(net))
+    expected = {}
+    for source in simplified.base_place:
+        for target in sorted(labeled - {source}):
+            ref = brute_minimal_sequence(net, source, target,
+                                         labeled - {source, target})
+            if ref is not None:
+                expected[source, target] = ref
+    got = {(m.source, m.target): (m.cost, m.sequence) for m in simplified.lift_map}
+    assert expected and got == expected
+    return got
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_minimal_sequence_matches_brute_force(seed):
+    # single-cell regions, obstacles, and uniform, fractional or
+    # per-direction costs
     rng = random.Random(f"abs:{seed}")
     side = rng.choice([3, 4, 4, 5])
     cells = [(r, c) for r in range(side) for c in range(side)]
@@ -63,25 +75,7 @@ def test_minimal_sequence_matches_brute_force(seed):
     cost = rng.choice([1, "3/2", {"up": 1, "right": 2, "down": "1/2", "left": 1}])
     env = square_env(side, regions, agents=[agent], obstacles=obstacles,
                      move_cost=cost)
-    net = env_to_pn(env)
-    labeled = set(labeled_places(net))
-    base = sorted(labeled | {p for p in range(net.num_places)
-                             if net.initial_marking[p] > 0})
-
-    checked = 0
-    for source in base:
-        for target in sorted(labeled):
-            if source == target:
-                continue
-            blocked = labeled - {source, target}
-            expected = brute_minimal_sequence(net, source, target, blocked)
-            got = minimal_sequence(net, source, target, blocked)
-            if expected is None:
-                assert got is None
-            else:
-                assert (got.cost, got.sequence) == expected
-                checked += 1
-    assert checked > 0
+    assert_lift_map_matches_brute_force(env_to_pn(env))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -108,19 +102,7 @@ def test_build_simplified_matches_brute_force(seed):
     env = square_env(side, regions, agents=[free[0], free[-1]],
                      obstacles=obstacles,
                      move_cost=dict(zip(("up", "right", "down", "left"), costs)))
-    net = env_to_pn(env)
-    simplified = build_simplified(net)
-    labeled = set(labeled_places(net))
-
-    expected = {}
-    for source in simplified.base_place:
-        for target in sorted(labeled - {source}):
-            ref = brute_minimal_sequence(net, source, target,
-                                         labeled - {source, target})
-            if ref is not None:
-                expected[source, target] = ref
-    got = {(m.source, m.target): (m.cost, m.sequence) for m in simplified.lift_map}
-    assert expected and got == expected
+    got = assert_lift_map_matches_brute_force(env_to_pn(env))
     assert any(cost.denominator > 1 for cost, _ in got.values())
 
 
@@ -132,8 +114,9 @@ def test_minimal_sequence_detours_around_labeled_interior():
     ]
     env = square_env(3, regions, agents=[(0, 0)])
     net = env_to_pn(env)
+    (ms,) = [m for m in build_simplified(net).lift_map
+             if (m.source, m.target) == (0, 6)]
     blocked = set(labeled_places(net)) - {0, 6}
-    ms = minimal_sequence(net, 0, 6, blocked)
     assert ms.cost == 6
     trace = [_one_token(net, 0)]
     for t in ms.sequence:
@@ -183,7 +166,7 @@ def test_demo_monitor_shape(demo_offline):
     qm = demo_offline.monitored
     assert qm.net.num_places == 7
     assert qm.indicator_of == {"1": 5, "2": 6}
-    assert qm.mobility_places == (0, 1, 2, 3, 4)
+    assert qm.net.labels[:5] == demo_offline.simplified.net.labels
     assert qm.net.clamp_at_one == frozenset({5, 6})
     assert qm.net.labels[5] == EMPTY and qm.net.labels[6] == EMPTY
     assert qm.net.initial_marking == (1, 0, 0, 1, 0, 0, 0)

@@ -15,9 +15,13 @@ from fractions import Fraction
 import pytest
 
 from tampnet import (Infeasible, Plan, backtrack, build_graph, build_offline,
-                     build_simplified, env_to_pn, generate_instance, holds,
-                     joint_search, labeled_places, lift, load_offline, parse,
-                     plan, plan_json_text, replay, save_cache, sequence_cost)
+                     joint_search, load_offline, parse, plan, plan_json_text,
+                     save_cache)
+from tampnet.abstraction import build_simplified, labeled_places, lift
+from tampnet.bench import generate_instance
+from tampnet.grid import env_to_pn
+from tampnet.petri import replay, sequence_cost
+from tampnet.taskspec import holds
 
 from conftest import (assert_matches_reference, brute_minimal_sequence,
                       hop_chain_net, markings_of, relay_net, square_env,

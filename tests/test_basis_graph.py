@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (CacheDigestError, CacheError, CacheFormatError,
-                     CacheVersionError, MonitoredNet, PetriNet,
-                     StateBudgetError, build_graph, build_offline, fire,
-                     generate_instance, load_cache, net_digest, save_cache)
-from tampnet.basis_graph import _U32, CACHE_FORMAT, BasisGraph
+from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
+                     net_digest, save_cache)
+from tampnet.abstraction import MonitoredNet
+from tampnet.basis_graph import _U32, CACHE_FORMAT, BasisGraph, load_cache
+from tampnet.bench import generate_instance
+from tampnet.errors import (CacheDigestError, CacheFormatError,
+                            CacheVersionError)
+from tampnet.petri import PetriNet, fire, replay, sequence_cost
 from tampnet.planner import backtrack
-
-from tampnet import replay, sequence_cost
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
@@ -104,7 +105,7 @@ def _token_splitting_net():
 def _latch_starting_at_two_net():
     net = PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
                    (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
-    return MonitoredNet(net, {"v": 2}, (0, 1), (0, 1))
+    return MonitoredNet(net, {"v": 2})
 
 
 UNPACKABLE = {"join": join_net, "order": _out_of_source_order_net,

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from tampnet import (BenchConfig, END, VISIT, ValidationError,
-                     generate_instance, random_instance, run_bench)
-from tampnet.bench import CSV_COLUMNS, sweep_values, total_draws
+from tampnet import BenchConfig, ValidationError, run_bench
+from tampnet.bench import (CSV_COLUMNS, generate_instance, random_instance,
+                           sweep_values, total_draws)
+from tampnet.petri import END, VISIT
 
 
 def test_generation_is_deterministic():
@@ -19,8 +20,7 @@ def test_generation_is_deterministic():
 
 @pytest.mark.parametrize("seed", range(15))
 def test_generated_instances_are_well_formed(seed):
-    env, spec = generate_instance(f"wf:{seed}", 4, 4, 2, 2, 5,
-                                  clause_max_width=3, max_forbidden=2)
+    env, spec = generate_instance(f"wf:{seed}", 4, 4, 2, 2, 5)
     names = set()
     for region in env.regions:
         assert len(region.cells) == 1
@@ -84,8 +84,6 @@ def test_sweep_values_by_mode():
     dict(agent_counts=()),
     dict(prop_range=(0, 4)),
     dict(prop_range=(5, 4)),
-    dict(clause_max_width=0),
-    dict(max_forbidden=-1),
 ])
 def test_config_validation(patch):
     cfg = BenchConfig(**patch)

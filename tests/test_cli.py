@@ -76,6 +76,13 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
                  "--spec", "true"]) == 1
     capsys.readouterr()
 
+    not_a_list = tmp_path / "obstacles.json"
+    not_a_list.write_text(json.dumps({
+        "grid": {"rows": 2, "cols": 2}, "obstacles": 5, "agents": [[0, 0]]}))
+    assert main(["plan", "--env", str(not_a_list), "--spec", "true"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {not_a_list}: obstacles must be a list\n"
+
 
 def test_usage_problems_exit_1_not_2(capsys):
     cases = [
@@ -169,6 +176,24 @@ def test_state_cap_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TAMP_STATE_CAP", "0")
     assert main(["plan", "--env", DEMO, "--spec", "true"]) == 1
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "build", "bench", "oracle"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_caps_below_one_are_usage_errors(command, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {
+        "plan": ["plan", "--env", DEMO, "--spec", "true", "--out", str(out)],
+        "build": ["build", "--env", DEMO, "--out", str(out)],
+        "bench": ["bench", "--mode", "props", "--out", str(out), "--sizes", "3",
+                  "--agents", "1", "--props", "1", "1", "--reps", "1"],
+        "oracle": ["oracle", "--env", DEMO, "--spec", "true"],
+    }[command]
+    flag = "--budget" if command == "oracle" else "--state-cap"
+    assert main(argv + [flag, value]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: {flag} must be positive, got {value}\n"
+    assert not out.exists()
 
 
 def test_bench_command(tmp_path, capsys):

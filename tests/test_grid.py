@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Atom, END, VISIT, ValidationError, cell_labels,
-                     cost_json, cost_text, env_to_pn, free_cells, grid_index,
-                     parse_env, plan, plan_to_json, render)
-from tampnet.grid import DIRECTIONS
+from tampnet import ValidationError, cost_text, parse_env, plan
+from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn,
+                          free_cells, grid_index, plan_to_json, render)
+from tampnet.petri import Atom, END, VISIT
 
 from conftest import square_env
 
@@ -59,6 +59,12 @@ def test_env_to_pn_is_deterministic(demo_env):
     ({"agents": [[1, 1]], "obstacles": [[1, 1]]}, "obstacle"),
     ({"obstacles": [[9, 9]]}, "outside"),
     ({"surprise": 1}, "surprise"),
+    ({"obstacles": 5}, "obstacles must be a list"),
+    ({"obstacles": None}, "obstacles must be a list"),
+    ({"obstacles": {}}, "obstacles must be a list"),
+    ({"regions": 5}, "regions must be a list"),
+    ({"regions": None}, "regions must be a list"),
+    ({"regions": {}}, "regions must be a list"),
 ])
 def test_parse_env_rejects_bad_documents(patch, fragment):
     doc = {

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and the
+package exports exactly the API its README documents.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``: a name bound by an
 import statement must appear as a loaded name (``name`` or ``name.attr``)
@@ -7,9 +8,12 @@ compiler directives and are skipped.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import tampnet
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -44,3 +48,26 @@ def test_the_scan_finds_an_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# what perfbench/ imports from the package
+PERFBENCH_NAMES = {"Infeasible", "build_offline", "cost_text", "joint_search",
+                   "net_digest", "parse", "parse_env", "plan", "plan_json_text"}
+
+
+def readme_api():
+    """The names in the bullets of the README's "Python API" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [line for line in section.splitlines() if line.startswith("- ")]
+    return [name for line in bullets for name in re.findall(r"`(\w+)`", line)]
+
+
+def test_package_exports_the_documented_api():
+    init = ast.parse((ROOT / "src" / "tampnet" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    documented = readme_api()
+    assert len(documented) == len(set(documented)) == len(tampnet.__all__)
+    assert set(documented) == set(tampnet.__all__) == imported
+    assert PERFBENCH_NAMES <= set(documented)

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (SpecVectors, build_graph, build_offline,
-                     compile_vectors, diagnose_infeasibility, load_cache,
-                     parse, save_cache, select_target)
+from tampnet import (build_graph, build_offline, diagnose_infeasibility, parse,
+                     save_cache, select_target)
+from tampnet.basis_graph import load_cache
+from tampnet.taskspec import SpecVectors, compile_vectors
 
 from conftest import (as_monitored, assert_matches_reference,
                       assert_same_graph, markings_of, occupancy_reference,
@@ -49,11 +50,11 @@ def random_vectors(rng, n, mobility, indicators, pool=None):
 
 
 def random_escapes(rng, mobility, real=None):
-    """None, the model's own escapes, or random ones with some places
+    """No escapes, the model's own escapes, or random ones with some places
     lacking an escape and fractional costs."""
     draw = rng.random()
     if draw < 0.2:
-        return None
+        return ()
     if real is not None and draw < 0.4:
         return real
     return tuple(None if rng.random() < 0.2
@@ -84,7 +85,7 @@ def check_model(offline, loaded, rng, rounds, specs=()):
     for text in specs:
         vectors = compile_vectors(parse(text), offline.monitored.net,
                                   offline.monitored.indicator_of)
-        for escapes in (offline.escapes, None):
+        for escapes in (offline.escapes, ()):
             assert_answers_like_scan(graphs, vectors, escapes)
     for _ in range(rounds):
         vectors = random_vectors(rng, n, mobility, indicators)
@@ -137,9 +138,9 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
         assert diagnose_infeasibility(graph, vectors, escapes) \
             == scan_diagnose(graph, vectors, escapes) == ("final",)
     # without escape pricing the same places are hard exclusions
-    assert select_target(graph, vectors, None) is None
-    assert diagnose_infeasibility(graph, vectors, None) \
-        == scan_diagnose(graph, vectors, None)
+    assert select_target(graph, vectors, ()) is None
+    assert diagnose_infeasibility(graph, vectors, ()) \
+        == scan_diagnose(graph, vectors, ())
 
 
 def check_hand_net(net, rng, rounds, tmp_path, pool):
@@ -222,10 +223,10 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
     specs += [random_vectors(rng, n, mobility, indicators) for _ in range(10)]
     hopping = 0
     for vectors in specs:
-        for escapes in (None, plant_offline.escapes):
+        for escapes in ((), plant_offline.escapes):
             markings.reads = 0
             choice = select_target(graph, vectors, escapes)
-            soft = escapes is not None and any(vectors.g[:mobility])
+            soft = bool(escapes) and any(vectors.g[:mobility])
             if soft:
                 hopping += 1
                 assert markings.reads <= enumerated_bound(built, vectors, escapes)

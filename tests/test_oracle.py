@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (END, StateBudgetError, UnknownPropositionError, VISIT,
-                     cell_labels, free_cells, generate_instance, joint_search,
-                     parse)
-from tampnet.grid import DIRECTIONS
+from tampnet import StateBudgetError, joint_search, parse
+from tampnet.bench import generate_instance
+from tampnet.errors import UnknownPropositionError
+from tampnet.grid import DIRECTIONS, cell_labels, free_cells
+from tampnet.petri import END, VISIT
 
 from conftest import square_env
 

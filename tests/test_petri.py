@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Atom, END, VISIT, FiringError, PetriNet, build_offline,
-                     enabled, fire, replay, sequence_cost)
+from tampnet import build_offline
+from tampnet.errors import FiringError
+from tampnet.petri import (Atom, END, PetriNet, VISIT, enabled, fire, replay,
+                           sequence_cost)
 
 from conftest import EMPTY, hand_net, square_env
 

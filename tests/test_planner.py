@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Infeasible, Plan, SpecVectors, build_offline,
-                     cell_labels, decompose_agents, escape_steps,
-                     generate_instance, holds, joint_search, load_cache,
-                     parse, parse_env, plan, replay, save_cache,
-                     select_target, sequence_cost)
+from tampnet import (Infeasible, Plan, build_offline, joint_search, parse,
+                     parse_env, plan, save_cache, select_target)
+from tampnet.basis_graph import load_cache
+from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
-from tampnet.grid import DIRECTIONS
+from tampnet.grid import DIRECTIONS, cell_labels
+from tampnet.petri import replay, sequence_cost
+from tampnet.planner import decompose_agents, escape_steps
+from tampnet.taskspec import SpecVectors, holds
 
 from conftest import EMPTY, hand_net, random_env, scan_select, square_env
 
@@ -40,7 +42,7 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
                 for p in range(n)),
     )
     if rng.random() < 0.25:
-        escapes = None
+        escapes = ()
     else:
         escapes = tuple(
             None if rng.random() < 0.2

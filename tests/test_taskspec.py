@@ -1,8 +1,10 @@
 import pytest
 
-from tampnet import (Atom, BooleanSpec, END, SpecShapeError, SpecSyntaxError,
-                     UnknownPropositionError, VISIT, compile_vectors,
-                     format_spec, holds, parse)
+from tampnet import parse
+from tampnet.errors import (SpecShapeError, SpecSyntaxError,
+                            UnknownPropositionError)
+from tampnet.petri import Atom, END, VISIT
+from tampnet.taskspec import BooleanSpec, compile_vectors, format_spec, holds
 
 from conftest import hand_net
 
