@@ -9,10 +9,16 @@ accumulated cost q and exactly one parent edge; the result is a tree with
 N markings and N - 1 edges. Markings are packed into one integer each;
 nets that do not fit that layout are refused. While the tree grows, the
 search splits each marking into a placement, its plain fields, numbered
-densely, and a mask of its latch places, and keys it by the small int
-``placement id << latch count | mask``. Latches are only ever set, so the
-moves out of a placement, and the placements they lead to, are worked out
-once and reused for every mask the placement meets.
+densely, and a mask of its latch classes, and keys it by the small int
+``placement id << class count | mask``. A latch class is a set of latch
+places that always hold the same value, such as the latches of several
+visit propositions on one region; a latch that never changes belongs to
+none. Latches are only ever set, so the moves out of a placement, and the
+placements they lead to, are worked out once and reused for every mask the
+placement meets. The search state is a flat list indexed by that key, so
+its size is placements times 2^classes; it is bounded by a fixed multiple
+of the state cap, and a net whose placements meet few of their masks fails
+with StateBudgetError rather than running out of memory.
 
 A ``BasisGraph`` holds the tree as columns: packed markings, integer
 costs, parents, transitions and per-place occupancy bitsets. Queries
@@ -35,7 +41,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -45,6 +51,8 @@ from .petri import Marking, PetriNet
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
 CACHE_VERSION = 2
+# slots the search table of ``_build_packed`` may hold per unit of state cap
+TABLE_FACTOR = 16
 # array type code of a 4-byte unsigned int, for the parent/transition columns
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 # struct codes of unsigned fields 1, 2, 4 and 8 bytes wide
@@ -120,8 +128,10 @@ def build_graph(qm: MonitoredNet,
     ``(parent, transition)`` is the smallest (parent index, transition id)
     among the edges into it from a marking of cost ``q`` minus the
     transition's cost. ``load_cache`` checks this order. Raises ValueError
-    for a net that is not ``_packable`` and StateBudgetError when more than
-    ``state_cap`` markings arise.
+    for a net that is not ``_packable``. Raises StateBudgetError when more
+    than ``state_cap`` markings arise, or when the search table of
+    ``_build_packed`` would pass ``TABLE_FACTOR * state_cap`` slots, which
+    only a net whose placements meet few of their latch masks reaches.
     """
     if not _packable(qm.net):
         raise ValueError("the net does not fit packed markings: it needs "
@@ -195,18 +205,45 @@ def _packed_graph(order: List[int], qs: List[int], parent: array,
 
 
 class _Ids(dict):
-    """Dense ids for keys, in order of first lookup: ``ids.order[i]`` is
-    the i-th new key, and ``ids[key]`` is its i shifted left by ``shift``."""
+    """Dense ids for placements, in order of first lookup: ``ids.order[i]``
+    is the i-th new placement, and ``ids[placement]`` is its i shifted left
+    by ``bits``. Each new id grows ``table`` by ``1 << bits`` unseen
+    (``None``) slots, one per latch mask; an id that would take ``table``
+    past ``TABLE_FACTOR * state_cap`` slots raises StateBudgetError."""
 
-    def __init__(self, shift: int):
+    def __init__(self, bits: int, table: list, state_cap: int):
         super().__init__()
-        self.shift = shift
+        self.bits = bits
+        self.table = table
+        self.limit = TABLE_FACTOR * state_cap
+        self.state_cap = state_cap
+        # a new id's slots, not made when they alone would pass the bound
+        self.blank = [None] * (1 << bits) if 1 << bits <= self.limit else None
         self.order: List[int] = []
 
     def __missing__(self, key: int) -> int:
-        i = self[key] = len(self.order) << self.shift
+        if self.blank is None or len(self.table) + len(self.blank) > self.limit:
+            raise StateBudgetError(self.state_cap, what="basis graph search table")
+        self.table += self.blank
+        i = self[key] = len(self.order) << self.bits
         self.order.append(key)
         return i
+
+
+def _latch_classes(layout: _Layout) -> List[Tuple[int, ...]]:
+    """The latch places that can change, grouped into classes that always
+    hold the same value, in ascending order of their first place.
+
+    A latch changes iff it starts at 0 and some move sets it. Two such
+    latches are equal in every reachable marking if the same moves set
+    them. A latch that cannot change keeps its initial value."""
+    shift = 8 * layout.width
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for p in layout.latches:
+        setters = tuple(t for t, move in enumerate(layout.moves) if move[2] >> shift * p & 1)
+        if setters and not layout.root >> shift * p & 1:
+            classes.setdefault(setters, []).append(p)
+    return [tuple(places) for places in classes.values()]
 
 
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
@@ -216,61 +253,70 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
 
     A marking is searched as the small int key ``pid << bits | mask``.
     ``pid`` numbers its placement, the packed marking of ``_layout`` with
-    the latch fields cleared, in order of discovery; bit j of ``mask`` is
-    the token of latch place ``latches[j]``. Latches are never consumed, so
-    a move's effect on the placement does not depend on the mask, and on
-    the mask it is an OR of fixed bits. Each placement's successor row is
-    therefore built once, on its first expansion, and reused for every mask
-    it meets: for its enabled transitions in ascending id (``_packable``
-    nets number them by source place), the child's ``pid << bits`` ORed
-    with the move's latch bits, beside (integer weight, transition id). A
-    child's key is that base ORed with the mask. A net without latches
-    meets each placement once and keeps no row. At the end the keys become
-    packed markings again.
+    the fields of the changing latches cleared, in order of discovery. The
+    changing latches fall into the ``bits`` classes of ``_latch_classes``,
+    and bit c of ``mask`` is the token of class c's latches; a latch that
+    cannot change keeps its initial value inside the placement. Latches are
+    never consumed, so a move's effect on the placement does not depend on
+    the mask, and on the mask it is an OR of fixed bits. Each placement's
+    successor row is therefore built once, on its first expansion, and
+    reused for every mask it meets: for its enabled transitions in ascending
+    id (``_packable`` nets number them by source place), the triple (the
+    child's ``pid << bits`` ORed with the move's class bits, integer weight,
+    transition id). A child's key is that base ORed with the mask. A net
+    without latches meets each placement once and keeps no row. At the end
+    the keys become packed markings again, each class bit setting all of its
+    latch fields.
+
+    The search state is one flat list indexed by key, ``1 << bits`` slots
+    per placement, grown as placements are numbered. Its slots cost 8 bytes
+    each and it may hold at most ``TABLE_FACTOR * state_cap`` of them: a net
+    whose placements meet few of their masks raises StateBudgetError before
+    the table grows past that bound.
 
     Costs are exact integers, scaled by the LCM of the transition cost
     denominators.
     """
     layout = _layout(qm.net)
-    shift, latches = 8 * layout.width, layout.latches
-    bits = len(latches)
+    shift = 8 * layout.width
+    classes = _latch_classes(layout)
+    bits = len(classes)
     low = (1 << bits) - 1
+    class_fields = [sum(1 << shift * p for p in places) for places in classes]
 
-    def latch_mask(packed: int) -> int:
-        return sum(1 << j for j, p in enumerate(latches) if packed >> shift * p & 1)
+    def class_mask(latch: int) -> int:
+        return sum(1 << c for c, fields in enumerate(class_fields) if latch & fields)
 
     def latch_fields(mask: int) -> int:
-        return sum(1 << shift * p for j, p in enumerate(latches) if mask >> j & 1)
+        return sum(fields for c, fields in enumerate(class_fields) if mask >> c & 1)
 
     # transitions grouped by source field, in ascending transition id, as
-    # (field mask, [(plain, latch bits)], [(weight, transition)])
-    sources: List[Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]]] = []
+    # (field mask, [(plain, class bits, weight, transition)])
+    sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
     for t, (field_mask, plain, latch, weight) in enumerate(layout.moves):
         if not sources or sources[-1][0] != field_mask:
-            sources.append((field_mask, [], []))
-        sources[-1][1].append((plain, latch_mask(latch)))
-        sources[-1][2].append((weight, t))
+            sources.append((field_mask, []))
+        sources[-1][1].append((plain, class_mask(latch), weight, t))
 
-    # the initial marking's key: placement 0 and the latches it starts with
-    root = latch_mask(layout.root)
-    pids = _Ids(bits)
-    pids[layout.root - latch_fields(root)]
+    # best[key] is the cost of the cheapest edge into the marking so far,
+    # None before any, or -1 once it is final. buckets[q] lists the edges
+    # (child, parent index, transition) that lowered a child's best to q, in
+    # the order they were found. Scaled costs can lie far apart, so
+    # ``pending`` is a heap of the bucket costs rather than a scan of q + 1,
+    # q + 2, ... An entry whose child's best is no longer its bucket's q is
+    # stale.
+    best: List[Optional[int]] = []
+    pids = _Ids(bits, best, state_cap)
+    # the initial marking: placement 0, its changing latches all at 0
+    pids[layout.root]
     placements = pids.order
-    rows: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
-
-    # best[key] is the cost of the cheapest edge into the marking so far, or
-    # -1 once it is final. buckets[q] lists the edges (child, parent index,
-    # transition) that lowered a child's best to q, in the order they were
-    # found. Scaled costs can lie far apart, so ``pending`` is a heap of the
-    # bucket costs rather than a scan of q + 1, q + 2, ... An entry whose
-    # child's best is no longer its bucket's q is stale.
-    best: Dict[int, int] = {root: 0}
-    buckets: Dict[int, List[Tuple[int, int, int]]] = {0: [(root, 0, 0)]}
+    rows: Dict[int, List[Tuple[int, int, int]]] = {}
+    best[0] = 0
+    buckets: Dict[int, List[Tuple[int, int, int]]] = {0: [(0, 0, 0)]}
     pending = [0]
     order: List[int] = []
     qs: List[int] = []
     parent, transition = array(_U32), array(_U32)
-    get = best.get
 
     while pending:
         q = heapq.heappop(pending)
@@ -290,19 +336,18 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
             row = rows.get(pid)
             if row is None:
                 placement = placements[pid]
-                enabled = [source for source in sources if placement & source[0]]
-                # ORing in zero would copy the int; passing the id's own
-                # object on lets the dict lookups below match it by identity
-                row = ([pids[placement + plain] | lb if lb else pids[placement + plain]
-                        for _, moves, _ in enabled for plain, lb in moves],
-                       [move for _, _, moves in enabled for move in moves])
+                # ORing in zero would make a new int per child; passing the
+                # id's own object on keeps the row's ints shared with ``pids``
+                row = [(pids[placement + plain] | cb if cb else pids[placement + plain], weight, t)
+                       for field_mask, moves in sources if placement & field_mask
+                       for plain, cb, weight, t in moves]
                 if bits:
                     rows[pid] = row
             mask = key & low
-            for base, (weight, t) in zip(*row):
+            for base, weight, t in row:
                 child = base | mask if mask else base
                 nq = q + weight
-                old = get(child)
+                old = best[child]
                 if old is None or nq < old:
                     best[child] = nq
                     bucket = buckets.get(nq)
@@ -312,7 +357,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                     else:
                         bucket.append((child, idx, t))
 
-    del best, get, rows, pids, row
+    del best, rows, pids, row
     fields = {mask: latch_fields(mask) for mask in {key & low for key in order}}
     order[:] = [placements[key >> bits] | fields[key & low] for key in order]
     del placements

@@ -73,6 +73,9 @@ class BenchConfig:
         lo, hi = self.prop_range
         if lo < 1 or hi < lo:
             raise ValidationError(f"prop range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
+        if self.oracle_budget < 0:
+            raise ValidationError(
+                f"oracle budget must be 0 (off) or positive, got {self.oracle_budget}")
 
 
 def sweep_values(cfg: BenchConfig) -> Tuple[int, ...]:

@@ -171,6 +171,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.oracle_budget < 0:
+        raise _UsageError(f"--oracle-budget must be 0 or positive, got {args.oracle_budget}")
     cfg = BenchConfig(
         mode=args.mode,
         seed=args.seed,

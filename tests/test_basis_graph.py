@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import struct
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ import pytest
 from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
                      net_digest, save_cache)
 from tampnet.abstraction import MonitoredNet
-from tampnet.basis_graph import _U32, CACHE_FORMAT, BasisGraph, load_cache
+from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
+                                 _latch_classes, _layout, load_cache)
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
@@ -217,10 +219,26 @@ def _first_place_latch_net():
     return as_monitored(dataclasses.replace(net, clamp_at_one=frozenset({0, 2})))
 
 
+def _co_located_env():
+    """A 4x4 map whose region "hub" carries 20 visit propositions; "a" is
+    visited from the start, "w" is walled off and never visited, and "b"
+    has two cells."""
+    regions = [
+        {"name": "hub", "cells": [[1, 2]], "final_props": ["hub"],
+         "trajectory_props": [f"p{i:02}" for i in range(20)]},
+        {"name": "a", "cells": [[0, 0]], "trajectory_props": ["a"]},
+        {"name": "b", "cells": [[3, 1], [2, 1]], "trajectory_props": ["b"],
+         "final_props": ["b"]},
+        {"name": "w", "cells": [[3, 3]], "trajectory_props": ["w"]},
+    ]
+    return square_env(4, regions, agents=[(0, 0), (2, 0)], obstacles=[(2, 3), (3, 2)])
+
+
 # Nets whose markings split into a placement and a latch mask in every
 # way: latches between, before and after plain places, latches starting at
-# 1, and latches in two-byte fields and 1,100 places wide (test_occupancy
-# checks the latch-free two-byte and wide nets).
+# 1, latches in two-byte fields and 1,100 places wide (test_occupancy
+# checks the latch-free two-byte and wide nets), and 20 latches that always
+# agree.
 SPLIT_KEY_NETS = {
     "interleaved": lambda: _interleaved_latches_net((2, 0, 0, 0, 0, 0)),
     "interleaved-set": lambda: _interleaved_latches_net((1, 1, 1, 0, 0, 0)),
@@ -228,6 +246,7 @@ SPLIT_KEY_NETS = {
     "first-place": _first_place_latch_net,
     "two-byte-latch": lambda: as_monitored(two_byte_net(clamp={1})),
     "wide-latches": lambda: as_monitored(wide_net(clamp={6, 501, 1005, 1099})),
+    "co-located": lambda: build_offline(_co_located_env()).monitored,
 }
 
 
@@ -250,7 +269,8 @@ def test_latch_free_maps_match_reference_and_cache(seed, tmp_path):
     _assert_canonical_and_cached(offline.monitored, offline.graph, tmp_path / "map.bin")
 
 
-@pytest.mark.parametrize("name", ["demo", "latch-free", "interleaved", "two-byte-latch"])
+@pytest.mark.parametrize("name", ["demo", "latch-free", "interleaved", "two-byte-latch",
+                                  "co-located"])
 def test_state_cap_is_exact(name, demo_offline):
     # a cap of one marking fewer than the tree refuses it; the tree's own
     # size builds the same tree
@@ -265,6 +285,55 @@ def test_state_cap_is_exact(name, demo_offline):
         build_graph(qm, state_cap=len(graph) - 1)
     assert err.value.budget == len(graph) - 1
     assert_same_graph(build_graph(qm, state_cap=len(graph)), graph)
+
+
+def test_co_located_latches_share_one_key_bit():
+    # the hub's 20 latches are set by the same moves and form one class, b's
+    # latch another; a's starts at 1 and w's is never set, so neither takes
+    # a bit. One key bit per latch place would need 2^23 table slots per
+    # placement.
+    qm = SPLIT_KEY_NETS["co-located"]()
+    latches = qm.indicator_of
+    assert _latch_classes(_layout(qm.net)) == [
+        (latches["b"],), tuple(latches[f"p{i:02}"] for i in range(20))]
+    tracemalloc.start()
+    try:
+        graph = build_graph(qm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(graph) == 30
+
+
+def _star_net(arms: int):
+    """One token on place 0 may step to any of ``arms`` dead-end places,
+    each move setting a latch of its own: no two latches share a class, yet
+    every marking holds at most one of them."""
+    arcs = [((0,), (i, arms + i), 1) for i in range(1, arms + 1)]
+    labels = [EMPTY] + [end_label(str(i)) for i in range(1, arms + 1)] + [EMPTY] * arms
+    net = hand_net(2 * arms + 1, arcs, labels, (1,) + (0,) * (2 * arms))
+    return as_monitored(dataclasses.replace(
+        net, clamp_at_one=frozenset(range(arms + 1, 2 * arms + 1))))
+
+
+def test_sparse_latch_masks_hit_the_table_bound():
+    # 17 markings over 17 placements of 2^16 masks each: a cap of 17 allows
+    # 17 * TABLE_FACTOR table slots, fewer than one placement takes, so the
+    # build stops before the first 512 KiB slot list is made
+    qm = _star_net(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetError) as err:
+            build_graph(qm, state_cap=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget == 17
+    assert peak < 64 << 10
+    graph = build_graph(qm, state_cap=17 * (1 << 16) // TABLE_FACTOR)
+    assert len(graph) == 17
+    assert_matches_reference(qm, graph)
 
 
 def test_net_digest_is_stable(demo_offline):

@@ -84,6 +84,7 @@ def test_sweep_values_by_mode():
     dict(agent_counts=()),
     dict(prop_range=(0, 4)),
     dict(prop_range=(5, 4)),
+    dict(oracle_budget=-1),
 ])
 def test_config_validation(patch):
     cfg = BenchConfig(**patch)

@@ -196,6 +196,18 @@ def test_caps_below_one_are_usage_errors(command, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_negative_oracle_budget_is_a_usage_error(value, tmp_path, capsys):
+    # 0 turns the cross-check off; a negative budget is not another way to
+    out = tmp_path / "sweep.csv"
+    assert main(["bench", "--mode", "props", "--out", str(out), "--sizes", "3",
+                 "--agents", "1", "--props", "1", "1", "--reps", "1",
+                 "--oracle-budget", value]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: --oracle-budget must be 0 or positive, got {value}\n"
+    assert not out.exists()
+
+
 def test_bench_command(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["bench", "--mode", "props", "--out", str(out),
