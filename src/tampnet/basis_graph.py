@@ -22,13 +22,19 @@ with StateBudgetError rather than running out of memory.
 
 A ``BasisGraph`` holds the tree as columns: packed markings, integer
 costs, parents, transitions and per-place occupancy bitsets. Queries
-combine the bitsets and unpack only the markings they read.
+combine the bitsets and unpack only the markings they read. The search
+keeps its keys, costs and pending edges in typed arrays of 8-byte ints, and
+the keys become packed markings a bounded chunk at a time, so a build or a
+load peaks near the size of the columns it returns rather than at a
+multiple of it.
 
 A cache file stores only the parent and transition columns. Loading it
-replays the tree: each marking is its parent's fired by its transition and
-each cost its parent's plus the transition's, with the same packed-int
-layout and shared finishing helper as the build, and the replay checks the
-file as it goes.
+replays the tree in the build's key space: placements are numbered by the
+same ``_Ids``, each marking's key is its parent's key fired by its
+transition, as in the successor row of the parent's placement, and its cost
+is its parent's plus the transition's. A bitmap over the keys finds a
+marking listed twice. Build and load end in the same ``_packed_graph``, and
+the replay checks the file as it goes.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -57,6 +64,8 @@ TABLE_FACTOR = 16
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 # struct codes of unsigned fields 1, 2, 4 and 8 bytes wide
 _FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# markings ``_packed_graph`` converts to bytes and joins at a time
+_PACK_CHUNK = 1024
 
 
 @dataclass
@@ -65,17 +74,19 @@ class BasisGraph:
 
     ``packed`` holds marking i at bytes ``i * places * width`` onward:
     ``places`` little-endian unsigned fields of ``width`` bytes each.
-    ``qs[i] / scale`` is the cost of marking i. ``parent[i - 1]`` and
+    ``qs[i] / scale`` is the cost of marking i; ``qs`` is an ``array("Q")``,
+    or a list for a net whose scaled costs could pass 2**64 (see
+    ``_cost_column``). ``parent[i - 1]`` and
     ``transition[i - 1]`` are the tree edge into marking i (the root,
     marking 0, has none), laid out as in the cache body. ``occupied[p]`` is
     the occupancy index of place ``p``: an int whose bit ``i`` is set iff
     marking ``i`` has a token on ``p``.
     """
 
-    packed: bytes
+    packed: bytearray
     width: int
     places: int
-    qs: List[int]
+    qs: Union[array, List[int]]
     scale: int
     parent: array
     transition: array
@@ -192,42 +203,86 @@ def _layout(net: PetriNet) -> _Layout:
     return _Layout(width, n, root, tuple(moves), scale, tuple(sorted(clamped)))
 
 
-def _packed_graph(order: List[int], qs: List[int], parent: array,
-                  transition: array, layout: _Layout) -> BasisGraph:
-    """The ``BasisGraph`` of the packed markings ``order`` and the other
-    columns. Empties ``order`` once its bytes are taken, so it is not held
-    alongside them."""
-    width, n = layout.width, layout.places
-    packed = b"".join([m.to_bytes(n * width, "little") for m in order])
-    order.clear()
-    return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
-                      _occupancy(packed, n, width))
-
-
 class _Ids(dict):
-    """Dense ids for placements, in order of first lookup: ``ids.order[i]``
-    is the i-th new placement, and ``ids[placement]`` is its i shifted left
-    by ``bits``. Each new id grows ``table`` by ``1 << bits`` unseen
-    (``None``) slots, one per latch mask; an id that would take ``table``
-    past ``TABLE_FACTOR * state_cap`` slots raises StateBudgetError."""
+    """The search's key space over the markings of a ``_packable`` net (see
+    ``_build_packed``), shared by the build and the cache load.
 
-    def __init__(self, bits: int, table: list, state_cap: int):
+    Placements get dense ids in order of first lookup: ``ids.order[i]`` is
+    the i-th new placement, and ``ids[placement]`` is its i shifted left by
+    ``bits``, the count of latch classes. The root's placement is looked up
+    first and takes id 0. Each new id grows ``table`` by ``slots(1 <<
+    bits)``, one unseen slot per latch mask; an id that would take
+    ``table`` past ``TABLE_FACTOR * state_cap`` slots raises
+    StateBudgetError."""
+
+    # a new id costs half as much with slots as with an instance dict
+    __slots__ = ("class_fields", "bits", "table", "state_cap", "room", "blank", "order",
+                 "moves", "sources")
+
+    def __init__(self, layout: _Layout, table, slots, state_cap: int):
         super().__init__()
-        self.bits = bits
+        shift = 8 * layout.width
+        self.class_fields = [sum(1 << shift * p for p in places)
+                             for places in _latch_classes(layout)]
+        self.bits = len(self.class_fields)
         self.table = table
-        self.limit = TABLE_FACTOR * state_cap
         self.state_cap = state_cap
+        # the most placements the table has room for
+        self.room = TABLE_FACTOR * state_cap >> self.bits
         # a new id's slots, not made when they alone would pass the bound
-        self.blank = [None] * (1 << bits) if 1 << bits <= self.limit else None
+        self.blank = slots(1 << self.bits) if self.room else None
         self.order: List[int] = []
+        # moves[t] is ``_layout``'s move t with class bits for latch fields
+        self.moves = [(field_mask, plain, self.class_bits(latch), weight)
+                      for field_mask, plain, latch, weight in layout.moves]
+        # transitions grouped by source field, in ascending transition id,
+        # as (field mask, [(plain, class bits, weight, transition)])
+        self.sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
+        for t, (field_mask, plain, class_bits, weight) in enumerate(self.moves):
+            if not self.sources or self.sources[-1][0] != field_mask:
+                self.sources.append((field_mask, []))
+            self.sources[-1][1].append((plain, class_bits, weight, t))
+        self[layout.root]
 
-    def __missing__(self, key: int) -> int:
-        if self.blank is None or len(self.table) + len(self.blank) > self.limit:
+    def class_bits(self, latch: int) -> int:
+        """The mask of the latch classes whose fields ``latch`` sets."""
+        return sum(1 << c for c, fields in enumerate(self.class_fields) if latch & fields)
+
+    def fields(self, mask: int) -> int:
+        """The latch fields of the classes in ``mask``."""
+        return sum(fields for c, fields in enumerate(self.class_fields) if mask >> c & 1)
+
+    def __missing__(self, placement: int) -> int:
+        order = self.order
+        if len(order) >= self.room:
             raise StateBudgetError(self.state_cap, what="basis graph search table")
         self.table += self.blank
-        i = self[key] = len(self.order) << self.bits
-        self.order.append(key)
+        i = self[placement] = len(order) << self.bits
+        order.append(placement)
         return i
+
+    def row(self, placement: int) -> List[Tuple[int, int, int]]:
+        """(child base, weight, transition) of each move enabled at
+        ``placement``, in ascending transition id. The base is the id of
+        the child's placement ORed with the move's class bits, so the
+        child's key is the base ORed with the parent's mask."""
+        # ORing in zero would make a new int per child; passing the id's
+        # own object on keeps the row's ints shared with the dict
+        return [(self[placement + plain] | cb if cb else self[placement + plain], weight, t)
+                for field_mask, moves in self.sources if placement & field_mask
+                for plain, cb, weight, t in moves]
+
+
+class _Lazy(dict):
+    """A dict that fills ``lazy[key]`` with ``make(key)`` on first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _latch_classes(layout: _Layout) -> List[Tuple[int, ...]]:
@@ -246,8 +301,63 @@ def _latch_classes(layout: _Layout) -> List[Tuple[int, ...]]:
     return [tuple(places) for places in classes.values()]
 
 
+def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
+    """An empty cost column for a tree of at most ``markings`` markings:
+    8-byte unsigned ints, or a list of ints when a path of that many of the
+    dearest moves could pass 2**64."""
+    dearest = max((move[3] for move in layout.moves), default=0)
+    return array("Q") if dearest * markings < 1 << 64 else []
+
+
+def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: array,
+                  transition: array, layout: _Layout) -> BasisGraph:
+    """The ``BasisGraph`` of the markings with search keys ``keys`` and the
+    other columns.
+
+    A key's marking is its placement with the latch fields of its mask's
+    classes set. ``packed`` is allocated once and written ``_PACK_CHUNK``
+    markings at a time, so only one chunk of wide ints and ``bytes`` is
+    alive at once. Where every field from the lowest changing latch up is a
+    latch, as in the monitored nets of maps, and placements are at most a
+    quarter of the markings, a marking's bytes are two pieces, one per
+    placement and one per mask, and no marking becomes an int. Empties
+    ``keys`` once its markings are written."""
+    width, n = layout.width, layout.places
+    size = n * width
+    bits, placements = ids.bits, ids.order
+    low = (1 << bits) - 1
+    fields = _Lazy(ids.fields)
+    changing = sum(ids.class_fields)
+    # byte offset of the lowest changing latch field
+    cut = ((changing & -changing).bit_length() - 1) // 8
+    if (bits and all(p in layout.latches for p in range(cut // width, n))
+            and 4 * len(placements) <= len(keys)):
+        # from ``cut`` on every field is a latch, so all placements hold the
+        # same bytes there: a marking's bytes are its placement's below
+        # ``cut`` and then its mask's, each made once. A placement's piece
+        # costs more than its markings' ints unless it serves several.
+        heads = [placement.to_bytes(size, "little")[:cut] for placement in placements]
+        top = placements[0]
+        tails = _Lazy(lambda mask: (top | fields[mask]).to_bytes(size, "little")[cut:])
+
+        def marking_bytes(chunk):
+            return [heads[key >> bits] + tails[key & low] for key in chunk]
+    else:
+        def marking_bytes(chunk):
+            markings = [placements[key >> bits] | fields[key & low] for key in chunk]
+            return map(int.to_bytes, markings, repeat(size), repeat("little"))
+
+    packed = bytearray(len(keys) * size)
+    for start in range(0, len(keys), _PACK_CHUNK):
+        chunk = keys[start:start + _PACK_CHUNK]
+        packed[start * size:(start + len(chunk)) * size] = b"".join(marking_bytes(chunk))
+    del keys[:]
+    return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
+                      _occupancy(packed, n, width))
+
+
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
-    """Lowest-q-first expansion with a bucket queue: one FIFO list per
+    """Lowest-q-first expansion with a bucket queue: one FIFO array per
     pending cost. Within a cost, markings are final in the order their edges
     were found, which is ascending (parent index, transition).
 
@@ -259,14 +369,11 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     cannot change keeps its initial value inside the placement. Latches are
     never consumed, so a move's effect on the placement does not depend on
     the mask, and on the mask it is an OR of fixed bits. Each placement's
-    successor row is therefore built once, on its first expansion, and
-    reused for every mask it meets: for its enabled transitions in ascending
-    id (``_packable`` nets number them by source place), the triple (the
-    child's ``pid << bits`` ORed with the move's class bits, integer weight,
-    transition id). A child's key is that base ORed with the mask. A net
-    without latches meets each placement once and keeps no row. At the end
-    the keys become packed markings again, each class bit setting all of its
-    latch fields.
+    successor row (``_Ids.row``) is therefore built once, on its first
+    expansion, and reused for every mask it meets. A child's key is the
+    row's base ORed with the mask. A net without latches meets each
+    placement once and keeps no row. At the end ``_packed_graph`` turns the
+    keys back into packed markings.
 
     The search state is one flat list indexed by key, ``1 << bits`` slots
     per placement, grown as placements are numbered. Its slots cost 8 bytes
@@ -275,59 +382,41 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     the table grows past that bound.
 
     Costs are exact integers, scaled by the LCM of the transition cost
-    denominators.
+    denominators. The keys, the costs and the pending edges are typed
+    arrays, not lists of int objects: besides its table, the search holds
+    24 bytes per final marking (key, cost, parent and transition) and 24
+    per pending edge.
     """
     layout = _layout(qm.net)
-    shift = 8 * layout.width
-    classes = _latch_classes(layout)
-    bits = len(classes)
-    low = (1 << bits) - 1
-    class_fields = [sum(1 << shift * p for p in places) for places in classes]
-
-    def class_mask(latch: int) -> int:
-        return sum(1 << c for c, fields in enumerate(class_fields) if latch & fields)
-
-    def latch_fields(mask: int) -> int:
-        return sum(fields for c, fields in enumerate(class_fields) if mask >> c & 1)
-
-    # transitions grouped by source field, in ascending transition id, as
-    # (field mask, [(plain, class bits, weight, transition)])
-    sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
-    for t, (field_mask, plain, latch, weight) in enumerate(layout.moves):
-        if not sources or sources[-1][0] != field_mask:
-            sources.append((field_mask, []))
-        sources[-1][1].append((plain, class_mask(latch), weight, t))
-
     # best[key] is the cost of the cheapest edge into the marking so far,
-    # None before any, or -1 once it is final. buckets[q] lists the edges
-    # (child, parent index, transition) that lowered a child's best to q, in
-    # the order they were found. Scaled costs can lie far apart, so
-    # ``pending`` is a heap of the bucket costs rather than a scan of q + 1,
-    # q + 2, ... An entry whose child's best is no longer its bucket's q is
-    # stale.
+    # None before any, or -1 once it is final. buckets[q] holds the edges
+    # (child, parent index, transition) that lowered a child's best to q,
+    # three values each, in the order they were found. Scaled costs can lie
+    # far apart, so ``pending`` is a heap of the bucket costs rather than a
+    # scan of q + 1, q + 2, ... An edge whose child's best is no longer its
+    # bucket's q is stale.
     best: List[Optional[int]] = []
-    pids = _Ids(bits, best, state_cap)
-    # the initial marking: placement 0, its changing latches all at 0
-    pids[layout.root]
-    placements = pids.order
+    ids = _Ids(layout, best, lambda n: [None] * n, state_cap)
+    bits, placements = ids.bits, ids.order
+    low = (1 << bits) - 1
     rows: Dict[int, List[Tuple[int, int, int]]] = {}
     best[0] = 0
-    buckets: Dict[int, List[Tuple[int, int, int]]] = {0: [(0, 0, 0)]}
+    buckets: Dict[int, array] = {0: array("Q", (0, 0, 0))}
     pending = [0]
-    order: List[int] = []
-    qs: List[int] = []
+    keys, qs = array("Q"), _cost_column(layout, state_cap)
     parent, transition = array(_U32), array(_U32)
 
     while pending:
         q = heapq.heappop(pending)
-        for key, via_parent, via_t in buckets.pop(q):
+        edges = iter(buckets.pop(q))
+        for key, via_parent, via_t in zip(edges, edges, edges):
             if best[key] != q:
                 continue
-            if len(order) >= state_cap:
+            if len(keys) >= state_cap:
                 raise StateBudgetError(state_cap, what="basis graph construction")
             best[key] = -1
-            idx = len(order)
-            order.append(key)
+            idx = len(keys)
+            keys.append(key)
             qs.append(q)
             if idx:
                 parent.append(via_parent)
@@ -335,12 +424,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
             pid = key >> bits
             row = rows.get(pid)
             if row is None:
-                placement = placements[pid]
-                # ORing in zero would make a new int per child; passing the
-                # id's own object on keeps the row's ints shared with ``pids``
-                row = [(pids[placement + plain] | cb if cb else pids[placement + plain], weight, t)
-                       for field_mask, moves in sources if placement & field_mask
-                       for plain, cb, weight, t in moves]
+                row = ids.row(placements[pid])
                 if bits:
                     rows[pid] = row
             mask = key & low
@@ -352,16 +436,16 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                     best[child] = nq
                     bucket = buckets.get(nq)
                     if bucket is None:
-                        buckets[nq] = [(child, idx, t)]
+                        bucket = buckets[nq] = array("Q")
                         heapq.heappush(pending, nq)
-                    else:
-                        bucket.append((child, idx, t))
+                    bucket.append(child)
+                    bucket.append(idx)
+                    bucket.append(t)
 
-    del best, rows, pids, row
-    fields = {mask: latch_fields(mask) for mask in {key & low for key in order}}
-    order[:] = [placements[key >> bits] | fields[key & low] for key in order]
-    del placements
-    return _packed_graph(order, qs, parent, transition, layout)
+    # ``ids`` holds the table too: empty it before the markings are packed
+    best.clear()
+    del rows, row
+    return _packed_graph(keys, ids, qs, parent, transition, layout)
 
 
 def net_digest(net: PetriNet) -> str:
@@ -415,14 +499,21 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
 
     Checks the format tag, the version (CacheVersionError), the net digest
     (CacheDigestError), and the body length and SHA-256 against the header.
-    Then, in one pass over the columns, each marking is its parent's
-    marking fired by its transition and each ``q`` is ``q(parent)`` plus the
-    transition's weight, in the packed-int integers of ``_layout``;
-    the pass checks that every parent precedes its child, every transition
-    id is in range and enabled at the parent, the markings come in the
-    strictly ascending ``(q, parent, transition)`` order of ``build_graph``,
-    and no marking repeats. Any failure raises CacheFormatError, as does a
-    net that is not ``_packable``.
+    Then one pass over the columns replays the tree in the key space of
+    ``_Ids`` that the build uses. A marking's key is the child base of its
+    transition at its parent's placement, the entry of ``_Ids.row`` for
+    that transition, ORed with the parent's latch mask. Each base is worked
+    out on the first tree edge that needs it and kept, so the load holds no
+    more of them than the tree has edges; a net without latch classes,
+    whose bases are each needed once, keeps none. A marking's ``q`` is
+    ``q(parent)`` plus the transition's weight. The pass checks that every
+    parent precedes its child, every transition id is in range and enabled
+    at the parent, the markings come in the strictly ascending ``(q,
+    parent, transition)`` order of ``build_graph``, and no key repeats,
+    with one byte per key slot. Any failure raises CacheFormatError, as
+    does a net that is not ``_packable``. The key slots are bounded as in a
+    build whose cap is the larger of the marking count and
+    ``DEFAULT_STATE_CAP``; a file that needs more raises StateBudgetError.
     """
     try:
         with open(path, "rb") as fh:
@@ -462,28 +553,51 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         transitions.byteswap()
 
     layout = _layout(net)
-    moves = layout.moves
-    order = [layout.root]
-    qs = [0]
+    # seen[key] is 1 once a marking with that key is listed
+    seen = bytearray()
+    ids = _Ids(layout, seen, bytes, max(count, DEFAULT_STATE_CAP))
+    bits, placements = ids.bits, ids.order
+    low = (1 << bits) - 1
+    moves = ids.moves
+    weights = [move[3] for move in moves]
+    span = len(moves)
+    # bases[pid * span + t] is the child base of transition t at placement
+    # pid, as in its ``_Ids.row``, once a tree edge has used it; a net
+    # without latch classes meets each placement once and keeps none
+    bases: Dict[int, int] = {}
+    seen[0] = 1
+    keys, qs = array("Q", (0,)), _cost_column(layout, count)
+    qs.append(0)
     last = (0, -1, -1)  # (q, parent, transition) of the previous marking
     for i, (parent, t) in enumerate(zip(parents, transitions), 1):
         if parent >= i:
             raise CacheFormatError(f"cache {path}: marking {i} has parent {parent}")
-        if t >= len(moves):
+        if t >= span:
             raise CacheFormatError(f"cache {path}: marking {i} has transition {t}")
-        mask, plain, latch, weight = moves[t]
-        m = order[parent]
-        if not m & mask:
-            raise CacheFormatError(
-                f"cache {path}: transition {t} is not enabled at marking {parent}")
-        q = qs[parent] + weight
-        key = (q, parent, t)
-        if key <= last:
+        key = keys[parent]
+        slot = (key >> bits) * span + t
+        base = bases.get(slot)
+        if base is None:
+            field_mask, plain, cb, _ = moves[t]
+            placement = placements[key >> bits]
+            if not placement & field_mask:
+                raise CacheFormatError(
+                    f"cache {path}: transition {t} is not enabled at marking {parent}")
+            base = ids[placement + plain] | cb
+            if bits:
+                bases[slot] = base
+        q = qs[parent] + weights[t]
+        edge = (q, parent, t)
+        if edge <= last:
             raise CacheFormatError(
                 f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
-        last = key
-        order.append((m + plain) | latch)
+        last = edge
+        child = base | key & low
+        if seen[child]:
+            raise CacheFormatError(f"cache {path} lists a marking twice")
+        seen[child] = 1
+        keys.append(child)
         qs.append(q)
-    if len(set(order)) != count:
-        raise CacheFormatError(f"cache {path} lists a marking twice")
-    return _packed_graph(order, qs, parents, transitions, layout)
+    seen.clear()
+    bases.clear()
+    return _packed_graph(keys, ids, qs, parents, transitions, layout)

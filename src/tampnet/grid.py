@@ -13,8 +13,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from html import escape
 from typing import Dict, Optional, Tuple
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .petri import END, VISIT, Atom, PetriNet
@@ -369,7 +369,7 @@ def _render_svg(env: Environment, plan: Optional[Plan]) -> str:
                          f'fill="{color}" fill-opacity="0.45"/>')
         r0, c0 = region.cells[0]
         parts.append(f'<text x="{c0 * side + 3}" y="{r0 * side + 12}" font-size="9" '
-                     f'fill="#333333">{escape(region.name)}</text>')
+                     f'fill="#333333">{escape(region.name, quote=False)}</text>')
     for r, c in sorted(env.obstacles):
         parts.append(f'<rect x="{c * side}" y="{r * side}" width="{side}" height="{side}" '
                      f'fill="#3a3a3a"/>')

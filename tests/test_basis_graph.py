@@ -336,6 +336,49 @@ def test_sparse_latch_masks_hit_the_table_bound():
     assert_matches_reference(qm, graph)
 
 
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(graph):
+    """The finished graph's size: its packed markings, 8 bytes per cost, 4
+    per parent and per transition, and its occupancy bits."""
+    return (len(graph.packed) + 8 * len(graph.qs) + 4 * (len(graph.parent) + len(graph.transition))
+            + sum((bits.bit_length() + 7) // 8 for bits in graph.occupied))
+
+
+def test_build_and_load_peak_near_the_graph_size(tmp_path):
+    # 4,865 markings. Typed key, cost and edge arrays and markings packed a
+    # chunk at a time keep both peaks near 2.5x the graph; lists of int
+    # objects and a list of every marking's bytes peaked above 6x.
+    env, _ = generate_instance("mem", 10, 10, 2, 8, 8)
+    qm = build_offline(env).monitored
+    graph, build_peak = _traced_peak(lambda: build_graph(qm))
+    save_cache(graph, qm, tmp_path / "mem.bin")
+    loaded, load_peak = _traced_peak(lambda: load_cache(tmp_path / "mem.bin", qm))
+    assert_same_graph(loaded, graph)
+    assert len(graph) == 4865
+    assert build_peak <= 4 * _column_bytes(graph)
+    assert load_peak <= 4 * _column_bytes(graph)
+
+
+def test_costs_past_64_bits_stay_exact(tmp_path):
+    # a move costing 2**64 does not fit the 8-byte cost column, so the
+    # costs are kept as a list of ints, in the build and in the load
+    env = square_env(2, [{"name": "g", "cells": [[1, 1]], "final_props": ["g"]}],
+                     agents=[(0, 0)], move_cost=2 ** 64)
+    offline = build_offline(env)
+    graph = offline.graph
+    assert [graph.q(i) for i in range(len(graph))] == [0, 2 ** 65]
+    _assert_canonical_and_cached(offline.monitored, graph, tmp_path / "big.bin")
+
+
 def test_net_digest_is_stable(demo_offline):
     net = demo_offline.monitored.net
     assert net_digest(net) == DEMO_DIGEST
@@ -586,6 +629,31 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
             with pytest.raises(CacheFormatError):
                 load_cache(path, offline.monitored)
     assert breaking and q_sorted
+
+
+@pytest.mark.parametrize("name", ["demo", "acc8"])
+def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
+    # re-point the last entry at an edge into a marking already listed, one
+    # that still comes after the entry before it in the (cost, parent,
+    # transition) order: the replay passes every other check
+    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    graph, net = offline.graph, offline.monitored.net
+    markings = markings_of(graph)
+    weights, _ = net.integer_costs
+    i = len(graph) - 1
+    before = (graph.qs[i - 1], graph.parent[i - 2], graph.transition[i - 2])
+    parent, t = next((p, t) for p in range(i) for t in range(net.num_transitions)
+                     if markings[p][net.pre[t][0]]
+                     and (graph.qs[p] + weights[t], p, t) > before
+                     and fire(net, markings[p], t) in markings[:i])
+
+    def edit(header, body):
+        _set_entry(body, 0, i, parent)
+        _set_entry(body, 1, i, t)
+
+    path, qm = _tampered(tmp_path, offline, edit)
+    with pytest.raises(CacheFormatError, match="twice"):
+        load_cache(path, qm)
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):

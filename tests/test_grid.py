@@ -163,6 +163,14 @@ def test_render_svg_is_wellformed_xml(demo_env):
     assert doc.documentElement.getElementsByTagName("polyline")
 
 
+def test_render_svg_escapes_region_names():
+    # text content escapes &, < and > and leaves both quote marks as they are
+    env = square_env(2, [{"name": "a&b<c>d\"e'f", "cells": [[0, 1]], "final_props": ["x"]}],
+                     agents=[(0, 0)])
+    svg = render(env, None, "svg")
+    assert '<text x="35" y="12" font-size="9" fill="#333333">a&amp;b&lt;c&gt;d"e\'f</text>' in svg
+
+
 def test_render_rejects_unknown_format(demo_env):
     with pytest.raises(ValueError):
         render(demo_env, None, "png")

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and the
-package exports exactly the API its README documents.
+"""Every name a module imports is read somewhere in that module, the
+package exports exactly the API its README documents, and importing the
+CLI loads no module it does not use.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``: a name bound by an
 import statement must appear as a loaded name (``name`` or ``name.attr``)
@@ -8,7 +9,10 @@ compiler directives and are skipped.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,16 @@ def test_package_exports_the_documented_api():
     assert len(documented) == len(set(documented)) == len(tampnet.__all__)
     assert set(documented) == set(tampnet.__all__) == imported
     assert PERFBENCH_NAMES <= set(documented)
+
+
+# modules ``xml.sax.saxutils`` pulls in, none of which the CLI needs
+HEAVY_MODULES = ("xml.sax", "urllib.request", "http.client", "email")
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    code = ("import sys, tampnet.cli; "
+            f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.split() == []
