@@ -32,9 +32,10 @@ A cache file stores only the parent and transition columns. Loading it
 replays the tree in the build's key space: placements are numbered by the
 same ``_Ids``, each marking's key is its parent's key fired by its
 transition, as in the successor row of the parent's placement, and its cost
-is its parent's plus the transition's. A bitmap over the keys finds a
-marking listed twice. Build and load end in the same ``_packed_graph``, and
-the replay checks the file as it goes.
+is its parent's plus the transition's. A bitmap over the keys, or a dict
+of them where the bitmap would pass 16 slots per marking, finds a marking
+listed twice. Build and load end in the same ``_packed_graph``, and the
+replay checks the file as it goes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import json
 import struct
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -213,11 +215,12 @@ class _Ids(dict):
     first and takes id 0. Each new id grows ``table`` by ``slots(1 <<
     bits)``, one unseen slot per latch mask; an id that would take
     ``table`` past ``TABLE_FACTOR * state_cap`` slots raises
-    StateBudgetError."""
+    StateBudgetError. A ``None`` table numbers placements with no slots and
+    no bound."""
 
     # a new id costs half as much with slots as with an instance dict
     __slots__ = ("class_fields", "bits", "table", "state_cap", "room", "blank", "order",
-                 "moves", "sources")
+                 "moves", "sources", "alone")
 
     def __init__(self, layout: _Layout, table, slots, state_cap: int):
         super().__init__()
@@ -230,7 +233,7 @@ class _Ids(dict):
         # the most placements the table has room for
         self.room = TABLE_FACTOR * state_cap >> self.bits
         # a new id's slots, not made when they alone would pass the bound
-        self.blank = slots(1 << self.bits) if self.room else None
+        self.blank = slots(1 << self.bits) if table is not None and self.room else None
         self.order: List[int] = []
         # moves[t] is ``_layout``'s move t with class bits for latch fields
         self.moves = [(field_mask, plain, self.class_bits(latch), weight)
@@ -242,6 +245,10 @@ class _Ids(dict):
             if not self.sources or self.sources[-1][0] != field_mask:
                 self.sources.append((field_mask, []))
             self.sources[-1][1].append((plain, class_bits, weight, t))
+        # alone[t] is transition t as a group of its own, for the row of
+        # that transition alone
+        self.alone = [[(field_mask, [(plain, class_bits, weight, t)])]
+                      for t, (field_mask, plain, class_bits, weight) in enumerate(self.moves)]
         self[layout.root]
 
     def class_bits(self, latch: int) -> int:
@@ -254,22 +261,24 @@ class _Ids(dict):
 
     def __missing__(self, placement: int) -> int:
         order = self.order
-        if len(order) >= self.room:
-            raise StateBudgetError(self.state_cap, what="basis graph search table")
-        self.table += self.blank
+        if self.table is not None:
+            if len(order) >= self.room:
+                raise StateBudgetError(self.state_cap, what="basis graph search table")
+            self.table += self.blank
         i = self[placement] = len(order) << self.bits
         order.append(placement)
         return i
 
-    def row(self, placement: int) -> List[Tuple[int, int, int]]:
-        """(child base, weight, transition) of each move enabled at
-        ``placement``, in ascending transition id. The base is the id of
-        the child's placement ORed with the move's class bits, so the
-        child's key is the base ORed with the parent's mask."""
-        # ORing in zero would make a new int per child; passing the id's
-        # own object on keeps the row's ints shared with the dict
+    def row(self, placement: int, sources=None) -> List[Tuple[int, int, int]]:
+        """(child base, weight, transition) of each move of ``sources``, by
+        default all of them, enabled at ``placement``, in ascending
+        transition id. The base is the id of the child's placement ORed
+        with the move's class bits, so the child's key is the base ORed
+        with the parent's mask."""
+        # ORing in zero would make a new int per child; passing the id's own
+        # object on keeps the row's ints shared with the dict
         return [(self[placement + plain] | cb if cb else self[placement + plain], weight, t)
-                for field_mask, moves in self.sources if placement & field_mask
+                for field_mask, moves in sources or self.sources if placement & field_mask
                 for plain, cb, weight, t in moves]
 
 
@@ -317,40 +326,18 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
     A key's marking is its placement with the latch fields of its mask's
     classes set. ``packed`` is allocated once and written ``_PACK_CHUNK``
     markings at a time, so only one chunk of wide ints and ``bytes`` is
-    alive at once. Where every field from the lowest changing latch up is a
-    latch, as in the monitored nets of maps, and placements are at most a
-    quarter of the markings, a marking's bytes are two pieces, one per
-    placement and one per mask, and no marking becomes an int. Empties
-    ``keys`` once its markings are written."""
+    alive at once. Empties ``keys`` once its markings are written."""
     width, n = layout.width, layout.places
     size = n * width
     bits, placements = ids.bits, ids.order
     low = (1 << bits) - 1
     fields = _Lazy(ids.fields)
-    changing = sum(ids.class_fields)
-    # byte offset of the lowest changing latch field
-    cut = ((changing & -changing).bit_length() - 1) // 8
-    if (bits and all(p in layout.latches for p in range(cut // width, n))
-            and 4 * len(placements) <= len(keys)):
-        # from ``cut`` on every field is a latch, so all placements hold the
-        # same bytes there: a marking's bytes are its placement's below
-        # ``cut`` and then its mask's, each made once. A placement's piece
-        # costs more than its markings' ints unless it serves several.
-        heads = [placement.to_bytes(size, "little")[:cut] for placement in placements]
-        top = placements[0]
-        tails = _Lazy(lambda mask: (top | fields[mask]).to_bytes(size, "little")[cut:])
-
-        def marking_bytes(chunk):
-            return [heads[key >> bits] + tails[key & low] for key in chunk]
-    else:
-        def marking_bytes(chunk):
-            markings = [placements[key >> bits] | fields[key & low] for key in chunk]
-            return map(int.to_bytes, markings, repeat(size), repeat("little"))
-
     packed = bytearray(len(keys) * size)
     for start in range(0, len(keys), _PACK_CHUNK):
         chunk = keys[start:start + _PACK_CHUNK]
-        packed[start * size:(start + len(chunk)) * size] = b"".join(marking_bytes(chunk))
+        markings = [placements[key >> bits] | fields[key & low] for key in chunk]
+        packed[start * size:(start + len(chunk)) * size] = b"".join(
+            map(int.to_bytes, markings, repeat(size), repeat("little")))
     del keys[:]
     return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
                       _occupancy(packed, n, width))
@@ -501,19 +488,21 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     (CacheDigestError), and the body length and SHA-256 against the header.
     Then one pass over the columns replays the tree in the key space of
     ``_Ids`` that the build uses. A marking's key is the child base of its
-    transition at its parent's placement, the entry of ``_Ids.row`` for
-    that transition, ORed with the parent's latch mask. Each base is worked
-    out on the first tree edge that needs it and kept, so the load holds no
-    more of them than the tree has edges; a net without latch classes,
-    whose bases are each needed once, keeps none. A marking's ``q`` is
-    ``q(parent)`` plus the transition's weight. The pass checks that every
-    parent precedes its child, every transition id is in range and enabled
-    at the parent, the markings come in the strictly ascending ``(q,
-    parent, transition)`` order of ``build_graph``, and no key repeats,
-    with one byte per key slot. Any failure raises CacheFormatError, as
-    does a net that is not ``_packable``. The key slots are bounded as in a
-    build whose cap is the larger of the marking count and
-    ``DEFAULT_STATE_CAP``; a file that needs more raises StateBudgetError.
+    transition in its parent's placement's ``_Ids.row``, ORed with the
+    parent's latch mask. Each base is worked out on the first tree edge
+    that needs it and kept, so the load holds no more of them than the tree
+    has edges; a net without latch classes, whose bases are each needed
+    once, keeps none. A marking's ``q`` is ``q(parent)`` plus the
+    transition's weight. The pass checks that every parent precedes its
+    child, every transition id is in range and enabled at the parent, the
+    markings come in the strictly ascending ``(q, parent, transition)``
+    order of ``build_graph``, and no key repeats. Any failure raises
+    CacheFormatError, as does a net that is not ``_packable``.
+
+    The repeat check keeps one byte per key slot while the slots stay
+    within ``TABLE_FACTOR`` per marking, the table bound of a build capped
+    at the marking count, and a dict of the keys past that, so every tree
+    a build returns loads.
     """
     try:
         with open(path, "rb") as fh:
@@ -553,17 +542,21 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         transitions.byteswap()
 
     layout = _layout(net)
-    # seen[key] is 1 once a marking with that key is listed
+    # seen[key] is 1 once a marking with that key is listed: the bitmap
+    # ``ids`` grows, or a dict once the bitmap would pass its bound
     seen = bytearray()
-    ids = _Ids(layout, seen, bytes, max(count, DEFAULT_STATE_CAP))
-    bits, placements = ids.bits, ids.order
+    try:
+        ids = _Ids(layout, seen, bytes, count)
+    except StateBudgetError:
+        seen = defaultdict(int)
+        ids = _Ids(layout, None, None, count)
+    bits, placements, alone = ids.bits, ids.order, ids.alone
     low = (1 << bits) - 1
-    moves = ids.moves
-    weights = [move[3] for move in moves]
-    span = len(moves)
+    weights = [move[3] for move in ids.moves]
+    span = len(weights)
     # bases[pid * span + t] is the child base of transition t at placement
-    # pid, as in its ``_Ids.row``, once a tree edge has used it; a net
-    # without latch classes meets each placement once and keeps none
+    # pid, its entry in the placement's row, once a tree edge has used it;
+    # a net without latch classes meets each placement once and keeps none
     bases: Dict[int, int] = {}
     seen[0] = 1
     keys, qs = array("Q", (0,)), _cost_column(layout, count)
@@ -578,12 +571,18 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         slot = (key >> bits) * span + t
         base = bases.get(slot)
         if base is None:
-            field_mask, plain, cb, _ = moves[t]
             placement = placements[key >> bits]
-            if not placement & field_mask:
+            try:
+                entry = ids.row(placement, alone[t])
+            except StateBudgetError:
+                # the bitmap is full: the rest of the pass checks a dict
+                seen = defaultdict(int, dict.fromkeys(keys, 1))
+                ids.table = None
+                entry = ids.row(placement, alone[t])
+            if not entry:
                 raise CacheFormatError(
                     f"cache {path}: transition {t} is not enabled at marking {parent}")
-            base = ids[placement + plain] | cb
+            base = entry[0][0]
             if bits:
                 bases[slot] = base
         q = qs[parent] + weights[t]

@@ -11,6 +11,7 @@ import pytest
 
 from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
                      net_digest, save_cache)
+from tampnet import basis_graph
 from tampnet.abstraction import MonitoredNet
 from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
                                  _latch_classes, _layout, load_cache)
@@ -631,12 +632,11 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
     assert breaking and q_sorted
 
 
-@pytest.mark.parametrize("name", ["demo", "acc8"])
-def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
-    # re-point the last entry at an edge into a marking already listed, one
-    # that still comes after the entry before it in the (cost, parent,
-    # transition) order: the replay passes every other check
-    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+def _a_marking_listed_twice(tmp_path, offline):
+    """A cache of ``offline`` whose last entry is re-pointed at an edge into
+    a marking already listed, one that still comes after the entry before
+    it in the (cost, parent, transition) order: the replay passes every
+    other check."""
     graph, net = offline.graph, offline.monitored.net
     markings = markings_of(graph)
     weights, _ = net.integer_costs
@@ -651,9 +651,37 @@ def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
         _set_entry(body, 0, i, parent)
         _set_entry(body, 1, i, t)
 
-    path, qm = _tampered(tmp_path, offline, edit)
+    return _tampered(tmp_path, offline, edit)
+
+
+@pytest.mark.parametrize("name", ["demo", "acc8"])
+def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
+    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    path, qm = _a_marking_listed_twice(tmp_path, offline)
     with pytest.raises(CacheFormatError, match="twice"):
         load_cache(path, qm)
+
+
+@pytest.mark.parametrize("factor", [0, 1])
+def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(tmp_path, monkeypatch, factor):
+    # with no room for a bitmap (0), or room for fewer placements than the
+    # tree has (1), the load checks the keys in a dict instead
+    path, qm = _a_marking_listed_twice(tmp_path, acc8_offline())
+    monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
+    with pytest.raises(CacheFormatError, match="twice"):
+        load_cache(path, qm)
+
+
+@pytest.mark.parametrize("arms", [6, 16])
+def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
+    # 1 + arms markings, one per placement, over 2^arms masks each: the
+    # build's cap leaves room for every placement's slots, but the load's
+    # bitmap, TABLE_FACTOR slots per marking, holds only the root's (6 arms)
+    # or none (16 arms), so the load checks the rest in a dict
+    qm = _star_net(arms)
+    graph = build_graph(qm, state_cap=(arms + 1 << arms) // TABLE_FACTOR)
+    save_cache(graph, qm, tmp_path / "star.bin")
+    assert_same_graph(load_cache(tmp_path / "star.bin", qm), graph)
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
