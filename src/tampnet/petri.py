@@ -3,10 +3,13 @@
 Places and transitions are dense integer indices. Arcs have unit weight and
 are stored sparsely: ``pre[t]`` / ``post[t]`` list the input / output places
 of transition ``t``. Markings are plain tuples of non-negative token counts
-indexed by place. Costs are exact :class:`fractions.Fraction` values so that
-every derived cost in the pipeline is bit-stable; the searches and
-:func:`sequence_cost` sum them as the integers of
-:attr:`PetriNet.integer_costs` and convert back on output.
+indexed by place. :func:`replay` and :func:`tampnet.taskspec.holds` also
+take a marking as the ``{place: count}`` map of its occupied places, so
+that checking a route reads the places its tokens touch and no others.
+Costs are exact :class:`fractions.Fraction` values so that every derived
+cost in the pipeline is bit-stable; the searches and :func:`sequence_cost`
+sum them as the integers of :attr:`PetriNet.integer_costs` and convert
+back on output.
 
 Places listed in ``clamp_at_one`` are latch places: transitions may produce
 into them but never consume from them, and their count saturates at one
@@ -20,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from typing import NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import FiringError
 
@@ -47,8 +50,21 @@ class Atom(NamedTuple):
 
 
 class ReplayResult(NamedTuple):
-    final: Marking
+    """A finished run: ``counts`` maps each place occupied at its end to its
+    token count, and ``word`` is its proposition word (see :func:`replay`)."""
+
+    counts: Dict[int, int]
     word: Tuple[frozenset, ...]
+    num_places: int
+
+    @property
+    def final(self) -> Marking:
+        """The marking at the end of the run, one count per place; built on
+        each read."""
+        m = [0] * self.num_places
+        for p, c in self.counts.items():
+            m[p] = c
+        return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -111,10 +127,10 @@ class PetriNet:
         return tuple(c.numerator * (scale // c.denominator) for c in self.cost), scale
 
     @cached_property
-    def place_ids(self) -> Tuple[int, ...]:
-        """``tuple(range(num_places))``, kept so that ``compress`` over a
-        marking finds its occupied places without making an int per place."""
-        return tuple(range(self.num_places))
+    def initial_counts(self) -> Mapping[int, int]:
+        """The initial marking as a read-only ``{place: count}`` map of its
+        occupied places, worked out on first use."""
+        return MappingProxyType(_occupied(self.initial_marking))
 
 
 def enabled(net: PetriNet, m: Marking, t: int) -> bool:
@@ -141,23 +157,34 @@ def fire(net: PetriNet, m: Marking, t: int, step: Optional[int] = None) -> Marki
     return tuple(out)
 
 
-def replay(net: PetriNet, m: Marking, sigma: Sequence[int]) -> ReplayResult:
+def replay(net: PetriNet, m: Union[Marking, Mapping[int, int]],
+           sigma: Sequence[int]) -> ReplayResult:
     """Fire ``sigma`` in order from ``m``, with the checks of :func:`fire`.
 
-    Returns the final marking and the proposition word of the run. The
+    ``m`` is a full marking or the ``{place: count}`` map of its occupied
+    places, such as ``net.initial_counts`` or an earlier result's
+    ``counts``; a map is copied, not changed. Returns the counts of the
+    places occupied at the end and the proposition word of the run. The
     word's first element holds the atoms of places occupied at ``m``
     (starting inside a labeled region counts as a visit); each later element
     holds the atoms produced by one step, i.e. the labels of the fired
     transition's output places.
 
-    Only occupied places are tracked, so a step costs the size of its
-    transition's arcs; ``m`` is read and the final marking built once.
+    Only occupied places are tracked: from a map, a replay costs the route's
+    steps, each the size of its transition's arcs, plus the occupied
+    places, and reads no other place. A full ``m`` adds one pass to find its
+    occupied places, and so does reading the result's ``final``.
     """
-    _check_marking(net, m)
+    if isinstance(m, Mapping):
+        counts = dict(m)
+        if not all(isinstance(p, int) and 0 <= p < net.num_places and c >= 1
+                   for p, c in counts.items()):
+            raise ValueError("a counts map must take places of the net to positive counts")
+    else:
+        _check_marking(net, m)
+        counts = _occupied(m)
     pre, post, labels, clamped = net.pre, net.post, net.labels, net.clamp_at_one
-    occupied = list(compress(net.place_ids, m))
-    counts = dict(zip(occupied, map(m.__getitem__, occupied)))
-    word = [frozenset().union(*map(labels.__getitem__, occupied))]
+    word = [frozenset().union(*map(labels.__getitem__, counts))]
     for i, t in enumerate(sigma):
         _check_transition(net, t)
         for p in pre[t]:
@@ -168,13 +195,12 @@ def replay(net: PetriNet, m: Marking, sigma: Sequence[int]) -> ReplayResult:
                 del counts[p]
             else:
                 counts[p] -= 1
-        for p in post[t]:
+        out = post[t]
+        for p in out:
             counts[p] = 1 if p in clamped else counts.get(p, 0) + 1
-        word.append(frozenset().union(*map(labels.__getitem__, post[t])))
-    final = [0] * net.num_places
-    for p, c in counts.items():
-        final[p] = c
-    return ReplayResult(tuple(final), tuple(word))
+        word.append(labels[out[0]] if len(out) == 1
+                    else frozenset().union(*map(labels.__getitem__, out)))
+    return ReplayResult(counts, tuple(word), net.num_places)
 
 
 def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
@@ -186,6 +212,10 @@ def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
         _check_transition(net, t)
         total += weights[t]
     return Fraction(total, scale)
+
+
+def _occupied(m: Marking) -> Dict[int, int]:
+    return {p: c for p, c in enumerate(m) if c}
 
 
 def _check_transition(net: PetriNet, t) -> None:

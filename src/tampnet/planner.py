@@ -272,9 +272,12 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         return Infeasible(diagnose_infeasibility(offline.graph, vectors,
                                                  offline.escapes))
 
+    # The route is checked on the occupied places only: no step below reads
+    # every place of the movement net, so a query costs its route.
+    net = offline.net
     sigma_m = backtrack(offline.graph, choice.index)
     sigma_q = lift(offline.simplified, sigma_m)
-    run = replay(offline.net, offline.net.initial_marking, sigma_q)
+    run = replay(net, net.initial_counts, sigma_q)
 
     # Agents left on forbidden final places hop onto anonymous ground.
     target = offline.graph.marking(choice.index)
@@ -282,22 +285,22 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     for p in range(len(offline.escapes)):
         if vectors.g[p] and target[p]:
             hops.extend([offline.escapes[p][0]] * target[p])
-    tail = replay(offline.net, run.final, hops)
-    total = sequence_cost(offline.net, sigma_q) + sequence_cost(offline.net, hops)
+    tail = replay(net, run.counts, hops)
+    team = sigma_q + tuple(hops)
+    total = sequence_cost(net, team)
     word = run.word + tail.word[1:]
 
     # Defensive checks; a corrupt cache is the realistic way to trip these.
     if total != choice.cost or \
             sequence_cost(offline.monitored.net, sigma_m) != offline.graph.q(choice.index):
         raise IntegrityError("abstract and base run costs disagree")
-    for i, p in enumerate(offline.simplified.base_place):
-        if run.final[p] != target[i]:
+    for p, count in zip(offline.simplified.base_place, target):
+        if run.counts.get(p, 0) != count:
             raise IntegrityError("base run does not reproduce the target marking")
-    if not holds(spec, word, tail.final, offline.net.labels):
+    if not holds(spec, word, tail.counts, net.labels):
         raise IntegrityError("selected run does not satisfy the formula")
 
-    team = sigma_q + tuple(hops)
-    place_paths = decompose_agents(offline.net, team, offline.starts)
+    place_paths = decompose_agents(net, team, offline.starts)
     cell_paths = tuple(tuple(offline.cells[p] for p in path) for path in place_paths)
     return Plan(
         total_cost=total,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple, Union
 
 from .errors import SpecShapeError, SpecSyntaxError, UnknownPropositionError
 from .petri import END, VISIT, Atom, Marking, PetriNet
@@ -255,20 +255,27 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
     return SpecVectors(tuple(z_list), tuple(d_list), tuple(g))
 
 
-def holds(spec: BooleanSpec, word: Sequence[frozenset], final_marking: Marking,
+def holds(spec: BooleanSpec, word: Sequence[frozenset],
+          final_marking: Union[Marking, Mapping[int, int]],
           labels: Sequence[frozenset]) -> bool:
     """Evaluate the formula on a finished run of the movement net.
 
     ``word`` is the proposition word from :func:`tampnet.petri.replay`
     (initial occupancy included); ``labels`` are the movement net's place
-    labels, aligned with ``final_marking``. Only the labels of occupied
-    places are read.
+    labels. ``final_marking`` is the run's last marking, either in full
+    (aligned with ``labels``) or as the ``{place: count}`` map of its
+    occupied places (``ReplayResult.counts``). Only the labels of occupied
+    places are read, so from a map the check costs the word and the
+    occupied places.
     """
-    if len(final_marking) != len(labels):
+    if isinstance(final_marking, Mapping):
+        occupied = map(labels.__getitem__, final_marking)
+    elif len(final_marking) != len(labels):
         raise ValueError("final marking and labels disagree on place count")
+    else:
+        occupied = compress(labels, final_marking)
     visited = {a.name for a in frozenset().union(*word) if a.kind == VISIT}
-    occupied_ends = {a.name for a in frozenset().union(*compress(labels, final_marking))
-                     if a.kind == END}
+    occupied_ends = {a.name for a in frozenset().union(*occupied) if a.kind == END}
     for clause in spec.trajectory_clauses:
         if not clause & visited:
             return False

@@ -142,6 +142,27 @@ def test_replay_matches_firing_step_by_step(demo_offline, plant_offline):
             assert sequence_cost(net, sigma) == sum((net.cost[t] for t in sigma), Fraction(0))
 
 
+def test_replay_from_counts_matches_replay_from_the_marking(demo_offline, plant_offline):
+    rng = random.Random("replay-counts")
+    for name, net in _replay_nets(demo_offline, plant_offline).items():
+        assert net.initial_counts == replay(net, net.initial_marking, ()).counts, name
+        for _ in range(10):
+            start = replay(net, net.initial_marking,
+                           _random_run(net, net.initial_marking, rng, rng.randrange(0, 10)))
+            m = start.final
+            assert start.counts == {p: c for p, c in enumerate(m) if c}, name
+            sigma = _random_run(net, m, rng, rng.randrange(0, 30))
+            before = dict(start.counts)
+            run = replay(net, start.counts, sigma)
+            assert start.counts == before, name
+            assert run == replay(net, m, sigma), name
+            assert run.final == _fold_with_fire(net, m, sigma)[0], name
+    net = _chain()
+    for bad in ({3: 1}, {-1: 1}, {0: 0}, {"0": 1}):
+        with pytest.raises(ValueError, match="counts map"):
+            replay(net, bad, ())
+
+
 def test_replay_raises_the_firing_error_of_fire(demo_offline, plant_offline):
     rng = random.Random("replay-illegal")
     for name, net in _replay_nets(demo_offline, plant_offline).items():

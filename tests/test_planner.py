@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,9 +12,9 @@ from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
 from tampnet.grid import DIRECTIONS, cell_labels
-from tampnet.petri import replay, sequence_cost
+from tampnet.petri import enabled, fire, replay, sequence_cost
 from tampnet.planner import decompose_agents, escape_steps
-from tampnet.taskspec import SpecVectors, holds
+from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
 from conftest import EMPTY, hand_net, random_env, scan_select, square_env
 
@@ -238,8 +241,102 @@ def test_plan_matches_the_oracle_on_random_maps():
             oracle = joint_search(env, spec)
             if isinstance(result, Plan):
                 assert oracle is not None and oracle.cost == result.total_cost, spec
+                # the route, escape hops included, against a full-marking replay
+                run = replay(offline.net, offline.net.initial_marking, result.team_sequence)
+                assert result.satisfied_trace == run.word, spec
+                assert holds(spec, run.word, run.final, offline.net.labels), spec
                 verdicts["feasible"] += 1
             else:
                 assert oracle is None, spec
                 verdicts["infeasible"] += 1
     assert min(verdicts.values()) > 0
+
+
+DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
+
+
+def _chosen(offline, spec):
+    vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
+    return select_target(offline.graph, vectors, offline.escapes).index
+
+
+def _cheaper_target(offline, spec):
+    """The chosen marking's cost column reads one unit of the scale low."""
+    qs = copy.copy(offline.graph.qs)
+    qs[_chosen(offline, spec)] -= 1
+    return dataclasses.replace(offline, graph=dataclasses.replace(offline.graph, qs=qs))
+
+
+def _rerouted_edge(offline, spec):
+    """The chosen marking's tree edge names another move from its parent:
+    one of equal cost that fires but ends on another placement."""
+    graph, net = offline.graph, offline.monitored.net
+    mobility = len(offline.simplified.base_place)
+    i = _chosen(offline, spec)
+    parent, t = graph.marking(graph.parent[i - 1]), graph.transition[i - 1]
+    other = next(u for u in range(net.num_transitions)
+                 if u != t and net.cost[u] == net.cost[t] and enabled(net, parent, u)
+                 and fire(net, parent, u)[:mobility] != graph.marking(i)[:mobility])
+    transition = copy.copy(graph.transition)
+    transition[i - 1] = other
+    return dataclasses.replace(offline, graph=dataclasses.replace(graph, transition=transition))
+
+
+def _unlabeled_net(offline, spec):
+    """A movement net of the same moves with every place label dropped."""
+    net = dataclasses.replace(offline.net, labels=(EMPTY,) * offline.net.num_places)
+    return dataclasses.replace(offline, net=net)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_cheaper_target, "abstract and base run costs disagree"),
+    (_rerouted_edge, "base run does not reproduce the target marking"),
+    (_unlabeled_net, "selected run does not satisfy the formula"),
+])
+def test_plan_refuses_a_tampered_offline_model(demo_env, demo_offline, tamper, message):
+    spec = parse(DEMO_SPEC)
+    assert isinstance(plan(demo_env, spec, demo_offline), Plan)
+    with pytest.raises(IntegrityError, match=message):
+        plan(demo_env, spec, tamper(demo_offline, spec))
+
+
+class _Passes(tuple):
+    """A tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_feasible_query_makes_no_pass_over_the_movement_nets_places():
+    # 6,400 places, 5 of them in the reduced net. A pass over the net's
+    # labels or initial marking shows in their pass counts, and anything a
+    # query allocates with one slot per place shows as 8 bytes a place.
+    # The second formula makes the agent that visits a hop off it.
+    side = 80
+    env = square_env(side, [
+        {"name": "a", "cells": [[5, 70]], "trajectory_props": ["a"], "final_props": ["a"]},
+        {"name": "b", "cells": [[70, 5]], "final_props": ["b"]},
+        {"name": "c", "cells": [[40, 40]], "trajectory_props": ["c"]},
+    ], agents=[(0, 0), (side - 1, side - 1)])
+    offline = build_offline(env)
+    places = offline.net.num_places
+    assert places == side * side
+    labels, marking = _Passes(offline.net.labels), _Passes(offline.net.initial_marking)
+    net = dataclasses.replace(offline.net, labels=labels, initial_marking=marking)
+    offline = dataclasses.replace(offline, net=net)
+    for text in ("visit(a) & visit(c) & end(b)", "visit(a) & !end(a) & end(b)"):
+        plan(env, text, offline)  # per-net values computed on first use
+        labels.passes = marking.passes = 0
+        tracemalloc.start()
+        try:
+            result = plan(env, text, offline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(result, Plan), text
+        assert len(result.team_sequence) >= 100, text
+        assert (labels.passes, marking.passes) == (0, 0), text
+        assert peak < 8 * places, (text, peak)

@@ -140,13 +140,15 @@ def test_holds_on_hand_built_runs():
     word_stay = (frozenset({Atom(VISIT, "a")}),)
     word_move = word_stay + (frozenset({Atom(END, "b")}),)
 
-    assert holds(parse("visit(a)"), word_stay, (1, 0), net.labels)
-    assert holds(parse("visit(a) & end(b)"), word_move, (0, 1), net.labels)
-    assert not holds(parse("end(b)"), word_stay, (1, 0), net.labels)
-    assert not holds(parse("!visit(a)"), word_stay, (1, 0), net.labels)
-    assert not holds(parse("!end(b)"), word_move, (0, 1), net.labels)
-    assert holds(parse("!end(b)"), word_stay, (1, 0), net.labels)
-    assert holds(parse("true"), word_stay, (1, 0), net.labels)
+    # each final marking in full, then as the map of its occupied places
+    for stay, move in (((1, 0), (0, 1)), ({0: 1}, {1: 1})):
+        assert holds(parse("visit(a)"), word_stay, stay, net.labels)
+        assert holds(parse("visit(a) & end(b)"), word_move, move, net.labels)
+        assert not holds(parse("end(b)"), word_stay, stay, net.labels)
+        assert not holds(parse("!visit(a)"), word_stay, stay, net.labels)
+        assert not holds(parse("!end(b)"), word_move, move, net.labels)
+        assert holds(parse("!end(b)"), word_stay, stay, net.labels)
+        assert holds(parse("true"), word_stay, stay, net.labels)
 
 
 def test_holds_checks_place_count():
