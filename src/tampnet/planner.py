@@ -1,12 +1,12 @@
 """Online planning: pick the cheapest satisfying basis marking, lift it back.
 
 The offline half compiles an environment once (movement net, reduction,
-indicators, basis graph); the online half answers one formula: compile it to
-clause vectors, combine the basis graph's per-place occupancy bitsets to
-find the cheapest marking meeting every clause, walk the parent edges back
-to the root, lift abstract transitions to grid moves, and split the move
-sequence into per-agent paths. Infeasibility is a first-class result, not
-an exception.
+indicators, basis graph); the online half answers one formula: compile it
+once to one ascending place list per clause, combine the basis graph's
+per-place occupancy bitsets to find the cheapest marking meeting every
+clause, walk the parent edges back to the root, lift abstract transitions
+to grid moves, and split the move sequence into per-agent paths.
+Infeasibility is a first-class result, not an exception.
 """
 
 from __future__ import annotations
@@ -111,12 +111,8 @@ def load_offline(env: Environment, cache_path) -> OfflineModel:
     return _offline(env, lambda monitored: load_cache(cache_path, monitored))
 
 
-def _supports(vec) -> Tuple[int, ...]:
-    return tuple(p for p, v in enumerate(vec) if v)
-
-
 class _Constraints(NamedTuple):
-    """A formula's clause vectors as place lists over the reduced net.
+    """A compiled formula split for one query.
 
     ``final`` clauses leave out the ``soft`` forbidden places (those an
     agent may step off, so a token there no longer counts as ending there).
@@ -124,8 +120,8 @@ class _Constraints(NamedTuple):
     places without an escape move, and the rest of the forbidden places.
     """
 
-    trajectory: List[Tuple[int, ...]]
-    final: List[Tuple[int, ...]]
+    trajectory: Tuple[Tuple[int, ...], ...]
+    final: Tuple[Tuple[int, ...], ...]
     soft: List[int]
     stuck: List[int]
 
@@ -133,15 +129,15 @@ class _Constraints(NamedTuple):
 def _constraints(graph: BasisGraph, vectors: SpecVectors,
                  escapes: Sequence) -> _Constraints:
     n = len(graph.occupied)
-    for vec in (*vectors.z_list, *vectors.d_list, vectors.g):
-        if len(vec) != n:
-            raise ValueError("clause vector length does not match the net")
-    g_sup = _supports(vectors.g)
+    for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
+        for p in places:
+            if not 0 <= p < n:
+                raise ValueError(f"place {p} is not a place of the net")
     mobility = len(escapes)
-    soft = [p for p in g_sup if p < mobility]
-    stuck = [p for p in g_sup if p >= mobility or escapes[p] is None]
-    final = [tuple(p for p in _supports(v) if p not in soft) for v in vectors.d_list]
-    return _Constraints([_supports(v) for v in vectors.z_list], final, soft, stuck)
+    soft = [p for p in vectors.forbidden if p < mobility]
+    stuck = [p for p in vectors.forbidden if p >= mobility or escapes[p] is None]
+    final = tuple(tuple(p for p in places if p not in soft) for places in vectors.final)
+    return _Constraints(vectors.trajectory, final, soft, stuck)
 
 
 def _any_of(graph: BasisGraph, places) -> int:
@@ -164,7 +160,7 @@ def _meeting(graph: BasisGraph, clauses) -> int:
 def select_target(graph: BasisGraph, vectors: SpecVectors,
                   escapes: Sequence[Optional[Tuple[int, Fraction]]] = (),
                   ) -> Optional[TargetChoice]:
-    """Cheapest way to end on a basis marking meeting every clause vector.
+    """Cheapest way to end on a basis marking meeting every clause.
 
     ``escapes`` (indexed like the reduced places, see OfflineModel) enables
     pricing of forbidden final places: each token ending on forbidden place
@@ -282,8 +278,8 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     # Agents left on forbidden final places hop onto anonymous ground.
     target = offline.graph.marking(choice.index)
     hops: List[int] = []
-    for p in range(len(offline.escapes)):
-        if vectors.g[p] and target[p]:
+    for p in vectors.forbidden:
+        if p < len(offline.escapes) and target[p]:
             hops.extend([offline.escapes[p][0]] * target[p])
     tail = replay(net, run.counts, hops)
     team = sigma_q + tuple(hops)

@@ -100,15 +100,19 @@ def _norm_clauses(clauses) -> Tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class SpecVectors:
-    """Formula compiled against a monitored net, one 0/1 vector per clause.
+    """Formula compiled against a monitored net, as ascending place ids.
 
-    A basis marking M satisfies the formula iff z . M >= 1 for every z in
-    ``z_list``, d . M >= 1 for every d in ``d_list``, and g . M == 0.
+    ``trajectory[i]`` and ``final[i]`` hold the places of the spec's i-th
+    ``trajectory_clauses`` and ``final_clauses`` entry; ``forbidden`` holds
+    every place a negated atom binds. Each tuple is the support of one of
+    the paper's 0/1 vectors: a basis marking M satisfies the formula iff
+    z . M >= 1 for every trajectory clause z, d . M >= 1 for every final
+    clause d, and g . M == 0 for the forbidden places g.
     """
 
-    z_list: Tuple[Tuple[int, ...], ...]
-    d_list: Tuple[Tuple[int, ...], ...]
-    g: Tuple[int, ...]
+    trajectory: Tuple[Tuple[int, ...], ...]
+    final: Tuple[Tuple[int, ...], ...]
+    forbidden: Tuple[int, ...]
 
 
 def _tokenize(text: str):
@@ -213,10 +217,9 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
 
     Trajectory propositions bind to their indicator place via
     ``indicator_of``; end propositions bind to every place labeled with them.
+    Clauses keep the spec's order; each lists its places ascending and once.
     Unbound names raise :class:`UnknownPropositionError`.
     """
-    n = net.num_places
-
     def indicator(name: str) -> int:
         try:
             return indicator_of[name]
@@ -226,33 +229,21 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
 
     def end_places(name: str):
         atom = Atom(END, name)
-        places = [p for p in range(n) if atom in net.labels[p]]
+        places = [p for p, labels in enumerate(net.labels) if atom in labels]
         if not places:
             raise UnknownPropositionError(
                 f"final proposition {name!r} is not defined by the environment")
         return places
 
-    z_list = []
-    for clause in spec.trajectory_clauses:
-        vec = [0] * n
-        for name in clause:
-            vec[indicator(name)] = 1
-        z_list.append(tuple(vec))
-    d_list = []
-    for clause in spec.final_clauses:
-        vec = [0] * n
-        for name in clause:
-            for p in end_places(name):
-                vec[p] = 1
-        d_list.append(tuple(vec))
-    g = [0] * n
+    trajectory = tuple(tuple(sorted({indicator(name) for name in clause}))
+                       for clause in spec.trajectory_clauses)
+    final = tuple(tuple(sorted({p for name in clause for p in end_places(name)}))
+                  for clause in spec.final_clauses)
+    forbidden = set()
     for atom in spec.forbidden:
-        if atom.kind == VISIT:
-            g[indicator(atom.name)] = 1
-        else:
-            for p in end_places(atom.name):
-                g[p] = 1
-    return SpecVectors(tuple(z_list), tuple(d_list), tuple(g))
+        forbidden.update([indicator(atom.name)] if atom.kind == VISIT
+                         else end_places(atom.name))
+    return SpecVectors(trajectory, final, tuple(sorted(forbidden)))
 
 
 def holds(spec: BooleanSpec, word: Sequence[frozenset],

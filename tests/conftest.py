@@ -260,19 +260,17 @@ def assert_matches_reference(qm, graph):
 
 def _split_forbidden(vectors, escapes):
     mobility = len(escapes)
-    g_sup = [p for p, v in enumerate(vectors.g) if v]
-    soft = [p for p in g_sup if p < mobility]
-    hard = [p for p in g_sup if p >= mobility]
-    return g_sup, soft, hard
+    soft = [p for p in vectors.forbidden if p < mobility]
+    hard = [p for p in vectors.forbidden if p >= mobility]
+    return soft, hard
 
 
 def scan_select(graph, vectors, escapes):
     """Reference for select_target: plain full scan over the marking
     tuples, no early exit."""
-    _, soft, hard = _split_forbidden(vectors, escapes)
-    need = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
-    need += [[p for p, v in enumerate(d) if v and p not in soft]
-             for d in vectors.d_list]
+    soft, hard = _split_forbidden(vectors, escapes)
+    need = list(vectors.trajectory)
+    need += [[p for p in places if p not in soft] for places in vectors.final]
     best = None
     for i, m in enumerate(markings_of(graph)):
         if any(m[p] for p in hard):
@@ -294,10 +292,9 @@ def scan_select(graph, vectors, escapes):
 
 def scan_diagnose(graph, vectors, escapes):
     """Reference for diagnose_infeasibility: one tuple scan per family."""
-    g_sup, soft, hard = _split_forbidden(vectors, escapes)
-    z_sup = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
-    d_sup = [[p for p, v in enumerate(d) if v and p not in soft]
-             for d in vectors.d_list]
+    soft, hard = _split_forbidden(vectors, escapes)
+    z_sup = vectors.trajectory
+    d_sup = [[p for p in places if p not in soft] for places in vectors.final]
 
     def ever(check) -> bool:
         return any(check(m) for m in markings_of(graph))
@@ -312,7 +309,7 @@ def scan_diagnose(graph, vectors, escapes):
         failing.append("trajectory")
     if d_sup and not ever(lambda m: all(any(m[p] for p in s) for s in d_sup)):
         failing.append("final")
-    if g_sup and not ever(clearable):
+    if vectors.forbidden and not ever(clearable):
         failing.append("forbidden")
     return tuple(failing) if failing else ("combination",)
 

@@ -28,7 +28,7 @@ PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
 
 
 def random_vectors(rng, n, mobility, indicators, pool=None):
-    """Clause vectors over ``n`` places: trajectory clauses over the
+    """Compiled clauses over ``n`` places: trajectory clauses over the
     indicator places, final clauses over the first ``mobility`` places and
     forbidden places anywhere in ``pool``; sometimes every place of one
     final clause is also forbidden, so dropping the soft ones empties it."""
@@ -36,17 +36,16 @@ def random_vectors(rng, n, mobility, indicators, pool=None):
     finals = [p for p in pool if p < mobility]
 
     def clause(places):
-        sup = set(rng.sample(places, rng.randrange(1, min(3, len(places)) + 1)))
-        return tuple(int(p in sup) for p in range(n))
+        return tuple(sorted(rng.sample(places, rng.randrange(1, min(3, len(places)) + 1))))
 
-    z_list = tuple(clause(indicators) for _ in range(rng.randrange(0, 3))) \
+    trajectory = tuple(clause(indicators) for _ in range(rng.randrange(0, 3))) \
         if indicators else ()
-    d_list = tuple(clause(finals) for _ in range(rng.randrange(0, 3))) \
+    final = tuple(clause(finals) for _ in range(rng.randrange(0, 3))) \
         if finals else ()
-    g = set(rng.sample(pool, rng.randrange(0, min(4, len(pool)) + 1)))
-    if d_list and rng.random() < 0.2:
-        g |= {p for p, v in enumerate(d_list[0]) if v}
-    return SpecVectors(z_list, d_list, tuple(int(p in g) for p in range(n)))
+    forbidden = set(rng.sample(pool, rng.randrange(0, min(4, len(pool)) + 1)))
+    if final and rng.random() < 0.2:
+        forbidden |= set(final[0])
+    return SpecVectors(trajectory, final, tuple(sorted(forbidden)))
 
 
 def random_escapes(rng, mobility, real=None):
@@ -131,8 +130,7 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
     # places 0..4 are the demo's reduced places; forbidding every place of
     # a final clause leaves it empty once an agent may step off them
     graph = demo_offline.graph
-    d = tuple(int(p in (1, 2)) for p in range(7))
-    vectors = SpecVectors((), (d,), d)
+    vectors = SpecVectors((), ((1, 2),), (1, 2))
     for escapes in (demo_offline.escapes, (None,) * 5):
         assert select_target(graph, vectors, escapes) is None
         assert diagnose_infeasibility(graph, vectors, escapes) \
@@ -191,12 +189,10 @@ def enumerated_bound(graph, vectors, escapes):
     """Candidates a query may read: every marking meeting the clauses,
     in index order, up to the first one that pays no escape hop."""
     mobility = len(escapes)
-    g_sup = [p for p, v in enumerate(vectors.g) if v]
-    soft = [p for p in g_sup if p < mobility]
-    stuck = [p for p in g_sup if p >= mobility or escapes[p] is None]
-    need = [[p for p, v in enumerate(z) if v] for z in vectors.z_list]
-    need += [[p for p, v in enumerate(d) if v and p not in soft]
-             for d in vectors.d_list]
+    soft = [p for p in vectors.forbidden if p < mobility]
+    stuck = [p for p in vectors.forbidden if p >= mobility or escapes[p] is None]
+    need = list(vectors.trajectory)
+    need += [[p for p in places if p not in soft] for places in vectors.final]
     count = 0
     for m in markings_of(graph):
         if any(m[p] for p in stuck):
@@ -226,7 +222,7 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
         for escapes in ((), plant_offline.escapes):
             markings.reads = 0
             choice = select_target(graph, vectors, escapes)
-            soft = bool(escapes) and any(vectors.g[:mobility])
+            soft = any(p < len(escapes) for p in vectors.forbidden)
             if soft:
                 hopping += 1
                 assert markings.reads <= enumerated_bound(built, vectors, escapes)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Infeasible, Plan, build_offline, joint_search, parse,
-                     parse_env, plan, save_cache, select_target)
+from tampnet import (Infeasible, Plan, build_offline, diagnose_infeasibility,
+                     joint_search, parse, parse_env, plan, save_cache,
+                     select_target)
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
@@ -34,15 +35,13 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
     mobility = 5
 
     def clause(pool):
-        sup = rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))
-        return tuple(1 if p in sup else 0 for p in range(n))
+        return tuple(sorted(rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))))
 
     vectors = SpecVectors(
-        z_list=tuple(clause([5, 6]) for _ in range(rng.randrange(0, 3))),
-        d_list=tuple(clause(list(range(mobility)))
-                     for _ in range(rng.randrange(0, 3))),
-        g=tuple(1 if p in rng.sample(range(n), rng.randrange(0, 4)) else 0
-                for p in range(n)),
+        trajectory=tuple(clause([5, 6]) for _ in range(rng.randrange(0, 3))),
+        final=tuple(clause(list(range(mobility)))
+                    for _ in range(rng.randrange(0, 3))),
+        forbidden=tuple(sorted(rng.sample(range(n), rng.randrange(0, 4)))),
     )
     if rng.random() < 0.25:
         escapes = ()
@@ -57,10 +56,16 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
     assert select_target(demo_loaded, vectors, escapes) == expected
 
 
-def test_select_target_checks_vector_length(demo_offline):
-    with pytest.raises(ValueError):
-        select_target(demo_offline.graph,
-                      SpecVectors(((1, 0),), (), (0,) * 7))
+def test_queries_reject_places_outside_the_graph(demo_offline):
+    graph = demo_offline.graph
+    for place in (-1, len(graph.occupied)):
+        for vectors in (SpecVectors(((place,),), (), ()),
+                        SpecVectors((), ((0, place),), ()),
+                        SpecVectors((), (), (place,))):
+            with pytest.raises(ValueError):
+                select_target(graph, vectors)
+            with pytest.raises(ValueError):
+                diagnose_infeasibility(graph, vectors)
 
 
 def test_demo_plan_is_frozen(demo_env, demo_offline):

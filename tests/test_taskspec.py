@@ -4,7 +4,8 @@ from tampnet import parse
 from tampnet.errors import (SpecShapeError, SpecSyntaxError,
                             UnknownPropositionError)
 from tampnet.petri import Atom, END, VISIT
-from tampnet.taskspec import BooleanSpec, compile_vectors, format_spec, holds
+from tampnet.taskspec import (BooleanSpec, SpecVectors, compile_vectors,
+                              format_spec, holds)
 
 from conftest import hand_net
 
@@ -107,15 +108,41 @@ def test_compile_vectors_against_demo_monitor(demo_offline):
 
     vec = compile_vectors(parse("visit(1) & end(3) & !visit(2)"),
                           qm.net, qm.indicator_of)
-    assert vec.z_list == ((0, 0, 0, 0, 0, 1, 0),)
-    assert vec.d_list == ((0, 0, 0, 0, 1, 0, 0),)
-    assert vec.g == (0, 0, 0, 0, 0, 0, 1)
+    assert vec == SpecVectors(trajectory=((5,),), final=((4,),), forbidden=(6,))
 
     vec = compile_vectors(parse("(visit(1) | visit(2)) & !end(3)"),
                           qm.net, qm.indicator_of)
-    assert vec.z_list == ((0, 0, 0, 0, 0, 1, 1),)
-    assert vec.d_list == ()
-    assert vec.g == (0, 0, 0, 0, 1, 0, 0)
+    assert vec == SpecVectors(trajectory=((5, 6),), final=(), forbidden=(4,))
+
+
+def test_compile_vectors_against_plant_monitor(plant_offline):
+    # each plant region is two cells, so an end atom binds two places:
+    # end(1) -> 6, 7; end(2) -> 12, 13; end(5) -> 0, 1; end(10) -> 18, 19;
+    # the visit latches of 3, 4, 6 and 9 are places 25, 26, 28 and 31
+    qm = plant_offline.monitored
+    spec = parse("end(10) & (end(2) | end(1)) & (visit(9) | visit(6)) & visit(3)"
+                 " & !end(5) & !visit(4)")
+    assert spec.final_clauses == (frozenset({"1", "2"}), frozenset({"10"}))
+    assert spec.trajectory_clauses == (frozenset({"3"}), frozenset({"6", "9"}))
+    vec = compile_vectors(spec, qm.net, qm.indicator_of)
+    assert vec == SpecVectors(trajectory=((25,), (28, 31)),
+                              final=((6, 7, 12, 13), (18, 19)),
+                              forbidden=(0, 1, 26))
+
+
+def test_compile_vectors_lists_shared_places_once():
+    # place 0 carries end(a) and end(b), place 1 carries end(b) only, and
+    # visit(u) and visit(w) share the latch place 2
+    net = hand_net(3, [((0,), (1,), 1)],
+                   [frozenset({Atom(END, "a"), Atom(END, "b")}),
+                    frozenset({Atom(END, "b")}), frozenset()], (1, 0, 0))
+    indicator_of = {"u": 2, "w": 2}
+    vec = compile_vectors(parse("(end(b) | end(a)) & (visit(w) | visit(u))"),
+                          net, indicator_of)
+    assert vec == SpecVectors(trajectory=((2,),), final=((0, 1),), forbidden=())
+    vec = compile_vectors(parse("!end(a) & !end(b) & !visit(u) & !visit(w)"),
+                          net, indicator_of)
+    assert vec == SpecVectors(trajectory=(), final=(), forbidden=(0, 1, 2))
 
 
 @pytest.mark.parametrize("text", ["visit(3)", "end(1)", "!visit(nope)"])
