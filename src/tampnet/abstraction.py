@@ -10,8 +10,10 @@ The reduction runs in exact integers: move costs are scaled once by the LCM
 of their denominators, and ``Fraction`` appears only in the results
 (``MinimalSequence.cost`` and the reduced net's costs). It runs one
 Dijkstra per source place, with the other labeled places as sinks that are
-reached but never expanded, and reads each target's sequence off the
-cheapest-route DAG of that one search.
+reached but never expanded; the search stops once its last sink is
+settled. One sweep back over the settled places marks which sinks each
+place reaches on the cheapest-route DAG of that search, and each target's
+sequence is read off that DAG.
 
 The monitored net adds one latch place per trajectory proposition: every
 abstract transition that ends on a cell carrying the proposition also
@@ -72,68 +74,103 @@ class _Moves:
     adjacency, built once per net.
 
     ``out[p]`` lists ``(t, q, w)`` in ascending transition id for the moves
-    from ``p`` to ``q``; ``into[q]`` lists ``(p, w)`` for the moves into
-    ``q``. ``w`` is the move's cost times ``scale``, the LCM of all cost
-    denominators, so every weight and every route cost is an exact integer.
+    from ``p`` to ``q``. ``w`` is the move's cost times ``scale``, the LCM
+    of all cost denominators, so every weight and every route cost is an
+    exact integer.
     """
 
     def __init__(self, net: PetriNet):
         weights, self.scale = net.integer_costs
         self.out = [[] for _ in range(net.num_places)]
-        self.into = [[] for _ in range(net.num_places)]
-        for t in range(net.num_transitions):
-            if len(net.pre[t]) == 1 and len(net.post[t]) == 1:
-                p, q = net.pre[t][0], net.post[t][0]
-                self.out[p].append((t, q, weights[t]))
-                self.into[q].append((p, weights[t]))
+        for t, ps, qs, w in zip(range(net.num_transitions), net.pre, net.post, weights):
+            if len(ps) == 1 and len(qs) == 1:
+                self.out[ps[0]].append((t, qs[0], w))
 
-    def cheapest(self, source: int, sinks) -> List[Optional[int]]:
-        """Dijkstra from ``source``: scaled cost of the cheapest route to
-        every place (None if unreachable). Places in ``sinks`` are reached
-        but never expanded, so no route passes through one."""
-        dist: List[Optional[int]] = [None] * len(self.out)
-        dist[source] = 0
-        heap = [(0, source)]
+    def cheapest(self, source: int, sink: bytearray,
+                 sinks: int) -> Tuple[List[Optional[int]], List[int]]:
+        """Dijkstra from ``source`` over the places whose ``sink`` flag is 0.
+
+        Flagged places are reached but never expanded, so no route passes
+        through one; there are ``sinks`` of them, and the search stops once
+        the last is settled. Returns ``(dist, settled)``: the scaled cost of
+        the cheapest route to every settled place (None if unreachable),
+        and the settled places in the order settled. A place reached but
+        not settled before the stop may hold a higher, unfinished cost:
+        every settled sink's cost is below it, so no cheapest route to a
+        sink passes through it.
+
+        The heap holds one int per entry, ``cost << shift | place``, which
+        orders like the pair (cost, place).
+        """
         out = self.out
+        shift = len(out).bit_length()
+        mask = (1 << shift) - 1
+        dist: List[Optional[int]] = [None] * len(out)
+        dist[source] = 0
+        settled = []
+        heap = [source]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, p = heapq.heappop(heap)
-            if d > dist[p] or p in sinks:
+            key = pop(heap)
+            p = key & mask
+            d = key >> shift
+            if d != dist[p]:
+                continue
+            settled.append(p)
+            if sink[p]:
+                sinks -= 1
+                if not sinks:
+                    break
                 continue
             for _, q, w in out[p]:
                 nd = d + w
                 old = dist[q]
                 if old is None or nd < old:
                     dist[q] = nd
-                    heapq.heappush(heap, (nd, q))
-        return dist
+                    push(heap, nd << shift | q)
+        return dist, settled
 
-    def route(self, dist: List[Optional[int]], source: int, target: int,
-              sinks) -> MinimalSequence:
-        """Lexicographically smallest cheapest route from ``source`` to a
-        reached ``target``, read off the cheapest-route DAG of ``dist``.
+    def reaching(self, dist: List[Optional[int]], settled: List[int], sink: bytearray,
+                 bit: Dict[int, int]) -> List[int]:
+        """For every place, the set of sinks (a bitset of ``bit[s]``) that
+        it reaches in the cheapest-route DAG of one ``cheapest`` search.
 
         The DAG holds the moves ``p -> q`` with ``dist[p] + w == dist[q]``
-        out of expanded places; its paths from source to target are exactly
-        the cheapest routes. A backward sweep from the target marks the
-        places that still reach it; the forward walk then takes, at every
-        step, the smallest transition id whose head is marked. Costs are
-        positive, so no cheapest route is a prefix of another and this
-        greedy choice yields the smallest transition-id tuple.
+        out of expanded places; its paths from the source to a sink are
+        exactly the cheapest routes. Costs are positive, so every move of
+        the DAG ends on a place settled after its start, and one sweep in
+        reverse settling order sees each head before its tail.
         """
-        reaches = {target}
-        stack = [target]
-        while stack:
-            q = stack.pop()
-            for p, w in self.into[q]:
-                if p not in reaches and p not in sinks and dist[p] is not None \
-                        and dist[p] + w == dist[q]:
-                    reaches.add(p)
-                    stack.append(p)
+        out = self.out
+        reach = [0] * len(out)
+        for p in reversed(settled):
+            if sink[p]:
+                reach[p] = bit[p]
+                continue
+            d = dist[p]
+            r = 0
+            for _, q, w in out[p]:
+                if d + w == dist[q]:
+                    r |= reach[q]
+            reach[p] = r
+        return reach
+
+    def route(self, dist: List[Optional[int]], reach: List[int], source: int,
+              target: int, bit: int) -> MinimalSequence:
+        """Lexicographically smallest cheapest route from ``source`` to a
+        settled ``target`` whose ``reaching`` bit is ``bit``.
+
+        The walk takes, at every step, the smallest transition id of a DAG
+        move whose head still reaches the target. Costs are positive, so no
+        cheapest route is a prefix of another and this greedy choice yields
+        the smallest transition-id tuple.
+        """
         seq = []
         p = source
         while p != target:
+            d = dist[p]
             for t, q, w in self.out[p]:
-                if q in reaches and dist[p] + w == dist[q]:
+                if reach[q] & bit and d + w == dist[q]:
                     seq.append(t)
                     p = q
                     break
@@ -156,28 +193,39 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     Dijkstra runs per source p with every other labeled place as a sink.
     A sink is never expanded, so the routes to p' avoid every labeled place
     but p and p'; p' being a sink too changes nothing, since with positive
-    costs a cheapest route never passes through its own end. Each target's
+    costs a cheapest route never passes through its own end. Each search
+    stops once its last sink is settled; one backward sweep over the places
+    it settled marks which targets each place reaches, and each target's
     sequence is then read off that one search (see ``_Moves.route``).
     """
     labeled = labeled_places(net)
     started = tuple(p for p in range(net.num_places) if net.initial_marking[p] > 0)
     base = tuple(sorted(set(labeled) | set(started)))
     index = {p: i for i, p in enumerate(base)}
-    labeled_set = frozenset(labeled)
+    bit = {q: 1 << k for k, q in enumerate(labeled)}
+    sink = bytearray(net.num_places)
+    for q in labeled:
+        sink[q] = 1
     moves = _Moves(net)
 
     lift_map = []
     pre = []
     post = []
     for p in base:
-        sinks = labeled_set - {p}
-        dist = moves.cheapest(p, sinks)
+        own = sink[p]
+        sinks = len(labeled) - own
+        if not sinks:
+            continue
+        sink[p] = 0
+        dist, settled = moves.cheapest(p, sink, sinks)
+        reach = moves.reaching(dist, settled, sink, bit)
         for q in labeled:
             if q == p or dist[q] is None:
                 continue
-            lift_map.append(moves.route(dist, p, q, sinks))
+            lift_map.append(moves.route(dist, reach, p, q, bit[q]))
             pre.append((index[p],))
             post.append((index[q],))
+        sink[p] = own
 
     reduced = PetriNet(
         num_places=len(base),

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from html import escape
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError
@@ -219,15 +220,34 @@ def grid_index(env: Environment):
     ``moves[t]`` is (source place, target place, direction index into
     DIRECTIONS), listed per source place in direction order.
     """
+    cells, src, dst, direction = _grid_moves(env)
+    return cells, tuple(zip(src, dst, direction))
+
+
+def _grid_moves(env: Environment):
+    """The moves of ``grid_index`` as three columns: (cells, sources,
+    targets, directions).
+
+    Places are looked up in a row-major array of the grid with a one-cell
+    border of -1 (no place) around it, so a neighbour is one index offset
+    away and needs no bounds check.
+    """
     cells = free_cells(env)
-    index = {cell: i for i, cell in enumerate(cells)}
-    moves = []
-    for src, (r, c) in enumerate(cells):
-        for d, (_, (dr, dc)) in enumerate(DIRECTIONS):
-            dst = index.get((r + dr, c + dc))
-            if dst is not None:
-                moves.append((src, dst, d))
-    return cells, tuple(moves)
+    width = env.cols + 2
+    place = [-1] * ((env.rows + 2) * width)
+    for i, (r, c) in enumerate(cells):
+        place[(r + 1) * width + c + 1] = i
+    offsets = tuple((d, dr * width + dc) for d, (_, (dr, dc)) in enumerate(DIRECTIONS))
+    src, dst, direction = [], [], []
+    for i, (r, c) in enumerate(cells):
+        k = (r + 1) * width + c + 1
+        for d, off in offsets:
+            q = place[k + off]
+            if q >= 0:
+                src.append(i)
+                dst.append(q)
+                direction.append(d)
+    return cells, src, dst, direction
 
 
 def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
@@ -243,7 +263,7 @@ def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
 
 def env_to_pn(env: Environment) -> PetriNet:
     """Compile the grid into its movement net."""
-    cells, moves = grid_index(env)
+    cells, src, dst, direction = _grid_moves(env)
     by_cell = cell_labels(env)
     counts = [0] * len(cells)
     index = {cell: i for i, cell in enumerate(cells)}
@@ -251,10 +271,10 @@ def env_to_pn(env: Environment) -> PetriNet:
         counts[index[cell]] += 1
     return PetriNet(
         num_places=len(cells),
-        pre=tuple((src,) for src, _, _ in moves),
-        post=tuple((dst,) for _, dst, _ in moves),
-        cost=tuple(env.move_cost[d] for _, _, d in moves),
-        labels=tuple(by_cell.get(cell, frozenset()) for cell in cells),
+        pre=tuple(zip(src)),
+        post=tuple(zip(dst)),
+        cost=tuple(map(env.move_cost.__getitem__, direction)),
+        labels=tuple(map(by_cell.get, cells, repeat(frozenset()))),
         initial_marking=tuple(counts),
     )
 

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -32,6 +34,9 @@ Marking = Tuple[int, ...]
 
 VISIT = "visit"
 END = "end"
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class Atom(NamedTuple):
@@ -92,9 +97,41 @@ class PetriNet:
             raise ValueError("labels must have one entry per place")
         if len(self.initial_marking) != self.num_places:
             raise ValueError("initial marking size does not match place count")
-        if any(c < 0 for c in self.initial_marking):
+        if min(self.initial_marking, default=0) < 0:
             raise ValueError("initial marking must be non-negative")
-        for t in range(n):
+        try:
+            valid = self._transitions_look_valid()
+        except (AttributeError, TypeError):
+            valid = False
+        if not valid:
+            self._check_each_transition()
+        for p in self.clamp_at_one:
+            if not 0 <= p < self.num_places:
+                raise ValueError(f"clamped place {p} does not exist")
+        bad = self.clamp_at_one and self.clamp_at_one.intersection(chain.from_iterable(self.pre))
+        if bad:
+            raise ValueError(f"clamped places may not be consumed from: {sorted(bad)}")
+
+    def _transitions_look_valid(self) -> bool:
+        """The checks of ``_check_each_transition`` over every transition at
+        once, in passes that run in C: True when all of them hold."""
+        pre, post = self.pre, self.post
+        if not (all(pre) and all(post)):
+            return False
+        places = set(chain.from_iterable(pre))
+        places.update(chain.from_iterable(post))
+        if places and not (0 <= min(places) and max(places) < self.num_places):
+            return False
+        for arcs in (pre, post):
+            # only an arc list of two or more places can repeat one
+            if max(map(len, arcs), default=0) > 1 and \
+                    list(map(len, map(frozenset, arcs))) != list(map(len, arcs)):
+                return False
+        return min(map(_numerator, self.cost), default=1) > 0
+
+    def _check_each_transition(self) -> None:
+        """Raise the ValueError naming the first malformed transition."""
+        for t in range(len(self.pre)):
             if not self.pre[t] or not self.post[t]:
                 raise ValueError(f"transition {t} must have input and output places")
             for p in self.pre[t] + self.post[t]:
@@ -104,13 +141,6 @@ class PetriNet:
                 raise ValueError(f"transition {t} repeats a place in an arc list")
             if self.cost[t] <= 0:
                 raise ValueError(f"transition {t} must have positive cost")
-        for p in self.clamp_at_one:
-            if not 0 <= p < self.num_places:
-                raise ValueError(f"clamped place {p} does not exist")
-        consumed = {p for ps in self.pre for p in ps}
-        bad = consumed & set(self.clamp_at_one)
-        if bad:
-            raise ValueError(f"clamped places may not be consumed from: {sorted(bad)}")
 
     @property
     def num_transitions(self) -> int:
@@ -123,8 +153,10 @@ class PetriNet:
         ``scale`` is the LCM of the denominators. Sums and comparisons of
         weights match those of the costs exactly; divide by ``scale`` to
         get a cost back."""
-        scale = math.lcm(*(c.denominator for c in self.cost))
-        return tuple(c.numerator * (scale // c.denominator) for c in self.cost), scale
+        denominators = list(map(_denominator, self.cost))
+        scale = math.lcm(*set(denominators))
+        factors = map(scale.__floordiv__, denominators)
+        return tuple(map(mul, map(_numerator, self.cost), factors)), scale
 
     @cached_property
     def initial_counts(self) -> Mapping[int, int]:
@@ -183,10 +215,10 @@ def replay(net: PetriNet, m: Union[Marking, Mapping[int, int]],
     else:
         _check_marking(net, m)
         counts = _occupied(m)
+    _check_transitions(net, sigma)
     pre, post, labels, clamped = net.pre, net.post, net.labels, net.clamp_at_one
     word = [frozenset().union(*map(labels.__getitem__, counts))]
     for i, t in enumerate(sigma):
-        _check_transition(net, t)
         for p in pre[t]:
             if counts.get(p, 0) < 1:
                 raise FiringError(t, p, counts.get(p, 0), step=i)
@@ -206,12 +238,9 @@ def replay(net: PetriNet, m: Union[Marking, Mapping[int, int]],
 def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
     """Exact total cost of ``sigma``, summed in the net's integer weights;
     raises ValueError for an unknown transition id."""
+    _check_transitions(net, sigma)
     weights, scale = net.integer_costs
-    total = 0
-    for t in sigma:
-        _check_transition(net, t)
-        total += weights[t]
-    return Fraction(total, scale)
+    return Fraction(sum(map(weights.__getitem__, sigma)), scale)
 
 
 def _occupied(m: Marking) -> Dict[int, int]:
@@ -221,6 +250,15 @@ def _occupied(m: Marking) -> Dict[int, int]:
 def _check_transition(net: PetriNet, t) -> None:
     if not isinstance(t, int) or not 0 <= t < len(net.pre):
         raise ValueError(f"unknown transition id {t!r}")
+
+
+def _check_transitions(net: PetriNet, sigma: Sequence[int]) -> None:
+    """Raise the ValueError of ``_check_transition`` for the first bad id in
+    ``sigma``, after checking every id at once in passes that run in C."""
+    if sigma and not (all(map(isinstance, sigma, repeat(int)))
+                      and 0 <= min(sigma) and max(sigma) < len(net.pre)):
+        for t in sigma:
+            _check_transition(net, t)
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
@@ -71,17 +73,20 @@ def escape_steps(net: PetriNet,
 
     Returns one ``(transition id, cost)`` per entry of ``base`` (None when
     no unlabeled neighbor exists). Ties go to the smallest transition id.
+    Costs are compared as the net's integer weights.
     """
     owner = {p: i for i, p in enumerate(base)}
-    best: List[Optional[Tuple[int, Fraction]]] = [None] * len(base)
-    for t in range(len(net.pre)):
-        src = net.pre[t][0]
-        i = owner.get(src)
-        if i is None or net.labels[net.post[t][0]]:
+    weights = net.integer_costs[0]
+    best: List[Optional[int]] = [None] * len(base)
+    # only the moves out of a base place are read
+    out_of_base = map(owner.__contains__, map(itemgetter(0), net.pre))
+    for t in compress(range(len(net.pre)), out_of_base):
+        if net.labels[net.post[t][0]]:
             continue
-        if best[i] is None or net.cost[t] < best[i][1]:
-            best[i] = (t, net.cost[t])
-    return tuple(best)
+        i = owner[net.pre[t][0]]
+        if best[i] is None or weights[t] < weights[best[i]]:
+            best[i] = t
+    return tuple(None if t is None else (t, net.cost[t]) for t in best)
 
 
 def _offline(env: Environment,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tampnet.abstraction import (build_monitored, build_simplified,
+from tampnet.abstraction import (_Moves, build_monitored, build_simplified,
                                  labeled_places, lift)
 from tampnet.grid import env_to_pn
 from tampnet.petri import VISIT, fire, replay, sequence_cost
@@ -215,3 +215,24 @@ def test_unlabeled_world_reduces_to_isolated_starts():
     qm = build_monitored(simplified, [])
     assert qm.indicator_of == {}
     assert qm.net == simplified.net
+
+
+def test_each_search_stops_at_its_last_sink():
+    # on an open 20x20 grid both sinks sit within five moves of the source:
+    # the search settles the places up to that cost, not the whole grid
+    env = square_env(20, [{"name": "a", "cells": [[0, 1]], "final_props": ["a"]},
+                          {"name": "b", "cells": [[0, 3]], "final_props": ["b"]}],
+                     agents=[(0, 0)])
+    net = env_to_pn(env)
+    moves = _Moves(net)
+    sink = bytearray(net.num_places)
+    sink[1] = sink[3] = 1
+    dist, settled = moves.cheapest(0, sink, 2)
+    # a count above the sinks that exist never stops: the full search
+    full, everywhere = moves.cheapest(0, sink, 3)
+    assert settled[0] == 0 and settled[-1] == 3 and dist[3] == 5
+    assert len(settled) < 25 and len(everywhere) == net.num_places
+    assert all(dist[p] == full[p] for p in settled)
+    assert {p for p in everywhere if full[p] < dist[3]} <= set(settled)
+    routes = {(m.source, m.target): m.cost for m in build_simplified(net).lift_map}
+    assert routes == {(0, 1): 1, (0, 3): 5, (1, 3): 2, (3, 1): 2}

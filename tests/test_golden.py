@@ -7,14 +7,20 @@ leave caches and plan JSON byte for byte as they are; a changed digest here
 means a changed answer or a changed cache format, not a style difference.
 Each cache must also be its header line plus two uint32 columns of
 ``markings - 1`` entries, and nothing more.
+
+A fourth map, ``tests/data/reduce_44x44.json``, pins the reduction at a
+size beyond the brute-force checks of ``test_abstraction.py``.
 """
 
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from tampnet import Plan, build_offline, parse_env, plan, plan_json_text, save_cache
+from tampnet import (Plan, build_offline, load_env, net_digest, parse_env, plan,
+                     plan_json_text, save_cache)
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
@@ -92,3 +98,53 @@ def test_cache_and_plan_bytes_are_pinned(name, request, tmp_path):
         env = fractional_env()
         offline, spec = build_offline(env), FRACTIONAL_SPEC
     assert _digests(env, offline, spec, tmp_path) == GOLDEN[name]
+
+
+REDUCE_MAP = Path(__file__).parent / "data" / "reduce_44x44.json"
+
+# Fingerprints of the offline model of REDUCE_MAP, recorded before the
+# reduction stopped each search once its last sink was settled.
+REDUCE_GOLDEN = {
+    "reduced_net": "c3c515fc2e8b28bd88dc5d1b676a8c2cac992541b742f300f740ee3cca3be1c9",
+    "monitored_net": "f1246ef51277fe04c7ff064455f43272191355b27bb2b6dc5552b4f7b517cb54",
+    "lift_map": "0ba975d57356a4e04018cd8f7b7ff7350587d41d7473dc9e7788d71d792e2e7a",
+    "cache": "e4ff2b5b12cc5d414f4e3967ee00c0acb54f082425d891d84ff59747c2b6663d",
+}
+
+
+def lift_map_digest(simplified) -> str:
+    """SHA-256 of the lift map as canonical JSON: one
+    ``[source, target, sequence, [numerator, denominator]]`` per transition."""
+    rows = [[m.source, m.target, list(m.sequence), [m.cost.numerator, m.cost.denominator]]
+            for m in simplified.lift_map]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+def test_reduction_of_a_large_map_is_pinned(tmp_path):
+    env = load_env(REDUCE_MAP)
+    # the map has what the pins are meant to cover: size, obstacles,
+    # fractional per-direction costs, overlapping multi-cell regions and a
+    # labeled cell walled off from every other place
+    assert env.rows >= 40 and env.cols >= 40 and env.obstacles
+    assert any(c.denominator > 1 for c in env.move_cost)
+    cells = [cell for region in env.regions for cell in region.cells]
+    assert len(set(cells)) < len(cells)
+    assert any(len(region.cells) > 1 for region in env.regions)
+    (walled,) = [region.cells[0] for region in env.regions if region.name == "W"]
+    r, c = walled
+    assert all((r + dr, c + dc) in env.obstacles
+               for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)))
+
+    offline = build_offline(env)
+    w = offline.cells.index(walled)
+    assert w in offline.simplified.base_place
+    assert all(w not in (m.source, m.target) for m in offline.simplified.lift_map)
+
+    cache = tmp_path / "graph.bin"
+    save_cache(offline.graph, offline.monitored, cache)
+    assert {
+        "reduced_net": net_digest(offline.simplified.net),
+        "monitored_net": net_digest(offline.monitored.net),
+        "lift_map": lift_map_digest(offline.simplified),
+        "cache": hashlib.sha256(cache.read_bytes()).hexdigest(),
+    } == REDUCE_GOLDEN

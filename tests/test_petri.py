@@ -213,16 +213,21 @@ def test_construction_rejects_consumed_clamped_place():
         )
 
 
-@pytest.mark.parametrize("bad", [
-    dict(cost=(Fraction(0),)),
-    dict(cost=(Fraction(-1),)),
-    dict(pre=((),)),
-    dict(pre=((0, 0),)),
-    dict(post=((5,),)),
-    dict(initial_marking=(1,)),
-    dict(initial_marking=(1, -1)),
-])
-def test_construction_rejects_malformed_nets(bad):
+# (overrides of a one-move net, the message naming its fault)
+MALFORMED = [
+    (dict(cost=(Fraction(0),)), "transition 0 must have positive cost"),
+    (dict(cost=(Fraction(-1),)), "transition 0 must have positive cost"),
+    (dict(pre=((),)), "transition 0 must have input and output places"),
+    (dict(pre=((0, 0),)), "transition 0 repeats a place in an arc list"),
+    (dict(post=((5,),)), "transition 0 references unknown place 5"),
+    (dict(initial_marking=(1,)), "initial marking size does not match place count"),
+    (dict(initial_marking=(1, -1)), "initial marking must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED,
+                         ids=[f"bad{i}" for i in range(len(MALFORMED))])
+def test_construction_rejects_malformed_nets(bad, message):
     base = dict(
         num_places=2,
         pre=((0,),),
@@ -232,8 +237,57 @@ def test_construction_rejects_malformed_nets(bad):
         initial_marking=(1, 0),
     )
     base.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         PetriNet(**base)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pre, post, cost, message", [
+    # the first bad transition is named, whatever its fault and however
+    # many transitions after it are bad too
+    (((0,), (1,), (0,)), ((1,), (0,), (9,)), (1, 0, 1), "transition 1 must have positive cost"),
+    (((0,), (), (0,)), ((1,), (0,), (1,)), (-1, 1, 1), "transition 0 must have positive cost"),
+    (((0,), (1,), (0, 0)), ((1,), (-2,), (1,)), (1, 1, 0), "transition 1 references unknown place -2"),
+    (((0,), (1,), (7, 7)), ((1,), (0,), (1,)), (1, 1, 1), "transition 2 references unknown place 7"),
+    (((0,), (1,), (0,)), ((1,), (), (1, 9)), (1, 1, 1), "transition 1 must have input and output places"),
+    (((1,), (0,), (0,)), ((0,), (1, 0, 1), (2,)), (1, 1, 0), "transition 1 repeats a place in an arc list"),
+])
+def test_construction_names_the_first_bad_transition(pre, post, cost, message):
+    with pytest.raises(ValueError) as err:
+        PetriNet(num_places=2, pre=pre, post=post, cost=tuple(map(Fraction, cost)),
+                 labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+    assert str(err.value) == message
+
+
+def test_construction_raises_the_comparison_error_of_a_non_numeric_cost():
+    with pytest.raises(TypeError):
+        PetriNet(num_places=2, pre=((0,), (1,)), post=((1,), (0,)), cost=(1, "0"),
+                 labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+
+
+def test_construction_accepts_a_net_without_transitions():
+    net = PetriNet(num_places=2, pre=(), post=(), cost=(), labels=(EMPTY, EMPTY),
+                   initial_marking=(1, 0))
+    assert net.num_transitions == 0
+    assert net.integer_costs == ((), 1)
+    assert sequence_cost(net, ()) == 0
+    assert replay(net, net.initial_counts, ()).counts == {0: 1}
+    empty = PetriNet(num_places=0, pre=(), post=(), cost=(), labels=(), initial_marking=())
+    assert empty.num_places == 0 and empty.integer_costs == ((), 1)
+
+
+def test_sequence_checks_name_the_first_unknown_transition():
+    net = _chain()
+    for sigma, bad in (((0, 7, -1), 7), ((0, 1, "1", 9), "1"), ((-1, 0), -1),
+                       ((0, 1, None), None), ((0, 1.0, 2), 1.0)):
+        for check in (lambda s: sequence_cost(net, s),
+                      lambda s: replay(net, net.initial_counts, s)):
+            with pytest.raises(ValueError) as err:
+                check(sigma)
+            assert str(err.value) == f"unknown transition id {bad!r}"
+    # the whole sequence is checked before its first step fires
+    with pytest.raises(ValueError, match="unknown transition id 99"):
+        replay(net, net.initial_counts, (1, 99))
 
 
 def test_bad_transition_and_marking_are_rejected():
