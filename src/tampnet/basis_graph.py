@@ -24,9 +24,9 @@ A ``BasisGraph`` holds the tree as columns: packed markings, integer
 costs, parents, transitions and per-place occupancy bitsets. Queries
 combine the bitsets and unpack only the markings they read. The search
 keeps its keys, costs and pending edges in typed arrays of 8-byte ints, and
-the keys become packed markings a bounded chunk at a time, so a build or a
-load peaks near the size of the columns it returns rather than at a
-multiple of it.
+the keys become packed markings a bounded chunk at a time, from the bytes
+of their placements and of their latch masks, so a build or a load peaks
+near the size of the columns it returns rather than at a multiple of it.
 
 A cache file stores only the parent and transition columns. Loading it
 replays the tree in the build's key space: placements are numbered by the
@@ -50,7 +50,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -219,15 +219,15 @@ class _Ids(dict):
     no bound."""
 
     # a new id costs half as much with slots as with an instance dict
-    __slots__ = ("class_fields", "bits", "table", "state_cap", "room", "blank", "order",
+    __slots__ = ("classes", "bits", "table", "state_cap", "room", "blank", "order",
                  "moves", "sources", "alone")
 
     def __init__(self, layout: _Layout, table, slots, state_cap: int):
         super().__init__()
         shift = 8 * layout.width
-        self.class_fields = [sum(1 << shift * p for p in places)
-                             for places in _latch_classes(layout)]
-        self.bits = len(self.class_fields)
+        self.classes = _latch_classes(layout)
+        self.bits = len(self.classes)
+        class_fields = [sum(1 << shift * p for p in places) for places in self.classes]
         self.table = table
         self.state_cap = state_cap
         # the most placements the table has room for
@@ -235,8 +235,11 @@ class _Ids(dict):
         # a new id's slots, not made when they alone would pass the bound
         self.blank = slots(1 << self.bits) if table is not None and self.room else None
         self.order: List[int] = []
-        # moves[t] is ``_layout``'s move t with class bits for latch fields
-        self.moves = [(field_mask, plain, self.class_bits(latch), weight)
+        # moves[t] is ``_layout``'s move t with the bits of the latch classes
+        # it sets in place of its latch fields
+        self.moves = [(field_mask, plain,
+                       sum(1 << c for c, fields in enumerate(class_fields) if latch & fields),
+                       weight)
                       for field_mask, plain, latch, weight in layout.moves]
         # transitions grouped by source field, in ascending transition id,
         # as (field mask, [(plain, class bits, weight, transition)])
@@ -250,14 +253,6 @@ class _Ids(dict):
         self.alone = [[(field_mask, [(plain, class_bits, weight, t)])]
                       for t, (field_mask, plain, class_bits, weight) in enumerate(self.moves)]
         self[layout.root]
-
-    def class_bits(self, latch: int) -> int:
-        """The mask of the latch classes whose fields ``latch`` sets."""
-        return sum(1 << c for c, fields in enumerate(self.class_fields) if latch & fields)
-
-    def fields(self, mask: int) -> int:
-        """The latch fields of the classes in ``mask``."""
-        return sum(fields for c, fields in enumerate(self.class_fields) if mask >> c & 1)
 
     def __missing__(self, placement: int) -> int:
         order = self.order
@@ -280,18 +275,6 @@ class _Ids(dict):
         return [(self[placement + plain] | cb if cb else self[placement + plain], weight, t)
                 for field_mask, moves in sources or self.sources if placement & field_mask
                 for plain, cb, weight, t in moves]
-
-
-class _Lazy(dict):
-    """A dict that fills ``lazy[key]`` with ``make(key)`` on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _latch_classes(layout: _Layout) -> List[Tuple[int, ...]]:
@@ -318,27 +301,42 @@ def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
     return array("Q") if dearest * markings < 1 << 64 else []
 
 
+# _BIT_BYTE[k] maps a byte to 1 where its bit k is set, else to 0
+_BIT_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
+
+
 def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: array,
                   transition: array, layout: _Layout) -> BasisGraph:
     """The ``BasisGraph`` of the markings with search keys ``keys`` and the
     other columns.
 
     A key's marking is its placement with the latch fields of its mask's
-    classes set. ``packed`` is allocated once and written ``_PACK_CHUNK``
-    markings at a time, so only one chunk of wide ints and ``bytes`` is
-    alive at once. Empties ``keys`` once its markings are written."""
+    classes set to 1. The placements become ``bytes`` in place, and
+    ``packed`` is allocated once and written ``_PACK_CHUNK`` markings at a
+    time: the chunk's placement bytes joined, then, per latch place, one
+    strided slice of bit c of the chunk's key bytes, c its class. No wide
+    int is made per marking. Empties ``ids`` and ``keys``."""
     width, n = layout.width, layout.places
     size = n * width
     bits, placements = ids.bits, ids.order
-    low = (1 << bits) - 1
-    fields = _Lazy(ids.fields)
+    # the dict holds the placement ints too: the bytes must not double them
+    ids.clear()
+    for start in range(0, len(placements), _PACK_CHUNK):
+        placements[start:start + _PACK_CHUNK] = map(
+            int.to_bytes, placements[start:start + _PACK_CHUNK], repeat(size), repeat("little"))
     packed = bytearray(len(keys) * size)
     for start in range(0, len(keys), _PACK_CHUNK):
         chunk = keys[start:start + _PACK_CHUNK]
-        markings = [placements[key >> bits] | fields[key & low] for key in chunk]
-        packed[start * size:(start + len(chunk)) * size] = b"".join(
-            map(int.to_bytes, markings, repeat(size), repeat("little")))
-    del keys[:]
+        low, high = start * size, (start + len(chunk)) * size
+        packed[low:high] = b"".join([placements[key >> bits] for key in chunk])
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        raw = chunk.tobytes()
+        for c, places in enumerate(ids.classes):
+            column = raw[c >> 3::8].translate(_BIT_BYTE[c & 7])
+            for p in places:
+                packed[low + p * width:high:size] = column
+    del keys[:], placements[:]
     return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
                       _occupancy(packed, n, width))
 
@@ -359,14 +357,16 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     successor row (``_Ids.row``) is therefore built once, on its first
     expansion, and reused for every mask it meets. A child's key is the
     row's base ORed with the mask. A net without latches meets each
-    placement once and keeps no row. At the end ``_packed_graph`` turns the
-    keys back into packed markings.
+    placement once and keeps no row. At the end ``_packed_graph`` writes
+    the keys' packed markings from byte columns.
 
     The search state is one flat list indexed by key, ``1 << bits`` slots
-    per placement, grown as placements are numbered. Its slots cost 8 bytes
-    each and it may hold at most ``TABLE_FACTOR * state_cap`` of them: a net
-    whose placements meet few of their masks raises StateBudgetError before
-    the table grows past that bound.
+    per placement, grown as placements are numbered. An unseen slot holds
+    one shared int dearer than any path of ``state_cap`` moves, so each
+    relaxation is a single comparison. The slots cost 8 bytes each and the
+    list may hold at most ``TABLE_FACTOR * state_cap`` of them: a net whose
+    placements meet few of their masks raises StateBudgetError before the
+    table grows past that bound.
 
     Costs are exact integers, scaled by the LCM of the transition cost
     denominators. The keys, the costs and the pending edges are typed
@@ -376,14 +376,16 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     """
     layout = _layout(qm.net)
     # best[key] is the cost of the cheapest edge into the marking so far,
-    # None before any, or -1 once it is final. buckets[q] holds the edges
-    # (child, parent index, transition) that lowered a child's best to q,
-    # three values each, in the order they were found. Scaled costs can lie
-    # far apart, so ``pending`` is a heap of the bucket costs rather than a
-    # scan of q + 1, q + 2, ... An edge whose child's best is no longer its
-    # bucket's q is stale.
-    best: List[Optional[int]] = []
-    ids = _Ids(layout, best, lambda n: [None] * n, state_cap)
+    # ``unseen`` before any, or -1 once it is final. ``unseen`` is dearer
+    # than any path of ``state_cap`` moves, so every edge found beats it.
+    # buckets[q] holds the edges (child, parent index, transition) that
+    # lowered a child's best to q, three values each, in the order they
+    # were found. Scaled costs can lie far apart, so ``pending`` is a heap
+    # of the bucket costs rather than a scan of q + 1, q + 2, ... An edge
+    # whose child's best is no longer its bucket's q is stale.
+    unseen = max((move[3] for move in layout.moves), default=0) * state_cap + 1
+    best: List[int] = []
+    ids = _Ids(layout, best, lambda n: [unseen] * n, state_cap)
     bits, placements = ids.bits, ids.order
     low = (1 << bits) - 1
     rows: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -416,10 +418,9 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                     rows[pid] = row
             mask = key & low
             for base, weight, t in row:
-                child = base | mask if mask else base
+                child = base | mask
                 nq = q + weight
-                old = best[child]
-                if old is None or nq < old:
+                if nq < best[child]:
                     best[child] = nq
                     bucket = buckets.get(nq)
                     if bucket is None:

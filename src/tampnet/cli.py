@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--cache", help="reachability cache: loaded if present, else built and written here")
     p_plan.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_plan.add_argument("--render", choices=("ascii", "svg"), help="also render the plan")
-    p_plan.add_argument("--render-out", help="file for the rendering (required with --render)")
+    p_plan.add_argument("--render-out", help="file for the rendering (required with --render, and only with it)")
     p_plan.add_argument("--state-cap", type=int, default=None,
                         help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_plan.set_defaults(func=_cmd_plan)
@@ -130,6 +130,8 @@ def _cmd_build(args) -> int:
 def _cmd_plan(args) -> int:
     if args.render and not args.render_out:
         raise _UsageError("--render requires --render-out")
+    if args.render_out and not args.render:
+        raise _UsageError("--render-out requires --render")
     env = load_env(args.env)
     spec = parse(_read_spec(args))
     cap = _state_cap(args.state_cap)

@@ -220,19 +220,19 @@ def grid_index(env: Environment):
     ``moves[t]`` is (source place, target place, direction index into
     DIRECTIONS), listed per source place in direction order.
     """
-    cells, src, dst, direction = _grid_moves(env)
+    cells = free_cells(env)
+    _, src, dst, direction = _grid_moves(env, cells)
     return cells, tuple(zip(src, dst, direction))
 
 
-def _grid_moves(env: Environment):
-    """The moves of ``grid_index`` as three columns: (cells, sources,
-    targets, directions).
+def _grid_moves(env: Environment, cells: Tuple[Cell, ...]):
+    """The moves of ``grid_index`` over ``cells``, ``free_cells(env)``, as
+    columns: (place, sources, targets, directions).
 
-    Places are looked up in a row-major array of the grid with a one-cell
-    border of -1 (no place) around it, so a neighbour is one index offset
-    away and needs no bounds check.
+    ``place`` is a row-major array of the grid with a one-cell border of -1
+    (no place) around it: cell (r, c) is at ``(r + 1) * (env.cols + 2) + c +
+    1``. A neighbour is one index offset away and needs no bounds check.
     """
-    cells = free_cells(env)
     width = env.cols + 2
     place = [-1] * ((env.rows + 2) * width)
     for i, (r, c) in enumerate(cells):
@@ -247,7 +247,7 @@ def _grid_moves(env: Environment):
                 src.append(i)
                 dst.append(q)
                 direction.append(d)
-    return cells, src, dst, direction
+    return place, src, dst, direction
 
 
 def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
@@ -261,14 +261,20 @@ def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
     return {cell: frozenset(atoms) for cell, atoms in out.items()}
 
 
-def env_to_pn(env: Environment) -> PetriNet:
-    """Compile the grid into its movement net."""
-    cells, src, dst, direction = _grid_moves(env)
+def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> PetriNet:
+    """Compile the grid into its movement net. ``cells`` is
+    ``free_cells(env)``, worked out here when the caller does not pass it."""
+    if cells is None:
+        cells = free_cells(env)
+    place, src, dst, direction = _grid_moves(env, cells)
     by_cell = cell_labels(env)
+    width = env.cols + 2
     counts = [0] * len(cells)
-    index = {cell: i for i, cell in enumerate(cells)}
-    for cell in env.agents:
-        counts[index[cell]] += 1
+    for r, c in env.agents:
+        p = place[(r + 1) * width + c + 1] if 0 <= r < env.rows and 0 <= c < env.cols else -1
+        if p < 0:
+            raise ValidationError(f"agent start {[r, c]} is not a free cell")
+        counts[p] += 1
     return PetriNet(
         num_places=len(cells),
         pre=tuple(zip(src)),

@@ -94,13 +94,13 @@ def _offline(env: Environment,
     """Compile ``env`` into an offline model: movement net, reduction,
     visit latches and escape moves, plus the basis graph that ``graph_for``
     returns for the monitored net (built or loaded)."""
-    net = env_to_pn(env)
+    cells = free_cells(env)
+    net = env_to_pn(env, cells)
     props = set()
     for region in env.regions:
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    cells = free_cells(env)
     return OfflineModel(env, net, cells, simplified, monitored,
                         graph_for(monitored), escape_steps(net, simplified.base_place),
                         tuple(map(cells.index, env.agents)))

@@ -99,6 +99,18 @@ def test_usage_problems_exit_1_not_2(capsys):
         assert "usage error:" in capsys.readouterr().err
 
 
+def test_render_out_without_render_is_a_usage_error(tmp_path, capsys):
+    # the rendering's format comes from --render: without it nothing would
+    # be written to --render-out, so the command stops before planning
+    art = tmp_path / "plan.txt"
+    assert main(["plan", "--env", DEMO, "--spec", DEMO_SPEC,
+                 "--render-out", str(art)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --render-out requires --render\n"
+    assert captured.out == ""
+    assert not art.exists()
+
+
 def test_render_outputs(tmp_path, capsys):
     art = tmp_path / "plan.txt"
     assert main(["plan", "--env", DEMO, "--spec", DEMO_SPEC,

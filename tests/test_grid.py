@@ -1,3 +1,4 @@
+import dataclasses
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -51,6 +52,15 @@ def test_labels_are_region_unions(demo_env):
 
 def test_env_to_pn_is_deterministic(demo_env):
     assert env_to_pn(demo_env) == env_to_pn(demo_env)
+
+
+@pytest.mark.parametrize("start", [(1, 1), (0, 3), (3, 0), (-1, 0)])
+def test_env_to_pn_refuses_an_agent_off_the_free_cells(start):
+    # an environment made without load_env is not validated: a start on an
+    # obstacle or off the grid must not land on some other place
+    env = square_env(3, [], agents=[(0, 0)], obstacles=[(1, 1)])
+    with pytest.raises(ValidationError, match="not a free cell"):
+        env_to_pn(dataclasses.replace(env, agents=(start,)))
 
 
 @pytest.mark.parametrize("patch, fragment", [
