@@ -10,7 +10,9 @@ N markings and N - 1 edges. Markings are packed into one integer each;
 nets that do not fit that layout are refused. While the tree grows, the
 search splits each marking into a placement, its plain fields, numbered
 densely, and a mask of its latch classes, and keys it by the small int
-``placement id << class count | mask``. A latch class is a set of latch
+``placement id << class count | mask``. ``_layout`` alone decides that
+split: it groups the latches into classes and gives each move its effect
+on the placement and its class bits. A latch class is a set of latch
 places that always hold the same value, such as the latches of several
 visit propositions on one region; a latch that never changes belongs to
 none. Latches are only ever set, so the moves out of a placement, and the
@@ -31,11 +33,11 @@ near the size of the columns it returns rather than at a multiple of it.
 A cache file stores only the parent and transition columns. Loading it
 replays the tree in the build's key space: placements are numbered by the
 same ``_Ids``, each marking's key is its parent's key fired by its
-transition, as in the successor row of the parent's placement, and its cost
-is its parent's plus the transition's. A bitmap over the keys, or a dict
-of them where the bitmap would pass 16 slots per marking, finds a marking
-listed twice. Build and load end in the same ``_packed_graph``, and the
-replay checks the file as it goes.
+transition through ``_layout``'s move table, and its cost is its parent's
+plus the transition's. A bitmap over the keys, or a dict of them where the
+bitmap would pass 16 slots per marking, finds a marking listed twice.
+Build and load end in the same ``_packed_graph``, and the replay checks
+the file as it goes.
 """
 
 from __future__ import annotations
@@ -169,19 +171,25 @@ def _packable(net: PetriNet) -> bool:
 
 
 class _Layout(NamedTuple):
-    """Packed-int layout of a ``_packable`` net: each of its ``places`` is a
+    """Packed-int layout of a ``_packable`` net, and the split of its
+    markings into a placement and a latch mask: each of its ``places`` is a
     little-endian field of ``width`` bytes (1, 2, 4 or 8, wide enough for
-    the initial token total); ``root`` is the packed initial marking;
-    ``moves[t]`` is (mask of the source field, amount added to plain fields,
-    latch bits ORed in, integer weight). Costs are ``weight / scale``.
-    ``latches`` lists the latch places in ascending order."""
+    the initial token total); ``root`` is the packed initial marking.
+    ``classes`` groups the latch places that can change into classes that
+    always hold the same value, in ascending order of their first place.
+    ``moves[t]`` is (mask of the source field, amount added to plain
+    fields, bit c for each class c it sets, integer weight), and
+    ``sources`` groups the moves by source field, in ascending transition
+    id, as (field mask, [(plain, class bits, weight, transition)]). Costs
+    are ``weight / scale``."""
 
     width: int
     places: int
     root: int
+    classes: List[Tuple[int, ...]]
     moves: Tuple[Tuple[int, int, int, int], ...]
+    sources: List[Tuple[int, List[Tuple[int, int, int, int]]]]
     scale: int
-    latches: Tuple[int, ...]
 
 
 def _layout(net: PetriNet) -> _Layout:
@@ -191,43 +199,54 @@ def _layout(net: PetriNet) -> _Layout:
     shift = 8 * width
     clamped = net.clamp_at_one
     weights, scale = net.integer_costs
+    # A latch changes iff it starts at 0 and some move sets it. Two such
+    # latches are equal in every reachable marking if the same moves set
+    # them, so a move sets all of a class or none of it. A latch that
+    # cannot change keeps its initial value.
+    by_setters: Dict[Tuple[int, ...], List[int]] = {}
+    for p in sorted(clamped):
+        setters = tuple(t for t, post in enumerate(net.post) if p in post)
+        if setters and not net.initial_marking[p]:
+            by_setters.setdefault(setters, []).append(p)
+    classes = [tuple(places) for places in by_setters.values()]
     place_bit = [1 << (shift * p) for p in range(n)]
     full = (1 << shift) - 1
-    # Latch fields hold 0 or 1, so producing into one is an OR of its low
-    # bit; no other field can carry, since counts stay below 2**shift.
-    moves = []
-    for t in range(net.num_transitions):
+    # No plain field can carry, since counts stay below 2**shift.
+    moves, sources = [], []
+    for t, post in enumerate(net.post):
         src = net.pre[t][0]
-        plain = sum(place_bit[p] for p in net.post[t] if p not in clamped) - place_bit[src]
-        latch = sum(place_bit[p] for p in net.post[t] if p in clamped)
-        moves.append((full << (shift * src), plain, latch, weights[t]))
+        field_mask = full << (shift * src)
+        plain = sum(place_bit[p] for p in post if p not in clamped) - place_bit[src]
+        class_bits = sum(1 << c for c, places in enumerate(classes) if places[0] in post)
+        moves.append((field_mask, plain, class_bits, weights[t]))
+        if not sources or sources[-1][0] != field_mask:
+            sources.append((field_mask, []))
+        sources[-1][1].append((plain, class_bits, weights[t], t))
     root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
-    return _Layout(width, n, root, tuple(moves), scale, tuple(sorted(clamped)))
+    return _Layout(width, n, root, classes, tuple(moves), sources, scale)
 
 
 class _Ids(dict):
     """The search's key space over the markings of a ``_packable`` net (see
-    ``_build_packed``), shared by the build and the cache load.
+    ``_build_packed``), shared by the build and the cache load: the
+    numbering of placements, and the bound on the search table.
 
     Placements get dense ids in order of first lookup: ``ids.order[i]`` is
     the i-th new placement, and ``ids[placement]`` is its i shifted left by
-    ``bits``, the count of latch classes. The root's placement is looked up
-    first and takes id 0. Each new id grows ``table`` by ``slots(1 <<
-    bits)``, one unseen slot per latch mask; an id that would take
-    ``table`` past ``TABLE_FACTOR * state_cap`` slots raises
-    StateBudgetError. A ``None`` table numbers placements with no slots and
-    no bound."""
+    ``bits``, the count of ``_layout``'s latch classes. The root's
+    placement is looked up first and takes id 0. Each new id grows
+    ``table`` by ``slots(1 << bits)``, one unseen slot per latch mask; an
+    id that would take ``table`` past ``TABLE_FACTOR * state_cap`` slots
+    raises StateBudgetError. A ``None`` table numbers placements with no
+    slots and no bound."""
 
     # a new id costs half as much with slots as with an instance dict
-    __slots__ = ("classes", "bits", "table", "state_cap", "room", "blank", "order",
-                 "moves", "sources", "alone")
+    __slots__ = ("sources", "bits", "table", "state_cap", "room", "blank", "order")
 
     def __init__(self, layout: _Layout, table, slots, state_cap: int):
         super().__init__()
-        shift = 8 * layout.width
-        self.classes = _latch_classes(layout)
-        self.bits = len(self.classes)
-        class_fields = [sum(1 << shift * p for p in places) for places in self.classes]
+        self.sources = layout.sources
+        self.bits = len(layout.classes)
         self.table = table
         self.state_cap = state_cap
         # the most placements the table has room for
@@ -235,23 +254,6 @@ class _Ids(dict):
         # a new id's slots, not made when they alone would pass the bound
         self.blank = slots(1 << self.bits) if table is not None and self.room else None
         self.order: List[int] = []
-        # moves[t] is ``_layout``'s move t with the bits of the latch classes
-        # it sets in place of its latch fields
-        self.moves = [(field_mask, plain,
-                       sum(1 << c for c, fields in enumerate(class_fields) if latch & fields),
-                       weight)
-                      for field_mask, plain, latch, weight in layout.moves]
-        # transitions grouped by source field, in ascending transition id,
-        # as (field mask, [(plain, class bits, weight, transition)])
-        self.sources: List[Tuple[int, List[Tuple[int, int, int, int]]]] = []
-        for t, (field_mask, plain, class_bits, weight) in enumerate(self.moves):
-            if not self.sources or self.sources[-1][0] != field_mask:
-                self.sources.append((field_mask, []))
-            self.sources[-1][1].append((plain, class_bits, weight, t))
-        # alone[t] is transition t as a group of its own, for the row of
-        # that transition alone
-        self.alone = [[(field_mask, [(plain, class_bits, weight, t)])]
-                      for t, (field_mask, plain, class_bits, weight) in enumerate(self.moves)]
         self[layout.root]
 
     def __missing__(self, placement: int) -> int:
@@ -264,33 +266,16 @@ class _Ids(dict):
         order.append(placement)
         return i
 
-    def row(self, placement: int, sources=None) -> List[Tuple[int, int, int]]:
-        """(child base, weight, transition) of each move of ``sources``, by
-        default all of them, enabled at ``placement``, in ascending
-        transition id. The base is the id of the child's placement ORed
-        with the move's class bits, so the child's key is the base ORed
-        with the parent's mask."""
+    def row(self, placement: int) -> List[Tuple[int, int, int]]:
+        """(child base, weight, transition) of each move enabled at
+        ``placement``, in ascending transition id. The base is the id of
+        the child's placement ORed with the move's class bits, so the
+        child's key is the base ORed with the parent's mask."""
         # ORing in zero would make a new int per child; passing the id's own
         # object on keeps the row's ints shared with the dict
         return [(self[placement + plain] | cb if cb else self[placement + plain], weight, t)
-                for field_mask, moves in sources or self.sources if placement & field_mask
+                for field_mask, moves in self.sources if placement & field_mask
                 for plain, cb, weight, t in moves]
-
-
-def _latch_classes(layout: _Layout) -> List[Tuple[int, ...]]:
-    """The latch places that can change, grouped into classes that always
-    hold the same value, in ascending order of their first place.
-
-    A latch changes iff it starts at 0 and some move sets it. Two such
-    latches are equal in every reachable marking if the same moves set
-    them. A latch that cannot change keeps its initial value."""
-    shift = 8 * layout.width
-    classes: Dict[Tuple[int, ...], List[int]] = {}
-    for p in layout.latches:
-        setters = tuple(t for t, move in enumerate(layout.moves) if move[2] >> shift * p & 1)
-        if setters and not layout.root >> shift * p & 1:
-            classes.setdefault(setters, []).append(p)
-    return [tuple(places) for places in classes.values()]
 
 
 def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
@@ -311,9 +296,9 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
     other columns.
 
     A key's marking is its placement with the latch fields of its mask's
-    classes set to 1. The placements become ``bytes`` in place, and
-    ``packed`` is allocated once and written ``_PACK_CHUNK`` markings at a
-    time: the chunk's placement bytes joined, then, per latch place, one
+    classes (``layout.classes``) set to 1. The placements become ``bytes``
+    in place, and ``packed`` is allocated once and written ``_PACK_CHUNK``
+    markings at a time: the chunk's placement bytes joined, then, per latch place, one
     strided slice of bit c of the chunk's key bytes, c its class. No wide
     int is made per marking. Empties ``ids`` and ``keys``."""
     width, n = layout.width, layout.places
@@ -332,7 +317,7 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
         if sys.byteorder == "big":
             chunk.byteswap()
         raw = chunk.tobytes()
-        for c, places in enumerate(ids.classes):
+        for c, places in enumerate(layout.classes):
             column = raw[c >> 3::8].translate(_BIT_BYTE[c & 7])
             for p in places:
                 packed[low + p * width:high:size] = column
@@ -349,11 +334,11 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     A marking is searched as the small int key ``pid << bits | mask``.
     ``pid`` numbers its placement, the packed marking of ``_layout`` with
     the fields of the changing latches cleared, in order of discovery. The
-    changing latches fall into the ``bits`` classes of ``_latch_classes``,
-    and bit c of ``mask`` is the token of class c's latches; a latch that
-    cannot change keeps its initial value inside the placement. Latches are
-    never consumed, so a move's effect on the placement does not depend on
-    the mask, and on the mask it is an OR of fixed bits. Each placement's
+    changing latches fall into the ``bits`` classes of ``_layout``, and bit
+    c of ``mask`` is the token of class c's latches; a latch that cannot
+    change keeps its initial value inside the placement. Latches are never
+    consumed, so a move's effect on the placement does not depend on the
+    mask, and on the mask it is an OR of its class bits. Each placement's
     successor row (``_Ids.row``) is therefore built once, on its first
     expansion, and reused for every mask it meets. A child's key is the
     row's base ORed with the mask. A net without latches meets each
@@ -489,15 +474,18 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     (CacheDigestError), and the body length and SHA-256 against the header.
     Then one pass over the columns replays the tree in the key space of
     ``_Ids`` that the build uses. A marking's key is the child base of its
-    transition in its parent's placement's ``_Ids.row``, ORed with the
-    parent's latch mask. Each base is worked out on the first tree edge
-    that needs it and kept, so the load holds no more of them than the tree
-    has edges; a net without latch classes, whose bases are each needed
-    once, keeps none. A marking's ``q`` is ``q(parent)`` plus the
-    transition's weight. The pass checks that every parent precedes its
-    child, every transition id is in range and enabled at the parent, the
-    markings come in the strictly ascending ``(q, parent, transition)``
-    order of ``build_graph``, and no key repeats. Any failure raises
+    transition at its parent's placement, ORed with the parent's latch
+    mask. The base is worked out from the transition's entry in
+    ``_layout``'s move table, as ``_Ids.row`` does: the id of the parent's
+    placement plus the move's plain fields, ORed with its class bits. Each
+    base is worked out on the first tree edge that needs it and kept, so
+    the load holds no more of them than the tree has edges; a net without
+    latch classes, whose bases are each needed once, keeps none. A
+    marking's ``q`` is ``q(parent)`` plus the transition's weight. The pass
+    checks that every parent precedes its child, every transition id is in
+    range and enabled at the parent, the markings come in the strictly
+    ascending ``(q, parent, transition)`` order of ``build_graph``, and no
+    key repeats. Any failure raises
     CacheFormatError, as does a net that is not ``_packable``.
 
     The repeat check keeps one byte per key slot while the slots stay
@@ -551,13 +539,13 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     except StateBudgetError:
         seen = defaultdict(int)
         ids = _Ids(layout, None, None, count)
-    bits, placements, alone = ids.bits, ids.order, ids.alone
+    bits, placements, moves = ids.bits, ids.order, layout.moves
     low = (1 << bits) - 1
-    weights = [move[3] for move in ids.moves]
+    weights = [move[3] for move in moves]
     span = len(weights)
     # bases[pid * span + t] is the child base of transition t at placement
-    # pid, its entry in the placement's row, once a tree edge has used it;
-    # a net without latch classes meets each placement once and keeps none
+    # pid, as in the placement's row, once a tree edge has used it; a net
+    # without latch classes meets each placement once and keeps none
     bases: Dict[int, int] = {}
     seen[0] = 1
     keys, qs = array("Q", (0,)), _cost_column(layout, count)
@@ -573,17 +561,19 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         base = bases.get(slot)
         if base is None:
             placement = placements[key >> bits]
+            field_mask, plain, cb, _ = moves[t]
+            if not placement & field_mask:
+                raise CacheFormatError(
+                    f"cache {path}: transition {t} is not enabled at marking {parent}")
             try:
-                entry = ids.row(placement, alone[t])
+                pid = ids[placement + plain]
             except StateBudgetError:
                 # the bitmap is full: the rest of the pass checks a dict
                 seen = defaultdict(int, dict.fromkeys(keys, 1))
                 ids.table = None
-                entry = ids.row(placement, alone[t])
-            if not entry:
-                raise CacheFormatError(
-                    f"cache {path}: transition {t} is not enabled at marking {parent}")
-            base = entry[0][0]
+                pid = ids[placement + plain]
+            # as in ``_Ids.row``: no OR with zero, so the dict's int is shared
+            base = pid | cb if cb else pid
             if bits:
                 bases[slot] = base
         q = qs[parent] + weights[t]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .basis_graph import DEFAULT_STATE_CAP, save_cache
 from .bench import MODES, BenchConfig, run_bench
-from .errors import TampError
+from .errors import TampError, ValidationError
 from .grid import cost_json, load_env, plan_json_text, render
 from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
 from .planner import Infeasible, build_offline, load_offline, plan
@@ -59,8 +59,11 @@ def _state_cap(flag_value: Optional[int]) -> int:
 def _read_spec(args) -> str:
     if args.spec is not None:
         return args.spec
-    with open(args.spec_file, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(args.spec_file, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.spec_file} is not UTF-8 text: {exc}") from exc
 
 
 def _build_parser() -> _Parser:

@@ -76,7 +76,7 @@ def load_env(path) -> Environment:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read environment file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     return parse_env(data, source=str(path))
 

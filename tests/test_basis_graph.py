@@ -14,7 +14,7 @@ from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
 from tampnet import basis_graph
 from tampnet.abstraction import MonitoredNet
 from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
-                                 _latch_classes, _layout, load_cache)
+                                 _layout, load_cache)
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
@@ -312,7 +312,7 @@ def test_co_located_latches_share_one_key_bit():
     # placement.
     qm = SPLIT_KEY_NETS["co-located"]()
     latches = qm.indicator_of
-    assert _latch_classes(_layout(qm.net)) == [
+    assert _layout(qm.net).classes == [
         (latches["b"],), tuple(latches[f"p{i:02}"] for i in range(20))]
     tracemalloc.start()
     try:
@@ -596,17 +596,18 @@ def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
             load_cache(path, qm)
 
 
-def acc8_offline():
+def acc8_offline(latches=True):
     env, _ = generate_instance("acc8", 8, 8, 2, 4, 6)
-    return build_offline(env)
+    return build_offline(env if latches else _latch_free(env))
 
 
-@pytest.mark.parametrize("name", ["demo", "acc8"])
+@pytest.mark.parametrize("name", ["demo", "acc8", "acc8-latch-free"])
 def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
     # the tree holds every reachable marking, so another transition is not
     # enabled, or it reaches a marking stored elsewhere or one too cheap for
     # its place in the order
-    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    offline = (request.getfixturevalue("demo_offline") if name == "demo"
+               else acc8_offline(latches=name == "acc8"))
     transitions = offline.monitored.net.num_transitions
     edits = 0
     for i, current in enumerate(offline.graph.transition, 1):
@@ -679,9 +680,10 @@ def _a_marking_listed_twice(tmp_path, offline):
     return _tampered(tmp_path, offline, edit)
 
 
-@pytest.mark.parametrize("name", ["demo", "acc8"])
+@pytest.mark.parametrize("name", ["demo", "acc8", "acc8-latch-free"])
 def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
-    offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
+    offline = (request.getfixturevalue("demo_offline") if name == "demo"
+               else acc8_offline(latches=name == "acc8"))
     path, qm = _a_marking_listed_twice(tmp_path, offline)
     with pytest.raises(CacheFormatError, match="twice"):
         load_cache(path, qm)

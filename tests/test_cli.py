@@ -76,6 +76,17 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
                  "--spec", "true"]) == 1
     capsys.readouterr()
 
+    # text that is not UTF-8, as a map and as a formula file
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("visit(1) & end(2) \u00e9".encode("latin-1"))
+    for argv in (["plan", "--env", str(latin1), "--spec", "true"],
+                 ["build", "--env", str(latin1), "--out", str(tmp_path / "x.bin")],
+                 ["oracle", "--env", str(latin1), "--spec", "true"],
+                 ["plan", "--env", DEMO, "--spec-file", str(latin1)],
+                 ["oracle", "--env", DEMO, "--spec-file", str(latin1)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {latin1} is not "), argv
+
     not_a_list = tmp_path / "obstacles.json"
     not_a_list.write_text(json.dumps({
         "grid": {"rows": 2, "cols": 2}, "obstacles": 5, "agents": [[0, 0]]}))
