@@ -214,20 +214,12 @@ def free_cells(env: Environment) -> Tuple[Cell, ...]:
                  if (r, c) not in env.obstacles)
 
 
-def grid_index(env: Environment):
-    """Return (cells, moves): place -> cell, and transition -> (src, dst, dir).
-
-    ``moves[t]`` is (source place, target place, direction index into
-    DIRECTIONS), listed per source place in direction order.
-    """
-    cells = free_cells(env)
-    _, src, dst, direction = _grid_moves(env, cells)
-    return cells, tuple(zip(src, dst, direction))
-
-
 def _grid_moves(env: Environment, cells: Tuple[Cell, ...]):
-    """The moves of ``grid_index`` over ``cells``, ``free_cells(env)``, as
-    columns: (place, sources, targets, directions).
+    """The moves between neighbouring ``cells``, ``free_cells(env)``, as
+    columns: (place, sources, targets, directions). Move ``t`` goes from
+    place ``sources[t]`` to place ``targets[t]`` in direction
+    ``DIRECTIONS[directions[t]]``; the moves are listed per source place in
+    direction order.
 
     ``place`` is a row-major array of the grid with a one-cell border of -1
     (no place) around it: cell (r, c) is at ``(r + 1) * (env.cols + 2) + c +

@@ -3,9 +3,11 @@
 Places and transitions are dense integer indices. Arcs have unit weight and
 are stored sparsely: ``pre[t]`` / ``post[t]`` list the input / output places
 of transition ``t``. Markings are plain tuples of non-negative token counts
-indexed by place. :func:`replay` and :func:`tampnet.taskspec.holds` also
-take a marking as the ``{place: count}`` map of its occupied places, so
-that checking a route reads the places its tokens touch and no others.
+indexed by place; :func:`fire` and :func:`enabled` take them. A route is
+checked from the ``{place: count}`` map of a marking's occupied places
+instead: :func:`replay` and :func:`tampnet.taskspec.holds` take only that
+form, so that checking a route reads the places its tokens touch and no
+others.
 Costs are exact :class:`fractions.Fraction` values so that every derived
 cost in the pipeline is bit-stable; the searches and :func:`sequence_cost`
 sum them as the integers of :attr:`PetriNet.integer_costs` and convert
@@ -26,7 +28,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, mul
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FiringError
 
@@ -60,16 +62,6 @@ class ReplayResult(NamedTuple):
 
     counts: Dict[int, int]
     word: Tuple[frozenset, ...]
-    num_places: int
-
-    @property
-    def final(self) -> Marking:
-        """The marking at the end of the run, one count per place; built on
-        each read."""
-        m = [0] * self.num_places
-        for p, c in self.counts.items():
-            m[p] = c
-        return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class PetriNet:
     def initial_counts(self) -> Mapping[int, int]:
         """The initial marking as a read-only ``{place: count}`` map of its
         occupied places, worked out on first use."""
-        return MappingProxyType(_occupied(self.initial_marking))
+        return MappingProxyType({p: c for p, c in enumerate(self.initial_marking) if c})
 
 
 def enabled(net: PetriNet, m: Marking, t: int) -> bool:
@@ -189,32 +181,27 @@ def fire(net: PetriNet, m: Marking, t: int, step: Optional[int] = None) -> Marki
     return tuple(out)
 
 
-def replay(net: PetriNet, m: Union[Marking, Mapping[int, int]],
+def replay(net: PetriNet, counts: Mapping[int, int],
            sigma: Sequence[int]) -> ReplayResult:
-    """Fire ``sigma`` in order from ``m``, with the checks of :func:`fire`.
+    """Fire ``sigma`` in order from ``counts``, with the checks of :func:`fire`.
 
-    ``m`` is a full marking or the ``{place: count}`` map of its occupied
-    places, such as ``net.initial_counts`` or an earlier result's
-    ``counts``; a map is copied, not changed. Returns the counts of the
-    places occupied at the end and the proposition word of the run. The
-    word's first element holds the atoms of places occupied at ``m``
-    (starting inside a labeled region counts as a visit); each later element
-    holds the atoms produced by one step, i.e. the labels of the fired
+    ``counts`` is the ``{place: count}`` map of the occupied places of the
+    start marking, such as ``net.initial_counts`` or an earlier result's
+    ``counts``; it is copied, not changed. Returns the counts of the places
+    occupied at the end and the proposition word of the run. The word's
+    first element holds the atoms of places occupied at the start (starting
+    inside a labeled region counts as a visit); each later element holds
+    the atoms produced by one step, i.e. the labels of the fired
     transition's output places.
 
-    Only occupied places are tracked: from a map, a replay costs the route's
-    steps, each the size of its transition's arcs, plus the occupied
-    places, and reads no other place. A full ``m`` adds one pass to find its
-    occupied places, and so does reading the result's ``final``.
+    Only occupied places are tracked: a replay costs the route's steps,
+    each the size of its transition's arcs, plus the occupied places, and
+    reads no other place.
     """
-    if isinstance(m, Mapping):
-        counts = dict(m)
-        if not all(isinstance(p, int) and 0 <= p < net.num_places and c >= 1
-                   for p, c in counts.items()):
-            raise ValueError("a counts map must take places of the net to positive counts")
-    else:
-        _check_marking(net, m)
-        counts = _occupied(m)
+    counts = dict(counts)
+    if not all(isinstance(p, int) and 0 <= p < net.num_places and c >= 1
+               for p, c in counts.items()):
+        raise ValueError("a counts map must take places of the net to positive counts")
     _check_transitions(net, sigma)
     pre, post, labels, clamped = net.pre, net.post, net.labels, net.clamp_at_one
     word = [frozenset().union(*map(labels.__getitem__, counts))]
@@ -232,7 +219,7 @@ def replay(net: PetriNet, m: Union[Marking, Mapping[int, int]],
             counts[p] = 1 if p in clamped else counts.get(p, 0) + 1
         word.append(labels[out[0]] if len(out) == 1
                     else frozenset().union(*map(labels.__getitem__, out)))
-    return ReplayResult(counts, tuple(word), net.num_places)
+    return ReplayResult(counts, tuple(word))
 
 
 def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
@@ -241,10 +228,6 @@ def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
     _check_transitions(net, sigma)
     weights, scale = net.integer_costs
     return Fraction(sum(map(weights.__getitem__, sigma)), scale)
-
-
-def _occupied(m: Marking) -> Dict[int, int]:
-    return {p: c for p, c in enumerate(m) if c}
 
 
 def _check_transition(net: PetriNet, t) -> None:

@@ -38,7 +38,6 @@ class OfflineModel:
     ``starts[a]`` is the place of agent ``a``'s start cell in ``net``.
     """
 
-    env: Environment
     net: PetriNet
     cells: Tuple[Cell, ...]
     simplified: SimplifiedNet
@@ -101,7 +100,7 @@ def _offline(env: Environment,
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    return OfflineModel(env, net, cells, simplified, monitored,
+    return OfflineModel(net, cells, simplified, monitored,
                         graph_for(monitored), escape_steps(net, simplified.base_place),
                         tuple(map(cells.index, env.agents)))
 

@@ -13,17 +13,21 @@ carrying trajectory proposition x at some point; starting there counts),
 ``end(x)`` clauses constrain the final placement, and ``!atom`` forbids the
 proposition globally (visit kind) or at the final state (end kind). The
 canonical empty formula prints and parses as ``true``.
+
+:func:`compile_vectors` binds a formula to the places of a monitored net
+for the tree scan; :func:`holds` checks it on a finished movement-net run,
+from the run's word and the ``{place: count}`` map of the places occupied
+at its end.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple
 
 from .errors import SpecShapeError, SpecSyntaxError, UnknownPropositionError
-from .petri import END, VISIT, Atom, Marking, PetriNet
+from .petri import END, VISIT, Atom, PetriNet
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -72,14 +76,6 @@ class BooleanSpec:
 
     def is_empty(self) -> bool:
         return not (self.trajectory_clauses or self.final_clauses or self.forbidden)
-
-    def atoms(self) -> frozenset:
-        out = set(self.forbidden)
-        for clause in self.trajectory_clauses:
-            out.update(Atom(VISIT, n) for n in clause)
-        for clause in self.final_clauses:
-            out.update(Atom(END, n) for n in clause)
-        return frozenset(out)
 
 
 def _norm_clauses(clauses) -> Tuple[frozenset, ...]:
@@ -247,24 +243,17 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
 
 
 def holds(spec: BooleanSpec, word: Sequence[frozenset],
-          final_marking: Union[Marking, Mapping[int, int]],
-          labels: Sequence[frozenset]) -> bool:
+          final_counts: Mapping[int, int], labels: Sequence[frozenset]) -> bool:
     """Evaluate the formula on a finished run of the movement net.
 
     ``word`` is the proposition word from :func:`tampnet.petri.replay`
     (initial occupancy included); ``labels`` are the movement net's place
-    labels. ``final_marking`` is the run's last marking, either in full
-    (aligned with ``labels``) or as the ``{place: count}`` map of its
-    occupied places (``ReplayResult.counts``). Only the labels of occupied
-    places are read, so from a map the check costs the word and the
-    occupied places.
+    labels. ``final_counts`` is the ``{place: count}`` map of the places
+    occupied at the run's end (``ReplayResult.counts``). Only the labels of
+    those places are read, so the check costs the word and the occupied
+    places.
     """
-    if isinstance(final_marking, Mapping):
-        occupied = map(labels.__getitem__, final_marking)
-    elif len(final_marking) != len(labels):
-        raise ValueError("final marking and labels disagree on place count")
-    else:
-        occupied = compress(labels, final_marking)
+    occupied = map(labels.__getitem__, final_counts)
     visited = {a.name for a in frozenset().union(*word) if a.kind == VISIT}
     occupied_ends = {a.name for a in frozenset().union(*occupied) if a.kind == END}
     for clause in spec.trajectory_clauses:

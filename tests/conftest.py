@@ -4,7 +4,7 @@ import dataclasses
 import heapq
 import math
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -34,6 +34,16 @@ def hand_net(num_places: int, arcs: Sequence[Tuple[tuple, tuple, object]],
         labels=tuple(labels),
         initial_marking=tuple(m0),
     )
+
+
+def counts_of(m: Marking) -> dict:
+    """The ``{place: count}`` map of marking ``m``'s occupied places."""
+    return {p: c for p, c in enumerate(m) if c}
+
+
+def marking_of(net: PetriNet, counts) -> Marking:
+    """The marking of ``net`` whose occupied places are ``counts``."""
+    return tuple(map(counts.get, range(net.num_places), repeat(0)))
 
 
 def as_monitored(net: PetriNet) -> MonitoredNet:

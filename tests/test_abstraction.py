@@ -7,7 +7,7 @@ from tampnet.abstraction import (_Moves, build_monitored, build_simplified,
 from tampnet.grid import env_to_pn
 from tampnet.petri import VISIT, fire, replay, sequence_cost
 
-from conftest import EMPTY, brute_minimal_sequence, square_env
+from conftest import EMPTY, brute_minimal_sequence, marking_of, square_env
 
 
 def test_demo_simplified_shape(demo_offline):
@@ -145,14 +145,15 @@ def test_lift_preserves_cost_and_placement(demo_offline, seed):
                    if all(marking[p] for p in abstract.pre[t])]
         t = rng.choice(options)
         sigma.append(t)
-        marking = replay(abstract, marking, (t,)).final
+        marking = fire(abstract, marking, t)
 
     moves = lift(simplified, sigma)
     assert sequence_cost(demo_offline.net, moves) == sequence_cost(abstract, sigma)
-    run = replay(demo_offline.net, demo_offline.net.initial_marking, moves)
-    lifted = tuple(run.final[p] for p in simplified.base_place)
+    run = replay(demo_offline.net, demo_offline.net.initial_counts, moves)
+    final = marking_of(demo_offline.net, run.counts)
+    lifted = tuple(final[p] for p in simplified.base_place)
     assert lifted == marking
-    off_base = [run.final[p] for p in range(demo_offline.net.num_places)
+    off_base = [final[p] for p in range(demo_offline.net.num_places)
                 if p not in set(simplified.base_place)]
     assert not any(off_base)
 
@@ -200,7 +201,7 @@ def test_indicators_are_monotone_binary(demo_offline, seed):
     for _ in range(12):
         options = [t for t in range(qm.net.num_transitions)
                    if all(marking[p] for p in qm.net.pre[t])]
-        marking = replay(qm.net, marking, (rng.choice(options),)).final
+        marking = fire(qm.net, marking, rng.choice(options))
         cur = [marking[i] for i in indicators]
         assert all(v in (0, 1) for v in cur)
         assert all(a <= b for a, b in zip(prev, cur))

@@ -24,8 +24,8 @@ from tampnet.petri import replay, sequence_cost
 from tampnet.taskspec import holds
 
 from conftest import (assert_matches_reference, brute_minimal_sequence,
-                      hop_chain_net, markings_of, relay_net, square_env,
-                      two_cycle_net, two_feeders_net)
+                      hop_chain_net, marking_of, markings_of, relay_net,
+                      square_env, two_cycle_net, two_feeders_net)
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
@@ -61,9 +61,9 @@ def test_c1_example_walkthrough(demo_env, announce):
         for path in result.per_agent_paths:
             assert (0, 2) not in path
         assert any(path[-1] == (2, 2) for path in result.per_agent_paths)
-        run = replay(offline.net, offline.net.initial_marking,
+        run = replay(offline.net, offline.net.initial_counts,
                      result.team_sequence)
-        assert holds(spec, run.word, run.final, offline.net.labels)
+        assert holds(spec, run.word, run.counts, offline.net.labels)
         assert oracle is not None and oracle.cost == Fraction(3)
         assert elapsed < 1.0
 
@@ -105,11 +105,11 @@ def _assert_tree(graph):
 
 
 def _assert_replays(qm, graph):
-    root = qm.net.initial_marking
+    root = qm.net.initial_counts
     for i, marking in enumerate(markings_of(graph)):
         sigma = backtrack(graph, i)
         run = replay(qm.net, root, sigma)
-        assert run.final == marking
+        assert marking_of(qm.net, run.counts) == marking
         assert sequence_cost(qm.net, sigma) == graph.q(i)
 
 
@@ -239,9 +239,9 @@ def test_c7_plant_case_study(plant_env, plant_offline, announce):
         spec = parse(PLANT_SPEC)
         result = plan(plant_env, spec, plant_offline)
         assert isinstance(result, Plan)
-        run = replay(plant_offline.net, plant_offline.net.initial_marking,
+        run = replay(plant_offline.net, plant_offline.net.initial_counts,
                      result.team_sequence)
-        assert holds(spec, run.word, run.final, plant_offline.net.labels)
+        assert holds(spec, run.word, run.counts, plant_offline.net.labels)
         oracle = joint_search(plant_env, spec)
         assert oracle is not None
         assert result.total_cost == oracle.cost == Fraction(28)

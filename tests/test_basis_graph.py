@@ -23,9 +23,9 @@ from tampnet.planner import backtrack
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
-                      join_net, markings_of, occupancy_reference, random_env,
-                      relay_net, square_env, two_byte_net, two_cycle_net,
-                      two_feeders_net, wide_net)
+                      join_net, marking_of, markings_of, occupancy_reference,
+                      random_env, relay_net, square_env, two_byte_net,
+                      two_cycle_net, two_feeders_net, wide_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
 
@@ -172,8 +172,8 @@ def test_backtrack_replays_to_every_demo_marking(demo_offline):
     graph = demo_offline.graph
     for i in range(len(graph)):
         seq = backtrack(graph, i)
-        run = replay(qm.net, qm.net.initial_marking, seq)
-        assert run.final == graph.marking(i)
+        run = replay(qm.net, qm.net.initial_counts, seq)
+        assert marking_of(qm.net, run.counts) == graph.marking(i)
         assert sequence_cost(qm.net, seq) == graph.q(i)
     with pytest.raises(ValueError):
         backtrack(graph, len(graph))

@@ -6,7 +6,7 @@ import pytest
 
 from tampnet import ValidationError, cost_text, parse_env, plan
 from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn,
-                          free_cells, grid_index, plan_to_json, render)
+                          free_cells, plan_to_json, render)
 from tampnet.petri import Atom, END, VISIT
 
 from conftest import square_env
@@ -32,14 +32,28 @@ def test_free_cells_row_major(demo_env):
     assert free_cells(demo_env) == tuple((r, c) for r in range(3) for c in range(3))
 
 
-def test_grid_index_moves_follow_direction_table(demo_env):
-    cells, moves = grid_index(demo_env)
+def _direction(net, cells, t):
+    """Index into DIRECTIONS of move ``t``, from its source and target cells."""
+    (r, c), (r2, c2) = cells[net.pre[t][0]], cells[net.post[t][0]]
+    return [delta for _, delta in DIRECTIONS].index((r2 - r, c2 - c))
+
+
+def test_moves_follow_direction_table(demo_env):
+    cells = free_cells(demo_env)
+    net = env_to_pn(demo_env, cells)
     lookup = {cell: i for i, cell in enumerate(cells)}
-    for src, dst, d in moves:
+    order = []
+    for t in range(net.num_transitions):
+        (src,), (dst,) = net.pre[t], net.post[t]
+        d = _direction(net, cells, t)  # raises unless the step is a table entry
         (dr, dc) = DIRECTIONS[d][1]
         r, c = cells[src]
-        assert cells[dst] == (r + dr, c + dc)
-        assert lookup[cells[dst]] == dst
+        assert lookup[(r + dr, c + dc)] == dst
+        order.append((src, d))
+    # one move per free neighbour, listed per source place in direction order
+    assert order == sorted(set(order))
+    assert len(order) == sum((r + dr, c + dc) in lookup
+                             for r, c in cells for _, (dr, dc) in DIRECTIONS)
 
 
 def test_labels_are_region_unions(demo_env):
@@ -119,10 +133,10 @@ def test_move_cost_forms(cost, expected):
     env = square_env(2, [{"name": "z", "cells": [[0, 0]], "final_props": ["1"]}],
                      agents=[(1, 1)], move_cost=cost)
     assert env.move_cost == tuple(Fraction(x) for x in expected)
-    net = env_to_pn(env)
-    _, moves = grid_index(env)
-    for t, (_, _, d) in enumerate(moves):
-        assert net.cost[t] == Fraction(expected[d])
+    cells = free_cells(env)
+    net = env_to_pn(env, cells)
+    for t in range(net.num_transitions):
+        assert net.cost[t] == Fraction(expected[_direction(net, cells, t)])
 
 
 def test_move_cost_rejects_nonpositive_and_junk():

@@ -8,7 +8,7 @@ from tampnet.errors import FiringError
 from tampnet.petri import (Atom, END, PetriNet, VISIT, enabled, fire, replay,
                            sequence_cost)
 
-from conftest import EMPTY, hand_net, square_env
+from conftest import EMPTY, counts_of, hand_net, marking_of, square_env
 
 
 def _chain():
@@ -40,8 +40,8 @@ def test_fire_refuses_disabled_with_place_and_step():
 
 def test_replay_trace_and_word():
     net = _chain()
-    run = replay(net, net.initial_marking, (0, 1))
-    assert run.final == (0, 0, 1)
+    run = replay(net, net.initial_counts, (0, 1))
+    assert marking_of(net, run.counts) == (0, 0, 1)
     trace = [net.initial_marking]
     for t in (0, 1):
         trace.append(fire(net, trace[-1], t))
@@ -54,7 +54,7 @@ def test_replay_trace_and_word():
 def test_replay_word_starts_with_initially_occupied_labels():
     net = hand_net(2, [((0,), (1,), 1)],
                    [frozenset({Atom(VISIT, "a")}), EMPTY], (2, 0))
-    run = replay(net, net.initial_marking, ())
+    run = replay(net, net.initial_counts, ())
     assert run.word == (frozenset({Atom(VISIT, "a")}),)
 
 
@@ -135,41 +135,53 @@ def test_replay_matches_firing_step_by_step(demo_offline, plant_offline):
         for _ in range(25):
             start = net.initial_marking
             prefix = _random_run(net, start, rng, rng.randrange(0, 10))
-            start = replay(net, start, prefix).final
+            start = marking_of(net, replay(net, net.initial_counts, prefix).counts)
             sigma = _random_run(net, start, rng, rng.randrange(0, 60))
-            run = replay(net, start, sigma)
-            assert (run.final, run.word) == _fold_with_fire(net, start, sigma), name
+            run = replay(net, counts_of(start), sigma)
+            assert (marking_of(net, run.counts), run.word) == _fold_with_fire(net, start, sigma), name
             assert sequence_cost(net, sigma) == sum((net.cost[t] for t in sigma), Fraction(0))
 
 
 def test_replay_from_counts_matches_replay_from_the_marking(demo_offline, plant_offline):
     rng = random.Random("replay-counts")
     for name, net in _replay_nets(demo_offline, plant_offline).items():
-        assert net.initial_counts == replay(net, net.initial_marking, ()).counts, name
+        assert net.initial_counts == counts_of(net.initial_marking), name
+        assert replay(net, net.initial_counts, ()).counts == net.initial_counts, name
         for _ in range(10):
-            start = replay(net, net.initial_marking,
-                           _random_run(net, net.initial_marking, rng, rng.randrange(0, 10)))
-            m = start.final
-            assert start.counts == {p: c for p, c in enumerate(m) if c}, name
+            prefix = _random_run(net, net.initial_marking, rng, rng.randrange(0, 10))
+            start = replay(net, net.initial_counts, prefix)
+            m = _fold_with_fire(net, net.initial_marking, prefix)[0]
+            assert start.counts == counts_of(m), name
             sigma = _random_run(net, m, rng, rng.randrange(0, 30))
             before = dict(start.counts)
             run = replay(net, start.counts, sigma)
             assert start.counts == before, name
-            assert run == replay(net, m, sigma), name
-            assert run.final == _fold_with_fire(net, m, sigma)[0], name
+            assert run == replay(net, counts_of(m), sigma), name
+            assert marking_of(net, run.counts) == _fold_with_fire(net, m, sigma)[0], name
     net = _chain()
     for bad in ({3: 1}, {-1: 1}, {0: 0}, {"0": 1}):
         with pytest.raises(ValueError, match="counts map"):
             replay(net, bad, ())
 
 
+def test_replay_refuses_a_full_marking(demo_offline, plant_offline):
+    # a marking tuple is never read as a counts map, whatever its entries
+    for name, net in _replay_nets(demo_offline, plant_offline).items():
+        for sigma in ((), (0,)):
+            with pytest.raises((TypeError, ValueError)):
+                replay(net, net.initial_marking, sigma)
+    net = _chain()
+    for m in ((1, 0, 0), (0, 2, 1), [1, 0, 0]):
+        with pytest.raises((TypeError, ValueError)):
+            replay(net, m, ())
+
+
 def test_replay_raises_the_firing_error_of_fire(demo_offline, plant_offline):
     rng = random.Random("replay-illegal")
     for name, net in _replay_nets(demo_offline, plant_offline).items():
         for _ in range(10):
-            m = net.initial_marking
-            legal = _random_run(net, m, rng, rng.randrange(0, 20))
-            m = replay(net, m, legal).final
+            legal = _random_run(net, net.initial_marking, rng, rng.randrange(0, 20))
+            m = marking_of(net, replay(net, net.initial_counts, legal).counts)
             disabled = [t for t in range(net.num_transitions) if not enabled(net, m, t)]
             if not disabled:
                 continue
@@ -177,13 +189,13 @@ def test_replay_raises_the_firing_error_of_fire(demo_offline, plant_offline):
             with pytest.raises(FiringError) as expected:
                 fire(net, m, bad, step=len(legal))
             with pytest.raises(FiringError) as got:
-                replay(net, net.initial_marking, legal + [bad] + legal)
+                replay(net, net.initial_counts, legal + [bad] + legal)
             assert (got.value.transition, got.value.place, got.value.step) \
                 == (expected.value.transition, expected.value.place, len(legal)), name
             assert str(got.value) == str(expected.value)
         for bad in (net.num_transitions, -1, "0"):
             with pytest.raises(ValueError, match="unknown transition id"):
-                replay(net, net.initial_marking, (bad,))
+                replay(net, net.initial_counts, (bad,))
 
 
 def test_fire_saturates_clamped_places():

@@ -194,9 +194,9 @@ def test_plan_outputs_hang_together(seed):
     assert oracle is not None and oracle.cost == result.total_cost
     assert sequence_cost(offline.net, result.team_sequence) == result.total_cost
 
-    run = replay(offline.net, offline.net.initial_marking, result.team_sequence)
+    run = replay(offline.net, offline.net.initial_counts, result.team_sequence)
     assert run.word == result.satisfied_trace
-    assert holds(spec, run.word, run.final, offline.net.labels)
+    assert holds(spec, run.word, run.counts, offline.net.labels)
 
     steps = sum(len(path) - 1 for path in result.per_agent_paths)
     assert steps == len(result.team_sequence)
@@ -246,10 +246,10 @@ def test_plan_matches_the_oracle_on_random_maps():
             oracle = joint_search(env, spec)
             if isinstance(result, Plan):
                 assert oracle is not None and oracle.cost == result.total_cost, spec
-                # the route, escape hops included, against a full-marking replay
-                run = replay(offline.net, offline.net.initial_marking, result.team_sequence)
+                # the route, escape hops included, replayed in one pass
+                run = replay(offline.net, offline.net.initial_counts, result.team_sequence)
                 assert result.satisfied_trace == run.word, spec
-                assert holds(spec, run.word, run.final, offline.net.labels), spec
+                assert holds(spec, run.word, run.counts, offline.net.labels), spec
                 verdicts["feasible"] += 1
             else:
                 assert oracle is None, spec

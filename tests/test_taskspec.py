@@ -7,7 +7,7 @@ from tampnet.petri import Atom, END, VISIT
 from tampnet.taskspec import (BooleanSpec, SpecVectors, compile_vectors,
                               format_spec, holds)
 
-from conftest import hand_net
+from conftest import counts_of, hand_net
 
 
 @pytest.mark.parametrize("text", [
@@ -29,7 +29,8 @@ def test_true_is_the_empty_spec():
     assert spec == BooleanSpec()
     assert spec.is_empty()
     assert format_spec(spec) == "true"
-    assert spec.atoms() == frozenset()
+    assert spec.trajectory_clauses == spec.final_clauses == ()
+    assert spec.forbidden == frozenset()
 
 
 def test_canonical_text_orders_clauses_and_forbidden():
@@ -47,9 +48,9 @@ def test_parse_normalizes_duplicates_and_clause_order():
 
 def test_parse_collects_atoms():
     spec = parse("(visit(a) | visit(b)) & end(c) & !end(d)")
-    assert spec.atoms() == frozenset({
-        Atom(VISIT, "a"), Atom(VISIT, "b"), Atom(END, "c"), Atom(END, "d"),
-    })
+    assert spec.trajectory_clauses == (frozenset({"a", "b"}),)
+    assert spec.final_clauses == (frozenset({"c"}),)
+    assert spec.forbidden == frozenset({Atom(END, "d")})
 
 
 @pytest.mark.parametrize("text, position", [
@@ -167,18 +168,12 @@ def test_holds_on_hand_built_runs():
     word_stay = (frozenset({Atom(VISIT, "a")}),)
     word_move = word_stay + (frozenset({Atom(END, "b")}),)
 
-    # each final marking in full, then as the map of its occupied places
-    for stay, move in (((1, 0), (0, 1)), ({0: 1}, {1: 1})):
-        assert holds(parse("visit(a)"), word_stay, stay, net.labels)
-        assert holds(parse("visit(a) & end(b)"), word_move, move, net.labels)
-        assert not holds(parse("end(b)"), word_stay, stay, net.labels)
-        assert not holds(parse("!visit(a)"), word_stay, stay, net.labels)
-        assert not holds(parse("!end(b)"), word_move, move, net.labels)
-        assert holds(parse("!end(b)"), word_stay, stay, net.labels)
-        assert holds(parse("true"), word_stay, stay, net.labels)
-
-
-def test_holds_checks_place_count():
-    net = _eval_net()
-    with pytest.raises(ValueError):
-        holds(parse("true"), (), (1, 0, 0), net.labels)
+    # each final marking as the map of its occupied places
+    stay, move = net.initial_counts, counts_of((0, 1))
+    assert holds(parse("visit(a)"), word_stay, stay, net.labels)
+    assert holds(parse("visit(a) & end(b)"), word_move, move, net.labels)
+    assert not holds(parse("end(b)"), word_stay, stay, net.labels)
+    assert not holds(parse("!visit(a)"), word_stay, stay, net.labels)
+    assert not holds(parse("!end(b)"), word_move, move, net.labels)
+    assert holds(parse("!end(b)"), word_stay, stay, net.labels)
+    assert holds(parse("true"), word_stay, stay, net.labels)
