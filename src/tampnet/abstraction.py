@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .petri import VISIT, Atom, PetriNet
@@ -33,12 +34,17 @@ from .petri import VISIT, Atom, PetriNet
 
 @dataclass(frozen=True)
 class MinimalSequence:
-    """Cheapest admissible move sequence between two places of the base net."""
+    """Cheapest admissible move sequence between two places of the base net.
+
+    ``places[k]`` is the base place that move ``sequence[k]`` ends on, so
+    ``places[-1]`` is ``target`` and the route runs ``source, *places``.
+    """
 
     source: int
     target: int
     sequence: Tuple[int, ...]
     cost: Fraction
+    places: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,24 @@ class SimplifiedNet:
     net: PetriNet
     lift_map: Tuple[MinimalSequence, ...]
     base_place: Tuple[int, ...]
+
+    @cached_property
+    def kept_places(self) -> frozenset:
+        """The base-net places the reduction keeps: the set of
+        ``base_place``, worked out on first use."""
+        return frozenset(self.base_place)
+
+    @cached_property
+    def stops(self) -> Tuple[Tuple[int, ...], ...]:
+        """``stops[t]`` lists, in ascending order, the indices ``k >= 1`` of
+        the moves of ``lift_map[t]`` that leave a kept place: the route
+        passes ``places[k - 1]``, an unlabeled start place where an idle
+        agent may stand. Worked out on first use; most tuples are empty,
+        since a route enters no labeled place but its target."""
+        kept = self.kept_places
+        return tuple(() if kept.isdisjoint(ms.places[:-1]) else
+                     tuple(k for k, p in enumerate(ms.places[:-1], 1) if p in kept)
+                     for ms in self.lift_map)
 
 
 @dataclass(frozen=True)
@@ -158,7 +182,8 @@ class _Moves:
     def route(self, dist: List[Optional[int]], reach: List[int], source: int,
               target: int, bit: int) -> MinimalSequence:
         """Lexicographically smallest cheapest route from ``source`` to a
-        settled ``target`` whose ``reaching`` bit is ``bit``.
+        settled ``target`` whose ``reaching`` bit is ``bit``, with the place
+        each of its moves ends on.
 
         The walk takes, at every step, the smallest transition id of a DAG
         move whose head still reaches the target. Costs are positive, so no
@@ -166,16 +191,18 @@ class _Moves:
         the smallest transition-id tuple.
         """
         seq = []
+        places = []
         p = source
         while p != target:
             d = dist[p]
             for t, q, w in self.out[p]:
                 if reach[q] & bit and d + w == dist[q]:
                     seq.append(t)
+                    places.append(q)
                     p = q
                     break
         return MinimalSequence(source, target, tuple(seq),
-                               Fraction(dist[target], self.scale))
+                               Fraction(dist[target], self.scale), tuple(places))
 
 
 def build_simplified(net: PetriNet) -> SimplifiedNet:

@@ -4,7 +4,8 @@ A grid world is a rows x cols board with blocked cells, labeled regions,
 and agent start cells. Compilation produces one place per free cell (in
 row-major order) and one transition per directed move between 4-adjacent
 free cells, ordered by (source place, direction) with the direction order
-up, right, down, left.
+up, right, down, left. Each arc list is a one-place tuple, and the moves
+into or out of a place share one such tuple.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from html import escape
 from itertools import repeat
 from typing import Dict, Optional, Tuple
@@ -267,10 +269,12 @@ def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> Pet
         if p < 0:
             raise ValidationError(f"agent start {[r, c]} is not a free cell")
         counts[p] += 1
+    # one arc tuple per place, shared by every move into or out of it
+    arc = tuple(zip(range(len(cells)))).__getitem__
     return PetriNet(
         num_places=len(cells),
-        pre=tuple(zip(src)),
-        post=tuple(zip(dst)),
+        pre=tuple(map(arc, src)),
+        post=tuple(map(arc, dst)),
         cost=tuple(map(env.move_cost.__getitem__, direction)),
         labels=tuple(map(by_cell.get, cells, repeat(frozenset()))),
         initial_marking=tuple(counts),
@@ -287,26 +291,29 @@ def cost_json(value: Fraction):
     return value.numerator if value.denominator == 1 else cost_text(value)
 
 
-def plan_to_json(env: Environment, plan: Plan) -> dict:
-    """Stable JSON form of a plan (see README for the schema)."""
+@lru_cache(maxsize=4096)
+def _cell_json(cell: Cell) -> str:
+    """The JSON text of one cell, ``[r,c]``, kept for the last 4,096 cells."""
+    return f"[{cell[0]},{cell[1]}]"
+
+
+def plan_json_text(env: Environment, plan: Plan) -> str:
+    """The plan as one line of JSON (see README for the schema).
+
+    The bytes are those of ``json.dumps`` of the schema's object with
+    ``sort_keys=True`` and ``separators=(",", ":")``, plus a newline; they
+    are written here directly, a joined fragment per cell.
+    """
     visited = frozenset().union(*plan.satisfied_trace) if plan.satisfied_trace else frozenset()
     final_atoms = {Atom(END, p) for path in plan.per_agent_paths
                    for region in env.regions if path[-1] in region.cells
                    for p in region.final_props}
     satisfied = sorted(a.text() for a in set(a for a in visited if a.kind == VISIT) | final_atoms)
-    return {
-        "total_cost": cost_json(plan.total_cost),
-        "agents": [
-            {"start": list(path[0]), "path": [list(cell) for cell in path]}
-            for path in plan.per_agent_paths
-        ],
-        "team_sequence": list(plan.team_sequence),
-        "satisfied_atoms": satisfied,
-    }
-
-
-def plan_json_text(env: Environment, plan: Plan) -> str:
-    return json.dumps(plan_to_json(env, plan), sort_keys=True, separators=(",", ":")) + "\n"
+    agents = ",".join(f'{{"path":[{",".join(map(_cell_json, path))}],"start":{_cell_json(path[0])}}}'
+                      for path in plan.per_agent_paths)
+    return (f'{{"agents":[{agents}],"satisfied_atoms":[{",".join(map(json.dumps, satisfied))}],'
+            f'"team_sequence":[{",".join(map(str, plan.team_sequence))}],'
+            f'"total_cost":{json.dumps(cost_json(plan.total_cost))}}}\n')
 
 
 _PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",

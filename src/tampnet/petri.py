@@ -151,6 +151,15 @@ class PetriNet:
         return tuple(map(mul, map(_numerator, self.cost), factors)), scale
 
     @cached_property
+    def move_places(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(sources, targets)``, worked out on first use: the input and the
+        output place of each transition that is a single-token move, and -1
+        for both at any other transition."""
+        moves = [len(ps) == len(qs) == 1 for ps, qs in zip(self.pre, self.post)]
+        return (tuple(ps[0] if move else -1 for ps, move in zip(self.pre, moves)),
+                tuple(qs[0] if move else -1 for qs, move in zip(self.post, moves)))
+
+    @cached_property
     def initial_counts(self) -> Mapping[int, int]:
         """The initial marking as a read-only ``{place: count}`` map of its
         occupied places, worked out on first use."""

@@ -4,9 +4,12 @@ The offline half compiles an environment once (movement net, reduction,
 indicators, basis graph); the online half answers one formula: compile it
 once to one ascending place list per clause, combine the basis graph's
 per-place occupancy bitsets to find the cheapest marking meeting every
-clause, walk the parent edges back to the root, lift abstract transitions
-to grid moves, and split the move sequence into per-agent paths.
-Infeasibility is a first-class result, not an exception.
+clause, and walk the parent edges back to the root. The short abstract
+run is then lifted, checked and split into per-agent paths in one pass
+per abstract transition (``walk_route``): each transition's grid moves are
+checked against the movement net, fired and handed to an agent as whole
+tuples, so no Python loop runs per grid move. Infeasibility is a
+first-class result, not an exception.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
                           build_simplified, lift)
@@ -235,27 +238,111 @@ def backtrack(graph: BasisGraph, target: int) -> Tuple[int, ...]:
     return tuple(reversed(seq))
 
 
-def decompose_agents(net: PetriNet, sigma: Sequence[int],
-                     starts: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Split a movement firing sequence into per-agent place walks.
+class Route(NamedTuple):
+    """A lifted abstract run, fired on the movement net and split among the
+    agents: ``counts`` maps each place occupied at its end to its token
+    count, ``word`` is its proposition word (as from ``petri.replay``),
+    ``moves`` are its movement-net moves in firing order, and ``paths[a]``
+    lists the places agent ``a`` walks through, from its start place."""
 
-    Tokens are anonymous; each move is taken by the lowest-indexed agent
-    currently at the source place.
-    """
-    positions = list(starts)
-    paths = [[s] for s in starts]
-    for step, t in enumerate(sigma):
+    counts: Dict[int, int]
+    word: List[frozenset]
+    moves: List[int]
+    paths: List[List[int]]
+
+
+def _at(column: Sequence, keys: Sequence[int]) -> tuple:
+    """``column[k]`` for each of ``keys``, in one C-level call."""
+    return itemgetter(*keys)(column) if len(keys) > 1 else (column[keys[0]],)
+
+
+def _move_agents(net: PetriNet, moves: Sequence[int], paths: List[List[int]],
+                 step: int) -> None:
+    """Extend ``paths`` by ``moves``, one move at a time: each is taken by
+    the lowest-indexed agent at its source, where agent ``a`` stands at
+    ``paths[a][-1]``. ``step`` is the index of the first move in the run."""
+    positions = [path[-1] for path in paths]
+    for step, t in enumerate(moves, step):
         if len(net.pre[t]) != 1 or len(net.post[t]) != 1:
             raise ValueError(f"transition {t} is not a single-token move")
         src = net.pre[t][0]
-        dst = net.post[t][0]
         try:
             agent = positions.index(src)
         except ValueError:
             raise IntegrityError(f"step {step}: no agent stands at place {src}") from None
-        positions[agent] = dst
-        paths[agent].append(dst)
-    return [tuple(path) for path in paths]
+        positions[agent] = net.post[t][0]
+        paths[agent].append(positions[agent])
+
+
+def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
+               starts: Sequence[int]) -> Route:
+    """Fire the lift of the abstract run ``sigma`` on the movement net
+    ``net`` from its initial marking, and split it among the agents that
+    start on the places ``starts``: one loop iteration per abstract
+    transition, with the grid moves touched only by copies and comparisons.
+
+    Each lifted sequence is checked in tuple comparisons: its moves are
+    single-token moves of ``net`` that chain from its source through its
+    ``places``, its source holds a token and an agent, and it ends on a
+    kept place (see ``SimplifiedNet.kept_places``). One token then moves
+    from the source to the last place. The walk goes to the lowest-indexed
+    agent at the source; at a stop (see ``SimplifiedNet.stops``) that holds
+    a lower-indexed agent, the rest of the walk goes to that agent. As
+    every agent stands on a kept place between sequences, this is the rule
+    of giving each move to the lowest-indexed agent at its source.
+
+    A run that fails a check, starts off the kept places, names an unknown
+    abstract transition or runs on a net with latches is redone one move at
+    a time, with the errors of that: ``lift`` and ``petri.replay`` over the
+    whole run raise theirs, then each move goes to the lowest-indexed agent
+    at its source, with a ValueError for a move that is not a single-token
+    move and an IntegrityError when no agent stands at a move's source.
+    """
+    sources, targets = net.move_places
+    labels = net.labels
+    lift_map, stops, kept = simplified.lift_map, simplified.stops, simplified.kept_places
+    counts = dict(net.initial_counts)
+    word = [frozenset().union(*map(labels.__getitem__, counts))]
+    moves: List[int] = []
+    positions = list(starts)
+    paths = [[p] for p in starts]
+    chained = not net.clamp_at_one and kept.issuperset(positions)
+    for t in sigma:
+        try:
+            ms = lift_map[t]
+            src, seq, places = ms.source, ms.sequence, ms.places
+            chained = (chained and t >= 0 and src in counts and src in positions
+                       and places[-1] in kept and _at(targets, seq) == places
+                       and _at(sources, seq) == (src,) + places[:-1]
+                       and min(seq) >= 0)
+        except (IndexError, TypeError):
+            chained = False
+        if not chained:
+            lifted = lift(simplified, sigma)
+            run = replay(net, net.initial_counts, lifted)
+            paths = [[p] for p in starts]
+            _move_agents(net, lifted, paths, 0)
+            return Route(run.counts, list(run.word), list(lifted), paths)
+
+        mover = positions.index(src)
+        walked = 0
+        for k in stops[t]:
+            idle = places[k - 1]
+            if idle in positions[:mover]:
+                paths[mover].extend(places[walked:k])
+                positions[mover] = idle
+                mover, walked = positions.index(idle), k
+        paths[mover].extend(places[walked:])
+        dst = positions[mover] = places[-1]
+
+        moves.extend(seq)
+        word.extend(_at(labels, places))
+        if counts[src] == 1:
+            del counts[src]
+        else:
+            counts[src] -= 1
+        counts[dst] = counts.get(dst, 0) + 1
+    return Route(counts, word, moves, paths)
 
 
 def plan(env: Environment, spec: Union[BooleanSpec, str],
@@ -272,12 +359,13 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         return Infeasible(diagnose_infeasibility(offline.graph, vectors,
                                                  offline.escapes))
 
-    # The route is checked on the occupied places only: no step below reads
-    # every place of the movement net, so a query costs its route.
+    # The route is walked and checked once per abstract transition, on the
+    # occupied places only: no step below reads every place of the movement
+    # net or runs a Python loop per grid move, so a query costs its
+    # reduced route plus C-level copies of its grid moves.
     net = offline.net
     sigma_m = backtrack(offline.graph, choice.index)
-    sigma_q = lift(offline.simplified, sigma_m)
-    run = replay(net, net.initial_counts, sigma_q)
+    route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
     # Agents left on forbidden final places hop onto anonymous ground.
     target = offline.graph.marking(choice.index)
@@ -285,26 +373,25 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     for p in vectors.forbidden:
         if p < len(offline.escapes) and target[p]:
             hops.extend([offline.escapes[p][0]] * target[p])
-    tail = replay(net, run.counts, hops)
-    team = sigma_q + tuple(hops)
+    tail = replay(net, route.counts, hops)
+    team = (*route.moves, *hops)
     total = sequence_cost(net, team)
-    word = run.word + tail.word[1:]
+    word = (*route.word, *tail.word[1:])
 
     # Defensive checks; a corrupt cache is the realistic way to trip these.
     if total != choice.cost or \
             sequence_cost(offline.monitored.net, sigma_m) != offline.graph.q(choice.index):
         raise IntegrityError("abstract and base run costs disagree")
     for p, count in zip(offline.simplified.base_place, target):
-        if run.counts.get(p, 0) != count:
+        if route.counts.get(p, 0) != count:
             raise IntegrityError("base run does not reproduce the target marking")
     if not holds(spec, word, tail.counts, net.labels):
         raise IntegrityError("selected run does not satisfy the formula")
 
-    place_paths = decompose_agents(net, team, offline.starts)
-    cell_paths = tuple(tuple(offline.cells[p] for p in path) for path in place_paths)
+    _move_agents(net, hops, route.paths, len(route.moves))
     return Plan(
         total_cost=total,
-        per_agent_paths=cell_paths,
+        per_agent_paths=tuple(_at(offline.cells, path) for path in route.paths),
         team_sequence=team,
         satisfied_trace=word,
     )

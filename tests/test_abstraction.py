@@ -55,6 +55,12 @@ def assert_lift_map_matches_brute_force(net):
                 expected[source, target] = ref
     got = {(m.source, m.target): (m.cost, m.sequence) for m in simplified.lift_map}
     assert expected and got == expected
+    # each move's end place, and the moves that leave a kept place
+    kept = set(simplified.base_place)
+    for m, stops in zip(simplified.lift_map, simplified.stops):
+        assert m.places == tuple(net.post[t][0] for t in m.sequence)
+        assert stops == tuple(k for k in range(1, len(m.sequence))
+                              if net.pre[m.sequence[k]][0] in kept)
     return got
 
 

@@ -9,7 +9,8 @@ Each cache must also be its header line plus two uint32 columns of
 ``markings - 1`` entries, and nothing more.
 
 A fourth map, ``tests/data/reduce_44x44.json``, pins the reduction at a
-size beyond the brute-force checks of ``test_abstraction.py``.
+size beyond the brute-force checks of ``test_abstraction.py``, and the
+plan text of a long route on it.
 """
 
 import hashlib
@@ -148,3 +149,21 @@ def test_reduction_of_a_large_map_is_pinned(tmp_path):
         "lift_map": lift_map_digest(offline.simplified),
         "cache": hashlib.sha256(cache.read_bytes()).hexdigest(),
     } == REDUCE_GOLDEN
+
+
+# A formula on REDUCE_MAP whose plan lifts three reduced moves to 68 grid
+# moves and adds one escape hop, for two agents and a cost of 1955/36; the
+# digest of its plan_json_text was recorded before the plan was walked once
+# per reduced move and its text written without json.dumps.
+REDUCE_SPEC = "visit(e) & visit(d) & end(fb) & !end(c)"
+REDUCE_PLAN = "60ec0a996bbb3cc48496e9194a44518e06df50ed18f5a9a931ebc46ef687f931"
+
+
+def test_plan_of_a_long_route_is_pinned():
+    env = load_env(REDUCE_MAP)
+    result = plan(env, REDUCE_SPEC, build_offline(env))
+    assert isinstance(result, Plan)
+    assert len(result.team_sequence) == 69
+    assert result.total_cost.denominator > 1
+    text = plan_json_text(env, result)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REDUCE_PLAN

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from tampnet import ValidationError, cost_text, parse_env, plan
 from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn,
-                          free_cells, plan_to_json, render)
+                          free_cells, plan_json_text, render)
 from tampnet.petri import Atom, END, VISIT
 
 from conftest import square_env
@@ -156,7 +157,7 @@ def test_cost_text_and_json():
 
 def test_plan_json_schema(demo_env):
     result = plan(demo_env, "visit(2) & end(3) & !visit(1)")
-    doc = plan_to_json(demo_env, result)
+    doc = json.loads(plan_json_text(demo_env, result))
     assert sorted(doc) == ["agents", "satisfied_atoms", "team_sequence", "total_cost"]
     assert doc["total_cost"] == 3
     assert doc["satisfied_atoms"] == ["end(3)", "visit(2)"]

@@ -277,11 +277,21 @@ def test_construction_raises_the_comparison_error_of_a_non_numeric_cost():
                  labels=(EMPTY, EMPTY), initial_marking=(1, 0))
 
 
+def test_move_places_list_the_ends_of_single_token_moves():
+    assert _chain().move_places == ((0, 1), (1, 2))
+    # a join and a fork are no moves
+    net = hand_net(4, [((0,), (1,), 1), ((0, 1), (2,), 1), ((2,), (1, 3), 1)],
+                   [EMPTY] * 4, (1, 1, 0, 0))
+    assert net.move_places == ((0, -1, -1), (1, -1, -1))
+    assert net.move_places is net.move_places  # computed once per net
+
+
 def test_construction_accepts_a_net_without_transitions():
     net = PetriNet(num_places=2, pre=(), post=(), cost=(), labels=(EMPTY, EMPTY),
                    initial_marking=(1, 0))
     assert net.num_transitions == 0
     assert net.integer_costs == ((), 1)
+    assert net.move_places == ((), ())
     assert sequence_cost(net, ()) == 0
     assert replay(net, net.initial_counts, ()).counts == {0: 1}
     empty = PetriNet(num_places=0, pre=(), post=(), cost=(), labels=(), initial_marking=())

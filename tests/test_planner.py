@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,15 +10,16 @@ import pytest
 from tampnet import (Infeasible, Plan, build_offline, diagnose_infeasibility,
                      joint_search, parse, parse_env, plan, save_cache,
                      select_target)
+from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
-from tampnet.errors import IntegrityError
-from tampnet.grid import DIRECTIONS, cell_labels
-from tampnet.petri import enabled, fire, replay, sequence_cost
-from tampnet.planner import decompose_agents, escape_steps
+from tampnet.errors import FiringError, IntegrityError
+from tampnet.grid import DIRECTIONS, cell_labels, cost_json, plan_json_text
+from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
+from tampnet.planner import backtrack, escape_steps, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
-from conftest import EMPTY, hand_net, random_env, scan_select, square_env
+from conftest import EMPTY, end_label, hand_net, random_env, scan_select, square_env
 
 
 @pytest.fixture(scope="module")
@@ -162,19 +164,101 @@ def test_jointly_impossible_families_report_combination(demo_env, demo_offline):
     assert joint_search(demo_env, parse("visit(1) & !visit(2)")) is None
 
 
+def decompose_agents(net, sigma, starts):
+    """Reference split of a movement firing sequence into per-agent place
+    walks, one move at a time: each move is taken by the lowest-indexed
+    agent currently at its source place."""
+    positions = list(starts)
+    paths = [[s] for s in starts]
+    for step, t in enumerate(sigma):
+        if len(net.pre[t]) != 1 or len(net.post[t]) != 1:
+            raise ValueError(f"transition {t} is not a single-token move")
+        src = net.pre[t][0]
+        dst = net.post[t][0]
+        try:
+            agent = positions.index(src)
+        except ValueError:
+            raise IntegrityError(f"step {step}: no agent stands at place {src}") from None
+        positions[agent] = dst
+        paths[agent].append(dst)
+    return [tuple(path) for path in paths]
+
+
+def assert_walk_matches_reference(net, simplified, sigma, starts):
+    """``walk_route`` gives what replaying the lifted run and splitting it
+    one move at a time give; returns the route."""
+    route = walk_route(net, simplified, sigma, starts)
+    moves = lift(simplified, sigma)
+    run = replay(net, net.initial_counts, moves)
+    assert route.moves == list(moves)
+    assert (route.counts, tuple(route.word)) == (run.counts, run.word)
+    assert list(map(tuple, route.paths)) == decompose_agents(net, moves, starts)
+    return route
+
+
 def test_decompose_agents_lowest_index_moves_first():
-    net = hand_net(2, [((0,), (1,), 1)], [EMPTY, EMPTY], (2, 0))
-    assert decompose_agents(net, (0,), [0, 0]) == [(0, 1), (0,)]
-    assert decompose_agents(net, (), [1, 0]) == [(1,), (0,)]
+    net = hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (2, 0))
+    simplified = build_simplified(net)
+    assert walk_route(net, simplified, (0,), [0, 0]).paths == [[0, 1], [0]]
+    assert walk_route(net, simplified, (), [1, 0]).paths == [[1], [0]]
+    # agent 0 idles on place 1, which agent 1's route from place 0 crosses:
+    # agent 0 takes the move out of place 1
+    chain = hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
+                     [EMPTY, EMPTY, end_label("x")], (1, 1, 0))
+    simplified = build_simplified(chain)
+    (t,) = [t for t, m in enumerate(simplified.lift_map) if m.source == 0]
+    assert simplified.stops[t] == (1,)
+    route = assert_walk_matches_reference(chain, simplified, (t,), [1, 0])
+    assert route.paths == [[1, 2], [0, 1]]
 
 
 def test_decompose_agents_rejects_bad_sequences():
-    net = hand_net(2, [((0,), (1,), 1)], [EMPTY, EMPTY], (2, 0))
-    with pytest.raises(IntegrityError):
-        decompose_agents(net, (0,), [1, 1])
+    net = hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (2, 0))
+    simplified = build_simplified(net)
+    with pytest.raises(IntegrityError, match="step 0: no agent stands at place 0"):
+        walk_route(net, simplified, (0,), [1, 1])
+    with pytest.raises(FiringError, match="at step 2"):
+        walk_route(net, simplified, (0, 0, 0), [0, 0])
+    with pytest.raises(ValueError, match="unknown abstract transition 1"):
+        walk_route(net, simplified, (0, 1), [0, 0])
     multi = hand_net(3, [((0, 1), (2,), 1)], [EMPTY] * 3, (1, 1, 0))
-    with pytest.raises(ValueError):
-        decompose_agents(multi, (0,), [0, 1])
+    joined = SimplifiedNet(multi, (MinimalSequence(0, 2, (0,), Fraction(1), (2,)),), (0, 1, 2))
+    with pytest.raises(ValueError, match="transition 0 is not a single-token move"):
+        walk_route(multi, joined, (0,), [0, 1])
+
+
+def test_walk_route_saturates_a_latch_as_replay_does():
+    # place 1 is a latch that already holds a token: the move onto it
+    # leaves one token there, as petri.replay counts it
+    net = dataclasses.replace(hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (1, 1)),
+                              clamp_at_one=frozenset({1}))
+    route = assert_walk_matches_reference(net, build_simplified(net), (0,), [0, 1])
+    assert route.counts == {1: 1}
+
+
+def test_an_agent_idling_on_a_start_cell_takes_over_the_route_that_crosses_it():
+    # a corridor: agent 2 starts at the west end, agents 1 and 0 idle
+    # further east on unlabeled start cells, and the cheapest route from
+    # the west end to the goal at the east end crosses both
+    env = square_env(7, [{"name": "g", "cells": [[0, 6]], "final_props": ["g"]}],
+                     agents=[(0, 3), (0, 1), (0, 0)],
+                     obstacles=[(r, c) for r in range(1, 7) for c in range(7)])
+    offline = build_offline(env)
+    net, simplified = offline.net, offline.simplified
+    (t,) = [t for t, m in enumerate(simplified.lift_map) if m.source == 0]
+    assert simplified.stops[t] == (1, 3)
+    route = assert_walk_matches_reference(net, simplified, (t,), offline.starts)
+    assert route.paths == [[3, 4, 5, 6], [1, 2, 3], [0, 1]]
+    # every abstract run of up to two moves
+    abstract = simplified.net
+    runs = [((), abstract.initial_marking)]
+    for run, marking in runs:  # visits the runs appended below too
+        if len(run) < 2:
+            runs += [(run + (u,), fire(abstract, marking, u))
+                     for u in range(abstract.num_transitions) if enabled(abstract, marking, u)]
+    assert len(runs) == 10
+    for run, _ in runs:
+        assert_walk_matches_reference(net, simplified, run, offline.starts)
 
 
 def _delta_costs(env):
@@ -232,29 +316,69 @@ def random_formula(rng, env):
     return " & ".join(terms) or "true"
 
 
-def test_plan_matches_the_oracle_on_random_maps():
-    # maps with obstacles, overlapping regions, a shared proposition and
-    # fractional per-direction costs; formulas with negations and disjunctions
+def random_queries():
+    """(env, offline model, formula, plan result) of 300 seeded queries:
+    maps with obstacles, overlapping regions, a shared proposition and
+    fractional per-direction costs; formulas with negations and
+    disjunctions."""
     rng = random.Random("diff:oracle")
-    verdicts = {"feasible": 0, "infeasible": 0}
     for _ in range(60):
         env = random_env(rng)
         offline = build_offline(env)
         for _ in range(5):
             spec = parse(random_formula(rng, env))
-            result = plan(env, spec, offline)
-            oracle = joint_search(env, spec)
-            if isinstance(result, Plan):
-                assert oracle is not None and oracle.cost == result.total_cost, spec
-                # the route, escape hops included, replayed in one pass
-                run = replay(offline.net, offline.net.initial_counts, result.team_sequence)
-                assert result.satisfied_trace == run.word, spec
-                assert holds(spec, run.word, run.counts, offline.net.labels), spec
-                verdicts["feasible"] += 1
-            else:
-                assert oracle is None, spec
-                verdicts["infeasible"] += 1
+            yield env, offline, spec, plan(env, spec, offline)
+
+
+def test_plan_matches_the_oracle_on_random_maps():
+    verdicts = {"feasible": 0, "infeasible": 0}
+    for env, offline, spec, result in random_queries():
+        oracle = joint_search(env, spec)
+        if isinstance(result, Plan):
+            assert oracle is not None and oracle.cost == result.total_cost, spec
+            # the route, escape hops included, replayed in one pass
+            run = replay(offline.net, offline.net.initial_counts, result.team_sequence)
+            assert result.satisfied_trace == run.word, spec
+            assert holds(spec, run.word, run.counts, offline.net.labels), spec
+            verdicts["feasible"] += 1
+        else:
+            assert oracle is None, spec
+            verdicts["infeasible"] += 1
     assert min(verdicts.values()) > 0
+
+
+def plan_schema(env, plan):
+    """The plan's JSON object (see README for the schema), built as a dict."""
+    visited = frozenset().union(*plan.satisfied_trace) if plan.satisfied_trace else frozenset()
+    final_atoms = {Atom(END, p) for path in plan.per_agent_paths
+                   for region in env.regions if path[-1] in region.cells
+                   for p in region.final_props}
+    satisfied = sorted(a.text() for a in set(a for a in visited if a.kind == VISIT) | final_atoms)
+    return {
+        "total_cost": cost_json(plan.total_cost),
+        "agents": [
+            {"start": list(path[0]), "path": [list(cell) for cell in path]}
+            for path in plan.per_agent_paths
+        ],
+        "team_sequence": list(plan.team_sequence),
+        "satisfied_atoms": satisfied,
+    }
+
+
+def test_plan_paths_and_text_follow_one_move_at_a_time_on_random_maps():
+    # the agent split of every move, escape hops included, and the plan's
+    # JSON text written by json.dumps
+    feasible = 0
+    for env, offline, spec, result in random_queries():
+        if not isinstance(result, Plan):
+            continue
+        paths = decompose_agents(offline.net, result.team_sequence, offline.starts)
+        assert result.per_agent_paths == tuple(
+            tuple(offline.cells[p] for p in path) for path in paths), spec
+        assert plan_json_text(env, result) == json.dumps(
+            plan_schema(env, result), sort_keys=True, separators=(",", ":")) + "\n", spec
+        feasible += 1
+    assert feasible > 100
 
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
@@ -303,6 +427,49 @@ def test_plan_refuses_a_tampered_offline_model(demo_env, demo_offline, tamper, m
     assert isinstance(plan(demo_env, spec, demo_offline), Plan)
     with pytest.raises(IntegrityError, match=message):
         plan(demo_env, spec, tamper(demo_offline, spec))
+
+
+def _with_lift_entry(offline, t, entry):
+    lift_map = list(offline.simplified.lift_map)
+    lift_map[t] = entry
+    simplified = dataclasses.replace(offline.simplified, lift_map=tuple(lift_map))
+    return dataclasses.replace(offline, simplified=simplified)
+
+
+@pytest.mark.parametrize("occupied, error, message", [
+    (False, FiringError, "transition 5 not enabled at step 1: place 2 holds 0 token"),
+    (True, IntegrityError, "base run does not reproduce the target marking"),
+])
+def test_plan_refuses_a_lift_map_entry_that_does_not_chain(demo_env, demo_offline,
+                                                          occupied, error, message):
+    # the route's last abstract move lifts to the moves of the first other
+    # entry of equal cost from another source, one that holds a token or
+    # not: the error is the one of replaying the lifted route move by move
+    spec = parse(DEMO_SPEC)
+    lift_map = demo_offline.simplified.lift_map
+    t = backtrack(demo_offline.graph, _chosen(demo_offline, spec))[-1]
+    ms = lift_map[t]
+    other = next(m for m in lift_map if m.cost == ms.cost and m.source != ms.source
+                 and (m.source in demo_offline.net.initial_counts) == occupied)
+    tampered = _with_lift_entry(demo_offline, t, dataclasses.replace(
+        other, source=ms.source, target=ms.target))
+    with pytest.raises(error, match=message):
+        plan(demo_env, spec, tampered)
+
+
+def test_recorded_places_that_disagree_with_the_moves_change_no_plan(plant_env, plant_offline):
+    # each abstract move of the route in turn, its recorded places reversed:
+    # the route is walked one move at a time instead, to the same plan
+    spec = parse("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
+                 " & !visit(5) & end(1) & end(7)")
+    expected = plan(plant_env, spec, plant_offline)
+    route = backtrack(plant_offline.graph, _chosen(plant_offline, spec))
+    assert len(route) > 4
+    for t in route:
+        ms = plant_offline.simplified.lift_map[t]
+        tampered = _with_lift_entry(plant_offline, t, dataclasses.replace(
+            ms, places=ms.places[::-1]))
+        assert plan(plant_env, spec, tampered) == expected
 
 
 class _Passes(tuple):
