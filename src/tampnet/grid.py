@@ -32,7 +32,7 @@ DIRECTIONS: Tuple[Tuple[str, Tuple[int, int]], ...] = (
     ("left", (0, -1)),
 )
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 _ENV_KEYS = {"grid", "obstacles", "regions", "agents", "move_cost"}
 _REGION_KEYS = {"name", "cells", "trajectory_props", "final_props"}
@@ -174,7 +174,7 @@ def _props(raw, where) -> frozenset:
         raise ValidationError(f"{where} must be a list of proposition names")
     out = set()
     for v in raw:
-        if not isinstance(v, str) or not _NAME_RE.match(v):
+        if not isinstance(v, str) or not _NAME_RE.fullmatch(v):
             raise ValidationError(f"{where}: bad proposition name {v!r}")
         out.add(v)
     return frozenset(out)
@@ -302,7 +302,9 @@ def plan_json_text(env: Environment, plan: Plan) -> str:
 
     The bytes are those of ``json.dumps`` of the schema's object with
     ``sort_keys=True`` and ``separators=(",", ":")``, plus a newline; they
-    are written here directly, a joined fragment per cell.
+    are written here directly, a joined fragment per cell. An atom's text
+    is quoted as it is: ``parse_env`` admits only proposition names of
+    ``[A-Za-z0-9_]+``, which JSON writes unescaped.
     """
     visited = frozenset().union(*plan.satisfied_trace) if plan.satisfied_trace else frozenset()
     final_atoms = {Atom(END, p) for path in plan.per_agent_paths
@@ -311,7 +313,8 @@ def plan_json_text(env: Environment, plan: Plan) -> str:
     satisfied = sorted(a.text() for a in set(a for a in visited if a.kind == VISIT) | final_atoms)
     agents = ",".join(f'{{"path":[{",".join(map(_cell_json, path))}],"start":{_cell_json(path[0])}}}'
                       for path in plan.per_agent_paths)
-    return (f'{{"agents":[{agents}],"satisfied_atoms":[{",".join(map(json.dumps, satisfied))}],'
+    quoted = ",".join(map('"{}"'.format, satisfied))
+    return (f'{{"agents":[{agents}],"satisfied_atoms":[{quoted}],'
             f'"team_sequence":[{",".join(map(str, plan.team_sequence))}],'
             f'"total_cost":{json.dumps(cost_json(plan.total_cost))}}}\n')
 

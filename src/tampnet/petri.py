@@ -160,6 +160,18 @@ class PetriNet:
                 tuple(qs[0] if move else -1 for qs, move in zip(self.post, moves)))
 
     @cached_property
+    def end_places(self) -> Mapping[str, Tuple[int, ...]]:
+        """``{name: places}`` for each final proposition the labels carry:
+        the ascending places labeled ``end(name)``, worked out on first use
+        as a read-only map."""
+        places: Dict[str, list] = {}
+        for p, labels in enumerate(self.labels):
+            for kind, name in labels:
+                if kind == END:
+                    places.setdefault(name, []).append(p)
+        return MappingProxyType({name: tuple(ps) for name, ps in places.items()})
+
+    @cached_property
     def initial_counts(self) -> Mapping[int, int]:
         """The initial marking as a read-only ``{place: count}`` map of its
         occupied places, worked out on first use."""

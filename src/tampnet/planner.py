@@ -25,7 +25,7 @@ from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
 from .basis_graph import DEFAULT_STATE_CAP, BasisGraph, build_graph, load_cache
 from .errors import IntegrityError
 from .grid import Cell, Environment, Plan, env_to_pn, free_cells
-from .petri import PetriNet, replay, sequence_cost
+from .petri import PetriNet, replay
 from .taskspec import BooleanSpec, SpecVectors, compile_vectors, holds, parse
 
 
@@ -352,40 +352,51 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         spec = parse(spec)
     if offline is None:
         offline = build_offline(env)
+    graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    choice = select_target(offline.graph, vectors, offline.escapes)
+    choice = select_target(graph, vectors, offline.escapes)
     if choice is None:
-        return Infeasible(diagnose_infeasibility(offline.graph, vectors,
-                                                 offline.escapes))
+        return Infeasible(diagnose_infeasibility(graph, vectors, offline.escapes))
 
     # The route is walked and checked once per abstract transition, on the
     # occupied places only: no step below reads every place of the movement
     # net or runs a Python loop per grid move, so a query costs its
     # reduced route plus C-level copies of its grid moves.
     net = offline.net
-    sigma_m = backtrack(offline.graph, choice.index)
+    sigma_m = backtrack(graph, choice.index)
     route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
-    # Agents left on forbidden final places hop onto anonymous ground.
-    target = offline.graph.marking(choice.index)
+    # Agents left on forbidden final places hop onto anonymous ground; a
+    # route without hops is finished as walk_route left it.
+    target = graph.marking(choice.index)
     hops: List[int] = []
     for p in vectors.forbidden:
         if p < len(offline.escapes) and target[p]:
             hops.extend([offline.escapes[p][0]] * target[p])
-    tail = replay(net, route.counts, hops)
+    counts, word = route.counts, tuple(route.word)
+    if hops:
+        tail = replay(net, counts, hops)
+        counts, word = tail.counts, word + tail.word[1:]
+    # walk_route has checked every move id and abstract transition id of
+    # the route (and replay every hop's), so each indexes its net's
+    # integer weights directly
     team = (*route.moves, *hops)
-    total = sequence_cost(net, team)
-    word = (*route.word, *tail.word[1:])
+    weights, scale = net.integer_costs
+    total = Fraction(sum(map(weights.__getitem__, team)), scale)
+    abstract_weights, abstract_scale = offline.monitored.net.integer_costs
+    abstract = sum(map(abstract_weights.__getitem__, sigma_m))
 
     # Defensive checks; a corrupt cache is the realistic way to trip these.
+    # The abstract run's cost is compared with the tree's as the fractions
+    # abstract / abstract_scale and qs[i] / graph.scale, cross-multiplied.
     if total != choice.cost or \
-            sequence_cost(offline.monitored.net, sigma_m) != offline.graph.q(choice.index):
+            abstract * graph.scale != graph.qs[choice.index] * abstract_scale:
         raise IntegrityError("abstract and base run costs disagree")
     for p, count in zip(offline.simplified.base_place, target):
         if route.counts.get(p, 0) != count:
             raise IntegrityError("base run does not reproduce the target marking")
-    if not holds(spec, word, tail.counts, net.labels):
+    if not holds(spec, word, counts, net.labels):
         raise IntegrityError("selected run does not satisfy the formula")
 
     _move_agents(net, hops, route.paths, len(route.moves))

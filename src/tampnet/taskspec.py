@@ -31,14 +31,11 @@ from .petri import END, VISIT, Atom, PetriNet
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
-_TOKENS = (
-    ("atom", re.compile(r"(visit|end)\s*\(\s*([A-Za-z0-9_]+)\s*\)")),
-    ("and", re.compile(r"&")),
-    ("or", re.compile(r"\|")),
-    ("not", re.compile(r"!")),
-    ("lp", re.compile(r"\(")),
-    ("rp", re.compile(r"\)")),
-)
+# One token per match, after any whitespace: the kinds are tried in this
+# order, and "bad" takes any other character. The atom group holds the
+# kind (group 2) and the name (group 3).
+_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(visit|end)\s*\(\s*([A-Za-z0-9_]+)\s*\))"
+                       r"|(?P<and>&)|(?P<or>\|)|(?P<not>!)|(?P<lp>\()|(?P<rp>\))|(?P<bad>\S))")
 
 
 @dataclass(frozen=True)
@@ -111,87 +108,81 @@ class SpecVectors:
     forbidden: Tuple[int, ...]
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        for kind, rx in _TOKENS:
-            m = rx.match(text, i)
-            if m:
-                tokens.append((kind, m, i))
-                i = m.end()
-                break
-        else:
-            raise SpecSyntaxError(f"unexpected character {text[i]!r}", position=i)
-    return tokens
+def _expected(kind: str, m: re.Match) -> SpecSyntaxError:
+    """The error of finding the token ``m`` where the grammar wants ``kind``."""
+    return SpecSyntaxError(f"expected {kind}, found {m.lastgroup}",
+                           position=m.start(m.lastindex))
 
 
 def parse(text: str) -> BooleanSpec:
-    """Parse formula text; raises SpecSyntaxError / SpecShapeError."""
+    """Parse formula text; raises SpecSyntaxError / SpecShapeError.
+
+    One loop reads the matches of one token regex, where ``expect`` is what
+    the grammar allows next: a ``"term"``, the atom after ``!``
+    (``"negated"``), an atom inside parentheses (``"member"``), ``|`` or
+    ``)`` after one (``"or"``), or ``&`` after a whole term (``"and"``).
+    A character that starts no token is reported before any error of the
+    grammar, so after the first such error the loop only looks for one.
+    """
     if not isinstance(text, str):
         raise SpecSyntaxError(f"formula must be a string, got {type(text).__name__}")
-    if text.strip() == "true":
+    stripped = text.strip()
+    if stripped == "true":
         return BooleanSpec()
-    tokens = _tokenize(text)
-    if not tokens:
+    if not stripped:
         raise SpecSyntaxError("empty formula (use 'true' for no constraints)")
 
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(kind):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != kind:
-            at = tokens[pos][2] if pos < len(tokens) else len(text)
-            found = tokens[pos][0] if pos < len(tokens) else "end of input"
-            raise SpecSyntaxError(f"expected {kind}, found {found}", position=at)
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def take_atom() -> Atom:
-        _, m, _ = take("atom")
-        return Atom(m.group(1), m.group(2))
-
-    trajectory = []
-    final = []
+    clauses = {VISIT: [], END: []}
     forbidden = set()
-
-    def term():
-        if peek() == "not":
-            take("not")
-            forbidden.add(take_atom())
-            return
-        if peek() == "lp":
-            at = tokens[pos][2]
-            take("lp")
-            atoms = [take_atom()]
-            while peek() == "or":
-                take("or")
-                atoms.append(take_atom())
-            take("rp")
-            kinds = {a.kind for a in atoms}
-            if len(kinds) > 1:
-                raise SpecShapeError(
-                    "a disjunction may not mix visit and end atoms "
-                    f"(clause at position {at})")
-            clause = frozenset(a.name for a in atoms)
-            (trajectory if atoms[0].kind == VISIT else final).append(clause)
-            return
-        atom = take_atom()
-        (trajectory if atom.kind == VISIT else final).append(frozenset([atom.name]))
-
-    term()
-    while pos < len(tokens):
-        take("and")
-        term()
-    return BooleanSpec(tuple(trajectory), tuple(final), frozenset(forbidden))
+    kinds, names = set(), []  # of the atoms inside the open parentheses
+    opened = 0
+    expect = "term"
+    error = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {m[kind]!r}", position=m.start(kind))
+        if error is not None:
+            continue
+        if expect == "and":
+            if kind == "and":
+                expect = "term"
+            else:
+                error = _expected("and", m)
+        elif expect == "or":
+            if kind == "or":
+                expect = "member"
+            elif kind != "rp":
+                error = _expected("rp", m)
+            elif len(kinds) > 1:
+                error = SpecShapeError("a disjunction may not mix visit and end atoms "
+                                       f"(clause at position {opened})")
+            else:
+                clauses[kinds.pop()].append(frozenset(names))
+                expect = "and"
+        elif kind == "atom":
+            if expect == "member":
+                kinds.add(m[2])
+                names.append(m[3])
+                expect = "or"
+            else:
+                if expect == "negated":
+                    forbidden.add(Atom(m[2], m[3]))
+                else:
+                    clauses[m[2]].append(frozenset((m[3],)))
+                expect = "and"
+        elif expect == "term" and kind == "not":
+            expect = "negated"
+        elif expect == "term" and kind == "lp":
+            kinds, names, opened, expect = set(), [], m.start(kind), "member"
+        else:
+            error = _expected("atom", m)
+    if error is not None:
+        raise error
+    if expect != "and":
+        raise SpecSyntaxError(f"expected {'rp' if expect == 'or' else 'atom'}, "
+                              "found end of input", position=len(text))
+    return BooleanSpec(tuple(clauses[VISIT]), tuple(clauses[END]), frozenset(forbidden))
 
 
 def format_spec(spec: BooleanSpec) -> str:
@@ -212,7 +203,8 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
     """Bind the formula's atoms to places of a monitored net.
 
     Trajectory propositions bind to their indicator place via
-    ``indicator_of``; end propositions bind to every place labeled with them.
+    ``indicator_of``; end propositions bind to every place labeled with them
+    (``PetriNet.end_places``, worked out once per net).
     Clauses keep the spec's order; each lists its places ascending and once.
     Unbound names raise :class:`UnknownPropositionError`.
     """
@@ -224,12 +216,11 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
                 f"trajectory proposition {name!r} is not defined by the environment") from None
 
     def end_places(name: str):
-        atom = Atom(END, name)
-        places = [p for p, labels in enumerate(net.labels) if atom in labels]
-        if not places:
+        try:
+            return net.end_places[name]
+        except KeyError:
             raise UnknownPropositionError(
-                f"final proposition {name!r} is not defined by the environment")
-        return places
+                f"final proposition {name!r} is not defined by the environment") from None
 
     trajectory = tuple(tuple(sorted({indicator(name) for name in clause}))
                        for clause in spec.trajectory_clauses)

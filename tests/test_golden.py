@@ -20,8 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from tampnet import (Plan, build_offline, load_env, net_digest, parse_env, plan,
-                     plan_json_text, save_cache)
+from tampnet import (Plan, build_offline, load_env, net_digest, parse, parse_env, plan,
+                     plan_json_text, save_cache, select_target)
+from tampnet.abstraction import lift
+from tampnet.planner import backtrack
+from tampnet.taskspec import compile_vectors
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
@@ -167,3 +170,78 @@ def test_plan_of_a_long_route_is_pinned():
     assert result.total_cost.denominator > 1
     text = plan_json_text(env, result)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REDUCE_PLAN
+
+
+def formula_pool(env, seed, size=60):
+    """``size`` seeded formulas over ``env``'s propositions: one to three
+    visit atoms and up to three end atoms, in clauses of one atom or two, and
+    up to two negated atoms of either kind that no clause asks for."""
+    rng = random.Random(seed)
+    names = {"visit": sorted({n for r in env.regions for n in r.trajectory_props}),
+             "end": sorted({n for r in env.regions for n in r.final_props})}
+    pool = []
+    for _ in range(size):
+        terms, asked = [], {}
+        for kind, low, high in (("visit", 1, 3), ("end", 0, 3)):
+            asked[kind] = rng.sample(names[kind], rng.randint(low, high))
+            atoms = [f"{kind}({n})" for n in asked[kind]]
+            while atoms:
+                width = rng.randint(1, 2)
+                clause, atoms = atoms[:width], atoms[width:]
+                terms.append(clause[0] if len(clause) == 1 else f"({' | '.join(clause)})")
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.choice(("visit", "end"))
+            free = [n for n in names[kind] if n not in asked[kind]]
+            if free:
+                name = rng.choice(free)
+                asked[kind].append(name)
+                terms.append(f"!{kind}({name})")
+        rng.shuffle(terms)
+        pool.append(" & ".join(terms))
+    return pool
+
+
+def answer_bytes(env, result) -> bytes:
+    """The plan's JSON text, or one line naming the infeasible families."""
+    if isinstance(result, Plan):
+        return plan_json_text(env, result).encode("utf-8")
+    return ("infeasible " + " ".join(result.families) + "\n").encode("utf-8")
+
+
+def hop_count(offline, spec, result: Plan) -> int:
+    """How many moves of ``result``, the plan of ``spec``, are escape hops:
+    the moves beyond the lift of the chosen marking's abstract run."""
+    vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
+    choice = select_target(offline.graph, vectors, offline.escapes)
+    return len(result.team_sequence) - len(lift(offline.simplified,
+                                                backtrack(offline.graph, choice.index)))
+
+
+# SHA-256 over the answer bytes of formula_pool(env, "golden:pool:<name>"),
+# in pool order, recorded before plan stopped replaying empty hop lists and
+# summing costs as Fractions, and before parse read a formula in one pass.
+POOL_GOLDEN = {
+    "plant": "9c0880c24fb018b13ede2698705cb508864470ff6d73d0cc64ee50c0a891252b",
+    "reduce": "2a91fb1bacfc5492c06d02a7b6b4754c79df94d013c69700996b0e8a3da332fc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_GOLDEN))
+def test_answers_to_a_seeded_pool_are_pinned(name, request):
+    if name == "plant":
+        env, offline = request.getfixturevalue("plant_env"), request.getfixturevalue("plant_offline")
+    else:
+        env = load_env(REDUCE_MAP)
+        offline = build_offline(env)
+    digest = hashlib.sha256()
+    kinds = set()
+    for text in formula_pool(env, f"golden:pool:{name}"):
+        result = plan(env, text, offline)
+        digest.update(answer_bytes(env, result))
+        if isinstance(result, Plan):
+            kinds.add("hops" if hop_count(offline, parse(text), result) else "no hops")
+        else:
+            kinds.add("infeasible")
+    # the pool covers each way a query can end
+    assert kinds == {"hops", "no hops", "infeasible"}
+    assert digest.hexdigest() == POOL_GOLDEN[name]

@@ -123,6 +123,17 @@ def test_parse_env_rejects_bad_regions():
             parse_env(dict(base, regions=regions))
 
 
+@pytest.mark.parametrize("key", ["trajectory_props", "final_props"])
+@pytest.mark.parametrize("name", ["a\n", "\na", "a b", "a\t", ""])
+def test_parse_env_rejects_a_proposition_name_with_other_characters(key, name):
+    # a name must be [A-Za-z0-9_]+ to its end: a trailing newline is not
+    # allowed either, as no formula could name it
+    doc = {"grid": {"rows": 3, "cols": 3}, "agents": [[2, 2]],
+           "regions": [{"name": "z", "cells": [[0, 0]], key: [name]}]}
+    with pytest.raises(ValidationError, match="bad proposition name"):
+        parse_env(doc)
+
+
 @pytest.mark.parametrize("cost, expected", [
     (1, (1, 1, 1, 1)),
     ("3/2", (Fraction(3, 2),) * 4),

@@ -316,17 +316,23 @@ def random_formula(rng, env):
     return " & ".join(terms) or "true"
 
 
-def random_queries():
-    """(env, offline model, formula, plan result) of 300 seeded queries:
-    maps with obstacles, overlapping regions, a shared proposition and
-    fractional per-direction costs; formulas with negations and
-    disjunctions."""
+def random_formulas():
+    """(env, five formula texts) for 60 seeded maps with obstacles,
+    overlapping regions, a shared proposition and fractional per-direction
+    costs; the formulas have negations and disjunctions."""
     rng = random.Random("diff:oracle")
     for _ in range(60):
         env = random_env(rng)
+        yield env, [random_formula(rng, env) for _ in range(5)]
+
+
+def random_queries():
+    """(env, offline model, formula, plan result) of the 300 queries of
+    ``random_formulas``."""
+    for env, texts in random_formulas():
         offline = build_offline(env)
-        for _ in range(5):
-            spec = parse(random_formula(rng, env))
+        for text in texts:
+            spec = parse(text)
             yield env, offline, spec, plan(env, spec, offline)
 
 
@@ -417,8 +423,26 @@ def _unlabeled_net(offline, spec):
     return dataclasses.replace(offline, net=net)
 
 
+def _repriced_abstract_move(offline, spec, on_route):
+    """The monitored net with one abstract move half a unit dearer: the
+    route's last one, or the first one off the route. Either way the
+    net's costs are counted in halves, unlike the tree's."""
+    net = offline.monitored.net
+    route = backtrack(offline.graph, _chosen(offline, spec))
+    t = route[-1] if on_route else min(set(range(net.num_transitions)) - set(route))
+    cost = list(net.cost)
+    cost[t] += Fraction(1, 2)
+    monitored = dataclasses.replace(offline.monitored, net=dataclasses.replace(net, cost=tuple(cost)))
+    return dataclasses.replace(offline, monitored=monitored)
+
+
+def _dearer_abstract_move(offline, spec):
+    return _repriced_abstract_move(offline, spec, on_route=True)
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_cheaper_target, "abstract and base run costs disagree"),
+    (_dearer_abstract_move, "abstract and base run costs disagree"),
     (_rerouted_edge, "base run does not reproduce the target marking"),
     (_unlabeled_net, "selected run does not satisfy the formula"),
 ])
@@ -427,6 +451,15 @@ def test_plan_refuses_a_tampered_offline_model(demo_env, demo_offline, tamper, m
     assert isinstance(plan(demo_env, spec, demo_offline), Plan)
     with pytest.raises(IntegrityError, match=message):
         plan(demo_env, spec, tamper(demo_offline, spec))
+
+
+def test_an_abstract_cost_scale_unlike_the_trees_changes_no_plan(demo_env, demo_offline):
+    # the route's abstract costs sum to the tree's cost of the chosen
+    # marking, counted in halves instead of units
+    spec = parse(DEMO_SPEC)
+    tampered = _repriced_abstract_move(demo_offline, spec, on_route=False)
+    assert tampered.monitored.net.integer_costs[1] != demo_offline.graph.scale
+    assert plan(demo_env, spec, tampered) == plan(demo_env, spec, demo_offline)
 
 
 def _with_lift_entry(offline, t, entry):
@@ -512,3 +545,90 @@ def test_a_feasible_query_makes_no_pass_over_the_movement_nets_places():
         assert len(result.team_sequence) >= 100, text
         assert (labels.passes, marking.passes) == (0, 0), text
         assert peak < 8 * places, (text, peak)
+
+
+# Two plant formulas: the plan of the first ends with two escape hops, the
+# plan of the second with none
+HOPPING_SPEC = "visit(2) & visit(8) & !end(8) & !end(2)"
+STAYING_SPEC = "visit(2) & visit(4) & end(7)"
+
+
+def _edited_column(offline, spec, column, edit):
+    """``offline`` with the chosen marking's entry of the graph column
+    ``qs`` or ``transition`` (whose entry ``i - 1`` is the tree edge into
+    marking ``i``) replaced by ``edit(offline, i, value)``."""
+    graph = offline.graph
+    i = _chosen(offline, spec)
+    values = copy.copy(getattr(graph, column))
+    k = i if column == "qs" else i - 1
+    values[k] = edit(offline, i, values[k])
+    return dataclasses.replace(offline, graph=dataclasses.replace(graph, **{column: values}))
+
+
+def _firing_edge(same_cost):
+    """An edit of the chosen marking's tree edge to the first other move
+    that fires from its parent, of equal cost or not, ending on another
+    placement."""
+    def edit(offline, i, t):
+        graph, net = offline.graph, offline.monitored.net
+        mobility = len(offline.simplified.base_place)
+        parent = graph.marking(graph.parent[i - 1])
+        return next(u for u in range(net.num_transitions)
+                    if u != t and (net.cost[u] == net.cost[t]) == same_cost
+                    and enabled(net, parent, u)
+                    and fire(net, parent, u)[:mobility] != graph.marking(i)[:mobility])
+    return edit
+
+
+_COLUMN_EDITS = {
+    "cheaper cost": ("qs", lambda offline, i, q: q - 1),
+    "unknown edge": ("transition", lambda offline, i, t: offline.monitored.net.num_transitions),
+    "equal-cost edge": ("transition", _firing_edge(True)),
+    "dearer edge": ("transition", _firing_edge(False)),
+}
+
+# The error of each edit on each route, as plan raised it when it replayed
+# every route's hops and compared both runs' costs as Fractions. On the
+# hopping route an edited edge leaves no token where a hop starts.
+_COLUMN_EDIT_ERRORS = {
+    ("cheaper cost", HOPPING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
+    ("cheaper cost", STAYING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
+    ("dearer edge", HOPPING_SPEC):
+        (FiringError, "transition 18 not enabled at step 0: place 6 holds 0 token(s), needs 1"),
+    ("dearer edge", STAYING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
+    ("equal-cost edge", HOPPING_SPEC):
+        (FiringError, "transition 18 not enabled at step 0: place 6 holds 0 token(s), needs 1"),
+    ("equal-cost edge", STAYING_SPEC):
+        (IntegrityError, "base run does not reproduce the target marking"),
+    ("unknown edge", HOPPING_SPEC): (ValueError, "unknown abstract transition 348"),
+    ("unknown edge", STAYING_SPEC): (ValueError, "unknown abstract transition 348"),
+}
+
+
+@pytest.mark.parametrize("text", [HOPPING_SPEC, STAYING_SPEC])
+@pytest.mark.parametrize("edit", sorted(_COLUMN_EDITS))
+def test_plan_refuses_an_edited_graph_column(plant_env, plant_offline, text, edit):
+    spec = parse(text)
+    result = plan(plant_env, spec, plant_offline)
+    assert isinstance(result, Plan)
+    hops = result.total_cost - plant_offline.graph.q(_chosen(plant_offline, spec))
+    assert (hops > 0) == (text == HOPPING_SPEC)
+    column, change = _COLUMN_EDITS[edit]
+    error, message = _COLUMN_EDIT_ERRORS[edit, text]
+    with pytest.raises(Exception) as raised:
+        plan(plant_env, spec, _edited_column(plant_offline, spec, column, change))
+    assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+@pytest.mark.parametrize("text", [HOPPING_SPEC, STAYING_SPEC])
+def test_plan_refuses_a_movement_net_that_prices_the_last_move_higher(plant_env, plant_offline,
+                                                                     text):
+    # the last move is an escape hop on the hopping route: the check sums
+    # the hops' weights with the route's
+    result = plan(plant_env, text, plant_offline)
+    net = plant_offline.net
+    cost = list(net.cost)
+    cost[result.team_sequence[-1]] += Fraction(1, 2)
+    tampered = dataclasses.replace(plant_offline, net=dataclasses.replace(net, cost=tuple(cost)))
+    with pytest.raises(IntegrityError, match="abstract and base run costs disagree"):
+        plan(plant_env, text, tampered)

@@ -1,3 +1,7 @@
+import random
+import re
+import string
+
 import pytest
 
 from tampnet import parse
@@ -8,6 +12,7 @@ from tampnet.taskspec import (BooleanSpec, SpecVectors, compile_vectors,
                               format_spec, holds)
 
 from conftest import counts_of, hand_net
+from test_planner import random_formulas
 
 
 @pytest.mark.parametrize("text", [
@@ -177,3 +182,162 @@ def test_holds_on_hand_built_runs():
     assert not holds(parse("!end(b)"), word_move, move, net.labels)
     assert holds(parse("!end(b)"), word_stay, stay, net.labels)
     assert holds(parse("true"), word_stay, stay, net.labels)
+
+
+# The tokenizer and parser that parse had before it read a formula in one
+# pass over one token regex, kept as the reference of the differential test
+# below: a token regex per kind, tried in turn after skipping whitespace,
+# and a recursive-descent parser over the finished token list.
+_REFERENCE_TOKENS = (
+    ("atom", re.compile(r"(visit|end)\s*\(\s*([A-Za-z0-9_]+)\s*\)")),
+    ("and", re.compile(r"&")),
+    ("or", re.compile(r"\|")),
+    ("not", re.compile(r"!")),
+    ("lp", re.compile(r"\(")),
+    ("rp", re.compile(r"\)")),
+)
+
+
+def reference_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        for kind, rx in _REFERENCE_TOKENS:
+            m = rx.match(text, i)
+            if m:
+                tokens.append((kind, m, i))
+                i = m.end()
+                break
+        else:
+            raise SpecSyntaxError(f"unexpected character {text[i]!r}", position=i)
+    return tokens
+
+
+def reference_parse(text):
+    if not isinstance(text, str):
+        raise SpecSyntaxError(f"formula must be a string, got {type(text).__name__}")
+    if text.strip() == "true":
+        return BooleanSpec()
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise SpecSyntaxError("empty formula (use 'true' for no constraints)")
+
+    pos = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take(kind):
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos][0] != kind:
+            at = tokens[pos][2] if pos < len(tokens) else len(text)
+            found = tokens[pos][0] if pos < len(tokens) else "end of input"
+            raise SpecSyntaxError(f"expected {kind}, found {found}", position=at)
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def take_atom():
+        _, m, _ = take("atom")
+        return Atom(m.group(1), m.group(2))
+
+    trajectory = []
+    final = []
+    forbidden = set()
+
+    def term():
+        if peek() == "not":
+            take("not")
+            forbidden.add(take_atom())
+            return
+        if peek() == "lp":
+            at = tokens[pos][2]
+            take("lp")
+            atoms = [take_atom()]
+            while peek() == "or":
+                take("or")
+                atoms.append(take_atom())
+            take("rp")
+            kinds = {a.kind for a in atoms}
+            if len(kinds) > 1:
+                raise SpecShapeError(
+                    "a disjunction may not mix visit and end atoms "
+                    f"(clause at position {at})")
+            clause = frozenset(a.name for a in atoms)
+            (trajectory if atoms[0].kind == VISIT else final).append(clause)
+            return
+        atom = take_atom()
+        (trajectory if atom.kind == VISIT else final).append(frozenset([atom.name]))
+
+    term()
+    while pos < len(tokens):
+        take("and")
+        term()
+    return BooleanSpec(tuple(trajectory), tuple(final), frozenset(forbidden))
+
+
+def outcome(parser, text):
+    """The spec ``parser`` returns for ``text``, or the type, message and
+    position of what it raises."""
+    try:
+        return parser(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# whitespace a formula may hold besides spaces: str.isspace() is true of each
+WHITESPACE = ("\t", "\n", "\x1c", "\x85", "\xa0", "\u2028")
+
+
+def mutate(rng, text):
+    """``text`` after one to three seeded edits: a character deleted, one of
+    '&|!()' or a letter inserted, or other whitespace put in or for a space."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice("&|!()") + text[i:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(string.ascii_letters + string.digits + "_") + text[i:]
+        elif " " in text and rng.random() < 0.5:
+            spaces = [k for k, c in enumerate(text) if c == " "]
+            k = rng.choice(spaces)
+            text = text[:k] + rng.choice(WHITESPACE) + text[k + 1:]
+        else:
+            text = text[:i] + rng.choice(WHITESPACE) + text[i:]
+    return text
+
+
+FIXED_TEXTS = [
+    "", " ", " true ", "\x1ctrue\n", "true & visit(a)", "visit(a) &", "visit(a) & ",
+    "&", "!", "(", ")", "|", "visit(a) | visit(b)", "(visit(a) | end(b))",
+    "(end(a) | visit(b) | visit(c)) & visit(d)", "visit(a) & (end(b) | visit(c))",
+    "(visit(a))", "((visit(a)))", "(visit(a) | )", "(visit(a) |", "(visit(a)",
+    "!!visit(a)", "!(visit(a))", "visit(a) & !visit(a)", "visit ( a ) & end\t(\nb\x1c)",
+    "visit(a b)", "visitt(a)", "Visit(a)", "visit(é)", "visit(a) é", "visit(a) visit(b)",
+    "visit(a) & & visit(b)", "end(a)&end(b)&!end(c)", "(end(a)|end(b))&(visit(c)|visit(d))",
+]
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random("parse:differential")
+    bases = []
+    for _, texts in random_formulas():
+        for text in texts:
+            bases += [text, format_spec(reference_parse(text))]
+    mutants = [mutate(rng, text) for text in bases for _ in range(4)]
+    assert len(mutants) >= 2000
+    kinds = set()
+    for text in FIXED_TEXTS + bases + mutants:
+        expected = outcome(reference_parse, text)
+        assert outcome(parse, text) == expected, repr(text)
+        kinds.add(expected[0] if isinstance(expected, tuple) else BooleanSpec)
+    # the mutants reach every outcome
+    assert kinds == {BooleanSpec, SpecSyntaxError, SpecShapeError}
+    assert outcome(parse, None) == outcome(reference_parse, None)
