@@ -8,8 +8,8 @@ clause, and walk the parent edges back to the root. The short abstract
 run is then lifted, checked and split into per-agent paths in one pass
 per abstract transition (``walk_route``): each transition's grid moves are
 checked against the movement net, fired and handed to an agent as whole
-tuples, so no Python loop runs per grid move. Infeasibility is a
-first-class result, not an exception.
+tuples, so no Python loop runs per grid move, and a route that fails a
+check is refused. Infeasibility is a first-class result, not an exception.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored,
-                          build_simplified, lift)
+from .abstraction import MonitoredNet, SimplifiedNet, build_monitored, build_simplified
 from .basis_graph import DEFAULT_STATE_CAP, BasisGraph, build_graph, load_cache
 from .errors import IntegrityError
 from .grid import Cell, Environment, Plan, env_to_pn, free_cells
-from .petri import PetriNet, replay
+from .petri import PetriNet
 from .taskspec import BooleanSpec, SpecVectors, compile_vectors, holds, parse
 
 
@@ -241,7 +240,8 @@ def backtrack(graph: BasisGraph, target: int) -> Tuple[int, ...]:
 class Route(NamedTuple):
     """A lifted abstract run, fired on the movement net and split among the
     agents: ``counts`` maps each place occupied at its end to its token
-    count, ``word`` is its proposition word (as from ``petri.replay``),
+    count, ``word`` is its proposition word (the labels of the places
+    occupied at its start, then those of the place each move ends on),
     ``moves`` are its movement-net moves in firing order, and ``paths[a]``
     lists the places agent ``a`` walks through, from its start place."""
 
@@ -256,22 +256,13 @@ def _at(column: Sequence, keys: Sequence[int]) -> tuple:
     return itemgetter(*keys)(column) if len(keys) > 1 else (column[keys[0]],)
 
 
-def _move_agents(net: PetriNet, moves: Sequence[int], paths: List[List[int]],
-                 step: int) -> None:
-    """Extend ``paths`` by ``moves``, one move at a time: each is taken by
-    the lowest-indexed agent at its source, where agent ``a`` stands at
-    ``paths[a][-1]``. ``step`` is the index of the first move in the run."""
-    positions = [path[-1] for path in paths]
-    for step, t in enumerate(moves, step):
-        if len(net.pre[t]) != 1 or len(net.post[t]) != 1:
-            raise ValueError(f"transition {t} is not a single-token move")
-        src = net.pre[t][0]
-        try:
-            agent = positions.index(src)
-        except ValueError:
-            raise IntegrityError(f"step {step}: no agent stands at place {src}") from None
-        positions[agent] = net.post[t][0]
-        paths[agent].append(positions[agent])
+def _move_token(counts: Dict[int, int], src: int, dst: int) -> None:
+    """Move one token of the ``{place: count}`` map ``counts`` from ``src`` to ``dst``."""
+    if counts[src] == 1:
+        del counts[src]
+    else:
+        counts[src] -= 1
+    counts[dst] = counts.get(dst, 0) + 1
 
 
 def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
@@ -291,38 +282,35 @@ def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
     every agent stands on a kept place between sequences, this is the rule
     of giving each move to the lowest-indexed agent at its source.
 
-    A run that fails a check, starts off the kept places, names an unknown
-    abstract transition or runs on a net with latches is redone one move at
-    a time, with the errors of that: ``lift`` and ``petri.replay`` over the
-    whole run raise theirs, then each move goes to the lowest-indexed agent
-    at its source, with a ValueError for a move that is not a single-token
-    move and an IntegrityError when no agent stands at a move's source.
+    A net with latches, agents that start off the kept places, and a step of
+    ``sigma`` that fails a check raise an IntegrityError naming the check.
     """
     sources, targets = net.move_places
     labels = net.labels
     lift_map, stops, kept = simplified.lift_map, simplified.stops, simplified.kept_places
+    if net.clamp_at_one:
+        raise IntegrityError("the movement net has latch places")
+    if not kept.issuperset(starts):
+        raise IntegrityError("an agent starts off the kept places")
     counts = dict(net.initial_counts)
     word = [frozenset().union(*map(labels.__getitem__, counts))]
     moves: List[int] = []
     positions = list(starts)
     paths = [[p] for p in starts]
-    chained = not net.clamp_at_one and kept.issuperset(positions)
-    for t in sigma:
-        try:
-            ms = lift_map[t]
-            src, seq, places = ms.source, ms.sequence, ms.places
-            chained = (chained and t >= 0 and src in counts and src in positions
-                       and places[-1] in kept and _at(targets, seq) == places
-                       and _at(sources, seq) == (src,) + places[:-1]
-                       and min(seq) >= 0)
-        except (IndexError, TypeError):
-            chained = False
-        if not chained:
-            lifted = lift(simplified, sigma)
-            run = replay(net, net.initial_counts, lifted)
-            paths = [[p] for p in starts]
-            _move_agents(net, lifted, paths, 0)
-            return Route(run.counts, list(run.word), list(lifted), paths)
+    for step, t in enumerate(sigma):
+        if not 0 <= t < len(lift_map):
+            raise IntegrityError(f"step {step}: unknown abstract transition {t}")
+        ms = lift_map[t]
+        src, seq, places = ms.source, ms.sequence, ms.places
+        if src not in counts:
+            raise IntegrityError(f"step {step}: place {src} holds no token")
+        if src not in positions:
+            raise IntegrityError(f"step {step}: no agent stands at place {src}")
+        if not (seq and 0 <= min(seq) and max(seq) < len(sources)
+                and _at(targets, seq) == places
+                and _at(sources, seq) == (src,) + places[:-1] and places[-1] in kept):
+            raise IntegrityError(f"step {step}: the moves of abstract transition {t} "
+                                 f"do not chain from place {src} to a kept place")
 
         mover = positions.index(src)
         walked = 0
@@ -337,11 +325,7 @@ def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
 
         moves.extend(seq)
         word.extend(_at(labels, places))
-        if counts[src] == 1:
-            del counts[src]
-        else:
-            counts[src] -= 1
-        counts[dst] = counts.get(dst, 0) + 1
+        _move_token(counts, src, dst)
     return Route(counts, word, moves, paths)
 
 
@@ -367,19 +351,20 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     sigma_m = backtrack(graph, choice.index)
     route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
-    # Agents left on forbidden final places hop onto anonymous ground; a
-    # route without hops is finished as walk_route left it.
+    # Agents left on forbidden final places hop onto anonymous ground: the
+    # escape move out of such a place, once per token on it.
     target = graph.marking(choice.index)
+    base_place = offline.simplified.base_place
+    sources, targets = net.move_places
     hops: List[int] = []
     for p in vectors.forbidden:
         if p < len(offline.escapes) and target[p]:
-            hops.extend([offline.escapes[p][0]] * target[p])
-    counts, word = route.counts, tuple(route.word)
-    if hops:
-        tail = replay(net, counts, hops)
-        counts, word = tail.counts, word + tail.word[1:]
+            t = offline.escapes[p][0]
+            if not (0 <= t < len(sources) and sources[t] == base_place[p]):
+                raise IntegrityError(f"escape hop {t} is not a move out of place {base_place[p]}")
+            hops.extend([t] * target[p])
     # walk_route has checked every move id and abstract transition id of
-    # the route (and replay every hop's), so each indexes its net's
+    # the route, and the loop above every hop's, so each indexes its net's
     # integer weights directly
     team = (*route.moves, *hops)
     weights, scale = net.integer_costs
@@ -393,16 +378,28 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     if total != choice.cost or \
             abstract * graph.scale != graph.qs[choice.index] * abstract_scale:
         raise IntegrityError("abstract and base run costs disagree")
-    for p, count in zip(offline.simplified.base_place, target):
-        if route.counts.get(p, 0) != count:
+    counts, word, paths = route.counts, route.word, route.paths
+    for p, count in zip(base_place, target):
+        if counts.get(p, 0) != count:
             raise IntegrityError("base run does not reproduce the target marking")
+    # Each hop moves one token, and the lowest-indexed agent at its source
+    # takes it, as in walk_route.
+    positions = [path[-1] for path in paths]
+    for k, t in enumerate(hops):
+        src = sources[t]
+        if src not in positions:
+            raise IntegrityError(f"hop {k}: no agent stands at place {src}")
+        agent = positions.index(src)
+        dst = positions[agent] = targets[t]
+        paths[agent].append(dst)
+        word.append(net.labels[dst])
+        _move_token(counts, src, dst)
     if not holds(spec, word, counts, net.labels):
         raise IntegrityError("selected run does not satisfy the formula")
 
-    _move_agents(net, hops, route.paths, len(route.moves))
     return Plan(
         total_cost=total,
-        per_agent_paths=tuple(_at(offline.cells, path) for path in route.paths),
+        per_agent_paths=tuple(_at(offline.cells, path) for path in paths),
         team_sequence=team,
-        satisfied_trace=word,
+        satisfied_trace=tuple(word),
     )

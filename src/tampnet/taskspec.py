@@ -237,12 +237,12 @@ def holds(spec: BooleanSpec, word: Sequence[frozenset],
           final_counts: Mapping[int, int], labels: Sequence[frozenset]) -> bool:
     """Evaluate the formula on a finished run of the movement net.
 
-    ``word`` is the proposition word from :func:`tampnet.petri.replay`
-    (initial occupancy included); ``labels`` are the movement net's place
-    labels. ``final_counts`` is the ``{place: count}`` map of the places
-    occupied at the run's end (``ReplayResult.counts``). Only the labels of
-    those places are read, so the check costs the word and the occupied
-    places.
+    ``word`` is the run's proposition word: the labels of the places
+    occupied at its start, then those of each move's output places (see
+    ``planner.Route``); ``labels`` are the movement net's place labels.
+    ``final_counts`` is the ``{place: count}`` map of the places occupied
+    at the run's end. Only the labels of those places are read, so the
+    check costs the word and the occupied places.
     """
     occupied = map(labels.__getitem__, final_counts)
     visited = {a.name for a in frozenset().union(*word) if a.kind == VISIT}

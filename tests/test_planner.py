@@ -13,7 +13,7 @@ from tampnet import (Infeasible, Plan, build_offline, diagnose_infeasibility,
 from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
-from tampnet.errors import FiringError, IntegrityError
+from tampnet.errors import IntegrityError
 from tampnet.grid import DIRECTIONS, cell_labels, cost_json, plan_json_text
 from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, escape_steps, walk_route
@@ -215,25 +215,30 @@ def test_decompose_agents_lowest_index_moves_first():
 def test_decompose_agents_rejects_bad_sequences():
     net = hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (2, 0))
     simplified = build_simplified(net)
-    with pytest.raises(IntegrityError, match="step 0: no agent stands at place 0"):
+    with pytest.raises(IntegrityError, match="^step 0: no agent stands at place 0$"):
         walk_route(net, simplified, (0,), [1, 1])
-    with pytest.raises(FiringError, match="at step 2"):
+    with pytest.raises(IntegrityError, match="^step 2: place 0 holds no token$"):
         walk_route(net, simplified, (0, 0, 0), [0, 0])
-    with pytest.raises(ValueError, match="unknown abstract transition 1"):
+    with pytest.raises(IntegrityError, match="^step 1: unknown abstract transition 1$"):
         walk_route(net, simplified, (0, 1), [0, 0])
     multi = hand_net(3, [((0, 1), (2,), 1)], [EMPTY] * 3, (1, 1, 0))
     joined = SimplifiedNet(multi, (MinimalSequence(0, 2, (0,), Fraction(1), (2,)),), (0, 1, 2))
-    with pytest.raises(ValueError, match="transition 0 is not a single-token move"):
+    with pytest.raises(IntegrityError, match="^step 0: the moves of abstract transition 0 "
+                                             "do not chain from place 0 to a kept place$"):
         walk_route(multi, joined, (0,), [0, 1])
+    # place 1 is a corridor place, which the reduction does not keep
+    chain = hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
+                     [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
+    with pytest.raises(IntegrityError, match="^an agent starts off the kept places$"):
+        walk_route(chain, build_simplified(chain), (), [1])
 
 
-def test_walk_route_saturates_a_latch_as_replay_does():
-    # place 1 is a latch that already holds a token: the move onto it
-    # leaves one token there, as petri.replay counts it
+def test_walk_route_refuses_a_net_with_latches():
+    # place 1 is a latch that already holds a token
     net = dataclasses.replace(hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (1, 1)),
                               clamp_at_one=frozenset({1}))
-    route = assert_walk_matches_reference(net, build_simplified(net), (0,), [0, 1])
-    assert route.counts == {1: 1}
+    with pytest.raises(IntegrityError, match="^the movement net has latch places$"):
+        walk_route(net, build_simplified(net), (0,), [0, 1])
 
 
 def test_an_agent_idling_on_a_start_cell_takes_over_the_route_that_crosses_it():
@@ -469,40 +474,47 @@ def _with_lift_entry(offline, t, entry):
     return dataclasses.replace(offline, simplified=simplified)
 
 
-@pytest.mark.parametrize("occupied, error, message", [
-    (False, FiringError, "transition 5 not enabled at step 1: place 2 holds 0 token"),
-    (True, IntegrityError, "base run does not reproduce the target marking"),
-])
-def test_plan_refuses_a_lift_map_entry_that_does_not_chain(demo_env, demo_offline,
-                                                          occupied, error, message):
+@pytest.mark.parametrize("occupied", [False, True])
+def test_plan_refuses_a_lift_map_entry_that_does_not_chain(demo_env, demo_offline, occupied):
     # the route's last abstract move lifts to the moves of the first other
     # entry of equal cost from another source, one that holds a token or
-    # not: the error is the one of replaying the lifted route move by move
+    # not: the walk refuses the route at that move
     spec = parse(DEMO_SPEC)
     lift_map = demo_offline.simplified.lift_map
-    t = backtrack(demo_offline.graph, _chosen(demo_offline, spec))[-1]
+    route = backtrack(demo_offline.graph, _chosen(demo_offline, spec))
+    t = route[-1]
     ms = lift_map[t]
     other = next(m for m in lift_map if m.cost == ms.cost and m.source != ms.source
                  and (m.source in demo_offline.net.initial_counts) == occupied)
     tampered = _with_lift_entry(demo_offline, t, dataclasses.replace(
         other, source=ms.source, target=ms.target))
-    with pytest.raises(error, match=message):
+    with pytest.raises(IntegrityError, match=f"^step {len(route) - 1}: the moves of abstract "
+                                             f"transition {t} do not chain from place "
+                                             f"{ms.source} to a kept place$"):
         plan(demo_env, spec, tampered)
 
 
-def test_recorded_places_that_disagree_with_the_moves_change_no_plan(plant_env, plant_offline):
+def test_plan_refuses_recorded_places_that_disagree_with_the_moves(plant_env, plant_offline):
     # each abstract move of the route in turn, its recorded places reversed:
-    # the route is walked one move at a time instead, to the same plan
+    # the walk refuses the route at that move's step. The places of a
+    # single move read the same reversed, so that plan stays as it is
     spec = parse("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
                  " & !visit(5) & end(1) & end(7)")
     expected = plan(plant_env, spec, plant_offline)
     route = backtrack(plant_offline.graph, _chosen(plant_offline, spec))
-    assert len(route) > 4
-    for t in route:
+    refused = 0
+    for step, t in enumerate(route):
         ms = plant_offline.simplified.lift_map[t]
         tampered = _with_lift_entry(plant_offline, t, dataclasses.replace(
             ms, places=ms.places[::-1]))
-        assert plan(plant_env, spec, tampered) == expected
+        if len(ms.places) == 1:
+            assert plan(plant_env, spec, tampered) == expected
+            continue
+        with pytest.raises(IntegrityError, match=f"^step {step}: the moves of abstract "
+                                                 f"transition {t} do not chain"):
+            plan(plant_env, spec, tampered)
+        refused += 1
+    assert refused > 4
 
 
 class _Passes(tuple):
@@ -587,21 +599,20 @@ _COLUMN_EDITS = {
     "dearer edge": ("transition", _firing_edge(False)),
 }
 
-# The error of each edit on each route, as plan raised it when it replayed
-# every route's hops and compared both runs' costs as Fractions. On the
-# hopping route an edited edge leaves no token where a hop starts.
+# The error of each edit on each route. The costs are checked before the
+# target marking, and both before any hop moves, so an edited edge is
+# refused alike on both routes.
 _COLUMN_EDIT_ERRORS = {
     ("cheaper cost", HOPPING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
     ("cheaper cost", STAYING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
-    ("dearer edge", HOPPING_SPEC):
-        (FiringError, "transition 18 not enabled at step 0: place 6 holds 0 token(s), needs 1"),
+    ("dearer edge", HOPPING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
     ("dearer edge", STAYING_SPEC): (IntegrityError, "abstract and base run costs disagree"),
     ("equal-cost edge", HOPPING_SPEC):
-        (FiringError, "transition 18 not enabled at step 0: place 6 holds 0 token(s), needs 1"),
+        (IntegrityError, "base run does not reproduce the target marking"),
     ("equal-cost edge", STAYING_SPEC):
         (IntegrityError, "base run does not reproduce the target marking"),
-    ("unknown edge", HOPPING_SPEC): (ValueError, "unknown abstract transition 348"),
-    ("unknown edge", STAYING_SPEC): (ValueError, "unknown abstract transition 348"),
+    ("unknown edge", HOPPING_SPEC): (IntegrityError, "step 1: unknown abstract transition 348"),
+    ("unknown edge", STAYING_SPEC): (IntegrityError, "step 2: unknown abstract transition 348"),
 }
 
 
@@ -632,3 +643,39 @@ def test_plan_refuses_a_movement_net_that_prices_the_last_move_higher(plant_env,
     tampered = dataclasses.replace(plant_offline, net=dataclasses.replace(net, cost=tuple(cost)))
     with pytest.raises(IntegrityError, match="abstract and base run costs disagree"):
         plan(plant_env, text, tampered)
+
+
+def _with_escape(offline, t):
+    """``offline`` with the escape move out of reduced place 0 set to ``t``."""
+    escapes = list(offline.escapes)
+    escapes[0] = (t, escapes[0][1])
+    return dataclasses.replace(offline, escapes=tuple(escapes))
+
+
+_HOP_EDITS = {
+    # move 17 is a move out of place 6, agent 1's start
+    "move out of another place": (lambda offline: _with_escape(offline, 17),
+                                  "escape hop 17 is not a move out of place 0"),
+    "unknown move": (lambda offline: _with_escape(offline, offline.net.num_transitions),
+                     "escape hop 24 is not a move out of place 0"),
+    # both agents start on place 6, so none stands where the hop starts
+    "starts": (lambda offline: dataclasses.replace(offline, starts=(6, 6)),
+               "hop 0: no agent stands at place 0"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HOP_EDITS))
+def test_plan_refuses_an_escape_hop_it_cannot_walk(edit):
+    # agent 0 starts on the end(g) cell, place 0, and steps off it by
+    # escape move 0; agent 1 walks from place 6 to the visit(h) cell
+    env = square_env(3, [{"name": "g", "cells": [[0, 0]], "final_props": ["g"]},
+                         {"name": "h", "cells": [[2, 2]], "trajectory_props": ["h"]}],
+                     agents=[(0, 0), (2, 0)])
+    offline = build_offline(env)
+    text = "visit(h) & !end(g)"
+    assert plan(env, text, offline).team_sequence[-1] == 0
+    assert offline.escapes[0] == (0, 1) and offline.starts == (0, 6)
+    assert offline.net.pre[17] == (6,)
+    tamper, message = _HOP_EDITS[edit]
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        plan(env, text, tamper(offline))
