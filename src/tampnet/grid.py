@@ -282,13 +282,12 @@ def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> Pet
 
 
 def cost_text(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    return str(cost_json(Fraction(value)))
 
 
 def cost_json(value: Fraction):
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else cost_text(value)
+    """A cost's JSON value, for an int or a Fraction: an int when whole, else ``"n/d"``."""
+    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 @lru_cache(maxsize=4096)
@@ -306,17 +305,19 @@ def plan_json_text(env: Environment, plan: Plan) -> str:
     is quoted as it is: ``parse_env`` admits only proposition names of
     ``[A-Za-z0-9_]+``, which JSON writes unescaped.
     """
-    visited = frozenset().union(*plan.satisfied_trace) if plan.satisfied_trace else frozenset()
-    final_atoms = {Atom(END, p) for path in plan.per_agent_paths
-                   for region in env.regions if path[-1] in region.cells
-                   for p in region.final_props}
-    satisfied = sorted(a.text() for a in set(a for a in visited if a.kind == VISIT) | final_atoms)
+    ends = {path[-1] for path in plan.per_agent_paths}
+    finals = set().union(*(r.final_props for r in env.regions if not ends.isdisjoint(r.cells)))
+    visits = [a.name for a in frozenset().union(*plan.satisfied_trace) if a.kind == VISIT]
+    # "end(...)" sorts before "visit(...)", and within a kind the texts sort
+    # as the names do: ")" sorts before every character of a name
+    satisfied = ",".join([*map('"end({})"'.format, sorted(finals)),
+                          *map('"visit({})"'.format, sorted(visits))])
     agents = ",".join(f'{{"path":[{",".join(map(_cell_json, path))}],"start":{_cell_json(path[0])}}}'
                       for path in plan.per_agent_paths)
-    quoted = ",".join(map('"{}"'.format, satisfied))
-    return (f'{{"agents":[{agents}],"satisfied_atoms":[{quoted}],'
-            f'"team_sequence":[{",".join(map(str, plan.team_sequence))}],'
-            f'"total_cost":{json.dumps(cost_json(plan.total_cost))}}}\n')
+    cost = cost_json(plan.total_cost)
+    cost = cost if isinstance(cost, int) else f'"{cost}"'
+    return (f'{{"agents":[{agents}],"satisfied_atoms":[{satisfied}],'
+            f'"team_sequence":[{",".join(map(str, plan.team_sequence))}],"total_cost":{cost}}}\n')
 
 
 _PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, repeat
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -117,33 +118,24 @@ def load_offline(env: Environment, cache_path) -> OfflineModel:
     return _offline(env, lambda monitored: load_cache(cache_path, monitored))
 
 
-class _Constraints(NamedTuple):
-    """A compiled formula split for one query.
-
-    ``final`` clauses leave out the ``soft`` forbidden places (those an
-    agent may step off, so a token there no longer counts as ending there).
-    ``stuck`` lists the forbidden places that disqualify a marking: soft
-    places without an escape move, and the rest of the forbidden places.
-    """
-
-    trajectory: Tuple[Tuple[int, ...], ...]
-    final: Tuple[Tuple[int, ...], ...]
-    soft: List[int]
-    stuck: List[int]
-
-
-def _constraints(graph: BasisGraph, vectors: SpecVectors,
-                 escapes: Sequence) -> _Constraints:
+def _split(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
+    """Split a compiled formula once per query: ``(trajectory, final, stuck,
+    soft)``. The first two are the bitsets of the markings that meet every
+    clause of that family (-1 when it has none); ``stuck`` is that of the
+    markings with a token on a forbidden place with no escape move; ``soft``
+    lists the forbidden places with an entry in ``escapes``, which an agent
+    may step off, so a token there counts toward no final clause."""
+    places = [*chain(*vectors.trajectory), *chain(*vectors.final), *vectors.forbidden]
     n = len(graph.occupied)
-    for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
-        for p in places:
-            if not 0 <= p < n:
-                raise ValueError(f"place {p} is not a place of the net")
+    if places and not (0 <= min(places) and max(places) < n):
+        bad = next(p for p in places if not 0 <= p < n)
+        raise ValueError(f"place {bad} is not a place of the net")
     mobility = len(escapes)
     soft = [p for p in vectors.forbidden if p < mobility]
+    final = [[p for p in places if p not in soft] for places in vectors.final]
     stuck = [p for p in vectors.forbidden if p >= mobility or escapes[p] is None]
-    final = tuple(tuple(p for p in places if p not in soft) for places in vectors.final)
-    return _Constraints(vectors.trajectory, final, soft, stuck)
+    return (_meeting(graph, vectors.trajectory), _meeting(graph, final),
+            _any_of(graph, stuck), soft)
 
 
 def _any_of(graph: BasisGraph, places) -> int:
@@ -155,12 +147,49 @@ def _any_of(graph: BasisGraph, places) -> int:
 
 
 def _meeting(graph: BasisGraph, clauses) -> int:
-    """Bitset of the markings with a token in every clause (all markings
-    when there are no clauses, none when a clause is empty)."""
-    bits = (1 << len(graph)) - 1
+    """Bitset of the markings with a token in every clause: -1 (every
+    marking) when there are no clauses, 0 when a clause is empty."""
+    bits = -1
     for places in clauses:
         bits &= _any_of(graph, places)
     return bits
+
+
+# ``x & -x`` costs a pass over all of a wide int, so _select first looks for
+# the lowest candidate among the first 8,192 markings, the cheapest ones
+_HEAD = (1 << 8192) - 1
+
+
+def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[Tuple[int, int, int]]:
+    """``(index, total, scale)`` of the cheapest candidate (see
+    select_target), its cost with its hops ``total / scale`` compared in
+    integers: ``graph.qs`` and the hop prices (ints or Fractions) brought to
+    one scale, the LCM of ``graph.scale`` and the prices' denominators."""
+    trajectory, final, stuck, soft = split
+    candidates = trajectory & final
+    if candidates < 0:  # no clause: every marking is a candidate
+        candidates = (1 << len(graph)) - 1
+    candidates = (candidates | stuck) ^ stuck
+    priced = [p for p in soft if escapes[p] is not None]
+    hopping = _any_of(graph, priced)
+    scale = lcm(graph.scale, *(escapes[p][1].denominator for p in priced))
+    prices = [(p, escapes[p][1].numerator * (scale // escapes[p][1].denominator))
+              for p in priced]
+    best = None
+    while candidates:
+        head = candidates & _HEAD or candidates
+        i = (head & -head).bit_length() - 1
+        total = graph.qs[i] * (scale // graph.scale)
+        if best is not None and total >= best[1]:
+            break
+        if not hopping >> i & 1:
+            return i, total, scale  # no hop: no later candidate costs less
+        m = graph.marking(i)
+        total += sum(m[p] * price for p, price in prices)
+        if best is None or total < best[1]:
+            best = (i, total, scale)
+        candidates ^= 1 << i
+    return best
 
 
 def select_target(graph: BasisGraph, vectors: SpecVectors,
@@ -175,34 +204,18 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
     includes those hops. Empty ``escapes`` (the default) treats every
     forbidden place as a hard exclusion.
 
-    The candidates come from the graph's occupancy index: the AND over the
-    clauses of the OR of their places' bitsets, minus the markings with a
-    token on a disqualifying place. Markings are stored in ascending-q
-    order, so the lowest candidate is cheapest unless escape hops add to
-    its cost; candidates are then walked in ascending order (reading only
-    the ones that pay hops) until q alone reaches the best total. Ties go
-    to the smallest marking index.
+    The candidates, from the graph's occupancy index, are walked in
+    ascending-q order, each unpacked only to price its hops, until one pays
+    none or q alone reaches the best total. Ties go to the smallest index.
     """
-    con = _constraints(graph, vectors, escapes)
-    candidates = _meeting(graph, con.trajectory + con.final) \
-        & ~_any_of(graph, con.stuck)
-    hopping = _any_of(graph, con.soft)
-    best: Optional[TargetChoice] = None
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        i = low.bit_length() - 1
-        total = graph.q(i)
-        if best is not None and total >= best.cost:
-            break
-        if low & hopping:
-            m = graph.marking(i)
-            for p in con.soft:
-                if m[p]:
-                    total += m[p] * escapes[p][1]
-        if best is None or total < best.cost:
-            best = TargetChoice(i, total)
-    return best
+    choice = _select(graph, _split(graph, vectors, escapes), escapes)
+    return None if choice is None else TargetChoice(choice[0], Fraction(*choice[1:]))
+
+
+def _diagnose(graph: BasisGraph, split) -> Tuple[str, ...]:
+    trajectory, final, stuck, _ = split
+    met = (("trajectory", trajectory), ("final", final), ("forbidden", stuck.bit_count() < len(graph)))
+    return tuple(family for family, bits in met if not bits) or ("combination",)
 
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
@@ -214,15 +227,7 @@ def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
     family's clauses, 'forbidden' when every marking has a token on a
     disqualifying place, and 'combination' when each family holds alone.
     """
-    con = _constraints(graph, vectors, escapes)
-    failing = []
-    if con.trajectory and not _meeting(graph, con.trajectory):
-        failing.append("trajectory")
-    if con.final and not _meeting(graph, con.final):
-        failing.append("final")
-    if (con.soft or con.stuck) and not _meeting(graph, ()) & ~_any_of(graph, con.stuck):
-        failing.append("forbidden")
-    return tuple(failing) if failing else ("combination",)
+    return _diagnose(graph, _split(graph, vectors, escapes))
 
 
 def backtrack(graph: BasisGraph, target: int) -> Tuple[int, ...]:
@@ -339,21 +344,23 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    choice = select_target(graph, vectors, offline.escapes)
+    split = _split(graph, vectors, offline.escapes)
+    choice = _select(graph, split, offline.escapes)
     if choice is None:
-        return Infeasible(diagnose_infeasibility(graph, vectors, offline.escapes))
+        return Infeasible(_diagnose(graph, split))
+    index, cost, cost_scale = choice
 
     # The route is walked and checked once per abstract transition, on the
     # occupied places only: no step below reads every place of the movement
     # net or runs a Python loop per grid move, so a query costs its
     # reduced route plus C-level copies of its grid moves.
     net = offline.net
-    sigma_m = backtrack(graph, choice.index)
+    sigma_m = backtrack(graph, index)
     route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
     # Agents left on forbidden final places hop onto anonymous ground: the
     # escape move out of such a place, once per token on it.
-    target = graph.marking(choice.index)
+    target = graph.marking(index)
     base_place = offline.simplified.base_place
     sources, targets = net.move_places
     hops: List[int] = []
@@ -368,20 +375,20 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     # integer weights directly
     team = (*route.moves, *hops)
     weights, scale = net.integer_costs
-    total = Fraction(sum(map(weights.__getitem__, team)), scale)
+    total = sum(map(weights.__getitem__, team))
     abstract_weights, abstract_scale = offline.monitored.net.integer_costs
     abstract = sum(map(abstract_weights.__getitem__, sigma_m))
 
     # Defensive checks; a corrupt cache is the realistic way to trip these.
-    # The abstract run's cost is compared with the tree's as the fractions
-    # abstract / abstract_scale and qs[i] / graph.scale, cross-multiplied.
-    if total != choice.cost or \
-            abstract * graph.scale != graph.qs[choice.index] * abstract_scale:
+    # Costs are compared as integer fractions, cross-multiplied: the team's
+    # total / scale with the choice's cost / cost_scale, and the abstract
+    # run's abstract / abstract_scale with the tree's qs[i] / graph.scale.
+    if total * cost_scale != cost * scale or \
+            abstract * graph.scale != graph.qs[index] * abstract_scale:
         raise IntegrityError("abstract and base run costs disagree")
     counts, word, paths = route.counts, route.word, route.paths
-    for p, count in zip(base_place, target):
-        if counts.get(p, 0) != count:
-            raise IntegrityError("base run does not reproduce the target marking")
+    if tuple(map(counts.get, base_place, repeat(0))) != target[:len(base_place)]:
+        raise IntegrityError("base run does not reproduce the target marking")
     # Each hop moves one token, and the lowest-indexed agent at its source
     # takes it, as in walk_route.
     positions = [path[-1] for path in paths]
@@ -398,7 +405,7 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         raise IntegrityError("selected run does not satisfy the formula")
 
     return Plan(
-        total_cost=total,
+        total_cost=Fraction(total, scale),
         per_agent_paths=tuple(_at(offline.cells, path) for path in paths),
         team_sequence=team,
         satisfied_trace=tuple(word),

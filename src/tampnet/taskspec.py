@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence, Tuple
 
 from .errors import SpecShapeError, SpecSyntaxError, UnknownPropositionError
@@ -53,42 +54,39 @@ class BooleanSpec:
     forbidden: frozenset = field(default=frozenset())
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectory_clauses", _norm_clauses(self.trajectory_clauses))
-        object.__setattr__(self, "final_clauses", _norm_clauses(self.final_clauses))
+        families = [tuple(map(frozenset, clauses))
+                    for clauses in (self.trajectory_clauses, self.final_clauses)]
+        for clause in chain(*families):
+            if not clause:
+                raise SpecShapeError("empty clause")
+            for name in clause:
+                if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                    raise SpecShapeError(f"bad proposition name {name!r}")
         forbidden = frozenset(self.forbidden)
         for atom in forbidden:
             if not isinstance(atom, Atom) or atom.kind not in (VISIT, END):
                 raise SpecShapeError(f"forbidden entry {atom!r} is not a visit/end atom")
             if not _NAME_RE.fullmatch(atom.name):
                 raise SpecShapeError(f"bad proposition name {atom.name!r}")
-        object.__setattr__(self, "forbidden", forbidden)
-        positives = {
-            VISIT: set().union(*self.trajectory_clauses) if self.trajectory_clauses else set(),
-            END: set().union(*self.final_clauses) if self.final_clauses else set(),
-        }
-        for atom in forbidden:
-            if atom.name in positives[atom.kind]:
-                raise SpecShapeError(
-                    f"{atom.text()} is both required and forbidden")
+        _canonical(self, *families, forbidden)
 
     def is_empty(self) -> bool:
         return not (self.trajectory_clauses or self.final_clauses or self.forbidden)
 
 
-def _norm_clauses(clauses) -> Tuple[frozenset, ...]:
-    seen = set()
-    out = []
-    for clause in clauses:
-        clause = frozenset(clause)
-        if not clause:
-            raise SpecShapeError("empty clause")
-        for name in clause:
-            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-                raise SpecShapeError(f"bad proposition name {name!r}")
-        if clause not in seen:
-            seen.add(clause)
-            out.append(clause)
-    return tuple(sorted(out, key=lambda cl: tuple(sorted(cl))))
+def _canonical(spec: BooleanSpec, trajectory, final, forbidden: frozenset) -> BooleanSpec:
+    """Write the fields of ``spec`` in canonical form, past the frozen
+    ``__setattr__``: each family's clauses sorted by their sorted names,
+    each once. Raises SpecShapeError on an atom both required and forbidden.
+    The constructor calls this after its checks; ``parse``, whose token
+    regex admits only valid names, calls it directly."""
+    trajectory = tuple(sorted(set(trajectory), key=sorted))
+    final = tuple(sorted(set(final), key=sorted))
+    for atom in forbidden:
+        if any(atom.name in clause for clause in (trajectory if atom.kind == VISIT else final)):
+            raise SpecShapeError(f"{atom.text()} is both required and forbidden")
+    vars(spec).update(trajectory_clauses=trajectory, final_clauses=final, forbidden=forbidden)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def parse(text: str) -> BooleanSpec:
     if expect != "and":
         raise SpecSyntaxError(f"expected {'rp' if expect == 'or' else 'atom'}, "
                               "found end of input", position=len(text))
-    return BooleanSpec(tuple(clauses[VISIT]), tuple(clauses[END]), frozenset(forbidden))
+    return _canonical(object.__new__(BooleanSpec), clauses[VISIT], clauses[END], frozenset(forbidden))
 
 
 def format_spec(spec: BooleanSpec) -> str:
@@ -208,28 +206,22 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
     Clauses keep the spec's order; each lists its places ascending and once.
     Unbound names raise :class:`UnknownPropositionError`.
     """
-    def indicator(name: str) -> int:
-        try:
-            return indicator_of[name]
-        except KeyError:
-            raise UnknownPropositionError(
-                f"trajectory proposition {name!r} is not defined by the environment") from None
-
-    def end_places(name: str):
-        try:
-            return net.end_places[name]
-        except KeyError:
-            raise UnknownPropositionError(
-                f"final proposition {name!r} is not defined by the environment") from None
-
-    trajectory = tuple(tuple(sorted({indicator(name) for name in clause}))
-                       for clause in spec.trajectory_clauses)
-    final = tuple(tuple(sorted({p for name in clause for p in end_places(name)}))
-                  for clause in spec.final_clauses)
-    forbidden = set()
-    for atom in spec.forbidden:
-        forbidden.update([indicator(atom.name)] if atom.kind == VISIT
-                         else end_places(atom.name))
+    ends = net.end_places
+    family = "trajectory"  # of the names being bound
+    try:
+        trajectory = tuple(tuple(sorted({*map(indicator_of.__getitem__, clause)}))
+                           for clause in spec.trajectory_clauses)
+        family = "final"
+        final = tuple(tuple(sorted({p for name in clause for p in ends[name]}))
+                      for clause in spec.final_clauses)
+        forbidden = set()
+        for atom in spec.forbidden:
+            family = "trajectory" if atom.kind == VISIT else "final"
+            forbidden.update((indicator_of[atom.name],) if atom.kind == VISIT
+                             else ends[atom.name])
+    except KeyError as exc:
+        raise UnknownPropositionError(f"{family} proposition {exc.args[0]!r} "
+                                      "is not defined by the environment") from None
     return SpecVectors(trajectory, final, tuple(sorted(forbidden)))
 
 

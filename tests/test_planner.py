@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Infeasible, Plan, build_offline, diagnose_infeasibility,
-                     joint_search, parse, parse_env, plan, save_cache,
-                     select_target)
+from tampnet import (Infeasible, Plan, build_graph, build_offline,
+                     diagnose_infeasibility, joint_search, parse, parse_env, plan,
+                     save_cache, select_target)
 from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
@@ -19,7 +19,8 @@ from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, escape_steps, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
-from conftest import EMPTY, end_label, hand_net, random_env, scan_select, square_env
+from conftest import (EMPTY, as_monitored, end_label, hand_net, random_env, scan_select,
+                      square_env)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,53 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
     expected = scan_select(built, vectors, escapes)
     assert select_target(built, vectors, escapes) == expected
     assert select_target(demo_loaded, vectors, escapes) == expected
+
+
+def chain_graph():
+    """One token walking the chain 0 -> 1 -> 2 -> 3 at move costs 1, 2 and
+    3: its tree holds the token at place i as marking i, of cost 0, 1, 3
+    and 6."""
+    net = hand_net(4, [((0,), (1,), 1), ((1,), (2,), 2), ((2,), (3,), 3)],
+                   [EMPTY] * 4, (1, 0, 0, 0))
+    return build_graph(as_monitored(net))
+
+
+@pytest.mark.parametrize("forbidden, prices, expected, reads", [
+    # marking 1 pays a hop of 2 and ties marking 2, which pays none: the
+    # tie goes to the smaller index
+    ((1,), {1: 2}, (1, 3), "q1 m1 q2"),
+    ((1,), {1: Fraction(2)}, (1, 3), "q1 m1 q2"),
+    # a dearer hop: marking 2, the first candidate without one, is cheaper
+    ((1,), {1: 3}, (2, 3), "q1 m1 q2"),
+    ((1,), {1: Fraction(5, 2)}, (2, 3), "q1 m1 q2"),
+    # two candidates pay hops before marking 3, which pays none
+    ((1, 2), {1: 7, 2: Fraction(7, 3)}, (2, Fraction(16, 3)), "q1 m1 q2 m2 q3"),
+    ((1, 2), {1: 7, 2: 4}, (3, 6), "q1 m1 q2 m2 q3"),
+    # no candidate pays a hop: the first candidate, from its q alone
+    ((), {}, (1, 1), "q1"),
+    ((0,), {0: 1}, (1, 1), "q1"),
+])
+def test_select_target_stops_at_the_first_candidate_without_a_hop(
+        forbidden, prices, expected, reads):
+    built = chain_graph()
+    assert [built.q(i) for i in range(len(built))] == [0, 1, 3, 6]
+    escapes = tuple(None if p not in prices else (0, prices[p]) for p in range(4))
+    vectors = SpecVectors(((1, 2, 3),), (), forbidden)
+    read = []
+
+    class Costs(list):
+        def __getitem__(self, i):
+            read.append(f"q{i}")
+            return list.__getitem__(self, i)
+
+    graph = dataclasses.replace(built, qs=Costs(built.qs))
+    graph.marking = lambda i: read.append(f"m{i}") or built.marking(i)
+    choice = select_target(graph, vectors, escapes)
+    assert choice == scan_select(built, vectors, escapes) == expected
+    assert isinstance(choice.cost, Fraction)
+    # a candidate's cost is read in turn, its marking only to price its
+    # hops, and nothing past the first candidate that pays none
+    assert read == reads.split()
 
 
 def test_queries_reject_places_outside_the_graph(demo_offline):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import string
@@ -341,3 +342,51 @@ def test_parse_matches_the_reference_parser():
     # the mutants reach every outcome
     assert kinds == {BooleanSpec, SpecSyntaxError, SpecShapeError}
     assert outcome(parse, None) == outcome(reference_parse, None)
+
+
+def test_parse_hands_out_the_constructors_spec():
+    # parse sorts, de-duplicates and checks its clauses itself, then builds
+    # the spec without the constructor; the constructor must make the same
+    # spec of the same fields, and of the same fields shuffled and repeated
+    rng = random.Random("parse:canonical")
+    texts = FIXED_TEXTS + [text for _, texts in random_formulas() for text in texts]
+    parsed = 0
+    for text in texts:
+        try:
+            spec = parse(text)
+        except (SpecSyntaxError, SpecShapeError):
+            continue
+        parsed += 1
+        built = BooleanSpec(spec.trajectory_clauses, spec.final_clauses, spec.forbidden)
+        for field in dataclasses.fields(BooleanSpec):
+            mine, theirs = getattr(spec, field.name), getattr(built, field.name)
+            assert mine == theirs and type(mine) is type(theirs), (text, field.name)
+        assert all(type(clause) is frozenset
+                   for clause in spec.trajectory_clauses + spec.final_clauses), text
+        assert all(type(atom) is Atom for atom in spec.forbidden), text
+        assert spec == built and hash(spec) == hash(built), text
+        shuffled = [list(clauses) * 2 for clauses in (spec.trajectory_clauses,
+                                                      spec.final_clauses)]
+        for clauses in shuffled:
+            rng.shuffle(clauses)
+        assert BooleanSpec(*map(tuple, shuffled), set(spec.forbidden)) == spec, text
+    assert parsed >= 300
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"trajectory_clauses": (frozenset({"a"}), frozenset({"bad name"}))},
+     "bad proposition name 'bad name'"),
+    ({"final_clauses": (frozenset({7}),)}, "bad proposition name 7"),
+    ({"forbidden": frozenset({Atom(VISIT, "no-dash")})}, "bad proposition name 'no-dash'"),
+    ({"final_clauses": (frozenset({"a"}), frozenset())}, "empty clause"),
+    ({"trajectory_clauses": ((),)}, "empty clause"),
+    ({"forbidden": frozenset({("visit", "1")})}, "is not a visit/end atom"),
+    ({"forbidden": frozenset({"visit(1)"})}, "is not a visit/end atom"),
+    ({"trajectory_clauses": (frozenset({"a", "b"}),), "forbidden": frozenset({Atom(VISIT, "b")})},
+     "visit(b) is both required and forbidden"),
+    ({"final_clauses": (frozenset({"g"}),), "forbidden": frozenset({Atom(END, "g")})},
+     "end(g) is both required and forbidden"),
+])
+def test_constructor_keeps_every_check(fields, message):
+    with pytest.raises(SpecShapeError, match=re.escape(message)):
+        BooleanSpec(**fields)
