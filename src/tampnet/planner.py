@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -119,17 +119,17 @@ def load_offline(env: Environment, cache_path) -> OfflineModel:
 
 
 def _split(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
-    """Split a compiled formula once per query: ``(trajectory, final, stuck,
-    soft)``. The first two are the bitsets of the markings that meet every
-    clause of that family (-1 when it has none); ``stuck`` is that of the
-    markings with a token on a forbidden place with no escape move; ``soft``
-    lists the forbidden places with an entry in ``escapes``, which an agent
-    may step off, so a token there counts toward no final clause."""
-    places = [*chain(*vectors.trajectory), *chain(*vectors.final), *vectors.forbidden]
+    """Split a compiled formula into ``(trajectory, final, stuck, soft)``.
+    The first two are the bitsets of the markings that meet every clause of
+    that family (-1 when it has none); ``stuck`` is that of the markings
+    with a token on a forbidden place with no escape move; ``soft`` lists
+    the forbidden places with an entry in ``escapes``, which an agent may
+    step off, so a token there counts toward no final clause."""
     n = len(graph.occupied)
-    if places and not (0 <= min(places) and max(places) < n):
-        bad = next(p for p in places if not 0 <= p < n)
-        raise ValueError(f"place {bad} is not a place of the net")
+    for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
+        for p in places:
+            if not 0 <= p < n:
+                raise ValueError(f"place {p} is not a place of the net")
     mobility = len(escapes)
     soft = [p for p in vectors.forbidden if p < mobility]
     final = [[p for p in places if p not in soft] for places in vectors.final]
@@ -155,43 +155,6 @@ def _meeting(graph: BasisGraph, clauses) -> int:
     return bits
 
 
-# ``x & -x`` costs a pass over all of a wide int, so _select first looks for
-# the lowest candidate among the first 8,192 markings, the cheapest ones
-_HEAD = (1 << 8192) - 1
-
-
-def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[Tuple[int, int, int]]:
-    """``(index, total, scale)`` of the cheapest candidate (see
-    select_target), its cost with its hops ``total / scale`` compared in
-    integers: ``graph.qs`` and the hop prices (ints or Fractions) brought to
-    one scale, the LCM of ``graph.scale`` and the prices' denominators."""
-    trajectory, final, stuck, soft = split
-    candidates = trajectory & final
-    if candidates < 0:  # no clause: every marking is a candidate
-        candidates = (1 << len(graph)) - 1
-    candidates = (candidates | stuck) ^ stuck
-    priced = [p for p in soft if escapes[p] is not None]
-    hopping = _any_of(graph, priced)
-    scale = lcm(graph.scale, *(escapes[p][1].denominator for p in priced))
-    prices = [(p, escapes[p][1].numerator * (scale // escapes[p][1].denominator))
-              for p in priced]
-    best = None
-    while candidates:
-        head = candidates & _HEAD or candidates
-        i = (head & -head).bit_length() - 1
-        total = graph.qs[i] * (scale // graph.scale)
-        if best is not None and total >= best[1]:
-            break
-        if not hopping >> i & 1:
-            return i, total, scale  # no hop: no later candidate costs less
-        m = graph.marking(i)
-        total += sum(m[p] * price for p, price in prices)
-        if best is None or total < best[1]:
-            best = (i, total, scale)
-        candidates ^= 1 << i
-    return best
-
-
 def select_target(graph: BasisGraph, vectors: SpecVectors,
                   escapes: Sequence[Optional[Tuple[int, Fraction]]] = (),
                   ) -> Optional[TargetChoice]:
@@ -206,16 +169,37 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
 
     The candidates, from the graph's occupancy index, are walked in
     ascending-q order, each unpacked only to price its hops, until one pays
-    none or q alone reaches the best total. Ties go to the smallest index.
+    none (no later candidate costs less) or q alone reaches the best total.
+    Ties go to the smallest index. Costs are compared in integers: the
+    tree's ``qs`` and the hop prices (ints or Fractions) brought to one
+    scale, the LCM of ``graph.scale`` and the prices' denominators.
     """
-    choice = _select(graph, _split(graph, vectors, escapes), escapes)
-    return None if choice is None else TargetChoice(choice[0], Fraction(*choice[1:]))
-
-
-def _diagnose(graph: BasisGraph, split) -> Tuple[str, ...]:
-    trajectory, final, stuck, _ = split
-    met = (("trajectory", trajectory), ("final", final), ("forbidden", stuck.bit_count() < len(graph)))
-    return tuple(family for family, bits in met if not bits) or ("combination",)
+    trajectory, final, stuck, soft = _split(graph, vectors, escapes)
+    candidates = trajectory & final
+    if candidates < 0:  # no clause: every marking is a candidate
+        candidates = (1 << len(graph)) - 1
+    candidates = (candidates | stuck) ^ stuck
+    priced = [p for p in soft if escapes[p] is not None]
+    hopping = _any_of(graph, priced)
+    scale = lcm(graph.scale, *(escapes[p][1].denominator for p in priced))
+    prices = [(p, escapes[p][1].numerator * (scale // escapes[p][1].denominator))
+              for p in priced]
+    best = None
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
+        total = graph.qs[i] * (scale // graph.scale)
+        if best is not None and total >= best[1]:
+            break
+        if not low & hopping:
+            best = (i, total)
+            break
+        m = graph.marking(i)
+        total += sum(m[p] * price for p, price in prices)
+        if best is None or total < best[1]:
+            best = (i, total)
+    return None if best is None else TargetChoice(best[0], Fraction(best[1], scale))
 
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
@@ -227,7 +211,9 @@ def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
     family's clauses, 'forbidden' when every marking has a token on a
     disqualifying place, and 'combination' when each family holds alone.
     """
-    return _diagnose(graph, _split(graph, vectors, escapes))
+    trajectory, final, stuck, _ = _split(graph, vectors, escapes)
+    met = (("trajectory", trajectory), ("final", final), ("forbidden", stuck.bit_count() < len(graph)))
+    return tuple(family for family, bits in met if not bits) or ("combination",)
 
 
 def backtrack(graph: BasisGraph, target: int) -> Tuple[int, ...]:
@@ -344,11 +330,10 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    split = _split(graph, vectors, offline.escapes)
-    choice = _select(graph, split, offline.escapes)
+    choice = select_target(graph, vectors, offline.escapes)
     if choice is None:
-        return Infeasible(_diagnose(graph, split))
-    index, cost, cost_scale = choice
+        return Infeasible(diagnose_infeasibility(graph, vectors, offline.escapes))
+    index, cost = choice
 
     # The route is walked and checked once per abstract transition, on the
     # occupied places only: no step below reads every place of the movement
@@ -381,9 +366,9 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
 
     # Defensive checks; a corrupt cache is the realistic way to trip these.
     # Costs are compared as integer fractions, cross-multiplied: the team's
-    # total / scale with the choice's cost / cost_scale, and the abstract
-    # run's abstract / abstract_scale with the tree's qs[i] / graph.scale.
-    if total * cost_scale != cost * scale or \
+    # total / scale with the choice's cost, and the abstract run's
+    # abstract / abstract_scale with the tree's qs[i] / graph.scale.
+    if total * cost.denominator != cost.numerator * scale or \
             abstract * graph.scale != graph.qs[index] * abstract_scale:
         raise IntegrityError("abstract and base run costs disagree")
     counts, word, paths = route.counts, route.word, route.paths
@@ -405,7 +390,7 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
         raise IntegrityError("selected run does not satisfy the formula")
 
     return Plan(
-        total_cost=Fraction(total, scale),
+        total_cost=cost,
         per_agent_paths=tuple(_at(offline.cells, path) for path in paths),
         team_sequence=team,
         satisfied_trace=tuple(word),

@@ -206,22 +206,28 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
     Clauses keep the spec's order; each lists its places ascending and once.
     Unbound names raise :class:`UnknownPropositionError`.
     """
-    ends = net.end_places
-    family = "trajectory"  # of the names being bound
-    try:
-        trajectory = tuple(tuple(sorted({*map(indicator_of.__getitem__, clause)}))
-                           for clause in spec.trajectory_clauses)
-        family = "final"
-        final = tuple(tuple(sorted({p for name in clause for p in ends[name]}))
-                      for clause in spec.final_clauses)
-        forbidden = set()
-        for atom in spec.forbidden:
-            family = "trajectory" if atom.kind == VISIT else "final"
-            forbidden.update((indicator_of[atom.name],) if atom.kind == VISIT
-                             else ends[atom.name])
-    except KeyError as exc:
-        raise UnknownPropositionError(f"{family} proposition {exc.args[0]!r} "
-                                      "is not defined by the environment") from None
+    def indicator(name: str) -> int:
+        try:
+            return indicator_of[name]
+        except KeyError:
+            raise UnknownPropositionError(
+                f"trajectory proposition {name!r} is not defined by the environment") from None
+
+    def end_places(name: str):
+        try:
+            return net.end_places[name]
+        except KeyError:
+            raise UnknownPropositionError(
+                f"final proposition {name!r} is not defined by the environment") from None
+
+    trajectory = tuple(tuple(sorted({indicator(name) for name in clause}))
+                       for clause in spec.trajectory_clauses)
+    final = tuple(tuple(sorted({p for name in clause for p in end_places(name)}))
+                  for clause in spec.final_clauses)
+    forbidden = set()
+    for atom in spec.forbidden:
+        forbidden.update([indicator(atom.name)] if atom.kind == VISIT
+                         else end_places(atom.name))
     return SpecVectors(trajectory, final, tuple(sorted(forbidden)))
 
 
