@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import struct
 import sys
 from array import array
@@ -227,41 +228,28 @@ def _layout(net: PetriNet) -> _Layout:
 
 
 class _Ids(dict):
-    """The search's key space over the markings of a ``_packable`` net (see
-    ``_build_packed``), shared by the build and the cache load: the
-    numbering of placements, and the bound on the search table.
+    """The numbering of placements in the search's key space over the
+    markings of a ``_packable`` net (see ``_build_packed``), shared by the
+    build and the cache load.
 
     Placements get dense ids in order of first lookup: ``ids.order[i]`` is
     the i-th new placement, and ``ids[placement]`` is its i shifted left by
     ``bits``, the count of ``_layout``'s latch classes. The root's
-    placement is looked up first and takes id 0. Each new id grows
-    ``table`` by ``slots(1 << bits)``, one unseen slot per latch mask; an
-    id that would take ``table`` past ``TABLE_FACTOR * state_cap`` slots
-    raises StateBudgetError. A ``None`` table numbers placements with no
-    slots and no bound."""
+    placement is looked up first and takes id 0. Each caller grows its own
+    table, ``1 << bits`` slots per placement, and bounds it."""
 
     # a new id costs half as much with slots as with an instance dict
-    __slots__ = ("sources", "bits", "table", "state_cap", "room", "blank", "order")
+    __slots__ = ("sources", "bits", "order")
 
-    def __init__(self, layout: _Layout, table, slots, state_cap: int):
+    def __init__(self, layout: _Layout):
         super().__init__()
         self.sources = layout.sources
         self.bits = len(layout.classes)
-        self.table = table
-        self.state_cap = state_cap
-        # the most placements the table has room for
-        self.room = TABLE_FACTOR * state_cap >> self.bits
-        # a new id's slots, not made when they alone would pass the bound
-        self.blank = slots(1 << self.bits) if table is not None and self.room else None
         self.order: List[int] = []
         self[layout.root]
 
     def __missing__(self, placement: int) -> int:
         order = self.order
-        if self.table is not None:
-            if len(order) >= self.room:
-                raise StateBudgetError(self.state_cap, what="basis graph search table")
-            self.table += self.blank
         i = self[placement] = len(order) << self.bits
         order.append(placement)
         return i
@@ -346,12 +334,12 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     the keys' packed markings from byte columns.
 
     The search state is one flat list indexed by key, ``1 << bits`` slots
-    per placement, grown as placements are numbered. An unseen slot holds
-    one shared int dearer than any path of ``state_cap`` moves, so each
-    relaxation is a single comparison. The slots cost 8 bytes each and the
-    list may hold at most ``TABLE_FACTOR * state_cap`` of them: a net whose
-    placements meet few of their masks raises StateBudgetError before the
-    table grows past that bound.
+    per placement, grown after each row miss for the placements the row
+    numbered. An unseen slot holds one shared int dearer than any path of
+    ``state_cap`` moves, so each relaxation is a single comparison. The
+    slots cost 8 bytes each and the list may hold at most ``TABLE_FACTOR *
+    state_cap`` of them: a row whose placements would pass that bound
+    raises StateBudgetError before the table grows.
 
     Costs are exact integers, scaled by the LCM of the transition cost
     denominators. The keys, the costs and the pending edges are typed
@@ -367,14 +355,14 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     # lowered a child's best to q, three values each, in the order they
     # were found. Scaled costs can lie far apart, so ``pending`` is a heap
     # of the bucket costs rather than a scan of q + 1, q + 2, ... An edge
-    # whose child's best is no longer its bucket's q is stale.
+    # whose child's best is no longer its bucket's q is stale. Until the
+    # root's row is built, ``best`` holds the root's slot alone.
     unseen = max((move[3] for move in layout.moves), default=0) * state_cap + 1
-    best: List[int] = []
-    ids = _Ids(layout, best, lambda n: [unseen] * n, state_cap)
+    best = [0]
+    ids = _Ids(layout)
     bits, placements = ids.bits, ids.order
     low = (1 << bits) - 1
     rows: Dict[int, List[Tuple[int, int, int]]] = {}
-    best[0] = 0
     buckets: Dict[int, array] = {0: array("Q", (0, 0, 0))}
     pending = [0]
     keys, qs = array("Q"), _cost_column(layout, state_cap)
@@ -401,6 +389,11 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                 row = ids.row(placements[pid])
                 if bits:
                     rows[pid] = row
+                size = len(placements) << bits
+                if size > len(best):
+                    if size > TABLE_FACTOR * state_cap:
+                        raise StateBudgetError(state_cap, what="basis graph search table")
+                    best += [unseen] * (size - len(best))
             mask = key & low
             for base, weight, t in row:
                 child = base | mask
@@ -415,9 +408,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
                     bucket.append(idx)
                     bucket.append(t)
 
-    # ``ids`` holds the table too: empty it before the markings are packed
-    best.clear()
-    del rows, row
+    del best, rows, row
     return _packed_graph(keys, ids, qs, parent, transition, layout)
 
 
@@ -445,7 +436,9 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]`` as
     little-endian uint32. Markings and costs are not stored; ``load_cache``
     recomputes them, so only graphs of ``_packable`` nets can be saved.
-    Raises ValueError for any other graph.
+    Raises ValueError for any other graph. A new file beside ``path`` is
+    renamed onto it: a failed save leaves an old cache whole, and no
+    reader sees half a file.
     """
     if not _packable(qm.net):
         raise ValueError("only graphs of nets that fit packed markings can be cached")
@@ -463,8 +456,15 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(line + b"\n" + body)
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            fh.write(line + b"\n" + body)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def load_cache(path, qm: MonitoredNet) -> BasisGraph:
@@ -472,26 +472,27 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
 
     Checks the format tag, the version (CacheVersionError), the net digest
     (CacheDigestError), and the body length and SHA-256 against the header.
-    Then one pass over the columns replays the tree in the key space of
-    ``_Ids`` that the build uses. A marking's key is the child base of its
-    transition at its parent's placement, ORed with the parent's latch
-    mask. The base is worked out from the transition's entry in
-    ``_layout``'s move table, as ``_Ids.row`` does: the id of the parent's
-    placement plus the move's plain fields, ORed with its class bits. Each
-    base is worked out on the first tree edge that needs it and kept, so
-    the load holds no more of them than the tree has edges; a net without
-    latch classes, whose bases are each needed once, keeps none. A
-    marking's ``q`` is ``q(parent)`` plus the transition's weight. The pass
-    checks that every parent precedes its child, every transition id is in
-    range and enabled at the parent, the markings come in the strictly
-    ascending ``(q, parent, transition)`` order of ``build_graph``, and no
-    key repeats. Any failure raises
+    Then one pass over the columns replays the tree in the key space that
+    the build uses, with placements numbered by ``_Ids``. A marking's key
+    is the child base of its transition at its parent's placement, ORed
+    with the parent's latch mask. The base is worked out from the
+    transition's entry in ``_layout``'s move table, as ``_Ids.row`` does:
+    the id of the parent's placement plus the move's plain fields, ORed
+    with its class bits. Each base is worked out on the first tree edge
+    that needs it and kept, so the load holds no more of them than the tree
+    has edges; a net without latch classes, whose bases are each needed
+    once, keeps none. A marking's ``q`` is ``q(parent)`` plus the
+    transition's weight. The pass checks that every parent precedes its
+    child, every transition id is in range and enabled at the parent, the
+    markings come in the strictly ascending ``(q, parent, transition)``
+    order of ``build_graph``, and no key repeats. Any failure raises
     CacheFormatError, as does a net that is not ``_packable``.
 
-    The repeat check keeps one byte per key slot while the slots stay
-    within ``TABLE_FACTOR`` per marking, the table bound of a build capped
-    at the marking count, and a dict of the keys past that, so every tree
-    a build returns loads.
+    The repeat check is the load's own table: one byte per key slot, grown
+    by one placement's slots whenever a base numbers a new placement, while
+    the slots stay within ``TABLE_FACTOR`` per marking, the table bound of
+    a build capped at the marking count. Past that it is a dict of the
+    keys, so every tree a build returns loads.
     """
     try:
         with open(path, "rb") as fh:
@@ -531,16 +532,14 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         transitions.byteswap()
 
     layout = _layout(net)
-    # seen[key] is 1 once a marking with that key is listed: the bitmap
-    # ``ids`` grows, or a dict once the bitmap would pass its bound
-    seen = bytearray()
-    try:
-        ids = _Ids(layout, seen, bytes, count)
-    except StateBudgetError:
-        seen = defaultdict(int)
-        ids = _Ids(layout, None, None, count)
+    ids = _Ids(layout)
     bits, placements, moves = ids.bits, ids.order, layout.moves
     low = (1 << bits) - 1
+    # seen[key] is 1 once a key is listed: a bitmap of one ``blank`` per
+    # placement while it fits ``bound`` bytes, then a dict, ``blank`` None
+    bound = TABLE_FACTOR * count
+    blank = bytes(1 << bits) if 1 << bits <= bound else None
+    seen = defaultdict(int) if blank is None else bytearray(blank)
     weights = [move[3] for move in moves]
     span = len(weights)
     # bases[pid * span + t] is the child base of transition t at placement
@@ -565,13 +564,14 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
             if not placement & field_mask:
                 raise CacheFormatError(
                     f"cache {path}: transition {t} is not enabled at marking {parent}")
-            try:
-                pid = ids[placement + plain]
-            except StateBudgetError:
-                # the bitmap is full: the rest of the pass checks a dict
-                seen = defaultdict(int, dict.fromkeys(keys, 1))
-                ids.table = None
-                pid = ids[placement + plain]
+            pid = ids[placement + plain]
+            # a miss numbers at most one placement, a new one iff its slots
+            # start at the bitmap's end
+            if blank is not None and pid == len(seen):
+                if pid + len(blank) > bound:
+                    seen, blank = defaultdict(int, dict.fromkeys(keys, 1)), None
+                else:
+                    seen += blank
             # as in ``_Ids.row``: no OR with zero, so the dict's int is shared
             base = pid | cb if cb else pid
             if bits:
@@ -588,6 +588,5 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         seen[child] = 1
         keys.append(child)
         qs.append(q)
-    seen.clear()
-    bases.clear()
+    del seen, bases
     return _packed_graph(keys, ids, qs, parents, transitions, layout)

@@ -11,7 +11,6 @@ into or out of a place share one such tuple.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +19,7 @@ from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError
-from .petri import END, VISIT, Atom, PetriNet
+from .petri import END, NAME_RE, VISIT, Atom, PetriNet
 
 Cell = Tuple[int, int]
 
@@ -31,8 +30,6 @@ DIRECTIONS: Tuple[Tuple[str, Tuple[int, int]], ...] = (
     ("down", (1, 0)),
     ("left", (0, -1)),
 )
-
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 _ENV_KEYS = {"grid", "obstacles", "regions", "agents", "move_cost"}
 _REGION_KEYS = {"name", "cells", "trajectory_props", "final_props"}
@@ -174,7 +171,7 @@ def _props(raw, where) -> frozenset:
         raise ValidationError(f"{where} must be a list of proposition names")
     out = set()
     for v in raw:
-        if not isinstance(v, str) or not _NAME_RE.fullmatch(v):
+        if not isinstance(v, str) or not NAME_RE.fullmatch(v):
             raise ValidationError(f"{where}: bad proposition name {v!r}")
         out.add(v)
     return frozenset(out)
@@ -303,7 +300,7 @@ def plan_json_text(env: Environment, plan: Plan) -> str:
     ``sort_keys=True`` and ``separators=(",", ":")``, plus a newline; they
     are written here directly, a joined fragment per cell. An atom's text
     is quoted as it is: ``parse_env`` admits only proposition names of
-    ``[A-Za-z0-9_]+``, which JSON writes unescaped.
+    ``petri.NAME_RE``, ``[A-Za-z0-9_]+``, which JSON writes unescaped.
     """
     ends = {path[-1] for path in plan.per_agent_paths}
     finals = set().union(*(r.final_props for r in env.regions if not ends.isdisjoint(r.cells)))

@@ -22,6 +22,7 @@ built by :mod:`tampnet.abstraction` use them for visit indicators.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +40,9 @@ END = "end"
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
+
+# the one rule for a proposition name: ASCII letters, digits and "_"
+NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Atom(NamedTuple):

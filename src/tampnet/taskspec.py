@@ -28,14 +28,12 @@ from itertools import chain
 from typing import Mapping, Sequence, Tuple
 
 from .errors import SpecShapeError, SpecSyntaxError, UnknownPropositionError
-from .petri import END, VISIT, Atom, PetriNet
-
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+from .petri import END, NAME_RE, VISIT, Atom, PetriNet
 
 # One token per match, after any whitespace: the kinds are tried in this
 # order, and "bad" takes any other character. The atom group holds the
 # kind (group 2) and the name (group 3).
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(visit|end)\s*\(\s*([A-Za-z0-9_]+)\s*\))"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<atom>(visit|end)\s*\(\s*({NAME_RE.pattern})\s*\))"
                        r"|(?P<and>&)|(?P<or>\|)|(?P<not>!)|(?P<lp>\()|(?P<rp>\))|(?P<bad>\S))")
 
 
@@ -60,13 +58,13 @@ class BooleanSpec:
             if not clause:
                 raise SpecShapeError("empty clause")
             for name in clause:
-                if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                if not isinstance(name, str) or not NAME_RE.fullmatch(name):
                     raise SpecShapeError(f"bad proposition name {name!r}")
         forbidden = frozenset(self.forbidden)
         for atom in forbidden:
             if not isinstance(atom, Atom) or atom.kind not in (VISIT, END):
                 raise SpecShapeError(f"forbidden entry {atom!r} is not a visit/end atom")
-            if not _NAME_RE.fullmatch(atom.name):
+            if not NAME_RE.fullmatch(atom.name):
                 raise SpecShapeError(f"bad proposition name {atom.name!r}")
         _canonical(self, *families, forbidden)
 

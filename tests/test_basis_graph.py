@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
+import os
 import random
 import struct
 import tracemalloc
@@ -352,6 +355,31 @@ def test_sparse_latch_masks_hit_the_table_bound():
     graph = build_graph(qm, state_cap=17 * (1 << 16) // TABLE_FACTOR)
     assert len(graph) == 17
     assert_matches_reference(qm, graph)
+
+
+def _table_slots(qm, graph):
+    """The search table's slots for ``graph``'s tree, ``1 << bits`` per
+    placement, and the slots of one placement."""
+    classes = _layout(qm.net).classes
+    latches = {p for places in classes for p in places}
+    placements = {tuple(0 if p in latches else c for p, c in enumerate(m))
+                  for m in markings_of(graph)}
+    return len(placements) << len(classes), 1 << len(classes)
+
+
+def test_the_table_bound_fires_mid_search(plant_offline):
+    # plant's 251 placements take 1,024 slots each, 257,024 in all. A cap
+    # of 16,063 allows 257,008: the root's slots fit, and the search
+    # numbers its last placement before its 16,063rd marking. A cap of
+    # 16,064 allows every slot, and the marking cap fires instead.
+    qm = plant_offline.monitored
+    assert _table_slots(qm, plant_offline.graph) == (257_024, 1024)
+    assert 1024 <= TABLE_FACTOR * 16_063 < 257_024 <= TABLE_FACTOR * 16_064
+    for cap, what in [(16_063, "search table"), (16_064, "construction")]:
+        with pytest.raises(StateBudgetError) as err:
+            build_graph(qm, state_cap=cap)
+        assert err.value.budget == cap
+        assert f"basis graph {what} exceeded" in str(err.value)
 
 
 def _traced_peak(call):
@@ -711,6 +739,28 @@ def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
     assert_same_graph(load_cache(tmp_path / "star.bin", qm), graph)
 
 
+@pytest.mark.parametrize("name, factor, where", [
+    ("acc8", 0, "root"), ("acc8", 1, "mid-pass"), ("acc8", TABLE_FACTOR, "within"),
+    # a latch-free tree has a placement per marking, so only a factor
+    # below 1 puts its bound inside the pass
+    ("acc8-latch-free", 0, "root"), ("acc8-latch-free", Fraction(1, 2), "mid-pass"),
+    ("acc8-latch-free", TABLE_FACTOR, "within"),
+])
+def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatch,
+                                                            name, factor, where):
+    # the load's bitmap, TABLE_FACTOR bytes per marking, is past its bound
+    # at the root's slots, passes it at some later placement (a dict then
+    # takes the keys listed so far), or holds every slot
+    offline = acc8_offline(latches=name == "acc8")
+    qm, graph = offline.monitored, offline.graph
+    slots, blank = _table_slots(qm, graph)
+    bound = factor * len(graph)
+    assert where == ("root" if blank > bound else "mid-pass" if slots > bound else "within")
+    save_cache(graph, qm, tmp_path / "acc8.bin")
+    monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
+    assert_same_graph(load_cache(tmp_path / "acc8.bin", qm), graph)
+
+
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
     # a well-formed file whose digest matches a net with a two-input move
     qm = join_net()
@@ -735,3 +785,51 @@ def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
         with pytest.raises(ValueError):
             save_cache(tree, qm, tmp_path / f"{name}.bin")
         assert not (tmp_path / f"{name}.bin").exists()
+
+
+class _FullDisk(io.FileIO):
+    """A file whose writes stop halfway, as on a full disk."""
+
+    def write(self, data):
+        super().write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EIO, "rename failed")
+
+
+@pytest.mark.parametrize("failure", ["write", "rename"])
+def test_a_failed_save_leaves_the_old_cache(tmp_path, monkeypatch, demo_offline, failure):
+    # the new bytes go to a file of their own beside the cache, renamed
+    # onto it only once written: a failed write or rename leaves the old
+    # cache whole and no stray file
+    path = tmp_path / "cache.bin"
+    relay = relay_net()
+    save_cache(build_graph(relay), relay, path)
+    old = path.read_bytes()
+    if failure == "write":
+        monkeypatch.setattr(basis_graph, "open", _FullDisk, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError):
+        save_cache(demo_offline.graph, demo_offline.monitored, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cache.bin"]
+
+
+def test_a_save_replaces_the_cache_with_a_plain_file(tmp_path, demo_offline):
+    # a good save over an old cache leaves only the new cache, with the
+    # bytes of a save to a new path and the mode a plain open gives
+    qm, graph = demo_offline.monitored, demo_offline.graph
+    relay = relay_net()
+    (tmp_path / "cache").mkdir()
+    path = tmp_path / "cache" / "cache.bin"
+    save_cache(build_graph(relay), relay, path)
+    save_cache(graph, qm, path)
+    save_cache(graph, qm, tmp_path / "fresh.bin")
+    (tmp_path / "plain.bin").write_bytes(b"")
+    assert os.listdir(tmp_path / "cache") == ["cache.bin"]
+    assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+    assert path.stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
+    assert_same_graph(load_cache(path, qm), graph)

@@ -5,8 +5,8 @@ import string
 
 import pytest
 
-from tampnet import parse
-from tampnet.errors import (SpecShapeError, SpecSyntaxError,
+from tampnet import ValidationError, parse, parse_env
+from tampnet.errors import (SpecError, SpecShapeError, SpecSyntaxError,
                             UnknownPropositionError)
 from tampnet.petri import Atom, END, VISIT
 from tampnet.taskspec import (BooleanSpec, SpecVectors, compile_vectors,
@@ -390,3 +390,30 @@ def test_parse_hands_out_the_constructors_spec():
 def test_constructor_keeps_every_check(fields, message):
     with pytest.raises(SpecShapeError, match=re.escape(message)):
         BooleanSpec(**fields)
+
+
+def _accepts(check, error) -> bool:
+    """``check()``, or False when it raises ``error``."""
+    try:
+        return check()
+    except error:
+        return False
+
+
+@pytest.mark.parametrize("name, valid", [
+    ("a", True), ("Z9", True), ("_", True), ("007", True), ("plant_1", True),
+    ("", False), ("a-b", False), ("a b", False), ('a"b', False), ("a\\b", False),
+    ("\u00e9", False), ("\u0663", False), ("a\n", False),
+])
+def test_one_rule_names_a_proposition(name, valid):
+    # a map admits a region proposition exactly when the formula
+    # constructor admits the name, and exactly when a formula naming it
+    # parses to that same name; no name outside the rule reaches a plan
+    doc = {"grid": {"rows": 2, "cols": 2}, "agents": [[1, 1]],
+           "regions": [{"name": "z", "cells": [[0, 0]], "trajectory_props": [name]}]}
+    in_map = _accepts(lambda: parse_env(doc) is not None, ValidationError)
+    in_spec = _accepts(lambda: BooleanSpec(trajectory_clauses=(frozenset({name}),)) is not None,
+                       SpecShapeError)
+    parsed = _accepts(lambda: parse(f"visit({name})").trajectory_clauses == (frozenset({name}),),
+                      SpecError)
+    assert in_map == in_spec == parsed == valid
