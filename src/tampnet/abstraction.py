@@ -9,11 +9,11 @@ run is lifted back to grid moves afterwards.
 The reduction runs in exact integers: move costs are scaled once by the LCM
 of their denominators, and ``Fraction`` appears only in the results
 (``MinimalSequence.cost`` and the reduced net's costs). It runs one
-Dijkstra per source place, with the other labeled places as sinks that are
-reached but never expanded; the search stops once its last sink is
-settled. One sweep back over the settled places marks which sinks each
-place reaches on the cheapest-route DAG of that search, and each target's
-sequence is read off that DAG.
+Dijkstra back from each labeled target place, with the other labeled places
+settled but never expanded; the search stops once its last start or labeled
+place is settled. Each source's sequence is then read off the target's
+costs: from the source, always the smallest transition id that keeps to a
+cheapest route.
 
 The monitored net adds one latch place per trajectory proposition: every
 abstract transition that ends on a cell carrying the proposition also
@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .petri import VISIT, Atom, PetriNet
 
@@ -97,112 +97,96 @@ class _Moves:
     """Single-input single-output transitions (moves) of a net as integer
     adjacency, built once per net.
 
-    ``out[p]`` lists ``(t, q, w)`` in ascending transition id for the moves
-    from ``p`` to ``q``. ``w`` is the move's cost times ``scale``, the LCM
-    of all cost denominators, so every weight and every route cost is an
-    exact integer.
+    ``out[p]`` lists ``(t, x, w)`` in ascending transition id for the moves
+    from ``p`` to ``x``, and ``into[x]`` lists ``(p, w)`` for the moves into
+    ``x``. ``w`` is the move's cost times ``scale``, the LCM of all cost
+    denominators, so every weight and every route cost is an exact integer.
+    ``unseen`` exceeds the sum of all weights, so it is dearer than any
+    route that visits no place twice.
     """
 
     def __init__(self, net: PetriNet):
         weights, self.scale = net.integer_costs
         self.out = [[] for _ in range(net.num_places)]
+        self.into = [[] for _ in range(net.num_places)]
         for t, ps, qs, w in zip(range(net.num_transitions), net.pre, net.post, weights):
             if len(ps) == 1 and len(qs) == 1:
                 self.out[ps[0]].append((t, qs[0], w))
+                self.into[qs[0]].append((ps[0], w))
+        self.unseen = sum(weights) + 1
 
-    def cheapest(self, source: int, sink: bytearray,
-                 sinks: int) -> Tuple[List[Optional[int]], List[int]]:
-        """Dijkstra from ``source`` over the places whose ``sink`` flag is 0.
+    def cheapest(self, target: int, role: bytearray, sources: int) -> List[int]:
+        """Dijkstra back from ``target`` over ``into``: the scaled cost of the
+        cheapest route from each place to ``target``.
 
-        Flagged places are reached but never expanded, so no route passes
-        through one; there are ``sinks`` of them, and the search stops once
-        the last is settled. Returns ``(dist, settled)``: the scaled cost of
-        the cheapest route to every settled place (None if unreachable),
-        and the settled places in the order settled. A place reached but
-        not settled before the stop may hold a higher, unfinished cost:
-        every settled sink's cost is below it, so no cheapest route to a
-        sink passes through it.
+        ``role[p]`` is 0 for a place routes may pass, 1 for a source they
+        may pass too, and 2 for a source they may only start from: such a
+        place is settled but never expanded. There are ``sources`` places
+        of role 1 or 2, and the search stops once the last is settled.
+        Places never reached hold ``unseen``. A place reached but not
+        settled before the stop may hold a higher, unfinished cost, but a
+        cheapest route from a source passes only places cheaper than the
+        source, and those are all settled.
 
-        The heap holds one int per entry, ``cost << shift | place``, which
-        orders like the pair (cost, place).
+        The queue is a dict from each pending cost to its places, with a
+        heap of those costs; an entry whose place has since fallen to a
+        lower cost is stale.
         """
-        out = self.out
-        shift = len(out).bit_length()
-        mask = (1 << shift) - 1
-        dist: List[Optional[int]] = [None] * len(out)
-        dist[source] = 0
-        settled = []
-        heap = [source]
+        into = self.into
+        dist = [self.unseen] * len(into)
+        dist[target] = 0
+        buckets = {0: [target]}
+        pending = [0]
         pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            key = pop(heap)
-            p = key & mask
-            d = key >> shift
-            if d != dist[p]:
-                continue
-            settled.append(p)
-            if sink[p]:
-                sinks -= 1
-                if not sinks:
-                    break
-                continue
-            for _, q, w in out[p]:
-                nd = d + w
-                old = dist[q]
-                if old is None or nd < old:
-                    dist[q] = nd
-                    push(heap, nd << shift | q)
-        return dist, settled
+        while pending:
+            d = pop(pending)
+            for x in buckets.pop(d):
+                if dist[x] != d:
+                    continue
+                kind = role[x]
+                if kind:
+                    sources -= 1
+                    if not sources:
+                        return dist
+                    if kind > 1:
+                        continue
+                for p, w in into[x]:
+                    nd = d + w
+                    if nd < dist[p]:
+                        dist[p] = nd
+                        bucket = buckets.get(nd)
+                        if bucket is None:
+                            buckets[nd] = [p]
+                            push(pending, nd)
+                        else:
+                            bucket.append(p)
+        return dist
 
-    def reaching(self, dist: List[Optional[int]], settled: List[int], sink: bytearray,
-                 bit: Dict[int, int]) -> List[int]:
-        """For every place, the set of sinks (a bitset of ``bit[s]``) that
-        it reaches in the cheapest-route DAG of one ``cheapest`` search.
+    def route(self, dist: List[int], role: bytearray, source: int,
+              target: int) -> MinimalSequence:
+        """Lexicographically smallest cheapest route from ``source`` to
+        ``target`` in one ``cheapest`` search, with the place each of its
+        moves ends on.
 
-        The DAG holds the moves ``p -> q`` with ``dist[p] + w == dist[q]``
-        out of expanded places; its paths from the source to a sink are
-        exactly the cheapest routes. Costs are positive, so every move of
-        the DAG ends on a place settled after its start, and one sweep in
-        reverse settling order sees each head before its tail.
-        """
-        out = self.out
-        reach = [0] * len(out)
-        for p in reversed(settled):
-            if sink[p]:
-                reach[p] = bit[p]
-                continue
-            d = dist[p]
-            r = 0
-            for _, q, w in out[p]:
-                if d + w == dist[q]:
-                    r |= reach[q]
-            reach[p] = r
-        return reach
-
-    def route(self, dist: List[Optional[int]], reach: List[int], source: int,
-              target: int, bit: int) -> MinimalSequence:
-        """Lexicographically smallest cheapest route from ``source`` to a
-        settled ``target`` whose ``reaching`` bit is ``bit``, with the place
-        each of its moves ends on.
-
-        The walk takes, at every step, the smallest transition id of a DAG
-        move whose head still reaches the target. Costs are positive, so no
-        cheapest route is a prefix of another and this greedy choice yields
-        the smallest transition-id tuple.
+        The walk takes, at every step, the smallest transition id of a move
+        onto a place routes may pass (role 0 or 1) whose cost to ``target``
+        is the current place's less the move's weight. Costs are positive,
+        so no cheapest route is a prefix of another and this greedy choice
+        yields the smallest transition-id tuple.
         """
         seq = []
         places = []
         p = source
         while p != target:
             d = dist[p]
-            for t, q, w in self.out[p]:
-                if reach[q] & bit and d + w == dist[q]:
+            for t, x, w in self.out[p]:
+                if w + dist[x] == d and role[x] < 2:
                     seq.append(t)
-                    places.append(q)
-                    p = q
+                    places.append(x)
+                    p = x
                     break
         return MinimalSequence(source, target, tuple(seq),
-                               Fraction(dist[target], self.scale), tuple(places))
+                               Fraction(dist[source], self.scale), tuple(places))
 
 
 def build_simplified(net: PetriNet) -> SimplifiedNet:
@@ -217,52 +201,44 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     (p, p') base place ids.
 
     The move adjacency and its integer weights are built once, and one
-    Dijkstra runs per source p with every other labeled place as a sink.
-    A sink is never expanded, so the routes to p' avoid every labeled place
-    but p and p'; p' being a sink too changes nothing, since with positive
-    costs a cheapest route never passes through its own end. Each search
-    stops once its last sink is settled; one backward sweep over the places
-    it settled marks which targets each place reaches, and each target's
-    sequence is then read off that one search (see ``_Moves.route``).
+    Dijkstra runs back from each labeled target p' over the moves into each
+    place. Every other labeled place is settled but never expanded, so the
+    routes to p' avoid every labeled place but their ends; a source p being
+    labeled changes nothing, since with positive costs a cheapest route
+    never passes its own start again. Each search stops once the last start
+    or labeled place is settled, and each source's sequence is read off the
+    target's costs right after (see ``_Moves.route``).
     """
     labeled = labeled_places(net)
     started = tuple(p for p in range(net.num_places) if net.initial_marking[p] > 0)
     base = tuple(sorted(set(labeled) | set(started)))
     index = {p: i for i, p in enumerate(base)}
-    bit = {q: 1 << k for k, q in enumerate(labeled)}
-    sink = bytearray(net.num_places)
+    role = bytearray(net.num_places)
+    for p in started:
+        role[p] = 1
     for q in labeled:
-        sink[q] = 1
+        role[q] = 2
     moves = _Moves(net)
 
-    lift_map = []
-    pre = []
-    post = []
-    for p in base:
-        own = sink[p]
-        sinks = len(labeled) - own
-        if not sinks:
-            continue
-        sink[p] = 0
-        dist, settled = moves.cheapest(p, sink, sinks)
-        reach = moves.reaching(dist, settled, sink, bit)
-        for q in labeled:
-            if q == p or dist[q] is None:
-                continue
-            lift_map.append(moves.route(dist, reach, p, q, bit[q]))
-            pre.append((index[p],))
-            post.append((index[q],))
-        sink[p] = own
+    rows = [[] for _ in base]
+    for q in labeled:
+        role[q] = 0
+        dist = moves.cheapest(q, role, len(base) - 1)
+        for p, row in zip(base, rows):
+            if p != q and dist[p] < moves.unseen:
+                row.append(moves.route(dist, role, p, q))
+        role[q] = 2
+    lift_map = tuple(ms for row in rows for ms in row)
 
     reduced = PetriNet(
         num_places=len(base),
-        pre=tuple(pre),
-        post=tuple(post),
+        pre=tuple((index[ms.source],) for ms in lift_map),
+        post=tuple((index[ms.target],) for ms in lift_map),
         cost=tuple(ms.cost for ms in lift_map),
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
-    return SimplifiedNet(reduced, tuple(lift_map), base)
+    return SimplifiedNet(reduced, lift_map, base)
 
 
 def lift(simplified: SimplifiedNet, sigma: Sequence[int]) -> Tuple[int, ...]:

@@ -438,7 +438,7 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     recomputes them, so only graphs of ``_packable`` nets can be saved.
     Raises ValueError for any other graph. A new file beside ``path`` is
     renamed onto it: a failed save leaves an old cache whole, and no
-    reader sees half a file.
+    reader sees half a file. An error creating that file names ``path``.
     """
     if not _packable(qm.net):
         raise ValueError("only graphs of nets that fit packed markings can be cached")
@@ -457,7 +457,10 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
     temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(temp, "xb")
+    try:
+        fh = open(temp, "xb")
+    except OSError as error:
+        raise OSError(error.errno, error.strerror, path) from None
     try:
         with fh:
             fh.write(line + b"\n" + body)

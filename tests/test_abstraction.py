@@ -224,22 +224,35 @@ def test_unlabeled_world_reduces_to_isolated_starts():
     assert qm.net == simplified.net
 
 
-def test_each_search_stops_at_its_last_sink():
-    # on an open 20x20 grid both sinks sit within five moves of the source:
-    # the search settles the places up to that cost, not the whole grid
+def test_each_search_stops_at_its_last_source():
+    # on an open 20x20 grid both sources sit within five moves of the target
+    # (0, 3): the search back from it settles the places up to that cost,
+    # not the whole grid
     env = square_env(20, [{"name": "a", "cells": [[0, 1]], "final_props": ["a"]},
                           {"name": "b", "cells": [[0, 3]], "final_props": ["b"]}],
                      agents=[(0, 0)])
     net = env_to_pn(env)
     moves = _Moves(net)
-    sink = bytearray(net.num_places)
-    sink[1] = sink[3] = 1
-    dist, settled = moves.cheapest(0, sink, 2)
-    # a count above the sinks that exist never stops: the full search
-    full, everywhere = moves.cheapest(0, sink, 3)
-    assert settled[0] == 0 and settled[-1] == 3 and dist[3] == 5
-    assert len(settled) < 25 and len(everywhere) == net.num_places
+    expanded = []
+
+    class Logged(list):
+        def __getitem__(self, p):
+            expanded.append(p)
+            return list.__getitem__(self, p)
+
+    moves.into = Logged(moves.into)
+    role = bytearray(net.num_places)
+    role[0], role[1] = 1, 2
+    dist = moves.cheapest(3, role, 2)
+    # the sources are settled but not expanded: 1 is labeled, and settling 0
+    # ends the search
+    settled = expanded + [1, 0]
+    del expanded[:]
+    # a count above the sources that exist never stops: the full search
+    full = moves.cheapest(3, role, 3)
+    assert settled[0] == 3 and dist[0] == 5 and dist[1] == 2
+    assert len(settled) < 25 and len(set(expanded)) == net.num_places - 1
     assert all(dist[p] == full[p] for p in settled)
-    assert {p for p in everywhere if full[p] < dist[3]} <= set(settled)
+    assert {p for p in range(net.num_places) if full[p] < dist[0]} <= set(settled)
     routes = {(m.source, m.target): m.cost for m in build_simplified(net).lift_map}
     assert routes == {(0, 1): 1, (0, 3): 5, (1, 3): 2, (3, 1): 2}

@@ -244,3 +244,14 @@ def test_bench_command(tmp_path, capsys):
     assert main(["bench", "--mode", "props", "--out", str(out),
                  "--props", "5", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_cache_in_a_missing_directory_names_the_given_path(tmp_path, monkeypatch, capsys):
+    # the cache is written to a new file beside --out first; when that file
+    # cannot be made, the error names the path on the command line
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--env", DEMO, "--out", "missing/x.bin"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: 'missing/x.bin'\n"
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []

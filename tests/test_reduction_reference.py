@@ -1,0 +1,139 @@
+"""``build_simplified`` against a reference reduction that searches forward.
+
+The reference runs one heap Dijkstra per source place, with the other
+labeled places as sinks that are reached but never expanded, stops once the
+last sink is settled, marks in one reverse sweep over the settled places
+which sinks each place reaches on that search's cheapest-route DAG, and
+reads each target's route off the DAG. It is kept here only as an
+independent check: the reduced net, every lifted sequence and their order
+must come out equal.
+"""
+
+import heapq
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tampnet import load_env
+from tampnet.abstraction import (MinimalSequence, SimplifiedNet,
+                                 build_simplified, labeled_places)
+from tampnet.bench import generate_instance
+from tampnet.data import fixture_path
+from tampnet.grid import env_to_pn
+from tampnet.petri import PetriNet
+
+from conftest import random_env
+
+REDUCE_MAP = Path(__file__).parent / "data" / "reduce_44x44.json"
+
+
+def forward_cheapest(out, source, sink, sinks):
+    """Dijkstra from ``source``; flagged places are settled, not expanded,
+    and the search stops once the last of ``sinks`` of them is settled."""
+    shift = len(out).bit_length()
+    mask = (1 << shift) - 1
+    dist = [None] * len(out)
+    dist[source] = 0
+    settled = []
+    heap = [source]
+    while heap:
+        key = heapq.heappop(heap)
+        p, d = key & mask, key >> shift
+        if d != dist[p]:
+            continue
+        settled.append(p)
+        if sink[p]:
+            sinks -= 1
+            if not sinks:
+                break
+            continue
+        for _, q, w in out[p]:
+            if dist[q] is None or d + w < dist[q]:
+                dist[q] = d + w
+                heapq.heappush(heap, (d + w) << shift | q)
+    return dist, settled
+
+
+def forward_reaching(out, dist, settled, sink, bit):
+    """The bitset of sinks each place reaches on the cheapest-route DAG."""
+    reach = [0] * len(out)
+    for p in reversed(settled):
+        if sink[p]:
+            reach[p] = bit[p]
+            continue
+        for _, q, w in out[p]:
+            if dist[p] + w == dist[q]:
+                reach[p] |= reach[q]
+    return reach
+
+
+def forward_route(out, dist, reach, source, target, bit, scale):
+    """Smallest transition id at each step of a DAG move still reaching
+    ``target``."""
+    seq, places, p = [], [], source
+    while p != target:
+        for t, q, w in out[p]:
+            if reach[q] & bit and dist[p] + w == dist[q]:
+                seq.append(t)
+                places.append(q)
+                p = q
+                break
+    return MinimalSequence(source, target, tuple(seq),
+                           Fraction(dist[target], scale), tuple(places))
+
+
+def forward_simplified(net):
+    labeled = labeled_places(net)
+    started = [p for p in range(net.num_places) if net.initial_marking[p] > 0]
+    base = tuple(sorted(set(labeled) | set(started)))
+    index = {p: i for i, p in enumerate(base)}
+    bit = {q: 1 << k for k, q in enumerate(labeled)}
+    sink = bytearray(net.num_places)
+    for q in labeled:
+        sink[q] = 1
+    weights, scale = net.integer_costs
+    out = [[] for _ in range(net.num_places)]
+    for t, ps, qs, w in zip(range(net.num_transitions), net.pre, net.post, weights):
+        if len(ps) == 1 and len(qs) == 1:
+            out[ps[0]].append((t, qs[0], w))
+    lift_map = []
+    for p in base:
+        own = sink[p]
+        sinks = len(labeled) - own
+        if not sinks:
+            continue
+        sink[p] = 0
+        dist, settled = forward_cheapest(out, p, sink, sinks)
+        reach = forward_reaching(out, dist, settled, sink, bit)
+        lift_map.extend(forward_route(out, dist, reach, p, q, bit[q], scale)
+                        for q in labeled if q != p and dist[q] is not None)
+        sink[p] = own
+    reduced = PetriNet(
+        num_places=len(base),
+        pre=tuple((index[ms.source],) for ms in lift_map),
+        post=tuple((index[ms.target],) for ms in lift_map),
+        cost=tuple(ms.cost for ms in lift_map),
+        labels=tuple(net.labels[p] for p in base),
+        initial_marking=tuple(net.initial_marking[p] for p in base),
+    )
+    return SimplifiedNet(reduced, tuple(lift_map), base)
+
+
+@pytest.mark.parametrize("env", [
+    pytest.param(lambda: load_env(fixture_path("plant_8x11.json")), id="plant"),
+    pytest.param(lambda: load_env(REDUCE_MAP), id="reduce_44x44"),
+    pytest.param(lambda: generate_instance("acc6:50", 50, 50, 3, 8, 10)[0], id="acc6"),
+])
+def test_reduction_equals_the_forward_reference(env):
+    net = env_to_pn(env())
+    simplified = build_simplified(net)
+    assert simplified.lift_map and simplified == forward_simplified(net)
+
+
+def test_reduction_equals_the_forward_reference_on_random_maps():
+    rng = random.Random("backward-reduction")
+    for _ in range(300):
+        net = env_to_pn(random_env(rng))
+        assert build_simplified(net) == forward_simplified(net)
