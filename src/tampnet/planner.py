@@ -57,9 +57,9 @@ class TargetChoice(NamedTuple):
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Which clause families could not be met (checked one family at a time
-    on the occupancy index; 'combination' means each family is satisfiable
-    alone but never jointly)."""
+    """Which clause families could not be met (each tested on its bitset of
+    the formula's one split over the occupancy index; 'combination' means
+    each family is satisfiable alone but never jointly)."""
 
     families: Tuple[str, ...]
 
@@ -165,16 +165,27 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
     p may hop off for escapes[p].cost instead of disqualifying the marking,
     but then no longer counts toward any final clause. The reported cost
     includes those hops. Empty ``escapes`` (the default) treats every
-    forbidden place as a hard exclusion.
+    forbidden place as a hard exclusion. Ties go to the smallest index.
+
+    This splits the formula into its bitsets (``_split``) and picks the
+    target from them (``_select``); ``plan`` takes the same two steps, but
+    keeps its split to name the failing families when there is no
+    candidate.
+    """
+    return _select(graph, _split(graph, vectors, escapes), escapes)
+
+
+def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoice]:
+    """The choice of ``select_target``, from the formula's ``_split``.
 
     The candidates, from the graph's occupancy index, are walked in
     ascending-q order, each unpacked only to price its hops, until one pays
     none (no later candidate costs less) or q alone reaches the best total.
-    Ties go to the smallest index. Costs are compared in integers: the
-    tree's ``qs`` and the hop prices (ints or Fractions) brought to one
-    scale, the LCM of ``graph.scale`` and the prices' denominators.
+    Costs are compared in integers: the tree's ``qs`` and the hop prices
+    (ints or Fractions) brought to one scale, the LCM of ``graph.scale``
+    and the prices' denominators.
     """
-    trajectory, final, stuck, soft = _split(graph, vectors, escapes)
+    trajectory, final, stuck, soft = split
     candidates = trajectory & final
     if candidates < 0:  # no clause: every marking is a candidate
         candidates = (1 << len(graph)) - 1
@@ -204,14 +215,23 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
                            escapes: Sequence = ()) -> Tuple[str, ...]:
-    """Name the clause families that no basis marking satisfies alone.
+    """Name the clause families that no basis marking satisfies alone:
+    'trajectory' and 'final' when no marking meets all of that family's
+    clauses, 'forbidden' when every marking has a token on a disqualifying
+    place, and 'combination' when each family holds alone.
 
-    Each family is checked on the occupancy index, without reading any
-    marking: 'trajectory' and 'final' when no marking meets all of that
-    family's clauses, 'forbidden' when every marking has a token on a
-    disqualifying place, and 'combination' when each family holds alone.
+    This splits the formula into its bitsets (``_split``) and names the
+    families from them (``_diagnose``); ``plan`` names them from the split
+    its selection already made.
     """
-    trajectory, final, stuck, _ = _split(graph, vectors, escapes)
+    return _diagnose(graph, _split(graph, vectors, escapes))
+
+
+def _diagnose(graph: BasisGraph, split) -> Tuple[str, ...]:
+    """The families of ``diagnose_infeasibility``, from the formula's
+    ``_split``: one test per family on its bitset, without reading any
+    marking."""
+    trajectory, final, stuck, _ = split
     met = (("trajectory", trajectory), ("final", final), ("forbidden", stuck.bit_count() < len(graph)))
     return tuple(family for family, bits in met if not bits) or ("combination",)
 
@@ -322,7 +342,12 @@ def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
 
 def plan(env: Environment, spec: Union[BooleanSpec, str],
          offline: Optional[OfflineModel] = None) -> Union[Plan, Infeasible]:
-    """End-to-end planning call. Returns a Plan or an Infeasible result."""
+    """End-to-end planning call. Returns a Plan or an Infeasible result.
+
+    The formula is split over the occupancy index once (``_split``): the
+    target is picked from that split and, when there is no candidate, the
+    failing families are named from the same split, through the helpers
+    that ``select_target`` and ``diagnose_infeasibility`` call."""
     if isinstance(spec, str):
         spec = parse(spec)
     if offline is None:
@@ -330,9 +355,10 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    choice = select_target(graph, vectors, offline.escapes)
+    split = _split(graph, vectors, offline.escapes)
+    choice = _select(graph, split, offline.escapes)
     if choice is None:
-        return Infeasible(diagnose_infeasibility(graph, vectors, offline.escapes))
+        return Infeasible(_diagnose(graph, split))
     index, cost = choice
 
     # The route is walked and checked once per abstract transition, on the

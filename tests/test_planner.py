@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from tampnet import (Infeasible, Plan, build_graph, build_offline,
-                     diagnose_infeasibility, joint_search, parse, parse_env, plan,
-                     save_cache, select_target)
+                     diagnose_infeasibility, joint_search, load_env, parse, parse_env, plan,
+                     planner, save_cache, select_target)
 from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
@@ -19,8 +19,9 @@ from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, escape_steps, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
-from conftest import (EMPTY, as_monitored, end_label, hand_net, random_env, scan_select,
-                      square_env)
+from conftest import (EMPTY, as_monitored, end_label, hand_net, random_env, scan_diagnose,
+                      scan_select, square_env)
+from test_golden import REDUCE_MAP, formula_pool
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,38 @@ def test_jointly_impossible_families_report_combination(demo_env, demo_offline):
     result = plan(demo_env, "visit(1) & !visit(2)", demo_offline)
     assert result == Infeasible(("combination",))
     assert joint_search(demo_env, parse("visit(1) & !visit(2)")) is None
+
+
+@pytest.mark.parametrize("name", ["plant", "reduce"])
+def test_a_query_splits_its_formula_once(name, request, monkeypatch):
+    """``plan`` splits each formula of a pinned pool once, feasible or not,
+    and names an infeasible one's families as ``diagnose_infeasibility``
+    and the tuple scan do."""
+    if name == "plant":
+        env, offline = request.getfixturevalue("plant_env"), request.getfixturevalue("plant_offline")
+    else:
+        env = load_env(REDUCE_MAP)
+        offline = build_offline(env)
+    calls = []
+    split = planner._split
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(planner, "_split", counted)
+    kinds = set()
+    for text in formula_pool(env, f"golden:pool:{name}"):
+        spec = parse(text)
+        calls.clear()
+        result = plan(env, spec, offline)
+        assert len(calls) == 1, text
+        kinds.add(type(result))
+        if isinstance(result, Infeasible):
+            vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
+            assert result.families == diagnose_infeasibility(offline.graph, vectors, offline.escapes)
+            assert result.families == scan_diagnose(offline.graph, vectors, offline.escapes)
+    assert kinds == {Plan, Infeasible}
 
 
 def decompose_agents(net, sigma, starts):
