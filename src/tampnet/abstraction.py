@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .petri import VISIT, Atom, PetriNet
 
@@ -54,11 +54,19 @@ class SimplifiedNet:
     ``lift_map[t]`` is the base-net move sequence realizing abstract
     transition ``t``; ``base_place[i]`` is the base-net place behind reduced
     place ``i``.
+
+    ``escapes[i]`` is the cheapest single base-net move from reduced place
+    ``i`` onto an unlabeled cell (transition id, cost), or None when every
+    neighbor is labeled or blocked; ties go to the smallest transition id.
+    It prices clearing a forbidden final place: an agent that must not end
+    on a labeled cell can always stop one step away on anonymous ground,
+    which the reduced net cannot express.
     """
 
     net: PetriNet
     lift_map: Tuple[MinimalSequence, ...]
     base_place: Tuple[int, ...]
+    escapes: Tuple[Optional[Tuple[int, Fraction]], ...]
 
     @cached_property
     def kept_places(self) -> frozenset:
@@ -207,7 +215,9 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     labeled changes nothing, since with positive costs a cheapest route
     never passes its own start again. Each search stops once the last start
     or labeled place is settled, and each source's sequence is read off the
-    target's costs right after (see ``_Moves.route``).
+    target's costs right after (see ``_Moves.route``). Each kept place's
+    escape is its cheapest move onto an unlabeled place, read off the same
+    adjacency.
     """
     labeled = labeled_places(net)
     started = tuple(p for p in range(net.num_places) if net.initial_marking[p] > 0)
@@ -229,6 +239,9 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
                 row.append(moves.route(dist, role, p, q))
         role[q] = 2
     lift_map = tuple(ms for row in rows for ms in row)
+    hops = (min(((w, t) for t, x, w in moves.out[p] if not net.labels[x]), default=None)
+            for p in base)
+    escapes = tuple(None if hop is None else (hop[1], net.cost[hop[1]]) for hop in hops)
 
     reduced = PetriNet(
         num_places=len(base),
@@ -238,7 +251,7 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
-    return SimplifiedNet(reduced, lift_map, base)
+    return SimplifiedNet(reduced, lift_map, base, escapes)
 
 
 def lift(simplified: SimplifiedNet, sigma: Sequence[int]) -> Tuple[int, ...]:

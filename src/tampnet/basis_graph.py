@@ -239,11 +239,10 @@ class _Ids(dict):
     table, ``1 << bits`` slots per placement, and bounds it."""
 
     # a new id costs half as much with slots as with an instance dict
-    __slots__ = ("sources", "bits", "order")
+    __slots__ = ("bits", "order")
 
     def __init__(self, layout: _Layout):
         super().__init__()
-        self.sources = layout.sources
         self.bits = len(layout.classes)
         self.order: List[int] = []
         self[layout.root]
@@ -253,17 +252,6 @@ class _Ids(dict):
         i = self[placement] = len(order) << self.bits
         order.append(placement)
         return i
-
-    def row(self, placement: int) -> List[Tuple[int, int, int]]:
-        """(child base, weight, transition) of each move enabled at
-        ``placement``, in ascending transition id. The base is the id of
-        the child's placement ORed with the move's class bits, so the
-        child's key is the base ORed with the parent's mask."""
-        # ORing in zero would make a new int per child; passing the id's own
-        # object on keeps the row's ints shared with the dict
-        return [(self[placement + plain] | cb if cb else self[placement + plain], weight, t)
-                for field_mask, moves in self.sources if placement & field_mask
-                for plain, cb, weight, t in moves]
 
 
 def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
@@ -327,11 +315,13 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     change keeps its initial value inside the placement. Latches are never
     consumed, so a move's effect on the placement does not depend on the
     mask, and on the mask it is an OR of its class bits. Each placement's
-    successor row (``_Ids.row``) is therefore built once, on its first
-    expansion, and reused for every mask it meets. A child's key is the
-    row's base ORed with the mask. A net without latches meets each
-    placement once and keeps no row. At the end ``_packed_graph`` writes
-    the keys' packed markings from byte columns.
+    successor row, the (child base, weight, transition) of each move
+    enabled at it in ascending transition id, is therefore built once, on
+    its first expansion, and reused for every mask it meets. A child base
+    is the id of the child's placement ORed with the move's class bits, and
+    a child's key is the base ORed with the mask. A net without latches
+    meets each placement once and keeps no row. At the end
+    ``_packed_graph`` writes the keys' packed markings from byte columns.
 
     The search state is one flat list indexed by key, ``1 << bits`` slots
     per placement, grown after each row miss for the placements the row
@@ -360,7 +350,7 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     unseen = max((move[3] for move in layout.moves), default=0) * state_cap + 1
     best = [0]
     ids = _Ids(layout)
-    bits, placements = ids.bits, ids.order
+    bits, placements, sources = ids.bits, ids.order, layout.sources
     low = (1 << bits) - 1
     rows: Dict[int, List[Tuple[int, int, int]]] = {}
     buckets: Dict[int, array] = {0: array("Q", (0, 0, 0))}
@@ -386,7 +376,12 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
             pid = key >> bits
             row = rows.get(pid)
             if row is None:
-                row = ids.row(placements[pid])
+                placement = placements[pid]
+                # ORing in zero would make a new int per child; passing the
+                # id's own object on keeps the row's ints shared with the dict
+                row = [(ids[placement + plain] | cb if cb else ids[placement + plain], weight, t)
+                       for field_mask, moves in sources if placement & field_mask
+                       for plain, cb, weight, t in moves]
                 if bits:
                     rows[pid] = row
                 size = len(placements) << bits
@@ -479,8 +474,8 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     the build uses, with placements numbered by ``_Ids``. A marking's key
     is the child base of its transition at its parent's placement, ORed
     with the parent's latch mask. The base is worked out from the
-    transition's entry in ``_layout``'s move table, as ``_Ids.row`` does:
-    the id of the parent's placement plus the move's plain fields, ORed
+    transition's entry in ``_layout``'s move table, as the build's rows
+    are: the id of the parent's placement plus the move's plain fields, ORed
     with its class bits. Each base is worked out on the first tree edge
     that needs it and kept, so the load holds no more of them than the tree
     has edges; a net without latch classes, whose bases are each needed
@@ -575,7 +570,7 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
                     seen, blank = defaultdict(int, dict.fromkeys(keys, 1)), None
                 else:
                     seen += blank
-            # as in ``_Ids.row``: no OR with zero, so the dict's int is shared
+            # as in the build's rows: no OR with zero, so the dict's int is shared
             base = pid | cb if cb else pid
             if bits:
                 bases[slot] = base

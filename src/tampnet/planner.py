@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -33,11 +33,6 @@ from .taskspec import BooleanSpec, SpecVectors, compile_vectors, holds, parse
 class OfflineModel:
     """Everything derivable from the environment alone.
 
-    ``escapes[i]`` is the cheapest single base-net move from reduced place
-    ``i`` onto an unlabeled cell (transition id, cost), or None when every
-    neighbor is labeled or blocked. It prices clearing a forbidden final
-    place: an agent that must not end on a labeled cell can always stop one
-    step away on anonymous ground, which the reduced net cannot express.
     ``starts[a]`` is the place of agent ``a``'s start cell in ``net``.
     """
 
@@ -46,7 +41,6 @@ class OfflineModel:
     simplified: SimplifiedNet
     monitored: MonitoredNet
     graph: BasisGraph
-    escapes: Tuple[Optional[Tuple[int, Fraction]], ...]
     starts: Tuple[int, ...]
 
 
@@ -69,33 +63,11 @@ class Infeasible:
             + " + ".join(self.families) + " constraints"
 
 
-def escape_steps(net: PetriNet,
-                 base: Sequence[int]) -> Tuple[Optional[Tuple[int, Fraction]], ...]:
-    """Cheapest single move from each base place onto an unlabeled place.
-
-    Returns one ``(transition id, cost)`` per entry of ``base`` (None when
-    no unlabeled neighbor exists). Ties go to the smallest transition id.
-    Costs are compared as the net's integer weights.
-    """
-    owner = {p: i for i, p in enumerate(base)}
-    weights = net.integer_costs[0]
-    best: List[Optional[int]] = [None] * len(base)
-    # only the moves out of a base place are read
-    out_of_base = map(owner.__contains__, map(itemgetter(0), net.pre))
-    for t in compress(range(len(net.pre)), out_of_base):
-        if net.labels[net.post[t][0]]:
-            continue
-        i = owner[net.pre[t][0]]
-        if best[i] is None or weights[t] < weights[best[i]]:
-            best[i] = t
-    return tuple(None if t is None else (t, net.cost[t]) for t in best)
-
-
 def _offline(env: Environment,
              graph_for: Callable[[MonitoredNet], BasisGraph]) -> OfflineModel:
-    """Compile ``env`` into an offline model: movement net, reduction,
-    visit latches and escape moves, plus the basis graph that ``graph_for``
-    returns for the monitored net (built or loaded)."""
+    """Compile ``env`` into an offline model: movement net, reduction
+    (with its escape moves) and visit latches, plus the basis graph that
+    ``graph_for`` returns for the monitored net (built or loaded)."""
     cells = free_cells(env)
     net = env_to_pn(env, cells)
     props = set()
@@ -103,8 +75,7 @@ def _offline(env: Environment,
         props |= region.trajectory_props
     simplified = build_simplified(net)
     monitored = build_monitored(simplified, props)
-    return OfflineModel(net, cells, simplified, monitored,
-                        graph_for(monitored), escape_steps(net, simplified.base_place),
+    return OfflineModel(net, cells, simplified, monitored, graph_for(monitored),
                         tuple(map(cells.index, env.agents)))
 
 
@@ -160,7 +131,7 @@ def select_target(graph: BasisGraph, vectors: SpecVectors,
                   ) -> Optional[TargetChoice]:
     """Cheapest way to end on a basis marking meeting every clause.
 
-    ``escapes`` (indexed like the reduced places, see OfflineModel) enables
+    ``escapes`` (indexed like the reduced places, see SimplifiedNet) enables
     pricing of forbidden final places: each token ending on forbidden place
     p may hop off for escapes[p].cost instead of disqualifying the marking,
     but then no longer counts toward any final clause. The reported cost
@@ -190,6 +161,8 @@ def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoic
     if candidates < 0:  # no clause: every marking is a candidate
         candidates = (1 << len(graph)) - 1
     candidates = (candidates | stuck) ^ stuck
+    if not candidates:
+        return None
     priced = [p for p in soft if escapes[p] is not None]
     hopping = _any_of(graph, priced)
     scale = lcm(graph.scale, *(escapes[p][1].denominator for p in priced))
@@ -210,7 +183,7 @@ def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoic
         total += sum(m[p] * price for p, price in prices)
         if best is None or total < best[1]:
             best = (i, total)
-    return None if best is None else TargetChoice(best[0], Fraction(best[1], scale))
+    return TargetChoice(best[0], Fraction(best[1], scale))
 
 
 def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
@@ -355,8 +328,9 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    split = _split(graph, vectors, offline.escapes)
-    choice = _select(graph, split, offline.escapes)
+    escapes = offline.simplified.escapes
+    split = _split(graph, vectors, escapes)
+    choice = _select(graph, split, escapes)
     if choice is None:
         return Infeasible(_diagnose(graph, split))
     index, cost = choice
@@ -376,8 +350,8 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     sources, targets = net.move_places
     hops: List[int] = []
     for p in vectors.forbidden:
-        if p < len(offline.escapes) and target[p]:
-            t = offline.escapes[p][0]
+        if p < len(escapes) and target[p]:
+            t = escapes[p][0]
             if not (0 <= t < len(sources) and sources[t] == base_place[p]):
                 raise IntegrityError(f"escape hop {t} is not a move out of place {base_place[p]}")
             hops.extend([t] * target[p])
@@ -390,7 +364,8 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     abstract_weights, abstract_scale = offline.monitored.net.integer_costs
     abstract = sum(map(abstract_weights.__getitem__, sigma_m))
 
-    # Defensive checks; a corrupt cache is the realistic way to trip these.
+    # Defensive checks: the load recomputes every key and cost from the
+    # net, so only a model edited in memory can trip these.
     # Costs are compared as integer fractions, cross-multiplied: the team's
     # total / scale with the choice's cost, and the abstract run's
     # abstract / abstract_scale with the tree's qs[i] / graph.scale.

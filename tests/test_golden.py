@@ -212,7 +212,7 @@ def hop_count(offline, spec, result: Plan) -> int:
     """How many moves of ``result``, the plan of ``spec``, are escape hops:
     the moves beyond the lift of the chosen marking's abstract run."""
     vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
-    choice = select_target(offline.graph, vectors, offline.escapes)
+    choice = select_target(offline.graph, vectors, offline.simplified.escapes)
     return len(result.team_sequence) - len(lift(offline.simplified,
                                                 backtrack(offline.graph, choice.index)))
 

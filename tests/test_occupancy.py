@@ -78,17 +78,17 @@ def loaded_copy(offline, path):
 
 def check_model(offline, loaded, rng, rounds, specs=()):
     n = offline.monitored.net.num_places
-    mobility = len(offline.escapes)
+    mobility = len(offline.simplified.escapes)
     indicators = sorted(offline.monitored.indicator_of.values())
     graphs = (offline.graph, loaded)
     for text in specs:
         vectors = compile_vectors(parse(text), offline.monitored.net,
                                   offline.monitored.indicator_of)
-        for escapes in (offline.escapes, ()):
+        for escapes in (offline.simplified.escapes, ()):
             assert_answers_like_scan(graphs, vectors, escapes)
     for _ in range(rounds):
         vectors = random_vectors(rng, n, mobility, indicators)
-        escapes = random_escapes(rng, mobility, offline.escapes)
+        escapes = random_escapes(rng, mobility, offline.simplified.escapes)
         assert_answers_like_scan(graphs, vectors, escapes)
 
 
@@ -131,7 +131,7 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
     # a final clause leaves it empty once an agent may step off them
     graph = demo_offline.graph
     vectors = SpecVectors((), ((1, 2),), (1, 2))
-    for escapes in (demo_offline.escapes, (None,) * 5):
+    for escapes in (demo_offline.simplified.escapes, (None,) * 5):
         assert select_target(graph, vectors, escapes) is None
         assert diagnose_infeasibility(graph, vectors, escapes) \
             == scan_diagnose(graph, vectors, escapes) == ("final",)
@@ -211,7 +211,7 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
     graph.marking = markings = CountingMarkings(built)
     monitored = plant_offline.monitored
     n = monitored.net.num_places
-    mobility = len(plant_offline.escapes)
+    mobility = len(plant_offline.simplified.escapes)
     indicators = sorted(monitored.indicator_of.values())
     rng = random.Random("occ:reads")
     specs = [compile_vectors(parse(text), monitored.net, monitored.indicator_of)
@@ -219,7 +219,7 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
     specs += [random_vectors(rng, n, mobility, indicators) for _ in range(10)]
     hopping = 0
     for vectors in specs:
-        for escapes in ((), plant_offline.escapes):
+        for escapes in ((), plant_offline.simplified.escapes):
             markings.reads = 0
             choice = select_target(graph, vectors, escapes)
             soft = any(p < len(escapes) for p in vectors.forbidden)

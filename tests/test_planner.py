@@ -16,7 +16,7 @@ from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
 from tampnet.grid import DIRECTIONS, cell_labels, cost_json, plan_json_text
 from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
-from tampnet.planner import backtrack, escape_steps, walk_route
+from tampnet.planner import backtrack, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
 from conftest import (EMPTY, as_monitored, end_label, hand_net, random_env, scan_diagnose,
@@ -146,15 +146,13 @@ def test_plan_accepts_parsed_specs(demo_env, demo_offline):
 
 
 def test_demo_escape_transitions(demo_offline):
-    assert demo_offline.escapes == (
+    assert demo_offline.simplified.escapes == (
         (0, Fraction(1)),
         (5, Fraction(1)),
         (17, Fraction(1)),
         (19, Fraction(1)),
         (22, Fraction(1)),
     )
-    got = escape_steps(demo_offline.net, demo_offline.simplified.base_place)
-    assert got == demo_offline.escapes
 
 
 def test_forbidden_end_agent_steps_onto_anonymous_ground():
@@ -182,7 +180,7 @@ def test_fully_labeled_world_with_no_legal_rest_is_infeasible():
         "agents": [[0, 1]],
     })
     offline = build_offline(env)
-    assert offline.escapes == (None, None)
+    assert offline.simplified.escapes == (None, None)
     spec = parse("visit(1) & !end(1) & !end(2)")
     result = plan(env, spec, offline)
     assert result == Infeasible(("forbidden",))
@@ -240,8 +238,9 @@ def test_a_query_splits_its_formula_once(name, request, monkeypatch):
         kinds.add(type(result))
         if isinstance(result, Infeasible):
             vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
-            assert result.families == diagnose_infeasibility(offline.graph, vectors, offline.escapes)
-            assert result.families == scan_diagnose(offline.graph, vectors, offline.escapes)
+            escapes = offline.simplified.escapes
+            assert result.families == diagnose_infeasibility(offline.graph, vectors, escapes)
+            assert result.families == scan_diagnose(offline.graph, vectors, escapes)
     assert kinds == {Plan, Infeasible}
 
 
@@ -303,7 +302,8 @@ def test_decompose_agents_rejects_bad_sequences():
     with pytest.raises(IntegrityError, match="^step 1: unknown abstract transition 1$"):
         walk_route(net, simplified, (0, 1), [0, 0])
     multi = hand_net(3, [((0, 1), (2,), 1)], [EMPTY] * 3, (1, 1, 0))
-    joined = SimplifiedNet(multi, (MinimalSequence(0, 2, (0,), Fraction(1), (2,)),), (0, 1, 2))
+    joined = SimplifiedNet(multi, (MinimalSequence(0, 2, (0,), Fraction(1), (2,)),), (0, 1, 2),
+                           (None,) * 3)
     with pytest.raises(IntegrityError, match="^step 0: the moves of abstract transition 0 "
                                              "do not chain from place 0 to a kept place$"):
         walk_route(multi, joined, (0,), [0, 1])
@@ -478,7 +478,7 @@ DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 
 def _chosen(offline, spec):
     vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
-    return select_target(offline.graph, vectors, offline.escapes).index
+    return select_target(offline.graph, vectors, offline.simplified.escapes).index
 
 
 def _cheaper_target(offline, spec):
@@ -728,9 +728,10 @@ def test_plan_refuses_a_movement_net_that_prices_the_last_move_higher(plant_env,
 
 def _with_escape(offline, t):
     """``offline`` with the escape move out of reduced place 0 set to ``t``."""
-    escapes = list(offline.escapes)
+    escapes = list(offline.simplified.escapes)
     escapes[0] = (t, escapes[0][1])
-    return dataclasses.replace(offline, escapes=tuple(escapes))
+    simplified = dataclasses.replace(offline.simplified, escapes=tuple(escapes))
+    return dataclasses.replace(offline, simplified=simplified)
 
 
 _HOP_EDITS = {
@@ -755,7 +756,7 @@ def test_plan_refuses_an_escape_hop_it_cannot_walk(edit):
     offline = build_offline(env)
     text = "visit(h) & !end(g)"
     assert plan(env, text, offline).team_sequence[-1] == 0
-    assert offline.escapes[0] == (0, 1) and offline.starts == (0, 6)
+    assert offline.simplified.escapes[0] == (0, 1) and offline.starts == (0, 6)
     assert offline.net.pre[17] == (6,)
     tamper, message = _HOP_EDITS[edit]
     with pytest.raises(IntegrityError, match=f"^{message}$"):

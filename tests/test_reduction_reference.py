@@ -4,9 +4,10 @@ The reference runs one heap Dijkstra per source place, with the other
 labeled places as sinks that are reached but never expanded, stops once the
 last sink is settled, marks in one reverse sweep over the settled places
 which sinks each place reaches on that search's cheapest-route DAG, and
-reads each target's route off the DAG. It is kept here only as an
-independent check: the reduced net, every lifted sequence and their order
-must come out equal.
+reads each target's route off the DAG. Each kept place's escape move is
+found by a scan over every transition of the net. It is kept here only as
+an independent check: the reduced net, every lifted sequence and their
+order, and the escapes must come out equal.
 """
 
 import heapq
@@ -21,10 +22,10 @@ from tampnet.abstraction import (MinimalSequence, SimplifiedNet,
                                  build_simplified, labeled_places)
 from tampnet.bench import generate_instance
 from tampnet.data import fixture_path
-from tampnet.grid import env_to_pn
+from tampnet.grid import env_to_pn, free_cells
 from tampnet.petri import PetriNet
 
-from conftest import random_env
+from conftest import random_env, square_env
 
 REDUCE_MAP = Path(__file__).parent / "data" / "reduce_44x44.json"
 
@@ -84,6 +85,24 @@ def forward_route(out, dist, reach, source, target, bit, scale):
                            Fraction(dist[target], scale), tuple(places))
 
 
+def scan_escapes(net, base):
+    """Cheapest single move from each base place onto an unlabeled place,
+    found by scanning every transition: one ``(transition id, cost)`` per
+    entry of ``base``, or None when no unlabeled neighbor exists. Costs are
+    compared as the net's integer weights, and ties go to the smallest
+    transition id."""
+    owner = {p: i for i, p in enumerate(base)}
+    weights = net.integer_costs[0]
+    best = [None] * len(base)
+    for t in range(net.num_transitions):
+        i = owner.get(net.pre[t][0])
+        if i is None or net.labels[net.post[t][0]]:
+            continue
+        if best[i] is None or weights[t] < weights[best[i]]:
+            best[i] = t
+    return tuple(None if t is None else (t, net.cost[t]) for t in best)
+
+
 def forward_simplified(net):
     labeled = labeled_places(net)
     started = [p for p in range(net.num_places) if net.initial_marking[p] > 0]
@@ -118,7 +137,7 @@ def forward_simplified(net):
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
-    return SimplifiedNet(reduced, tuple(lift_map), base)
+    return SimplifiedNet(reduced, tuple(lift_map), base, scan_escapes(net, base))
 
 
 @pytest.mark.parametrize("env", [
@@ -137,3 +156,18 @@ def test_reduction_equals_the_forward_reference_on_random_maps():
     for _ in range(300):
         net = env_to_pn(random_env(rng))
         assert build_simplified(net) == forward_simplified(net)
+
+
+def test_escapes_take_the_cheapest_move_then_the_smallest_id():
+    # up and right tie at 2, down costs 1 and left 3. The labeled centre
+    # steps down. The agent's corner has only up and right, which tie, and
+    # up comes first in transition id.
+    env = square_env(3, [{"name": "c", "cells": [[1, 1]], "final_props": ["c"]}],
+                     agents=[(2, 0)], move_cost={"up": 2, "right": 2, "down": 1, "left": 3})
+    net = env_to_pn(env)
+    cells = free_cells(env)
+    move = {(cells[ps[0]], cells[qs[0]]): t for t, (ps, qs) in enumerate(zip(net.pre, net.post))}
+    simplified = build_simplified(net)
+    assert simplified.base_place == (cells.index((1, 1)), cells.index((2, 0)))
+    assert simplified.escapes == ((move[(1, 1), (2, 1)], 1), (move[(2, 0), (1, 0)], 2))
+    assert simplified.escapes == scan_escapes(net, simplified.base_place)
