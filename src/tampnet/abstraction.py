@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .petri import VISIT, Atom, PetriNet
+from .petri import VISIT, PetriNet
 
 
 @dataclass(frozen=True)
@@ -277,24 +277,22 @@ def build_monitored(simplified: SimplifiedNet,
     mobility = base.num_places
     indicator_of = {name: mobility + i for i, name in enumerate(props)}
 
-    post = []
-    for t in range(base.num_transitions):
-        target = base.post[t][0]
-        extra = tuple(indicator_of[name] for name in props
-                      if Atom(VISIT, name) in base.labels[target])
-        post.append(base.post[t] + extra)
-
+    # visits[p]: the indicators of the propositions place p carries, in
+    # ascending indicator id, which is the order of ``props``
+    visits = [tuple(sorted(indicator_of[atom.name] for atom in labels
+                           if atom.kind == VISIT and atom.name in indicator_of))
+              for labels in base.labels]
+    post = tuple(targets + visits[targets[0]] for targets in base.post)
     counts = list(base.initial_marking) + [0] * len(props)
-    for p in range(base.num_places):
-        if base.initial_marking[p] > 0:
-            for atom in base.labels[p]:
-                if atom.kind == VISIT and atom.name in indicator_of:
-                    counts[indicator_of[atom.name]] = 1
+    for p, tokens in enumerate(base.initial_marking):
+        if tokens:
+            for indicator in visits[p]:
+                counts[indicator] = 1
 
     monitored = PetriNet(
         num_places=mobility + len(props),
         pre=base.pre,
-        post=tuple(post),
+        post=post,
         cost=base.cost,
         labels=base.labels + tuple(frozenset() for _ in props),
         initial_marking=tuple(counts),

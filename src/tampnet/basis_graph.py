@@ -23,8 +23,10 @@ of the state cap, and a net whose placements meet few of their masks fails
 with StateBudgetError rather than running out of memory.
 
 A ``BasisGraph`` holds the tree as columns: packed markings, integer
-costs, parents, transitions and per-place occupancy bitsets. Queries
-combine the bitsets and unpack only the markings they read. The search
+costs, parents and transitions, plus an occupancy index over the packed
+markings that builds each place's bitset on its first read. Queries
+combine the bitsets and unpack only the markings they read, so a query
+pays for the places it names, not for every place of the net. The search
 keeps its keys, costs and pending edges in typed arrays of 8-byte ints, and
 the keys become packed markings a bounded chunk at a time, from the bytes
 of their placements and of their latch masks, so a build or a load peaks
@@ -52,8 +54,9 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -73,6 +76,41 @@ _FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _PACK_CHUNK = 1024
 
 
+# translate table: byte 0 becomes the digit "0", any other byte "1"
+_BIT_DIGIT = b"0" + b"1" * 255
+
+
+class _Occupancy(dict):
+    """The occupancy index of a graph's packed markings, built per place on
+    first read: ``index[p]`` is an int whose bit ``i`` is set iff marking
+    ``i`` has a token on place ``p``.
+
+    A place's bitset is read off ``flat``, consecutive markings of
+    ``places`` little-endian fields ``width`` bytes wide, one byte column
+    at a time: the column's strided slice, taken backwards from the last
+    marking so that marking 0 is the lowest bit, is mapped to binary digits
+    with ``translate`` and read by ``int``. A graph has at least its root,
+    so no slice is empty. A place outside the graph raises KeyError."""
+
+    __slots__ = ("flat", "places", "width")
+
+    def __init__(self, flat: bytes, places: int, width: int):
+        super().__init__()
+        self.flat, self.places, self.width = flat, places, width
+
+    def __missing__(self, p: int) -> int:
+        if not 0 <= p < self.places:
+            raise KeyError(p)
+        flat, width = self.flat, self.width
+        stride = self.places * width
+        last = len(flat) - stride + p * width
+        bits = int(flat[last::-stride].translate(_BIT_DIGIT), 2)
+        for k in range(1, width):
+            bits |= int(flat[last + k::-stride].translate(_BIT_DIGIT), 2)
+        self[p] = bits
+        return bits
+
+
 @dataclass
 class BasisGraph:
     """The tree's markings in finalization order (ascending q), as columns.
@@ -83,9 +121,13 @@ class BasisGraph:
     or a list for a net whose scaled costs could pass 2**64 (see
     ``_cost_column``). ``parent[i - 1]`` and
     ``transition[i - 1]`` are the tree edge into marking i (the root,
-    marking 0, has none), laid out as in the cache body. ``occupied[p]`` is
-    the occupancy index of place ``p``: an int whose bit ``i`` is set iff
-    marking ``i`` has a token on ``p``.
+    marking 0, has none), laid out as in the cache body. ``index[p]`` is
+    the occupancy bitset of place ``p`` (see ``_Occupancy``), built from
+    ``packed`` on its first read; ``occupied`` is the tuple of every
+    place's bitset. The index is derived from ``packed``, so it takes no
+    part in comparisons, and a graph always makes its own: a value passed
+    for it, such as the index of the graph ``dataclasses.replace`` copies,
+    is dropped.
     """
 
     packed: bytearray
@@ -96,7 +138,17 @@ class BasisGraph:
     parent: array
     transition: array
     # no repr: a large graph's bitsets exceed the int-to-str digit limit
-    occupied: Tuple[int, ...] = field(repr=False)
+    index: Optional[_Occupancy] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = _Occupancy(self.packed, self.places, self.width)
+
+    @cached_property
+    def occupied(self) -> Tuple[int, ...]:
+        """Every place's occupancy bitset, in place order, worked out on
+        first use."""
+        index = self.index
+        return tuple(index[p] for p in range(self.places))
 
     def marking(self, i: int) -> Marking:
         """Marking ``i`` as a tuple of token counts, one per place."""
@@ -110,28 +162,6 @@ class BasisGraph:
 
     def __len__(self) -> int:
         return len(self.qs)
-
-
-# translate table: byte 0 becomes the digit "0", any other byte "1"
-_BIT_DIGIT = b"0" + b"1" * 255
-
-
-def _occupancy(flat: bytes, places: int, width: int) -> Tuple[int, ...]:
-    """Occupancy index of ``flat``, consecutive markings of ``places``
-    little-endian fields ``width`` bytes wide: bit i of entry p is set iff
-    field p of marking i is nonzero.
-
-    Each byte column is one strided slice, mapped to binary digits with
-    ``translate`` and read (reversed, so marking 0 is bit 0) by ``int``.
-    """
-    stride = places * width
-    occupied = []
-    for start in range(0, stride, width):
-        bits = 0
-        for k in range(start, start + width):
-            bits |= int(b"0" + flat[k::stride].translate(_BIT_DIGIT)[::-1], 2)
-        occupied.append(bits)
-    return tuple(occupied)
 
 
 def build_graph(qm: MonitoredNet,
@@ -203,13 +233,24 @@ def _layout(net: PetriNet) -> _Layout:
     # A latch changes iff it starts at 0 and some move sets it. Two such
     # latches are equal in every reachable marking if the same moves set
     # them, so a move sets all of a class or none of it. A latch that
-    # cannot change keeps its initial value.
+    # cannot change keeps its initial value. One scan over the transitions
+    # lists each latch's setters in ascending transition id; a net names a
+    # place at most once per arc list, so each setter once.
+    setters: Dict[int, List[int]] = {p: [] for p in clamped}
+    for t, post in enumerate(net.post):
+        for p in post:
+            if p in setters:
+                setters[p].append(t)
     by_setters: Dict[Tuple[int, ...], List[int]] = {}
     for p in sorted(clamped):
-        setters = tuple(t for t, post in enumerate(net.post) if p in post)
-        if setters and not net.initial_marking[p]:
-            by_setters.setdefault(setters, []).append(p)
+        if setters[p] and not net.initial_marking[p]:
+            by_setters.setdefault(tuple(setters[p]), []).append(p)
     classes = [tuple(places) for places in by_setters.values()]
+    # class_bits[t] has bit c set iff move t sets class c
+    class_bits = [0] * len(net.post)
+    for c, ts in enumerate(by_setters):
+        for t in ts:
+            class_bits[t] |= 1 << c
     place_bit = [1 << (shift * p) for p in range(n)]
     full = (1 << shift) - 1
     # No plain field can carry, since counts stay below 2**shift.
@@ -218,11 +259,10 @@ def _layout(net: PetriNet) -> _Layout:
         src = net.pre[t][0]
         field_mask = full << (shift * src)
         plain = sum(place_bit[p] for p in post if p not in clamped) - place_bit[src]
-        class_bits = sum(1 << c for c, places in enumerate(classes) if places[0] in post)
-        moves.append((field_mask, plain, class_bits, weights[t]))
+        moves.append((field_mask, plain, class_bits[t], weights[t]))
         if not sources or sources[-1][0] != field_mask:
             sources.append((field_mask, []))
-        sources[-1][1].append((plain, class_bits, weights[t], t))
+        sources[-1][1].append((plain, class_bits[t], weights[t], t))
     root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
     return _Layout(width, n, root, classes, tuple(moves), sources, scale)
 
@@ -298,8 +338,7 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
             for p in places:
                 packed[low + p * width:high:size] = column
     del keys[:], placements[:]
-    return BasisGraph(packed, width, n, qs, layout.scale, parent, transition,
-                      _occupancy(packed, n, width))
+    return BasisGraph(packed, width, n, qs, layout.scale, parent, transition)
 
 
 def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
@@ -547,8 +586,10 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     seen[0] = 1
     keys, qs = array("Q", (0,)), _cost_column(layout, count)
     qs.append(0)
-    last = (0, -1, -1)  # (q, parent, transition) of the previous marking
-    for i, (parent, t) in enumerate(zip(parents, transitions), 1):
+    # (q, parent, transition) of the previous marking, compared one scalar
+    # at a time: no tuple is made per marking
+    last_q, last_parent, last_t = 0, -1, -1
+    for i, parent, t in zip(range(1, count), parents, transitions):
         if parent >= i:
             raise CacheFormatError(f"cache {path}: marking {i} has parent {parent}")
         if t >= span:
@@ -575,11 +616,11 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
             if bits:
                 bases[slot] = base
         q = qs[parent] + weights[t]
-        edge = (q, parent, t)
-        if edge <= last:
+        if q <= last_q and (q < last_q or parent < last_parent
+                            or parent == last_parent and t <= last_t):
             raise CacheFormatError(
                 f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
-        last = edge
+        last_q, last_parent, last_t = q, parent, t
         child = base | key & low
         if seen[child]:
             raise CacheFormatError(f"cache {path} lists a marking twice")

@@ -96,7 +96,7 @@ def _split(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
     with a token on a forbidden place with no escape move; ``soft`` lists
     the forbidden places with an entry in ``escapes``, which an agent may
     step off, so a token there counts toward no final clause."""
-    n = len(graph.occupied)
+    n = graph.places
     for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
         for p in places:
             if not 0 <= p < n:
@@ -113,7 +113,7 @@ def _any_of(graph: BasisGraph, places) -> int:
     """Bitset of the markings with a token on at least one of ``places``."""
     bits = 0
     for p in places:
-        bits |= graph.occupied[p]
+        bits |= graph.index[p]
     return bits
 
 

@@ -4,10 +4,14 @@ import pytest
 
 from tampnet.abstraction import (_Moves, build_monitored, build_simplified,
                                  labeled_places, lift)
-from tampnet.grid import env_to_pn
-from tampnet.petri import VISIT, fire, replay, sequence_cost
+from tampnet.basis_graph import _layout
+from tampnet.data import fixture_path
+from tampnet.grid import env_to_pn, load_env
+from tampnet.petri import VISIT, Atom, fire, replay, sequence_cost
 
-from conftest import EMPTY, brute_minimal_sequence, marking_of, square_env
+from conftest import (EMPTY, brute_minimal_sequence, marking_of, random_env,
+                      square_env)
+from test_golden import REDUCE_MAP
 
 
 def test_demo_simplified_shape(demo_offline):
@@ -256,3 +260,74 @@ def test_each_search_stops_at_its_last_source():
     assert {p for p in range(net.num_places) if full[p] < dist[0]} <= set(settled)
     routes = {(m.source, m.target): m.cost for m in build_simplified(net).lift_map}
     assert routes == {(0, 1): 1, (0, 3): 5, (1, 3): 2, (3, 1): 2}
+
+
+def scan_monitored(simplified, trajectory_props):
+    """``build_monitored``'s ``post`` and initial marking by the
+    per-transition scans it replaced: an ``Atom(VISIT, name)`` tested
+    against each transition's target labels, per proposition."""
+    base = simplified.net
+    props = sorted(set(trajectory_props))
+    indicator_of = {name: base.num_places + i for i, name in enumerate(props)}
+    post = tuple(base.post[t] + tuple(indicator_of[name] for name in props
+                                      if Atom(VISIT, name) in base.labels[base.post[t][0]])
+                 for t in range(base.num_transitions))
+    counts = list(base.initial_marking) + [0] * len(props)
+    for p in range(base.num_places):
+        if base.initial_marking[p] > 0:
+            for atom in base.labels[p]:
+                if atom.kind == VISIT and atom.name in indicator_of:
+                    counts[indicator_of[atom.name]] = 1
+    return post, tuple(counts)
+
+
+def scan_layout(net):
+    """``_layout``'s latch classes and move table by one scan over the
+    transitions per latch, as it worked them out before."""
+    layout = _layout(net)
+    clamped = net.clamp_at_one
+    by_setters = {}
+    for p in sorted(clamped):
+        setters = tuple(t for t, post in enumerate(net.post) if p in post)
+        if setters and not net.initial_marking[p]:
+            by_setters.setdefault(setters, []).append(p)
+    classes = [tuple(places) for places in by_setters.values()]
+    shift, weights = 8 * layout.width, net.integer_costs[0]
+    place_bit = [1 << (shift * p) for p in range(net.num_places)]
+    moves = []
+    for t, post in enumerate(net.post):
+        src = net.pre[t][0]
+        plain = sum(place_bit[p] for p in post if p not in clamped) - place_bit[src]
+        class_bits = sum(1 << c for c, places in enumerate(classes) if places[0] in post)
+        moves.append((((1 << shift) - 1) << (shift * src), plain, class_bits, weights[t]))
+    return classes, tuple(moves)
+
+
+def _props(env):
+    return set().union(*(region.trajectory_props for region in env.regions))
+
+
+def assert_tables_match_the_scans(env):
+    simplified = build_simplified(env_to_pn(env))
+    qm = build_monitored(simplified, _props(env))
+    assert (qm.net.post, qm.net.initial_marking) == scan_monitored(simplified, _props(env))
+    layout = _layout(qm.net)
+    assert (layout.classes, layout.moves) == scan_layout(qm.net)
+    return qm, layout
+
+
+@pytest.mark.parametrize("name", ["plant", "reduce_44x44"])
+def test_one_pass_tables_match_the_scans(name):
+    env = load_env(fixture_path("plant_8x11.json") if name == "plant" else REDUCE_MAP)
+    qm, layout = assert_tables_match_the_scans(env)
+    assert qm.indicator_of and layout.classes
+    assert any(len(post) > 1 for post in qm.net.post)
+
+
+def test_one_pass_tables_match_the_scans_on_random_maps():
+    rng = random.Random("one-pass-tables")
+    latched = 0
+    for _ in range(200):
+        _, layout = assert_tables_match_the_scans(random_env(rng))
+        latched += bool(layout.classes)
+    assert latched > 100

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import struct
 import tracemalloc
 from array import array
@@ -622,6 +623,69 @@ def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
                              lambda header, body: _set_entry(body, 0, i, 8))
         with pytest.raises(CacheFormatError, match="order"):
             load_cache(path, qm)
+
+
+def _swapped(tmp_path, offline, i):
+    """A cache of ``offline`` with the tree edges into markings ``i - 1``
+    and ``i`` swapped, its checksum recomputed."""
+    graph = offline.graph
+
+    def edit(header, body):
+        for column, values in ((0, graph.parent), (1, graph.transition)):
+            _set_entry(body, column, i - 1, values[i - 1])
+            _set_entry(body, column, i, values[i - 2])
+
+    return _tampered(tmp_path, offline, edit)
+
+
+def _order_break(i):
+    """The pattern of the order check's message for marking ``i``."""
+    return re.escape(f"marking {i} breaks the (cost, parent, transition) order")
+
+
+def test_cache_rejects_an_equal_cost_edge_from_a_lower_parent(tmp_path, demo_offline):
+    # swapping two markings of equal cost with different parents leaves the
+    # second with a parent below the first's; the first, an earlier child of
+    # its parent, passes every check
+    graph = demo_offline.graph
+    pairs = [i for i in range(2, len(graph))
+             if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] < graph.parent[i - 1]]
+    assert pairs
+    for i in pairs:
+        path, qm = _swapped(tmp_path, demo_offline, i)
+        with pytest.raises(CacheFormatError, match=_order_break(i)):
+            load_cache(path, qm)
+
+
+def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_path, demo_offline):
+    # two markings of equal cost from one parent, swapped (a transition
+    # below the last) or the second's edge set to the first's (the same
+    # transition, which the order check refuses before the repeat check)
+    graph = demo_offline.graph
+    pairs = [i for i in range(2, len(graph))
+             if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] == graph.parent[i - 1]]
+    assert pairs
+    for i in pairs:
+        path, qm = _swapped(tmp_path, demo_offline, i)
+        with pytest.raises(CacheFormatError, match=_order_break(i)):
+            load_cache(path, qm)
+
+        def repeat_last(header, body):
+            _set_entry(body, 1, i, graph.transition[i - 2])
+
+        path, qm = _tampered(tmp_path, demo_offline, repeat_last)
+        with pytest.raises(CacheFormatError, match=_order_break(i)):
+            load_cache(path, qm)
+
+
+def test_cache_compares_marking_1_with_the_root(tmp_path, demo_offline):
+    # the root's edge sorts below every edge, so markings 1 and 2, two
+    # children of the root, swapped break the order at marking 2, not 1
+    graph = demo_offline.graph
+    assert graph.parent[:2] == array(_U32, [0, 0])
+    path, qm = _swapped(tmp_path, demo_offline, 2)
+    with pytest.raises(CacheFormatError, match=_order_break(2)):
+        load_cache(path, qm)
 
 
 def acc8_offline(latches=True):

@@ -4,24 +4,28 @@
 bitsets. These tests compare them with the tuple-scan references in
 conftest on built and cache-loaded graphs of the demo, the plant and seeded
 maps, on hand-built nets whose counts overflow one byte or that are more
-than a thousand places wide, and count the markings a query reads.
+than a thousand places wide, and count the markings a query reads and the
+places whose bitsets it builds.
 """
 
 import dataclasses
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from tampnet import (build_graph, build_offline, diagnose_infeasibility, parse,
-                     save_cache, select_target)
+from tampnet import (Plan, build_graph, build_offline, diagnose_infeasibility,
+                     parse, plan, save_cache, select_target)
 from tampnet.basis_graph import load_cache
+from tampnet.planner import load_offline
 from tampnet.taskspec import SpecVectors, compile_vectors
 
-from conftest import (as_monitored, assert_matches_reference,
-                      assert_same_graph, markings_of, occupancy_reference,
-                      random_env, scan_diagnose, scan_select, square_env,
-                      two_byte_net, wide_net)
+from conftest import (EMPTY, as_monitored, assert_matches_reference,
+                      assert_same_graph, end_label, hand_net, markings_of,
+                      occupancy_reference, random_env, scan_diagnose,
+                      scan_select, square_env, two_byte_net, wide_net)
+from test_planner import HOPPING_SPEC
 
 PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
@@ -233,3 +237,95 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
             assert markings.reads == 0
             assert choice == scan_select(built, vectors, escapes)
     assert hopping >= 3
+
+
+
+def places_read(offline, text):
+    """The places whose bitsets one feasible ``plan`` of ``text`` reads:
+    the trajectory places, the final places that are not soft, the stuck
+    places and the priced soft places, from the compiled clauses and the
+    escape moves."""
+    vectors = compile_vectors(parse(text), offline.monitored.net,
+                              offline.monitored.indicator_of)
+    escapes = offline.simplified.escapes
+    mobility = len(escapes)
+    soft = {p for p in vectors.forbidden if p < mobility}
+    read = {p for clause in vectors.trajectory for p in clause}
+    read |= {p for clause in vectors.final for p in clause if p not in soft}
+    read |= {p for p in vectors.forbidden if p >= mobility or escapes[p] is None}
+    read |= {p for p in soft if escapes[p] is not None}
+    return read
+
+
+@pytest.mark.parametrize("text", [PLANT_SPEC, HOPPING_SPEC, "visit(5) & end(1)"])
+def test_a_cold_plan_builds_only_the_places_it_reads(plant_env, plant_offline, tmp_path, text):
+    # HOPPING_SPEC's route ends on two forbidden cells with escape moves,
+    # so its query prices soft places
+    path = tmp_path / "plant.bin"
+    save_cache(plant_offline.graph, plant_offline.monitored, path)
+    offline = load_offline(plant_env, path)
+    graph = offline.graph
+    assert not graph.index
+    result = plan(plant_env, text, offline)
+    assert isinstance(result, Plan) and result == plan(plant_env, text, plant_offline)
+    read = places_read(offline, text)
+    assert set(graph.index) == read and len(read) < graph.places
+    # a second query reuses the bitsets the first one built
+    built = dict(graph.index)
+    plan(plant_env, text, offline)
+    assert graph.index.keys() == built.keys()
+    assert all(graph.index[p] is bits for p, bits in built.items())
+
+
+def test_a_build_makes_no_bitsets(demo_env):
+    graph = build_offline(demo_env).graph
+    assert not graph.index
+    assert graph.occupied == occupancy_reference(markings_of(graph))
+    assert len(graph.index) == graph.places
+
+
+def one_marking_net():
+    """Two places and a move out of the empty one: the tree is its root."""
+    return hand_net(2, [((1,), (0,), 1)], [EMPTY, end_label("x")], (1, 0))
+
+
+@pytest.mark.parametrize("name", ["plant", "two-byte", "one-marking"])
+def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
+    if name == "plant":
+        qm, graph = plant_offline.monitored, plant_offline.graph
+    else:
+        qm = as_monitored(two_byte_net() if name == "two-byte" else one_marking_net())
+        graph = build_graph(qm)
+    expected = occupancy_reference(markings_of(graph))
+    save_cache(graph, qm, tmp_path / "graph.bin")
+    loaded = load_cache(tmp_path / "graph.bin", qm)
+    assert graph.occupied == loaded.occupied == expected
+    assert len(expected) == graph.places
+    if name == "one-marking":
+        assert len(graph) == 1 and expected == (1, 0)
+    # each place alone, read first in descending order, gives its own bitset
+    fresh = load_cache(tmp_path / "graph.bin", qm)
+    assert [fresh.index[p] for p in reversed(range(graph.places))] == list(reversed(expected))
+    for p in (-1, graph.places):
+        with pytest.raises(KeyError):
+            fresh.index[p]
+
+
+def test_built_and_loaded_graphs_compare_equal_whatever_places_each_has_filled(
+        demo_offline, tmp_path):
+    qm = demo_offline.monitored
+    built = build_graph(qm)
+    save_cache(built, qm, tmp_path / "demo.bin")
+    loaded = load_cache(tmp_path / "demo.bin", qm)
+    assert built == loaded
+    built.index[0]
+    assert built == loaded
+    loaded.index[3]
+    loaded.index[4]
+    assert built == loaded and set(built.index) == {0} and set(loaded.index) == {3, 4}
+    # a copy makes its own index, empty until read
+    copy = dataclasses.replace(loaded)
+    assert copy == loaded and copy.index is not loaded.index and not copy.index
+    assert_same_graph(built, loaded)
+    assert_same_graph(copy, built)
+    assert built != dataclasses.replace(built, qs=array("Q", [q + 1 for q in built.qs]))
