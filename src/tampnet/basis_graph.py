@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
@@ -124,10 +124,9 @@ class BasisGraph:
     marking 0, has none), laid out as in the cache body. ``index[p]`` is
     the occupancy bitset of place ``p`` (see ``_Occupancy``), built from
     ``packed`` on its first read; ``occupied`` is the tuple of every
-    place's bitset. The index is derived from ``packed``, so it takes no
-    part in comparisons, and a graph always makes its own: a value passed
-    for it, such as the index of the graph ``dataclasses.replace`` copies,
-    is dropped.
+    place's bitset. The index is derived from ``packed``: each graph makes
+    its own, no constructor argument sets it, and it takes no part in
+    comparisons.
     """
 
     packed: bytearray
@@ -138,7 +137,7 @@ class BasisGraph:
     parent: array
     transition: array
     # no repr: a large graph's bitsets exceed the int-to-str digit limit
-    index: Optional[_Occupancy] = field(default=None, repr=False, compare=False)
+    index: _Occupancy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.index = _Occupancy(self.packed, self.places, self.width)

@@ -844,8 +844,7 @@ def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
         m0 = qm.net.initial_marking
         markings = (m0, fire(qm.net, m0, 0))
         tree = BasisGraph(bytes(m0 + markings[1]), 1, len(m0), [0, 1], 1,
-                          array(_U32, [0]), array(_U32, [0]),
-                          occupancy_reference(markings))
+                          array(_U32, [0]), array(_U32, [0]))
         with pytest.raises(ValueError):
             save_cache(tree, qm, tmp_path / f"{name}.bin")
         assert not (tmp_path / f"{name}.bin").exists()

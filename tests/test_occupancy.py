@@ -17,7 +17,7 @@ import pytest
 
 from tampnet import (Plan, build_graph, build_offline, diagnose_infeasibility,
                      parse, plan, save_cache, select_target)
-from tampnet.basis_graph import load_cache
+from tampnet.basis_graph import BasisGraph, load_cache
 from tampnet.planner import load_offline
 from tampnet.taskspec import SpecVectors, compile_vectors
 
@@ -329,3 +329,9 @@ def test_built_and_loaded_graphs_compare_equal_whatever_places_each_has_filled(
     assert_same_graph(built, loaded)
     assert_same_graph(copy, built)
     assert built != dataclasses.replace(built, qs=array("Q", [q + 1 for q in built.qs]))
+    # no constructor argument sets the index
+    with pytest.raises(TypeError):
+        BasisGraph(built.packed, built.width, built.places, built.qs, built.scale,
+                   built.parent, built.transition, built.index)
+    with pytest.raises(ValueError):
+        dataclasses.replace(built, index=loaded.index)
