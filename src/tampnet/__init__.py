@@ -15,8 +15,7 @@ from .errors import (CacheError, SpecError, StateBudgetError, TampError,
                      ValidationError)
 from .grid import Plan, cost_text, load_env, parse_env, plan_json_text
 from .oracle import joint_search
-from .planner import (Infeasible, backtrack, build_offline,
-                      diagnose_infeasibility, load_offline, plan, select_target)
+from .planner import Infeasible, backtrack, build_offline, load_offline, plan
 from .taskspec import parse
 
 __version__ = "0.1.0"
@@ -30,7 +29,7 @@ __all__ = [
     "build_offline", "load_offline", "save_cache", "net_digest",
     "build_graph", "BasisGraph", "backtrack",
     # queries
-    "plan", "Plan", "Infeasible", "select_target", "diagnose_infeasibility",
+    "plan", "Plan", "Infeasible",
     # output
     "plan_json_text", "cost_text",
     # cross-checks and sweeps

@@ -54,7 +54,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple, Union
 
@@ -123,10 +122,9 @@ class BasisGraph:
     ``transition[i - 1]`` are the tree edge into marking i (the root,
     marking 0, has none), laid out as in the cache body. ``index[p]`` is
     the occupancy bitset of place ``p`` (see ``_Occupancy``), built from
-    ``packed`` on its first read; ``occupied`` is the tuple of every
-    place's bitset. The index is derived from ``packed``: each graph makes
-    its own, no constructor argument sets it, and it takes no part in
-    comparisons.
+    ``packed`` on its first read. The index is derived from ``packed``:
+    each graph makes its own, no constructor argument sets it, and it
+    takes no part in comparisons.
     """
 
     packed: bytearray
@@ -141,13 +139,6 @@ class BasisGraph:
 
     def __post_init__(self):
         self.index = _Occupancy(self.packed, self.places, self.width)
-
-    @cached_property
-    def occupied(self) -> Tuple[int, ...]:
-        """Every place's occupancy bitset, in place order, worked out on
-        first use."""
-        index = self.index
-        return tuple(index[p] for p in range(self.places))
 
     def marking(self, i: int) -> Marking:
         """Marking ``i`` as a tuple of token counts, one per place."""

@@ -89,13 +89,18 @@ def load_offline(env: Environment, cache_path) -> OfflineModel:
     return _offline(env, lambda monitored: load_cache(cache_path, monitored))
 
 
-def _split(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
-    """Split a compiled formula into ``(trajectory, final, stuck, soft)``.
+def split_formula(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
+    """Split a compiled formula into ``(trajectory, final, stuck, soft)``
+    over the graph's occupancy index, the one split a query makes.
+
     The first two are the bitsets of the markings that meet every clause of
     that family (-1 when it has none); ``stuck`` is that of the markings
     with a token on a forbidden place with no escape move; ``soft`` lists
-    the forbidden places with an entry in ``escapes``, which an agent may
-    step off, so a token there counts toward no final clause."""
+    the forbidden places with an entry in ``escapes`` (indexed like the
+    reduced places, see SimplifiedNet), which an agent may step off, so a
+    token there counts toward no final clause. Empty ``escapes`` makes
+    every forbidden place a hard exclusion. Raises ValueError for a place
+    outside the graph."""
     n = graph.places
     for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
         for p in places:
@@ -126,35 +131,18 @@ def _meeting(graph: BasisGraph, clauses) -> int:
     return bits
 
 
-def select_target(graph: BasisGraph, vectors: SpecVectors,
-                  escapes: Sequence[Optional[Tuple[int, Fraction]]] = (),
-                  ) -> Optional[TargetChoice]:
-    """Cheapest way to end on a basis marking meeting every clause.
+def select_target(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoice]:
+    """Cheapest way to end on a basis marking meeting every clause, from
+    the formula's ``split_formula``; None when no marking is a candidate.
 
-    ``escapes`` (indexed like the reduced places, see SimplifiedNet) enables
-    pricing of forbidden final places: each token ending on forbidden place
-    p may hop off for escapes[p].cost instead of disqualifying the marking,
-    but then no longer counts toward any final clause. The reported cost
-    includes those hops. Empty ``escapes`` (the default) treats every
-    forbidden place as a hard exclusion. Ties go to the smallest index.
-
-    This splits the formula into its bitsets (``_split``) and picks the
-    target from them (``_select``); ``plan`` takes the same two steps, but
-    keeps its split to name the failing families when there is no
-    candidate.
-    """
-    return _select(graph, _split(graph, vectors, escapes), escapes)
-
-
-def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoice]:
-    """The choice of ``select_target``, from the formula's ``_split``.
-
-    The candidates, from the graph's occupancy index, are walked in
-    ascending-q order, each unpacked only to price its hops, until one pays
-    none (no later candidate costs less) or q alone reaches the best total.
-    Costs are compared in integers: the tree's ``qs`` and the hop prices
-    (ints or Fractions) brought to one scale, the LCM of ``graph.scale``
-    and the prices' denominators.
+    Each token ending on a soft place p may hop off for escapes[p].cost
+    instead of disqualifying the marking, and the reported cost includes
+    those hops. The candidates are walked in ascending-q order, each
+    unpacked only to price its hops, until one pays none (no later
+    candidate costs less) or q alone reaches the best total; ties go to
+    the smallest index. Costs are compared in integers: the tree's ``qs``
+    and the hop prices (ints or Fractions) brought to one scale, the LCM
+    of ``graph.scale`` and the prices' denominators.
     """
     trajectory, final, stuck, soft = split
     candidates = trajectory & final
@@ -186,24 +174,13 @@ def _select(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoic
     return TargetChoice(best[0], Fraction(best[1], scale))
 
 
-def diagnose_infeasibility(graph: BasisGraph, vectors: SpecVectors,
-                           escapes: Sequence = ()) -> Tuple[str, ...]:
-    """Name the clause families that no basis marking satisfies alone:
-    'trajectory' and 'final' when no marking meets all of that family's
-    clauses, 'forbidden' when every marking has a token on a disqualifying
-    place, and 'combination' when each family holds alone.
-
-    This splits the formula into its bitsets (``_split``) and names the
-    families from them (``_diagnose``); ``plan`` names them from the split
-    its selection already made.
-    """
-    return _diagnose(graph, _split(graph, vectors, escapes))
-
-
-def _diagnose(graph: BasisGraph, split) -> Tuple[str, ...]:
-    """The families of ``diagnose_infeasibility``, from the formula's
-    ``_split``: one test per family on its bitset, without reading any
-    marking."""
+def diagnose_infeasibility(graph: BasisGraph, split) -> Tuple[str, ...]:
+    """Name the clause families that no basis marking satisfies alone, from
+    the formula's ``split_formula``, one test per family on its bitset and
+    without reading any marking: 'trajectory' and 'final' when no marking
+    meets all of that family's clauses, 'forbidden' when every marking has
+    a token on a disqualifying place, and 'combination' when each family
+    holds alone."""
     trajectory, final, stuck, _ = split
     met = (("trajectory", trajectory), ("final", final), ("forbidden", stuck.bit_count() < len(graph)))
     return tuple(family for family, bits in met if not bits) or ("combination",)
@@ -317,10 +294,10 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
          offline: Optional[OfflineModel] = None) -> Union[Plan, Infeasible]:
     """End-to-end planning call. Returns a Plan or an Infeasible result.
 
-    The formula is split over the occupancy index once (``_split``): the
-    target is picked from that split and, when there is no candidate, the
-    failing families are named from the same split, through the helpers
-    that ``select_target`` and ``diagnose_infeasibility`` call."""
+    The formula is split over the occupancy index once
+    (``split_formula``): the target is picked from that split
+    (``select_target``) and, when there is no candidate, the failing
+    families are named from the same split (``diagnose_infeasibility``)."""
     if isinstance(spec, str):
         spec = parse(spec)
     if offline is None:
@@ -329,10 +306,10 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
     escapes = offline.simplified.escapes
-    split = _split(graph, vectors, escapes)
-    choice = _select(graph, split, escapes)
+    split = split_formula(graph, vectors, escapes)
+    choice = select_target(graph, split, escapes)
     if choice is None:
-        return Infeasible(_diagnose(graph, split))
+        return Infeasible(diagnose_infeasibility(graph, split))
     index, cost = choice
 
     # The route is walked and checked once per abstract transition, on the

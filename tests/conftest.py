@@ -138,13 +138,20 @@ def brute_minimal_sequence(net, source, target, blocked):
     return best
 
 
+def occupancy(graph):
+    """Every place's occupancy bitset, in place order, read through
+    ``graph.index``."""
+    return tuple(graph.index[p] for p in range(graph.places))
+
+
 def assert_same_graph(graph, other):
     """``graph`` and ``other`` hold equal values in every column. The
-    occupancy index fills on first read, so it is compared in full, as
-    ``occupied``."""
+    occupancy index fills on first read, so it is compared in full."""
     for column in dataclasses.fields(BasisGraph):
-        name = "occupied" if column.name == "index" else column.name
-        assert getattr(graph, name) == getattr(other, name), name
+        if column.name == "index":
+            assert occupancy(graph) == occupancy(other), column.name
+        else:
+            assert getattr(graph, column.name) == getattr(other, column.name), column.name
 
 
 # the graph last unpacked by markings_of and its markings

@@ -27,7 +27,8 @@ from tampnet.planner import backtrack
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
-                      join_net, marking_of, markings_of, occupancy_reference,
+                      join_net, marking_of, markings_of, occupancy,
+                      occupancy_reference,
                       random_env, relay_net, square_env, two_byte_net,
                       two_cycle_net, two_feeders_net, wide_net)
 
@@ -145,7 +146,7 @@ def test_demo_graph_shape(demo_offline):
     graph = demo_offline.graph
     assert len(graph) == 23
     assert len(graph.parent) == len(graph.transition) == 22
-    assert graph.occupied == occupancy_reference(markings_of(graph))
+    assert occupancy(graph) == occupancy_reference(markings_of(graph))
     assert all(isinstance(graph.q(i), Fraction) for i in range(len(graph)))
     for outside in (-1, len(graph)):
         with pytest.raises(IndexError):
@@ -397,7 +398,7 @@ def _column_bytes(graph):
     """The finished graph's size: its packed markings, 8 bytes per cost, 4
     per parent and per transition, and its occupancy bits."""
     return (len(graph.packed) + 8 * len(graph.qs) + 4 * (len(graph.parent) + len(graph.transition))
-            + sum((bits.bit_length() + 7) // 8 for bits in graph.occupied))
+            + sum((bits.bit_length() + 7) // 8 for bits in occupancy(graph)))
 
 
 @pytest.mark.parametrize("name", ["latches", "latch-free"])

@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from tampnet import (Plan, build_offline, load_env, net_digest, parse, parse_env, plan,
-                     plan_json_text, save_cache, select_target)
+                     plan_json_text, save_cache)
 from tampnet.abstraction import lift
-from tampnet.planner import backtrack
+from tampnet.planner import backtrack, select_target, split_formula
 from tampnet.taskspec import compile_vectors
 
 DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
@@ -212,7 +212,8 @@ def hop_count(offline, spec, result: Plan) -> int:
     """How many moves of ``result``, the plan of ``spec``, are escape hops:
     the moves beyond the lift of the chosen marking's abstract run."""
     vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
-    choice = select_target(offline.graph, vectors, offline.simplified.escapes)
+    escapes = offline.simplified.escapes
+    choice = select_target(offline.graph, split_formula(offline.graph, vectors, escapes), escapes)
     return len(result.team_sequence) - len(lift(offline.simplified,
                                                 backtrack(offline.graph, choice.index)))
 

@@ -1,7 +1,7 @@
 """Queries on the occupancy index against plain marking scans.
 
-``select_target`` and ``diagnose_infeasibility`` answer from per-place
-bitsets. These tests compare them with the tuple-scan references in
+``select_target`` and ``diagnose_infeasibility`` answer from the per-place
+bitsets of the formula's ``split_formula``. These tests compare them with the tuple-scan references in
 conftest on built and cache-loaded graphs of the demo, the plant and seeded
 maps, on hand-built nets whose counts overflow one byte or that are more
 than a thousand places wide, and count the markings a query reads and the
@@ -15,15 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (Plan, build_graph, build_offline, diagnose_infeasibility,
-                     parse, plan, save_cache, select_target)
+from tampnet import Plan, build_graph, build_offline, parse, plan, save_cache
 from tampnet.basis_graph import BasisGraph, load_cache
-from tampnet.planner import load_offline
+from tampnet.planner import diagnose_infeasibility, load_offline, select_target, split_formula
 from tampnet.taskspec import SpecVectors, compile_vectors
 
 from conftest import (EMPTY, as_monitored, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, markings_of,
-                      occupancy_reference, random_env, scan_diagnose,
+                      occupancy, occupancy_reference, random_env, scan_diagnose,
                       scan_select, square_env, two_byte_net, wide_net)
 from test_planner import HOPPING_SPEC
 
@@ -69,8 +68,9 @@ def assert_answers_like_scan(graphs, vectors, escapes):
     expected = scan_select(graphs[0], vectors, escapes)
     families = scan_diagnose(graphs[0], vectors, escapes)
     for graph in graphs:
-        assert select_target(graph, vectors, escapes) == expected
-        assert diagnose_infeasibility(graph, vectors, escapes) == families
+        split = split_formula(graph, vectors, escapes)
+        assert select_target(graph, split, escapes) == expected
+        assert diagnose_infeasibility(graph, split) == families
 
 
 def loaded_copy(offline, path):
@@ -136,19 +136,20 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
     graph = demo_offline.graph
     vectors = SpecVectors((), ((1, 2),), (1, 2))
     for escapes in (demo_offline.simplified.escapes, (None,) * 5):
-        assert select_target(graph, vectors, escapes) is None
-        assert diagnose_infeasibility(graph, vectors, escapes) \
+        split = split_formula(graph, vectors, escapes)
+        assert select_target(graph, split, escapes) is None
+        assert diagnose_infeasibility(graph, split) \
             == scan_diagnose(graph, vectors, escapes) == ("final",)
     # without escape pricing the same places are hard exclusions
-    assert select_target(graph, vectors, ()) is None
-    assert diagnose_infeasibility(graph, vectors, ()) \
-        == scan_diagnose(graph, vectors, ())
+    split = split_formula(graph, vectors, ())
+    assert select_target(graph, split, ()) is None
+    assert diagnose_infeasibility(graph, split) == scan_diagnose(graph, vectors, ())
 
 
 def check_hand_net(net, rng, rounds, tmp_path, pool):
     qm = as_monitored(net)
     graph = build_graph(qm)
-    assert graph.occupied == occupancy_reference(markings_of(graph))
+    assert occupancy(graph) == occupancy_reference(markings_of(graph))
     assert_matches_reference(qm, graph)
     path = tmp_path / "hand.json"
     save_cache(graph, qm, path)
@@ -225,7 +226,8 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
     for vectors in specs:
         for escapes in ((), plant_offline.simplified.escapes):
             markings.reads = 0
-            choice = select_target(graph, vectors, escapes)
+            split = split_formula(graph, vectors, escapes)
+            choice = select_target(graph, split, escapes)
             soft = any(p < len(escapes) for p in vectors.forbidden)
             if soft:
                 hopping += 1
@@ -233,7 +235,7 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
             else:
                 assert markings.reads == 0
             markings.reads = 0
-            diagnose_infeasibility(graph, vectors, escapes)
+            diagnose_infeasibility(graph, split)
             assert markings.reads == 0
             assert choice == scan_select(built, vectors, escapes)
     assert hopping >= 3
@@ -280,7 +282,7 @@ def test_a_cold_plan_builds_only_the_places_it_reads(plant_env, plant_offline, t
 def test_a_build_makes_no_bitsets(demo_env):
     graph = build_offline(demo_env).graph
     assert not graph.index
-    assert graph.occupied == occupancy_reference(markings_of(graph))
+    assert occupancy(graph) == occupancy_reference(markings_of(graph))
     assert len(graph.index) == graph.places
 
 
@@ -299,7 +301,7 @@ def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
     expected = occupancy_reference(markings_of(graph))
     save_cache(graph, qm, tmp_path / "graph.bin")
     loaded = load_cache(tmp_path / "graph.bin", qm)
-    assert graph.occupied == loaded.occupied == expected
+    assert occupancy(graph) == occupancy(loaded) == expected
     assert len(expected) == graph.places
     if name == "one-marking":
         assert len(graph) == 1 and expected == (1, 0)
