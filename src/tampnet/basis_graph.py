@@ -36,10 +36,11 @@ A cache file stores only the parent and transition columns. Loading it
 replays the tree in the build's key space: placements are numbered by the
 same ``_Ids``, each marking's key is its parent's key fired by its
 transition through ``_layout``'s move table, and its cost is its parent's
-plus the transition's. A bitmap over the keys, or a dict of them where the
-bitmap would pass 16 slots per marking, finds a marking listed twice.
-Build and load end in the same ``_packed_graph``, and the replay checks
-the file as it goes.
+plus the transition's. The replay checks the file as it goes, except for
+a marking listed twice: once the tree is replayed, the keys are counted
+in one byte per slot of the key space, or in a dict of them where the
+slots would pass 16 per marking. Build and load end in the same
+``_packed_graph``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import os
 import struct
 import sys
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -65,7 +65,7 @@ from .petri import Marking, PetriNet
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
 CACHE_VERSION = 2
-# slots the search table of ``_build_packed`` may hold per unit of state cap
+# slots the search table of ``build_graph`` may hold per unit of state cap
 TABLE_FACTOR = 16
 # array type code of a 4-byte unsigned int, for the parent/transition columns
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
@@ -154,28 +154,6 @@ class BasisGraph:
         return len(self.qs)
 
 
-def build_graph(qm: MonitoredNet,
-                state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
-    """Build the min-cost basis tree by lowest-q-first expansion.
-
-    The tree is a function of the net alone. Its markings are the reachable
-    ones, each once, in strictly ascending ``(q, parent, transition)``:
-    ``q`` is the marking's minimal accumulated cost, and its tree edge
-    ``(parent, transition)`` is the smallest (parent index, transition id)
-    among the edges into it from a marking of cost ``q`` minus the
-    transition's cost. ``load_cache`` checks this order. Raises ValueError
-    for a net that is not ``_packable``. Raises StateBudgetError when more
-    than ``state_cap`` markings arise, or when the search table of
-    ``_build_packed`` would pass ``TABLE_FACTOR * state_cap`` slots, which
-    only a net whose placements meet few of their latch masks reaches.
-    """
-    if not _packable(qm.net):
-        raise ValueError("the net does not fit packed markings: it needs "
-                         "single-input transitions numbered by source place, "
-                         "latches starting at 0 or 1 and no transition adding tokens")
-    return _build_packed(qm, state_cap)
-
-
 def _packable(net: PetriNet) -> bool:
     """Whether ``build_graph``, ``save_cache`` and ``load_cache`` accept
     ``net``: single-input transitions numbered by ascending source place,
@@ -259,7 +237,7 @@ def _layout(net: PetriNet) -> _Layout:
 
 class _Ids(dict):
     """The numbering of placements in the search's key space over the
-    markings of a ``_packable`` net (see ``_build_packed``), shared by the
+    markings of a ``_packable`` net (see ``build_graph``), shared by the
     build and the cache load.
 
     Placements get dense ids in order of first lookup: ``ids.order[i]`` is
@@ -331,10 +309,24 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
     return BasisGraph(packed, width, n, qs, layout.scale, parent, transition)
 
 
-def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
-    """Lowest-q-first expansion with a bucket queue: one FIFO array per
-    pending cost. Within a cost, markings are final in the order their edges
-    were found, which is ascending (parent index, transition).
+def build_graph(qm: MonitoredNet,
+                state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
+    """Build the min-cost basis tree by lowest-q-first expansion.
+
+    The tree is a function of the net alone. Its markings are the reachable
+    ones, each once, in strictly ascending ``(q, parent, transition)``:
+    ``q`` is the marking's minimal accumulated cost, and its tree edge
+    ``(parent, transition)`` is the smallest (parent index, transition id)
+    among the edges into it from a marking of cost ``q`` minus the
+    transition's cost. ``load_cache`` checks this order. Raises ValueError
+    for a net that is not ``_packable``. Raises StateBudgetError when more
+    than ``state_cap`` markings arise, or when the search table would pass
+    ``TABLE_FACTOR * state_cap`` slots, which only a net whose placements
+    meet few of their latch masks reaches.
+
+    The expansion uses a bucket queue: one FIFO array per pending cost.
+    Within a cost, markings are final in the order their edges were found,
+    which is ascending (parent index, transition).
 
     A marking is searched as the small int key ``pid << bits | mask``.
     ``pid`` numbers its placement, the packed marking of ``_layout`` with
@@ -366,6 +358,10 @@ def _build_packed(qm: MonitoredNet, state_cap: int) -> BasisGraph:
     24 bytes per final marking (key, cost, parent and transition) and 24
     per pending edge.
     """
+    if not _packable(qm.net):
+        raise ValueError("the net does not fit packed markings: it needs "
+                         "single-input transitions numbered by source place, "
+                         "latches starting at 0 or 1 and no transition adding tokens")
     layout = _layout(qm.net)
     # best[key] is the cost of the cheapest edge into the marking so far,
     # ``unseen`` before any, or -1 once it is final. ``unseen`` is dearer
@@ -510,16 +506,17 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     has edges; a net without latch classes, whose bases are each needed
     once, keeps none. A marking's ``q`` is ``q(parent)`` plus the
     transition's weight. The pass checks that every parent precedes its
-    child, every transition id is in range and enabled at the parent, the
-    markings come in the strictly ascending ``(q, parent, transition)``
-    order of ``build_graph``, and no key repeats. Any failure raises
-    CacheFormatError, as does a net that is not ``_packable``.
+    child, every transition id is in range and enabled at the parent, and
+    the markings come in the strictly ascending ``(q, parent, transition)``
+    order of ``build_graph``.
 
-    The repeat check is the load's own table: one byte per key slot, grown
-    by one placement's slots whenever a base numbers a new placement, while
-    the slots stay within ``TABLE_FACTOR`` per marking, the table bound of
-    a build capped at the marking count. Past that it is a dict of the
-    keys, so every tree a build returns loads.
+    After the pass, one count of the distinct keys checks that no marking
+    is listed twice. With the placements all numbered, the key space is
+    known: the count takes one byte per key slot while the slots stay
+    within ``TABLE_FACTOR`` per marking, the table bound of a build capped
+    at the marking count, and a dict of the keys past that, so every tree
+    a build returns loads. Any failure raises CacheFormatError, as does a
+    net that is not ``_packable``.
     """
     try:
         with open(path, "rb") as fh:
@@ -562,18 +559,12 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     ids = _Ids(layout)
     bits, placements, moves = ids.bits, ids.order, layout.moves
     low = (1 << bits) - 1
-    # seen[key] is 1 once a key is listed: a bitmap of one ``blank`` per
-    # placement while it fits ``bound`` bytes, then a dict, ``blank`` None
-    bound = TABLE_FACTOR * count
-    blank = bytes(1 << bits) if 1 << bits <= bound else None
-    seen = defaultdict(int) if blank is None else bytearray(blank)
     weights = [move[3] for move in moves]
     span = len(weights)
     # bases[pid * span + t] is the child base of transition t at placement
     # pid, as in the placement's row, once a tree edge has used it; a net
     # without latch classes meets each placement once and keeps none
     bases: Dict[int, int] = {}
-    seen[0] = 1
     keys, qs = array("Q", (0,)), _cost_column(layout, count)
     qs.append(0)
     # (q, parent, transition) of the previous marking, compared one scalar
@@ -594,13 +585,6 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
                 raise CacheFormatError(
                     f"cache {path}: transition {t} is not enabled at marking {parent}")
             pid = ids[placement + plain]
-            # a miss numbers at most one placement, a new one iff its slots
-            # start at the bitmap's end
-            if blank is not None and pid == len(seen):
-                if pid + len(blank) > bound:
-                    seen, blank = defaultdict(int, dict.fromkeys(keys, 1)), None
-                else:
-                    seen += blank
             # as in the build's rows: no OR with zero, so the dict's int is shared
             base = pid | cb if cb else pid
             if bits:
@@ -611,11 +595,20 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
             raise CacheFormatError(
                 f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
         last_q, last_parent, last_t = q, parent, t
-        child = base | key & low
-        if seen[child]:
-            raise CacheFormatError(f"cache {path} lists a marking twice")
-        seen[child] = 1
-        keys.append(child)
+        keys.append(base | key & low)
         qs.append(q)
-    del seen, bases
+    del bases
+    # a marking listed twice repeats its key: count the distinct keys in a
+    # byte per slot, or in a dict past TABLE_FACTOR slots per marking
+    slots = len(placements) << bits
+    if slots <= TABLE_FACTOR * count:
+        seen = bytearray(slots)
+        for key in keys:
+            seen[key] = 1
+        distinct = seen.count(1)
+        del seen
+    else:
+        distinct = len(dict.fromkeys(keys))
+    if distinct != count:
+        raise CacheFormatError(f"cache {path} lists a marking twice")
     return _packed_graph(keys, ids, qs, parents, transitions, layout)

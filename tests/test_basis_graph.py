@@ -424,6 +424,18 @@ def test_build_and_load_peak_near_the_graph_size(tmp_path, name):
     assert load_peak <= factor * _column_bytes(graph)
 
 
+def test_a_load_past_its_bitmap_peaks_near_the_graph_size(tmp_path, monkeypatch, plant_offline):
+    # with no room for a bitmap, the load counts plant's distinct keys in a
+    # dict: dict.fromkeys peaks near 1.7x the graph, a set of the keys at
+    # 2.5x
+    qm, graph = plant_offline.monitored, plant_offline.graph
+    save_cache(graph, qm, tmp_path / "plant.bin")
+    monkeypatch.setattr(basis_graph, "TABLE_FACTOR", 0)
+    loaded, peak = _traced_peak(lambda: load_cache(tmp_path / "plant.bin", qm))
+    assert_same_graph(loaded, graph)
+    assert peak <= 2 * _column_bytes(graph)
+
+
 def test_costs_past_64_bits_stay_exact(tmp_path):
     # a move costing 2**64 does not fit the 8-byte cost column, so the
     # costs are kept as a list of ints, in the build and in the load
@@ -784,8 +796,9 @@ def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
 
 @pytest.mark.parametrize("factor", [0, 1])
 def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(tmp_path, monkeypatch, factor):
-    # with no room for a bitmap (0), or room for fewer placements than the
-    # tree has (1), the load checks the keys in a dict instead
+    # with no room for a bitmap (0), or room for fewer slots than the
+    # tree's placements take (1), the count of distinct keys after the
+    # replay runs over a dict of them instead
     path, qm = _a_marking_listed_twice(tmp_path, acc8_offline())
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
     with pytest.raises(CacheFormatError, match="twice"):
@@ -795,9 +808,9 @@ def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(tmp_path, monkeyp
 @pytest.mark.parametrize("arms", [6, 16])
 def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
     # 1 + arms markings, one per placement, over 2^arms masks each: the
-    # build's cap leaves room for every placement's slots, but the load's
-    # bitmap, TABLE_FACTOR slots per marking, holds only the root's (6 arms)
-    # or none (16 arms), so the load checks the rest in a dict
+    # build's cap leaves room for every placement's slots, but those slots
+    # pass the load's bitmap bound of TABLE_FACTOR per marking, so after
+    # the replay the load counts the distinct keys in a dict
     qm = _star_net(arms)
     graph = build_graph(qm, state_cap=(arms + 1 << arms) // TABLE_FACTOR)
     save_cache(graph, qm, tmp_path / "star.bin")
@@ -813,9 +826,10 @@ def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
 ])
 def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatch,
                                                             name, factor, where):
-    # the load's bitmap, TABLE_FACTOR bytes per marking, is past its bound
-    # at the root's slots, passes it at some later placement (a dict then
-    # takes the keys listed so far), or holds every slot
+    # the slots of the root's placement already pass the bitmap bound of
+    # TABLE_FACTOR per marking, the slots of some later placement pass it,
+    # or every slot fits: after the replay the load counts the distinct
+    # keys in a dict in the first two states and in a bitmap in the third
     offline = acc8_offline(latches=name == "acc8")
     qm, graph = offline.monitored, offline.graph
     slots, blank = _table_slots(qm, graph)
