@@ -32,9 +32,11 @@ the keys become packed markings a bounded chunk at a time, from the bytes
 of their placements and of their latch masks, so a build or a load peaks
 near the size of the columns it returns rather than at a multiple of it.
 
-A cache file stores only the parent and transition columns. Loading it
-replays the tree in the build's key space: placements are numbered by the
-same ``_Ids``, each marking's key is its parent's key fired by its
+A cache file stores only the parent and transition columns, each as
+unsigned ints of 1, 2 or 4 bytes, the narrowest that hold its bound (see
+``_column_code``); a graph keeps its columns in the same types. Loading
+it replays the tree in the build's key space: placements are numbered by
+the same ``_Ids``, each marking's key is its parent's key fired by its
 transition through ``_layout``'s move table, and its cost is its parent's
 plus the transition's. The replay checks the file as it goes, except for
 a marking listed twice: once the tree is replayed, the keys are counted
@@ -64,10 +66,11 @@ from .petri import Marking, PetriNet
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 # slots the search table of ``build_graph`` may hold per unit of state cap
 TABLE_FACTOR = 16
-# array type code of a 4-byte unsigned int, for the parent/transition columns
+# array type code of a 4-byte unsigned int, the widest parent/transition
+# column (see ``_column_code``)
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 # struct codes of unsigned fields 1, 2, 4 and 8 bytes wide
 _FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -120,7 +123,8 @@ class BasisGraph:
     or a list for a net whose scaled costs could pass 2**64 (see
     ``_cost_column``). ``parent[i - 1]`` and
     ``transition[i - 1]`` are the tree edge into marking i (the root,
-    marking 0, has none), laid out as in the cache body. ``index[p]`` is
+    marking 0, has none), each an array of the narrowest unsigned type
+    that ``_column_code`` picks, as in the cache body. ``index[p]`` is
     the occupancy bitset of place ``p`` (see ``_Occupancy``), built from
     ``packed`` on its first read. The index is derived from ``packed``:
     each graph makes its own, no constructor argument sets it, and it
@@ -262,6 +266,15 @@ class _Ids(dict):
         return i
 
 
+def _column_code(bound: int) -> str:
+    """The array type code of the narrowest unsigned ints, of 1, 2 or 4
+    bytes, that hold ``bound``. The parent column's bound is N - 1,
+    the highest marking index of a tree of N markings; the transition
+    column's is the net's transition count, one past the last id, so that
+    an id out of range can still be written and refused."""
+    return "B" if bound < 1 << 8 else "H" if bound < 1 << 16 else _U32
+
+
 def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
     """An empty cost column for a tree of at most ``markings`` markings:
     8-byte unsigned ints, or a list of ints when a path of that many of the
@@ -381,7 +394,9 @@ def build_graph(qm: MonitoredNet,
     buckets: Dict[int, array] = {0: array("Q", (0, 0, 0))}
     pending = [0]
     keys, qs = array("Q"), _cost_column(layout, state_cap)
-    parent, transition = array(_U32), array(_U32)
+    # the transition column's type is known from the net; the parent
+    # column's follows from the marking count, so it narrows at the end
+    parent, transition = array(_U32), array(_column_code(qm.net.num_transitions))
 
     while pending:
         q = heapq.heappop(pending)
@@ -429,7 +444,12 @@ def build_graph(qm: MonitoredNet,
                     bucket.append(t)
 
     del best, rows, row
-    return _packed_graph(keys, ids, qs, parent, transition, layout)
+    graph = _packed_graph(keys, ids, qs, parent, transition, layout)
+    # after the keys are emptied, so the narrow copy adds nothing to the peak
+    code = _column_code(len(graph) - 1)
+    if code != _U32:
+        graph.parent = array(code, parent)
+    return graph
 
 
 def net_digest(net: PetriNet) -> str:
@@ -453,8 +473,10 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
 
     The file is one line of canonical JSON (``format``, ``version``, the
     net ``digest``, the marking count ``markings`` and the ``sha256`` of the
-    body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]`` as
-    little-endian uint32. Markings and costs are not stored; ``load_cache``
+    body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]``,
+    each as little-endian unsigned ints of the width ``_column_code`` gives
+    for N - 1 and for the net's transition count, whatever the types of
+    the graph's own columns. Markings and costs are not stored; ``load_cache``
     recomputes them, so only graphs of ``_packable`` nets can be saved.
     Raises ValueError for any other graph. A new file beside ``path`` is
     renamed onto it: a failed save leaves an old cache whole, and no
@@ -462,9 +484,9 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     """
     if not _packable(qm.net):
         raise ValueError("only graphs of nets that fit packed markings can be cached")
-    columns = [graph.parent, graph.transition]
+    columns = [array(_column_code(len(graph) - 1), graph.parent),
+               array(_column_code(qm.net.num_transitions), graph.transition)]
     if sys.byteorder == "big":
-        columns = [array(_U32, column) for column in columns]
         for column in columns:
             column.byteswap()
     body = b"".join(column.tobytes() for column in columns)
@@ -495,6 +517,9 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
 
     Checks the format tag, the version (CacheVersionError), the net digest
     (CacheDigestError), and the body length and SHA-256 against the header.
+    The length is that of the columns ``save_cache`` writes, whose widths
+    follow from the marking count and the net, and each column is read with
+    one copy of its bytes.
     Then one pass over the columns replays the tree in the key space that
     the build uses, with placements numbered by ``_Ids``. A marking's key
     is the child base of its transition at its parent's placement, ORed
@@ -539,17 +564,20 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     count = header.get("markings")
     if type(count) is not int or count < 1:
         raise CacheFormatError(f"cache {path} has a bad marking count {count!r}")
-    if len(body) != 8 * (count - 1):
-        raise CacheFormatError(
-            f"cache {path} body is {len(body)} bytes, expected {8 * (count - 1)}")
+    parent_code = _column_code(count - 1)
+    transition_code = _column_code(qm.net.num_transitions)
+    split = array(parent_code).itemsize * (count - 1)
+    size = split + array(transition_code).itemsize * (count - 1)
+    if len(body) != size:
+        raise CacheFormatError(f"cache {path} body is {len(body)} bytes, expected {size}")
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise CacheFormatError(f"cache {path} body does not match its checksum")
 
     net = qm.net
     if not _packable(net):
         raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
-    parents = array(_U32, body[:4 * (count - 1)])
-    transitions = array(_U32, body[4 * (count - 1):])
+    parents = array(parent_code, body[:split])
+    transitions = array(transition_code, body[split:])
     del body
     if sys.byteorder == "big":
         parents.byteswap()

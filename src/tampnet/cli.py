@@ -137,11 +137,11 @@ def _cmd_plan(args) -> int:
         raise _UsageError("--render-out requires --render")
     env = load_env(args.env)
     spec = parse(_read_spec(args))
-    cap = _state_cap(args.state_cap)
+    # a load applies no cap, so the cap is read only for a build
     if args.cache and os.path.exists(args.cache):
         offline = load_offline(env, args.cache)
     else:
-        offline = build_offline(env, state_cap=cap)
+        offline = build_offline(env, state_cap=_state_cap(args.state_cap))
         if args.cache:
             save_cache(offline.graph, offline.monitored, args.cache)
     result = plan(env, spec, offline)

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import struct
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
-                     net_digest, save_cache)
+                     load_env, net_digest, save_cache)
 from tampnet import basis_graph
 from tampnet.abstraction import MonitoredNet
 from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
@@ -395,8 +396,9 @@ def _traced_peak(call):
 
 
 def _column_bytes(graph):
-    """The finished graph's size: its packed markings, 8 bytes per cost, 4
-    per parent and per transition, and its occupancy bits."""
+    """The finished graph's size, or a little more: its packed markings, 8
+    bytes per cost, at most 4 per parent and per transition, and its
+    occupancy bits."""
     return (len(graph.packed) + 8 * len(graph.qs) + 4 * (len(graph.parent) + len(graph.transition))
             + sum((bits.bit_length() + 7) // 8 for bits in occupancy(graph)))
 
@@ -463,6 +465,11 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     save_cache(graph, qm, one)
     save_cache(graph, qm, two)
     assert one.read_bytes() == two.read_bytes()
+    # columns of other types are written in the file's own
+    wide = dataclasses.replace(graph, parent=array(_U32, graph.parent),
+                               transition=array(_U32, graph.transition))
+    save_cache(wide, qm, two)
+    assert one.read_bytes() == two.read_bytes()
 
     loaded = load_cache(one, qm)
     assert_same_graph(loaded, graph)
@@ -484,10 +491,45 @@ def _tampered(tmp_path, offline, edit, rehash=True):
     return path, qm
 
 
-def _set_entry(body, column, i, value):
+def _entry(graph, column, i):
+    """The struct format and the body offset of the parent (column 0) or
+    transition (column 1) of marking i in the cache of ``graph``, whose
+    columns the file stores in their own types."""
+    parent, transition = graph.parent, graph.transition
+    if column == 0:
+        return "<" + parent.typecode, parent.itemsize * (i - 1)
+    return "<" + transition.typecode, parent.itemsize * len(parent) + transition.itemsize * (i - 1)
+
+
+def _set_entry(body, graph, column, i, value):
     """Set the parent (column 0) or transition (column 1) of marking i."""
-    offset = 4 * (column * (len(body) // 8) + i - 1)
-    struct.pack_into("<I", body, offset, value)
+    fmt, offset = _entry(graph, column, i)
+    struct.pack_into(fmt, body, offset, value)
+
+
+def _largest(column):
+    """The largest value an entry of ``column`` can hold."""
+    return (1 << 8 * column.itemsize) - 1
+
+
+REDUCE_MAP = os.path.join(os.path.dirname(__file__), "data", "reduce_44x44.json")
+
+
+@pytest.mark.parametrize("name, codes", [("demo", ("B", "B")), ("plant", (_U32, "H")),
+                                         ("reduce_44x44", ("H", "B"))])
+def test_columns_take_the_narrowest_type_in_the_build_and_the_load(tmp_path, request,
+                                                                   name, codes):
+    # demo, plant and reduce_44x44 have 23, 81,921 and 343 markings and
+    # 12, 348 and 72 transitions; a parent column holds N - 1 and a
+    # transition column the transition count
+    offline = (build_offline(load_env(REDUCE_MAP)) if name == "reduce_44x44"
+               else request.getfixturevalue(f"{name}_offline"))
+    qm, graph = offline.monitored, offline.graph
+    save_cache(graph, qm, tmp_path / "graph.bin")
+    loaded = load_cache(tmp_path / "graph.bin", qm)
+    assert (graph.parent.typecode, graph.transition.typecode) == codes
+    assert (loaded.parent.typecode, loaded.transition.typecode) == codes
+    assert_same_graph(loaded, graph)
 
 
 def test_cache_rejects_wrong_version(tmp_path, demo_offline):
@@ -518,6 +560,25 @@ def _v1_text(graph, qm):
                            for i, (parent, t) in enumerate(tree_edges(graph), 1)],
     }
     return json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_cache_rejects_a_version_2_cache(tmp_path, demo_offline):
+    # the version-2 layout: both columns as 4-byte ints, 8 bytes per edge
+    qm, graph = demo_offline.monitored, demo_offline.graph
+    columns = [array(_U32, graph.parent), array(_U32, graph.transition)]
+    if sys.byteorder == "big":
+        for column in columns:
+            column.byteswap()
+    body = b"".join(column.tobytes() for column in columns)
+    assert len(body) == 8 * (len(graph) - 1)
+    header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(qm.net),
+              "markings": len(graph), "sha256": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "v2.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+                     + b"\n" + body)
+    with pytest.raises(CacheVersionError) as err:
+        load_cache(path, qm)
+    assert err.value.found == 2
 
 
 def test_cache_rejects_a_version_1_cache(tmp_path, demo_offline):
@@ -597,8 +658,10 @@ def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
             body[offset] ^= 1
         return edit
 
-    size = len(demo_offline.graph)
-    for offset in (0, 4 * 5, 4 * (size - 1), 4 * (size - 1) + 4 * 5):
+    graph = demo_offline.graph
+    # the first and a middle entry of each column
+    offsets = [_entry(graph, column, i)[1] for column in (0, 1) for i in (1, len(graph) // 2)]
+    for offset in offsets:
         path, qm = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
         with pytest.raises(CacheFormatError, match="checksum"):
             load_cache(path, qm)
@@ -609,21 +672,23 @@ def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
 
 
 def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_offline):
-    size = len(demo_offline.graph)
+    graph = demo_offline.graph
+    size = len(graph)
     for i in (1, 7, size - 1):
-        for parent in (i, i + 1, 2 ** 32 - 1):
+        for parent in (i, i + 1, _largest(graph.parent)):
             path, qm = _tampered(tmp_path, demo_offline,
-                                 lambda header, body: _set_entry(body, 0, i, parent))
+                                 lambda header, body: _set_entry(body, graph, 0, i, parent))
             with pytest.raises(CacheFormatError, match="parent"):
                 load_cache(path, qm)
 
 
 def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_offline):
+    graph = demo_offline.graph
     transitions = demo_offline.monitored.net.num_transitions
     for i in (1, 12):
-        for t in (transitions, 2 ** 32 - 1):
+        for t in (transitions, _largest(graph.transition)):
             path, qm = _tampered(tmp_path, demo_offline,
-                                 lambda header, body: _set_entry(body, 1, i, t))
+                                 lambda header, body: _set_entry(body, graph, 1, i, t))
             with pytest.raises(CacheFormatError, match="transition"):
                 load_cache(path, qm)
 
@@ -633,7 +698,7 @@ def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
     # enabled markings, but cheaper than the marking stored before them
     for i in (9, 10):
         path, qm = _tampered(tmp_path, demo_offline,
-                             lambda header, body: _set_entry(body, 0, i, 8))
+                             lambda header, body: _set_entry(body, demo_offline.graph, 0, i, 8))
         with pytest.raises(CacheFormatError, match="order"):
             load_cache(path, qm)
 
@@ -645,8 +710,8 @@ def _swapped(tmp_path, offline, i):
 
     def edit(header, body):
         for column, values in ((0, graph.parent), (1, graph.transition)):
-            _set_entry(body, column, i - 1, values[i - 1])
-            _set_entry(body, column, i, values[i - 2])
+            _set_entry(body, graph, column, i - 1, values[i - 1])
+            _set_entry(body, graph, column, i, values[i - 2])
 
     return _tampered(tmp_path, offline, edit)
 
@@ -684,7 +749,7 @@ def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_pat
             load_cache(path, qm)
 
         def repeat_last(header, body):
-            _set_entry(body, 1, i, graph.transition[i - 2])
+            _set_entry(body, graph, 1, i, graph.transition[i - 2])
 
         path, qm = _tampered(tmp_path, demo_offline, repeat_last)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
@@ -720,7 +785,7 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
             if t == current:
                 continue
             path, qm = _tampered(tmp_path, offline,
-                                 lambda header, body: _set_entry(body, 1, i, t))
+                                 lambda header, body: _set_entry(body, offline.graph, 1, i, t))
             with pytest.raises(CacheError):
                 load_cache(path, qm)
             edits += 1
@@ -755,7 +820,7 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
             breaking += 1
             q_sorted += qs == sorted(qs)
             edited = bytearray(body)
-            _set_entry(edited, 0, i, parent)
+            _set_entry(edited, graph, 0, i, parent)
             header["sha256"] = hashlib.sha256(edited).hexdigest()
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(edited))
             with pytest.raises(CacheFormatError):
@@ -779,8 +844,8 @@ def _a_marking_listed_twice(tmp_path, offline):
                      and fire(net, markings[p], t) in markings[:i])
 
     def edit(header, body):
-        _set_entry(body, 0, i, parent)
-        _set_entry(body, 1, i, t)
+        _set_entry(body, graph, 0, i, parent)
+        _set_entry(body, graph, 1, i, t)
 
     return _tampered(tmp_path, offline, edit)
 
@@ -843,8 +908,9 @@ def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatc
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
     # a well-formed file whose digest matches a net with a two-input move
     qm = join_net()
-    body = struct.pack("<II", 0, 0)
-    header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(qm.net),
+    # one edge: a 1-byte parent and a 1-byte transition
+    body = struct.pack("<BB", 0, 0)
+    header = {"format": CACHE_FORMAT, "version": 3, "digest": net_digest(qm.net),
               "markings": 2, "sha256": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "join.bin"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)

@@ -201,6 +201,22 @@ def test_state_cap_env_variable(tmp_path, monkeypatch, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_a_plan_that_loads_its_cache_reads_no_state_cap(tmp_path, monkeypatch, capsys):
+    # a load applies no cap, so a malformed TAMP_STATE_CAP is no usage error
+    # there; a run that builds still refuses it (see the test above)
+    cache = tmp_path / "demo.bin"
+    assert main(["build", "--env", DEMO, "--out", str(cache)]) == 0
+    capsys.readouterr()
+    argv = ["plan", "--env", DEMO, "--spec", DEMO_SPEC, "--cache", str(cache)]
+    assert main(argv + ["--out", str(tmp_path / "unset.json")]) == 0
+    for value in ("0", "abc"):
+        monkeypatch.setenv("TAMP_STATE_CAP", value)
+        out = tmp_path / f"{value}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "unset.json").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["plan", "build", "bench", "oracle"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_caps_below_one_are_usage_errors(command, value, tmp_path, capsys):

@@ -5,8 +5,9 @@ the demo map, the plant map and one seeded map with fractional
 per-direction costs. Any rewrite of the reduction or the graph build must
 leave caches and plan JSON byte for byte as they are; a changed digest here
 means a changed answer or a changed cache format, not a style difference.
-Each cache must also be its header line plus two uint32 columns of
-``markings - 1`` entries, and nothing more.
+Each cache must also be its header line plus two columns of ``markings -
+1`` unsigned entries each, in the widths ``basis_graph._column_code``
+gives, and nothing more.
 
 A fourth map, ``tests/data/reduce_44x44.json``, pins the reduction at a
 size beyond the brute-force checks of ``test_abstraction.py``, and the
@@ -16,6 +17,7 @@ plan text of a long route on it.
 import hashlib
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ import pytest
 from tampnet import (Plan, build_offline, load_env, net_digest, parse, parse_env, plan,
                      plan_json_text, save_cache)
 from tampnet.abstraction import lift
+from tampnet.basis_graph import _column_code
 from tampnet.planner import backtrack, select_target, split_formula
 from tampnet.taskspec import compile_vectors
 
@@ -33,13 +36,14 @@ FRACTIONAL_SPEC = "visit(d) & visit(a) & end(c)"
 
 # (save_cache SHA-256, plan_json_text SHA-256). The plan digests were
 # computed before the integer rewrite of the reduction and the graph build;
-# the cache digests are those of the version-2 (column) format.
+# the cache digests are those of the version-3 format, whose columns take
+# the narrowest of 1, 2 and 4 bytes an entry.
 GOLDEN = {
-    "demo": ("e92a90ba68dc9a8a7a4085537ab51ddad4af6c893966fed0b9e048ae132e6399",
+    "demo": ("57e1026e82bd1ca64aef4ab2f4ca0b383119dceb80da7e1acac09444a211c324",
              "c4da7cfd328ad3e898fcd04287015da017f9d897c15c3f261df929835e246ad5"),
-    "plant": ("264454a25a683180f39c23019e7f76cce15d089efaa8fb20d54a7338a7e0b9f1",
+    "plant": ("0f4c0448ac4eb880decdbe55e4dac977a53cbdb53a44102ddd09c57c3e45aa1d",
               "6ce9e836a7c954eb808a820ecdcd1328dbc8d23c0866eb669573d778eb5644b5"),
-    "fractional": ("23f2a8c76d701507f062bfa9ca9ca51ffd6e81ad17afafee50549f4b79da0d82",
+    "fractional": ("b04ebf698b7a20c81bb407994ac8593584a44cc1237d9ebd54d1789b4b320baa",
                    "76e523fa03300b8be5c30f5f6cc8336d000284644bac1bff95512d6d508af9f9"),
 }
 
@@ -83,7 +87,10 @@ def _digests(env, offline, spec, tmp_path):
     cache = tmp_path / "graph.bin"
     save_cache(offline.graph, offline.monitored, cache)
     data = cache.read_bytes()
-    assert len(data) == data.index(b"\n") + 1 + 8 * (len(offline.graph) - 1)
+    edges = len(offline.graph) - 1
+    width = (array(_column_code(edges)).itemsize
+             + array(_column_code(offline.monitored.net.num_transitions)).itemsize)
+    assert len(data) == data.index(b"\n") + 1 + width * edges
     result = plan(env, spec, offline)
     assert isinstance(result, Plan)
     return (hashlib.sha256(data).hexdigest(),
@@ -112,7 +119,7 @@ REDUCE_GOLDEN = {
     "reduced_net": "c3c515fc2e8b28bd88dc5d1b676a8c2cac992541b742f300f740ee3cca3be1c9",
     "monitored_net": "f1246ef51277fe04c7ff064455f43272191355b27bb2b6dc5552b4f7b517cb54",
     "lift_map": "0ba975d57356a4e04018cd8f7b7ff7350587d41d7473dc9e7788d71d792e2e7a",
-    "cache": "e4ff2b5b12cc5d414f4e3967ee00c0acb54f082425d891d84ff59747c2b6663d",
+    "cache": "169a418ebefcc18b1d33d437c9a08bc3818ca03e9fca50e19256cc6f332ae159",
 }
 
 
