@@ -120,8 +120,8 @@ class BasisGraph:
     ``packed`` holds marking i at bytes ``i * places * width`` onward:
     ``places`` little-endian unsigned fields of ``width`` bytes each.
     ``qs[i] / scale`` is the cost of marking i; ``qs`` is an ``array("Q")``,
-    or a list for a net whose scaled costs could pass 2**64 (see
-    ``_cost_column``). ``parent[i - 1]`` and
+    or a list of ints for a tree with a scaled cost of 2**64 or more, so
+    its type follows from the tree's costs alone. ``parent[i - 1]`` and
     ``transition[i - 1]`` are the tree edge into marking i (the root,
     marking 0, has none), each an array of the narrowest unsigned type
     that ``_column_code`` picks, as in the cache body. ``index[p]`` is
@@ -275,14 +275,6 @@ def _column_code(bound: int) -> str:
     return "B" if bound < 1 << 8 else "H" if bound < 1 << 16 else _U32
 
 
-def _cost_column(layout: _Layout, markings: int) -> Union[array, List[int]]:
-    """An empty cost column for a tree of at most ``markings`` markings:
-    8-byte unsigned ints, or a list of ints when a path of that many of the
-    dearest moves could pass 2**64."""
-    dearest = max((move[3] for move in layout.moves), default=0)
-    return array("Q") if dearest * markings < 1 << 64 else []
-
-
 # _BIT_BYTE[k] maps a byte to 1 where its bit k is set, else to 0
 _BIT_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
 
@@ -326,7 +318,8 @@ def build_graph(qm: MonitoredNet,
                 state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
     """Build the min-cost basis tree by lowest-q-first expansion.
 
-    The tree is a function of the net alone. Its markings are the reachable
+    The tree is a function of the net alone: ``state_cap`` decides only
+    whether the build finishes. Its markings are the reachable
     ones, each once, in strictly ascending ``(q, parent, transition)``:
     ``q`` is the marking's minimal accumulated cost, and its tree edge
     ``(parent, transition)`` is the smallest (parent index, transition id)
@@ -369,7 +362,8 @@ def build_graph(qm: MonitoredNet,
     denominators. The keys, the costs and the pending edges are typed
     arrays, not lists of int objects: besides its table, the search holds
     24 bytes per final marking (key, cost, parent and transition) and 24
-    per pending edge.
+    per pending edge. The cost column becomes a list of ints at the first
+    cost that does not fit 8 bytes, as in ``load_cache``.
     """
     if not _packable(qm.net):
         raise ValueError("the net does not fit packed markings: it needs "
@@ -393,7 +387,7 @@ def build_graph(qm: MonitoredNet,
     rows: Dict[int, List[Tuple[int, int, int]]] = {}
     buckets: Dict[int, array] = {0: array("Q", (0, 0, 0))}
     pending = [0]
-    keys, qs = array("Q"), _cost_column(layout, state_cap)
+    keys, qs = array("Q"), array("Q")
     # the transition column's type is known from the net; the parent
     # column's follows from the marking count, so it narrows at the end
     parent, transition = array(_U32), array(_column_code(qm.net.num_transitions))
@@ -409,7 +403,10 @@ def build_graph(qm: MonitoredNet,
             best[key] = -1
             idx = len(keys)
             keys.append(key)
-            qs.append(q)
+            try:
+                qs.append(q)
+            except OverflowError:
+                qs = [*qs, q]
             if idx:
                 parent.append(via_parent)
                 transition.append(via_t)
@@ -593,8 +590,7 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     # pid, as in the placement's row, once a tree edge has used it; a net
     # without latch classes meets each placement once and keeps none
     bases: Dict[int, int] = {}
-    keys, qs = array("Q", (0,)), _cost_column(layout, count)
-    qs.append(0)
+    keys, qs = array("Q", (0,)), array("Q", (0,))
     # (q, parent, transition) of the previous marking, compared one scalar
     # at a time: no tuple is made per marking
     last_q, last_parent, last_t = 0, -1, -1
@@ -624,7 +620,10 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
                 f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
         last_q, last_parent, last_t = q, parent, t
         keys.append(base | key & low)
-        qs.append(q)
+        try:
+            qs.append(q)
+        except OverflowError:
+            qs = [*qs, q]
     del bases
     # a marking listed twice repeats its key: count the distinct keys in a
     # byte per slot, or in a dict past TABLE_FACTOR slots per marking

@@ -20,9 +20,6 @@ from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
 from .planner import Infeasible, build_offline, load_offline, plan
 from .taskspec import parse
 
-STATE_CAP_ENV = "TAMP_STATE_CAP"
-
-
 class _UsageError(Exception):
     pass
 
@@ -39,21 +36,6 @@ def _positive(value: int, name: str) -> int:
     if value < 1:
         raise _UsageError(f"{name} must be positive, got {value}")
     return value
-
-
-def _state_cap(flag_value: Optional[int]) -> int:
-    """The state cap: ``--state-cap``, else TAMP_STATE_CAP, else the default.
-    A value below 1 from either source is a usage error."""
-    if flag_value is not None:
-        return _positive(flag_value, "--state-cap")
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATE_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}")
-    return _positive(value, STATE_CAP_ENV)
 
 
 def _read_spec(args) -> str:
@@ -75,7 +57,7 @@ def _build_parser() -> _Parser:
     p_build = sub.add_parser("build", help="precompute and cache the reachability index for an environment")
     p_build.add_argument("--env", required=True, help="environment JSON file")
     p_build.add_argument("--out", required=True, help="cache file to write")
-    p_build.add_argument("--state-cap", type=int, default=None,
+    p_build.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                          help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_build.set_defaults(func=_cmd_build)
 
@@ -88,7 +70,7 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_plan.add_argument("--render", choices=("ascii", "svg"), help="also render the plan")
     p_plan.add_argument("--render-out", help="file for the rendering (required with --render, and only with it)")
-    p_plan.add_argument("--state-cap", type=int, default=None,
+    p_plan.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                         help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_plan.set_defaults(func=_cmd_plan)
 
@@ -115,7 +97,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--reps", type=int, default=20, help="instances per sweep value")
     p_bench.add_argument("--oracle-budget", type=int, default=0,
                          help="cross-check each instance against the exact search (0 = off)")
-    p_bench.add_argument("--state-cap", type=int, default=None)
+    p_bench.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                         help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -123,7 +106,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_build(args) -> int:
     env = load_env(args.env)
-    offline = build_offline(env, state_cap=_state_cap(args.state_cap))
+    offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
     save_cache(offline.graph, offline.monitored, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
           f"{len(offline.graph) - 1} edges")
@@ -141,7 +124,7 @@ def _cmd_plan(args) -> int:
     if args.cache and os.path.exists(args.cache):
         offline = load_offline(env, args.cache)
     else:
-        offline = build_offline(env, state_cap=_state_cap(args.state_cap))
+        offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
         if args.cache:
             save_cache(offline.graph, offline.monitored, args.cache)
     result = plan(env, spec, offline)
@@ -185,7 +168,7 @@ def _cmd_bench(args) -> int:
         agent_counts=tuple(args.agents),
         prop_range=(args.props[0], args.props[1]),
         repetitions=args.reps,
-        state_cap=_state_cap(args.state_cap),
+        state_cap=_positive(args.state_cap, "--state-cap"),
         oracle_budget=args.oracle_budget,
     )
     rows = run_bench(cfg, args.out)

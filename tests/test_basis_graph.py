@@ -449,6 +449,26 @@ def test_costs_past_64_bits_stay_exact(tmp_path):
     _assert_canonical_and_cached(offline.monitored, graph, tmp_path / "big.bin")
 
 
+def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
+    # 5,000,000 moves of cost 2**42, the default cap's worth, pass 2**64,
+    # but every cost of this tree fits 8 bytes: a build at any cap that
+    # finishes and the load keep the same column. Moves of cost 2**64 give
+    # a list in all three
+    for cost, kind in ((2 ** 42, array), (2 ** 64, list)):
+        env = square_env(3, [{"name": "g", "cells": [[1, 1]], "final_props": ["g"],
+                              "trajectory_props": ["g"]}],
+                         agents=[(0, 0)], move_cost=cost)
+        offline = build_offline(env)
+        qm, graph = offline.monitored, offline.graph
+        capped = build_graph(qm, state_cap=len(graph))
+        save_cache(graph, qm, tmp_path / "map.bin")
+        loaded = load_cache(tmp_path / "map.bin", qm)
+        for other in (capped, loaded):
+            assert other == graph
+            assert_same_graph(other, graph)
+        assert {type(g.qs) for g in (graph, capped, loaded)} == {kind}
+
+
 def test_net_digest_is_stable(demo_offline):
     net = demo_offline.monitored.net
     assert net_digest(net) == DEMO_DIGEST

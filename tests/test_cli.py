@@ -16,11 +16,6 @@ DEMO_PLAN = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_state_cap(monkeypatch):
-    monkeypatch.delenv("TAMP_STATE_CAP", raising=False)
-
-
 def _other_env(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({
@@ -183,36 +178,25 @@ def test_oracle_command(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_state_cap_env_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TAMP_STATE_CAP", "5")
-    assert main(["plan", "--env", DEMO, "--spec", "true"]) == 1
+def test_state_cap_flag_bounds_the_build(capsys):
+    assert main(["plan", "--env", DEMO, "--spec", "true", "--state-cap", "5"]) == 1
     assert "state budget" in capsys.readouterr().err
 
     assert main(["plan", "--env", DEMO, "--spec", "true",
                  "--state-cap", "100000"]) == 0
-    capsys.readouterr()
-
-    monkeypatch.setenv("TAMP_STATE_CAP", "abc")
-    assert main(["plan", "--env", DEMO, "--spec", "true"]) == 1
-    assert "must be an integer" in capsys.readouterr().err
-
-    monkeypatch.setenv("TAMP_STATE_CAP", "0")
-    assert main(["plan", "--env", DEMO, "--spec", "true"]) == 1
-    assert "must be positive" in capsys.readouterr().err
 
 
-def test_a_plan_that_loads_its_cache_reads_no_state_cap(tmp_path, monkeypatch, capsys):
-    # a load applies no cap, so a malformed TAMP_STATE_CAP is no usage error
-    # there; a run that builds still refuses it (see the test above)
+def test_a_plan_that_loads_its_cache_reads_no_state_cap(tmp_path, capsys):
+    # a load applies no cap, so a cap below one is no usage error there; a
+    # run that builds still refuses it (see the test below)
     cache = tmp_path / "demo.bin"
     assert main(["build", "--env", DEMO, "--out", str(cache)]) == 0
     capsys.readouterr()
     argv = ["plan", "--env", DEMO, "--spec", DEMO_SPEC, "--cache", str(cache)]
     assert main(argv + ["--out", str(tmp_path / "unset.json")]) == 0
-    for value in ("0", "abc"):
-        monkeypatch.setenv("TAMP_STATE_CAP", value)
+    for value in ("0", "-3"):
         out = tmp_path / f"{value}.json"
-        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--state-cap", value, "--out", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "unset.json").read_bytes()
     assert capsys.readouterr().err == ""
 

@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in that module, the
-package exports exactly the API its README documents, and importing the
-CLI loads no module it does not use.
+package exports exactly the API its README documents, no package module
+reads the environment, and importing the CLI loads no module it does not
+use.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``: a name bound by an
 import statement must appear as a loaded name (``name`` or ``name.attr``)
@@ -52,6 +53,37 @@ def test_the_scan_finds_an_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# the ways to read the process environment through ``os``
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module):
+    """Lines that read the environment: ``os.environ``, ``os.getenv`` and
+    their bytes forms, as attributes or imported names."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENVIRONMENT_READERS for alias in node.names)]
+    return sorted(lines)
+
+
+def test_the_scan_finds_an_environment_read():
+    tree = ast.parse("import os\nfrom os import getenv\n"
+                     "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path\n")
+    assert environment_reads(tree) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_reads_no_environment(path):
+    # a setting has one source, its command line option: no variable can
+    # change a run that the options do not show
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert environment_reads(tree) == []
 
 
 # what perfbench/ imports from the package
