@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .petri import VISIT, PetriNet
 
@@ -264,23 +264,30 @@ def lift(simplified: SimplifiedNet, sigma: Sequence[int]) -> Tuple[int, ...]:
     return tuple(moves)
 
 
-def build_monitored(simplified: SimplifiedNet,
-                    trajectory_props: Iterable[str]) -> MonitoredNet:
+def build_monitored(simplified: SimplifiedNet) -> MonitoredNet:
     """Attach one saturating indicator place per trajectory proposition.
+
+    The propositions are the names of the ``VISIT`` atoms on the simplified
+    net's labels. For an environment from ``parse_env`` they are exactly its
+    regions' trajectory propositions: ``parse_env`` refuses a region with no
+    cells or with a cell on an obstacle, so each region has at least one
+    cell, each a free labeled place, and the reduction keeps every labeled
+    place.
 
     A transition produces into an indicator iff its target place carries the
     proposition. Indicators start at one for propositions carried by places
     that are occupied initially (starting inside a region counts as a visit).
     """
     base = simplified.net
-    props = sorted(set(trajectory_props))
+    props = sorted({atom.name for labels in base.labels for atom in labels
+                    if atom.kind == VISIT})
     mobility = base.num_places
     indicator_of = {name: mobility + i for i, name in enumerate(props)}
 
     # visits[p]: the indicators of the propositions place p carries, in
     # ascending indicator id, which is the order of ``props``
     visits = [tuple(sorted(indicator_of[atom.name] for atom in labels
-                           if atom.kind == VISIT and atom.name in indicator_of))
+                           if atom.kind == VISIT))
               for labels in base.labels]
     post = tuple(targets + visits[targets[0]] for targets in base.post)
     counts = list(base.initial_marking) + [0] * len(props)

@@ -182,21 +182,9 @@ def random_instance(cfg: BenchConfig, draw: int) -> Tuple[Environment, BooleanSp
 
 
 def _run_one(cfg: BenchConfig, env: Environment, spec: BooleanSpec) -> Dict[str, object]:
-    row: Dict[str, object] = {
-        "rows": env.rows,
-        "cols": env.cols,
-        "k": len(env.agents),
-        "A": len(env.regions),
-        "spec": format_spec(spec),
-        "feasible": "",
-        "plan_cost": "",
-        "basis_markings": "",
-        "offline_s": "",
-        "online_s": "",
-        "oracle_cost": "",
-        "oracle_match": "",
-        "error": "",
-    }
+    row: Dict[str, object] = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(rows=env.rows, cols=env.cols, k=len(env.agents), A=len(env.regions),
+               spec=format_spec(spec))
     try:
         t0 = time.perf_counter()
         offline = build_offline(env, state_cap=cfg.state_cap)
@@ -272,11 +260,9 @@ def run_bench(cfg: BenchConfig, out_path: str) -> List[Dict[str, object]]:
     for vi, param in enumerate(values):
         group: List[Dict[str, object]] = []
         for rep in range(cfg.repetitions):
-            env, spec, meta = random_instance(cfg, vi * cfg.repetitions + rep)
+            env, spec, _ = random_instance(cfg, vi * cfg.repetitions + rep)
             row = _run_one(cfg, env, spec)
-            row["mode"] = cfg.mode
-            row["param"] = meta["param"]
-            row["rep"] = meta["rep"]
+            row.update(mode=cfg.mode, param=param, rep=rep)
             group.append(row)
             out_rows.append(row)
         out_rows.append(_mean_row(cfg.mode, param, group))

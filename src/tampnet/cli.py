@@ -53,37 +53,31 @@ def _build_parser() -> _Parser:
                      description="Grid multi-agent route planning against "
                                  "boolean visit/end formulas.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
     p_build = sub.add_parser("build", help="precompute and cache the reachability index for an environment")
-    p_build.add_argument("--env", required=True, help="environment JSON file")
+    p_plan = sub.add_parser("plan", help="plan routes satisfying a formula")
+    p_oracle = sub.add_parser("oracle", help="exact joint search over agent configurations (slow; for cross-checking)")
+    p_bench = sub.add_parser("bench", help="run a seeded random-instance sweep and write a CSV")
+
+    for p in (p_build, p_plan, p_oracle):
+        p.add_argument("--env", required=True, help="environment JSON file")
+    for p in (p_plan, p_oracle):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--spec", help="formula text, e.g. 'visit(2) & end(3) & !visit(1)'")
+        group.add_argument("--spec-file", help="file containing the formula")
+
     p_build.add_argument("--out", required=True, help="cache file to write")
-    p_build.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                         help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_build.set_defaults(func=_cmd_build)
 
-    p_plan = sub.add_parser("plan", help="plan routes satisfying a formula")
-    p_plan.add_argument("--env", required=True, help="environment JSON file")
-    group = p_plan.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spec", help="formula text, e.g. 'visit(2) & end(3) & !visit(1)'")
-    group.add_argument("--spec-file", help="file containing the formula")
     p_plan.add_argument("--cache", help="reachability cache: loaded if present, else built and written here")
     p_plan.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_plan.add_argument("--render", choices=("ascii", "svg"), help="also render the plan")
     p_plan.add_argument("--render-out", help="file for the rendering (required with --render, and only with it)")
-    p_plan.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_plan.set_defaults(func=_cmd_plan)
 
-    p_oracle = sub.add_parser("oracle", help="exact joint search over agent configurations (slow; for cross-checking)")
-    p_oracle.add_argument("--env", required=True, help="environment JSON file")
-    group = p_oracle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spec", help="formula text")
-    group.add_argument("--spec-file", help="file containing the formula")
     p_oracle.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
                           help=f"abort after this many explored states (default {DEFAULT_ORACLE_BUDGET})")
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_bench = sub.add_parser("bench", help="run a seeded random-instance sweep and write a CSV")
     p_bench.add_argument("--mode", choices=MODES, required=True,
                          help="which parameter the sweep varies")
     p_bench.add_argument("--out", required=True, help="CSV file to write")
@@ -97,9 +91,12 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--reps", type=int, default=20, help="instances per sweep value")
     p_bench.add_argument("--oracle-budget", type=int, default=0,
                          help="cross-check each instance against the exact search (0 = off)")
-    p_bench.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                         help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
     p_bench.set_defaults(func=_cmd_bench)
+
+    # added last, so each command's help lists it last
+    for p in (p_build, p_plan, p_bench):
+        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                       help=f"abort after this many explored markings (default {DEFAULT_STATE_CAP})")
 
     return parser
 
@@ -186,10 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except TampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TampError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

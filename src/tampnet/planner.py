@@ -70,11 +70,8 @@ def _offline(env: Environment,
     ``graph_for`` returns for the monitored net (built or loaded)."""
     cells = free_cells(env)
     net = env_to_pn(env, cells)
-    props = set()
-    for region in env.regions:
-        props |= region.trajectory_props
     simplified = build_simplified(net)
-    monitored = build_monitored(simplified, props)
+    monitored = build_monitored(simplified)
     return OfflineModel(net, cells, simplified, monitored, graph_for(monitored),
                         tuple(map(cells.index, env.agents)))
 

@@ -197,7 +197,7 @@ def test_start_inside_region_sets_indicator():
     regions = [{"name": "z", "cells": [[0, 0]], "trajectory_props": ["x"]},
                {"name": "g", "cells": [[1, 1]], "final_props": ["y"]}]
     env = square_env(2, regions, agents=[(0, 0)])
-    qm = build_monitored(build_simplified(env_to_pn(env)), ["x"])
+    qm = build_monitored(build_simplified(env_to_pn(env)))
     assert qm.net.initial_marking[qm.indicator_of["x"]] == 1
 
 
@@ -223,7 +223,7 @@ def test_unlabeled_world_reduces_to_isolated_starts():
     simplified = build_simplified(env_to_pn(env))
     assert simplified.net.num_transitions == 0
     assert simplified.base_place == (4,)
-    qm = build_monitored(simplified, [])
+    qm = build_monitored(simplified)
     assert qm.indicator_of == {}
     assert qm.net == simplified.net
 
@@ -309,7 +309,8 @@ def _props(env):
 
 def assert_tables_match_the_scans(env):
     simplified = build_simplified(env_to_pn(env))
-    qm = build_monitored(simplified, _props(env))
+    qm = build_monitored(simplified)
+    assert set(qm.indicator_of) == _props(env)
     assert (qm.net.post, qm.net.initial_marking) == scan_monitored(simplified, _props(env))
     layout = _layout(qm.net)
     assert (layout.classes, layout.moves) == scan_layout(qm.net)

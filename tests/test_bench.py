@@ -1,11 +1,13 @@
 import csv
+import hashlib
+import io
 import re
 from collections import Counter
 
 import pytest
 
 from tampnet import BenchConfig, ValidationError, run_bench
-from tampnet.bench import (CSV_COLUMNS, generate_instance, random_instance,
+from tampnet.bench import (CSV_COLUMNS, MODES, generate_instance, random_instance,
                            sweep_values, total_draws)
 from tampnet.petri import END, VISIT
 
@@ -161,3 +163,29 @@ def test_run_bench_is_reproducible_modulo_timing(tmp_path):
     first = run_bench(cfg, tmp_path / "a.csv")
     second = run_bench(cfg, tmp_path / "b.csv")
     assert _strip_timings(first) == _strip_timings(second)
+
+
+# SHA-256 of each mode's sweep CSV without its two timing columns. The
+# sweep holds a build over the state cap, an oracle over its budget and an
+# infeasible formula, so every kind of row is pinned.
+SWEEP_DIGESTS = {
+    "agents": "48c9872643135b5c24ddca1002848f86df5337b198c1dcd36b7683eba1b50c6d",
+    "size": "2295679d8acd534ce93d80e050560c733f2050c323d65029254d20f6b2b52bdb",
+    "props": "18f32502041a5b0d4cedb48aa725149aee9321dc533f81683808f77236316ff6",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_bench_csv_is_pinned(tmp_path, mode):
+    cfg = BenchConfig(mode=mode, seed=7, sizes=(3, 4), agent_counts=(1, 2),
+                      prop_range=(2, 3), repetitions=4, state_cap=20,
+                      oracle_budget=15)
+    out = tmp_path / "sweep.csv"
+    run_bench(cfg, out)
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    timing = {rows[0].index("offline_s"), rows[0].index("online_s")}
+    text = io.StringIO()
+    csv.writer(text).writerows([cell for i, cell in enumerate(row) if i not in timing]
+                               for row in rows)
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == SWEEP_DIGESTS[mode]

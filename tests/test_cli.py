@@ -96,6 +96,11 @@ def test_usage_problems_exit_1_not_2(capsys):
         ["plan", "--env", DEMO],
         ["plan", "--env", DEMO, "--spec", "true", "--spec-file", "x"],
         ["plan", "--env", DEMO, "--spec", "true", "--render", "ascii"],
+        ["build", "--out", "x.bin"],
+        ["oracle", "--spec", "true"],
+        ["oracle", "--env", DEMO],
+        ["oracle", "--env", DEMO, "--spec", "true", "--spec-file", "x"],
+        ["bench", "--mode", "size", "--out", "x.csv", "--state-cap", "x"],
         ["frobnicate"],
         ["bench", "--mode", "bogus", "--out", "x.csv"],
         [],
