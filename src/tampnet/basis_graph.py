@@ -59,7 +59,6 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple, Union
 
-from .abstraction import MonitoredNet
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
                      StateBudgetError)
 from .petri import Marking, PetriNet
@@ -314,9 +313,9 @@ def _packed_graph(keys: array, ids: _Ids, qs: Union[array, List[int]], parent: a
     return BasisGraph(packed, width, n, qs, layout.scale, parent, transition)
 
 
-def build_graph(qm: MonitoredNet,
-                state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
-    """Build the min-cost basis tree by lowest-q-first expansion.
+def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph:
+    """Build the min-cost basis tree of ``net``, the monitored net
+    (``MonitoredNet.net``), by lowest-q-first expansion.
 
     The tree is a function of the net alone: ``state_cap`` decides only
     whether the build finishes. Its markings are the reachable
@@ -365,11 +364,11 @@ def build_graph(qm: MonitoredNet,
     per pending edge. The cost column becomes a list of ints at the first
     cost that does not fit 8 bytes, as in ``load_cache``.
     """
-    if not _packable(qm.net):
+    if not _packable(net):
         raise ValueError("the net does not fit packed markings: it needs "
                          "single-input transitions numbered by source place, "
                          "latches starting at 0 or 1 and no transition adding tokens")
-    layout = _layout(qm.net)
+    layout = _layout(net)
     # best[key] is the cost of the cheapest edge into the marking so far,
     # ``unseen`` before any, or -1 once it is final. ``unseen`` is dearer
     # than any path of ``state_cap`` moves, so every edge found beats it.
@@ -390,7 +389,7 @@ def build_graph(qm: MonitoredNet,
     keys, qs = array("Q"), array("Q")
     # the transition column's type is known from the net; the parent
     # column's follows from the marking count, so it narrows at the end
-    parent, transition = array(_U32), array(_column_code(qm.net.num_transitions))
+    parent, transition = array(_U32), array(_column_code(net.num_transitions))
 
     while pending:
         q = heapq.heappop(pending)
@@ -464,13 +463,13 @@ def net_digest(net: PetriNet) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
-    """Persist the tree as its parent and transition columns; byte-identical
-    for equal inputs.
+def save_cache(graph: BasisGraph, net: PetriNet, path) -> None:
+    """Persist the tree that ``build_graph`` made of ``net`` as its parent
+    and transition columns; byte-identical for equal inputs.
 
-    The file is one line of canonical JSON (``format``, ``version``, the
-    net ``digest``, the marking count ``markings`` and the ``sha256`` of the
-    body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]``,
+    The file is one line of canonical JSON (``format``, ``version``,
+    ``net``'s ``digest``, the marking count ``markings`` and the ``sha256``
+    of the body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]``,
     each as little-endian unsigned ints of the width ``_column_code`` gives
     for N - 1 and for the net's transition count, whatever the types of
     the graph's own columns. Markings and costs are not stored; ``load_cache``
@@ -479,10 +478,10 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     renamed onto it: a failed save leaves an old cache whole, and no
     reader sees half a file. An error creating that file names ``path``.
     """
-    if not _packable(qm.net):
+    if not _packable(net):
         raise ValueError("only graphs of nets that fit packed markings can be cached")
     columns = [array(_column_code(len(graph) - 1), graph.parent),
-               array(_column_code(qm.net.num_transitions), graph.transition)]
+               array(_column_code(net.num_transitions), graph.transition)]
     if sys.byteorder == "big":
         for column in columns:
             column.byteswap()
@@ -490,7 +489,7 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
     header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
-        "digest": net_digest(qm.net),
+        "digest": net_digest(net),
         "markings": len(graph),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
@@ -509,11 +508,12 @@ def save_cache(graph: BasisGraph, qm: MonitoredNet, path) -> None:
         raise
 
 
-def load_cache(path, qm: MonitoredNet) -> BasisGraph:
-    """Load a cache written by ``save_cache`` and rebuild the tree from it.
+def load_cache(path, net: PetriNet) -> BasisGraph:
+    """Load a cache that ``save_cache`` wrote for ``net`` and rebuild the
+    tree from it.
 
-    Checks the format tag, the version (CacheVersionError), the net digest
-    (CacheDigestError), and the body length and SHA-256 against the header.
+    Checks the format tag, the version (CacheVersionError), the digest of
+    ``net`` (CacheDigestError), and the body length and SHA-256 against the header.
     The length is that of the columns ``save_cache`` writes, whose widths
     follow from the marking count and the net, and each column is read with
     one copy of its bytes.
@@ -555,14 +555,14 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
         raise CacheFormatError(f"{path} is not a basis graph cache")
     if header.get("version") != CACHE_VERSION:
         raise CacheVersionError(header.get("version"), CACHE_VERSION)
-    expected = net_digest(qm.net)
+    expected = net_digest(net)
     if header.get("digest") != expected:
         raise CacheDigestError(str(header.get("digest")), expected)
     count = header.get("markings")
     if type(count) is not int or count < 1:
         raise CacheFormatError(f"cache {path} has a bad marking count {count!r}")
     parent_code = _column_code(count - 1)
-    transition_code = _column_code(qm.net.num_transitions)
+    transition_code = _column_code(net.num_transitions)
     split = array(parent_code).itemsize * (count - 1)
     size = split + array(transition_code).itemsize * (count - 1)
     if len(body) != size:
@@ -570,7 +570,6 @@ def load_cache(path, qm: MonitoredNet) -> BasisGraph:
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise CacheFormatError(f"cache {path} body does not match its checksum")
 
-    net = qm.net
     if not _packable(net):
         raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
     parents = array(parent_code, body[:split])

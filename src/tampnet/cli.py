@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
 def _cmd_build(args) -> int:
     env = load_env(args.env)
     offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
-    save_cache(offline.graph, offline.monitored, args.out)
+    save_cache(offline.graph, offline.monitored.net, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
           f"{len(offline.graph) - 1} edges")
     return 0
@@ -123,7 +123,7 @@ def _cmd_plan(args) -> int:
     else:
         offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
         if args.cache:
-            save_cache(offline.graph, offline.monitored, args.cache)
+            save_cache(offline.graph, offline.monitored.net, args.cache)
     result = plan(env, spec, offline)
     if isinstance(result, Infeasible):
         print(result.message, file=sys.stderr)

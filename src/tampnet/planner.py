@@ -64,7 +64,7 @@ class Infeasible:
 
 
 def _offline(env: Environment,
-             graph_for: Callable[[MonitoredNet], BasisGraph]) -> OfflineModel:
+             graph_for: Callable[[PetriNet], BasisGraph]) -> OfflineModel:
     """Compile ``env`` into an offline model: movement net, reduction
     (with its escape moves) and visit latches, plus the basis graph that
     ``graph_for`` returns for the monitored net (built or loaded)."""
@@ -72,32 +72,33 @@ def _offline(env: Environment,
     net = env_to_pn(env, cells)
     simplified = build_simplified(net)
     monitored = build_monitored(simplified)
-    return OfflineModel(net, cells, simplified, monitored, graph_for(monitored),
+    return OfflineModel(net, cells, simplified, monitored, graph_for(monitored.net),
                         tuple(map(cells.index, env.agents)))
 
 
 def build_offline(env: Environment, state_cap: int = DEFAULT_STATE_CAP) -> OfflineModel:
-    return _offline(env, lambda monitored: build_graph(monitored, state_cap=state_cap))
+    return _offline(env, lambda net: build_graph(net, state_cap=state_cap))
 
 
 def load_offline(env: Environment, cache_path) -> OfflineModel:
     """Offline model whose basis graph is read from a ``save_cache`` file
     instead of being rebuilt; raises CacheError when it does not match."""
-    return _offline(env, lambda monitored: load_cache(cache_path, monitored))
+    return _offline(env, lambda net: load_cache(cache_path, net))
 
 
 def split_formula(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
-    """Split a compiled formula into ``(trajectory, final, stuck, soft)``
+    """Split a compiled formula into ``(trajectory, final, stuck, hops)``
     over the graph's occupancy index, the one split a query makes.
 
-    The first two are the bitsets of the markings that meet every clause of
-    that family (-1 when it has none); ``stuck`` is that of the markings
-    with a token on a forbidden place with no escape move; ``soft`` lists
-    the forbidden places with an entry in ``escapes`` (indexed like the
-    reduced places, see SimplifiedNet), which an agent may step off, so a
-    token there counts toward no final clause. Empty ``escapes`` makes
-    every forbidden place a hard exclusion. Raises ValueError for a place
-    outside the graph."""
+    A forbidden place with an entry in ``escapes`` (indexed like the
+    reduced places, see SimplifiedNet) is soft: an agent may step off it,
+    so a token there counts toward no final clause. The first two are the
+    bitsets of the markings that meet every clause of that family, soft
+    places dropped (-1 when it has none); ``stuck`` is that of the markings
+    with a token on a forbidden place with no escape move; ``hops`` lists
+    ``(place, move, cost)`` of each soft place's escape move, in ascending
+    place order. Empty ``escapes`` makes every forbidden place a hard
+    exclusion. Raises ValueError for a place outside the graph."""
     n = graph.places
     for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
         for p in places:
@@ -107,8 +108,9 @@ def split_formula(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
     soft = [p for p in vectors.forbidden if p < mobility]
     final = [[p for p in places if p not in soft] for places in vectors.final]
     stuck = [p for p in vectors.forbidden if p >= mobility or escapes[p] is None]
+    hops = [(p, *escapes[p]) for p in soft if escapes[p] is not None]
     return (_meeting(graph, vectors.trajectory), _meeting(graph, final),
-            _any_of(graph, stuck), soft)
+            _any_of(graph, stuck), hops)
 
 
 def _any_of(graph: BasisGraph, places) -> int:
@@ -128,31 +130,29 @@ def _meeting(graph: BasisGraph, clauses) -> int:
     return bits
 
 
-def select_target(graph: BasisGraph, split, escapes: Sequence) -> Optional[TargetChoice]:
+def select_target(graph: BasisGraph, split) -> Optional[TargetChoice]:
     """Cheapest way to end on a basis marking meeting every clause, from
     the formula's ``split_formula``; None when no marking is a candidate.
 
-    Each token ending on a soft place p may hop off for escapes[p].cost
-    instead of disqualifying the marking, and the reported cost includes
-    those hops. The candidates are walked in ascending-q order, each
-    unpacked only to price its hops, until one pays none (no later
-    candidate costs less) or q alone reaches the best total; ties go to
-    the smallest index. Costs are compared in integers: the tree's ``qs``
+    Each token ending on the place of one of the split's hops may hop off
+    for the hop's cost instead of disqualifying the marking, and the
+    reported cost includes those hops. The candidates are walked in
+    ascending-q order, each unpacked only to price its hops, until one pays
+    none (no later candidate costs less) or q alone reaches the best total;
+    ties go to the smallest index. Costs are compared in integers: the tree's ``qs``
     and the hop prices (ints or Fractions) brought to one scale, the LCM
     of ``graph.scale`` and the prices' denominators.
     """
-    trajectory, final, stuck, soft = split
+    trajectory, final, stuck, hops = split
     candidates = trajectory & final
     if candidates < 0:  # no clause: every marking is a candidate
         candidates = (1 << len(graph)) - 1
     candidates = (candidates | stuck) ^ stuck
     if not candidates:
         return None
-    priced = [p for p in soft if escapes[p] is not None]
-    hopping = _any_of(graph, priced)
-    scale = lcm(graph.scale, *(escapes[p][1].denominator for p in priced))
-    prices = [(p, escapes[p][1].numerator * (scale // escapes[p][1].denominator))
-              for p in priced]
+    hopping = _any_of(graph, (p for p, _, _ in hops))
+    scale = lcm(graph.scale, *(cost.denominator for _, _, cost in hops))
+    prices = [(p, cost.numerator * (scale // cost.denominator)) for p, _, cost in hops]
     best = None
     while candidates:
         low = candidates & -candidates
@@ -302,9 +302,8 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     graph = offline.graph
     vectors = compile_vectors(spec, offline.monitored.net,
                               offline.monitored.indicator_of)
-    escapes = offline.simplified.escapes
-    split = split_formula(graph, vectors, escapes)
-    choice = select_target(graph, split, escapes)
+    split = split_formula(graph, vectors, offline.simplified.escapes)
+    choice = select_target(graph, split)
     if choice is None:
         return Infeasible(diagnose_infeasibility(graph, split))
     index, cost = choice
@@ -318,14 +317,13 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
     # Agents left on forbidden final places hop onto anonymous ground: the
-    # escape move out of such a place, once per token on it.
+    # split's escape move out of such a place, once per token on it.
     target = graph.marking(index)
     base_place = offline.simplified.base_place
     sources, targets = net.move_places
     hops: List[int] = []
-    for p in vectors.forbidden:
-        if p < len(escapes) and target[p]:
-            t = escapes[p][0]
+    for p, t, _ in split[3]:
+        if target[p]:
             if not (0 <= t < len(sources) and sources[t] == base_place[p]):
                 raise IntegrityError(f"escape hop {t} is not a move out of place {base_place[p]}")
             hops.extend([t] * target[p])

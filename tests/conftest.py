@@ -11,7 +11,6 @@ import pytest
 
 from tampnet import (BasisGraph, StateBudgetError, build_offline, load_env,
                      parse_env)
-from tampnet.abstraction import MonitoredNet
 from tampnet.data import fixture_path
 from tampnet.petri import Atom, END, Marking, PetriNet, fire
 from tampnet.planner import TargetChoice
@@ -46,42 +45,32 @@ def marking_of(net: PetriNet, counts) -> Marking:
     return tuple(map(counts.get, range(net.num_places), repeat(0)))
 
 
-def as_monitored(net: PetriNet) -> MonitoredNet:
-    """Wrap a hand-built net so the basis-graph layer accepts it."""
-    return MonitoredNet(net, {})
-
-
-def relay_net() -> MonitoredNet:
+def relay_net() -> PetriNet:
     # unlabeled hop feeding the only watched move
-    net = hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
-                   [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
-    return as_monitored(net)
+    return hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
+                    [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
 
 
-def two_feeders_net() -> MonitoredNet:
+def two_feeders_net() -> PetriNet:
     # two incomparable ways to enable the watched move
-    net = hand_net(4, [((0,), (2,), 1), ((1,), (2,), 2), ((2,), (3,), 1)],
-                   [EMPTY, EMPTY, EMPTY, end_label("x")], (1, 1, 0, 0))
-    return as_monitored(net)
+    return hand_net(4, [((0,), (2,), 1), ((1,), (2,), 2), ((2,), (3,), 1)],
+                    [EMPTY, EMPTY, EMPTY, end_label("x")], (1, 1, 0, 0))
 
 
-def hop_chain_net() -> MonitoredNet:
-    net = hand_net(4, [((0,), (1,), 1), ((1,), (2,), 2), ((2,), (3,), 5)],
-                   [EMPTY, EMPTY, EMPTY, end_label("x")], (1, 0, 0, 0))
-    return as_monitored(net)
+def hop_chain_net() -> PetriNet:
+    return hand_net(4, [((0,), (1,), 1), ((1,), (2,), 2), ((2,), (3,), 5)],
+                    [EMPTY, EMPTY, EMPTY, end_label("x")], (1, 0, 0, 0))
 
 
-def two_cycle_net() -> MonitoredNet:
-    net = hand_net(3, [((0,), (1,), 1), ((1,), (0,), 1), ((1,), (2,), 1)],
-                   [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
-    return as_monitored(net)
+def two_cycle_net() -> PetriNet:
+    return hand_net(3, [((0,), (1,), 1), ((1,), (0,), 1), ((1,), (2,), 1)],
+                    [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
 
 
-def join_net() -> MonitoredNet:
+def join_net() -> PetriNet:
     # the watched move consumes from two places at once
-    net = hand_net(5, [((0,), (2,), 1), ((1,), (3,), 1), ((2, 3), (4,), 1)],
-                   [EMPTY] * 4 + [end_label("x")], (1, 1, 0, 0, 0))
-    return as_monitored(net)
+    return hand_net(5, [((0,), (2,), 1), ((1,), (3,), 1), ((2, 3), (4,), 1)],
+                    [EMPTY] * 4 + [end_label("x")], (1, 1, 0, 0, 0))
 
 
 def two_byte_net(clamp=frozenset()) -> PetriNet:
@@ -190,8 +179,8 @@ class ReferenceGraph:
     transition: Tuple[int, ...]
 
 
-def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
-    """The canonical tree of ``qm.net``, derived without the builder.
+def full_graph_reference(net: PetriNet, state_budget: int = 100_000) -> ReferenceGraph:
+    """The canonical tree of ``net``, derived without the builder.
 
     A breadth-first search fires every enabled transition of every marking
     with ``petri.fire``, keeping each edge as (child index, transition);
@@ -202,7 +191,6 @@ def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
     pi is known before its level is sorted by it. Raises StateBudgetError
     past ``state_budget`` markings.
     """
-    net: PetriNet = qm.net
     scale = math.lcm(*(c.denominator for c in net.cost))
     weight = [c.numerator * scale // c.denominator for c in net.cost]
     # each transition is tried only where its first input place is marked
@@ -267,11 +255,11 @@ def full_graph_reference(qm, state_budget: int = 100_000) -> ReferenceGraph:
                           tuple(pi[i][1] for i in ranked[1:]))
 
 
-def assert_matches_reference(qm, graph):
-    """``graph`` is the canonical tree of ``full_graph_reference``: every
-    reachable marking once, in the same order, with the same minimal costs
-    and the same tree edges."""
-    ref = full_graph_reference(qm)
+def assert_matches_reference(net, graph):
+    """``graph`` is the canonical tree of ``net`` that
+    ``full_graph_reference`` derives: every reachable marking once, in the
+    same order, with the same minimal costs and the same tree edges."""
+    ref = full_graph_reference(net)
     assert markings_of(graph) == ref.markings
     assert [graph.q(i) for i in range(len(graph))] == list(ref.labels)
     assert tuple(graph.parent) == ref.parent

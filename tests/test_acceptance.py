@@ -104,18 +104,18 @@ def _assert_tree(graph):
         assert parent < i
 
 
-def _assert_replays(qm, graph):
-    root = qm.net.initial_counts
+def _assert_replays(net, graph):
+    root = net.initial_counts
     for i, marking in enumerate(markings_of(graph)):
         sigma = backtrack(graph, i)
-        run = replay(qm.net, root, sigma)
-        assert marking_of(qm.net, run.counts) == marking
-        assert sequence_cost(qm.net, sigma) == graph.q(i)
+        run = replay(net, root, sigma)
+        assert marking_of(net, run.counts) == marking
+        assert sequence_cost(net, sigma) == graph.q(i)
 
 
 def test_c3_reachability_graph_structure(demo_offline, plant_offline, announce):
     with announce(3, "reachability graph structure"):
-        members = [(off.monitored, off.graph) for off in (demo_offline, plant_offline)]
+        members = [(off.monitored.net, off.graph) for off in (demo_offline, plant_offline)]
         walled = square_env(3, [
             {"name": "zone1", "cells": [[0, 2]], "trajectory_props": ["1", "2"]},
             {"name": "zone2", "cells": [[2, 0]], "trajectory_props": ["2"]},
@@ -127,15 +127,15 @@ def test_c3_reachability_graph_structure(demo_offline, plant_offline, announce):
         pipeline_envs.append(generate_instance("acc3:mid7", 6, 6, 3, 7, 7)[0])
         for env in pipeline_envs:
             off = build_offline(env)
-            members.append((off.monitored, off.graph))
+            members.append((off.monitored.net, off.graph))
         for make in (relay_net, two_feeders_net, hop_chain_net, two_cycle_net):
-            qm = make()
-            members.append((qm, build_graph(qm)))
+            net = make()
+            members.append((net, build_graph(net)))
 
-        for qm, graph in members:
+        for net, graph in members:
             _assert_tree(graph)
-            _assert_replays(qm, graph)
-            assert_matches_reference(qm, graph)
+            _assert_replays(net, graph)
+            assert_matches_reference(net, graph)
 
 
 def test_c4_cost_chain_across_reductions(demo_offline, plant_offline, announce):
@@ -256,8 +256,8 @@ def test_c8_cache_determinism(tmp_path, demo_env, announce):
             second = tmp_path / f"case{n}_second.json"
             off_a = build_offline(env)
             off_b = build_offline(env)
-            save_cache(off_a.graph, off_a.monitored, first)
-            save_cache(off_b.graph, off_b.monitored, second)
+            save_cache(off_a.graph, off_a.monitored.net, first)
+            save_cache(off_b.graph, off_b.monitored.net, second)
             assert first.read_bytes() == second.read_bytes()
 
             cached = load_offline(env, first)

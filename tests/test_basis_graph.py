@@ -17,7 +17,6 @@ import pytest
 from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
                      load_env, net_digest, save_cache)
 from tampnet import basis_graph
-from tampnet.abstraction import MonitoredNet
 from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
                                  _layout, load_cache)
 from tampnet.bench import generate_instance
@@ -26,7 +25,7 @@ from tampnet.errors import (CacheDigestError, CacheFormatError,
 from tampnet.petri import PetriNet, fire, replay, sequence_cost
 from tampnet.planner import backtrack
 
-from conftest import (EMPTY, as_monitored, assert_matches_reference,
+from conftest import (EMPTY, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
                       join_net, marking_of, markings_of, occupancy,
                       occupancy_reference,
@@ -44,23 +43,23 @@ def tree_edges(graph):
 def test_relay_graph_shape_and_reference():
     # t0: 0 -> 1 costs 1, t1: 1 -> 2 costs 1; the token walks the line,
     # so q = 0, 0 + 1 = 1, 1 + 1 = 2
-    qm = relay_net()
-    graph = build_graph(qm)
+    net = relay_net()
+    graph = build_graph(net)
     assert markings_of(graph) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [graph.q(i) for i in range(3)] == [0, 1, 2]
     assert tree_edges(graph) == [(0, 0), (1, 1)]
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
 
 
 def test_hop_chain_graph_shape_and_reference():
     # t0: 0 -> 1 costs 1, t1: 1 -> 2 costs 2, t2: 2 -> 3 costs 5, so
     # q = 0, 1, 1 + 2 = 3, 3 + 5 = 8
-    qm = hop_chain_net()
-    graph = build_graph(qm)
+    net = hop_chain_net()
+    graph = build_graph(net)
     assert markings_of(graph) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert [graph.q(i) for i in range(4)] == [0, 1, 3, 8]
     assert list(graph.transition) == [0, 1, 2]
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
 
 
 def test_two_feeders_graph_shape_and_reference():
@@ -73,48 +72,45 @@ def test_two_feeders_graph_shape_and_reference():
     #   (0,0,0,2) = 1 + 1 + 2 + 1 = 5
     # Ties keep the first parent found: (0,0,2,0) comes from (0,1,1,0) by
     # t1, and (0,0,1,1) from (0,1,0,1) by t1.
-    qm = two_feeders_net()
-    graph = build_graph(qm)
+    net = two_feeders_net()
+    graph = build_graph(net)
     assert markings_of(graph) == (
         (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
         (0, 0, 2, 0), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2))
     assert [graph.q(i) for i in range(8)] == [0, 1, 2, 2, 3, 3, 4, 5]
     assert tree_edges(graph) == [
         (0, 0), (0, 1), (1, 2), (1, 1), (2, 2), (3, 1), (6, 2)]
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
 
 
 def test_cycle_graph_costs():
     # t0: 0 -> 1 and t1: 1 -> 0 form a cycle, t2: 1 -> 2 leaves it; all
     # cost 1. Going round the cycle (t0 then t1) only returns to the root,
     # so q = 0, 1, 1 + 1 = 2
-    qm = two_cycle_net()
-    graph = build_graph(qm)
+    net = two_cycle_net()
+    graph = build_graph(net)
     assert markings_of(graph) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [graph.q(i) for i in range(3)] == [0, 1, 2]
     assert tree_edges(graph) == [(0, 0), (1, 2)]
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
 
 
 def _out_of_source_order_net():
     # t0 leaves place 1 and t1 leaves place 0
-    net = hand_net(4, [((1,), (2,), 1), ((0,), (3,), 1)],
-                   [EMPTY, EMPTY, end_label("x"), end_label("y")], (1, 1, 0, 0))
-    return as_monitored(net)
+    return hand_net(4, [((1,), (2,), 1), ((0,), (3,), 1)],
+                    [EMPTY, EMPTY, end_label("x"), end_label("y")], (1, 1, 0, 0))
 
 
 def _token_splitting_net():
     # t0 splits each of 130 tokens in two, so place 1 could reach 260: more
     # than a field sized for the initial total holds
-    net = hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
-                   [EMPTY, end_label("x"), end_label("y")], (130, 0, 0))
-    return as_monitored(net)
+    return hand_net(3, [((0,), (1, 2), 1), ((2,), (1,), 1)],
+                    [EMPTY, end_label("x"), end_label("y")], (130, 0, 0))
 
 
 def _latch_starting_at_two_net():
-    net = PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
-                   (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
-    return MonitoredNet(net, {"v": 2})
+    return PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
+                    (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
 
 
 UNPACKABLE = {"join": join_net, "order": _out_of_source_order_net,
@@ -138,7 +134,7 @@ def test_fractional_costs_match_reference():
     env = square_env(4, regions, agents=[(0, 0), (3, 3)], obstacles=[(1, 1)],
                      move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
     offline = build_offline(env)
-    assert_matches_reference(offline.monitored, offline.graph)
+    assert_matches_reference(offline.monitored.net, offline.graph)
     graph = offline.graph
     assert any(graph.q(i).denominator > 1 for i in range(1, len(graph)))
 
@@ -188,7 +184,7 @@ def test_backtrack_replays_to_every_demo_marking(demo_offline):
 def test_demo_graph_matches_exhaustive_reference(demo_offline):
     qm = demo_offline.monitored
     graph = demo_offline.graph
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(qm.net, graph)
     markings = markings_of(graph)
     for i, (parent, t) in enumerate(tree_edges(graph), 1):
         assert fire(qm.net, markings[parent], t) == markings[i]
@@ -197,7 +193,7 @@ def test_demo_graph_matches_exhaustive_reference(demo_offline):
 
 def test_build_honors_the_state_cap(demo_offline):
     with pytest.raises(StateBudgetError) as err:
-        build_graph(demo_offline.monitored, state_cap=5)
+        build_graph(demo_offline.monitored.net, state_cap=5)
     assert err.value.budget == 5
 
 
@@ -216,14 +212,14 @@ def _interleaved_latches_net(m0):
                        ((2,), (4, 3), 1), ((4,), (0, 1, 3), "3/2"),
                        ((4,), (5,), 1), ((5,), (2,), "1/3")],
                    [EMPTY, EMPTY, end_label("x"), EMPTY, EMPTY, end_label("y")], m0)
-    return as_monitored(dataclasses.replace(net, clamp_at_one=frozenset({1, 3})))
+    return dataclasses.replace(net, clamp_at_one=frozenset({1, 3}))
 
 
 def _first_place_latch_net():
     # place 0 is a latch, the last place plain and holding two tokens
     net = hand_net(4, [((1,), (3, 0), 1), ((3,), (1, 2), 2)],
                    [EMPTY, end_label("x"), EMPTY, end_label("y")], (0, 1, 0, 2))
-    return as_monitored(dataclasses.replace(net, clamp_at_one=frozenset({0, 2})))
+    return dataclasses.replace(net, clamp_at_one=frozenset({0, 2}))
 
 
 def _co_located_env():
@@ -253,8 +249,7 @@ def _hub_latches_net(arms: int = 9):
                         for p in range(1, 2 * arms + 1)] + [EMPTY]
     m0 = (1,) + (0,) * (2 * arms) + (299,)
     net = hand_net(2 * arms + 2, out + back, labels, m0)
-    return as_monitored(dataclasses.replace(
-        net, clamp_at_one=frozenset(range(2, 2 * arms + 1, 2))))
+    return dataclasses.replace(net, clamp_at_one=frozenset(range(2, 2 * arms + 1, 2)))
 
 
 # Nets whose markings split into a placement and a latch mask in every
@@ -267,30 +262,30 @@ SPLIT_KEY_NETS = {
     "interleaved-set": lambda: _interleaved_latches_net((1, 1, 1, 0, 0, 0)),
     "interleaved-crowded": lambda: _interleaved_latches_net((0, 0, 1, 1, 2, 1)),
     "first-place": _first_place_latch_net,
-    "two-byte-latch": lambda: as_monitored(two_byte_net(clamp={1})),
-    "wide-latches": lambda: as_monitored(wide_net(clamp={6, 501, 1005, 1099})),
-    "co-located": lambda: build_offline(_co_located_env()).monitored,
+    "two-byte-latch": lambda: two_byte_net(clamp={1}),
+    "wide-latches": lambda: wide_net(clamp={6, 501, 1005, 1099}),
+    "co-located": lambda: build_offline(_co_located_env()).monitored.net,
     "hub-latches": _hub_latches_net,
 }
 
 
-def _assert_canonical_and_cached(qm, graph, path):
-    assert_matches_reference(qm, graph)
-    save_cache(graph, qm, path)
-    assert_same_graph(load_cache(path, qm), graph)
+def _assert_canonical_and_cached(net, graph, path):
+    assert_matches_reference(net, graph)
+    save_cache(graph, net, path)
+    assert_same_graph(load_cache(path, net), graph)
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_KEY_NETS))
 def test_split_key_nets_match_reference_and_cache(name, tmp_path):
-    qm = SPLIT_KEY_NETS[name]()
-    _assert_canonical_and_cached(qm, build_graph(qm), tmp_path / "net.bin")
+    net = SPLIT_KEY_NETS[name]()
+    _assert_canonical_and_cached(net, build_graph(net), tmp_path / "net.bin")
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_latch_free_maps_match_reference_and_cache(seed, tmp_path):
     offline = build_offline(_latch_free(random_env(random.Random(f"latch-free:{seed}"))))
     assert not offline.monitored.net.clamp_at_one
-    _assert_canonical_and_cached(offline.monitored, offline.graph, tmp_path / "map.bin")
+    _assert_canonical_and_cached(offline.monitored.net, offline.graph, tmp_path / "map.bin")
 
 
 @pytest.mark.parametrize("name", ["demo", "latch-free", "interleaved", "two-byte-latch",
@@ -299,16 +294,16 @@ def test_state_cap_is_exact(name, demo_offline):
     # a cap of one marking fewer than the tree refuses it; the tree's own
     # size builds the same tree
     if name == "demo":
-        qm = demo_offline.monitored
+        net = demo_offline.monitored.net
     elif name == "latch-free":
-        qm = build_offline(_latch_free(random_env(random.Random("latch-free:cap")))).monitored
+        net = build_offline(_latch_free(random_env(random.Random("latch-free:cap")))).monitored.net
     else:
-        qm = SPLIT_KEY_NETS[name]()
-    graph = build_graph(qm)
+        net = SPLIT_KEY_NETS[name]()
+    graph = build_graph(net)
     with pytest.raises(StateBudgetError) as err:
-        build_graph(qm, state_cap=len(graph) - 1)
+        build_graph(net, state_cap=len(graph) - 1)
     assert err.value.budget == len(graph) - 1
-    assert_same_graph(build_graph(qm, state_cap=len(graph)), graph)
+    assert_same_graph(build_graph(net, state_cap=len(graph)), graph)
 
 
 def test_co_located_latches_share_one_key_bit():
@@ -316,13 +311,13 @@ def test_co_located_latches_share_one_key_bit():
     # latch another; a's starts at 1 and w's is never set, so neither takes
     # a bit. One key bit per latch place would need 2^23 table slots per
     # placement.
-    qm = SPLIT_KEY_NETS["co-located"]()
+    qm = build_offline(_co_located_env()).monitored
     latches = qm.indicator_of
     assert _layout(qm.net).classes == [
         (latches["b"],), tuple(latches[f"p{i:02}"] for i in range(20))]
     tracemalloc.start()
     try:
-        graph = build_graph(qm)
+        graph = build_graph(qm.net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,33 +332,32 @@ def _star_net(arms: int):
     arcs = [((0,), (i, arms + i), 1) for i in range(1, arms + 1)]
     labels = [EMPTY] + [end_label(str(i)) for i in range(1, arms + 1)] + [EMPTY] * arms
     net = hand_net(2 * arms + 1, arcs, labels, (1,) + (0,) * (2 * arms))
-    return as_monitored(dataclasses.replace(
-        net, clamp_at_one=frozenset(range(arms + 1, 2 * arms + 1))))
+    return dataclasses.replace(net, clamp_at_one=frozenset(range(arms + 1, 2 * arms + 1)))
 
 
 def test_sparse_latch_masks_hit_the_table_bound():
     # 17 markings over 17 placements of 2^16 masks each: a cap of 17 allows
     # 17 * TABLE_FACTOR table slots, fewer than one placement takes, so the
     # build stops before the first 512 KiB slot list is made
-    qm = _star_net(16)
+    net = _star_net(16)
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetError) as err:
-            build_graph(qm, state_cap=17)
+            build_graph(net, state_cap=17)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert err.value.budget == 17
     assert peak < 64 << 10
-    graph = build_graph(qm, state_cap=17 * (1 << 16) // TABLE_FACTOR)
+    graph = build_graph(net, state_cap=17 * (1 << 16) // TABLE_FACTOR)
     assert len(graph) == 17
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
 
 
-def _table_slots(qm, graph):
+def _table_slots(net, graph):
     """The search table's slots for ``graph``'s tree, ``1 << bits`` per
     placement, and the slots of one placement."""
-    classes = _layout(qm.net).classes
+    classes = _layout(net).classes
     latches = {p for places in classes for p in places}
     placements = {tuple(0 if p in latches else c for p, c in enumerate(m))
                   for m in markings_of(graph)}
@@ -375,12 +369,12 @@ def test_the_table_bound_fires_mid_search(plant_offline):
     # of 16,063 allows 257,008: the root's slots fit, and the search
     # numbers its last placement before its 16,063rd marking. A cap of
     # 16,064 allows every slot, and the marking cap fires instead.
-    qm = plant_offline.monitored
-    assert _table_slots(qm, plant_offline.graph) == (257_024, 1024)
+    net = plant_offline.monitored.net
+    assert _table_slots(net, plant_offline.graph) == (257_024, 1024)
     assert 1024 <= TABLE_FACTOR * 16_063 < 257_024 <= TABLE_FACTOR * 16_064
     for cap, what in [(16_063, "search table"), (16_064, "construction")]:
         with pytest.raises(StateBudgetError) as err:
-            build_graph(qm, state_cap=cap)
+            build_graph(net, state_cap=cap)
         assert err.value.budget == cap
         assert f"basis graph {what} exceeded" in str(err.value)
 
@@ -416,10 +410,10 @@ def test_build_and_load_peak_near_the_graph_size(tmp_path, name):
     else:
         env = _latch_free(generate_instance("roadmap:lf20k5", 20, 20, 5, 8, 10)[0])
         markings, factor = 8378, 5
-    qm = build_offline(env).monitored
-    graph, build_peak = _traced_peak(lambda: build_graph(qm))
-    save_cache(graph, qm, tmp_path / "mem.bin")
-    loaded, load_peak = _traced_peak(lambda: load_cache(tmp_path / "mem.bin", qm))
+    net = build_offline(env).monitored.net
+    graph, build_peak = _traced_peak(lambda: build_graph(net))
+    save_cache(graph, net, tmp_path / "mem.bin")
+    loaded, load_peak = _traced_peak(lambda: load_cache(tmp_path / "mem.bin", net))
     assert_same_graph(loaded, graph)
     assert len(graph) == markings
     assert build_peak <= factor * _column_bytes(graph)
@@ -430,10 +424,10 @@ def test_a_load_past_its_bitmap_peaks_near_the_graph_size(tmp_path, monkeypatch,
     # with no room for a bitmap, the load counts plant's distinct keys in a
     # dict: dict.fromkeys peaks near 1.7x the graph, a set of the keys at
     # 2.5x
-    qm, graph = plant_offline.monitored, plant_offline.graph
-    save_cache(graph, qm, tmp_path / "plant.bin")
+    net, graph = plant_offline.monitored.net, plant_offline.graph
+    save_cache(graph, net, tmp_path / "plant.bin")
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", 0)
-    loaded, peak = _traced_peak(lambda: load_cache(tmp_path / "plant.bin", qm))
+    loaded, peak = _traced_peak(lambda: load_cache(tmp_path / "plant.bin", net))
     assert_same_graph(loaded, graph)
     assert peak <= 2 * _column_bytes(graph)
 
@@ -446,7 +440,7 @@ def test_costs_past_64_bits_stay_exact(tmp_path):
     offline = build_offline(env)
     graph = offline.graph
     assert [graph.q(i) for i in range(len(graph))] == [0, 2 ** 65]
-    _assert_canonical_and_cached(offline.monitored, graph, tmp_path / "big.bin")
+    _assert_canonical_and_cached(offline.monitored.net, graph, tmp_path / "big.bin")
 
 
 def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
@@ -459,10 +453,10 @@ def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
                               "trajectory_props": ["g"]}],
                          agents=[(0, 0)], move_cost=cost)
         offline = build_offline(env)
-        qm, graph = offline.monitored, offline.graph
-        capped = build_graph(qm, state_cap=len(graph))
-        save_cache(graph, qm, tmp_path / "map.bin")
-        loaded = load_cache(tmp_path / "map.bin", qm)
+        net, graph = offline.monitored.net, offline.graph
+        capped = build_graph(net, state_cap=len(graph))
+        save_cache(graph, net, tmp_path / "map.bin")
+        loaded = load_cache(tmp_path / "map.bin", net)
         for other in (capped, loaded):
             assert other == graph
             assert_same_graph(other, graph)
@@ -472,26 +466,26 @@ def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
 def test_net_digest_is_stable(demo_offline):
     net = demo_offline.monitored.net
     assert net_digest(net) == DEMO_DIGEST
-    relabeled = relay_net().net
+    relabeled = relay_net()
     assert net_digest(relabeled) != DEMO_DIGEST
     assert len(net_digest(relabeled)) == 64
 
 
 def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
-    qm = demo_offline.monitored
+    net = demo_offline.monitored.net
     graph = demo_offline.graph
     one = tmp_path / "one.json"
     two = tmp_path / "two.json"
-    save_cache(graph, qm, one)
-    save_cache(graph, qm, two)
+    save_cache(graph, net, one)
+    save_cache(graph, net, two)
     assert one.read_bytes() == two.read_bytes()
     # columns of other types are written in the file's own
     wide = dataclasses.replace(graph, parent=array(_U32, graph.parent),
                                transition=array(_U32, graph.transition))
-    save_cache(wide, qm, two)
+    save_cache(wide, net, two)
     assert one.read_bytes() == two.read_bytes()
 
-    loaded = load_cache(one, qm)
+    loaded = load_cache(one, net)
     assert_same_graph(loaded, graph)
 
 
@@ -499,16 +493,16 @@ def _tampered(tmp_path, offline, edit, rehash=True):
     """Save ``offline``'s graph, let ``edit(header, body)`` change the parsed
     header dict and the body bytearray in place, and write both back; with
     ``rehash`` the header's checksum is recomputed over the edited body."""
-    qm = offline.monitored
+    net = offline.monitored.net
     path = tmp_path / "cache.bin"
-    save_cache(offline.graph, qm, path)
+    save_cache(offline.graph, net, path)
     line, _, body = path.read_bytes().partition(b"\n")
     header, body = json.loads(line), bytearray(body)
     edit(header, body)
     if rehash:
         header["sha256"] = hashlib.sha256(body).hexdigest()
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(body))
-    return path, qm
+    return path, net
 
 
 def _entry(graph, column, i):
@@ -544,19 +538,19 @@ def test_columns_take_the_narrowest_type_in_the_build_and_the_load(tmp_path, req
     # transition column the transition count
     offline = (build_offline(load_env(REDUCE_MAP)) if name == "reduce_44x44"
                else request.getfixturevalue(f"{name}_offline"))
-    qm, graph = offline.monitored, offline.graph
-    save_cache(graph, qm, tmp_path / "graph.bin")
-    loaded = load_cache(tmp_path / "graph.bin", qm)
+    net, graph = offline.monitored.net, offline.graph
+    save_cache(graph, net, tmp_path / "graph.bin")
+    loaded = load_cache(tmp_path / "graph.bin", net)
     assert (graph.parent.typecode, graph.transition.typecode) == codes
     assert (loaded.parent.typecode, loaded.transition.typecode) == codes
     assert_same_graph(loaded, graph)
 
 
 def test_cache_rejects_wrong_version(tmp_path, demo_offline):
-    path, qm = _tampered(tmp_path, demo_offline,
-                         lambda header, body: header.update(version=99))
+    path, net = _tampered(tmp_path, demo_offline,
+                          lambda header, body: header.update(version=99))
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, qm)
+        load_cache(path, net)
     assert err.value.found == 99
 
 
@@ -564,7 +558,7 @@ def test_cache_rejects_wrong_version(tmp_path, demo_offline):
 V1_DEMO_SHA256 = "7c6b3d1bc9e5e04646faa8ebefd7099ad9f991c87d102b5023588f7607f9e4f9"
 
 
-def _v1_text(graph, qm):
+def _v1_text(graph, net):
     """A cache in the version-1 layout: one canonical JSON object holding
     every marking and every edge, with the transition split that version
     stored (every transition explicit) and an empty implicit firing vector
@@ -572,8 +566,8 @@ def _v1_text(graph, qm):
     container = {
         "format": CACHE_FORMAT,
         "version": 1,
-        "digest": net_digest(qm.net),
-        "partition": {"explicit": list(range(qm.net.num_transitions)),
+        "digest": net_digest(net),
+        "partition": {"explicit": list(range(net.num_transitions)),
                       "implicit": []},
         "markings": [[[p, c] for p, c in enumerate(m) if c] for m in markings_of(graph)],
         "edges": [None] + [[parent, t, [], [graph.q(i).numerator, graph.q(i).denominator]]
@@ -584,79 +578,79 @@ def _v1_text(graph, qm):
 
 def test_cache_rejects_a_version_2_cache(tmp_path, demo_offline):
     # the version-2 layout: both columns as 4-byte ints, 8 bytes per edge
-    qm, graph = demo_offline.monitored, demo_offline.graph
+    net, graph = demo_offline.monitored.net, demo_offline.graph
     columns = [array(_U32, graph.parent), array(_U32, graph.transition)]
     if sys.byteorder == "big":
         for column in columns:
             column.byteswap()
     body = b"".join(column.tobytes() for column in columns)
     assert len(body) == 8 * (len(graph) - 1)
-    header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(qm.net),
+    header = {"format": CACHE_FORMAT, "version": 2, "digest": net_digest(net),
               "markings": len(graph), "sha256": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "v2.bin"
     path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
                      + b"\n" + body)
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, qm)
+        load_cache(path, net)
     assert err.value.found == 2
 
 
 def test_cache_rejects_a_version_1_cache(tmp_path, demo_offline):
-    qm = demo_offline.monitored
-    text = _v1_text(demo_offline.graph, qm)
+    net = demo_offline.monitored.net
+    text = _v1_text(demo_offline.graph, net)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == V1_DEMO_SHA256
     path = tmp_path / "v1.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, qm)
+        load_cache(path, net)
     assert err.value.found == 1
 
 
 def test_cache_rejects_wrong_digest(tmp_path, demo_offline):
-    path, qm = _tampered(tmp_path, demo_offline,
-                         lambda header, body: header.update(digest="0" * 64))
+    path, net = _tampered(tmp_path, demo_offline,
+                          lambda header, body: header.update(digest="0" * 64))
     with pytest.raises(CacheDigestError):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 def test_cache_rejects_foreign_and_broken_files(tmp_path, demo_offline):
-    qm = demo_offline.monitored
+    net = demo_offline.monitored.net
 
     missing = tmp_path / "nope.bin"
     with pytest.raises(CacheFormatError):
-        load_cache(missing, qm)
+        load_cache(missing, net)
 
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"{this is not json\n\x00\x01")
     with pytest.raises(CacheFormatError):
-        load_cache(garbage, qm)
+        load_cache(garbage, net)
 
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00\n")
     with pytest.raises(CacheFormatError):
-        load_cache(binary, qm)
+        load_cache(binary, net)
 
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"format": "something-else"}) + "\n")
     with pytest.raises(CacheFormatError):
-        load_cache(other, qm)
+        load_cache(other, net)
 
     good = tmp_path / "good.bin"
-    save_cache(demo_offline.graph, qm, good)
+    save_cache(demo_offline.graph, net, good)
     data = good.read_bytes()
     for cut in (data.index(b"\n"), len(data) // 2, len(data) - 1):
         truncated = tmp_path / "truncated.bin"
         truncated.write_bytes(data[:cut])
         with pytest.raises(CacheFormatError):
-            load_cache(truncated, qm)
+            load_cache(truncated, net)
 
 
 @pytest.mark.parametrize("count", ["23", 0, -1, True, None, 2.5])
 def test_cache_rejects_a_bad_marking_count(tmp_path, demo_offline, count):
-    path, qm = _tampered(tmp_path, demo_offline,
-                         lambda header, body: header.update(markings=count))
+    path, net = _tampered(tmp_path, demo_offline,
+                          lambda header, body: header.update(markings=count))
     with pytest.raises(CacheFormatError):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 def test_cache_rejects_malformed_body(tmp_path, demo_offline):
@@ -667,9 +661,9 @@ def test_cache_rejects_malformed_body(tmp_path, demo_offline):
              lambda header, body: body.extend(bytes(8)))
     for edit in edits:
         for rehash in (True, False):
-            path, qm = _tampered(tmp_path, demo_offline, edit, rehash=rehash)
+            path, net = _tampered(tmp_path, demo_offline, edit, rehash=rehash)
             with pytest.raises(CacheFormatError, match="bytes"):
-                load_cache(path, qm)
+                load_cache(path, net)
 
 
 def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
@@ -682,13 +676,13 @@ def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
     # the first and a middle entry of each column
     offsets = [_entry(graph, column, i)[1] for column in (0, 1) for i in (1, len(graph) // 2)]
     for offset in offsets:
-        path, qm = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
+        path, net = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
         with pytest.raises(CacheFormatError, match="checksum"):
-            load_cache(path, qm)
-    path, qm = _tampered(tmp_path, demo_offline,
-                         lambda header, body: header.update(sha256=None), rehash=False)
+            load_cache(path, net)
+    path, net = _tampered(tmp_path, demo_offline,
+                          lambda header, body: header.update(sha256=None), rehash=False)
     with pytest.raises(CacheFormatError, match="checksum"):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_offline):
@@ -696,10 +690,10 @@ def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_offline):
     size = len(graph)
     for i in (1, 7, size - 1):
         for parent in (i, i + 1, _largest(graph.parent)):
-            path, qm = _tampered(tmp_path, demo_offline,
-                                 lambda header, body: _set_entry(body, graph, 0, i, parent))
+            path, net = _tampered(tmp_path, demo_offline,
+                                  lambda header, body: _set_entry(body, graph, 0, i, parent))
             with pytest.raises(CacheFormatError, match="parent"):
-                load_cache(path, qm)
+                load_cache(path, net)
 
 
 def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_offline):
@@ -707,20 +701,20 @@ def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_offline):
     transitions = demo_offline.monitored.net.num_transitions
     for i in (1, 12):
         for t in (transitions, _largest(graph.transition)):
-            path, qm = _tampered(tmp_path, demo_offline,
-                                 lambda header, body: _set_entry(body, graph, 1, i, t))
+            path, net = _tampered(tmp_path, demo_offline,
+                                  lambda header, body: _set_entry(body, graph, 1, i, t))
             with pytest.raises(CacheFormatError, match="transition"):
-                load_cache(path, qm)
+                load_cache(path, net)
 
 
 def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
     # re-parenting demo marking 9 or 10 onto marking 8 replays to distinct,
     # enabled markings, but cheaper than the marking stored before them
     for i in (9, 10):
-        path, qm = _tampered(tmp_path, demo_offline,
-                             lambda header, body: _set_entry(body, demo_offline.graph, 0, i, 8))
+        path, net = _tampered(tmp_path, demo_offline,
+                              lambda header, body: _set_entry(body, demo_offline.graph, 0, i, 8))
         with pytest.raises(CacheFormatError, match="order"):
-            load_cache(path, qm)
+            load_cache(path, net)
 
 
 def _swapped(tmp_path, offline, i):
@@ -750,9 +744,9 @@ def test_cache_rejects_an_equal_cost_edge_from_a_lower_parent(tmp_path, demo_off
              if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] < graph.parent[i - 1]]
     assert pairs
     for i in pairs:
-        path, qm = _swapped(tmp_path, demo_offline, i)
+        path, net = _swapped(tmp_path, demo_offline, i)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, qm)
+            load_cache(path, net)
 
 
 def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_path, demo_offline):
@@ -764,16 +758,16 @@ def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_pat
              if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] == graph.parent[i - 1]]
     assert pairs
     for i in pairs:
-        path, qm = _swapped(tmp_path, demo_offline, i)
+        path, net = _swapped(tmp_path, demo_offline, i)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, qm)
+            load_cache(path, net)
 
         def repeat_last(header, body):
             _set_entry(body, graph, 1, i, graph.transition[i - 2])
 
-        path, qm = _tampered(tmp_path, demo_offline, repeat_last)
+        path, net = _tampered(tmp_path, demo_offline, repeat_last)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, qm)
+            load_cache(path, net)
 
 
 def test_cache_compares_marking_1_with_the_root(tmp_path, demo_offline):
@@ -781,9 +775,9 @@ def test_cache_compares_marking_1_with_the_root(tmp_path, demo_offline):
     # children of the root, swapped break the order at marking 2, not 1
     graph = demo_offline.graph
     assert graph.parent[:2] == array(_U32, [0, 0])
-    path, qm = _swapped(tmp_path, demo_offline, 2)
+    path, net = _swapped(tmp_path, demo_offline, 2)
     with pytest.raises(CacheFormatError, match=_order_break(2)):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 def acc8_offline(latches=True):
@@ -804,10 +798,10 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
         for t in range(transitions):
             if t == current:
                 continue
-            path, qm = _tampered(tmp_path, offline,
-                                 lambda header, body: _set_entry(body, offline.graph, 1, i, t))
+            path, net = _tampered(tmp_path, offline,
+                                  lambda header, body: _set_entry(body, offline.graph, 1, i, t))
             with pytest.raises(CacheError):
-                load_cache(path, qm)
+                load_cache(path, net)
             edits += 1
     assert edits == (len(offline.graph) - 1) * (transitions - 1)
 
@@ -821,7 +815,7 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
     graph = offline.graph
     weights = [q - graph.qs[p] for q, p in zip(graph.qs[1:], graph.parent)]
     path = tmp_path / "cache.bin"
-    save_cache(graph, offline.monitored, path)
+    save_cache(graph, offline.monitored.net, path)
     line, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(line)
     breaking = q_sorted = 0
@@ -844,7 +838,7 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
             header["sha256"] = hashlib.sha256(edited).hexdigest()
             path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(edited))
             with pytest.raises(CacheFormatError):
-                load_cache(path, offline.monitored)
+                load_cache(path, offline.monitored.net)
     assert breaking and q_sorted
 
 
@@ -874,9 +868,9 @@ def _a_marking_listed_twice(tmp_path, offline):
 def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
     offline = (request.getfixturevalue("demo_offline") if name == "demo"
                else acc8_offline(latches=name == "acc8"))
-    path, qm = _a_marking_listed_twice(tmp_path, offline)
+    path, net = _a_marking_listed_twice(tmp_path, offline)
     with pytest.raises(CacheFormatError, match="twice"):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 @pytest.mark.parametrize("factor", [0, 1])
@@ -884,10 +878,10 @@ def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(tmp_path, monkeyp
     # with no room for a bitmap (0), or room for fewer slots than the
     # tree's placements take (1), the count of distinct keys after the
     # replay runs over a dict of them instead
-    path, qm = _a_marking_listed_twice(tmp_path, acc8_offline())
+    path, net = _a_marking_listed_twice(tmp_path, acc8_offline())
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
     with pytest.raises(CacheFormatError, match="twice"):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 @pytest.mark.parametrize("arms", [6, 16])
@@ -896,10 +890,10 @@ def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
     # build's cap leaves room for every placement's slots, but those slots
     # pass the load's bitmap bound of TABLE_FACTOR per marking, so after
     # the replay the load counts the distinct keys in a dict
-    qm = _star_net(arms)
-    graph = build_graph(qm, state_cap=(arms + 1 << arms) // TABLE_FACTOR)
-    save_cache(graph, qm, tmp_path / "star.bin")
-    assert_same_graph(load_cache(tmp_path / "star.bin", qm), graph)
+    net = _star_net(arms)
+    graph = build_graph(net, state_cap=(arms + 1 << arms) // TABLE_FACTOR)
+    save_cache(graph, net, tmp_path / "star.bin")
+    assert_same_graph(load_cache(tmp_path / "star.bin", net), graph)
 
 
 @pytest.mark.parametrize("name, factor, where", [
@@ -916,38 +910,38 @@ def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatc
     # or every slot fits: after the replay the load counts the distinct
     # keys in a dict in the first two states and in a bitmap in the third
     offline = acc8_offline(latches=name == "acc8")
-    qm, graph = offline.monitored, offline.graph
-    slots, blank = _table_slots(qm, graph)
+    net, graph = offline.monitored.net, offline.graph
+    slots, blank = _table_slots(net, graph)
     bound = factor * len(graph)
     assert where == ("root" if blank > bound else "mid-pass" if slots > bound else "within")
-    save_cache(graph, qm, tmp_path / "acc8.bin")
+    save_cache(graph, net, tmp_path / "acc8.bin")
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
-    assert_same_graph(load_cache(tmp_path / "acc8.bin", qm), graph)
+    assert_same_graph(load_cache(tmp_path / "acc8.bin", net), graph)
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
     # a well-formed file whose digest matches a net with a two-input move
-    qm = join_net()
+    net = join_net()
     # one edge: a 1-byte parent and a 1-byte transition
     body = struct.pack("<BB", 0, 0)
-    header = {"format": CACHE_FORMAT, "version": 3, "digest": net_digest(qm.net),
+    header = {"format": CACHE_FORMAT, "version": 3, "digest": net_digest(net),
               "markings": 2, "sha256": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "join.bin"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
     with pytest.raises(CacheFormatError, match="rebuilt"):
-        load_cache(path, qm)
+        load_cache(path, net)
 
 
 def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
     # build_graph refuses these nets, so their trees are assembled by hand
     for name in ("join", "split"):
-        qm = UNPACKABLE[name]()
-        m0 = qm.net.initial_marking
-        markings = (m0, fire(qm.net, m0, 0))
+        net = UNPACKABLE[name]()
+        m0 = net.initial_marking
+        markings = (m0, fire(net, m0, 0))
         tree = BasisGraph(bytes(m0 + markings[1]), 1, len(m0), [0, 1], 1,
                           array(_U32, [0]), array(_U32, [0]))
         with pytest.raises(ValueError):
-            save_cache(tree, qm, tmp_path / f"{name}.bin")
+            save_cache(tree, net, tmp_path / f"{name}.bin")
         assert not (tmp_path / f"{name}.bin").exists()
 
 
@@ -977,7 +971,7 @@ def test_a_failed_save_leaves_the_old_cache(tmp_path, monkeypatch, demo_offline,
     else:
         monkeypatch.setattr(os, "replace", _failing_replace)
     with pytest.raises(OSError):
-        save_cache(demo_offline.graph, demo_offline.monitored, path)
+        save_cache(demo_offline.graph, demo_offline.monitored.net, path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["cache.bin"]
 
@@ -985,15 +979,15 @@ def test_a_failed_save_leaves_the_old_cache(tmp_path, monkeypatch, demo_offline,
 def test_a_save_replaces_the_cache_with_a_plain_file(tmp_path, demo_offline):
     # a good save over an old cache leaves only the new cache, with the
     # bytes of a save to a new path and the mode a plain open gives
-    qm, graph = demo_offline.monitored, demo_offline.graph
+    net, graph = demo_offline.monitored.net, demo_offline.graph
     relay = relay_net()
     (tmp_path / "cache").mkdir()
     path = tmp_path / "cache" / "cache.bin"
     save_cache(build_graph(relay), relay, path)
-    save_cache(graph, qm, path)
-    save_cache(graph, qm, tmp_path / "fresh.bin")
+    save_cache(graph, net, path)
+    save_cache(graph, net, tmp_path / "fresh.bin")
     (tmp_path / "plain.bin").write_bytes(b"")
     assert os.listdir(tmp_path / "cache") == ["cache.bin"]
     assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
     assert path.stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
-    assert_same_graph(load_cache(path, qm), graph)
+    assert_same_graph(load_cache(path, net), graph)

@@ -157,6 +157,18 @@ def test_run_bench_writes_a_complete_csv(tmp_path):
             assert re.fullmatch(r"\d+\.\d{3}", row["plan_cost"])
 
 
+def test_a_sweep_value_whose_instances_all_errored_reports_only_the_count(tmp_path):
+    # a cap of one marking stops every build, so the mean row has no
+    # instance to average
+    cfg = BenchConfig(mode="size", sizes=(3,), agent_counts=(1,), prop_range=(2, 2),
+                      repetitions=2, state_cap=1)
+    *instances, mean = run_bench(cfg, tmp_path / "sweep.csv")
+    assert len(instances) == 2
+    assert all("state budget of 1" in row["error"] for row in instances)
+    assert {col: value for col, value in mean.items() if value != ""} == {
+        "mode": "size", "param": 3, "rep": "mean", "error": "2 errored"}
+
+
 def test_run_bench_is_reproducible_modulo_timing(tmp_path):
     cfg = BenchConfig(mode="size", sizes=(3, 4), agent_counts=(2,),
                       prop_range=(2, 3), repetitions=2)

@@ -85,7 +85,7 @@ def fractional_env():
 
 def _digests(env, offline, spec, tmp_path):
     cache = tmp_path / "graph.bin"
-    save_cache(offline.graph, offline.monitored, cache)
+    save_cache(offline.graph, offline.monitored.net, cache)
     data = cache.read_bytes()
     edges = len(offline.graph) - 1
     width = (array(_column_code(edges)).itemsize
@@ -152,7 +152,7 @@ def test_reduction_of_a_large_map_is_pinned(tmp_path):
     assert all(w not in (m.source, m.target) for m in offline.simplified.lift_map)
 
     cache = tmp_path / "graph.bin"
-    save_cache(offline.graph, offline.monitored, cache)
+    save_cache(offline.graph, offline.monitored.net, cache)
     assert {
         "reduced_net": net_digest(offline.simplified.net),
         "monitored_net": net_digest(offline.monitored.net),
@@ -220,7 +220,7 @@ def hop_count(offline, spec, result: Plan) -> int:
     the moves beyond the lift of the chosen marking's abstract run."""
     vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
     escapes = offline.simplified.escapes
-    choice = select_target(offline.graph, split_formula(offline.graph, vectors, escapes), escapes)
+    choice = select_target(offline.graph, split_formula(offline.graph, vectors, escapes))
     return len(result.team_sequence) - len(lift(offline.simplified,
                                                 backtrack(offline.graph, choice.index)))
 

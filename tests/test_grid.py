@@ -90,6 +90,15 @@ def test_env_to_pn_refuses_an_agent_off_the_free_cells(start):
     ({"regions": 5}, "regions must be a list"),
     ({"regions": None}, "regions must be a list"),
     ({"regions": {}}, "regions must be a list"),
+    ({"grid": [3, 3]}, "grid must be an object"),
+    ({"regions": [5]}, "regions[0] must be an object"),
+    ({"regions": [{"name": "", "cells": [[0, 0]]}]}, "name must be a non-empty string"),
+    ({"regions": [{"name": 5, "cells": [[0, 0]]}]}, "name must be a non-empty string"),
+    ({"obstacles": [[0, 0]]}, "regions[0].cells[0]: [0, 0] is an obstacle"),
+    ({"regions": [{"name": "z", "cells": [[0, 0]], "trajectory_props": "a"}]},
+     "trajectory_props must be a list"),
+    ({"move_cost": [1, 1, 1, 1]}, "move_cost: cost must be a number"),
+    ({"move_cost": None}, "move_cost: cost must be a number"),
 ])
 def test_parse_env_rejects_bad_documents(patch, fragment):
     doc = {
@@ -103,6 +112,12 @@ def test_parse_env_rejects_bad_documents(patch, fragment):
     with pytest.raises(ValidationError) as err:
         parse_env(doc)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("doc", [[], "grid", None])
+def test_parse_env_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValidationError, match="environment must be a JSON object"):
+        parse_env(doc)
 
 
 def test_parse_env_rejects_bad_regions():
@@ -205,6 +220,45 @@ def test_render_svg_escapes_region_names():
                      agents=[(0, 0)])
     svg = render(env, None, "svg")
     assert '<text x="35" y="12" font-size="9" fill="#333333">a&amp;b&lt;c&gt;d"e\'f</text>' in svg
+
+
+def _walled_plan():
+    """A 3x3 map with an obstacle in the middle, and the plan of its one
+    agent's walk from (0, 0) along the top row to (0, 2)."""
+    env = square_env(3, [{"name": "z", "cells": [[0, 2]], "final_props": ["1"]}],
+                     agents=[(0, 0)], obstacles=[(1, 1)])
+    return env, plan(env, "end(1)")
+
+
+def test_render_draws_obstacles():
+    env, result = _walled_plan()
+    assert render(env, result).splitlines() == [
+        "a.1", ".#.", "...", "", "cost=2", "", "agent 1: (0,0) -> (0,1) -> (0,2)",
+        "S*E", ".#.", "..."]
+    svg = render(env, result, "svg")
+    xml.dom.minidom.parseString(svg)
+    assert '<rect x="32" y="32" width="32" height="32" fill="#3a3a3a"/>' in svg
+
+
+# (an edit of the walled plan's one path, the start of render's refusal)
+MISFIT_PATHS = [
+    (lambda path: (path, path), "plan has a different agent count"),
+    (lambda path: ((),), "agent 0: empty path"),
+    (lambda path: (((1, 0),) + path[1:],), "agent 0: path does not start at its start cell"),
+    (lambda path: (path + ((3, 2),),), "agent 0: path leaves the free grid at [3, 2]"),
+    (lambda path: (path[:2] + ((1, 1),),), "agent 0: path leaves the free grid at [1, 1]"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MISFIT_PATHS,
+                         ids=["agents", "empty", "start", "off-grid", "obstacle"])
+def test_render_refuses_a_plan_that_does_not_fit_the_map(edit, message):
+    env, result = _walled_plan()
+    misfit = dataclasses.replace(result, per_agent_paths=edit(result.per_agent_paths[0]))
+    for fmt in ("ascii", "svg"):
+        with pytest.raises(ValidationError) as err:
+            render(env, misfit, fmt)
+        assert str(err.value).startswith(message)
 
 
 def test_render_rejects_unknown_format(demo_env):

@@ -1,7 +1,7 @@
 """Every name a module imports is read somewhere in that module, the
 package exports exactly the API its README documents, no package module
-reads the environment, and importing the CLI loads no module it does not
-use.
+reads the environment, the basis-graph layer imports only the net and
+error modules, and importing the CLI loads no module it does not use.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``: a name bound by an
 import statement must appear as a loaded name (``name`` or ``name.attr``)
@@ -84,6 +84,45 @@ def test_package_reads_no_environment(path):
     # change a run that the options do not show
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert environment_reads(tree) == []
+
+
+def package_imports(tree: ast.Module):
+    """The package modules a module imports, by relative import or by
+    ``tampnet``'s name; a name imported from the package itself counts as
+    the module it names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("tampnet.")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif node.module.split(".")[0] == "tampnet":
+                module = node.module[len("tampnet."):]
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return sorted(found)
+
+
+def test_the_scan_finds_a_package_import():
+    tree = ast.parse("import os\nfrom .abstraction import MonitoredNet\nfrom . import grid\n"
+                     "import tampnet.planner\nfrom tampnet.taskspec import parse\n"
+                     "from tampnet import cli\nfrom .petri import PetriNet\n")
+    assert package_imports(tree) == ["abstraction", "cli", "grid", "petri", "planner",
+                                     "taskspec"]
+
+
+def test_the_basis_graph_layer_imports_only_the_net_and_its_errors():
+    # the tree is a function of the net alone: the layer takes a PetriNet,
+    # so it needs no module above the net
+    path = ROOT / "src" / "tampnet" / "basis_graph.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert set(package_imports(tree)) <= {"errors", "petri"}
 
 
 # what perfbench/ imports from the package

@@ -20,7 +20,7 @@ from tampnet.basis_graph import BasisGraph, load_cache
 from tampnet.planner import diagnose_infeasibility, load_offline, select_target, split_formula
 from tampnet.taskspec import SpecVectors, compile_vectors
 
-from conftest import (EMPTY, as_monitored, assert_matches_reference,
+from conftest import (EMPTY, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, markings_of,
                       occupancy, occupancy_reference, random_env, scan_diagnose,
                       scan_select, square_env, two_byte_net, wide_net)
@@ -69,13 +69,13 @@ def assert_answers_like_scan(graphs, vectors, escapes):
     families = scan_diagnose(graphs[0], vectors, escapes)
     for graph in graphs:
         split = split_formula(graph, vectors, escapes)
-        assert select_target(graph, split, escapes) == expected
+        assert select_target(graph, split) == expected
         assert diagnose_infeasibility(graph, split) == families
 
 
 def loaded_copy(offline, path):
-    save_cache(offline.graph, offline.monitored, path)
-    graph = load_cache(path, offline.monitored)
+    save_cache(offline.graph, offline.monitored.net, path)
+    graph = load_cache(path, offline.monitored.net)
     assert_same_graph(graph, offline.graph)
     return graph
 
@@ -137,23 +137,22 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
     vectors = SpecVectors((), ((1, 2),), (1, 2))
     for escapes in (demo_offline.simplified.escapes, (None,) * 5):
         split = split_formula(graph, vectors, escapes)
-        assert select_target(graph, split, escapes) is None
+        assert select_target(graph, split) is None
         assert diagnose_infeasibility(graph, split) \
             == scan_diagnose(graph, vectors, escapes) == ("final",)
     # without escape pricing the same places are hard exclusions
     split = split_formula(graph, vectors, ())
-    assert select_target(graph, split, ()) is None
+    assert select_target(graph, split) is None
     assert diagnose_infeasibility(graph, split) == scan_diagnose(graph, vectors, ())
 
 
 def check_hand_net(net, rng, rounds, tmp_path, pool):
-    qm = as_monitored(net)
-    graph = build_graph(qm)
+    graph = build_graph(net)
     assert occupancy(graph) == occupancy_reference(markings_of(graph))
-    assert_matches_reference(qm, graph)
+    assert_matches_reference(net, graph)
     path = tmp_path / "hand.json"
-    save_cache(graph, qm, path)
-    loaded = load_cache(path, qm)
+    save_cache(graph, net, path)
+    loaded = load_cache(path, net)
     assert_same_graph(loaded, graph)
     n = net.num_places
     for _ in range(rounds):
@@ -227,7 +226,7 @@ def test_queries_read_no_marking_without_escape_hops(plant_offline):
         for escapes in ((), plant_offline.simplified.escapes):
             markings.reads = 0
             split = split_formula(graph, vectors, escapes)
-            choice = select_target(graph, split, escapes)
+            choice = select_target(graph, split)
             soft = any(p < len(escapes) for p in vectors.forbidden)
             if soft:
                 hopping += 1
@@ -264,7 +263,7 @@ def test_a_cold_plan_builds_only_the_places_it_reads(plant_env, plant_offline, t
     # HOPPING_SPEC's route ends on two forbidden cells with escape moves,
     # so its query prices soft places
     path = tmp_path / "plant.bin"
-    save_cache(plant_offline.graph, plant_offline.monitored, path)
+    save_cache(plant_offline.graph, plant_offline.monitored.net, path)
     offline = load_offline(plant_env, path)
     graph = offline.graph
     assert not graph.index
@@ -294,19 +293,19 @@ def one_marking_net():
 @pytest.mark.parametrize("name", ["plant", "two-byte", "one-marking"])
 def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
     if name == "plant":
-        qm, graph = plant_offline.monitored, plant_offline.graph
+        net, graph = plant_offline.monitored.net, plant_offline.graph
     else:
-        qm = as_monitored(two_byte_net() if name == "two-byte" else one_marking_net())
-        graph = build_graph(qm)
+        net = two_byte_net() if name == "two-byte" else one_marking_net()
+        graph = build_graph(net)
     expected = occupancy_reference(markings_of(graph))
-    save_cache(graph, qm, tmp_path / "graph.bin")
-    loaded = load_cache(tmp_path / "graph.bin", qm)
+    save_cache(graph, net, tmp_path / "graph.bin")
+    loaded = load_cache(tmp_path / "graph.bin", net)
     assert occupancy(graph) == occupancy(loaded) == expected
     assert len(expected) == graph.places
     if name == "one-marking":
         assert len(graph) == 1 and expected == (1, 0)
     # each place alone, read first in descending order, gives its own bitset
-    fresh = load_cache(tmp_path / "graph.bin", qm)
+    fresh = load_cache(tmp_path / "graph.bin", net)
     assert [fresh.index[p] for p in reversed(range(graph.places))] == list(reversed(expected))
     for p in (-1, graph.places):
         with pytest.raises(KeyError):
@@ -315,10 +314,10 @@ def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
 
 def test_built_and_loaded_graphs_compare_equal_whatever_places_each_has_filled(
         demo_offline, tmp_path):
-    qm = demo_offline.monitored
-    built = build_graph(qm)
-    save_cache(built, qm, tmp_path / "demo.bin")
-    loaded = load_cache(tmp_path / "demo.bin", qm)
+    net = demo_offline.monitored.net
+    built = build_graph(net)
+    save_cache(built, net, tmp_path / "demo.bin")
+    loaded = load_cache(tmp_path / "demo.bin", net)
     assert built == loaded
     built.index[0]
     assert built == loaded

@@ -234,6 +234,12 @@ MALFORMED = [
     (dict(post=((5,),)), "transition 0 references unknown place 5"),
     (dict(initial_marking=(1,)), "initial marking size does not match place count"),
     (dict(initial_marking=(1, -1)), "initial marking must be non-negative"),
+    (dict(pre=((0,), (1,))), "pre, post and cost must have one entry per transition"),
+    (dict(post=()), "pre, post and cost must have one entry per transition"),
+    (dict(cost=()), "pre, post and cost must have one entry per transition"),
+    (dict(labels=(EMPTY,)), "labels must have one entry per place"),
+    (dict(clamp_at_one=frozenset({2})), "clamped place 2 does not exist"),
+    (dict(clamp_at_one=frozenset({-1})), "clamped place -1 does not exist"),
 ]
 
 

@@ -18,7 +18,7 @@ from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, select_target, split_formula, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
-from conftest import (EMPTY, as_monitored, end_label, hand_net, random_env, scan_diagnose,
+from conftest import (EMPTY, end_label, hand_net, random_env, scan_diagnose,
                       scan_select, square_env)
 from test_golden import REDUCE_MAP, formula_pool
 
@@ -26,8 +26,8 @@ from test_golden import REDUCE_MAP, formula_pool
 @pytest.fixture(scope="module")
 def demo_loaded(demo_offline, tmp_path_factory):
     path = tmp_path_factory.mktemp("demo") / "cache.json"
-    save_cache(demo_offline.graph, demo_offline.monitored, path)
-    return load_cache(path, demo_offline.monitored)
+    save_cache(demo_offline.graph, demo_offline.monitored.net, path)
+    return load_cache(path, demo_offline.monitored.net)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -56,7 +56,7 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
 
     expected = scan_select(built, vectors, escapes)
     for graph in (built, demo_loaded):
-        assert select_target(graph, split_formula(graph, vectors, escapes), escapes) == expected
+        assert select_target(graph, split_formula(graph, vectors, escapes)) == expected
 
 
 def chain_graph():
@@ -65,7 +65,7 @@ def chain_graph():
     and 6."""
     net = hand_net(4, [((0,), (1,), 1), ((1,), (2,), 2), ((2,), (3,), 3)],
                    [EMPTY] * 4, (1, 0, 0, 0))
-    return build_graph(as_monitored(net))
+    return build_graph(net)
 
 
 @pytest.mark.parametrize("forbidden, prices, expected, reads", [
@@ -98,7 +98,7 @@ def test_select_target_stops_at_the_first_candidate_without_a_hop(
 
     graph = dataclasses.replace(built, qs=Costs(built.qs))
     graph.marking = lambda i: read.append(f"m{i}") or built.marking(i)
-    choice = select_target(graph, split_formula(graph, vectors, escapes), escapes)
+    choice = select_target(graph, split_formula(graph, vectors, escapes))
     assert choice == scan_select(built, vectors, escapes) == expected
     assert isinstance(choice.cost, Fraction)
     # a candidate's cost is read in turn, its marking only to price its
@@ -486,8 +486,7 @@ DEMO_SPEC = "visit(2) & end(3) & !visit(1)"
 def _chosen(offline, spec):
     vectors = compile_vectors(spec, offline.monitored.net, offline.monitored.indicator_of)
     escapes = offline.simplified.escapes
-    return select_target(offline.graph, split_formula(offline.graph, vectors, escapes),
-                         escapes).index
+    return select_target(offline.graph, split_formula(offline.graph, vectors, escapes)).index
 
 
 def _cheaper_target(offline, spec):
