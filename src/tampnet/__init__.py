@@ -15,7 +15,8 @@ from .errors import (CacheError, SpecError, StateBudgetError, TampError,
                      ValidationError)
 from .grid import Plan, cost_text, load_env, parse_env, plan_json_text
 from .oracle import joint_search
-from .planner import Infeasible, backtrack, build_offline, load_offline, plan
+from .planner import (Infeasible, backtrack, build_offline, load_offline, plan,
+                      save_offline)
 from .taskspec import parse
 
 __version__ = "0.1.0"
@@ -26,7 +27,7 @@ __all__ = [
     # maps and formulas
     "load_env", "parse_env", "parse",
     # the offline model
-    "build_offline", "load_offline", "save_cache", "net_digest",
+    "build_offline", "save_offline", "load_offline", "save_cache", "net_digest",
     "build_graph", "BasisGraph", "backtrack",
     # queries
     "plan", "Plan", "Infeasible",

@@ -19,16 +19,25 @@ The monitored net adds one latch place per trajectory proposition: every
 abstract transition that ends on a cell carrying the proposition also
 produces one token into the latch (saturating at one), so "was this region
 ever visited" becomes a marking query.
+
+A cache stores the reduction as bytes (``reduction_bytes``): each move as
+its rank among the moves out of its place, and no cost. Reading it back
+(``read_reduction``) checks every route against the base net and sums its
+cost, but runs no search.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice
+from operator import itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import CacheFormatError
 from .petri import VISIT, PetriNet
 
 
@@ -98,7 +107,7 @@ class MonitoredNet:
 
 
 def labeled_places(net: PetriNet) -> Tuple[int, ...]:
-    return tuple(p for p in range(net.num_places) if net.labels[p])
+    return tuple(compress(range(net.num_places), net.labels))
 
 
 class _Moves:
@@ -219,10 +228,7 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     escape is its cheapest move onto an unlabeled place, read off the same
     adjacency.
     """
-    labeled = labeled_places(net)
-    started = tuple(p for p in range(net.num_places) if net.initial_marking[p] > 0)
-    base = tuple(sorted(set(labeled) | set(started)))
-    index = {p: i for i, p in enumerate(base)}
+    labeled, started, base = _kept(net)
     role = bytearray(net.num_places)
     for p in started:
         role[p] = 1
@@ -242,7 +248,23 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     hops = (min(((w, t) for t, x, w in moves.out[p] if not net.labels[x]), default=None)
             for p in base)
     escapes = tuple(None if hop is None else (hop[1], net.cost[hop[1]]) for hop in hops)
+    return _simplified(net, base, lift_map, escapes)
 
+
+def _kept(net: PetriNet) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """``(labeled, started, base)``: the labeled places of ``net``, the
+    places its initial marking occupies, and the places the reduction
+    keeps, the union of both, each in ascending order."""
+    labeled = labeled_places(net)
+    started = tuple(compress(range(net.num_places), net.initial_marking))
+    return labeled, started, tuple(sorted(set(labeled) | set(started)))
+
+
+def _simplified(net: PetriNet, base: Tuple[int, ...], lift_map: Tuple[MinimalSequence, ...],
+                escapes: tuple) -> SimplifiedNet:
+    """The ``SimplifiedNet`` of ``net`` with kept places ``base``, one
+    abstract transition per entry of ``lift_map`` and those ``escapes``."""
+    index = {p: i for i, p in enumerate(base)}
     reduced = PetriNet(
         num_places=len(base),
         pre=tuple((index[ms.source],) for ms in lift_map),
@@ -306,3 +328,151 @@ def build_monitored(simplified: SimplifiedNet) -> MonitoredNet:
         clamp_at_one=frozenset(indicator_of.values()),
     )
     return MonitoredNet(monitored, indicator_of)
+
+
+# the byte that ends each stored route, and that stands for a kept place
+# without an escape: no move's rank reaches it
+_END = 255
+
+
+def _count_code(kept: int) -> str:
+    """The struct code of the stored route counts: the narrowest unsigned
+    int of 1, 2 or 4 bytes that holds ``kept``, the kept-place count, which
+    no place's route count passes."""
+    return "B" if kept < 1 << 8 else "H" if kept < 1 << 16 else "I"
+
+
+def _first_moves(net: PetriNet) -> Dict[int, int]:
+    """``{p: t}``: the lowest id ``t`` of a transition whose first input
+    place is ``p``, for each place that has one. A move's rank is its id
+    less the ``first`` of its source; on a grid, whose moves are numbered
+    by source place, it is below 4."""
+    pre = net.pre
+    # the lowest id is the one that reaches each key last
+    return dict(zip(map(itemgetter(0), reversed(pre)), range(len(pre) - 1, -1, -1)))
+
+
+def _bad_route(t: int, source: int, fault: str):
+    """Raise the CacheFormatError of stored route ``t``."""
+    raise CacheFormatError(f"cache reduction: route {t} from place {source} {fault}")
+
+
+def reduction_bytes(simplified: SimplifiedNet, net: PetriNet) -> bytes:
+    """The reduction ``build_simplified`` made of ``net``, as the bytes
+    ``read_reduction`` reads back; the same bytes for equal inputs.
+
+    A move is stored as its rank (see ``_first_moves``), which is below 4
+    on a grid. The kept places themselves follow from the net. The bytes
+    are, in order:
+
+    - per kept place, in ``base_place`` order, its escape's rank, or
+      ``_END`` for none;
+    - per kept place, how many abstract transitions leave it, as
+      little-endian unsigned ints of ``_count_code``'s width;
+    - per abstract transition, in id order, the ranks of its moves and
+      then ``_END``. Transitions are numbered by source, so the counts
+      give each one's source.
+
+    Costs are not stored; ``read_reduction`` sums them from the moves.
+    Raises ValueError for a move, or an escape, whose rank does not fit
+    below ``_END``.
+    """
+    first = _first_moves(net)
+    end = bytes((_END,))
+
+    def ranks(moves: Sequence[int], places: Sequence[int]) -> bytes:
+        """The ranks of ``moves``, made out of ``places``, one byte each."""
+        data = bytes(map(sub, moves, map(first.__getitem__, places)))
+        if end in data:
+            raise ValueError(f"a move out of one of the places {places} has rank {_END}")
+        return data
+
+    index = {p: i for i, p in enumerate(simplified.base_place)}
+    counts = [0] * len(index)
+    for ms in simplified.lift_map:
+        counts[index[ms.source]] += 1
+    parts = [end if escape is None else ranks(escape[:1], (p,))
+             for p, escape in zip(simplified.base_place, simplified.escapes)]
+    parts.append(struct.pack(f"<{len(counts)}{_count_code(len(counts))}", *counts))
+    for ms in simplified.lift_map:
+        parts += ranks(ms.sequence, (ms.source, *ms.places[:-1])), end
+    return b"".join(parts)
+
+
+def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
+    """The ``SimplifiedNet`` stored by ``reduction_bytes`` for ``net``,
+    checked as it is read; raises CacheFormatError at the first fault.
+
+    Each route's ranks become move ids one step at a time, and the route
+    is then checked in tuple comparisons, as ``planner.walk_route`` checks
+    a lifted sequence: its moves chain from its source, no move before the
+    last enters a labeled place, and the last ends on a labeled place
+    other than the source, which the reduction keeps. The routes out of
+    one source must end on ascending places, the order of
+    ``build_simplified``. Each escape must leave its own place for an
+    unlabeled one. Every cost is summed from the moves in the net's integer
+    weights. That the routes and escapes are the cheapest is not checked:
+    the reduction is trusted as the tree is, and the cache's checksum
+    guards against accidents, not attacks.
+    """
+    _, _, base = _kept(net)
+    kept = len(base)
+    code = _count_code(kept)
+    head = kept + struct.calcsize(f"<{kept}{code}")
+    if len(data) < head:
+        raise CacheFormatError(f"cache reduction is {len(data)} bytes, "
+                               f"its {kept} kept places take {head}")
+    counts = struct.unpack_from(f"<{kept}{code}", data, kept)
+    routes = data[head:].split(bytes((_END,)))
+    if routes.pop() or len(routes) != sum(counts):
+        raise CacheFormatError(f"cache reduction holds {len(routes)} routes "
+                               f"or a partial one, its counts {sum(counts)}")
+    sources, targets = net.move_places
+    labels = net.labels
+    weights, scale = net.integer_costs
+    first = _first_moves(net)
+
+    lift_map = []
+    stored = iter(routes)
+    for source, count in zip(base, counts):
+        last = -1
+        for ranks in islice(stored, count):
+            seq = []
+            place = source
+            try:
+                for r in ranks:
+                    t = first[place] + r
+                    seq.append(t)
+                    place = targets[t]
+            except (KeyError, IndexError):
+                _bad_route(len(lift_map), source,
+                           f"has no move of rank {r} out of place {place}")
+            places = tuple(map(targets.__getitem__, seq))
+            if tuple(map(sources.__getitem__, seq)) != (source, *places[:-1]):
+                _bad_route(len(lift_map), source, "has moves that do not chain from its source")
+            if any(map(labels.__getitem__, places[:-1])):
+                _bad_route(len(lift_map), source, "enters a labeled place before its last move")
+            if place == source or not labels[place]:
+                _bad_route(len(lift_map), source, "does not end on another labeled place")
+            if place <= last:
+                _bad_route(len(lift_map), source, "breaks the order of its source's targets")
+            last = place
+            lift_map.append(MinimalSequence(
+                source, place, tuple(seq),
+                Fraction(sum(map(weights.__getitem__, seq)), scale), places))
+
+    escapes = []
+    for place, r in zip(base, data):
+        if r == _END:
+            escapes.append(None)
+            continue
+        # a place with no move out of it has no move of any rank
+        t = first.get(place, len(sources)) + r
+        if t >= len(sources) or sources[t] != place:
+            raise CacheFormatError(f"cache reduction: the escape of place {place} "
+                                   f"is no move out of it")
+        if labels[targets[t]]:
+            raise CacheFormatError(f"cache reduction: the escape of place {place} "
+                                   f"enters a labeled place")
+        escapes.append((t, net.cost[t]))
+    return _simplified(net, base, tuple(lift_map), tuple(escapes))

@@ -32,9 +32,10 @@ the keys become packed markings a bounded chunk at a time, from the bytes
 of their placements and of their latch masks, so a build or a load peaks
 near the size of the columns it returns rather than at a multiple of it.
 
-A cache file stores only the parent and transition columns, each as
-unsigned ints of 1, 2 or 4 bytes, the narrowest that hold its bound (see
-``_column_code``); a graph keeps its columns in the same types. Loading
+A cache file stores the parent and transition columns, each as unsigned
+ints of 1, 2 or 4 bytes, the narrowest that hold its bound (see
+``_column_code``), after a section of bytes the caller supplies, all in
+one zlib stream; a graph keeps its columns in the same types. Loading
 it replays the tree in the build's key space: placements are numbered by
 the same ``_Ids``, each marking's key is its parent's key fired by its
 transition through ``_layout``'s move table, and its cost is its parent's
@@ -53,11 +54,12 @@ import json
 import os
 import struct
 import sys
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
                      StateBudgetError)
@@ -65,7 +67,10 @@ from .petri import Marking, PetriNet
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
+# the zlib level of a cache's payload: the fastest, which takes plant's
+# tree columns to a third of their size
+_ZLIB_LEVEL = 1
 # slots the search table of ``build_graph`` may hold per unit of state cap
 TABLE_FACTOR = 16
 # array type code of a 4-byte unsigned int, the widest parent/transition
@@ -463,16 +468,22 @@ def net_digest(net: PetriNet) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_cache(graph: BasisGraph, net: PetriNet, path) -> None:
+def save_cache(graph: BasisGraph, net: PetriNet, path, key: Optional[str] = None,
+               reduction: bytes = b"") -> None:
     """Persist the tree that ``build_graph`` made of ``net`` as its parent
-    and transition columns; byte-identical for equal inputs.
+    and transition columns, after the caller's ``reduction`` bytes;
+    byte-identical for equal inputs and one zlib build.
 
-    The file is one line of canonical JSON (``format``, ``version``,
-    ``net``'s ``digest``, the marking count ``markings`` and the ``sha256``
-    of the body), then the body: ``parent[1..N-1]`` and ``transition[1..N-1]``,
-    each as little-endian unsigned ints of the width ``_column_code`` gives
-    for N - 1 and for the net's transition count, whatever the types of
-    the graph's own columns. Markings and costs are not stored; ``load_cache``
+    The file is one line of canonical JSON, then the body: the payload,
+    compressed by zlib at ``_ZLIB_LEVEL``. The payload is ``reduction``,
+    then ``parent[1..N-1]`` and ``transition[1..N-1]``, each as
+    little-endian unsigned ints of the width ``_column_code`` gives for
+    N - 1 and for the net's transition count, whatever the types of the
+    graph's own columns. The header holds ``format``, ``version``, the
+    caller's ``key`` (null by default), ``net``'s ``digest``, the marking
+    count ``markings``, the byte counts of ``reduction`` and of the
+    ``payload``, and the ``sha256`` of the payload, so it does not depend
+    on the zlib build. Markings and costs are not stored; ``load_cache``
     recomputes them, so only graphs of ``_packable`` nets can be saved.
     Raises ValueError for any other graph. A new file beside ``path`` is
     renamed onto it: a failed save leaves an old cache whole, and no
@@ -485,15 +496,20 @@ def save_cache(graph: BasisGraph, net: PetriNet, path) -> None:
     if sys.byteorder == "big":
         for column in columns:
             column.byteswap()
-    body = b"".join(column.tobytes() for column in columns)
+    payload = b"".join([reduction, *(column.tobytes() for column in columns)])
     header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
+        "key": key,
         "digest": net_digest(net),
         "markings": len(graph),
-        "sha256": hashlib.sha256(body).hexdigest(),
+        "reduction": len(reduction),
+        "payload": len(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body = zlib.compress(payload, _ZLIB_LEVEL)
+    del payload
     temp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         fh = open(temp, "xb")
@@ -508,15 +524,82 @@ def save_cache(graph: BasisGraph, net: PetriNet, path) -> None:
         raise
 
 
-def load_cache(path, net: PetriNet) -> BasisGraph:
-    """Load a cache that ``save_cache`` wrote for ``net`` and rebuild the
-    tree from it.
+class CacheFile(NamedTuple):
+    """A cache file that ``open_cache`` has read and checked: its ``path``,
+    its parsed ``header`` and its inflated ``payload``."""
 
-    Checks the format tag, the version (CacheVersionError), the digest of
-    ``net`` (CacheDigestError), and the body length and SHA-256 against the header.
-    The length is that of the columns ``save_cache`` writes, whose widths
-    follow from the marking count and the net, and each column is read with
-    one copy of its bytes.
+    path: str
+    header: dict
+    payload: bytes
+
+    @property
+    def reduction(self) -> bytes:
+        """The payload's first section, the bytes ``save_cache`` was given."""
+        return self.payload[:self.header["reduction"]]
+
+
+def _count(header: dict, name: str, low: int, high: int, path) -> int:
+    """The header's int ``name``, refused unless ``low <= value <= high``."""
+    value = header.get(name)
+    if type(value) is not int or not low <= value <= high:
+        raise CacheFormatError(f"cache {path} has a bad {name} count {value!r}")
+    return value
+
+
+def open_cache(path, key: Optional[str] = None) -> CacheFile:
+    """Read a ``save_cache`` file and check everything but the tree.
+
+    Checks the format tag, the version (CacheVersionError) and, when
+    ``key`` is given, the header's key (CacheDigestError), before the body
+    is touched. The body is then inflated to at most the header's
+    ``payload`` byte count, so a stream that would inflate past it stops
+    there; it must end exactly there, with no bytes after the stream, and
+    the payload must match the header's SHA-256. Any other failure raises
+    CacheFormatError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
+    line, newline, body = data.partition(b"\n")
+    del data
+    try:
+        header = json.loads(line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheFormatError(f"cache {path} has no readable header: {exc}") from exc
+    if not newline or not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
+        raise CacheFormatError(f"{path} is not a basis graph cache")
+    if header.get("version") != CACHE_VERSION:
+        raise CacheVersionError(header.get("version"), CACHE_VERSION)
+    if key is not None and header.get("key") != key:
+        raise CacheDigestError(str(header.get("key")), key)
+    size = _count(header, "payload", 0, sys.maxsize - 1, path)
+    _count(header, "reduction", 0, size, path)
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(body, size + 1)
+    except zlib.error as exc:
+        raise CacheFormatError(f"cache {path} body does not inflate: {exc}") from exc
+    del body
+    if len(payload) > size:
+        raise CacheFormatError(f"cache {path} payload inflates past its {size} bytes")
+    if len(payload) < size or not inflater.eof or inflater.unused_data:
+        raise CacheFormatError(f"cache {path} payload is {len(payload)} bytes, expected "
+                               f"{size} in one whole zlib stream")
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise CacheFormatError(f"cache {path} payload does not match its checksum")
+    return CacheFile(str(path), header, payload)
+
+
+def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> BasisGraph:
+    """Rebuild the tree of a cache that ``save_cache`` wrote for ``net``:
+    ``cache`` is an ``open_cache`` result, or a path to open without a key.
+
+    Checks the digest of ``net`` (CacheDigestError), the marking count and
+    the length of the columns after the payload's first section: that of
+    the columns ``save_cache`` writes, whose widths follow from the marking
+    count and the net. Each column is read with one copy of its bytes.
     Then one pass over the columns replays the tree in the key space that
     the build uses, with placements numbered by ``_Ids``. A marking's key
     is the child base of its transition at its parent's placement, ORed
@@ -540,41 +623,27 @@ def load_cache(path, net: PetriNet) -> BasisGraph:
     a build returns loads. Any failure raises CacheFormatError, as does a
     net that is not ``_packable``.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
-    line, newline, body = data.partition(b"\n")
-    del data
-    try:
-        header = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheFormatError(f"cache {path} has no readable header: {exc}") from exc
-    if not newline or not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-        raise CacheFormatError(f"{path} is not a basis graph cache")
-    if header.get("version") != CACHE_VERSION:
-        raise CacheVersionError(header.get("version"), CACHE_VERSION)
+    if not isinstance(cache, CacheFile):
+        cache = open_cache(cache)
+    path, header = cache.path, cache.header
     expected = net_digest(net)
     if header.get("digest") != expected:
         raise CacheDigestError(str(header.get("digest")), expected)
-    count = header.get("markings")
-    if type(count) is not int or count < 1:
-        raise CacheFormatError(f"cache {path} has a bad marking count {count!r}")
+    count = _count(header, "markings", 1, sys.maxsize, path)
     parent_code = _column_code(count - 1)
     transition_code = _column_code(net.num_transitions)
-    split = array(parent_code).itemsize * (count - 1)
+    start = header["reduction"]
+    split = start + array(parent_code).itemsize * (count - 1)
     size = split + array(transition_code).itemsize * (count - 1)
-    if len(body) != size:
-        raise CacheFormatError(f"cache {path} body is {len(body)} bytes, expected {size}")
-    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
-        raise CacheFormatError(f"cache {path} body does not match its checksum")
+    if len(cache.payload) != size:
+        raise CacheFormatError(f"cache {path} columns are {len(cache.payload) - start} "
+                               f"bytes, expected {size - start}")
 
     if not _packable(net):
         raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
-    parents = array(parent_code, body[:split])
-    transitions = array(transition_code, body[split:])
-    del body
+    parents = array(parent_code, cache.payload[start:split])
+    transitions = array(transition_code, cache.payload[split:])
+    del cache
     if sys.byteorder == "big":
         parents.byteswap()
         transitions.byteswap()

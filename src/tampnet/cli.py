@@ -12,12 +12,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .basis_graph import DEFAULT_STATE_CAP, save_cache
+from .basis_graph import DEFAULT_STATE_CAP
 from .bench import MODES, BenchConfig, run_bench
 from .errors import TampError, ValidationError
 from .grid import cost_json, load_env, plan_json_text, render
 from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
-from .planner import Infeasible, build_offline, load_offline, plan
+from .planner import Infeasible, build_offline, load_offline, plan, save_offline
 from .taskspec import parse
 
 class _UsageError(Exception):
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
 def _cmd_build(args) -> int:
     env = load_env(args.env)
     offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
-    save_cache(offline.graph, offline.monitored.net, args.out)
+    save_offline(env, offline, args.out)
     print(f"wrote {args.out}: {len(offline.graph)} markings, "
           f"{len(offline.graph) - 1} edges")
     return 0
@@ -123,7 +123,7 @@ def _cmd_plan(args) -> int:
     else:
         offline = build_offline(env, state_cap=_positive(args.state_cap, "--state-cap"))
         if args.cache:
-            save_cache(offline.graph, offline.monitored.net, args.cache)
+            save_offline(env, offline, args.cache)
     result = plan(env, spec, offline)
     if isinstance(result, Infeasible):
         print(result.message, file=sys.stderr)

@@ -10,6 +10,7 @@ into or out of a place share one such tuple.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,6 +206,23 @@ def _move_cost(raw, source) -> Tuple[Fraction, ...]:
                      for name, _ in DIRECTIONS)
     value = _one_cost(raw, f"{source}: move_cost")
     return (value, value, value, value)
+
+
+def env_digest(env: Environment) -> str:
+    """SHA-256 of ``env`` as canonical JSON, the key of a cache of its
+    offline model. It reads only the fields ``parse_env`` sets, none per
+    free cell, so it costs the size of the map file, not of the grid."""
+    payload = {
+        "rows": env.rows,
+        "cols": env.cols,
+        "obstacles": sorted(env.obstacles),
+        "regions": [[r.name, r.cells, sorted(r.trajectory_props), sorted(r.final_props)]
+                    for r in env.regions],
+        "agents": env.agents,
+        "move_cost": [[c.numerator, c.denominator] for c in env.move_cost],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def free_cells(env: Environment) -> Tuple[Cell, ...]:

@@ -16,7 +16,7 @@ import pytest
 
 from tampnet import (Infeasible, Plan, backtrack, build_graph, build_offline,
                      joint_search, load_offline, parse, plan, plan_json_text,
-                     save_cache)
+                     save_offline)
 from tampnet.abstraction import build_simplified, labeled_places, lift
 from tampnet.bench import generate_instance
 from tampnet.grid import env_to_pn
@@ -256,8 +256,8 @@ def test_c8_cache_determinism(tmp_path, demo_env, announce):
             second = tmp_path / f"case{n}_second.json"
             off_a = build_offline(env)
             off_b = build_offline(env)
-            save_cache(off_a.graph, off_a.monitored.net, first)
-            save_cache(off_b.graph, off_b.monitored.net, second)
+            save_offline(env, off_a, first)
+            save_offline(env, off_b, second)
             assert first.read_bytes() == second.read_bytes()
 
             cached = load_offline(env, first)

@@ -9,19 +9,23 @@ import re
 import struct
 import sys
 import tracemalloc
+import zlib
 from array import array
 from fractions import Fraction
 
 import pytest
 
 from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
-                     load_env, net_digest, save_cache)
+                     load_env, load_offline, net_digest, save_cache, save_offline)
 from tampnet import basis_graph
-from tampnet.basis_graph import (_U32, CACHE_FORMAT, TABLE_FACTOR, BasisGraph,
-                                 _layout, load_cache)
+from tampnet.abstraction import _count_code, build_monitored, read_reduction, reduction_bytes
+from tampnet.basis_graph import (_U32, CACHE_FORMAT, CACHE_VERSION, TABLE_FACTOR,
+                                 BasisGraph, _layout, load_cache, open_cache)
+from tampnet.data import fixture_path
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
+from tampnet.grid import env_to_pn
 from tampnet.petri import PetriNet, fire, replay, sequence_cost
 from tampnet.planner import backtrack
 
@@ -489,19 +493,24 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     assert_same_graph(loaded, graph)
 
 
-def _tampered(tmp_path, offline, edit, rehash=True):
-    """Save ``offline``'s graph, let ``edit(header, body)`` change the parsed
-    header dict and the body bytearray in place, and write both back; with
-    ``rehash`` the header's checksum is recomputed over the edited body."""
+def _tampered(tmp_path, offline, edit, rehash=True, env=None):
+    """Save ``offline``'s cache, its tree alone or, given ``env``, its whole
+    model (``save_offline``); let ``edit(header, payload)`` change the
+    parsed header dict and the inflated payload bytearray in place; and
+    write both back, the payload compressed again. With ``rehash`` the
+    header's checksum is recomputed over the edited payload."""
     net = offline.monitored.net
     path = tmp_path / "cache.bin"
-    save_cache(offline.graph, net, path)
+    if env is None:
+        save_cache(offline.graph, net, path)
+    else:
+        save_offline(env, offline, path)
     line, _, body = path.read_bytes().partition(b"\n")
-    header, body = json.loads(line), bytearray(body)
-    edit(header, body)
+    header, payload = json.loads(line), bytearray(zlib.decompress(body))
+    edit(header, payload)
     if rehash:
-        header["sha256"] = hashlib.sha256(body).hexdigest()
-    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(body))
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(payload))
     return path, net
 
 
@@ -653,17 +662,41 @@ def test_cache_rejects_a_bad_marking_count(tmp_path, demo_offline, count):
         load_cache(path, net)
 
 
+@pytest.mark.parametrize("name", ["payload", "reduction"])
+@pytest.mark.parametrize("count", ["0", -1, True, None, 2.5, 1 << 70])
+def test_cache_rejects_a_bad_size(tmp_path, demo_offline, name, count):
+    # the sizes that bound the inflate and split the payload are checked
+    # before the body is inflated; 2**70 passes any payload and any size
+    # an inflate can be asked for
+    path, net = _tampered(tmp_path, demo_offline,
+                          lambda header, body: header.update({name: count}))
+    with pytest.raises(CacheFormatError, match=f"bad {name} count"):
+        load_cache(path, net)
+
+
 def test_cache_rejects_malformed_body(tmp_path, demo_offline):
-    # a body truncated or with bytes appended, checksum recomputed or not
+    # a payload truncated or with bytes appended, checksum recomputed or
+    # not, and the header's payload size left as it was (the inflate
+    # refuses it) or set to match (the columns' length check refuses it)
     edits = (lambda header, body: body.__delitem__(slice(-1, None)),
              lambda header, body: body.__delitem__(slice(-8, None)),
              lambda header, body: body.extend(b"\x00"),
              lambda header, body: body.extend(bytes(8)))
+
+    def resized(edit):
+        def both(header, body):
+            edit(header, body)
+            header["payload"] = len(body)
+        return both
+
     for edit in edits:
         for rehash in (True, False):
             path, net = _tampered(tmp_path, demo_offline, edit, rehash=rehash)
             with pytest.raises(CacheFormatError, match="bytes"):
                 load_cache(path, net)
+        path, net = _tampered(tmp_path, demo_offline, resized(edit))
+        with pytest.raises(CacheFormatError, match="columns are .* bytes"):
+            load_cache(path, net)
 
 
 def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
@@ -814,10 +847,6 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
     offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
     graph = offline.graph
     weights = [q - graph.qs[p] for q, p in zip(graph.qs[1:], graph.parent)]
-    path = tmp_path / "cache.bin"
-    save_cache(graph, offline.monitored.net, path)
-    line, _, body = path.read_bytes().partition(b"\n")
-    header = json.loads(line)
     breaking = q_sorted = 0
     for i in range(1, len(graph)):
         for parent in range(i):
@@ -833,12 +862,10 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
                 continue
             breaking += 1
             q_sorted += qs == sorted(qs)
-            edited = bytearray(body)
-            _set_entry(edited, graph, 0, i, parent)
-            header["sha256"] = hashlib.sha256(edited).hexdigest()
-            path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(edited))
+            path, net = _tampered(tmp_path, offline,
+                                  lambda header, body: _set_entry(body, graph, 0, i, parent))
             with pytest.raises(CacheFormatError):
-                load_cache(path, offline.monitored.net)
+                load_cache(path, net)
     assert breaking and q_sorted
 
 
@@ -923,11 +950,12 @@ def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
     # a well-formed file whose digest matches a net with a two-input move
     net = join_net()
     # one edge: a 1-byte parent and a 1-byte transition
-    body = struct.pack("<BB", 0, 0)
-    header = {"format": CACHE_FORMAT, "version": 3, "digest": net_digest(net),
-              "markings": 2, "sha256": hashlib.sha256(body).hexdigest()}
+    payload = struct.pack("<BB", 0, 0)
+    header = {"format": CACHE_FORMAT, "version": CACHE_VERSION, "key": None,
+              "digest": net_digest(net), "markings": 2, "reduction": 0,
+              "payload": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}
     path = tmp_path / "join.bin"
-    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(payload))
     with pytest.raises(CacheFormatError, match="rebuilt"):
         load_cache(path, net)
 
@@ -991,3 +1019,175 @@ def test_a_save_replaces_the_cache_with_a_plain_file(tmp_path, demo_offline):
     assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
     assert path.stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
     assert_same_graph(load_cache(path, net), graph)
+
+
+def test_cache_rejects_a_version_3_cache(tmp_path, demo_offline):
+    # the version-3 layout: the narrow columns alone, uncompressed
+    net, graph = demo_offline.monitored.net, demo_offline.graph
+    body = bytes(graph.parent) + bytes(graph.transition)
+    assert (graph.parent.itemsize, graph.transition.itemsize) == (1, 1)
+    header = {"format": CACHE_FORMAT, "version": 3, "digest": net_digest(net),
+              "markings": len(graph), "sha256": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "v3.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+                     + b"\n" + body)
+    with pytest.raises(CacheVersionError) as err:
+        load_cache(path, net)
+    assert err.value.found == 3
+    with pytest.raises(CacheVersionError):
+        load_offline(load_env(fixture_path("demo_3x3.json")), path)
+
+
+def _section(offline):
+    """The reduction's bytes for ``offline`` and the offset of each stored
+    route's ranks in them: the escapes and the route counts come first."""
+    simplified = offline.simplified
+    data = reduction_bytes(simplified, offline.net)
+    kept = len(simplified.base_place)
+    offsets = [kept + kept * struct.calcsize(_count_code(kept))]
+    for ms in simplified.lift_map:
+        offsets.append(offsets[-1] + len(ms.sequence) + 1)
+    assert offsets[-1] == len(data)
+    return data, offsets
+
+
+def _with_section(section):
+    """An edit for ``_tampered`` that puts ``section`` in the payload's
+    place of the reduction, and the sizes it changes in the header."""
+    def edit(header, payload):
+        payload[:header["reduction"]] = section
+        header["reduction"], header["payload"] = len(section), len(payload)
+    return edit
+
+
+def _moves_out(net, place):
+    """The moves out of ``place``, in ascending id: their ranks are their
+    positions here."""
+    sources, _ = net.move_places
+    return [t for t, p in enumerate(sources) if p == place]
+
+
+def _model_tampered(tmp_path, env, offline, section):
+    path, _ = _tampered(tmp_path, offline, _with_section(section), env=env)
+    return path
+
+
+def test_cache_rejects_a_route_whose_moves_break_the_chain(tmp_path, plant_env, plant_offline):
+    # a move's rank set to the count of its place's moves names the move
+    # after the place's last, a move out of another place: on a route's
+    # last move the chain check refuses it, unless no move follows at all;
+    # on an earlier move the walk may first find no move of a later rank
+    net, lift_map = plant_offline.net, plant_offline.simplified.lift_map
+    data, offsets = _section(plant_offline)
+    for t in (0, len(lift_map) // 2, len(lift_map) - 1):
+        ms = lift_map[t]
+        last = len(ms.sequence) - 1
+        for k in (0, last):
+            out = _moves_out(net, (ms.source, *ms.places)[k])
+            section = bytearray(data)
+            section[offsets[t] + k] = len(out)
+            chained = k == last and out[-1] + 1 < net.num_transitions
+            fault = "do not chain" if chained else "no move of rank|do not chain"
+            path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+            with pytest.raises(CacheFormatError, match=f"route {t} .*({fault})"):
+                load_offline(plant_env, path)
+
+
+def test_cache_rejects_a_route_through_a_labeled_cell(tmp_path, plant_env, plant_offline):
+    # a route to a labeled place, followed on by a route out of it, chains
+    # and ends on a labeled place, but enters one before its last move
+    lift_map = plant_offline.simplified.lift_map
+    data, offsets = _section(plant_offline)
+    t, u = next((t, u) for t, ms in enumerate(lift_map) for u, onward in enumerate(lift_map)
+                if onward.source == ms.target)
+    end = offsets[t + 1] - 1
+    section = data[:end] + data[offsets[u]:offsets[u + 1] - 1] + data[end:]
+    path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+    with pytest.raises(CacheFormatError, match=f"route {t} .* enters a labeled place before"):
+        load_offline(plant_env, path)
+
+
+def test_cache_rejects_routes_out_of_their_targets_order(tmp_path, plant_env, plant_offline):
+    # two routes out of one source, swapped or the first stored twice: the
+    # targets no longer ascend, as build_simplified numbers them
+    lift_map = plant_offline.simplified.lift_map
+    data, offsets = _section(plant_offline)
+    t = next(t for t in range(len(lift_map) - 1) if lift_map[t].source == lift_map[t + 1].source)
+    first, second = data[offsets[t]:offsets[t + 1]], data[offsets[t + 1]:offsets[t + 2]]
+    for pair in (second + first, first + first):
+        section = data[:offsets[t]] + pair + data[offsets[t + 2]:]
+        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        with pytest.raises(CacheFormatError, match=f"route {t + 1} .* breaks the order"):
+            load_offline(plant_env, path)
+
+
+def test_cache_rejects_an_escape_onto_a_labeled_cell_or_out_of_another_place(
+        tmp_path, plant_env, plant_offline):
+    net, simplified = plant_offline.net, plant_offline.simplified
+    data, _ = _section(plant_offline)
+    _, targets = net.move_places
+    onto_labeled = [(i, rank) for i, p in enumerate(simplified.base_place)
+                    for rank, t in enumerate(_moves_out(net, p)) if net.labels[targets[t]]]
+    assert onto_labeled
+    for i, rank in onto_labeled[:3]:
+        section = bytearray(data)
+        section[i] = rank
+        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        with pytest.raises(CacheFormatError, match="escape .* enters a labeled place"):
+            load_offline(plant_env, path)
+    for i, p in enumerate(simplified.base_place[:3]):
+        section = bytearray(data)
+        section[i] = len(_moves_out(net, p))
+        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        with pytest.raises(CacheFormatError, match=f"escape of place {p} is no move out of it"):
+            load_offline(plant_env, path)
+
+
+def test_cache_rejects_a_truncated_or_corrupted_stream(tmp_path, plant_env, plant_offline):
+    path = tmp_path / "model.bin"
+    save_offline(plant_env, plant_offline, path)
+    line, _, body = path.read_bytes().partition(b"\n")
+    broken = [body[:len(body) // 2], body[:-1], body + b"\x00"]
+    for at in (2, len(body) // 3, len(body) - 2):
+        flipped = bytearray(body)
+        flipped[at] ^= 0xFF
+        broken.append(bytes(flipped))
+    for stream in broken:
+        path.write_bytes(line + b"\n" + stream)
+        with pytest.raises(CacheFormatError):
+            load_offline(plant_env, path)
+
+
+def test_cache_of_a_map_with_an_obstacle_moved_off_every_route_is_refused_by_its_key(tmp_path):
+    # moving an obstacle one cell along its row, away from every stored
+    # route and escape, keeps the place of every other cell and the moves
+    # out of every place the reduction touches: the stored reduction still
+    # reads for the new map, to the same monitored net, and the tree still
+    # replays; only the map's key tells the caches apart
+    env = load_env(REDUCE_MAP)
+    offline = build_offline(env)
+    path = tmp_path / "model.bin"
+    save_offline(env, offline, path)
+    simplified, cells = offline.simplified, offline.cells
+    _, targets = offline.net.move_places
+    touched = {cells[p] for ms in simplified.lift_map for p in (ms.source, *ms.places)}
+    touched |= {cells[p] for p in simplified.base_place}
+    touched |= {cells[targets[e[0]]] for e in simplified.escapes if e is not None}
+
+    def near(cell):
+        r, c = cell
+        return {(r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)}
+
+    obstacle, free = next(
+        (x, (x[0], x[1] + 1)) for x in sorted(env.obstacles)
+        if x[1] + 1 < env.cols and (x[0], x[1] + 1) not in env.obstacles
+        and touched.isdisjoint(near(x) | near((x[0], x[1] + 1))))
+    moved = dataclasses.replace(env, obstacles=env.obstacles - {obstacle} | {free})
+
+    cache = open_cache(path)
+    net = env_to_pn(moved)
+    monitored = build_monitored(read_reduction(cache.reduction, net))
+    assert net_digest(monitored.net) == cache.header["digest"]
+    assert_same_graph(load_cache(cache, monitored.net), offline.graph)
+    with pytest.raises(CacheDigestError):
+        load_offline(moved, path)

@@ -1,31 +1,39 @@
 """Byte-identity guard for the offline half.
 
-Pins the SHA-256 of the ``save_cache`` output and of ``plan_json_text`` for
-the demo map, the plant map and one seeded map with fractional
-per-direction costs. Any rewrite of the reduction or the graph build must
-leave caches and plan JSON byte for byte as they are; a changed digest here
-means a changed answer or a changed cache format, not a style difference.
-Each cache must also be its header line plus two columns of ``markings -
-1`` unsigned entries each, in the widths ``basis_graph._column_code``
-gives, and nothing more.
+Pins the SHA-256 of the ``save_offline`` cache's header line and of its
+inflated payload, and of ``plan_json_text``, for the demo map, the plant
+map and one seeded map with fractional per-direction costs. The
+compressed body is not pinned: deflate output may differ between zlib
+builds, and the header names the payload's checksum and size instead. Any
+rewrite of the reduction or the graph build must leave caches and plan
+JSON byte for byte as they are; a changed digest here means a changed
+answer or a changed cache format, not a style difference. Each payload
+must also be the reduction's bytes plus two columns of ``markings - 1``
+unsigned entries each, in the widths ``basis_graph._column_code`` gives,
+and nothing more.
 
 A fourth map, ``tests/data/reduce_44x44.json``, pins the reduction at a
 size beyond the brute-force checks of ``test_abstraction.py``, and the
-plan text of a long route on it.
+plan text of a long route on it. On all four, a ``plan --cache`` that
+loads its cache runs neither the reduction nor the tree build.
 """
 
 import hashlib
 import json
 import random
+import zlib
 from array import array
 from pathlib import Path
 
 import pytest
 
-from tampnet import (Plan, build_offline, load_env, net_digest, parse, parse_env, plan,
-                     plan_json_text, save_cache)
-from tampnet.abstraction import lift
+from tampnet import (Plan, build_offline, load_env, load_offline, net_digest, parse,
+                     parse_env, plan, plan_json_text, save_offline)
+from tampnet import planner
+from tampnet.abstraction import lift, reduction_bytes
 from tampnet.basis_graph import _column_code
+from tampnet.cli import main
+from tampnet.data import fixture_path
 from tampnet.planner import backtrack, select_target, split_formula
 from tampnet.taskspec import compile_vectors
 
@@ -34,23 +42,28 @@ PLANT_SPEC = ("visit(2) & visit(4) & visit(6) & visit(9) & visit(10)"
               " & !visit(5) & end(1) & end(7)")
 FRACTIONAL_SPEC = "visit(d) & visit(a) & end(c)"
 
-# (save_cache SHA-256, plan_json_text SHA-256). The plan digests were
+# (SHA-256 of the cache's header line with its newline, SHA-256 of the
+# cache's inflated payload, plan_json_text SHA-256). The plan digests were
 # computed before the integer rewrite of the reduction and the graph build;
-# the cache digests are those of the version-3 format, whose columns take
-# the narrowest of 1, 2 and 4 bytes an entry.
+# the cache digests are those of the version-4 format, which stores the
+# reduction before the tree's columns.
 GOLDEN = {
-    "demo": ("57e1026e82bd1ca64aef4ab2f4ca0b383119dceb80da7e1acac09444a211c324",
+    "demo": ("d8f21222a17b1f9245dcef37163fdcb1c67f8f9737f74eb1813da0b4d78c61aa",
+             "c5b28d02f1e7cf055bec162cc2eb446278eee12a34f2c1ea5dbe5b153cc4d5ba",
              "c4da7cfd328ad3e898fcd04287015da017f9d897c15c3f261df929835e246ad5"),
-    "plant": ("0f4c0448ac4eb880decdbe55e4dac977a53cbdb53a44102ddd09c57c3e45aa1d",
+    "plant": ("f94e37cda578bc9dc490012398f8985bb17fbf2bc00f12fbb8ff787a3ab2a742",
+              "46c3e60b6839e5a0e1acfac34200a50321e4387728d454c7f2ba281ee8cb1d19",
               "6ce9e836a7c954eb808a820ecdcd1328dbc8d23c0866eb669573d778eb5644b5"),
-    "fractional": ("b04ebf698b7a20c81bb407994ac8593584a44cc1237d9ebd54d1789b4b320baa",
+    "fractional": ("650b5f50344c08532cb236378da140659292104b306190d1c36e6b42a3246a62",
+                   "9ffa058b6ac85d49f8ca444fde0ef5b37b5fe0b41fdada0a11c353fe25041e30",
                    "76e523fa03300b8be5c30f5f6cc8336d000284644bac1bff95512d6d508af9f9"),
 }
 
 
-def fractional_env():
-    """Seeded 10x10 map: obstacles, overlapping two-cell regions, a shared
-    proposition and per-direction costs with denominators 3, 7 and 2."""
+def fractional_map():
+    """Seeded 10x10 map, as its JSON object: obstacles, overlapping
+    two-cell regions, a shared proposition and per-direction costs with
+    denominators 3, 7 and 2."""
     rng = random.Random("golden:fractional")
     side = 10
     cells = [(r, c) for r in range(side) for c in range(side)]
@@ -74,26 +87,41 @@ def fractional_env():
     # E overlaps A on A's first cell
     regions.append({"name": "E", "cells": [list(free[0]), list(free[4])],
                     "final_props": ["e"]})
-    return parse_env({
+    return {
         "grid": {"rows": side, "cols": side},
         "obstacles": [list(c) for c in obstacles],
         "regions": regions,
         "agents": [list(free[5]), list(free[6])],
         "move_cost": {"up": "1/3", "right": "2/7", "down": "1/2", "left": 1},
-    })
+    }
 
 
-def _digests(env, offline, spec, tmp_path):
-    cache = tmp_path / "graph.bin"
-    save_cache(offline.graph, offline.monitored.net, cache)
-    data = cache.read_bytes()
+def fractional_env():
+    return parse_env(fractional_map())
+
+
+def cache_digests(env, offline, path):
+    """Save ``offline`` to ``path`` and return the SHA-256 of the file's
+    header line, with its newline, and of its inflated payload, after
+    checking that the payload is the reduction's bytes plus the tree's two
+    columns and nothing more."""
+    save_offline(env, offline, path)
+    line, _, body = path.read_bytes().partition(b"\n")
+    payload = zlib.decompress(body)
+    header = json.loads(line)
     edges = len(offline.graph) - 1
     width = (array(_column_code(edges)).itemsize
              + array(_column_code(offline.monitored.net.num_transitions)).itemsize)
-    assert len(data) == data.index(b"\n") + 1 + width * edges
+    reduction = reduction_bytes(offline.simplified, offline.net)
+    assert payload[:header["reduction"]] == reduction
+    assert len(payload) == header["payload"] == len(reduction) + width * edges
+    return hashlib.sha256(line + b"\n").hexdigest(), hashlib.sha256(payload).hexdigest()
+
+
+def _digests(env, offline, spec, tmp_path):
     result = plan(env, spec, offline)
     assert isinstance(result, Plan)
-    return (hashlib.sha256(data).hexdigest(),
+    return (*cache_digests(env, offline, tmp_path / "graph.bin"),
             hashlib.sha256(plan_json_text(env, result).encode("utf-8")).hexdigest())
 
 
@@ -119,7 +147,8 @@ REDUCE_GOLDEN = {
     "reduced_net": "c3c515fc2e8b28bd88dc5d1b676a8c2cac992541b742f300f740ee3cca3be1c9",
     "monitored_net": "f1246ef51277fe04c7ff064455f43272191355b27bb2b6dc5552b4f7b517cb54",
     "lift_map": "0ba975d57356a4e04018cd8f7b7ff7350587d41d7473dc9e7788d71d792e2e7a",
-    "cache": "169a418ebefcc18b1d33d437c9a08bc3818ca03e9fca50e19256cc6f332ae159",
+    "cache_header": "ab817fb04f55db9109a384aae9de03e1e118836e8f0a4af56125fd7bfed591fc",
+    "cache_payload": "7eae19375665634974dff7d15785bf2c743e1b3e0bd7cf13cad382f66c632623",
 }
 
 
@@ -151,13 +180,13 @@ def test_reduction_of_a_large_map_is_pinned(tmp_path):
     assert w in offline.simplified.base_place
     assert all(w not in (m.source, m.target) for m in offline.simplified.lift_map)
 
-    cache = tmp_path / "graph.bin"
-    save_cache(offline.graph, offline.monitored.net, cache)
+    header, payload = cache_digests(env, offline, tmp_path / "graph.bin")
     assert {
         "reduced_net": net_digest(offline.simplified.net),
         "monitored_net": net_digest(offline.monitored.net),
         "lift_map": lift_map_digest(offline.simplified),
-        "cache": hashlib.sha256(cache.read_bytes()).hexdigest(),
+        "cache_header": header,
+        "cache_payload": payload,
     } == REDUCE_GOLDEN
 
 
@@ -168,6 +197,11 @@ def test_reduction_of_a_large_map_is_pinned(tmp_path):
 REDUCE_SPEC = "visit(e) & visit(d) & end(fb) & !end(c)"
 REDUCE_PLAN = "60ec0a996bbb3cc48496e9194a44518e06df50ed18f5a9a931ebc46ef687f931"
 
+# the bundled maps' file names, and the formula a cold plan answers on each map
+SIZES = {"demo": "3x3", "plant": "8x11"}
+COLD_SPECS = {"demo": DEMO_SPEC, "plant": PLANT_SPEC, "reduce_44x44": REDUCE_SPEC,
+              "fractional": FRACTIONAL_SPEC}
+
 
 def test_plan_of_a_long_route_is_pinned():
     env = load_env(REDUCE_MAP)
@@ -177,6 +211,36 @@ def test_plan_of_a_long_route_is_pinned():
     assert result.total_cost.denominator > 1
     text = plan_json_text(env, result)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REDUCE_PLAN
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a plan that loads its cache reran offline work")
+
+
+@pytest.mark.parametrize("name", ["demo", "plant", "reduce_44x44", "fractional"])
+def test_a_cold_plan_reruns_no_offline_work(name, tmp_path, monkeypatch, capsys):
+    # the cache stores the reduction beside the tree, so a plan that loads
+    # it reduces nothing and builds no tree: with both stages made to
+    # fail, it prints the plan of the built model byte for byte, and the
+    # loaded reduction equals the built one
+    if name == "fractional":
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(fractional_map()), encoding="utf-8")
+    else:
+        path = REDUCE_MAP if name == "reduce_44x44" else fixture_path(f"{name}_{SIZES[name]}.json")
+    spec = COLD_SPECS[name]
+    env = load_env(path)
+    built = build_offline(env)
+    expected = plan_json_text(env, plan(env, spec, built))
+    cache = tmp_path / "model.bin"
+    save_offline(env, built, cache)
+    monkeypatch.setattr(planner, "build_simplified", _refuse)
+    monkeypatch.setattr(planner, "build_graph", _refuse)
+    assert main(["plan", "--env", str(path), "--spec", spec, "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == expected
+    loaded = load_offline(env, cache)
+    assert loaded.simplified == built.simplified
+    assert plan_json_text(env, plan(env, spec, loaded)) == expected
 
 
 def formula_pool(env, seed, size=60):

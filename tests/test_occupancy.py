@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import Plan, build_graph, build_offline, parse, plan, save_cache
+from tampnet import Plan, build_graph, build_offline, parse, plan, save_cache, save_offline
 from tampnet.basis_graph import BasisGraph, load_cache
 from tampnet.planner import diagnose_infeasibility, load_offline, select_target, split_formula
 from tampnet.taskspec import SpecVectors, compile_vectors
@@ -263,7 +263,7 @@ def test_a_cold_plan_builds_only_the_places_it_reads(plant_env, plant_offline, t
     # HOPPING_SPEC's route ends on two forbidden cells with escape moves,
     # so its query prices soft places
     path = tmp_path / "plant.bin"
-    save_cache(plant_offline.graph, plant_offline.monitored.net, path)
+    save_offline(plant_env, plant_offline, path)
     offline = load_offline(plant_env, path)
     graph = offline.graph
     assert not graph.index

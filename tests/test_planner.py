@@ -2,13 +2,15 @@ import copy
 import dataclasses
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from tampnet import (Infeasible, Plan, build_graph, build_offline, joint_search, load_env,
-                     parse, parse_env, plan, planner, save_cache)
+from tampnet import (CacheError, Infeasible, Plan, StateBudgetError, build_graph,
+                     build_offline, joint_search, load_env, load_offline, parse, parse_env,
+                     plan, planner, save_cache, save_offline)
 from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
@@ -28,6 +30,60 @@ def demo_loaded(demo_offline, tmp_path_factory):
     path = tmp_path_factory.mktemp("demo") / "cache.json"
     save_cache(demo_offline.graph, demo_offline.monitored.net, path)
     return load_cache(path, demo_offline.monitored.net)
+
+
+def _timed_and_traced(call):
+    """Run ``call()``, which must raise; returns the exception, the
+    seconds it took and the peak of the memory it traced."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        call()
+    except Exception as exc:
+        return exc, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raise AssertionError("the call raised nothing")
+
+
+def _no_cells(*args, **kwargs):
+    raise AssertionError("per-cell work ran before the check that refuses the map")
+
+
+def test_a_huge_map_is_refused_before_any_per_cell_work(demo_env, demo_offline, tmp_path,
+                                                         monkeypatch):
+    # a 100,000 x 100,000 map has 10**10 free cells, past the default state
+    # cap of 5,000,000: the build refuses it before listing a cell, and a
+    # load refuses a cache of another map by its key, also before any cell.
+    # Listing the cells fails here, so a missing check fails the test
+    # rather than filling the memory
+    monkeypatch.setattr(planner, "free_cells", _no_cells)
+    monkeypatch.setattr(planner, "env_to_pn", _no_cells)
+    env = parse_env({"grid": {"rows": 100_000, "cols": 100_000},
+                     "regions": [{"name": "g", "cells": [[5, 5]], "final_props": ["g"]}],
+                     "agents": [[0, 0], [99_999, 99_999]]})
+    error, seconds, peak = _timed_and_traced(lambda: plan(env, "end(g)"))
+    assert isinstance(error, StateBudgetError)
+    assert str(error) == "movement net exceeded the state budget of 5000000"
+    assert seconds < 0.1 and peak < 1 << 20
+
+    path = tmp_path / "demo.bin"
+    save_offline(demo_env, demo_offline, path)
+    error, seconds, peak = _timed_and_traced(lambda: load_offline(env, path))
+    assert isinstance(error, CacheError) and "different model" in str(error)
+    assert seconds < 0.1 and peak < 1 << 20
+
+
+def test_the_front_end_bound_is_the_free_cell_count():
+    # a map with exactly as many free cells as the cap passes the front
+    # end; one more free cell does not
+    env = square_env(3, [{"name": "g", "cells": [[2, 2]], "final_props": ["g"]}],
+                     agents=[(0, 0)])
+    assert len(build_offline(env, state_cap=9).graph) == 2
+    with pytest.raises(StateBudgetError, match="movement net"):
+        build_offline(env, state_cap=8)
+    walled = dataclasses.replace(env, obstacles=frozenset({(1, 1)}))
+    assert len(build_offline(walled, state_cap=8).graph) == 2
 
 
 @pytest.mark.parametrize("seed", range(20))
