@@ -33,8 +33,8 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
-from operator import itemgetter, sub
+from itertools import compress, count, islice
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CacheFormatError
@@ -126,10 +126,10 @@ class _Moves:
         weights, self.scale = net.integer_costs
         self.out = [[] for _ in range(net.num_places)]
         self.into = [[] for _ in range(net.num_places)]
-        for t, ps, qs, w in zip(range(net.num_transitions), net.pre, net.post, weights):
-            if len(ps) == 1 and len(qs) == 1:
-                self.out[ps[0]].append((t, qs[0], w))
-                self.into[qs[0]].append((ps[0], w))
+        for t, p, x, w in zip(count(), *net.move_places, weights):
+            if p >= 0:
+                self.out[p].append((t, x, w))
+                self.into[x].append((p, w))
         self.unseen = sum(weights) + 1
 
     def cheapest(self, target: int, role: bytearray, sources: int) -> List[int]:
@@ -343,13 +343,15 @@ def _count_code(kept: int) -> str:
 
 
 def _first_moves(net: PetriNet) -> Dict[int, int]:
-    """``{p: t}``: the lowest id ``t`` of a transition whose first input
-    place is ``p``, for each place that has one. A move's rank is its id
-    less the ``first`` of its source; on a grid, whose moves are numbered
-    by source place, it is below 4."""
-    pre = net.pre
+    """``{p: t}``: the lowest id ``t`` of a move out of place ``p``, for
+    each place that has one. A move's rank is its id less the ``first`` of
+    its source; on a grid, whose moves are numbered by source place, it is
+    below 4."""
+    sources, _ = net.move_places
     # the lowest id is the one that reaches each key last
-    return dict(zip(map(itemgetter(0), reversed(pre)), range(len(pre) - 1, -1, -1)))
+    first = dict(zip(reversed(sources), range(len(sources) - 1, -1, -1)))
+    first.pop(-1, None)  # the key of the transitions that are no moves
+    return first
 
 
 def _bad_route(t: int, source: int, fault: str):

@@ -271,7 +271,9 @@ def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
 
 
 def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> PetriNet:
-    """Compile the grid into its movement net. ``cells`` is
+    """Compile the grid into its movement net, made by
+    ``PetriNet.from_moves`` from the move columns of ``_grid_moves`` with
+    the map's four direction costs as the palette. ``cells`` is
     ``free_cells(env)``, worked out here when the caller does not pass it."""
     if cells is None:
         cells = free_cells(env)
@@ -284,16 +286,8 @@ def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> Pet
         if p < 0:
             raise ValidationError(f"agent start {[r, c]} is not a free cell")
         counts[p] += 1
-    # one arc tuple per place, shared by every move into or out of it
-    arc = tuple(zip(range(len(cells)))).__getitem__
-    return PetriNet(
-        num_places=len(cells),
-        pre=tuple(map(arc, src)),
-        post=tuple(map(arc, dst)),
-        cost=tuple(map(env.move_cost.__getitem__, direction)),
-        labels=tuple(map(by_cell.get, cells, repeat(frozenset()))),
-        initial_marking=tuple(counts),
-    )
+    return PetriNet.from_moves(len(cells), src, dst, env.move_cost, direction,
+                               tuple(map(by_cell.get, cells, repeat(frozenset()))), counts)
 
 
 def cost_text(value: Fraction) -> str:

@@ -17,6 +17,15 @@ Places listed in ``clamp_at_one`` are latch places: transitions may produce
 into them but never consume from them, and their count saturates at one
 token. The movement nets built from grids use no latches; the monitored nets
 built by :mod:`tampnet.abstraction` use them for visit indicators.
+
+A net is made in one of two ways. The constructor takes the arc lists and
+costs as they are and suits any net: the latch-carrying monitored net, the
+reduced net and hand-built ones. :meth:`PetriNet.from_moves` takes a net
+whose every transition is a one-token move as columns (source, target, cost
+kind) and makes the same checks in passes that run in C; it fills
+``move_places`` and ``integer_costs`` from the columns, so nothing reads
+the arc lists or the ``Fraction`` costs per move. :func:`tampnet.grid.env_to_pn`
+builds every movement net this way.
 """
 
 from __future__ import annotations
@@ -89,12 +98,7 @@ class PetriNet:
         n = len(self.pre)
         if len(self.post) != n or len(self.cost) != n:
             raise ValueError("pre, post and cost must have one entry per transition")
-        if len(self.labels) != self.num_places:
-            raise ValueError("labels must have one entry per place")
-        if len(self.initial_marking) != self.num_places:
-            raise ValueError("initial marking size does not match place count")
-        if min(self.initial_marking, default=0) < 0:
-            raise ValueError("initial marking must be non-negative")
+        _check_places(self.num_places, self.labels, self.initial_marking)
         try:
             valid = self._transitions_look_valid()
         except (AttributeError, TypeError):
@@ -137,6 +141,54 @@ class PetriNet:
                 raise ValueError(f"transition {t} repeats a place in an arc list")
             if self.cost[t] <= 0:
                 raise ValueError(f"transition {t} must have positive cost")
+
+    @classmethod
+    def from_moves(cls, num_places: int, sources: Sequence[int], targets: Sequence[int],
+                   palette: Sequence[Fraction], kinds: Sequence[int],
+                   labels: Sequence[frozenset], initial_marking: Marking) -> PetriNet:
+        """The latch-free net whose transition ``t`` moves one token from
+        place ``sources[t]`` to place ``targets[t]`` at cost
+        ``palette[kinds[t]]``.
+
+        The checks are the constructor's, made over the columns in passes
+        that run in C, and a fault raises the ValueError the constructor
+        would raise for it, or one naming a kind outside the palette. Every
+        arc list is a one-place tuple, shared by the moves into or out of
+        that place. ``move_places`` is the two place columns, and
+        ``integer_costs`` is worked out from the palette entries that
+        ``kinds`` uses, so each equals what its property would work out.
+        """
+        n = len(sources)
+        if len(targets) != n or len(kinds) != n:
+            raise ValueError("sources, targets and kinds must have one entry per transition")
+        _check_places(num_places, labels, initial_marking)
+        if n and not (0 <= min(sources) and 0 <= min(targets)
+                      and max(sources) < num_places and max(targets) < num_places):
+            t, p = next((t, p) for t, move in enumerate(zip(sources, targets))
+                        for p in move if not 0 <= p < num_places)
+            raise ValueError(f"transition {t} references unknown place {p}")
+        used = sorted(set(kinds))
+        if used and not (0 <= used[0] and used[-1] < len(palette)):
+            raise ValueError(f"a move's cost kind is outside the palette of {len(palette)}")
+        bad = [k for k in used if palette[k] <= 0]
+        if bad:
+            raise ValueError(f"transition {min(map(kinds.index, bad))} must have positive cost")
+        scale = math.lcm(*{palette[k].denominator for k in used})
+        weight = {k: palette[k].numerator * (scale // palette[k].denominator) for k in used}
+        arc = tuple(zip(range(num_places))).__getitem__
+        net = cls.__new__(cls)
+        for name, value in (("num_places", num_places),
+                            ("pre", tuple(map(arc, sources))),
+                            ("post", tuple(map(arc, targets))),
+                            ("cost", tuple(map(palette.__getitem__, kinds))),
+                            ("labels", tuple(labels)),
+                            ("initial_marking", tuple(initial_marking)),
+                            ("clamp_at_one", frozenset()),
+                            # the derived tables, set where their properties cache them
+                            ("move_places", (tuple(sources), tuple(targets))),
+                            ("integer_costs", (tuple(map(weight.__getitem__, kinds)), scale))):
+            object.__setattr__(net, name, value)
+        return net
 
     @property
     def num_transitions(self) -> int:
@@ -253,6 +305,16 @@ def sequence_cost(net: PetriNet, sigma: Sequence[int]) -> Fraction:
     _check_transitions(net, sigma)
     weights, scale = net.integer_costs
     return Fraction(sum(map(weights.__getitem__, sigma)), scale)
+
+
+def _check_places(num_places: int, labels: Sequence[frozenset], initial_marking: Marking) -> None:
+    """The checks of a net's per-place fields, shared by both constructors."""
+    if len(labels) != num_places:
+        raise ValueError("labels must have one entry per place")
+    if len(initial_marking) != num_places:
+        raise ValueError("initial marking size does not match place count")
+    if min(initial_marking, default=0) < 0:
+        raise ValueError("initial marking must be non-negative")
 
 
 def _check_transition(net: PetriNet, t) -> None:

@@ -1,16 +1,19 @@
 import dataclasses
 import json
+import random
 import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
 
-from tampnet import ValidationError, cost_text, parse_env, plan
+from tampnet import ValidationError, cost_text, load_env, parse_env, plan
+from tampnet.data import fixture_path
 from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn,
                           free_cells, plan_json_text, render)
-from tampnet.petri import Atom, END, VISIT
+from tampnet.petri import Atom, END, VISIT, PetriNet
 
-from conftest import square_env
+from conftest import random_env, square_env
+from test_golden import REDUCE_MAP, fractional_env
 
 
 def test_demo_net_shape(demo_env):
@@ -67,6 +70,86 @@ def test_labels_are_region_unions(demo_env):
 
 def test_env_to_pn_is_deterministic(demo_env):
     assert env_to_pn(demo_env) == env_to_pn(demo_env)
+
+
+def generic_net(env) -> PetriNet:
+    """The movement net of ``env`` made by the constructor from per-move
+    arc lists: one move per free neighbour of each free cell, listed per
+    source place in direction order."""
+    cells = free_cells(env)
+    place = {cell: i for i, cell in enumerate(cells)}
+    moves = [(p, place[(r + dr, c + dc)], cost)
+             for p, (r, c) in enumerate(cells)
+             for (_, (dr, dc)), cost in zip(DIRECTIONS, env.move_cost)
+             if (r + dr, c + dc) in place]
+    labels = cell_labels(env)
+    marking = [0] * len(cells)
+    for cell in env.agents:
+        marking[place[cell]] += 1
+    return PetriNet(num_places=len(cells),
+                    pre=tuple((p,) for p, _, _ in moves),
+                    post=tuple((q,) for _, q, _ in moves),
+                    cost=tuple(cost for _, _, cost in moves),
+                    labels=tuple(labels.get(cell, frozenset()) for cell in cells),
+                    initial_marking=tuple(marking))
+
+
+def obstacle_env(side=60, share=0.2):
+    """A seeded ``side`` x ``side`` map with ``share`` of its cells blocked,
+    six one-cell regions, three agents and fractional per-direction costs."""
+    rng = random.Random(f"moves:{side}")
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    blocked = int(share * len(cells))
+    obstacles, free = cells[:blocked], cells[blocked:]
+    return parse_env({
+        "grid": {"rows": side, "cols": side},
+        "obstacles": [list(cell) for cell in obstacles],
+        "regions": [{"name": f"R{k}", "cells": [list(free[k])], "trajectory_props": [f"v{k}"],
+                     "final_props": [f"e{k}"]} for k in range(6)],
+        "agents": [list(cell) for cell in free[6:9]],
+        "move_cost": {"up": "3/5", "right": "2/9", "down": "5/4", "left": "7/6"},
+    })
+
+
+def corridor_env():
+    """A 1x7 corridor: its up and down costs, with denominators 11 and 13,
+    belong to moves that never occur."""
+    return parse_env({"grid": {"rows": 1, "cols": 7}, "agents": [[0, 0], [0, 6]],
+                      "regions": [{"name": "m", "cells": [[0, 3]], "final_props": ["m"]}],
+                      "move_cost": {"up": "1/11", "right": "1/2", "down": "4/13", "left": "2/3"}})
+
+
+def _random_envs():
+    rng = random.Random("moves:random")
+    return [random_env(rng) for _ in range(200)]
+
+
+@pytest.mark.parametrize("envs", [
+    pytest.param(lambda: [load_env(fixture_path("plant_8x11.json"))], id="plant"),
+    pytest.param(lambda: [load_env(REDUCE_MAP)], id="reduce_44x44"),
+    pytest.param(lambda: [fractional_env()], id="fractional"),
+    pytest.param(lambda: [obstacle_env()], id="60x60"),
+    pytest.param(lambda: [corridor_env()], id="corridor"),
+    pytest.param(_random_envs, id="random"),
+])
+def test_the_movement_net_equals_the_generic_construction(envs):
+    for env in envs():
+        net, reference = env_to_pn(env), generic_net(env)
+        # field by field, move numbering included: team_sequence lists these ids
+        for f in dataclasses.fields(PetriNet):
+            assert getattr(net, f.name) == getattr(reference, f.name), f.name
+        # the tables made from the columns are the properties' own values
+        for table in (PetriNet.move_places, PetriNet.integer_costs):
+            assert getattr(net, table.attrname) == table.func(net) == table.func(reference)
+
+
+def test_the_scale_leaves_out_the_costs_of_moves_that_never_occur():
+    # the corridor moves only right, at 1/2, and left, at 2/3: the end
+    # cells have one move each, the five between them a right then a left
+    weights, scale = env_to_pn(corridor_env()).integer_costs
+    assert scale == 6
+    assert weights == (3, *(3, 4) * 5, 4)
 
 
 @pytest.mark.parametrize("start", [(1, 1), (0, 3), (3, 0), (-1, 0)])

@@ -292,6 +292,76 @@ def test_move_places_list_the_ends_of_single_token_moves():
     assert net.move_places is net.move_places  # computed once per net
 
 
+def _move_columns(**bad):
+    """``from_moves`` arguments of a two-place net with a move each way, at
+    costs 1 and 1/2, with the overrides in ``bad``."""
+    args = dict(num_places=2, sources=(0, 1), targets=(1, 0),
+                palette=(Fraction(1), Fraction(1, 2)), kinds=(0, 1),
+                labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+    args.update(bad)
+    return args
+
+
+# (overrides of the move columns, the message naming their fault); the
+# faults of the upper block make a net the constructor refuses too
+MOVE_FAULTS = [
+    (dict(sources=(0, 2)), "transition 1 references unknown place 2"),
+    (dict(sources=(-1, 1)), "transition 0 references unknown place -1"),
+    (dict(targets=(2, 5)), "transition 0 references unknown place 2"),
+    (dict(targets=(1, -3)), "transition 1 references unknown place -3"),
+    (dict(palette=(Fraction(1), Fraction(0))), "transition 1 must have positive cost"),
+    (dict(palette=(Fraction(-1), Fraction(1))), "transition 0 must have positive cost"),
+    (dict(palette=(Fraction(0), Fraction(-1)), kinds=(1, 0)), "transition 0 must have positive cost"),
+    (dict(labels=(EMPTY,)), "labels must have one entry per place"),
+    (dict(labels=(EMPTY,) * 3), "labels must have one entry per place"),
+    (dict(initial_marking=(1,)), "initial marking size does not match place count"),
+    (dict(initial_marking=(1, 0, 0)), "initial marking size does not match place count"),
+    (dict(initial_marking=(1, -1)), "initial marking must be non-negative"),
+]
+COLUMN_FAULTS = [
+    (dict(kinds=(0, 2)), "a move's cost kind is outside the palette of 2"),
+    (dict(kinds=(-1, 0)), "a move's cost kind is outside the palette of 2"),
+    (dict(palette=()), "a move's cost kind is outside the palette of 0"),
+    (dict(targets=(1,)), "sources, targets and kinds must have one entry per transition"),
+    (dict(kinds=(0, 1, 0)), "sources, targets and kinds must have one entry per transition"),
+    (dict(sources=(0,)), "sources, targets and kinds must have one entry per transition"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MOVE_FAULTS + COLUMN_FAULTS,
+                         ids=[f"bad{i}" for i in range(len(MOVE_FAULTS + COLUMN_FAULTS))])
+def test_from_moves_refuses_malformed_columns(bad, message):
+    args = _move_columns(**bad)
+    with pytest.raises(ValueError) as err:
+        PetriNet.from_moves(**args)
+    assert str(err.value) == message
+    if (bad, message) in MOVE_FAULTS:
+        # the constructor refuses the same net with the same message
+        with pytest.raises(ValueError) as err:
+            PetriNet(num_places=args["num_places"],
+                     pre=tuple((p,) for p in args["sources"]),
+                     post=tuple((q,) for q in args["targets"]),
+                     cost=tuple(args["palette"][k] for k in args["kinds"]),
+                     labels=args["labels"], initial_marking=args["initial_marking"])
+        assert str(err.value) == message
+
+
+def test_from_moves_reads_only_the_palette_entries_it_uses():
+    # entries 2 and 3 belong to no move: neither the non-positive one nor
+    # the denominator 7 counts, as in a net the constructor makes
+    net = PetriNet.from_moves(**_move_columns(
+        palette=(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(1, 7))))
+    assert net == PetriNet(num_places=2, pre=((0,), (1,)), post=((1,), (0,)),
+                           cost=(Fraction(1), Fraction(1, 2)), labels=(EMPTY, EMPTY),
+                           initial_marking=(1, 0))
+    assert net.integer_costs == ((2, 1), 2) == PetriNet.integer_costs.func(net)
+    assert net.move_places == ((0, 1), (1, 0)) == PetriNet.move_places.func(net)
+    # the moves into or out of one place share its one arc tuple
+    assert net.pre[0] is net.post[1]
+    empty = PetriNet.from_moves(0, (), (), (), (), (), ())
+    assert empty.integer_costs == ((), 1) and empty.move_places == ((), ())
+
+
 def test_construction_accepts_a_net_without_transitions():
     net = PetriNet(num_places=2, pre=(), post=(), cost=(), labels=(EMPTY, EMPTY),
                    initial_marking=(1, 0))

@@ -15,7 +15,8 @@ from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified
 from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
-from tampnet.grid import DIRECTIONS, cell_labels, cost_json, plan_json_text
+from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn, free_cells,
+                          plan_json_text)
 from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, select_target, split_formula, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
@@ -84,6 +85,26 @@ def test_the_front_end_bound_is_the_free_cell_count():
         build_offline(env, state_cap=8)
     walled = dataclasses.replace(env, obstacles=frozenset({(1, 1)}))
     assert len(build_offline(walled, state_cap=8).graph) == 2
+
+
+def test_the_front_end_takes_at_most_1300_bytes_per_free_cell():
+    # README "Exit codes and limits": listing the free cells, compiling the
+    # movement net and reducing it peak at about 1.25 KB per free cell on an
+    # open grid with fractional costs, which the free-cell bound relies on
+    side = 150
+    env = square_env(side, [
+        {"name": "a", "cells": [[side // 3, side // 2]], "trajectory_props": ["a"]},
+        {"name": "b", "cells": [[side - 2, 1]], "final_props": ["b"]},
+    ], agents=[(0, 0), (side - 1, side - 1)],
+        move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": 1})
+    tracemalloc.start()
+    try:
+        simplified = build_simplified(env_to_pn(env, free_cells(env)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(simplified.lift_map) == 6  # each start to each region, and back and forth
+    assert peak <= 1300 * side * side, peak / (side * side)
 
 
 @pytest.mark.parametrize("seed", range(20))
