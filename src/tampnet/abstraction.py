@@ -6,19 +6,21 @@ connected by cheapest move sequences that touch no other labeled place in
 between. Each such sequence becomes one abstract transition; the abstract
 run is lifted back to grid moves afterwards.
 
-The reduction runs in exact integers: move costs are scaled once by the LCM
-of their denominators, and ``Fraction`` appears only in the results
-(``MinimalSequence.cost`` and the reduced net's costs). It runs one
-Dijkstra back from each labeled target place, with the other labeled places
-settled but never expanded; the search stops once its last start or labeled
-place is settled. Each source's sequence is then read off the target's
-costs: from the source, always the smallest transition id that keeps to a
-cheapest route.
+The reduction runs in the movement net's integer weights, at the scale
+every net of the model shares: a sequence's weight is the sum of its
+moves', so the reduced net and the monitored net keep the movement net's
+scale and hold every cost exactly. It runs one Dijkstra back from each
+labeled target place, with the other labeled places settled but never
+expanded; the search stops once its last start or labeled place is
+settled. Each source's sequence is then read off the target's costs: from
+the source, always the smallest transition id that keeps to a cheapest
+route.
 
 The monitored net adds one latch place per trajectory proposition: every
-abstract transition that ends on a cell carrying the proposition also
-produces one token into the latch (saturating at one), so "was this region
-ever visited" becomes a marking query.
+abstract transition that ends on a cell carrying the proposition also sets
+the latch, so "was this region ever visited" becomes a marking query. It
+is the reduced net with those latches added to each move's latch column;
+its moves, weights and scale are the reduced net's.
 
 A cache stores the reduction as bytes (``reduction_bytes``): each move as
 its rank among the moves out of its place, and no cost. Reading it back
@@ -47,13 +49,20 @@ class MinimalSequence:
 
     ``places[k]`` is the base place that move ``sequence[k]`` ends on, so
     ``places[-1]`` is ``target`` and the route runs ``source, *places``.
+    ``weight`` is the sum of the moves' weights, at the base net's
+    ``scale``; ``cost`` is their quotient, for output.
     """
 
     source: int
     target: int
     sequence: Tuple[int, ...]
-    cost: Fraction
+    weight: int
+    scale: int
     places: Tuple[int, ...]
+
+    @property
+    def cost(self) -> Fraction:
+        return Fraction(self.weight, self.scale)
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class SimplifiedNet:
     place ``i``.
 
     ``escapes[i]`` is the cheapest single base-net move from reduced place
-    ``i`` onto an unlabeled cell (transition id, cost), or None when every
+    ``i`` onto an unlabeled cell (transition id, weight), or None when every
     neighbor is labeled or blocked; ties go to the smallest transition id.
     It prices clearing a forbidden final place: an agent that must not end
     on a labeled cell can always stop one step away on anonymous ground,
@@ -75,7 +84,7 @@ class SimplifiedNet:
     net: PetriNet
     lift_map: Tuple[MinimalSequence, ...]
     base_place: Tuple[int, ...]
-    escapes: Tuple[Optional[Tuple[int, Fraction]], ...]
+    escapes: Tuple[Optional[Tuple[int, int]], ...]
 
     @cached_property
     def kept_places(self) -> frozenset:
@@ -111,26 +120,22 @@ def labeled_places(net: PetriNet) -> Tuple[int, ...]:
 
 
 class _Moves:
-    """Single-input single-output transitions (moves) of a net as integer
-    adjacency, built once per net.
+    """The moves of a net as integer adjacency, built once per net.
 
     ``out[p]`` lists ``(t, x, w)`` in ascending transition id for the moves
     from ``p`` to ``x``, and ``into[x]`` lists ``(p, w)`` for the moves into
-    ``x``. ``w`` is the move's cost times ``scale``, the LCM of all cost
-    denominators, so every weight and every route cost is an exact integer.
-    ``unseen`` exceeds the sum of all weights, so it is dearer than any
-    route that visits no place twice.
+    ``x``; ``w`` is the move's weight. ``unseen`` exceeds the sum of all
+    weights, so it is dearer than any route that visits no place twice.
     """
 
     def __init__(self, net: PetriNet):
-        weights, self.scale = net.integer_costs
+        self.scale = net.scale
         self.out = [[] for _ in range(net.num_places)]
         self.into = [[] for _ in range(net.num_places)]
-        for t, p, x, w in zip(count(), *net.move_places, weights):
-            if p >= 0:
-                self.out[p].append((t, x, w))
-                self.into[x].append((p, w))
-        self.unseen = sum(weights) + 1
+        for t, p, x, w in zip(count(), net.sources, net.targets, net.weights):
+            self.out[p].append((t, x, w))
+            self.into[x].append((p, w))
+        self.unseen = sum(net.weights) + 1
 
     def cheapest(self, target: int, role: bytearray, sources: int) -> List[int]:
         """Dijkstra back from ``target`` over ``into``: the scaled cost of the
@@ -202,8 +207,8 @@ class _Moves:
                     places.append(x)
                     p = x
                     break
-        return MinimalSequence(source, target, tuple(seq),
-                               Fraction(dist[source], self.scale), tuple(places))
+        return MinimalSequence(source, target, tuple(seq), dist[source], self.scale,
+                               tuple(places))
 
 
 def build_simplified(net: PetriNet) -> SimplifiedNet:
@@ -212,8 +217,7 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     One abstract transition is created for every ordered pair (p, p') with
     p a start or labeled place, p' a labeled place, p != p', for which an
     admissible minimal sequence exists (one that touches no labeled place
-    other than p and p'). Only single-input single-output transitions
-    (moves) are followed, and ties on cost go to the lexicographically
+    other than p and p'). Ties on cost go to the lexicographically
     smallest transition-id sequence. Transitions are numbered by ascending
     (p, p') base place ids.
 
@@ -247,7 +251,8 @@ def build_simplified(net: PetriNet) -> SimplifiedNet:
     lift_map = tuple(ms for row in rows for ms in row)
     hops = (min(((w, t) for t, x, w in moves.out[p] if not net.labels[x]), default=None)
             for p in base)
-    escapes = tuple(None if hop is None else (hop[1], net.cost[hop[1]]) for hop in hops)
+    # each escape is (move, weight)
+    escapes = tuple(None if hop is None else hop[::-1] for hop in hops)
     return _simplified(net, base, lift_map, escapes)
 
 
@@ -267,9 +272,11 @@ def _simplified(net: PetriNet, base: Tuple[int, ...], lift_map: Tuple[MinimalSeq
     index = {p: i for i, p in enumerate(base)}
     reduced = PetriNet(
         num_places=len(base),
-        pre=tuple((index[ms.source],) for ms in lift_map),
-        post=tuple((index[ms.target],) for ms in lift_map),
-        cost=tuple(ms.cost for ms in lift_map),
+        sources=tuple(index[ms.source] for ms in lift_map),
+        targets=tuple(index[ms.target] for ms in lift_map),
+        weights=tuple(ms.weight for ms in lift_map),
+        sets=((),) * len(lift_map),
+        scale=net.scale,
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
@@ -296,9 +303,10 @@ def build_monitored(simplified: SimplifiedNet) -> MonitoredNet:
     cell, each a free labeled place, and the reduction keeps every labeled
     place.
 
-    A transition produces into an indicator iff its target place carries the
+    A transition sets an indicator iff its target place carries the
     proposition. Indicators start at one for propositions carried by places
     that are occupied initially (starting inside a region counts as a visit).
+    The moves, weights and scale are the simplified net's.
     """
     base = simplified.net
     props = sorted({atom.name for labels in base.labels for atom in labels
@@ -311,7 +319,6 @@ def build_monitored(simplified: SimplifiedNet) -> MonitoredNet:
     visits = [tuple(sorted(indicator_of[atom.name] for atom in labels
                            if atom.kind == VISIT))
               for labels in base.labels]
-    post = tuple(targets + visits[targets[0]] for targets in base.post)
     counts = list(base.initial_marking) + [0] * len(props)
     for p, tokens in enumerate(base.initial_marking):
         if tokens:
@@ -320,12 +327,14 @@ def build_monitored(simplified: SimplifiedNet) -> MonitoredNet:
 
     monitored = PetriNet(
         num_places=mobility + len(props),
-        pre=base.pre,
-        post=post,
-        cost=base.cost,
+        sources=base.sources,
+        targets=base.targets,
+        weights=base.weights,
+        scale=base.scale,
         labels=base.labels + tuple(frozenset() for _ in props),
         initial_marking=tuple(counts),
-        clamp_at_one=frozenset(indicator_of.values()),
+        sets=tuple(map(visits.__getitem__, base.targets)),
+        latches=frozenset(indicator_of.values()),
     )
     return MonitoredNet(monitored, indicator_of)
 
@@ -345,13 +354,10 @@ def _count_code(kept: int) -> str:
 def _first_moves(net: PetriNet) -> Dict[int, int]:
     """``{p: t}``: the lowest id ``t`` of a move out of place ``p``, for
     each place that has one. A move's rank is its id less the ``first`` of
-    its source; on a grid, whose moves are numbered by source place, it is
-    below 4."""
-    sources, _ = net.move_places
+    its source; on a grid it is below 4."""
+    sources = net.sources
     # the lowest id is the one that reaches each key last
-    first = dict(zip(reversed(sources), range(len(sources) - 1, -1, -1)))
-    first.pop(-1, None)  # the key of the transitions that are no moves
-    return first
+    return dict(zip(reversed(sources), range(len(sources) - 1, -1, -1)))
 
 
 def _bad_route(t: int, source: int, fault: str):
@@ -412,10 +418,10 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
     other than the source, which the reduction keeps. The routes out of
     one source must end on ascending places, the order of
     ``build_simplified``. Each escape must leave its own place for an
-    unlabeled one. Every cost is summed from the moves in the net's integer
-    weights. That the routes and escapes are the cheapest is not checked:
-    the reduction is trusted as the tree is, and the cache's checksum
-    guards against accidents, not attacks.
+    unlabeled one. Every weight is summed from the moves'. That the routes
+    and escapes are the cheapest is not checked: the reduction is trusted
+    as the tree is, and the cache's checksum guards against accidents, not
+    attacks.
     """
     _, _, base = _kept(net)
     kept = len(base)
@@ -429,9 +435,7 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
     if routes.pop() or len(routes) != sum(counts):
         raise CacheFormatError(f"cache reduction holds {len(routes)} routes "
                                f"or a partial one, its counts {sum(counts)}")
-    sources, targets = net.move_places
-    labels = net.labels
-    weights, scale = net.integer_costs
+    sources, targets, weights, labels = net.sources, net.targets, net.weights, net.labels
     first = _first_moves(net)
 
     lift_map = []
@@ -460,8 +464,8 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
                 _bad_route(len(lift_map), source, "breaks the order of its source's targets")
             last = place
             lift_map.append(MinimalSequence(
-                source, place, tuple(seq),
-                Fraction(sum(map(weights.__getitem__, seq)), scale), places))
+                source, place, tuple(seq), sum(map(weights.__getitem__, seq)), net.scale,
+                places))
 
     escapes = []
     for place, r in zip(base, data):
@@ -476,5 +480,5 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
         if labels[targets[t]]:
             raise CacheFormatError(f"cache reduction: the escape of place {place} "
                                    f"enters a labeled place")
-        escapes.append((t, net.cost[t]))
+        escapes.append((t, weights[t]))
     return _simplified(net, base, tuple(lift_map), tuple(escapes))

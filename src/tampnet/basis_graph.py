@@ -6,18 +6,19 @@ moves into a labeled place, which carries a visit latch or an end label, so
 no move can be folded away. The builder runs a lowest-cost-first expansion
 over the reachable markings, so each marking is finalized with its minimal
 accumulated cost q and exactly one parent edge; the result is a tree with
-N markings and N - 1 edges. Markings are packed into one integer each;
-nets that do not fit that layout are refused. While the tree grows, the
-search splits each marking into a placement, its plain fields, numbered
-densely, and a mask of its latch classes, and keys it by the small int
-``placement id << class count | mask``. ``_layout`` alone decides that
-split: it groups the latches into classes and gives each move its effect
-on the placement and its class bits. A latch class is a set of latch
-places that always hold the same value, such as the latches of several
-visit propositions on one region; a latch that never changes belongs to
-none. Latches are only ever set, so the moves out of a placement, and the
-placements they lead to, are worked out once and reused for every mask the
-placement meets. The search state is a flat list indexed by that key, so
+N markings and N - 1 edges. Markings are packed into one integer each:
+every net fits that layout, since its moves are numbered by source place,
+its latches hold 0 or 1 and its token total, which no move changes, is
+below 2**64. While the tree grows, the search splits each marking into a
+placement, its plain fields, numbered densely, and a mask of its latch
+classes, and keys it by the small int ``placement id << class count |
+mask``. ``_layout`` alone decides that split: it groups the latches into
+classes and gives each move its effect on the placement and its class
+bits. A latch class is a set of latch places that always hold the same
+value, such as the latches of several visit propositions on one region; a
+latch that never changes belongs to none. Latches are only ever set, so
+the moves out of a placement, and the placements they lead to, are worked
+out once and reused for every mask the placement meets. The search state is a flat list indexed by that key, so
 its size is placements times 2^classes; it is bounded by a fixed multiple
 of the state cap, and a net whose placements meet few of their masks fails
 with StateBudgetError rather than running out of memory.
@@ -162,23 +163,8 @@ class BasisGraph:
         return len(self.qs)
 
 
-def _packable(net: PetriNet) -> bool:
-    """Whether ``build_graph``, ``save_cache`` and ``load_cache`` accept
-    ``net``: single-input transitions numbered by ascending source place,
-    latches starting at 0 or 1, and no transition adding tokens to
-    non-latch places, with the token total below 2**64 (so no count can
-    outgrow a field sized for the initial total)."""
-    if not all(len(pre) == 1 for pre in net.pre):
-        return False
-    by_source = all(a[0] <= b[0] for a, b in zip(net.pre, net.pre[1:]))
-    binary_latches = all(net.initial_marking[p] <= 1 for p in net.clamp_at_one)
-    bounded = sum(net.initial_marking) < 1 << 64 and all(
-        sum(p not in net.clamp_at_one for p in post) <= 1 for post in net.post)
-    return by_source and binary_latches and bounded
-
-
 class _Layout(NamedTuple):
-    """Packed-int layout of a ``_packable`` net, and the split of its
+    """Packed-int layout of a net, and the split of its
     markings into a placement and a latch mask: each of its ``places`` is a
     little-endian field of ``width`` bytes (1, 2, 4 or 8, wide enough for
     the initial token total); ``root`` is the packed initial marking.
@@ -188,7 +174,7 @@ class _Layout(NamedTuple):
     fields, bit c for each class c it sets, integer weight), and
     ``sources`` groups the moves by source field, in ascending transition
     id, as (field mask, [(plain, class bits, weight, transition)]). Costs
-    are ``weight / scale``."""
+    are ``weight / scale``, the net's."""
 
     width: int
     places: int
@@ -204,48 +190,43 @@ def _layout(net: PetriNet) -> _Layout:
     tokens = max(1, sum(net.initial_marking))
     width = next(w for w in (1, 2, 4, 8) if tokens < 1 << 8 * w)
     shift = 8 * width
-    clamped = net.clamp_at_one
-    weights, scale = net.integer_costs
     # A latch changes iff it starts at 0 and some move sets it. Two such
     # latches are equal in every reachable marking if the same moves set
     # them, so a move sets all of a class or none of it. A latch that
-    # cannot change keeps its initial value. One scan over the transitions
-    # lists each latch's setters in ascending transition id; a net names a
-    # place at most once per arc list, so each setter once.
-    setters: Dict[int, List[int]] = {p: [] for p in clamped}
-    for t, post in enumerate(net.post):
-        for p in post:
-            if p in setters:
-                setters[p].append(t)
+    # cannot change keeps its initial value. One scan over the latch
+    # column lists each latch's setters in ascending transition id.
+    setters: Dict[int, List[int]] = {p: [] for p in net.latches}
+    for t, latches in enumerate(net.sets):
+        for p in latches:
+            setters[p].append(t)
     by_setters: Dict[Tuple[int, ...], List[int]] = {}
-    for p in sorted(clamped):
+    for p in sorted(net.latches):
         if setters[p] and not net.initial_marking[p]:
             by_setters.setdefault(tuple(setters[p]), []).append(p)
     classes = [tuple(places) for places in by_setters.values()]
     # class_bits[t] has bit c set iff move t sets class c
-    class_bits = [0] * len(net.post)
+    class_bits = [0] * net.num_transitions
     for c, ts in enumerate(by_setters):
         for t in ts:
             class_bits[t] |= 1 << c
-    place_bit = [1 << (shift * p) for p in range(n)]
     full = (1 << shift) - 1
     # No plain field can carry, since counts stay below 2**shift.
     moves, sources = [], []
-    for t, post in enumerate(net.post):
-        src = net.pre[t][0]
+    for t, (src, dst, weight, bits) in enumerate(zip(net.sources, net.targets, net.weights,
+                                                     class_bits)):
         field_mask = full << (shift * src)
-        plain = sum(place_bit[p] for p in post if p not in clamped) - place_bit[src]
-        moves.append((field_mask, plain, class_bits[t], weights[t]))
+        plain = (1 << (shift * dst)) - (1 << (shift * src))
+        moves.append((field_mask, plain, bits, weight))
         if not sources or sources[-1][0] != field_mask:
             sources.append((field_mask, []))
-        sources[-1][1].append((plain, class_bits[t], weights[t], t))
+        sources[-1][1].append((plain, bits, weight, t))
     root = sum(c << (shift * p) for p, c in enumerate(net.initial_marking))
-    return _Layout(width, n, root, classes, tuple(moves), sources, scale)
+    return _Layout(width, n, root, classes, tuple(moves), sources, net.scale)
 
 
 class _Ids(dict):
     """The numbering of placements in the search's key space over the
-    markings of a ``_packable`` net (see ``build_graph``), shared by the
+    markings of a net (see ``build_graph``), shared by the
     build and the cache load.
 
     Placements get dense ids in order of first lookup: ``ids.order[i]`` is
@@ -328,11 +309,10 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
     ``q`` is the marking's minimal accumulated cost, and its tree edge
     ``(parent, transition)`` is the smallest (parent index, transition id)
     among the edges into it from a marking of cost ``q`` minus the
-    transition's cost. ``load_cache`` checks this order. Raises ValueError
-    for a net that is not ``_packable``. Raises StateBudgetError when more
-    than ``state_cap`` markings arise, or when the search table would pass
-    ``TABLE_FACTOR * state_cap`` slots, which only a net whose placements
-    meet few of their latch masks reaches.
+    transition's cost. ``load_cache`` checks this order. Raises
+    StateBudgetError when more than ``state_cap`` markings arise, or when
+    the search table would pass ``TABLE_FACTOR * state_cap`` slots, which
+    only a net whose placements meet few of their latch masks reaches.
 
     The expansion uses a bucket queue: one FIFO array per pending cost.
     Within a cost, markings are final in the order their edges were found,
@@ -362,17 +342,12 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
     state_cap`` of them: a row whose placements would pass that bound
     raises StateBudgetError before the table grows.
 
-    Costs are exact integers, scaled by the LCM of the transition cost
-    denominators. The keys, the costs and the pending edges are typed
-    arrays, not lists of int objects: besides its table, the search holds
-    24 bytes per final marking (key, cost, parent and transition) and 24
-    per pending edge. The cost column becomes a list of ints at the first
+    Costs are the net's integer weights, summed at its scale. The keys,
+    the costs and the pending edges are typed arrays, not lists of int
+    objects: besides its table, the search holds 24 bytes per final
+    marking (key, cost, parent and transition) and 24 per pending edge. The cost column becomes a list of ints at the first
     cost that does not fit 8 bytes, as in ``load_cache``.
     """
-    if not _packable(net):
-        raise ValueError("the net does not fit packed markings: it needs "
-                         "single-input transitions numbered by source place, "
-                         "latches starting at 0 or 1 and no transition adding tokens")
     layout = _layout(net)
     # best[key] is the cost of the cheapest edge into the marking so far,
     # ``unseen`` before any, or -1 once it is final. ``unseen`` is dearer
@@ -454,15 +429,22 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
 
 
 def net_digest(net: PetriNet) -> str:
-    """Stable fingerprint of a net, used to pair caches with their model."""
+    """Stable fingerprint of a net, used to pair caches with their model.
+
+    The JSON names each move's input places (``pre``: its source), its
+    output places (``post``: its target, then the latches it sets) and its
+    cost as ``[numerator, denominator]`` in lowest terms, as in the arc
+    lists of a general Petri net, so the fingerprint does not depend on
+    the scale a net's weights are counted at."""
+    cost = {w: Fraction(w, net.scale) for w in set(net.weights)}
     payload = {
         "places": net.num_places,
-        "pre": [list(ps) for ps in net.pre],
-        "post": [list(ps) for ps in net.post],
-        "cost": [[c.numerator, c.denominator] for c in net.cost],
+        "pre": [[p] for p in net.sources],
+        "post": [[x, *latches] for x, latches in zip(net.targets, net.sets)],
+        "cost": [[c.numerator, c.denominator] for c in map(cost.__getitem__, net.weights)],
         "labels": [sorted([a.kind, a.name] for a in atoms) for atoms in net.labels],
         "m0": list(net.initial_marking),
-        "clamp": sorted(net.clamp_at_one),
+        "clamp": sorted(net.latches),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -484,13 +466,10 @@ def save_cache(graph: BasisGraph, net: PetriNet, path, key: Optional[str] = None
     count ``markings``, the byte counts of ``reduction`` and of the
     ``payload``, and the ``sha256`` of the payload, so it does not depend
     on the zlib build. Markings and costs are not stored; ``load_cache``
-    recomputes them, so only graphs of ``_packable`` nets can be saved.
-    Raises ValueError for any other graph. A new file beside ``path`` is
-    renamed onto it: a failed save leaves an old cache whole, and no
-    reader sees half a file. An error creating that file names ``path``.
+    recomputes them. A new file beside ``path`` is renamed onto it: a
+    failed save leaves an old cache whole, and no reader sees half a file.
+    An error creating that file names ``path``.
     """
-    if not _packable(net):
-        raise ValueError("only graphs of nets that fit packed markings can be cached")
     columns = [array(_column_code(len(graph) - 1), graph.parent),
                array(_column_code(net.num_transitions), graph.transition)]
     if sys.byteorder == "big":
@@ -620,8 +599,7 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
     known: the count takes one byte per key slot while the slots stay
     within ``TABLE_FACTOR`` per marking, the table bound of a build capped
     at the marking count, and a dict of the keys past that, so every tree
-    a build returns loads. Any failure raises CacheFormatError, as does a
-    net that is not ``_packable``.
+    a build returns loads. Any failure raises CacheFormatError.
     """
     if not isinstance(cache, CacheFile):
         cache = open_cache(cache)
@@ -639,8 +617,6 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
         raise CacheFormatError(f"cache {path} columns are {len(cache.payload) - start} "
                                f"bytes, expected {size - start}")
 
-    if not _packable(net):
-        raise CacheFormatError(f"cache {path} is for a net that cannot be rebuilt")
     parents = array(parent_code, cache.payload[start:split])
     transitions = array(transition_code, cache.payload[split:])
     del cache

@@ -4,14 +4,16 @@ A grid world is a rows x cols board with blocked cells, labeled regions,
 and agent start cells. Compilation produces one place per free cell (in
 row-major order) and one transition per directed move between 4-adjacent
 free cells, ordered by (source place, direction) with the direction order
-up, right, down, left. Each arc list is a one-place tuple, and the moves
-into or out of a place share one such tuple.
+up, right, down, left. A move's weight is its direction's cost times the
+net's scale, the LCM of the denominators of the direction costs its moves
+use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,10 +273,11 @@ def cell_labels(env: Environment) -> Dict[Cell, frozenset]:
 
 
 def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> PetriNet:
-    """Compile the grid into its movement net, made by
-    ``PetriNet.from_moves`` from the move columns of ``_grid_moves`` with
-    the map's four direction costs as the palette. ``cells`` is
-    ``free_cells(env)``, worked out here when the caller does not pass it."""
+    """Compile the grid into its movement net, from the move columns of
+    ``_grid_moves``. Its scale is the LCM of the denominators of the
+    direction costs its moves use, so a direction no move takes adds
+    nothing to it. ``cells`` is ``free_cells(env)``, worked out here when
+    the caller does not pass it."""
     if cells is None:
         cells = free_cells(env)
     place, src, dst, direction = _grid_moves(env, cells)
@@ -286,8 +289,12 @@ def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> Pet
         if p < 0:
             raise ValidationError(f"agent start {[r, c]} is not a free cell")
         counts[p] += 1
-    return PetriNet.from_moves(len(cells), src, dst, env.move_cost, direction,
-                               tuple(map(by_cell.get, cells, repeat(frozenset()))), counts)
+    costs = {d: env.move_cost[d] for d in set(direction)}
+    scale = math.lcm(*(cost.denominator for cost in costs.values()))
+    weight = {d: cost.numerator * (scale // cost.denominator) for d, cost in costs.items()}
+    return PetriNet(len(cells), tuple(src), tuple(dst), tuple(map(weight.__getitem__, direction)),
+                    ((),) * len(src), scale, tuple(map(by_cell.get, cells, repeat(frozenset()))),
+                    tuple(counts))
 
 
 def cost_text(value: Fraction) -> str:

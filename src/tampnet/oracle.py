@@ -32,8 +32,13 @@ def joint_search(env: Environment, spec: BooleanSpec,
     States are (sorted cell multiset, visit bitset); only propositions that
     appear positively in trajectory clauses get a bit, forbidden-visit
     propositions are enforced by never entering their cells (and by rejecting
-    runs that start inside them). Raises StateBudgetError past the budget.
+    runs that start inside them). Raises StateBudgetError past the budget,
+    and, before any per-cell work, for a map with more free cells than the
+    budget, as ``build_offline`` does for its state cap, so a huge grid is
+    refused before its cells are listed.
     """
+    if env.rows * env.cols - len(env.obstacles) > state_budget:
+        raise StateBudgetError(state_budget, what="oracle search")
     cells = free_cells(env)
     index = {cell: i for i, cell in enumerate(cells)}
     by_cell = cell_labels(env)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -126,9 +125,10 @@ def split_formula(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):
     bitsets of the markings that meet every clause of that family, soft
     places dropped (-1 when it has none); ``stuck`` is that of the markings
     with a token on a forbidden place with no escape move; ``hops`` lists
-    ``(place, move, cost)`` of each soft place's escape move, in ascending
-    place order. Empty ``escapes`` makes every forbidden place a hard
-    exclusion. Raises ValueError for a place outside the graph."""
+    ``(place, move, weight)`` of each soft place's escape move, in
+    ascending place order, its weight at the model's one scale. Empty
+    ``escapes`` makes every forbidden place a hard exclusion. Raises
+    ValueError for a place outside the graph."""
     n = graph.places
     for places in (*vectors.trajectory, *vectors.final, vectors.forbidden):
         for p in places:
@@ -169,9 +169,9 @@ def select_target(graph: BasisGraph, split) -> Optional[TargetChoice]:
     reported cost includes those hops. The candidates are walked in
     ascending-q order, each unpacked only to price its hops, until one pays
     none (no later candidate costs less) or q alone reaches the best total;
-    ties go to the smallest index. Costs are compared in integers: the tree's ``qs``
-    and the hop prices (ints or Fractions) brought to one scale, the LCM
-    of ``graph.scale`` and the prices' denominators.
+    ties go to the smallest index. Costs are compared as plain ints: the
+    tree's ``qs`` and the hops' weights count at the model's one scale,
+    ``graph.scale``.
     """
     trajectory, final, stuck, hops = split
     candidates = trajectory & final
@@ -181,24 +181,23 @@ def select_target(graph: BasisGraph, split) -> Optional[TargetChoice]:
     if not candidates:
         return None
     hopping = _any_of(graph, (p for p, _, _ in hops))
-    scale = lcm(graph.scale, *(cost.denominator for _, _, cost in hops))
-    prices = [(p, cost.numerator * (scale // cost.denominator)) for p, _, cost in hops]
+    qs = graph.qs
     best = None
     while candidates:
         low = candidates & -candidates
         candidates ^= low
         i = low.bit_length() - 1
-        total = graph.qs[i] * (scale // graph.scale)
+        total = qs[i]
         if best is not None and total >= best[1]:
             break
         if not low & hopping:
             best = (i, total)
             break
         m = graph.marking(i)
-        total += sum(m[p] * price for p, price in prices)
+        total += sum(m[p] * weight for p, _, weight in hops)
         if best is None or total < best[1]:
             best = (i, total)
-    return TargetChoice(best[0], Fraction(best[1], scale))
+    return TargetChoice(best[0], Fraction(best[1], graph.scale))
 
 
 def diagnose_infeasibility(graph: BasisGraph, split) -> Tuple[str, ...]:
@@ -273,10 +272,9 @@ def walk_route(net: PetriNet, simplified: SimplifiedNet, sigma: Sequence[int],
     A net with latches, agents that start off the kept places, and a step of
     ``sigma`` that fails a check raise an IntegrityError naming the check.
     """
-    sources, targets = net.move_places
-    labels = net.labels
+    sources, targets, labels = net.sources, net.targets, net.labels
     lift_map, stops, kept = simplified.lift_map, simplified.stops, simplified.kept_places
-    if net.clamp_at_one:
+    if net.latches:
         raise IntegrityError("the movement net has latch places")
     if not kept.issuperset(starts):
         raise IntegrityError("an agent starts off the kept places")
@@ -347,32 +345,34 @@ def plan(env: Environment, spec: Union[BooleanSpec, str],
     route = walk_route(net, offline.simplified, sigma_m, offline.starts)
 
     # Agents left on forbidden final places hop onto anonymous ground: the
-    # split's escape move out of such a place, once per token on it.
+    # split's escape move out of such a place, once per token on it, at
+    # the weight the selection priced it at.
     target = graph.marking(index)
     base_place = offline.simplified.base_place
-    sources, targets = net.move_places
+    sources, targets = net.sources, net.targets
     hops: List[int] = []
-    for p, t, _ in split[3]:
+    priced = 0
+    for p, t, weight in split[3]:
         if target[p]:
             if not (0 <= t < len(sources) and sources[t] == base_place[p]):
                 raise IntegrityError(f"escape hop {t} is not a move out of place {base_place[p]}")
             hops.extend([t] * target[p])
+            priced += weight * target[p]
     # walk_route has checked every move id and abstract transition id of
     # the route, and the loop above every hop's, so each indexes its net's
-    # integer weights directly
+    # weights directly
     team = (*route.moves, *hops)
-    weights, scale = net.integer_costs
-    total = sum(map(weights.__getitem__, team))
-    abstract_weights, abstract_scale = offline.monitored.net.integer_costs
-    abstract = sum(map(abstract_weights.__getitem__, sigma_m))
+    total = sum(map(net.weights.__getitem__, team))
+    abstract = sum(map(offline.monitored.net.weights.__getitem__, sigma_m))
 
     # Defensive checks: the load recomputes every key and cost from the
-    # net, so only a model edited in memory can trip these.
-    # Costs are compared as integer fractions, cross-multiplied: the team's
-    # total / scale with the choice's cost, and the abstract run's
-    # abstract / abstract_scale with the tree's qs[i] / graph.scale.
-    if total * cost.denominator != cost.numerator * scale or \
-            abstract * graph.scale != graph.qs[index] * abstract_scale:
+    # net, so only a model edited in memory can trip these. Every net and
+    # the tree count costs at the model's one scale, so costs compare as
+    # plain ints: the abstract run's with the tree's, and the team's with
+    # the tree's plus the hops the selection priced.
+    if not net.scale == offline.monitored.net.scale == graph.scale:
+        raise IntegrityError("the model's nets and tree count costs at different scales")
+    if abstract != graph.qs[index] or total != graph.qs[index] + priced:
         raise IntegrityError("abstract and base run costs disagree")
     counts, word, paths = route.counts, route.word, route.paths
     if tuple(map(counts.get, base_place, repeat(0))) != target[:len(base_place)]:

@@ -23,15 +23,40 @@ def end_label(name: str) -> frozenset:
 
 
 def hand_net(num_places: int, arcs: Sequence[Tuple[tuple, tuple, object]],
-             labels: Sequence[frozenset], m0: Sequence[int]) -> PetriNet:
-    """Small literal net builder for structural tests."""
+             labels: Sequence[frozenset], m0: Sequence[int],
+             latches=frozenset()) -> PetriNet:
+    """Small literal net builder for structural tests, the one place a
+    literal net becomes move columns.
+
+    Each arc is ``(input places, output places, cost)``, as in a general
+    Petri net: a move takes one input place, its source, and its output
+    places are one place that is no latch, its target, and the latches it
+    sets, in the order written. Costs are numbers or ``"p/q"`` strings;
+    the weights count them at the LCM of their denominators. An arc of any
+    other shape raises ValueError, since no net can express it.
+    """
+    costs = [Fraction(a[2]) for a in arcs]
+    scale = math.lcm(*(c.denominator for c in costs))
+    latches = frozenset(latches)
+    sources, targets, sets = [], [], []
+    for t, (pre, post, _) in enumerate(arcs):
+        plain = [p for p in post if p not in latches]
+        if len(pre) != 1 or len(plain) != 1:
+            raise ValueError(f"arc {t} is no move: it takes from {len(pre)} places "
+                             f"and puts a token on {len(plain)}")
+        sources += pre
+        targets += plain
+        sets.append(tuple(p for p in post if p in latches))
     return PetriNet(
         num_places=num_places,
-        pre=tuple(tuple(a[0]) for a in arcs),
-        post=tuple(tuple(a[1]) for a in arcs),
-        cost=tuple(Fraction(a[2]) for a in arcs),
+        sources=tuple(sources),
+        targets=tuple(targets),
+        weights=tuple(c.numerator * (scale // c.denominator) for c in costs),
+        scale=scale,
         labels=tuple(labels),
         initial_marking=tuple(m0),
+        sets=tuple(sets),
+        latches=latches,
     )
 
 
@@ -68,23 +93,25 @@ def two_cycle_net() -> PetriNet:
 
 
 def join_net() -> PetriNet:
-    # the watched move consumes from two places at once
+    # the watched move consumes from two places at once: no net expresses
+    # that, so hand_net refuses it
     return hand_net(5, [((0,), (2,), 1), ((1,), (3,), 1), ((2, 3), (4,), 1)],
                     [EMPTY] * 4 + [end_label("x")], (1, 1, 0, 0, 0))
 
 
-def two_byte_net(clamp=frozenset()) -> PetriNet:
-    """260 tokens on place 0 need two-byte fields; ``clamp`` may make the
-    never-consumed places 1 and 3 latches."""
-    net = hand_net(4, [((0,), (1,), 1), ((2,), (3,), "1/2")],
-                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (260, 0, 1, 0))
-    return dataclasses.replace(net, clamp_at_one=frozenset(clamp))
+def two_byte_net(latched: bool = False) -> PetriNet:
+    """260 tokens on place 0 need two-byte fields. With ``latched``, the
+    move out of place 0 also sets place 4, a latch after the plain places."""
+    return hand_net(4 + latched, [((0,), (1,) + (4,) * latched, 1), ((2,), (3,), "1/2")],
+                    [EMPTY, end_label("x"), EMPTY, end_label("y")] + [EMPTY] * latched,
+                    (260, 0, 1, 0) + (0,) * latched, latches={4} if latched else ())
 
 
-def wide_net(clamp=frozenset()) -> PetriNet:
+def wide_net(latched: bool = False) -> PetriNet:
     """1,100 places: two short chains, far apart, and idle places holding
-    tokens between them; ``clamp`` may make chain ends or idle places
-    holding at most one token latches."""
+    tokens between them. With ``latched``, each chain's last move also sets
+    the place after the chain's end, a latch, and the idle places 501,
+    holding none, and 1099, holding one, are latches no move sets."""
     width = 1100
     arcs = [((p,), (p + 1,), 1) for p in range(6)]
     arcs += [((p,), (p + 1,), "1/2") for p in range(1000, 1005)]
@@ -94,8 +121,12 @@ def wide_net(clamp=frozenset()) -> PetriNet:
     m0[0] = m0[1000] = 1
     m0[500] = 3
     m0[1099] = 1
-    net = hand_net(width, arcs, labels, m0)
-    return dataclasses.replace(net, clamp_at_one=frozenset(clamp))
+    if not latched:
+        return hand_net(width, arcs, labels, m0)
+    for k in (5, 10):
+        pre, (end,), cost = arcs[k]
+        arcs[k] = (pre, (end, end + 1), cost)
+    return hand_net(width, arcs, labels, m0, latches={7, 501, 1006, 1099})
 
 
 def brute_minimal_sequence(net, source, target, blocked):
@@ -106,9 +137,8 @@ def brute_minimal_sequence(net, source, target, blocked):
     if target in blocked:
         return None
     out = [[] for _ in range(net.num_places)]
-    for t in range(net.num_transitions):
-        if len(net.pre[t]) == 1 and len(net.post[t]) == 1:
-            out[net.pre[t][0]].append((t, net.post[t][0]))
+    for t, (p, x) in enumerate(zip(net.sources, net.targets)):
+        out[p].append((t, x))
     best = None
     stack = [(source, (), Fraction(0), frozenset({source}))]
     while stack:
@@ -123,7 +153,8 @@ def brute_minimal_sequence(net, source, target, blocked):
         for t, nxt in out[place]:
             if nxt in seen or nxt in blocked:
                 continue
-            stack.append((nxt, seq + (t,), cost + net.cost[t], seen | {nxt}))
+            stack.append((nxt, seq + (t,), cost + Fraction(net.weights[t], net.scale),
+                          seen | {nxt}))
     return best
 
 
@@ -185,18 +216,17 @@ def full_graph_reference(net: PetriNet, state_budget: int = 100_000) -> Referenc
     A breadth-first search fires every enabled transition of every marking
     with ``petri.fire``, keeping each edge as (child index, transition);
     Dijkstra's algorithm then labels the markings over those edges, in
-    integers scaled by the LCM of the cost denominators. Last, the markings
+    the net's integer weights. Last, the markings
     are ranked level by level in ascending cost: every min-cost in-edge of
     a level comes from a cheaper level, already ranked, so each marking's
     pi is known before its level is sorted by it. Raises StateBudgetError
     past ``state_budget`` markings.
     """
-    scale = math.lcm(*(c.denominator for c in net.cost))
-    weight = [c.numerator * scale // c.denominator for c in net.cost]
-    # each transition is tried only where its first input place is marked
+    weight = net.weights
+    # each transition is tried only where its source place is marked
     by_input: List[List[int]] = [[] for _ in range(net.num_places)]
-    for t, pre in enumerate(net.pre):
-        by_input[pre[0]].append(t)
+    for t, p in enumerate(net.sources):
+        by_input[p].append(t)
 
     root = net.initial_marking
     markings = [root]
@@ -208,8 +238,6 @@ def full_graph_reference(net: PetriNet, state_budget: int = 100_000) -> Referenc
             if not tokens:
                 continue
             for t in by_input[p]:
-                if not all(m[s] for s in net.pre[t]):
-                    continue
                 child = fire(net, m, t)
                 j = index.get(child)
                 if j is None:
@@ -250,7 +278,7 @@ def full_graph_reference(net: PetriNet, state_budget: int = 100_000) -> Referenc
                 if cost[i] + weight[t] == cost[j] and (pi[j] is None or (rank[i], t) < pi[j]):
                     pi[j] = (rank[i], t)
     return ReferenceGraph(tuple(markings[i] for i in ranked),
-                          tuple(Fraction(cost[i], scale) for i in ranked),
+                          tuple(Fraction(cost[i], net.scale) for i in ranked),
                           tuple(pi[i][0] for i in ranked[1:]),
                           tuple(pi[i][1] for i in ranked[1:]))
 
@@ -292,7 +320,7 @@ def scan_select(graph, vectors, escapes):
             if escapes[p] is None:
                 total = None
                 break
-            total += m[p] * escapes[p][1]
+            total += m[p] * Fraction(escapes[p][1], graph.scale)
         if total is not None and (best is None or total < best.cost):
             best = TargetChoice(i, total)
     return best

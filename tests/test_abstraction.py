@@ -19,7 +19,8 @@ def test_demo_simplified_shape(demo_offline):
     assert simplified.net.num_places == 5
     assert simplified.net.num_transitions == 12
     assert simplified.base_place == (0, 2, 6, 7, 8)
-    assert sorted(simplified.net.cost) == [1, 1, 2, 2, 2, 2, 2, 2, 3, 4, 4, 4]
+    assert simplified.net.scale == 1
+    assert sorted(simplified.net.weights) == [1, 1, 2, 2, 2, 2, 2, 2, 3, 4, 4, 4]
 
 
 def test_demo_transitions_ordered_by_base_pair(demo_offline):
@@ -62,9 +63,9 @@ def assert_lift_map_matches_brute_force(net):
     # each move's end place, and the moves that leave a kept place
     kept = set(simplified.base_place)
     for m, stops in zip(simplified.lift_map, simplified.stops):
-        assert m.places == tuple(net.post[t][0] for t in m.sequence)
+        assert m.places == tuple(net.targets[t] for t in m.sequence)
         assert stops == tuple(k for k in range(1, len(m.sequence))
-                              if net.pre[m.sequence[k]][0] in kept)
+                              if net.sources[m.sequence[k]] in kept)
     return got
 
 
@@ -152,7 +153,7 @@ def test_lift_preserves_cost_and_placement(demo_offline, seed):
     sigma = []
     for _ in range(rng.randrange(1, 7)):
         options = [t for t in range(abstract.num_transitions)
-                   if all(marking[p] for p in abstract.pre[t])]
+                   if marking[abstract.sources[t]]]
         t = rng.choice(options)
         sigma.append(t)
         marking = fire(abstract, marking, t)
@@ -178,7 +179,7 @@ def test_demo_monitor_shape(demo_offline):
     assert qm.net.num_places == 7
     assert qm.indicator_of == {"1": 5, "2": 6}
     assert qm.net.labels[:5] == demo_offline.simplified.net.labels
-    assert qm.net.clamp_at_one == frozenset({5, 6})
+    assert qm.net.latches == frozenset({5, 6})
     assert qm.net.labels[5] == EMPTY and qm.net.labels[6] == EMPTY
     assert qm.net.initial_marking == (1, 0, 0, 1, 0, 0, 0)
 
@@ -187,10 +188,10 @@ def test_monitor_production_matches_target_labels(demo_offline):
     qm = demo_offline.monitored
     abstract = demo_offline.simplified.net
     for t in range(abstract.num_transitions):
-        target = abstract.post[t][0]
+        target = abstract.targets[t]
         want = {qm.indicator_of[a.name] for a in abstract.labels[target]
                 if a.kind == VISIT and a.name in qm.indicator_of}
-        assert set(qm.net.post[t]) == {target} | want
+        assert qm.net.targets[t] == target and set(qm.net.sets[t]) == want
 
 
 def test_start_inside_region_sets_indicator():
@@ -210,7 +211,7 @@ def test_indicators_are_monotone_binary(demo_offline, seed):
     prev = [marking[i] for i in indicators]
     for _ in range(12):
         options = [t for t in range(qm.net.num_transitions)
-                   if all(marking[p] for p in qm.net.pre[t])]
+                   if marking[qm.net.sources[t]]]
         marking = fire(qm.net, marking, rng.choice(options))
         cur = [marking[i] for i in indicators]
         assert all(v in (0, 1) for v in cur)
@@ -263,14 +264,14 @@ def test_each_search_stops_at_its_last_source():
 
 
 def scan_monitored(simplified, trajectory_props):
-    """``build_monitored``'s ``post`` and initial marking by the
+    """``build_monitored``'s latch column and initial marking by the
     per-transition scans it replaced: an ``Atom(VISIT, name)`` tested
     against each transition's target labels, per proposition."""
     base = simplified.net
     props = sorted(set(trajectory_props))
     indicator_of = {name: base.num_places + i for i, name in enumerate(props)}
-    post = tuple(base.post[t] + tuple(indicator_of[name] for name in props
-                                      if Atom(VISIT, name) in base.labels[base.post[t][0]])
+    sets = tuple(tuple(indicator_of[name] for name in props
+                       if Atom(VISIT, name) in base.labels[base.targets[t]])
                  for t in range(base.num_transitions))
     counts = list(base.initial_marking) + [0] * len(props)
     for p in range(base.num_places):
@@ -278,28 +279,26 @@ def scan_monitored(simplified, trajectory_props):
             for atom in base.labels[p]:
                 if atom.kind == VISIT and atom.name in indicator_of:
                     counts[indicator_of[atom.name]] = 1
-    return post, tuple(counts)
+    return sets, tuple(counts)
 
 
 def scan_layout(net):
     """``_layout``'s latch classes and move table by one scan over the
     transitions per latch, as it worked them out before."""
     layout = _layout(net)
-    clamped = net.clamp_at_one
     by_setters = {}
-    for p in sorted(clamped):
-        setters = tuple(t for t, post in enumerate(net.post) if p in post)
+    for p in sorted(net.latches):
+        setters = tuple(t for t, latches in enumerate(net.sets) if p in latches)
         if setters and not net.initial_marking[p]:
             by_setters.setdefault(setters, []).append(p)
     classes = [tuple(places) for places in by_setters.values()]
-    shift, weights = 8 * layout.width, net.integer_costs[0]
+    shift = 8 * layout.width
     place_bit = [1 << (shift * p) for p in range(net.num_places)]
     moves = []
-    for t, post in enumerate(net.post):
-        src = net.pre[t][0]
-        plain = sum(place_bit[p] for p in post if p not in clamped) - place_bit[src]
-        class_bits = sum(1 << c for c, places in enumerate(classes) if places[0] in post)
-        moves.append((((1 << shift) - 1) << (shift * src), plain, class_bits, weights[t]))
+    for t, (src, dst) in enumerate(zip(net.sources, net.targets)):
+        plain = place_bit[dst] - place_bit[src]
+        class_bits = sum(1 << c for c, places in enumerate(classes) if places[0] in net.sets[t])
+        moves.append((((1 << shift) - 1) << (shift * src), plain, class_bits, net.weights[t]))
     return classes, tuple(moves)
 
 
@@ -311,7 +310,8 @@ def assert_tables_match_the_scans(env):
     simplified = build_simplified(env_to_pn(env))
     qm = build_monitored(simplified)
     assert set(qm.indicator_of) == _props(env)
-    assert (qm.net.post, qm.net.initial_marking) == scan_monitored(simplified, _props(env))
+    assert qm.net.targets == simplified.net.targets
+    assert (qm.net.sets, qm.net.initial_marking) == scan_monitored(simplified, _props(env))
     layout = _layout(qm.net)
     assert (layout.classes, layout.moves) == scan_layout(qm.net)
     return qm, layout
@@ -322,7 +322,7 @@ def test_one_pass_tables_match_the_scans(name):
     env = load_env(fixture_path("plant_8x11.json") if name == "plant" else REDUCE_MAP)
     qm, layout = assert_tables_match_the_scans(env)
     assert qm.indicator_of and layout.classes
-    assert any(len(post) > 1 for post in qm.net.post)
+    assert any(qm.net.sets)
 
 
 def test_one_pass_tables_match_the_scans_on_random_maps():

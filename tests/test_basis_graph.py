@@ -20,13 +20,13 @@ from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
 from tampnet import basis_graph
 from tampnet.abstraction import _count_code, build_monitored, read_reduction, reduction_bytes
 from tampnet.basis_graph import (_U32, CACHE_FORMAT, CACHE_VERSION, TABLE_FACTOR,
-                                 BasisGraph, _layout, load_cache, open_cache)
+                                 _layout, load_cache, open_cache)
 from tampnet.data import fixture_path
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
 from tampnet.grid import env_to_pn
-from tampnet.petri import PetriNet, fire, replay, sequence_cost
+from tampnet.petri import fire, replay, sequence_cost
 from tampnet.planner import backtrack
 
 from conftest import (EMPTY, assert_matches_reference,
@@ -113,21 +113,27 @@ def _token_splitting_net():
 
 
 def _latch_starting_at_two_net():
-    return PetriNet(3, ((0,),), ((1, 2),), (Fraction(1),),
-                    (EMPTY, end_label("x"), EMPTY), (1, 0, 2), frozenset({2}))
+    return hand_net(3, [((0,), (1, 2), 1)], (EMPTY, end_label("x"), EMPTY), (1, 0, 2),
+                    latches={2})
 
 
-UNPACKABLE = {"join": join_net, "order": _out_of_source_order_net,
-              "split": _token_splitting_net, "latch": _latch_starting_at_two_net}
+# (net, the refusal's message): a two-input transition and a transition
+# adding tokens are no moves, so no net expresses them; moves not numbered
+# by source place and a latch holding 2 are refused by the constructor
+UNPACKABLE = {"join": (join_net, "arc 2 is no move"),
+              "order": (_out_of_source_order_net,
+                        "transition 1 leaves a lower place than the transition before it"),
+              "split": (_token_splitting_net, "arc 0 is no move"),
+              "latch": (_latch_starting_at_two_net, "latch place 2 starts above 1")}
 
 
 @pytest.mark.parametrize("name", sorted(UNPACKABLE))
 def test_build_refuses_nets_it_cannot_pack(name):
-    # a two-input transition, transitions not numbered by source place, a
-    # transition adding tokens and a latch holding 2 do not fit packed
-    # markings
-    with pytest.raises(ValueError, match="packed"):
-        build_graph(UNPACKABLE[name]())
+    # each shape that would not fit packed markings is refused before any
+    # net exists to build a tree of
+    make, message = UNPACKABLE[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()
 
 
 def test_fractional_costs_match_reference():
@@ -192,7 +198,7 @@ def test_demo_graph_matches_exhaustive_reference(demo_offline):
     markings = markings_of(graph)
     for i, (parent, t) in enumerate(tree_edges(graph), 1):
         assert fire(qm.net, markings[parent], t) == markings[i]
-        assert graph.q(i) - graph.q(parent) == qm.net.cost[t]
+        assert graph.qs[i] - graph.qs[parent] == qm.net.weights[t]
 
 
 def test_build_honors_the_state_cap(demo_offline):
@@ -212,18 +218,18 @@ def _latch_free(env):
 def _interleaved_latches_net(m0):
     # latches 1 and 3 sit between the plain places 0, 2, 4 and 5; moves
     # set no latch, one or both
-    net = hand_net(6, [((0,), (2, 1), 1), ((0,), (4,), 2), ((2,), (0,), "1/2"),
-                       ((2,), (4, 3), 1), ((4,), (0, 1, 3), "3/2"),
-                       ((4,), (5,), 1), ((5,), (2,), "1/3")],
-                   [EMPTY, EMPTY, end_label("x"), EMPTY, EMPTY, end_label("y")], m0)
-    return dataclasses.replace(net, clamp_at_one=frozenset({1, 3}))
+    return hand_net(6, [((0,), (2, 1), 1), ((0,), (4,), 2), ((2,), (0,), "1/2"),
+                        ((2,), (4, 3), 1), ((4,), (0, 1, 3), "3/2"),
+                        ((4,), (5,), 1), ((5,), (2,), "1/3")],
+                    [EMPTY, EMPTY, end_label("x"), EMPTY, EMPTY, end_label("y")], m0,
+                    latches={1, 3})
 
 
 def _first_place_latch_net():
     # place 0 is a latch, the last place plain and holding two tokens
-    net = hand_net(4, [((1,), (3, 0), 1), ((3,), (1, 2), 2)],
-                   [EMPTY, end_label("x"), EMPTY, end_label("y")], (0, 1, 0, 2))
-    return dataclasses.replace(net, clamp_at_one=frozenset({0, 2}))
+    return hand_net(4, [((1,), (3, 0), 1), ((3,), (1, 2), 2)],
+                    [EMPTY, end_label("x"), EMPTY, end_label("y")], (0, 1, 0, 2),
+                    latches={0, 2})
 
 
 def _co_located_env():
@@ -252,8 +258,8 @@ def _hub_latches_net(arms: int = 9):
     labels = [EMPTY] + [end_label(str(p)) if p % 2 else EMPTY
                         for p in range(1, 2 * arms + 1)] + [EMPTY]
     m0 = (1,) + (0,) * (2 * arms) + (299,)
-    net = hand_net(2 * arms + 2, out + back, labels, m0)
-    return dataclasses.replace(net, clamp_at_one=frozenset(range(2, 2 * arms + 1, 2)))
+    return hand_net(2 * arms + 2, out + back, labels, m0,
+                    latches=range(2, 2 * arms + 1, 2))
 
 
 # Nets whose markings split into a placement and a latch mask in every
@@ -266,8 +272,8 @@ SPLIT_KEY_NETS = {
     "interleaved-set": lambda: _interleaved_latches_net((1, 1, 1, 0, 0, 0)),
     "interleaved-crowded": lambda: _interleaved_latches_net((0, 0, 1, 1, 2, 1)),
     "first-place": _first_place_latch_net,
-    "two-byte-latch": lambda: two_byte_net(clamp={1}),
-    "wide-latches": lambda: wide_net(clamp={6, 501, 1005, 1099}),
+    "two-byte-latch": lambda: two_byte_net(latched=True),
+    "wide-latches": lambda: wide_net(latched=True),
     "co-located": lambda: build_offline(_co_located_env()).monitored.net,
     "hub-latches": _hub_latches_net,
 }
@@ -288,7 +294,7 @@ def test_split_key_nets_match_reference_and_cache(name, tmp_path):
 @pytest.mark.parametrize("seed", range(12))
 def test_latch_free_maps_match_reference_and_cache(seed, tmp_path):
     offline = build_offline(_latch_free(random_env(random.Random(f"latch-free:{seed}"))))
-    assert not offline.monitored.net.clamp_at_one
+    assert not offline.monitored.net.latches
     _assert_canonical_and_cached(offline.monitored.net, offline.graph, tmp_path / "map.bin")
 
 
@@ -335,8 +341,8 @@ def _star_net(arms: int):
     every marking holds at most one of them."""
     arcs = [((0,), (i, arms + i), 1) for i in range(1, arms + 1)]
     labels = [EMPTY] + [end_label(str(i)) for i in range(1, arms + 1)] + [EMPTY] * arms
-    net = hand_net(2 * arms + 1, arcs, labels, (1,) + (0,) * (2 * arms))
-    return dataclasses.replace(net, clamp_at_one=frozenset(range(arms + 1, 2 * arms + 1)))
+    return hand_net(2 * arms + 1, arcs, labels, (1,) + (0,) * (2 * arms),
+                    latches=range(arms + 1, 2 * arms + 1))
 
 
 def test_sparse_latch_masks_hit_the_table_bound():
@@ -493,25 +499,38 @@ def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
     assert_same_graph(loaded, graph)
 
 
-def _tampered(tmp_path, offline, edit, rehash=True, env=None):
+def _saved(tmp_path, offline, env=None):
     """Save ``offline``'s cache, its tree alone or, given ``env``, its whole
-    model (``save_offline``); let ``edit(header, payload)`` change the
-    parsed header dict and the inflated payload bytearray in place; and
-    write both back, the payload compressed again. With ``rehash`` the
-    header's checksum is recomputed over the edited payload."""
-    net = offline.monitored.net
+    model (``save_offline``), and return its path, its parsed header dict
+    and its inflated payload, for ``_rewritten`` to edit."""
     path = tmp_path / "cache.bin"
     if env is None:
-        save_cache(offline.graph, net, path)
+        save_cache(offline.graph, offline.monitored.net, path)
     else:
         save_offline(env, offline, path)
     line, _, body = path.read_bytes().partition(b"\n")
-    header, payload = json.loads(line), bytearray(zlib.decompress(body))
+    return path, json.loads(line), zlib.decompress(body)
+
+
+def _rewritten(saved, edit, rehash=True):
+    """Let ``edit(header, payload)`` change copies of a ``_saved`` cache's
+    header dict and payload, as a bytearray, in place, and write both back
+    over its path, the payload compressed again; return the path. With
+    ``rehash`` the header's checksum is recomputed over the edited
+    payload."""
+    path, header, payload = saved
+    header, payload = dict(header), bytearray(payload)
     edit(header, payload)
     if rehash:
         header["sha256"] = hashlib.sha256(payload).hexdigest()
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(payload))
-    return path, net
+    return path
+
+
+def _tampered(tmp_path, offline, edit, rehash=True, env=None):
+    """A ``_saved`` cache of ``offline``, ``_rewritten`` by ``edit``, and
+    the monitored net to load it with."""
+    return _rewritten(_saved(tmp_path, offline, env), edit, rehash), offline.monitored.net
 
 
 def _entry(graph, column, i):
@@ -825,14 +844,15 @@ def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
     # its place in the order
     offline = (request.getfixturevalue("demo_offline") if name == "demo"
                else acc8_offline(latches=name == "acc8"))
-    transitions = offline.monitored.net.num_transitions
+    net = offline.monitored.net
+    transitions = net.num_transitions
+    saved = _saved(tmp_path, offline)
     edits = 0
     for i, current in enumerate(offline.graph.transition, 1):
         for t in range(transitions):
             if t == current:
                 continue
-            path, net = _tampered(tmp_path, offline,
-                                  lambda header, body: _set_entry(body, offline.graph, 1, i, t))
+            path = _rewritten(saved, lambda header, body: _set_entry(body, offline.graph, 1, i, t))
             with pytest.raises(CacheError):
                 load_cache(path, net)
             edits += 1
@@ -845,8 +865,9 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
     # edit whose replayed (q, parent, transition) sequence is not strictly
     # ascending is refused, also the ones whose q alone never decreases
     offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
-    graph = offline.graph
+    graph, net = offline.graph, offline.monitored.net
     weights = [q - graph.qs[p] for q, p in zip(graph.qs[1:], graph.parent)]
+    saved = _saved(tmp_path, offline)
     breaking = q_sorted = 0
     for i in range(1, len(graph)):
         for parent in range(i):
@@ -862,8 +883,7 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
                 continue
             breaking += 1
             q_sorted += qs == sorted(qs)
-            path, net = _tampered(tmp_path, offline,
-                                  lambda header, body: _set_entry(body, graph, 0, i, parent))
+            path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 0, i, parent))
             with pytest.raises(CacheFormatError):
                 load_cache(path, net)
     assert breaking and q_sorted
@@ -876,12 +896,11 @@ def _a_marking_listed_twice(tmp_path, offline):
     other check."""
     graph, net = offline.graph, offline.monitored.net
     markings = markings_of(graph)
-    weights, _ = net.integer_costs
     i = len(graph) - 1
     before = (graph.qs[i - 1], graph.parent[i - 2], graph.transition[i - 2])
     parent, t = next((p, t) for p in range(i) for t in range(net.num_transitions)
-                     if markings[p][net.pre[t][0]]
-                     and (graph.qs[p] + weights[t], p, t) > before
+                     if markings[p][net.sources[t]]
+                     and (graph.qs[p] + net.weights[t], p, t) > before
                      and fire(net, markings[p], t) in markings[:i])
 
     def edit(header, body):
@@ -947,30 +966,38 @@ def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatc
 
 
 def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
-    # a well-formed file whose digest matches a net with a two-input move
-    net = join_net()
+    # a well-formed file whose header names the digest of a net with a
+    # two-input move, worked out from the digest's JSON by hand: no net
+    # can be made with that move, so every net the constructor accepts,
+    # even one of the same places and costs, is refused by its digest
+    with pytest.raises(ValueError, match="^arc 2 is no move"):
+        join_net()
+    payload = {"places": 5, "pre": [[0], [1], [2, 3]], "post": [[2], [3], [4]],
+               "cost": [[1, 1]] * 3, "labels": [[]] * 4 + [[["end", "x"]]],
+               "m0": [1, 1, 0, 0, 0], "clamp": []}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                            .encode("utf-8")).hexdigest()
     # one edge: a 1-byte parent and a 1-byte transition
-    payload = struct.pack("<BB", 0, 0)
+    columns = struct.pack("<BB", 0, 0)
     header = {"format": CACHE_FORMAT, "version": CACHE_VERSION, "key": None,
-              "digest": net_digest(net), "markings": 2, "reduction": 0,
-              "payload": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}
+              "digest": digest, "markings": 2, "reduction": 0,
+              "payload": len(columns), "sha256": hashlib.sha256(columns).hexdigest()}
     path = tmp_path / "join.bin"
-    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(payload))
-    with pytest.raises(CacheFormatError, match="rebuilt"):
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(columns))
+    net = hand_net(5, [((0,), (2,), 1), ((1,), (3,), 1), ((2,), (4,), 1)],
+                   [EMPTY] * 4 + [end_label("x")], (1, 1, 0, 0, 0))
+    with pytest.raises(CacheDigestError):
         load_cache(path, net)
 
 
-def test_save_cache_refuses_graphs_it_cannot_rebuild(tmp_path):
-    # build_graph refuses these nets, so their trees are assembled by hand
+def test_save_cache_refuses_graphs_it_cannot_rebuild():
+    # a tree could only be saved for a net, and no net has a two-input
+    # move or a move that adds tokens: the constructor's translation
+    # refuses both, so no such graph exists to save
     for name in ("join", "split"):
-        net = UNPACKABLE[name]()
-        m0 = net.initial_marking
-        markings = (m0, fire(net, m0, 0))
-        tree = BasisGraph(bytes(m0 + markings[1]), 1, len(m0), [0, 1], 1,
-                          array(_U32, [0]), array(_U32, [0]))
-        with pytest.raises(ValueError):
-            save_cache(tree, net, tmp_path / f"{name}.bin")
-        assert not (tmp_path / f"{name}.bin").exists()
+        make, message = UNPACKABLE[name]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
 
 
 class _FullDisk(io.FileIO):
@@ -1063,8 +1090,7 @@ def _with_section(section):
 def _moves_out(net, place):
     """The moves out of ``place``, in ascending id: their ranks are their
     positions here."""
-    sources, _ = net.move_places
-    return [t for t, p in enumerate(sources) if p == place]
+    return [t for t, p in enumerate(net.sources) if p == place]
 
 
 def _model_tampered(tmp_path, env, offline, section):
@@ -1125,7 +1151,7 @@ def test_cache_rejects_an_escape_onto_a_labeled_cell_or_out_of_another_place(
         tmp_path, plant_env, plant_offline):
     net, simplified = plant_offline.net, plant_offline.simplified
     data, _ = _section(plant_offline)
-    _, targets = net.move_places
+    targets = net.targets
     onto_labeled = [(i, rank) for i, p in enumerate(simplified.base_place)
                     for rank, t in enumerate(_moves_out(net, p)) if net.labels[targets[t]]]
     assert onto_labeled
@@ -1169,7 +1195,7 @@ def test_cache_of_a_map_with_an_obstacle_moved_off_every_route_is_refused_by_its
     path = tmp_path / "model.bin"
     save_offline(env, offline, path)
     simplified, cells = offline.simplified, offline.cells
-    _, targets = offline.net.move_places
+    targets = offline.net.targets
     touched = {cells[p] for ms in simplified.lift_map for p in (ms.source, *ms.places)}
     touched |= {cells[p] for p in simplified.base_place}
     touched |= {cells[targets[e[0]]] for e in simplified.escapes if e is not None}

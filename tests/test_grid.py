@@ -12,16 +12,16 @@ from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn,
                           free_cells, plan_json_text, render)
 from tampnet.petri import Atom, END, VISIT, PetriNet
 
-from conftest import random_env, square_env
+from conftest import hand_net, random_env, square_env
 from test_golden import REDUCE_MAP, fractional_env
 
 
 def test_demo_net_shape(demo_env):
     net = env_to_pn(demo_env)
     assert net.num_places == 9
-    assert len(net.pre) == 24
+    assert net.num_transitions == 24
     assert net.initial_marking == (1, 0, 0, 0, 0, 0, 0, 1, 0)
-    assert all(c == 1 for c in net.cost)
+    assert net.scale == 1 and set(net.weights) == {1}
 
 
 def test_center_obstacle_net_shape():
@@ -29,7 +29,7 @@ def test_center_obstacle_net_shape():
                      agents=[(0, 0)], obstacles=[(1, 1)])
     net = env_to_pn(env)
     assert net.num_places == 8
-    assert len(net.pre) == 16
+    assert net.num_transitions == 16
 
 
 def test_free_cells_row_major(demo_env):
@@ -38,7 +38,7 @@ def test_free_cells_row_major(demo_env):
 
 def _direction(net, cells, t):
     """Index into DIRECTIONS of move ``t``, from its source and target cells."""
-    (r, c), (r2, c2) = cells[net.pre[t][0]], cells[net.post[t][0]]
+    (r, c), (r2, c2) = cells[net.sources[t]], cells[net.targets[t]]
     return [delta for _, delta in DIRECTIONS].index((r2 - r, c2 - c))
 
 
@@ -48,7 +48,7 @@ def test_moves_follow_direction_table(demo_env):
     lookup = {cell: i for i, cell in enumerate(cells)}
     order = []
     for t in range(net.num_transitions):
-        (src,), (dst,) = net.pre[t], net.post[t]
+        src, dst = net.sources[t], net.targets[t]
         d = _direction(net, cells, t)  # raises unless the step is a table entry
         (dr, dc) = DIRECTIONS[d][1]
         r, c = cells[src]
@@ -73,9 +73,10 @@ def test_env_to_pn_is_deterministic(demo_env):
 
 
 def generic_net(env) -> PetriNet:
-    """The movement net of ``env`` made by the constructor from per-move
-    arc lists: one move per free neighbour of each free cell, listed per
-    source place in direction order."""
+    """The movement net of ``env`` made by ``hand_net`` from per-move arc
+    lists: one move per free neighbour of each free cell, listed per
+    source place in direction order, its weights counted at the LCM of
+    the denominators of the moves' costs."""
     cells = free_cells(env)
     place = {cell: i for i, cell in enumerate(cells)}
     moves = [(p, place[(r + dr, c + dc)], cost)
@@ -86,12 +87,8 @@ def generic_net(env) -> PetriNet:
     marking = [0] * len(cells)
     for cell in env.agents:
         marking[place[cell]] += 1
-    return PetriNet(num_places=len(cells),
-                    pre=tuple((p,) for p, _, _ in moves),
-                    post=tuple((q,) for _, q, _ in moves),
-                    cost=tuple(cost for _, _, cost in moves),
-                    labels=tuple(labels.get(cell, frozenset()) for cell in cells),
-                    initial_marking=tuple(marking))
+    return hand_net(len(cells), [((p,), (q,), cost) for p, q, cost in moves],
+                    [labels.get(cell, frozenset()) for cell in cells], marking)
 
 
 def obstacle_env(side=60, share=0.2):
@@ -136,20 +133,18 @@ def _random_envs():
 def test_the_movement_net_equals_the_generic_construction(envs):
     for env in envs():
         net, reference = env_to_pn(env), generic_net(env)
-        # field by field, move numbering included: team_sequence lists these ids
+        # field by field, move numbering and scale included: team_sequence
+        # lists these ids, and every net of the model keeps this scale
         for f in dataclasses.fields(PetriNet):
             assert getattr(net, f.name) == getattr(reference, f.name), f.name
-        # the tables made from the columns are the properties' own values
-        for table in (PetriNet.move_places, PetriNet.integer_costs):
-            assert getattr(net, table.attrname) == table.func(net) == table.func(reference)
 
 
 def test_the_scale_leaves_out_the_costs_of_moves_that_never_occur():
     # the corridor moves only right, at 1/2, and left, at 2/3: the end
     # cells have one move each, the five between them a right then a left
-    weights, scale = env_to_pn(corridor_env()).integer_costs
-    assert scale == 6
-    assert weights == (3, *(3, 4) * 5, 4)
+    net = env_to_pn(corridor_env())
+    assert net.scale == 6
+    assert net.weights == (3, *(3, 4) * 5, 4)
 
 
 @pytest.mark.parametrize("start", [(1, 1), (0, 3), (3, 0), (-1, 0)])
@@ -246,7 +241,7 @@ def test_move_cost_forms(cost, expected):
     cells = free_cells(env)
     net = env_to_pn(env, cells)
     for t in range(net.num_transitions):
-        assert net.cost[t] == Fraction(expected[_direction(net, cells, t)])
+        assert Fraction(net.weights[t], net.scale) == Fraction(expected[_direction(net, cells, t)])
 
 
 def test_move_cost_rejects_nonpositive_and_junk():

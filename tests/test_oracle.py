@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import StateBudgetError, joint_search, parse
+from tampnet import StateBudgetError, joint_search, oracle, parse
 from tampnet.bench import generate_instance
 from tampnet.errors import UnknownPropositionError
 from tampnet.grid import DIRECTIONS, cell_labels, free_cells
@@ -96,6 +96,27 @@ def test_budget_is_enforced(demo_env):
         joint_search(demo_env, parse("visit(2) & end(3) & !visit(1)"),
                      state_budget=2)
     assert err.value.budget == 2
+
+
+def test_budget_refuses_a_map_with_more_free_cells_before_listing_them(demo_env, monkeypatch):
+    # a 3,000 x 3,000 map has 9,000,000 free cells: past a budget of 1,000
+    # the search is refused before a single cell is listed
+    spec = parse("visit(2)")
+    huge = square_env(3000, [{"name": "2", "cells": [[0, 1]], "trajectory_props": ["2"]}],
+                      agents=[(0, 0)])
+
+    def listed(env):
+        raise AssertionError("the free cells were listed")
+
+    monkeypatch.setattr(oracle, "free_cells", listed)
+    with pytest.raises(StateBudgetError, match="oracle search") as err:
+        joint_search(huge, spec, state_budget=1000)
+    assert err.value.budget == 1000
+    monkeypatch.undo()
+    # the demo's 9 free cells fit a budget of 9, which the search then passes
+    with pytest.raises(StateBudgetError) as err:
+        joint_search(demo_env, parse("visit(2) & end(3) & !visit(1)"), state_budget=9)
+    assert err.value.budget == 9
 
 
 def test_start_inside_forbidden_region_cannot_be_undone():

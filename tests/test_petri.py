@@ -68,13 +68,15 @@ def test_sequence_cost_sums_integer_weights_to_the_fraction_sum():
     costs = ["1/3", "2/7", "1/2", "3/2", 1]
     net = hand_net(2, [((0,), (1,), c) for c in costs] + [((1,), (0,), c) for c in costs],
                    [EMPTY, EMPTY], (1, 0))
-    assert net.integer_costs is net.integer_costs  # computed once per net
+    # hand_net counts the costs at the LCM of their denominators
+    assert net.scale == 42
+    assert net.weights == (14, 12, 21, 63, 42) * 2
     rng = random.Random("sequence-cost")
     for _ in range(50):
         sigma = [rng.randrange(net.num_transitions) for _ in range(rng.randrange(1, 30))]
         got = sequence_cost(net, sigma)
         assert isinstance(got, Fraction)
-        assert got == sum((net.cost[t] for t in sigma), Fraction(0))
+        assert got == sum((Fraction(costs[t % 5]) for t in sigma), Fraction(0))
     empty = sequence_cost(net, ())
     assert isinstance(empty, Fraction) and empty == 0
     for bad in (net.num_transitions, -1, "0", 1.0, None):
@@ -88,7 +90,7 @@ def _fold_with_fire(net, m, sigma):
     word = [frozenset().union(*(net.labels[p] for p, c in enumerate(m) if c > 0))]
     for i, t in enumerate(sigma):
         m = fire(net, m, t, step=i)
-        word.append(frozenset().union(*(net.labels[p] for p in net.post[t])))
+        word.append(frozenset().union(*(net.labels[p] for p in (net.targets[t], *net.sets[t]))))
     return m, tuple(word)
 
 
@@ -105,16 +107,11 @@ def _random_run(net, m, rng, steps):
 
 
 def _latch_net():
-    # place 1 is a latch that starts above one and saturates when produced into
-    return PetriNet(
-        num_places=3,
-        pre=((0,), (0,), (2,)),
-        post=((0, 1), (2,), (0,)),
-        cost=(Fraction(1, 3), Fraction(2, 7), Fraction(3, 2)),
-        labels=(EMPTY, EMPTY, frozenset({Atom(VISIT, "v")})),
-        initial_marking=(2, 2, 0),
-        clamp_at_one=frozenset({1}),
-    )
+    # place 1 is a labeled latch that starts at one and saturates when set;
+    # the first move returns its token to its own place
+    return hand_net(3, [((0,), (0, 1), "1/3"), ((0,), (2,), "2/7"), ((2,), (0,), "3/2")],
+                    (EMPTY, frozenset({Atom(VISIT, "w")}), frozenset({Atom(VISIT, "v")})),
+                    (2, 1, 0), latches={1})
 
 
 def _replay_nets(demo_offline, plant_offline):
@@ -139,7 +136,8 @@ def test_replay_matches_firing_step_by_step(demo_offline, plant_offline):
             sigma = _random_run(net, start, rng, rng.randrange(0, 60))
             run = replay(net, counts_of(start), sigma)
             assert (marking_of(net, run.counts), run.word) == _fold_with_fire(net, start, sigma), name
-            assert sequence_cost(net, sigma) == sum((net.cost[t] for t in sigma), Fraction(0))
+            assert sequence_cost(net, sigma) == sum((Fraction(net.weights[t], net.scale)
+                                                     for t in sigma), Fraction(0))
 
 
 def test_replay_from_counts_matches_replay_from_the_marking(demo_offline, plant_offline):
@@ -199,179 +197,149 @@ def test_replay_raises_the_firing_error_of_fire(demo_offline, plant_offline):
 
 
 def test_fire_saturates_clamped_places():
-    net = PetriNet(
-        num_places=2,
-        pre=((0,),),
-        post=((0, 1),),
-        cost=(Fraction(1),),
-        labels=(EMPTY, EMPTY),
-        initial_marking=(2, 1),
-        clamp_at_one=frozenset({1}),
-    )
+    # the move returns its token to place 0 and sets latch 1
+    net = hand_net(2, [((0,), (0, 1), 1)], (EMPTY, EMPTY), (2, 1), latches={1})
+    assert net.sets == ((1,),)
     assert fire(net, (2, 1), 0) == (2, 1)
     assert fire(net, (2, 0), 0) == (2, 1)
 
 
+def _columns(**bad):
+    """Constructor arguments of a two-place net with a move each way, at
+    costs 1 and 1/2 counted in halves, with the overrides in ``bad``."""
+    args = dict(num_places=2, sources=(0, 1), targets=(1, 0), weights=(2, 1), sets=((), ()),
+                scale=2, labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+    args.update(bad)
+    return args
+
+
 def test_construction_rejects_consumed_clamped_place():
-    with pytest.raises(ValueError):
-        PetriNet(
-            num_places=2,
-            pre=((1,),),
-            post=((0,),),
-            cost=(Fraction(1),),
-            labels=(EMPTY, EMPTY),
-            initial_marking=(0, 1),
-            clamp_at_one=frozenset({1}),
-        )
+    # a move may neither take from a latch nor move into one
+    for sources, targets in (((0, 1), (1, 0)), ((0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="^transition [01] moves a token out of or into "
+                                             "a latch place$"):
+            PetriNet(**_columns(sources=sources, targets=targets, initial_marking=(1, 1),
+                                latches=frozenset({1})))
 
 
-# (overrides of a one-move net, the message naming its fault)
+# (overrides of the two-move net, the message naming its fault)
 MALFORMED = [
-    (dict(cost=(Fraction(0),)), "transition 0 must have positive cost"),
-    (dict(cost=(Fraction(-1),)), "transition 0 must have positive cost"),
-    (dict(pre=((),)), "transition 0 must have input and output places"),
-    (dict(pre=((0, 0),)), "transition 0 repeats a place in an arc list"),
-    (dict(post=((5,),)), "transition 0 references unknown place 5"),
+    (dict(weights=(2, 0)), "transition 1 must have positive cost"),
+    (dict(weights=(-1, 1)), "transition 0 must have positive cost"),
+    (dict(sources=(1, 0)), "transition 1 leaves a lower place than the transition before it"),
+    (dict(num_places=3, labels=(EMPTY,) * 3, initial_marking=(1, 0, 0), targets=(1, 2),
+          latches=frozenset({2})), "transition 1 moves a token out of or into a latch place"),
+    (dict(targets=(5, 0)), "transition 0 references unknown place 5"),
     (dict(initial_marking=(1,)), "initial marking size does not match place count"),
     (dict(initial_marking=(1, -1)), "initial marking must be non-negative"),
-    (dict(pre=((0,), (1,))), "pre, post and cost must have one entry per transition"),
-    (dict(post=()), "pre, post and cost must have one entry per transition"),
-    (dict(cost=()), "pre, post and cost must have one entry per transition"),
+    (dict(targets=(1, 0, 1)), "sources, targets, weights and sets must have one entry per transition"),
+    (dict(weights=(1,)), "sources, targets, weights and sets must have one entry per transition"),
+    (dict(sets=((),)), "sources, targets, weights and sets must have one entry per transition"),
     (dict(labels=(EMPTY,)), "labels must have one entry per place"),
-    (dict(clamp_at_one=frozenset({2})), "clamped place 2 does not exist"),
-    (dict(clamp_at_one=frozenset({-1})), "clamped place -1 does not exist"),
+    (dict(latches=frozenset({2})), "latch place 2 does not exist"),
+    (dict(latches=frozenset({-1})), "latch place -1 does not exist"),
 ]
 
 
 @pytest.mark.parametrize("bad, message", MALFORMED,
                          ids=[f"bad{i}" for i in range(len(MALFORMED))])
 def test_construction_rejects_malformed_nets(bad, message):
-    base = dict(
-        num_places=2,
-        pre=((0,),),
-        post=((1,),),
-        cost=(Fraction(1),),
-        labels=(EMPTY, EMPTY),
-        initial_marking=(1, 0),
-    )
-    base.update(bad)
     with pytest.raises(ValueError) as err:
-        PetriNet(**base)
+        PetriNet(**_columns(**bad))
     assert str(err.value) == message
 
 
+# three moves over places 0, 1 and latch 2: (sources, targets, weights,
+# the message). The first bad transition is named, whatever its fault and
+# however many transitions after it are bad too; a transition's latches
+# are given in ``post`` after its target, as in hand_net's arcs.
 @pytest.mark.parametrize("pre, post, cost, message", [
-    # the first bad transition is named, whatever its fault and however
-    # many transitions after it are bad too
-    (((0,), (1,), (0,)), ((1,), (0,), (9,)), (1, 0, 1), "transition 1 must have positive cost"),
-    (((0,), (), (0,)), ((1,), (0,), (1,)), (-1, 1, 1), "transition 0 must have positive cost"),
-    (((0,), (1,), (0, 0)), ((1,), (-2,), (1,)), (1, 1, 0), "transition 1 references unknown place -2"),
-    (((0,), (1,), (7, 7)), ((1,), (0,), (1,)), (1, 1, 1), "transition 2 references unknown place 7"),
-    (((0,), (1,), (0,)), ((1,), (), (1, 9)), (1, 1, 1), "transition 1 must have input and output places"),
-    (((1,), (0,), (0,)), ((0,), (1, 0, 1), (2,)), (1, 1, 0), "transition 1 repeats a place in an arc list"),
+    ((0, 1, 1), ((1,), (0,), (9,)), (1, 0, 1), "transition 1 must have positive cost"),
+    ((0, 1, 0), ((1,), (0,), (0,)), (-1, 1, 1), "transition 0 must have positive cost"),
+    ((0, 1, 1), ((1,), (-2,), (1, 0)), (1, 1, 0), "transition 1 references unknown place -2"),
+    ((0, 1, 7), ((1,), (0,), (1,)), (1, 1, 1), "transition 2 references unknown place 7"),
+    ((0, 1, 1), ((1,), (0,), (0, 2)), (1, 0, -1), "transition 1 must have positive cost"),
+    ((0, 1, 0), ((1, 2), (0, 2, 2), (1,)), (1, 1, 0),
+     "transition 1 repeats a latch, lists them out of order or sets a place that is no latch"),
 ])
 def test_construction_names_the_first_bad_transition(pre, post, cost, message):
     with pytest.raises(ValueError) as err:
-        PetriNet(num_places=2, pre=pre, post=post, cost=tuple(map(Fraction, cost)),
-                 labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+        PetriNet(num_places=3, sources=pre, targets=tuple(p[0] for p in post),
+                 weights=cost, scale=1, labels=(EMPTY,) * 3, initial_marking=(1, 0, 0),
+                 sets=tuple(p[1:] for p in post), latches=frozenset({2}))
     assert str(err.value) == message
 
 
 def test_construction_raises_the_comparison_error_of_a_non_numeric_cost():
     with pytest.raises(TypeError):
-        PetriNet(num_places=2, pre=((0,), (1,)), post=((1,), (0,)), cost=(1, "0"),
-                 labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+        PetriNet(**_columns(weights=(1, "0")))
+    # a weight is an int: a Fraction, even a whole one, is refused
+    with pytest.raises(TypeError, match="^transition 1 has a weight of type Fraction, not int$"):
+        PetriNet(**_columns(weights=(1, Fraction(2))))
 
 
 def test_move_places_list_the_ends_of_single_token_moves():
-    assert _chain().move_places == ((0, 1), (1, 2))
-    # a join and a fork are no moves
-    net = hand_net(4, [((0,), (1,), 1), ((0, 1), (2,), 1), ((2,), (1, 3), 1)],
-                   [EMPTY] * 4, (1, 1, 0, 0))
-    assert net.move_places == ((0, -1, -1), (1, -1, -1))
-    assert net.move_places is net.move_places  # computed once per net
+    # a net is its move columns: each move's source and target place
+    net = _chain()
+    assert (net.sources, net.targets, net.weights, net.scale) == ((0, 1), (1, 2), (2, 3), 2)
+    assert net.sets == ((), ()) and net.latches == frozenset()
+    # a join and a fork are no moves: no net expresses them
+    with pytest.raises(ValueError, match="^arc 1 is no move"):
+        hand_net(4, [((0,), (1,), 1), ((0, 1), (2,), 1)], [EMPTY] * 4, (1, 1, 0, 0))
+    with pytest.raises(ValueError, match="^arc 0 is no move"):
+        hand_net(4, [((2,), (1, 3), 1)], [EMPTY] * 4, (1, 1, 0, 0))
 
 
-def _move_columns(**bad):
-    """``from_moves`` arguments of a two-place net with a move each way, at
-    costs 1 and 1/2, with the overrides in ``bad``."""
-    args = dict(num_places=2, sources=(0, 1), targets=(1, 0),
-                palette=(Fraction(1), Fraction(1, 2)), kinds=(0, 1),
-                labels=(EMPTY, EMPTY), initial_marking=(1, 0))
-    args.update(bad)
-    return args
-
-
-# (overrides of the move columns, the message naming their fault); the
-# faults of the upper block make a net the constructor refuses too
+# (overrides of the move columns, the message naming their fault)
 MOVE_FAULTS = [
     (dict(sources=(0, 2)), "transition 1 references unknown place 2"),
     (dict(sources=(-1, 1)), "transition 0 references unknown place -1"),
     (dict(targets=(2, 5)), "transition 0 references unknown place 2"),
     (dict(targets=(1, -3)), "transition 1 references unknown place -3"),
-    (dict(palette=(Fraction(1), Fraction(0))), "transition 1 must have positive cost"),
-    (dict(palette=(Fraction(-1), Fraction(1))), "transition 0 must have positive cost"),
-    (dict(palette=(Fraction(0), Fraction(-1)), kinds=(1, 0)), "transition 0 must have positive cost"),
+    (dict(weights=(1, 0)), "transition 1 must have positive cost"),
+    (dict(weights=(-1, 1)), "transition 0 must have positive cost"),
+    (dict(weights=(0, -1)), "transition 0 must have positive cost"),
     (dict(labels=(EMPTY,)), "labels must have one entry per place"),
     (dict(labels=(EMPTY,) * 3), "labels must have one entry per place"),
     (dict(initial_marking=(1,)), "initial marking size does not match place count"),
     (dict(initial_marking=(1, 0, 0)), "initial marking size does not match place count"),
     (dict(initial_marking=(1, -1)), "initial marking must be non-negative"),
 ]
+# the faults the form adds: the scale, the latch columns and the refusals
+# that keep every marking packable
 COLUMN_FAULTS = [
-    (dict(kinds=(0, 2)), "a move's cost kind is outside the palette of 2"),
-    (dict(kinds=(-1, 0)), "a move's cost kind is outside the palette of 2"),
-    (dict(palette=()), "a move's cost kind is outside the palette of 0"),
-    (dict(targets=(1,)), "sources, targets and kinds must have one entry per transition"),
-    (dict(kinds=(0, 1, 0)), "sources, targets and kinds must have one entry per transition"),
-    (dict(sources=(0,)), "sources, targets and kinds must have one entry per transition"),
+    (dict(scale=0), "the cost scale must be a positive int, not 0"),
+    (dict(scale=Fraction(1)), "the cost scale must be a positive int, not Fraction(1, 1)"),
+    (dict(num_places=3, labels=(EMPTY,) * 3, initial_marking=(1, 0, 2), latches=frozenset({2})),
+     "latch place 2 starts above 1"),
+    (dict(initial_marking=(1 << 63, 1 << 63)), "the initial marking holds 2**64 tokens or more"),
+    (dict(num_places=3, labels=(EMPTY,) * 3, initial_marking=(1, 0, 0),
+          sets=((2,), (1,)), latches=frozenset({2})),
+     "transition 1 repeats a latch, lists them out of order or sets a place that is no latch"),
+    (dict(num_places=4, labels=(EMPTY,) * 4, initial_marking=(1, 0, 0, 0),
+          sets=((3, 2), ()), latches=frozenset({2, 3})),
+     "transition 0 repeats a latch, lists them out of order or sets a place that is no latch"),
 ]
 
 
 @pytest.mark.parametrize("bad, message", MOVE_FAULTS + COLUMN_FAULTS,
                          ids=[f"bad{i}" for i in range(len(MOVE_FAULTS + COLUMN_FAULTS))])
 def test_from_moves_refuses_malformed_columns(bad, message):
-    args = _move_columns(**bad)
+    # a net is made from its move columns, and each fault is named
     with pytest.raises(ValueError) as err:
-        PetriNet.from_moves(**args)
+        PetriNet(**_columns(**bad))
     assert str(err.value) == message
-    if (bad, message) in MOVE_FAULTS:
-        # the constructor refuses the same net with the same message
-        with pytest.raises(ValueError) as err:
-            PetriNet(num_places=args["num_places"],
-                     pre=tuple((p,) for p in args["sources"]),
-                     post=tuple((q,) for q in args["targets"]),
-                     cost=tuple(args["palette"][k] for k in args["kinds"]),
-                     labels=args["labels"], initial_marking=args["initial_marking"])
-        assert str(err.value) == message
-
-
-def test_from_moves_reads_only_the_palette_entries_it_uses():
-    # entries 2 and 3 belong to no move: neither the non-positive one nor
-    # the denominator 7 counts, as in a net the constructor makes
-    net = PetriNet.from_moves(**_move_columns(
-        palette=(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(1, 7))))
-    assert net == PetriNet(num_places=2, pre=((0,), (1,)), post=((1,), (0,)),
-                           cost=(Fraction(1), Fraction(1, 2)), labels=(EMPTY, EMPTY),
-                           initial_marking=(1, 0))
-    assert net.integer_costs == ((2, 1), 2) == PetriNet.integer_costs.func(net)
-    assert net.move_places == ((0, 1), (1, 0)) == PetriNet.move_places.func(net)
-    # the moves into or out of one place share its one arc tuple
-    assert net.pre[0] is net.post[1]
-    empty = PetriNet.from_moves(0, (), (), (), (), (), ())
-    assert empty.integer_costs == ((), 1) and empty.move_places == ((), ())
 
 
 def test_construction_accepts_a_net_without_transitions():
-    net = PetriNet(num_places=2, pre=(), post=(), cost=(), labels=(EMPTY, EMPTY),
-                   initial_marking=(1, 0))
-    assert net.num_transitions == 0
-    assert net.integer_costs == ((), 1)
-    assert net.move_places == ((), ())
+    net = PetriNet(num_places=2, sources=(), targets=(), weights=(), sets=(), scale=1,
+                   labels=(EMPTY, EMPTY), initial_marking=(1, 0))
+    assert net.num_transitions == 0 and net.sets == ()
     assert sequence_cost(net, ()) == 0
     assert replay(net, net.initial_counts, ()).counts == {0: 1}
-    empty = PetriNet(num_places=0, pre=(), post=(), cost=(), labels=(), initial_marking=())
-    assert empty.num_places == 0 and empty.integer_costs == ((), 1)
+    empty = PetriNet(num_places=0, sources=(), targets=(), weights=(), sets=(), scale=1,
+                     labels=(), initial_marking=())
+    assert empty.num_places == 0 and empty.num_transitions == 0
 
 
 def test_sequence_checks_name_the_first_unknown_transition():

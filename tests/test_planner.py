@@ -127,8 +127,7 @@ def test_select_target_agrees_with_full_scan(demo_offline, demo_loaded, seed):
         escapes = ()
     else:
         escapes = tuple(
-            None if rng.random() < 0.2
-            else (0, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])))
+            None if rng.random() < 0.2 else (0, rng.choice([1, 2, 3, 4, 5, 6]))
             for _ in range(mobility))
 
     expected = scan_select(built, vectors, escapes)
@@ -162,9 +161,12 @@ def chain_graph():
 ])
 def test_select_target_stops_at_the_first_candidate_without_a_hop(
         forbidden, prices, expected, reads):
-    built = chain_graph()
+    # the chain's tree counted in sixths, so that the hop prices are whole
+    # weights at its scale
+    chain = chain_graph()
+    built = dataclasses.replace(chain, qs=[6 * q for q in chain.qs], scale=6)
     assert [built.q(i) for i in range(len(built))] == [0, 1, 3, 6]
-    escapes = tuple(None if p not in prices else (0, prices[p]) for p in range(4))
+    escapes = tuple(None if p not in prices else (0, int(6 * prices[p])) for p in range(4))
     vectors = SpecVectors(((1, 2, 3),), (), forbidden)
     read = []
 
@@ -220,13 +222,8 @@ def test_plan_accepts_parsed_specs(demo_env, demo_offline):
 
 
 def test_demo_escape_transitions(demo_offline):
-    assert demo_offline.simplified.escapes == (
-        (0, Fraction(1)),
-        (5, Fraction(1)),
-        (17, Fraction(1)),
-        (19, Fraction(1)),
-        (22, Fraction(1)),
-    )
+    # (move, weight), at the demo's scale of 1
+    assert demo_offline.simplified.escapes == ((0, 1), (5, 1), (17, 1), (19, 1), (22, 1))
 
 
 def test_forbidden_end_agent_steps_onto_anonymous_ground():
@@ -335,10 +332,7 @@ def decompose_agents(net, sigma, starts):
     positions = list(starts)
     paths = [[s] for s in starts]
     for step, t in enumerate(sigma):
-        if len(net.pre[t]) != 1 or len(net.post[t]) != 1:
-            raise ValueError(f"transition {t} is not a single-token move")
-        src = net.pre[t][0]
-        dst = net.post[t][0]
+        src, dst = net.sources[t], net.targets[t]
         try:
             agent = positions.index(src)
         except ValueError:
@@ -385,25 +379,25 @@ def test_decompose_agents_rejects_bad_sequences():
         walk_route(net, simplified, (0, 0, 0), [0, 0])
     with pytest.raises(IntegrityError, match="^step 1: unknown abstract transition 1$"):
         walk_route(net, simplified, (0, 1), [0, 0])
-    multi = hand_net(3, [((0, 1), (2,), 1)], [EMPTY] * 3, (1, 1, 0))
-    joined = SimplifiedNet(multi, (MinimalSequence(0, 2, (0,), Fraction(1), (2,)),), (0, 1, 2),
-                           (None,) * 3)
-    with pytest.raises(IntegrityError, match="^step 0: the moves of abstract transition 0 "
-                                             "do not chain from place 0 to a kept place$"):
-        walk_route(multi, joined, (0,), [0, 1])
-    # place 1 is a corridor place, which the reduction does not keep
+    # the route from place 0 is stored as move 1 alone, a move out of place 1
     chain = hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
                      [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
+    skipped = SimplifiedNet(chain, (MinimalSequence(0, 2, (1,), 1, 1, (2,)),), (0, 1, 2),
+                            (None,) * 3)
+    with pytest.raises(IntegrityError, match="^step 0: the moves of abstract transition 0 "
+                                             "do not chain from place 0 to a kept place$"):
+        walk_route(chain, skipped, (0,), [0])
+    # place 1 is a corridor place, which the reduction does not keep
     with pytest.raises(IntegrityError, match="^an agent starts off the kept places$"):
         walk_route(chain, build_simplified(chain), (), [1])
 
 
 def test_walk_route_refuses_a_net_with_latches():
-    # place 1 is a latch that already holds a token
-    net = dataclasses.replace(hand_net(2, [((0,), (1,), 1)], [EMPTY, end_label("x")], (1, 1)),
-                              clamp_at_one=frozenset({1}))
+    # place 2 is a latch that already holds a token
+    net = hand_net(3, [((0,), (1, 2), 1)], [EMPTY, end_label("x"), EMPTY], (1, 0, 1),
+                   latches={2})
     with pytest.raises(IntegrityError, match="^the movement net has latch places$"):
-        walk_route(net, build_simplified(net), (0,), [0, 1])
+        walk_route(net, build_simplified(net), (0,), [0])
 
 
 def test_an_agent_idling_on_a_start_cell_takes_over_the_route_that_crosses_it():
@@ -581,7 +575,7 @@ def _rerouted_edge(offline, spec):
     i = _chosen(offline, spec)
     parent, t = graph.marking(graph.parent[i - 1]), graph.transition[i - 1]
     other = next(u for u in range(net.num_transitions)
-                 if u != t and net.cost[u] == net.cost[t] and enabled(net, parent, u)
+                 if u != t and net.weights[u] == net.weights[t] and enabled(net, parent, u)
                  and fire(net, parent, u)[:mobility] != graph.marking(i)[:mobility])
     transition = copy.copy(graph.transition)
     transition[i - 1] = other
@@ -594,21 +588,28 @@ def _unlabeled_net(offline, spec):
     return dataclasses.replace(offline, net=net)
 
 
-def _repriced_abstract_move(offline, spec, on_route):
-    """The monitored net with one abstract move half a unit dearer: the
-    route's last one, or the first one off the route. Either way the
-    net's costs are counted in halves, unlike the tree's."""
+def _repriced_abstract_move(offline, spec):
+    """The monitored net with the first abstract move off the route half a
+    unit dearer. Its weights are counted in halves, unlike the tree's and
+    the movement net's."""
     net = offline.monitored.net
     route = backtrack(offline.graph, _chosen(offline, spec))
-    t = route[-1] if on_route else min(set(range(net.num_transitions)) - set(route))
-    cost = list(net.cost)
-    cost[t] += Fraction(1, 2)
-    monitored = dataclasses.replace(offline.monitored, net=dataclasses.replace(net, cost=tuple(cost)))
-    return dataclasses.replace(offline, monitored=monitored)
+    t = min(set(range(net.num_transitions)) - set(route))
+    weights = [2 * w for w in net.weights]
+    weights[t] += 1
+    net = dataclasses.replace(net, weights=tuple(weights), scale=2 * net.scale)
+    return dataclasses.replace(offline, monitored=dataclasses.replace(offline.monitored, net=net))
 
 
 def _dearer_abstract_move(offline, spec):
-    return _repriced_abstract_move(offline, spec, on_route=True)
+    """The monitored net with the route's last abstract move one unit of
+    the scale dearer."""
+    net = offline.monitored.net
+    t = backtrack(offline.graph, _chosen(offline, spec))[-1]
+    weights = list(net.weights)
+    weights[t] += 1
+    net = dataclasses.replace(net, weights=tuple(weights))
+    return dataclasses.replace(offline, monitored=dataclasses.replace(offline.monitored, net=net))
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -624,13 +625,16 @@ def test_plan_refuses_a_tampered_offline_model(demo_env, demo_offline, tamper, m
         plan(demo_env, spec, tamper(demo_offline, spec))
 
 
-def test_an_abstract_cost_scale_unlike_the_trees_changes_no_plan(demo_env, demo_offline):
-    # the route's abstract costs sum to the tree's cost of the chosen
-    # marking, counted in halves instead of units
+def test_an_abstract_cost_scale_unlike_the_trees_is_refused(demo_env, demo_offline):
+    # every net of a model and its tree count costs at one scale, so costs
+    # compare as plain ints: a monitored net counted in halves is refused,
+    # even where its route's costs equal the tree's
     spec = parse(DEMO_SPEC)
-    tampered = _repriced_abstract_move(demo_offline, spec, on_route=False)
-    assert tampered.monitored.net.integer_costs[1] != demo_offline.graph.scale
-    assert plan(demo_env, spec, tampered) == plan(demo_env, spec, demo_offline)
+    tampered = _repriced_abstract_move(demo_offline, spec)
+    assert tampered.monitored.net.scale != demo_offline.graph.scale
+    with pytest.raises(IntegrityError, match="^the model's nets and tree count costs at "
+                                             "different scales$"):
+        plan(demo_env, spec, tampered)
 
 
 def _with_lift_entry(offline, t, entry):
@@ -650,7 +654,7 @@ def test_plan_refuses_a_lift_map_entry_that_does_not_chain(demo_env, demo_offlin
     route = backtrack(demo_offline.graph, _chosen(demo_offline, spec))
     t = route[-1]
     ms = lift_map[t]
-    other = next(m for m in lift_map if m.cost == ms.cost and m.source != ms.source
+    other = next(m for m in lift_map if m.weight == ms.weight and m.source != ms.source
                  and (m.source in demo_offline.net.initial_counts) == occupied)
     tampered = _with_lift_entry(demo_offline, t, dataclasses.replace(
         other, source=ms.source, target=ms.target))
@@ -752,7 +756,7 @@ def _firing_edge(same_cost):
         mobility = len(offline.simplified.base_place)
         parent = graph.marking(graph.parent[i - 1])
         return next(u for u in range(net.num_transitions)
-                    if u != t and (net.cost[u] == net.cost[t]) == same_cost
+                    if u != t and (net.weights[u] == net.weights[t]) == same_cost
                     and enabled(net, parent, u)
                     and fire(net, parent, u)[:mobility] != graph.marking(i)[:mobility])
     return edit
@@ -804,9 +808,9 @@ def test_plan_refuses_a_movement_net_that_prices_the_last_move_higher(plant_env,
     # the hops' weights with the route's
     result = plan(plant_env, text, plant_offline)
     net = plant_offline.net
-    cost = list(net.cost)
-    cost[result.team_sequence[-1]] += Fraction(1, 2)
-    tampered = dataclasses.replace(plant_offline, net=dataclasses.replace(net, cost=tuple(cost)))
+    weights = list(net.weights)
+    weights[result.team_sequence[-1]] += 1
+    tampered = dataclasses.replace(plant_offline, net=dataclasses.replace(net, weights=tuple(weights)))
     with pytest.raises(IntegrityError, match="abstract and base run costs disagree"):
         plan(plant_env, text, tampered)
 
@@ -842,7 +846,7 @@ def test_plan_refuses_an_escape_hop_it_cannot_walk(edit):
     text = "visit(h) & !end(g)"
     assert plan(env, text, offline).team_sequence[-1] == 0
     assert offline.simplified.escapes[0] == (0, 1) and offline.starts == (0, 6)
-    assert offline.net.pre[17] == (6,)
+    assert offline.net.sources[17] == 6
     tamper, message = _HOP_EDITS[edit]
     with pytest.raises(IntegrityError, match=f"^{message}$"):
         plan(env, text, tamper(offline))

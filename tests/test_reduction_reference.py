@@ -12,7 +12,6 @@ order, and the escapes must come out equal.
 
 import heapq
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,26 +80,24 @@ def forward_route(out, dist, reach, source, target, bit, scale):
                 places.append(q)
                 p = q
                 break
-    return MinimalSequence(source, target, tuple(seq),
-                           Fraction(dist[target], scale), tuple(places))
+    return MinimalSequence(source, target, tuple(seq), dist[target], scale, tuple(places))
 
 
 def scan_escapes(net, base):
     """Cheapest single move from each base place onto an unlabeled place,
-    found by scanning every transition: one ``(transition id, cost)`` per
-    entry of ``base``, or None when no unlabeled neighbor exists. Costs are
-    compared as the net's integer weights, and ties go to the smallest
-    transition id."""
+    found by scanning every transition: one ``(transition id, weight)`` per
+    entry of ``base``, or None when no unlabeled neighbor exists. Ties go to
+    the smallest transition id."""
     owner = {p: i for i, p in enumerate(base)}
-    weights = net.integer_costs[0]
+    weights = net.weights
     best = [None] * len(base)
     for t in range(net.num_transitions):
-        i = owner.get(net.pre[t][0])
-        if i is None or net.labels[net.post[t][0]]:
+        i = owner.get(net.sources[t])
+        if i is None or net.labels[net.targets[t]]:
             continue
         if best[i] is None or weights[t] < weights[best[i]]:
             best[i] = t
-    return tuple(None if t is None else (t, net.cost[t]) for t in best)
+    return tuple(None if t is None else (t, weights[t]) for t in best)
 
 
 def forward_simplified(net):
@@ -112,11 +109,10 @@ def forward_simplified(net):
     sink = bytearray(net.num_places)
     for q in labeled:
         sink[q] = 1
-    weights, scale = net.integer_costs
+    scale = net.scale
     out = [[] for _ in range(net.num_places)]
-    for t, ps, qs, w in zip(range(net.num_transitions), net.pre, net.post, weights):
-        if len(ps) == 1 and len(qs) == 1:
-            out[ps[0]].append((t, qs[0], w))
+    for t, p, q, w in zip(range(net.num_transitions), net.sources, net.targets, net.weights):
+        out[p].append((t, q, w))
     lift_map = []
     for p in base:
         own = sink[p]
@@ -131,9 +127,11 @@ def forward_simplified(net):
         sink[p] = own
     reduced = PetriNet(
         num_places=len(base),
-        pre=tuple((index[ms.source],) for ms in lift_map),
-        post=tuple((index[ms.target],) for ms in lift_map),
-        cost=tuple(ms.cost for ms in lift_map),
+        sources=tuple(index[ms.source] for ms in lift_map),
+        targets=tuple(index[ms.target] for ms in lift_map),
+        weights=tuple(ms.weight for ms in lift_map),
+        sets=((),) * len(lift_map),
+        scale=scale,
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
@@ -166,7 +164,7 @@ def test_escapes_take_the_cheapest_move_then_the_smallest_id():
                      agents=[(2, 0)], move_cost={"up": 2, "right": 2, "down": 1, "left": 3})
     net = env_to_pn(env)
     cells = free_cells(env)
-    move = {(cells[ps[0]], cells[qs[0]]): t for t, (ps, qs) in enumerate(zip(net.pre, net.post))}
+    move = {(cells[p], cells[q]): t for t, (p, q) in enumerate(zip(net.sources, net.targets))}
     simplified = build_simplified(net)
     assert simplified.base_place == (cells.index((1, 1)), cells.index((2, 0)))
     assert simplified.escapes == ((move[(1, 1), (2, 1)], 1), (move[(2, 0), (1, 0)], 2))
