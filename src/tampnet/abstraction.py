@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, islice
 from operator import sub
@@ -50,19 +49,14 @@ class MinimalSequence:
     ``places[k]`` is the base place that move ``sequence[k]`` ends on, so
     ``places[-1]`` is ``target`` and the route runs ``source, *places``.
     ``weight`` is the sum of the moves' weights, at the base net's
-    ``scale``; ``cost`` is their quotient, for output.
+    ``scale``.
     """
 
     source: int
     target: int
     sequence: Tuple[int, ...]
     weight: int
-    scale: int
     places: Tuple[int, ...]
-
-    @property
-    def cost(self) -> Fraction:
-        return Fraction(self.weight, self.scale)
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,6 @@ class _Moves:
     """
 
     def __init__(self, net: PetriNet):
-        self.scale = net.scale
         self.out = [[] for _ in range(net.num_places)]
         self.into = [[] for _ in range(net.num_places)]
         for t, p, x, w in zip(count(), net.sources, net.targets, net.weights):
@@ -207,8 +200,7 @@ class _Moves:
                     places.append(x)
                     p = x
                     break
-        return MinimalSequence(source, target, tuple(seq), dist[source], self.scale,
-                               tuple(places))
+        return MinimalSequence(source, target, tuple(seq), dist[source], tuple(places))
 
 
 def build_simplified(net: PetriNet) -> SimplifiedNet:
@@ -464,8 +456,7 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
                 _bad_route(len(lift_map), source, "breaks the order of its source's targets")
             last = place
             lift_map.append(MinimalSequence(
-                source, place, tuple(seq), sum(map(weights.__getitem__, seq)), net.scale,
-                places))
+                source, place, tuple(seq), sum(map(weights.__getitem__, seq)), places))
 
     escapes = []
     for place, r in zip(base, data):

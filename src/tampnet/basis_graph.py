@@ -36,11 +36,14 @@ near the size of the columns it returns rather than at a multiple of it.
 A cache file stores the parent and transition columns, each as unsigned
 ints of 1, 2 or 4 bytes, the narrowest that hold its bound (see
 ``_column_code``), after a section of bytes the caller supplies, all in
-one zlib stream; a graph keeps its columns in the same types. Loading
-it replays the tree in the build's key space: placements are numbered by
-the same ``_Ids``, each marking's key is its parent's key fired by its
-transition through ``_layout``'s move table, and its cost is its parent's
-plus the transition's. The replay checks the file as it goes, except for
+one zlib stream; a graph keeps its columns in the same types. A column
+of w-byte ints is written as its w byte planes, byte 0 of every entry,
+then byte 1 of every entry, and so on: the high bytes of a parent column
+are mostly 0, and as planes zlib sees them as runs. Loading it replays
+the tree in the build's key space: placements are numbered by the same
+``_Ids``, each marking's key is its parent's key fired by its transition
+through ``_layout``'s move table, and its cost is its parent's plus the
+transition's. The replay checks the file as it goes, except for
 a marking listed twice: once the tree is replayed, the keys are counted
 in one byte per slot of the key space, or in a dict of them where the
 slots would pass 16 per marking. Build and load end in the same
@@ -68,9 +71,9 @@ from .petri import Marking, PetriNet
 
 DEFAULT_STATE_CAP = 5_000_000
 CACHE_FORMAT = "tampnet-basis-graph"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 # the zlib level of a cache's payload: the fastest, which takes plant's
-# tree columns to a third of their size
+# tree columns, as byte planes, to under a quarter of their size
 _ZLIB_LEVEL = 1
 # slots the search table of ``build_graph`` may hold per unit of state cap
 TABLE_FACTOR = 16
@@ -258,6 +261,33 @@ def _column_code(bound: int) -> str:
     column's is the net's transition count, one past the last id, so that
     an id out of range can still be written and refused."""
     return "B" if bound < 1 << 8 else "H" if bound < 1 << 16 else _U32
+
+
+def _planes(column: array) -> bytes:
+    """The entries of ``column`` as little-endian byte planes: byte 0 of
+    every entry, then byte 1 of every entry, and so on. A column of 1-byte
+    entries is its own bytes."""
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    raw, width = column.tobytes(), column.itemsize
+    return b"".join([raw[k::width] for k in range(width)])
+
+
+def _from_planes(planes, code: str) -> array:
+    """The column of type ``code`` whose ``_planes`` are ``planes``, a
+    bytes-like object whose length is a multiple of the type's size: one
+    strided slice assignment per plane."""
+    column = array(code)
+    width = column.itemsize
+    size = len(planes) // width
+    raw = bytearray(len(planes))
+    for k in range(width):
+        raw[k::width] = planes[k * size:(k + 1) * size]
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
 
 
 # _BIT_BYTE[k] maps a byte to 1 where its bit k is set, else to 0
@@ -461,21 +491,19 @@ def save_cache(graph: BasisGraph, net: PetriNet, path, key: Optional[str] = None
     then ``parent[1..N-1]`` and ``transition[1..N-1]``, each as
     little-endian unsigned ints of the width ``_column_code`` gives for
     N - 1 and for the net's transition count, whatever the types of the
-    graph's own columns. The header holds ``format``, ``version``, the
-    caller's ``key`` (null by default), ``net``'s ``digest``, the marking
-    count ``markings``, the byte counts of ``reduction`` and of the
-    ``payload``, and the ``sha256`` of the payload, so it does not depend
-    on the zlib build. Markings and costs are not stored; ``load_cache``
-    recomputes them. A new file beside ``path`` is renamed onto it: a
-    failed save leaves an old cache whole, and no reader sees half a file.
-    An error creating that file names ``path``.
+    graph's own columns, written as their byte planes (``_planes``). The
+    header holds ``format``, ``version``, the caller's ``key`` (null by
+    default), ``net``'s ``digest``, the marking count ``markings``, the
+    byte counts of ``reduction`` and of the ``payload``, and the
+    ``sha256`` of the payload, so it does not depend on the zlib build.
+    Markings and costs are not stored; ``load_cache`` recomputes them. A
+    new file beside ``path`` is renamed onto it: a failed save leaves an
+    old cache whole, and no reader sees half a file. An error creating
+    that file names ``path``.
     """
     columns = [array(_column_code(len(graph) - 1), graph.parent),
                array(_column_code(net.num_transitions), graph.transition)]
-    if sys.byteorder == "big":
-        for column in columns:
-            column.byteswap()
-    payload = b"".join([reduction, *(column.tobytes() for column in columns)])
+    payload = b"".join([reduction, *map(_planes, columns)])
     header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
@@ -578,7 +606,8 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
     Checks the digest of ``net`` (CacheDigestError), the marking count and
     the length of the columns after the payload's first section: that of
     the columns ``save_cache`` writes, whose widths follow from the marking
-    count and the net. Each column is read with one copy of its bytes.
+    count and the net. Each column is rebuilt from its byte planes with one
+    strided slice assignment per plane (``_from_planes``).
     Then one pass over the columns replays the tree in the key space that
     the build uses, with placements numbered by ``_Ids``. A marking's key
     is the child base of its transition at its parent's placement, ORed
@@ -617,12 +646,10 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
         raise CacheFormatError(f"cache {path} columns are {len(cache.payload) - start} "
                                f"bytes, expected {size - start}")
 
-    parents = array(parent_code, cache.payload[start:split])
-    transitions = array(transition_code, cache.payload[split:])
-    del cache
-    if sys.byteorder == "big":
-        parents.byteswap()
-        transitions.byteswap()
+    payload = memoryview(cache.payload)
+    parents = _from_planes(payload[start:split], parent_code)
+    transitions = _from_planes(payload[split:], transition_code)
+    del cache, payload
 
     layout = _layout(net)
     ids = _Ids(layout)

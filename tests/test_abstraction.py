@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,8 +43,8 @@ def test_minimal_sequence_lexicographic_tie_break():
     net = env_to_pn(env)
     (ms,) = build_simplified(net).lift_map
     assert (ms.source, ms.target) == (0, 8)
-    assert ms.cost == 4
-    assert (ms.cost, ms.sequence) == brute_minimal_sequence(net, 0, 8, ())
+    assert Fraction(ms.weight, net.scale) == 4
+    assert (Fraction(ms.weight, net.scale), ms.sequence) == brute_minimal_sequence(net, 0, 8, ())
 
 
 def assert_lift_map_matches_brute_force(net):
@@ -58,7 +59,8 @@ def assert_lift_map_matches_brute_force(net):
                                          labeled - {source, target})
             if ref is not None:
                 expected[source, target] = ref
-    got = {(m.source, m.target): (m.cost, m.sequence) for m in simplified.lift_map}
+    got = {(m.source, m.target): (Fraction(m.weight, net.scale), m.sequence)
+           for m in simplified.lift_map}
     assert expected and got == expected
     # each move's end place, and the moves that leave a kept place
     kept = set(simplified.base_place)
@@ -128,7 +130,7 @@ def test_minimal_sequence_detours_around_labeled_interior():
     (ms,) = [m for m in build_simplified(net).lift_map
              if (m.source, m.target) == (0, 6)]
     blocked = set(labeled_places(net)) - {0, 6}
-    assert ms.cost == 6
+    assert Fraction(ms.weight, net.scale) == 6
     trace = [_one_token(net, 0)]
     for t in ms.sequence:
         trace.append(fire(net, trace[-1], t))
@@ -259,7 +261,8 @@ def test_each_search_stops_at_its_last_source():
     assert len(settled) < 25 and len(set(expanded)) == net.num_places - 1
     assert all(dist[p] == full[p] for p in settled)
     assert {p for p in range(net.num_places) if full[p] < dist[0]} <= set(settled)
-    routes = {(m.source, m.target): m.cost for m in build_simplified(net).lift_map}
+    routes = {(m.source, m.target): Fraction(m.weight, net.scale)
+              for m in build_simplified(net).lift_map}
     assert routes == {(0, 1): 1, (0, 3): 5, (1, 3): 2, (3, 1): 2}
 
 

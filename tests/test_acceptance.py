@@ -206,7 +206,7 @@ def test_c5_reduced_move_optimality(demo_env, announce):
                     if (source, target) in stored:
                         entry = stored[(source, target)]
                         assert best is not None
-                        assert (entry.cost, entry.sequence) == best
+                        assert (Fraction(entry.weight, net.scale), entry.sequence) == best
                         checked += 1
                     else:
                         assert best is None

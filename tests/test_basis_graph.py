@@ -25,7 +25,7 @@ from tampnet.data import fixture_path
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
-from tampnet.grid import env_to_pn
+from tampnet.grid import env_digest, env_to_pn
 from tampnet.petri import fire, replay, sequence_cost
 from tampnet.planner import backtrack
 
@@ -534,19 +534,27 @@ def _tampered(tmp_path, offline, edit, rehash=True, env=None):
 
 
 def _entry(graph, column, i):
-    """The struct format and the body offset of the parent (column 0) or
-    transition (column 1) of marking i in the cache of ``graph``, whose
-    columns the file stores in their own types."""
+    """The offsets, after the payload's reduction section, of the bytes of
+    the parent (column 0) or transition (column 1) of marking i in the
+    cache of ``graph``, least significant first. The file stores the
+    columns in their own types, each as its byte planes: byte k of entry
+    i - 1 is at ``k * edges + i - 1`` in its column, for ``edges = N - 1``."""
     parent, transition = graph.parent, graph.transition
-    if column == 0:
-        return "<" + parent.typecode, parent.itemsize * (i - 1)
-    return "<" + transition.typecode, parent.itemsize * len(parent) + transition.itemsize * (i - 1)
+    edges = len(parent)
+    start = 0 if column == 0 else parent.itemsize * edges
+    width = (parent if column == 0 else transition).itemsize
+    return [start + k * edges + i - 1 for k in range(width)]
 
 
 def _set_entry(body, graph, column, i, value):
-    """Set the parent (column 0) or transition (column 1) of marking i."""
-    fmt, offset = _entry(graph, column, i)
-    struct.pack_into(fmt, body, offset, value)
+    """Set the parent (column 0) or transition (column 1) of marking i in
+    ``body``, a payload whose reduction section is what precedes the
+    columns."""
+    parent, transition = graph.parent, graph.transition
+    start = len(body) - (parent.itemsize + transition.itemsize) * len(parent)
+    offsets = _entry(graph, column, i)
+    for offset, byte in zip(offsets, value.to_bytes(len(offsets), "little")):
+        body[start + offset] = byte
 
 
 def _largest(column):
@@ -726,7 +734,7 @@ def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
 
     graph = demo_offline.graph
     # the first and a middle entry of each column
-    offsets = [_entry(graph, column, i)[1] for column in (0, 1) for i in (1, len(graph) // 2)]
+    offsets = [_entry(graph, column, i)[0] for column in (0, 1) for i in (1, len(graph) // 2)]
     for offset in offsets:
         path, net = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
         with pytest.raises(CacheFormatError, match="checksum"):
@@ -830,6 +838,68 @@ def test_cache_compares_marking_1_with_the_root(tmp_path, demo_offline):
     path, net = _swapped(tmp_path, demo_offline, 2)
     with pytest.raises(CacheFormatError, match=_order_break(2)):
         load_cache(path, net)
+
+
+def _wide_model(request, name):
+    """The map and offline model of plant, whose cache has 4-byte parents
+    and 2-byte transitions, or of reduce_44x44, with 2-byte parents and
+    1-byte transitions."""
+    if name == "plant":
+        return request.getfixturevalue("plant_env"), request.getfixturevalue("plant_offline")
+    env = load_env(REDUCE_MAP)
+    return env, build_offline(env)
+
+
+def _order_breaking_transition(offline):
+    """The last marking i, and a transition t enabled at its parent, such
+    that the edge (parent, t) sorts before the edge into marking i - 1 in
+    the (cost, parent, transition) order."""
+    graph, net = offline.graph, offline.monitored.net
+    for i in range(len(graph) - 1, 1, -1):
+        p = graph.parent[i - 1]
+        before = (graph.qs[i - 1], graph.parent[i - 2], graph.transition[i - 2])
+        marking = graph.marking(p)
+        for t in range(net.num_transitions):
+            if marking[net.sources[t]] and (graph.qs[p] + net.weights[t], p, t) <= before:
+                return i, t
+    raise AssertionError("no transition edit breaks the order")
+
+
+@pytest.mark.parametrize("name", ["plant", "reduce_44x44"])
+def test_a_model_cache_rejects_an_edit_to_one_wide_parent_entry(tmp_path, request, name):
+    # each value spans several of the column's byte planes; the refusal
+    # names the marking edited and the value written, so a load that read
+    # the entry's bytes from other offsets would report something else
+    env, offline = _wide_model(request, name)
+    graph = offline.graph
+    saved = _saved(tmp_path, offline, env)
+    for i in (len(graph) // 2 + 1, len(graph) - 1):
+        for parent in (i, _largest(graph.parent)):
+            path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 0, i, parent))
+            with pytest.raises(CacheFormatError, match=f": marking {i} has parent {parent}$"):
+                load_offline(env, path)
+
+
+@pytest.mark.parametrize("name", ["plant", "reduce_44x44"])
+def test_a_model_cache_rejects_an_edit_to_one_transition_entry_after_wide_parents(
+        tmp_path, request, name):
+    # an id out of range names the marking and the id; an id enabled at
+    # the parent whose edge sorts before the last marking's breaks the
+    # order at the marking edited. The transition column's planes start
+    # after all of the parent column's
+    env, offline = _wide_model(request, name)
+    graph = offline.graph
+    transitions = offline.monitored.net.num_transitions
+    saved = _saved(tmp_path, offline, env)
+    for i in (len(graph) // 2 + 1, len(graph) - 1):
+        for t in (transitions, _largest(graph.transition)):
+            path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 1, i, t))
+            with pytest.raises(CacheFormatError, match=f": marking {i} has transition {t}$"):
+                load_offline(env, path)
+    i, t = _order_breaking_transition(offline)
+    path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 1, i, t))
+    with pytest.raises(CacheFormatError, match=_order_break(i)):
+        load_offline(env, path)
 
 
 def acc8_offline(latches=True):
@@ -1063,6 +1133,35 @@ def test_cache_rejects_a_version_3_cache(tmp_path, demo_offline):
     assert err.value.found == 3
     with pytest.raises(CacheVersionError):
         load_offline(load_env(fixture_path("demo_3x3.json")), path)
+
+
+def test_cache_rejects_a_version_4_cache(tmp_path, plant_env, plant_offline):
+    # the version-4 layout: the payload of version 5, but each column as
+    # its little-endian entries in turn rather than as byte planes
+    net, graph = plant_offline.monitored.net, plant_offline.graph
+    columns = [array(graph.parent.typecode, graph.parent),
+               array(graph.transition.typecode, graph.transition)]
+    assert (columns[0].itemsize, columns[1].itemsize) == (4, 2)
+    if sys.byteorder == "big":
+        for column in columns:
+            column.byteswap()
+    reduction = reduction_bytes(plant_offline.simplified, plant_offline.net)
+    payload = b"".join([reduction, *(column.tobytes() for column in columns)])
+    current = tmp_path / "v5.bin"
+    save_offline(plant_env, plant_offline, current)
+    assert zlib.decompress(current.read_bytes().partition(b"\n")[2]) != payload
+    header = {"format": CACHE_FORMAT, "version": 4, "key": env_digest(plant_env),
+              "digest": net_digest(net), "markings": len(graph), "reduction": len(reduction),
+              "payload": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}
+    path = tmp_path / "v4.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+                     + b"\n" + zlib.compress(payload, 1))
+    with pytest.raises(CacheVersionError) as err:
+        load_cache(path, net)
+    assert err.value.found == 4
+    with pytest.raises(CacheVersionError) as err:
+        load_offline(plant_env, path)
+    assert err.value.found == 4
 
 
 def _section(offline):

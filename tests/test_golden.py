@@ -10,7 +10,8 @@ JSON byte for byte as they are; a changed digest here means a changed
 answer or a changed cache format, not a style difference. Each payload
 must also be the reduction's bytes plus two columns of ``markings - 1``
 unsigned entries each, in the widths ``basis_graph._column_code`` gives,
-and nothing more.
+and nothing more: the version-5 format, which writes each column as its
+byte planes.
 
 A fourth map, ``tests/data/reduce_44x44.json``, pins the reduction at a
 size beyond the brute-force checks of ``test_abstraction.py``, and the
@@ -23,6 +24,7 @@ import json
 import random
 import zlib
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,16 +47,16 @@ FRACTIONAL_SPEC = "visit(d) & visit(a) & end(c)"
 # (SHA-256 of the cache's header line with its newline, SHA-256 of the
 # cache's inflated payload, plan_json_text SHA-256). The plan digests were
 # computed before the integer rewrite of the reduction and the graph build;
-# the cache digests are those of the version-4 format, which stores the
-# reduction before the tree's columns.
+# the cache digests are those of the version-5 format, which stores the
+# reduction before the tree's columns and each column as its byte planes.
 GOLDEN = {
-    "demo": ("d8f21222a17b1f9245dcef37163fdcb1c67f8f9737f74eb1813da0b4d78c61aa",
+    "demo": ("56cf2ff8041572aaaac43d4ae2fc6013e6c23d4ebd15b18b6a853230ae68616a",
              "c5b28d02f1e7cf055bec162cc2eb446278eee12a34f2c1ea5dbe5b153cc4d5ba",
              "c4da7cfd328ad3e898fcd04287015da017f9d897c15c3f261df929835e246ad5"),
-    "plant": ("f94e37cda578bc9dc490012398f8985bb17fbf2bc00f12fbb8ff787a3ab2a742",
-              "46c3e60b6839e5a0e1acfac34200a50321e4387728d454c7f2ba281ee8cb1d19",
+    "plant": ("5406d5caf93b130d2591dca5f892480ecf02c21de16006035d7ceda797f091fa",
+              "15dc79b6fc113a741c30eaf5c8a6f29bd9a125b8ed1aa11f21c8c5cc5ab4941f",
               "6ce9e836a7c954eb808a820ecdcd1328dbc8d23c0866eb669573d778eb5644b5"),
-    "fractional": ("650b5f50344c08532cb236378da140659292104b306190d1c36e6b42a3246a62",
+    "fractional": ("6f9a82e2a6c425d2167cb1a36f057799ad3f1851bea87b115b086a53f9bad047",
                    "9ffa058b6ac85d49f8ca444fde0ef5b37b5fe0b41fdada0a11c353fe25041e30",
                    "76e523fa03300b8be5c30f5f6cc8336d000284644bac1bff95512d6d508af9f9"),
 }
@@ -147,16 +149,18 @@ REDUCE_GOLDEN = {
     "reduced_net": "c3c515fc2e8b28bd88dc5d1b676a8c2cac992541b742f300f740ee3cca3be1c9",
     "monitored_net": "f1246ef51277fe04c7ff064455f43272191355b27bb2b6dc5552b4f7b517cb54",
     "lift_map": "0ba975d57356a4e04018cd8f7b7ff7350587d41d7473dc9e7788d71d792e2e7a",
-    "cache_header": "ab817fb04f55db9109a384aae9de03e1e118836e8f0a4af56125fd7bfed591fc",
-    "cache_payload": "7eae19375665634974dff7d15785bf2c743e1b3e0bd7cf13cad382f66c632623",
+    "cache_header": "3f947452e4e1cd5887bd0f8c396d6adebb3ccb6bd49373c22b33a30ff0def1fd",
+    "cache_payload": "7a0c5b8703826ae40d39b4f4c20cb17f975cea181990b1fb67b091d9ea828bab",
 }
 
 
 def lift_map_digest(simplified) -> str:
     """SHA-256 of the lift map as canonical JSON: one
-    ``[source, target, sequence, [numerator, denominator]]`` per transition."""
-    rows = [[m.source, m.target, list(m.sequence), [m.cost.numerator, m.cost.denominator]]
-            for m in simplified.lift_map]
+    ``[source, target, sequence, [numerator, denominator]]`` per transition,
+    the cost in lowest terms."""
+    costs = [Fraction(m.weight, simplified.net.scale) for m in simplified.lift_map]
+    rows = [[m.source, m.target, list(m.sequence), [cost.numerator, cost.denominator]]
+            for m, cost in zip(simplified.lift_map, costs)]
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 

@@ -382,7 +382,7 @@ def test_decompose_agents_rejects_bad_sequences():
     # the route from place 0 is stored as move 1 alone, a move out of place 1
     chain = hand_net(3, [((0,), (1,), 1), ((1,), (2,), 1)],
                      [EMPTY, EMPTY, end_label("x")], (1, 0, 0))
-    skipped = SimplifiedNet(chain, (MinimalSequence(0, 2, (1,), 1, 1, (2,)),), (0, 1, 2),
+    skipped = SimplifiedNet(chain, (MinimalSequence(0, 2, (1,), 1, (2,)),), (0, 1, 2),
                             (None,) * 3)
     with pytest.raises(IntegrityError, match="^step 0: the moves of abstract transition 0 "
                                              "do not chain from place 0 to a kept place$"):

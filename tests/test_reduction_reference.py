@@ -69,7 +69,7 @@ def forward_reaching(out, dist, settled, sink, bit):
     return reach
 
 
-def forward_route(out, dist, reach, source, target, bit, scale):
+def forward_route(out, dist, reach, source, target, bit):
     """Smallest transition id at each step of a DAG move still reaching
     ``target``."""
     seq, places, p = [], [], source
@@ -80,7 +80,7 @@ def forward_route(out, dist, reach, source, target, bit, scale):
                 places.append(q)
                 p = q
                 break
-    return MinimalSequence(source, target, tuple(seq), dist[target], scale, tuple(places))
+    return MinimalSequence(source, target, tuple(seq), dist[target], tuple(places))
 
 
 def scan_escapes(net, base):
@@ -109,7 +109,6 @@ def forward_simplified(net):
     sink = bytearray(net.num_places)
     for q in labeled:
         sink[q] = 1
-    scale = net.scale
     out = [[] for _ in range(net.num_places)]
     for t, p, q, w in zip(range(net.num_transitions), net.sources, net.targets, net.weights):
         out[p].append((t, q, w))
@@ -122,7 +121,7 @@ def forward_simplified(net):
         sink[p] = 0
         dist, settled = forward_cheapest(out, p, sink, sinks)
         reach = forward_reaching(out, dist, settled, sink, bit)
-        lift_map.extend(forward_route(out, dist, reach, p, q, bit[q], scale)
+        lift_map.extend(forward_route(out, dist, reach, p, q, bit[q])
                         for q in labeled if q != p and dist[q] is not None)
         sink[p] = own
     reduced = PetriNet(
@@ -131,7 +130,7 @@ def forward_simplified(net):
         targets=tuple(index[ms.target] for ms in lift_map),
         weights=tuple(ms.weight for ms in lift_map),
         sets=((),) * len(lift_map),
-        scale=scale,
+        scale=net.scale,
         labels=tuple(net.labels[p] for p in base),
         initial_marking=tuple(net.initial_marking[p] for p in base),
     )
