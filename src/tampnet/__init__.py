@@ -9,14 +9,14 @@ the cheapest satisfying node is picked, and the witness path is folded
 back to per-agent cell routes.
 """
 
-from .basis_graph import BasisGraph, build_graph, net_digest, save_cache
+from .basis_graph import BasisGraph, build_graph
 from .bench import BenchConfig, run_bench
+from .cache import load_offline, net_digest, save_offline
 from .errors import (CacheError, SpecError, StateBudgetError, TampError,
                      ValidationError)
 from .grid import Plan, cost_text, load_env, parse_env, plan_json_text
 from .oracle import joint_search
-from .planner import (Infeasible, backtrack, build_offline, load_offline, plan,
-                      save_offline)
+from .planner import Infeasible, backtrack, build_offline, plan
 from .taskspec import parse
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     # maps and formulas
     "load_env", "parse_env", "parse",
     # the offline model
-    "build_offline", "save_offline", "load_offline", "save_cache", "net_digest",
+    "build_offline", "save_offline", "load_offline", "net_digest",
     "build_graph", "BasisGraph", "backtrack",
     # queries
     "plan", "Plan", "Infeasible",

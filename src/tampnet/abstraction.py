@@ -21,11 +21,6 @@ abstract transition that ends on a cell carrying the proposition also sets
 the latch, so "was this region ever visited" becomes a marking query. It
 is the reduced net with those latches added to each move's latch column;
 its moves, weights and scale are the reduced net's.
-
-A cache stores the reduction as bytes (``reduction_bytes``): each move as
-its rank among the moves out of its place, and no cost. Reading it back
-(``read_reduction``) checks every route against the base net and sums its
-cost, but runs no search.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from itertools import compress, count, islice
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CacheFormatError
 from .petri import VISIT, PetriNet
 
 
@@ -353,8 +347,8 @@ def _first_moves(net: PetriNet) -> Dict[int, int]:
 
 
 def _bad_route(t: int, source: int, fault: str):
-    """Raise the CacheFormatError of stored route ``t``."""
-    raise CacheFormatError(f"cache reduction: route {t} from place {source} {fault}")
+    """Raise the ValueError of stored route ``t``."""
+    raise ValueError(f"the reduction's route {t} from place {source} {fault}")
 
 
 def reduction_bytes(simplified: SimplifiedNet, net: PetriNet) -> bytes:
@@ -401,7 +395,7 @@ def reduction_bytes(simplified: SimplifiedNet, net: PetriNet) -> bytes:
 
 def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
     """The ``SimplifiedNet`` stored by ``reduction_bytes`` for ``net``,
-    checked as it is read; raises CacheFormatError at the first fault.
+    checked as it is read; raises ValueError at the first fault.
 
     Each route's ranks become move ids one step at a time, and the route
     is then checked in tuple comparisons, as ``planner.walk_route`` checks
@@ -420,13 +414,12 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
     code = _count_code(kept)
     head = kept + struct.calcsize(f"<{kept}{code}")
     if len(data) < head:
-        raise CacheFormatError(f"cache reduction is {len(data)} bytes, "
-                               f"its {kept} kept places take {head}")
+        raise ValueError(f"the reduction is {len(data)} bytes, its {kept} kept places take {head}")
     counts = struct.unpack_from(f"<{kept}{code}", data, kept)
     routes = data[head:].split(bytes((_END,)))
     if routes.pop() or len(routes) != sum(counts):
-        raise CacheFormatError(f"cache reduction holds {len(routes)} routes "
-                               f"or a partial one, its counts {sum(counts)}")
+        raise ValueError(f"the reduction holds {len(routes)} routes or a partial one, "
+                         f"its counts {sum(counts)}")
     sources, targets, weights, labels = net.sources, net.targets, net.weights, net.labels
     first = _first_moves(net)
 
@@ -466,10 +459,8 @@ def read_reduction(data: bytes, net: PetriNet) -> SimplifiedNet:
         # a place with no move out of it has no move of any rank
         t = first.get(place, len(sources)) + r
         if t >= len(sources) or sources[t] != place:
-            raise CacheFormatError(f"cache reduction: the escape of place {place} "
-                                   f"is no move out of it")
+            raise ValueError(f"the reduction's escape of place {place} is no move out of it")
         if labels[targets[t]]:
-            raise CacheFormatError(f"cache reduction: the escape of place {place} "
-                                   f"enters a labeled place")
+            raise ValueError(f"the reduction's escape of place {place} enters a labeled place")
         escapes.append((t, weights[t]))
     return _simplified(net, base, tuple(lift_map), tuple(escapes))

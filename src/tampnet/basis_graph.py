@@ -33,48 +33,27 @@ the keys become packed markings a bounded chunk at a time, from the bytes
 of their placements and of their latch masks, so a build or a load peaks
 near the size of the columns it returns rather than at a multiple of it.
 
-A cache file stores the parent and transition columns, each as unsigned
-ints of 1, 2 or 4 bytes, the narrowest that hold its bound (see
-``_column_code``), after a section of bytes the caller supplies, all in
-one zlib stream; a graph keeps its columns in the same types. A column
-of w-byte ints is written as its w byte planes, byte 0 of every entry,
-then byte 1 of every entry, and so on: the high bytes of a parent column
-are mostly 0, and as planes zlib sees them as runs. Loading it replays
-the tree in the build's key space: placements are numbered by the same
-``_Ids``, each marking's key is its parent's key fired by its transition
-through ``_layout``'s move table, and its cost is its parent's plus the
-transition's. The replay checks the file as it goes, except for
-a marking listed twice: once the tree is replayed, the keys are counted
-in one byte per slot of the key space, or in a dict of them where the
-slots would pass 16 per marking. Build and load end in the same
-``_packed_graph``.
+A tree's cache section (``tree_bytes``) is its parent and transition
+columns in the types ``_column_code`` picks, each as its byte planes.
+Reading it back (``read_tree``) replays the tree in the build's key space
+and checks it as it goes; build and load end in the same ``_packed_graph``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
-import os
 import struct
 import sys
-import zlib
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
-from .errors import (CacheDigestError, CacheFormatError, CacheVersionError,
-                     StateBudgetError)
+from .errors import StateBudgetError
 from .petri import Marking, PetriNet
 
 DEFAULT_STATE_CAP = 5_000_000
-CACHE_FORMAT = "tampnet-basis-graph"
-CACHE_VERSION = 5
-# the zlib level of a cache's payload: the fastest, which takes plant's
-# tree columns, as byte planes, to under a quarter of their size
-_ZLIB_LEVEL = 1
 # slots the search table of ``build_graph`` may hold per unit of state cap
 TABLE_FACTOR = 16
 # array type code of a 4-byte unsigned int, the widest parent/transition
@@ -132,7 +111,7 @@ class BasisGraph:
     its type follows from the tree's costs alone. ``parent[i - 1]`` and
     ``transition[i - 1]`` are the tree edge into marking i (the root,
     marking 0, has none), each an array of the narrowest unsigned type
-    that ``_column_code`` picks, as in the cache body. ``index[p]`` is
+    that ``_column_code`` picks, as in ``tree_bytes``. ``index[p]`` is
     the occupancy bitset of place ``p`` (see ``_Occupancy``), built from
     ``packed`` on its first read. The index is derived from ``packed``:
     each graph makes its own, no constructor argument sets it, and it
@@ -230,7 +209,7 @@ def _layout(net: PetriNet) -> _Layout:
 class _Ids(dict):
     """The numbering of placements in the search's key space over the
     markings of a net (see ``build_graph``), shared by the
-    build and the cache load.
+    build and the load.
 
     Placements get dense ids in order of first lookup: ``ids.order[i]`` is
     the i-th new placement, and ``ids[placement]`` is its i shifted left by
@@ -339,7 +318,7 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
     ``q`` is the marking's minimal accumulated cost, and its tree edge
     ``(parent, transition)`` is the smallest (parent index, transition id)
     among the edges into it from a marking of cost ``q`` minus the
-    transition's cost. ``load_cache`` checks this order. Raises
+    transition's cost. ``read_tree`` checks this order. Raises
     StateBudgetError when more than ``state_cap`` markings arise, or when
     the search table would pass ``TABLE_FACTOR * state_cap`` slots, which
     only a net whose placements meet few of their latch masks reaches.
@@ -376,7 +355,7 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
     the costs and the pending edges are typed arrays, not lists of int
     objects: besides its table, the search holds 24 bytes per final
     marking (key, cost, parent and transition) and 24 per pending edge. The cost column becomes a list of ints at the first
-    cost that does not fit 8 bytes, as in ``load_cache``.
+    cost that does not fit 8 bytes, as in ``read_tree``.
     """
     layout = _layout(net)
     # best[key] is the cost of the cheapest edge into the marking so far,
@@ -458,156 +437,30 @@ def build_graph(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> BasisGraph
     return graph
 
 
-def net_digest(net: PetriNet) -> str:
-    """Stable fingerprint of a net, used to pair caches with their model.
+def tree_bytes(graph: BasisGraph, net: PetriNet) -> bytes:
+    """The tree section of a cache of ``graph``, the tree that
+    ``build_graph`` made of ``net``; the same bytes for equal inputs.
 
-    The JSON names each move's input places (``pre``: its source), its
-    output places (``post``: its target, then the latches it sets) and its
-    cost as ``[numerator, denominator]`` in lowest terms, as in the arc
-    lists of a general Petri net, so the fingerprint does not depend on
-    the scale a net's weights are counted at."""
-    cost = {w: Fraction(w, net.scale) for w in set(net.weights)}
-    payload = {
-        "places": net.num_places,
-        "pre": [[p] for p in net.sources],
-        "post": [[x, *latches] for x, latches in zip(net.targets, net.sets)],
-        "cost": [[c.numerator, c.denominator] for c in map(cost.__getitem__, net.weights)],
-        "labels": [sorted([a.kind, a.name] for a in atoms) for atoms in net.labels],
-        "m0": list(net.initial_marking),
-        "clamp": sorted(net.latches),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_cache(graph: BasisGraph, net: PetriNet, path, key: Optional[str] = None,
-               reduction: bytes = b"") -> None:
-    """Persist the tree that ``build_graph`` made of ``net`` as its parent
-    and transition columns, after the caller's ``reduction`` bytes;
-    byte-identical for equal inputs and one zlib build.
-
-    The file is one line of canonical JSON, then the body: the payload,
-    compressed by zlib at ``_ZLIB_LEVEL``. The payload is ``reduction``,
-    then ``parent[1..N-1]`` and ``transition[1..N-1]``, each as
+    It is ``parent[1..N-1]`` and then ``transition[1..N-1]``, each as
     little-endian unsigned ints of the width ``_column_code`` gives for
     N - 1 and for the net's transition count, whatever the types of the
-    graph's own columns, written as their byte planes (``_planes``). The
-    header holds ``format``, ``version``, the caller's ``key`` (null by
-    default), ``net``'s ``digest``, the marking count ``markings``, the
-    byte counts of ``reduction`` and of the ``payload``, and the
-    ``sha256`` of the payload, so it does not depend on the zlib build.
-    Markings and costs are not stored; ``load_cache`` recomputes them. A
-    new file beside ``path`` is renamed onto it: a failed save leaves an
-    old cache whole, and no reader sees half a file. An error creating
-    that file names ``path``.
+    graph's own columns, written as their byte planes (``_planes``).
+    Markings and costs are not stored; ``read_tree`` recomputes them.
     """
     columns = [array(_column_code(len(graph) - 1), graph.parent),
                array(_column_code(net.num_transitions), graph.transition)]
-    payload = b"".join([reduction, *map(_planes, columns)])
-    header = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "key": key,
-        "digest": net_digest(net),
-        "markings": len(graph),
-        "reduction": len(reduction),
-        "payload": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-    body = zlib.compress(payload, _ZLIB_LEVEL)
-    del payload
-    temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        fh = open(temp, "xb")
-    except OSError as error:
-        raise OSError(error.errno, error.strerror, path) from None
-    try:
-        with fh:
-            fh.write(line + b"\n" + body)
-        os.replace(temp, path)
-    except BaseException:
-        os.remove(temp)
-        raise
+    return b"".join(map(_planes, columns))
 
 
-class CacheFile(NamedTuple):
-    """A cache file that ``open_cache`` has read and checked: its ``path``,
-    its parsed ``header`` and its inflated ``payload``."""
+def read_tree(data, count: int, net: PetriNet) -> BasisGraph:
+    """Rebuild the tree of ``count`` markings whose ``tree_bytes`` for
+    ``net`` are ``data``, a bytes-like object; raises ValueError at the
+    first fault.
 
-    path: str
-    header: dict
-    payload: bytes
-
-    @property
-    def reduction(self) -> bytes:
-        """The payload's first section, the bytes ``save_cache`` was given."""
-        return self.payload[:self.header["reduction"]]
-
-
-def _count(header: dict, name: str, low: int, high: int, path) -> int:
-    """The header's int ``name``, refused unless ``low <= value <= high``."""
-    value = header.get(name)
-    if type(value) is not int or not low <= value <= high:
-        raise CacheFormatError(f"cache {path} has a bad {name} count {value!r}")
-    return value
-
-
-def open_cache(path, key: Optional[str] = None) -> CacheFile:
-    """Read a ``save_cache`` file and check everything but the tree.
-
-    Checks the format tag, the version (CacheVersionError) and, when
-    ``key`` is given, the header's key (CacheDigestError), before the body
-    is touched. The body is then inflated to at most the header's
-    ``payload`` byte count, so a stream that would inflate past it stops
-    there; it must end exactly there, with no bytes after the stream, and
-    the payload must match the header's SHA-256. Any other failure raises
-    CacheFormatError.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
-    line, newline, body = data.partition(b"\n")
-    del data
-    try:
-        header = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheFormatError(f"cache {path} has no readable header: {exc}") from exc
-    if not newline or not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-        raise CacheFormatError(f"{path} is not a basis graph cache")
-    if header.get("version") != CACHE_VERSION:
-        raise CacheVersionError(header.get("version"), CACHE_VERSION)
-    if key is not None and header.get("key") != key:
-        raise CacheDigestError(str(header.get("key")), key)
-    size = _count(header, "payload", 0, sys.maxsize - 1, path)
-    _count(header, "reduction", 0, size, path)
-    inflater = zlib.decompressobj()
-    try:
-        payload = inflater.decompress(body, size + 1)
-    except zlib.error as exc:
-        raise CacheFormatError(f"cache {path} body does not inflate: {exc}") from exc
-    del body
-    if len(payload) > size:
-        raise CacheFormatError(f"cache {path} payload inflates past its {size} bytes")
-    if len(payload) < size or not inflater.eof or inflater.unused_data:
-        raise CacheFormatError(f"cache {path} payload is {len(payload)} bytes, expected "
-                               f"{size} in one whole zlib stream")
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-        raise CacheFormatError(f"cache {path} payload does not match its checksum")
-    return CacheFile(str(path), header, payload)
-
-
-def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> BasisGraph:
-    """Rebuild the tree of a cache that ``save_cache`` wrote for ``net``:
-    ``cache`` is an ``open_cache`` result, or a path to open without a key.
-
-    Checks the digest of ``net`` (CacheDigestError), the marking count and
-    the length of the columns after the payload's first section: that of
-    the columns ``save_cache`` writes, whose widths follow from the marking
-    count and the net. Each column is rebuilt from its byte planes with one
-    strided slice assignment per plane (``_from_planes``).
+    Checks the length of ``data``: that of the columns ``tree_bytes``
+    writes, whose widths follow from ``count`` and the net. Each column is
+    rebuilt from its byte planes with one strided slice assignment per
+    plane (``_from_planes``).
     Then one pass over the columns replays the tree in the key space that
     the build uses, with placements numbered by ``_Ids``. A marking's key
     is the child base of its transition at its parent's placement, ORed
@@ -628,28 +481,18 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
     known: the count takes one byte per key slot while the slots stay
     within ``TABLE_FACTOR`` per marking, the table bound of a build capped
     at the marking count, and a dict of the keys past that, so every tree
-    a build returns loads. Any failure raises CacheFormatError.
+    a build returns loads.
     """
-    if not isinstance(cache, CacheFile):
-        cache = open_cache(cache)
-    path, header = cache.path, cache.header
-    expected = net_digest(net)
-    if header.get("digest") != expected:
-        raise CacheDigestError(str(header.get("digest")), expected)
-    count = _count(header, "markings", 1, sys.maxsize, path)
     parent_code = _column_code(count - 1)
     transition_code = _column_code(net.num_transitions)
-    start = header["reduction"]
-    split = start + array(parent_code).itemsize * (count - 1)
+    split = array(parent_code).itemsize * (count - 1)
     size = split + array(transition_code).itemsize * (count - 1)
-    if len(cache.payload) != size:
-        raise CacheFormatError(f"cache {path} columns are {len(cache.payload) - start} "
-                               f"bytes, expected {size - start}")
-
-    payload = memoryview(cache.payload)
-    parents = _from_planes(payload[start:split], parent_code)
-    transitions = _from_planes(payload[split:], transition_code)
-    del cache, payload
+    if len(data) != size:
+        raise ValueError(f"the tree's columns are {len(data)} bytes, expected {size}")
+    data = memoryview(data)
+    parents = _from_planes(data[:split], parent_code)
+    transitions = _from_planes(data[split:], transition_code)
+    del data
 
     layout = _layout(net)
     ids = _Ids(layout)
@@ -667,9 +510,9 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
     last_q, last_parent, last_t = 0, -1, -1
     for i, parent, t in zip(range(1, count), parents, transitions):
         if parent >= i:
-            raise CacheFormatError(f"cache {path}: marking {i} has parent {parent}")
+            raise ValueError(f"marking {i} has parent {parent}")
         if t >= span:
-            raise CacheFormatError(f"cache {path}: marking {i} has transition {t}")
+            raise ValueError(f"marking {i} has transition {t}")
         key = keys[parent]
         slot = (key >> bits) * span + t
         base = bases.get(slot)
@@ -677,8 +520,7 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
             placement = placements[key >> bits]
             field_mask, plain, cb, _ = moves[t]
             if not placement & field_mask:
-                raise CacheFormatError(
-                    f"cache {path}: transition {t} is not enabled at marking {parent}")
+                raise ValueError(f"transition {t} is not enabled at marking {parent}")
             pid = ids[placement + plain]
             # as in the build's rows: no OR with zero, so the dict's int is shared
             base = pid | cb if cb else pid
@@ -687,8 +529,7 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
         q = qs[parent] + weights[t]
         if q <= last_q and (q < last_q or parent < last_parent
                             or parent == last_parent and t <= last_t):
-            raise CacheFormatError(
-                f"cache {path}: marking {i} breaks the (cost, parent, transition) order")
+            raise ValueError(f"marking {i} breaks the (cost, parent, transition) order")
         last_q, last_parent, last_t = q, parent, t
         keys.append(base | key & low)
         try:
@@ -708,5 +549,5 @@ def load_cache(cache: Union[CacheFile, str, os.PathLike], net: PetriNet) -> Basi
     else:
         distinct = len(dict.fromkeys(keys))
     if distinct != count:
-        raise CacheFormatError(f"cache {path} lists a marking twice")
+        raise ValueError("the tree lists a marking twice")
     return _packed_graph(keys, ids, qs, parents, transitions, layout)

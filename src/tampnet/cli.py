@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 
 from .basis_graph import DEFAULT_STATE_CAP
 from .bench import MODES, BenchConfig, run_bench
+from .cache import load_offline, save_offline
 from .errors import TampError, ValidationError
 from .grid import cost_json, load_env, plan_json_text, render
 from .oracle import DEFAULT_ORACLE_BUDGET, joint_search
-from .planner import Infeasible, build_offline, load_offline, plan, save_offline
+from .planner import Infeasible, build_offline, plan
 from .taskspec import parse
 
 class _UsageError(Exception):

@@ -20,12 +20,10 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .abstraction import (MonitoredNet, SimplifiedNet, build_monitored, build_simplified,
-                          read_reduction, reduction_bytes)
-from .basis_graph import (DEFAULT_STATE_CAP, BasisGraph, build_graph, load_cache, open_cache,
-                          save_cache)
+from .abstraction import MonitoredNet, SimplifiedNet, build_monitored, build_simplified
+from .basis_graph import DEFAULT_STATE_CAP, BasisGraph, build_graph
 from .errors import IntegrityError, StateBudgetError
-from .grid import Cell, Environment, Plan, env_digest, env_to_pn, free_cells
+from .grid import Cell, Environment, Plan, env_to_pn, free_cells
 from .petri import PetriNet
 from .taskspec import BooleanSpec, SpecVectors, compile_vectors, holds, parse
 
@@ -64,13 +62,15 @@ class Infeasible:
             + " + ".join(self.families) + " constraints"
 
 
-def _offline(env: Environment, cells: Tuple[Cell, ...], net: PetriNet,
-             simplified: SimplifiedNet,
-             graph_for: Callable[[PetriNet], BasisGraph]) -> OfflineModel:
-    """The offline model of ``env`` from its free cells, its movement net
-    and its reduction: the visit latches are added here, and the basis
-    graph is the one ``graph_for`` returns for the monitored net (built or
-    loaded)."""
+def offline_model(env: Environment, reduction_for: Callable[[PetriNet], SimplifiedNet],
+                  graph_for: Callable[[PetriNet], BasisGraph]) -> OfflineModel:
+    """The offline model of ``env``: its free cells and movement net, the
+    reduction ``reduction_for`` returns for that net, the visit latches,
+    and the basis graph ``graph_for`` returns for the monitored net, each
+    built or loaded."""
+    cells = free_cells(env)
+    net = env_to_pn(env, cells)
+    simplified = reduction_for(net)
     monitored = build_monitored(simplified)
     return OfflineModel(net, cells, simplified, monitored, graph_for(monitored.net),
                         tuple(map(cells.index, env.agents)))
@@ -86,33 +86,8 @@ def build_offline(env: Environment, state_cap: int = DEFAULT_STATE_CAP) -> Offli
     the cap to its markings."""
     if env.rows * env.cols - len(env.obstacles) > state_cap:
         raise StateBudgetError(state_cap, what="movement net")
-    cells = free_cells(env)
-    net = env_to_pn(env, cells)
-    return _offline(env, cells, net, build_simplified(net),
-                    lambda monitored: build_graph(monitored, state_cap=state_cap))
-
-
-def save_offline(env: Environment, offline: OfflineModel, path) -> None:
-    """Write ``offline``, the model of ``env``, to a cache file that
-    ``load_offline`` reads back: the reduction and the basis graph, keyed
-    by ``env``'s digest (see ``save_cache``)."""
-    save_cache(offline.graph, offline.monitored.net, path, key=env_digest(env),
-               reduction=reduction_bytes(offline.simplified, offline.net))
-
-
-def load_offline(env: Environment, cache_path) -> OfflineModel:
-    """Offline model read from a ``save_offline`` file instead of being
-    rebuilt; raises CacheError when it does not match.
-
-    The file's key must be ``env``'s digest before any per-cell work; then
-    the movement net is compiled, the stored reduction is read and checked
-    against it (no reduction runs), the visit latches are added, and the
-    tree is replayed for the monitored net."""
-    cache = open_cache(cache_path, env_digest(env))
-    cells = free_cells(env)
-    net = env_to_pn(env, cells)
-    return _offline(env, cells, net, read_reduction(cache.reduction, net),
-                    lambda monitored: load_cache(cache, monitored))
+    return offline_model(env, build_simplified,
+                         lambda monitored: build_graph(monitored, state_cap=state_cap))
 
 
 def split_formula(graph: BasisGraph, vectors: SpecVectors, escapes: Sequence):

@@ -11,6 +11,7 @@ import pytest
 
 from tampnet import (BasisGraph, StateBudgetError, build_offline, load_env,
                      parse_env)
+from tampnet.basis_graph import read_tree, tree_bytes
 from tampnet.data import fixture_path
 from tampnet.petri import Atom, END, Marking, PetriNet, fire
 from tampnet.planner import TargetChoice
@@ -172,6 +173,12 @@ def assert_same_graph(graph, other):
             assert occupancy(graph) == occupancy(other), column.name
         else:
             assert getattr(graph, column.name) == getattr(other, column.name), column.name
+
+
+def replayed(graph, net):
+    """``graph`` written as a cache's tree section for ``net`` and read
+    back, which replays it."""
+    return read_tree(tree_bytes(graph, net), len(graph), net)
 
 
 # the graph last unpacked by markings_of and its markings

@@ -15,13 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import (CacheError, StateBudgetError, build_graph, build_offline,
-                     load_env, load_offline, net_digest, save_cache, save_offline)
-from tampnet import basis_graph
+from tampnet import (StateBudgetError, build_graph, build_offline, load_env, load_offline,
+                     net_digest, save_offline)
+from tampnet import basis_graph, cache
 from tampnet.abstraction import _count_code, build_monitored, read_reduction, reduction_bytes
-from tampnet.basis_graph import (_U32, CACHE_FORMAT, CACHE_VERSION, TABLE_FACTOR,
-                                 _layout, load_cache, open_cache)
-from tampnet.data import fixture_path
+from tampnet.basis_graph import _U32, TABLE_FACTOR, _layout, read_tree, tree_bytes
+from tampnet.cache import CACHE_FORMAT
 from tampnet.bench import generate_instance
 from tampnet.errors import (CacheDigestError, CacheFormatError,
                             CacheVersionError)
@@ -33,7 +32,7 @@ from conftest import (EMPTY, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, hop_chain_net,
                       join_net, marking_of, markings_of, occupancy,
                       occupancy_reference,
-                      random_env, relay_net, square_env, two_byte_net,
+                      random_env, relay_net, replayed, square_env, two_byte_net,
                       two_cycle_net, two_feeders_net, wide_net)
 
 DEMO_DIGEST = "ff7e55c952e326713d2a199a4f7269c6fb6fa574575e303a087e3fd169cb653e"
@@ -279,23 +278,22 @@ SPLIT_KEY_NETS = {
 }
 
 
-def _assert_canonical_and_cached(net, graph, path):
+def _assert_canonical_and_replayed(net, graph):
     assert_matches_reference(net, graph)
-    save_cache(graph, net, path)
-    assert_same_graph(load_cache(path, net), graph)
+    assert_same_graph(replayed(graph, net), graph)
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_KEY_NETS))
-def test_split_key_nets_match_reference_and_cache(name, tmp_path):
+def test_split_key_nets_match_reference_and_cache(name):
     net = SPLIT_KEY_NETS[name]()
-    _assert_canonical_and_cached(net, build_graph(net), tmp_path / "net.bin")
+    _assert_canonical_and_replayed(net, build_graph(net))
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_latch_free_maps_match_reference_and_cache(seed, tmp_path):
+def test_latch_free_maps_match_reference_and_cache(seed):
     offline = build_offline(_latch_free(random_env(random.Random(f"latch-free:{seed}"))))
     assert not offline.monitored.net.latches
-    _assert_canonical_and_cached(offline.monitored.net, offline.graph, tmp_path / "map.bin")
+    _assert_canonical_and_replayed(offline.monitored.net, offline.graph)
 
 
 @pytest.mark.parametrize("name", ["demo", "latch-free", "interleaved", "two-byte-latch",
@@ -408,7 +406,7 @@ def _column_bytes(graph):
 
 
 @pytest.mark.parametrize("name", ["latches", "latch-free"])
-def test_build_and_load_peak_near_the_graph_size(tmp_path, name):
+def test_build_and_load_peak_near_the_graph_size(name):
     # Typed key, cost and edge arrays and markings packed a chunk at a time
     # from byte columns keep both peaks near 2x the graph on the map with
     # latches; lists of int objects and a list of every marking's bytes
@@ -422,27 +420,27 @@ def test_build_and_load_peak_near_the_graph_size(tmp_path, name):
         markings, factor = 8378, 5
     net = build_offline(env).monitored.net
     graph, build_peak = _traced_peak(lambda: build_graph(net))
-    save_cache(graph, net, tmp_path / "mem.bin")
-    loaded, load_peak = _traced_peak(lambda: load_cache(tmp_path / "mem.bin", net))
+    data = tree_bytes(graph, net)
+    loaded, load_peak = _traced_peak(lambda: read_tree(data, len(graph), net))
     assert_same_graph(loaded, graph)
     assert len(graph) == markings
     assert build_peak <= factor * _column_bytes(graph)
     assert load_peak <= factor * _column_bytes(graph)
 
 
-def test_a_load_past_its_bitmap_peaks_near_the_graph_size(tmp_path, monkeypatch, plant_offline):
+def test_a_load_past_its_bitmap_peaks_near_the_graph_size(monkeypatch, plant_offline):
     # with no room for a bitmap, the load counts plant's distinct keys in a
     # dict: dict.fromkeys peaks near 1.7x the graph, a set of the keys at
     # 2.5x
     net, graph = plant_offline.monitored.net, plant_offline.graph
-    save_cache(graph, net, tmp_path / "plant.bin")
+    data = tree_bytes(graph, net)
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", 0)
-    loaded, peak = _traced_peak(lambda: load_cache(tmp_path / "plant.bin", net))
+    loaded, peak = _traced_peak(lambda: read_tree(data, len(graph), net))
     assert_same_graph(loaded, graph)
     assert peak <= 2 * _column_bytes(graph)
 
 
-def test_costs_past_64_bits_stay_exact(tmp_path):
+def test_costs_past_64_bits_stay_exact():
     # a move costing 2**64 does not fit the 8-byte cost column, so the
     # costs are kept as a list of ints, in the build and in the load
     env = square_env(2, [{"name": "g", "cells": [[1, 1]], "final_props": ["g"]}],
@@ -450,10 +448,10 @@ def test_costs_past_64_bits_stay_exact(tmp_path):
     offline = build_offline(env)
     graph = offline.graph
     assert [graph.q(i) for i in range(len(graph))] == [0, 2 ** 65]
-    _assert_canonical_and_cached(offline.monitored.net, graph, tmp_path / "big.bin")
+    _assert_canonical_and_replayed(offline.monitored.net, graph)
 
 
-def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
+def test_the_cost_column_follows_from_the_tree_not_the_cap():
     # 5,000,000 moves of cost 2**42, the default cap's worth, pass 2**64,
     # but every cost of this tree fits 8 bytes: a build at any cap that
     # finishes and the load keep the same column. Moves of cost 2**64 give
@@ -465,8 +463,7 @@ def test_the_cost_column_follows_from_the_tree_not_the_cap(tmp_path):
         offline = build_offline(env)
         net, graph = offline.monitored.net, offline.graph
         capped = build_graph(net, state_cap=len(graph))
-        save_cache(graph, net, tmp_path / "map.bin")
-        loaded = load_cache(tmp_path / "map.bin", net)
+        loaded = replayed(graph, net)
         for other in (capped, loaded):
             assert other == graph
             assert_same_graph(other, graph)
@@ -481,33 +478,30 @@ def test_net_digest_is_stable(demo_offline):
     assert len(net_digest(relabeled)) == 64
 
 
-def test_cache_round_trip_is_byte_stable(tmp_path, demo_offline):
-    net = demo_offline.monitored.net
+def test_cache_round_trip_is_byte_stable(tmp_path, demo_env, demo_offline):
     graph = demo_offline.graph
-    one = tmp_path / "one.json"
-    two = tmp_path / "two.json"
-    save_cache(graph, net, one)
-    save_cache(graph, net, two)
+    one = tmp_path / "one.bin"
+    two = tmp_path / "two.bin"
+    save_offline(demo_env, demo_offline, one)
+    save_offline(demo_env, demo_offline, two)
     assert one.read_bytes() == two.read_bytes()
     # columns of other types are written in the file's own
     wide = dataclasses.replace(graph, parent=array(_U32, graph.parent),
                                transition=array(_U32, graph.transition))
-    save_cache(wide, net, two)
+    save_offline(demo_env, dataclasses.replace(demo_offline, graph=wide), two)
     assert one.read_bytes() == two.read_bytes()
 
-    loaded = load_cache(one, net)
-    assert_same_graph(loaded, graph)
+    loaded = load_offline(demo_env, one)
+    assert loaded.simplified == demo_offline.simplified
+    assert_same_graph(loaded.graph, graph)
 
 
-def _saved(tmp_path, offline, env=None):
-    """Save ``offline``'s cache, its tree alone or, given ``env``, its whole
-    model (``save_offline``), and return its path, its parsed header dict
-    and its inflated payload, for ``_rewritten`` to edit."""
+def _saved(tmp_path, env, offline):
+    """Save ``offline``, the model of ``env``, with ``save_offline``, and
+    return the cache's path, its parsed header dict and its inflated
+    payload, for ``_rewritten`` to edit."""
     path = tmp_path / "cache.bin"
-    if env is None:
-        save_cache(offline.graph, offline.monitored.net, path)
-    else:
-        save_offline(env, offline, path)
+    save_offline(env, offline, path)
     line, _, body = path.read_bytes().partition(b"\n")
     return path, json.loads(line), zlib.decompress(body)
 
@@ -527,16 +521,16 @@ def _rewritten(saved, edit, rehash=True):
     return path
 
 
-def _tampered(tmp_path, offline, edit, rehash=True, env=None):
-    """A ``_saved`` cache of ``offline``, ``_rewritten`` by ``edit``, and
-    the monitored net to load it with."""
-    return _rewritten(_saved(tmp_path, offline, env), edit, rehash), offline.monitored.net
+def _tampered(tmp_path, env, offline, edit, rehash=True):
+    """The path of a ``_saved`` cache of ``offline``, the model of ``env``,
+    ``_rewritten`` by ``edit``."""
+    return _rewritten(_saved(tmp_path, env, offline), edit, rehash)
 
 
 def _entry(graph, column, i):
-    """The offsets, after the payload's reduction section, of the bytes of
-    the parent (column 0) or transition (column 1) of marking i in the
-    cache of ``graph``, least significant first. The file stores the
+    """The offsets, in the tree section of a cache of ``graph``, of the
+    bytes of the parent (column 0) or transition (column 1) of marking i,
+    least significant first. The file stores the
     columns in their own types, each as its byte planes: byte k of entry
     i - 1 is at ``k * edges + i - 1`` in its column, for ``edges = N - 1``."""
     parent, transition = graph.parent, graph.transition
@@ -548,8 +542,8 @@ def _entry(graph, column, i):
 
 def _set_entry(body, graph, column, i, value):
     """Set the parent (column 0) or transition (column 1) of marking i in
-    ``body``, a payload whose reduction section is what precedes the
-    columns."""
+    ``body``, a cache payload or a tree section alone: the columns are its
+    last bytes."""
     parent, transition = graph.parent, graph.transition
     start = len(body) - (parent.itemsize + transition.itemsize) * len(parent)
     offsets = _entry(graph, column, i)
@@ -567,26 +561,24 @@ REDUCE_MAP = os.path.join(os.path.dirname(__file__), "data", "reduce_44x44.json"
 
 @pytest.mark.parametrize("name, codes", [("demo", ("B", "B")), ("plant", (_U32, "H")),
                                          ("reduce_44x44", ("H", "B"))])
-def test_columns_take_the_narrowest_type_in_the_build_and_the_load(tmp_path, request,
-                                                                   name, codes):
+def test_columns_take_the_narrowest_type_in_the_build_and_the_load(request, name, codes):
     # demo, plant and reduce_44x44 have 23, 81,921 and 343 markings and
     # 12, 348 and 72 transitions; a parent column holds N - 1 and a
     # transition column the transition count
     offline = (build_offline(load_env(REDUCE_MAP)) if name == "reduce_44x44"
                else request.getfixturevalue(f"{name}_offline"))
     net, graph = offline.monitored.net, offline.graph
-    save_cache(graph, net, tmp_path / "graph.bin")
-    loaded = load_cache(tmp_path / "graph.bin", net)
+    loaded = replayed(graph, net)
     assert (graph.parent.typecode, graph.transition.typecode) == codes
     assert (loaded.parent.typecode, loaded.transition.typecode) == codes
     assert_same_graph(loaded, graph)
 
 
-def test_cache_rejects_wrong_version(tmp_path, demo_offline):
-    path, net = _tampered(tmp_path, demo_offline,
-                          lambda header, body: header.update(version=99))
+def test_cache_rejects_wrong_version(tmp_path, demo_env, demo_offline):
+    path = _tampered(tmp_path, demo_env, demo_offline,
+                     lambda header, body: header.update(version=99))
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, net)
+        load_offline(demo_env, path)
     assert err.value.found == 99
 
 
@@ -612,7 +604,7 @@ def _v1_text(graph, net):
     return json.dumps(container, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_cache_rejects_a_version_2_cache(tmp_path, demo_offline):
+def test_cache_rejects_a_version_2_cache(tmp_path, demo_env, demo_offline):
     # the version-2 layout: both columns as 4-byte ints, 8 bytes per edge
     net, graph = demo_offline.monitored.net, demo_offline.graph
     columns = [array(_U32, graph.parent), array(_U32, graph.transition)]
@@ -627,81 +619,79 @@ def test_cache_rejects_a_version_2_cache(tmp_path, demo_offline):
     path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
                      + b"\n" + body)
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, net)
+        load_offline(demo_env, path)
     assert err.value.found == 2
 
 
-def test_cache_rejects_a_version_1_cache(tmp_path, demo_offline):
+def test_cache_rejects_a_version_1_cache(tmp_path, demo_env, demo_offline):
     net = demo_offline.monitored.net
     text = _v1_text(demo_offline.graph, net)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == V1_DEMO_SHA256
     path = tmp_path / "v1.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, net)
+        load_offline(demo_env, path)
     assert err.value.found == 1
 
 
-def test_cache_rejects_wrong_digest(tmp_path, demo_offline):
-    path, net = _tampered(tmp_path, demo_offline,
-                          lambda header, body: header.update(digest="0" * 64))
+def test_cache_rejects_wrong_digest(tmp_path, demo_env, demo_offline):
+    path = _tampered(tmp_path, demo_env, demo_offline,
+                     lambda header, body: header.update(digest="0" * 64))
     with pytest.raises(CacheDigestError):
-        load_cache(path, net)
+        load_offline(demo_env, path)
 
 
-def test_cache_rejects_foreign_and_broken_files(tmp_path, demo_offline):
-    net = demo_offline.monitored.net
-
+def test_cache_rejects_foreign_and_broken_files(tmp_path, demo_env, demo_offline):
     missing = tmp_path / "nope.bin"
     with pytest.raises(CacheFormatError):
-        load_cache(missing, net)
+        load_offline(demo_env, missing)
 
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"{this is not json\n\x00\x01")
     with pytest.raises(CacheFormatError):
-        load_cache(garbage, net)
+        load_offline(demo_env, garbage)
 
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00\n")
     with pytest.raises(CacheFormatError):
-        load_cache(binary, net)
+        load_offline(demo_env, binary)
 
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"format": "something-else"}) + "\n")
     with pytest.raises(CacheFormatError):
-        load_cache(other, net)
+        load_offline(demo_env, other)
 
     good = tmp_path / "good.bin"
-    save_cache(demo_offline.graph, net, good)
+    save_offline(demo_env, demo_offline, good)
     data = good.read_bytes()
     for cut in (data.index(b"\n"), len(data) // 2, len(data) - 1):
         truncated = tmp_path / "truncated.bin"
         truncated.write_bytes(data[:cut])
         with pytest.raises(CacheFormatError):
-            load_cache(truncated, net)
+            load_offline(demo_env, truncated)
 
 
 @pytest.mark.parametrize("count", ["23", 0, -1, True, None, 2.5])
-def test_cache_rejects_a_bad_marking_count(tmp_path, demo_offline, count):
-    path, net = _tampered(tmp_path, demo_offline,
-                          lambda header, body: header.update(markings=count))
+def test_cache_rejects_a_bad_marking_count(tmp_path, demo_env, demo_offline, count):
+    path = _tampered(tmp_path, demo_env, demo_offline,
+                     lambda header, body: header.update(markings=count))
     with pytest.raises(CacheFormatError):
-        load_cache(path, net)
+        load_offline(demo_env, path)
 
 
 @pytest.mark.parametrize("name", ["payload", "reduction"])
 @pytest.mark.parametrize("count", ["0", -1, True, None, 2.5, 1 << 70])
-def test_cache_rejects_a_bad_size(tmp_path, demo_offline, name, count):
+def test_cache_rejects_a_bad_size(tmp_path, demo_env, demo_offline, name, count):
     # the sizes that bound the inflate and split the payload are checked
     # before the body is inflated; 2**70 passes any payload and any size
     # an inflate can be asked for
-    path, net = _tampered(tmp_path, demo_offline,
-                          lambda header, body: header.update({name: count}))
+    path = _tampered(tmp_path, demo_env, demo_offline,
+                     lambda header, body: header.update({name: count}))
     with pytest.raises(CacheFormatError, match=f"bad {name} count"):
-        load_cache(path, net)
+        load_offline(demo_env, path)
 
 
-def test_cache_rejects_malformed_body(tmp_path, demo_offline):
+def test_cache_rejects_malformed_body(tmp_path, demo_env, demo_offline):
     # a payload truncated or with bytes appended, checksum recomputed or
     # not, and the header's payload size left as it was (the inflate
     # refuses it) or set to match (the columns' length check refuses it)
@@ -718,68 +708,68 @@ def test_cache_rejects_malformed_body(tmp_path, demo_offline):
 
     for edit in edits:
         for rehash in (True, False):
-            path, net = _tampered(tmp_path, demo_offline, edit, rehash=rehash)
+            path = _tampered(tmp_path, demo_env, demo_offline, edit, rehash=rehash)
             with pytest.raises(CacheFormatError, match="bytes"):
-                load_cache(path, net)
-        path, net = _tampered(tmp_path, demo_offline, resized(edit))
+                load_offline(demo_env, path)
+        path = _tampered(tmp_path, demo_env, demo_offline, resized(edit))
         with pytest.raises(CacheFormatError, match="columns are .* bytes"):
-            load_cache(path, net)
+            load_offline(demo_env, path)
 
 
-def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_offline):
+def test_cache_rejects_an_edit_without_a_new_checksum(tmp_path, demo_env, demo_offline):
     def flip(offset):
         def edit(header, body):
-            body[offset] ^= 1
+            body[header["reduction"] + offset] ^= 1
         return edit
 
     graph = demo_offline.graph
     # the first and a middle entry of each column
     offsets = [_entry(graph, column, i)[0] for column in (0, 1) for i in (1, len(graph) // 2)]
     for offset in offsets:
-        path, net = _tampered(tmp_path, demo_offline, flip(offset), rehash=False)
+        path = _tampered(tmp_path, demo_env, demo_offline, flip(offset), rehash=False)
         with pytest.raises(CacheFormatError, match="checksum"):
-            load_cache(path, net)
-    path, net = _tampered(tmp_path, demo_offline,
-                          lambda header, body: header.update(sha256=None), rehash=False)
+            load_offline(demo_env, path)
+    path = _tampered(tmp_path, demo_env, demo_offline,
+                     lambda header, body: header.update(sha256=None), rehash=False)
     with pytest.raises(CacheFormatError, match="checksum"):
-        load_cache(path, net)
+        load_offline(demo_env, path)
 
 
-def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_offline):
+def test_cache_rejects_a_parent_not_before_its_child(tmp_path, demo_env, demo_offline):
     graph = demo_offline.graph
     size = len(graph)
     for i in (1, 7, size - 1):
         for parent in (i, i + 1, _largest(graph.parent)):
-            path, net = _tampered(tmp_path, demo_offline,
-                                  lambda header, body: _set_entry(body, graph, 0, i, parent))
+            path = _tampered(tmp_path, demo_env, demo_offline,
+                             lambda header, body: _set_entry(body, graph, 0, i, parent))
             with pytest.raises(CacheFormatError, match="parent"):
-                load_cache(path, net)
+                load_offline(demo_env, path)
 
 
-def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_offline):
+def test_cache_rejects_a_transition_out_of_range(tmp_path, demo_env, demo_offline):
     graph = demo_offline.graph
     transitions = demo_offline.monitored.net.num_transitions
     for i in (1, 12):
         for t in (transitions, _largest(graph.transition)):
-            path, net = _tampered(tmp_path, demo_offline,
-                                  lambda header, body: _set_entry(body, graph, 1, i, t))
+            path = _tampered(tmp_path, demo_env, demo_offline,
+                             lambda header, body: _set_entry(body, graph, 1, i, t))
             with pytest.raises(CacheFormatError, match="transition"):
-                load_cache(path, net)
+                load_offline(demo_env, path)
 
 
-def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_offline):
+def test_cache_rejects_a_cost_that_decreases(tmp_path, demo_env, demo_offline):
     # re-parenting demo marking 9 or 10 onto marking 8 replays to distinct,
     # enabled markings, but cheaper than the marking stored before them
     for i in (9, 10):
-        path, net = _tampered(tmp_path, demo_offline,
-                              lambda header, body: _set_entry(body, demo_offline.graph, 0, i, 8))
+        path = _tampered(tmp_path, demo_env, demo_offline,
+                         lambda header, body: _set_entry(body, demo_offline.graph, 0, i, 8))
         with pytest.raises(CacheFormatError, match="order"):
-            load_cache(path, net)
+            load_offline(demo_env, path)
 
 
-def _swapped(tmp_path, offline, i):
-    """A cache of ``offline`` with the tree edges into markings ``i - 1``
-    and ``i`` swapped, its checksum recomputed."""
+def _swapped(tmp_path, env, offline, i):
+    """A cache of ``offline``, the model of ``env``, with the tree edges
+    into markings ``i - 1`` and ``i`` swapped, its checksum recomputed."""
     graph = offline.graph
 
     def edit(header, body):
@@ -787,7 +777,7 @@ def _swapped(tmp_path, offline, i):
             _set_entry(body, graph, column, i - 1, values[i - 1])
             _set_entry(body, graph, column, i, values[i - 2])
 
-    return _tampered(tmp_path, offline, edit)
+    return _tampered(tmp_path, env, offline, edit)
 
 
 def _order_break(i):
@@ -795,7 +785,7 @@ def _order_break(i):
     return re.escape(f"marking {i} breaks the (cost, parent, transition) order")
 
 
-def test_cache_rejects_an_equal_cost_edge_from_a_lower_parent(tmp_path, demo_offline):
+def test_cache_rejects_an_equal_cost_edge_from_a_lower_parent(tmp_path, demo_env, demo_offline):
     # swapping two markings of equal cost with different parents leaves the
     # second with a parent below the first's; the first, an earlier child of
     # its parent, passes every check
@@ -804,12 +794,13 @@ def test_cache_rejects_an_equal_cost_edge_from_a_lower_parent(tmp_path, demo_off
              if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] < graph.parent[i - 1]]
     assert pairs
     for i in pairs:
-        path, net = _swapped(tmp_path, demo_offline, i)
+        path = _swapped(tmp_path, demo_env, demo_offline, i)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, net)
+            load_offline(demo_env, path)
 
 
-def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_path, demo_offline):
+def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_path, demo_env,
+                                                                         demo_offline):
     # two markings of equal cost from one parent, swapped (a transition
     # below the last) or the second's edge set to the first's (the same
     # transition, which the order check refuses before the repeat check)
@@ -818,26 +809,26 @@ def test_cache_rejects_an_equal_cost_edge_from_the_same_parent_not_above(tmp_pat
              if graph.qs[i - 1] == graph.qs[i] and graph.parent[i - 2] == graph.parent[i - 1]]
     assert pairs
     for i in pairs:
-        path, net = _swapped(tmp_path, demo_offline, i)
+        path = _swapped(tmp_path, demo_env, demo_offline, i)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, net)
+            load_offline(demo_env, path)
 
         def repeat_last(header, body):
             _set_entry(body, graph, 1, i, graph.transition[i - 2])
 
-        path, net = _tampered(tmp_path, demo_offline, repeat_last)
+        path = _tampered(tmp_path, demo_env, demo_offline, repeat_last)
         with pytest.raises(CacheFormatError, match=_order_break(i)):
-            load_cache(path, net)
+            load_offline(demo_env, path)
 
 
-def test_cache_compares_marking_1_with_the_root(tmp_path, demo_offline):
+def test_cache_compares_marking_1_with_the_root(tmp_path, demo_env, demo_offline):
     # the root's edge sorts below every edge, so markings 1 and 2, two
     # children of the root, swapped break the order at marking 2, not 1
     graph = demo_offline.graph
     assert graph.parent[:2] == array(_U32, [0, 0])
-    path, net = _swapped(tmp_path, demo_offline, 2)
+    path = _swapped(tmp_path, demo_env, demo_offline, 2)
     with pytest.raises(CacheFormatError, match=_order_break(2)):
-        load_cache(path, net)
+        load_offline(demo_env, path)
 
 
 def _wide_model(request, name):
@@ -872,7 +863,7 @@ def test_a_model_cache_rejects_an_edit_to_one_wide_parent_entry(tmp_path, reques
     # the entry's bytes from other offsets would report something else
     env, offline = _wide_model(request, name)
     graph = offline.graph
-    saved = _saved(tmp_path, offline, env)
+    saved = _saved(tmp_path, env, offline)
     for i in (len(graph) // 2 + 1, len(graph) - 1):
         for parent in (i, _largest(graph.parent)):
             path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 0, i, parent))
@@ -890,7 +881,7 @@ def test_a_model_cache_rejects_an_edit_to_one_transition_entry_after_wide_parent
     env, offline = _wide_model(request, name)
     graph = offline.graph
     transitions = offline.monitored.net.num_transitions
-    saved = _saved(tmp_path, offline, env)
+    saved = _saved(tmp_path, env, offline)
     for i in (len(graph) // 2 + 1, len(graph) - 1):
         for t in (transitions, _largest(graph.transition)):
             path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 1, i, t))
@@ -902,42 +893,64 @@ def test_a_model_cache_rejects_an_edit_to_one_transition_entry_after_wide_parent
         load_offline(env, path)
 
 
-def acc8_offline(latches=True):
+def acc8_env(latches=True):
+    """The acc8 map, with its trajectory propositions or without them."""
     env, _ = generate_instance("acc8", 8, 8, 2, 4, 6)
-    return build_offline(env if latches else _latch_free(env))
+    return env if latches else _latch_free(env)
+
+
+def acc8_offline(latches=True):
+    return build_offline(acc8_env(latches))
+
+
+def test_cache_rejects_a_transition_not_enabled_at_its_parent(tmp_path, demo_env,
+                                                              demo_offline):
+    # an id in range whose move leaves a place that holds no token at the
+    # parent: the refusal names the id and the parent
+    graph, net = demo_offline.graph, demo_offline.monitored.net
+    for i in (1, len(graph) // 2, len(graph) - 1):
+        parent = graph.parent[i - 1]
+        marking = graph.marking(parent)
+        t = next(t for t in range(net.num_transitions) if not marking[net.sources[t]])
+        path = _tampered(tmp_path, demo_env, demo_offline,
+                         lambda header, body: _set_entry(body, graph, 1, i, t))
+        with pytest.raises(CacheFormatError,
+                           match=f": transition {t} is not enabled at marking {parent}$"):
+            load_offline(demo_env, path)
 
 
 @pytest.mark.parametrize("name", ["demo", "acc8", "acc8-latch-free"])
-def test_cache_rejects_every_single_transition_edit(tmp_path, request, name):
+def test_cache_rejects_every_single_transition_edit(request, name):
     # the tree holds every reachable marking, so another transition is not
     # enabled, or it reaches a marking stored elsewhere or one too cheap for
     # its place in the order
     offline = (request.getfixturevalue("demo_offline") if name == "demo"
                else acc8_offline(latches=name == "acc8"))
-    net = offline.monitored.net
+    graph, net = offline.graph, offline.monitored.net
     transitions = net.num_transitions
-    saved = _saved(tmp_path, offline)
+    data = tree_bytes(graph, net)
     edits = 0
-    for i, current in enumerate(offline.graph.transition, 1):
+    for i, current in enumerate(graph.transition, 1):
         for t in range(transitions):
             if t == current:
                 continue
-            path = _rewritten(saved, lambda header, body: _set_entry(body, offline.graph, 1, i, t))
-            with pytest.raises(CacheError):
-                load_cache(path, net)
+            edited = bytearray(data)
+            _set_entry(edited, graph, 1, i, t)
+            with pytest.raises(ValueError):
+                read_tree(edited, len(graph), net)
             edits += 1
-    assert edits == (len(offline.graph) - 1) * (transitions - 1)
+    assert edits == (len(graph) - 1) * (transitions - 1)
 
 
 @pytest.mark.parametrize("name", ["demo", "acc8"])
-def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request, name):
+def test_cache_rejects_every_parent_edit_that_breaks_the_order(request, name):
     # re-parenting marking i gives it and its descendants new costs; every
     # edit whose replayed (q, parent, transition) sequence is not strictly
     # ascending is refused, also the ones whose q alone never decreases
     offline = request.getfixturevalue("demo_offline") if name == "demo" else acc8_offline()
     graph, net = offline.graph, offline.monitored.net
     weights = [q - graph.qs[p] for q, p in zip(graph.qs[1:], graph.parent)]
-    saved = _saved(tmp_path, offline)
+    data = tree_bytes(graph, net)
     breaking = q_sorted = 0
     for i in range(1, len(graph)):
         for parent in range(i):
@@ -953,17 +966,19 @@ def test_cache_rejects_every_parent_edit_that_breaks_the_order(tmp_path, request
                 continue
             breaking += 1
             q_sorted += qs == sorted(qs)
-            path = _rewritten(saved, lambda header, body: _set_entry(body, graph, 0, i, parent))
-            with pytest.raises(CacheFormatError):
-                load_cache(path, net)
+            edited = bytearray(data)
+            _set_entry(edited, graph, 0, i, parent)
+            with pytest.raises(ValueError):
+                read_tree(edited, len(graph), net)
     assert breaking and q_sorted
 
 
-def _a_marking_listed_twice(tmp_path, offline):
-    """A cache of ``offline`` whose last entry is re-pointed at an edge into
-    a marking already listed, one that still comes after the entry before
-    it in the (cost, parent, transition) order: the replay passes every
-    other check."""
+def _listing_a_marking_twice(offline):
+    """An edit for ``_rewritten``, or of a tree section alone, that
+    re-points the last entry of ``offline``'s tree at an edge into a
+    marking already listed, one that still comes after the entry before it
+    in the (cost, parent, transition) order: the replay passes every other
+    check."""
     graph, net = offline.graph, offline.monitored.net
     markings = markings_of(graph)
     i = len(graph) - 1
@@ -977,39 +992,42 @@ def _a_marking_listed_twice(tmp_path, offline):
         _set_entry(body, graph, 0, i, parent)
         _set_entry(body, graph, 1, i, t)
 
-    return _tampered(tmp_path, offline, edit)
+    return edit
 
 
 @pytest.mark.parametrize("name", ["demo", "acc8", "acc8-latch-free"])
 def test_cache_rejects_a_marking_listed_twice(tmp_path, request, name):
-    offline = (request.getfixturevalue("demo_offline") if name == "demo"
-               else acc8_offline(latches=name == "acc8"))
-    path, net = _a_marking_listed_twice(tmp_path, offline)
+    env = (request.getfixturevalue("demo_env") if name == "demo"
+           else acc8_env(latches=name == "acc8"))
+    offline = build_offline(env)
+    path = _tampered(tmp_path, env, offline, _listing_a_marking_twice(offline))
     with pytest.raises(CacheFormatError, match="twice"):
-        load_cache(path, net)
+        load_offline(env, path)
 
 
 @pytest.mark.parametrize("factor", [0, 1])
-def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(tmp_path, monkeypatch, factor):
+def test_a_load_past_its_bitmap_rejects_a_marking_listed_twice(monkeypatch, factor):
     # with no room for a bitmap (0), or room for fewer slots than the
     # tree's placements take (1), the count of distinct keys after the
     # replay runs over a dict of them instead
-    path, net = _a_marking_listed_twice(tmp_path, acc8_offline())
+    offline = acc8_offline()
+    graph, net = offline.graph, offline.monitored.net
+    data = bytearray(tree_bytes(graph, net))
+    _listing_a_marking_twice(offline)(None, data)
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
-    with pytest.raises(CacheFormatError, match="twice"):
-        load_cache(path, net)
+    with pytest.raises(ValueError, match="twice"):
+        read_tree(data, len(graph), net)
 
 
 @pytest.mark.parametrize("arms", [6, 16])
-def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
+def test_sparse_latch_masks_load_past_the_bitmap_bound(arms):
     # 1 + arms markings, one per placement, over 2^arms masks each: the
     # build's cap leaves room for every placement's slots, but those slots
     # pass the load's bitmap bound of TABLE_FACTOR per marking, so after
     # the replay the load counts the distinct keys in a dict
     net = _star_net(arms)
     graph = build_graph(net, state_cap=(arms + 1 << arms) // TABLE_FACTOR)
-    save_cache(graph, net, tmp_path / "star.bin")
-    assert_same_graph(load_cache(tmp_path / "star.bin", net), graph)
+    assert_same_graph(replayed(graph, net), graph)
 
 
 @pytest.mark.parametrize("name, factor, where", [
@@ -1019,8 +1037,7 @@ def test_sparse_latch_masks_load_past_the_bitmap_bound(tmp_path, arms):
     ("acc8-latch-free", 0, "root"), ("acc8-latch-free", Fraction(1, 2), "mid-pass"),
     ("acc8-latch-free", TABLE_FACTOR, "within"),
 ])
-def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatch,
-                                                            name, factor, where):
+def test_a_load_equals_the_build_in_each_repeat_check_state(monkeypatch, name, factor, where):
     # the slots of the root's placement already pass the bitmap bound of
     # TABLE_FACTOR per marking, the slots of some later placement pass it,
     # or every slot fits: after the replay the load counts the distinct
@@ -1030,44 +1047,8 @@ def test_a_load_equals_the_build_in_each_repeat_check_state(tmp_path, monkeypatc
     slots, blank = _table_slots(net, graph)
     bound = factor * len(graph)
     assert where == ("root" if blank > bound else "mid-pass" if slots > bound else "within")
-    save_cache(graph, net, tmp_path / "acc8.bin")
     monkeypatch.setattr(basis_graph, "TABLE_FACTOR", factor)
-    assert_same_graph(load_cache(tmp_path / "acc8.bin", net), graph)
-
-
-def test_load_cache_refuses_a_net_it_cannot_rebuild(tmp_path):
-    # a well-formed file whose header names the digest of a net with a
-    # two-input move, worked out from the digest's JSON by hand: no net
-    # can be made with that move, so every net the constructor accepts,
-    # even one of the same places and costs, is refused by its digest
-    with pytest.raises(ValueError, match="^arc 2 is no move"):
-        join_net()
-    payload = {"places": 5, "pre": [[0], [1], [2, 3]], "post": [[2], [3], [4]],
-               "cost": [[1, 1]] * 3, "labels": [[]] * 4 + [[["end", "x"]]],
-               "m0": [1, 1, 0, 0, 0], "clamp": []}
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                            .encode("utf-8")).hexdigest()
-    # one edge: a 1-byte parent and a 1-byte transition
-    columns = struct.pack("<BB", 0, 0)
-    header = {"format": CACHE_FORMAT, "version": CACHE_VERSION, "key": None,
-              "digest": digest, "markings": 2, "reduction": 0,
-              "payload": len(columns), "sha256": hashlib.sha256(columns).hexdigest()}
-    path = tmp_path / "join.bin"
-    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + zlib.compress(columns))
-    net = hand_net(5, [((0,), (2,), 1), ((1,), (3,), 1), ((2,), (4,), 1)],
-                   [EMPTY] * 4 + [end_label("x")], (1, 1, 0, 0, 0))
-    with pytest.raises(CacheDigestError):
-        load_cache(path, net)
-
-
-def test_save_cache_refuses_graphs_it_cannot_rebuild():
-    # a tree could only be saved for a net, and no net has a two-input
-    # move or a move that adds tokens: the constructor's translation
-    # refuses both, so no such graph exists to save
-    for name in ("join", "split"):
-        make, message = UNPACKABLE[name]
-        with pytest.raises(ValueError, match=f"^{message}"):
-            make()
+    assert_same_graph(replayed(graph, net), graph)
 
 
 class _FullDisk(io.FileIO):
@@ -1082,43 +1063,49 @@ def _failing_replace(src, dst):
     raise OSError(errno.EIO, "rename failed")
 
 
+def _save_small_model(path):
+    """Save the model of a 2x2 map with one goal cell to ``path``: an old
+    cache for a save of another model to replace."""
+    env = square_env(2, [{"name": "g", "cells": [[1, 1]], "final_props": ["g"]}],
+                     agents=[(0, 0)])
+    save_offline(env, build_offline(env), path)
+
+
 @pytest.mark.parametrize("failure", ["write", "rename"])
-def test_a_failed_save_leaves_the_old_cache(tmp_path, monkeypatch, demo_offline, failure):
+def test_a_failed_save_leaves_the_old_cache(tmp_path, monkeypatch, demo_env, demo_offline,
+                                            failure):
     # the new bytes go to a file of their own beside the cache, renamed
     # onto it only once written: a failed write or rename leaves the old
     # cache whole and no stray file
     path = tmp_path / "cache.bin"
-    relay = relay_net()
-    save_cache(build_graph(relay), relay, path)
+    _save_small_model(path)
     old = path.read_bytes()
     if failure == "write":
-        monkeypatch.setattr(basis_graph, "open", _FullDisk, raising=False)
+        monkeypatch.setattr(cache, "open", _FullDisk, raising=False)
     else:
         monkeypatch.setattr(os, "replace", _failing_replace)
     with pytest.raises(OSError):
-        save_cache(demo_offline.graph, demo_offline.monitored.net, path)
+        save_offline(demo_env, demo_offline, path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["cache.bin"]
 
 
-def test_a_save_replaces_the_cache_with_a_plain_file(tmp_path, demo_offline):
+def test_a_save_replaces_the_cache_with_a_plain_file(tmp_path, demo_env, demo_offline):
     # a good save over an old cache leaves only the new cache, with the
     # bytes of a save to a new path and the mode a plain open gives
-    net, graph = demo_offline.monitored.net, demo_offline.graph
-    relay = relay_net()
     (tmp_path / "cache").mkdir()
     path = tmp_path / "cache" / "cache.bin"
-    save_cache(build_graph(relay), relay, path)
-    save_cache(graph, net, path)
-    save_cache(graph, net, tmp_path / "fresh.bin")
+    _save_small_model(path)
+    save_offline(demo_env, demo_offline, path)
+    save_offline(demo_env, demo_offline, tmp_path / "fresh.bin")
     (tmp_path / "plain.bin").write_bytes(b"")
     assert os.listdir(tmp_path / "cache") == ["cache.bin"]
     assert path.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
     assert path.stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
-    assert_same_graph(load_cache(path, net), graph)
+    assert_same_graph(load_offline(demo_env, path).graph, demo_offline.graph)
 
 
-def test_cache_rejects_a_version_3_cache(tmp_path, demo_offline):
+def test_cache_rejects_a_version_3_cache(tmp_path, demo_env, demo_offline):
     # the version-3 layout: the narrow columns alone, uncompressed
     net, graph = demo_offline.monitored.net, demo_offline.graph
     body = bytes(graph.parent) + bytes(graph.transition)
@@ -1129,10 +1116,8 @@ def test_cache_rejects_a_version_3_cache(tmp_path, demo_offline):
     path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
                      + b"\n" + body)
     with pytest.raises(CacheVersionError) as err:
-        load_cache(path, net)
+        load_offline(demo_env, path)
     assert err.value.found == 3
-    with pytest.raises(CacheVersionError):
-        load_offline(load_env(fixture_path("demo_3x3.json")), path)
 
 
 def test_cache_rejects_a_version_4_cache(tmp_path, plant_env, plant_offline):
@@ -1156,9 +1141,6 @@ def test_cache_rejects_a_version_4_cache(tmp_path, plant_env, plant_offline):
     path = tmp_path / "v4.bin"
     path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
                      + b"\n" + zlib.compress(payload, 1))
-    with pytest.raises(CacheVersionError) as err:
-        load_cache(path, net)
-    assert err.value.found == 4
     with pytest.raises(CacheVersionError) as err:
         load_offline(plant_env, path)
     assert err.value.found == 4
@@ -1192,9 +1174,52 @@ def _moves_out(net, place):
     return [t for t, p in enumerate(net.sources) if p == place]
 
 
-def _model_tampered(tmp_path, env, offline, section):
-    path, _ = _tampered(tmp_path, offline, _with_section(section), env=env)
-    return path
+def _plant_with_section(tmp_path, plant_env, plant_offline, section):
+    """The path of a plant cache whose reduction section is ``section``."""
+    return _tampered(tmp_path, plant_env, plant_offline, _with_section(section))
+
+
+def test_cache_rejects_a_reduction_cut_short_or_with_its_route_count_off(
+        tmp_path, plant_env, plant_offline):
+    # the section must hold the escapes and the route counts, then as many
+    # whole routes as the counts sum to: it is cut inside the counts, cut
+    # inside its last route, short of its last route, or given a route more
+    data, offsets = _section(plant_offline)
+    head, routes = offsets[0], len(offsets) - 1
+    for section, message in [
+            (data[:head - 1], f"reduction is {head - 1} bytes, .* kept places take {head}$"),
+            (data[:-1], f"holds {routes - 1} routes or a partial one, its counts {routes}$"),
+            (data[:offsets[-2]], f"holds {routes - 1} routes .* its counts {routes}$"),
+            (data + data[offsets[-2]:], f"holds {routes + 1} routes .* its counts {routes}$")]:
+        path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
+        with pytest.raises(CacheFormatError, match=message):
+            load_offline(plant_env, path)
+
+
+def test_cache_rejects_a_route_that_ends_off_another_labeled_place(
+        tmp_path, plant_env, plant_offline):
+    # a route with its last move dropped ends on the unlabeled place before
+    # its target; a route out of a labeled place onto a neighbour and back
+    # ends on its own source
+    net, simplified = plant_offline.net, plant_offline.simplified
+    lift_map = simplified.lift_map
+    data, offsets = _section(plant_offline)
+    t = next(t for t, ms in enumerate(lift_map) if len(ms.sequence) > 1)
+    end = offsets[t + 1] - 1
+    sections = [(t, data[:end - 1] + data[end:])]
+    u, there, back = next(
+        (u, there, _moves_out(net, net.targets[move]).index(move_back))
+        for u, ms in enumerate(lift_map) if net.labels[ms.source]
+        for there, move in enumerate(_moves_out(net, ms.source))
+        if not net.labels[net.targets[move]]
+        for move_back in _moves_out(net, net.targets[move])
+        if net.targets[move_back] == ms.source)
+    sections.append((u, data[:offsets[u]] + bytes((there, back)) + data[offsets[u + 1] - 1:]))
+    for t, section in sections:
+        path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
+        with pytest.raises(CacheFormatError,
+                           match=f"route {t} .* does not end on another labeled place$"):
+            load_offline(plant_env, path)
 
 
 def test_cache_rejects_a_route_whose_moves_break_the_chain(tmp_path, plant_env, plant_offline):
@@ -1213,7 +1238,7 @@ def test_cache_rejects_a_route_whose_moves_break_the_chain(tmp_path, plant_env, 
             section[offsets[t] + k] = len(out)
             chained = k == last and out[-1] + 1 < net.num_transitions
             fault = "do not chain" if chained else "no move of rank|do not chain"
-            path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+            path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
             with pytest.raises(CacheFormatError, match=f"route {t} .*({fault})"):
                 load_offline(plant_env, path)
 
@@ -1227,7 +1252,7 @@ def test_cache_rejects_a_route_through_a_labeled_cell(tmp_path, plant_env, plant
                 if onward.source == ms.target)
     end = offsets[t + 1] - 1
     section = data[:end] + data[offsets[u]:offsets[u + 1] - 1] + data[end:]
-    path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+    path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
     with pytest.raises(CacheFormatError, match=f"route {t} .* enters a labeled place before"):
         load_offline(plant_env, path)
 
@@ -1241,7 +1266,7 @@ def test_cache_rejects_routes_out_of_their_targets_order(tmp_path, plant_env, pl
     first, second = data[offsets[t]:offsets[t + 1]], data[offsets[t + 1]:offsets[t + 2]]
     for pair in (second + first, first + first):
         section = data[:offsets[t]] + pair + data[offsets[t + 2]:]
-        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
         with pytest.raises(CacheFormatError, match=f"route {t + 1} .* breaks the order"):
             load_offline(plant_env, path)
 
@@ -1257,13 +1282,13 @@ def test_cache_rejects_an_escape_onto_a_labeled_cell_or_out_of_another_place(
     for i, rank in onto_labeled[:3]:
         section = bytearray(data)
         section[i] = rank
-        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
         with pytest.raises(CacheFormatError, match="escape .* enters a labeled place"):
             load_offline(plant_env, path)
     for i, p in enumerate(simplified.base_place[:3]):
         section = bytearray(data)
         section[i] = len(_moves_out(net, p))
-        path = _model_tampered(tmp_path, plant_env, plant_offline, section)
+        path = _plant_with_section(tmp_path, plant_env, plant_offline, section)
         with pytest.raises(CacheFormatError, match=f"escape of place {p} is no move out of it"):
             load_offline(plant_env, path)
 
@@ -1291,8 +1316,7 @@ def test_cache_of_a_map_with_an_obstacle_moved_off_every_route_is_refused_by_its
     # replays; only the map's key tells the caches apart
     env = load_env(REDUCE_MAP)
     offline = build_offline(env)
-    path = tmp_path / "model.bin"
-    save_offline(env, offline, path)
+    path, header, payload = _saved(tmp_path, env, offline)
     simplified, cells = offline.simplified, offline.cells
     targets = offline.net.targets
     touched = {cells[p] for ms in simplified.lift_map for p in (ms.source, *ms.places)}
@@ -1309,10 +1333,10 @@ def test_cache_of_a_map_with_an_obstacle_moved_off_every_route_is_refused_by_its
         and touched.isdisjoint(near(x) | near((x[0], x[1] + 1))))
     moved = dataclasses.replace(env, obstacles=env.obstacles - {obstacle} | {free})
 
-    cache = open_cache(path)
-    net = env_to_pn(moved)
-    monitored = build_monitored(read_reduction(cache.reduction, net))
-    assert net_digest(monitored.net) == cache.header["digest"]
-    assert_same_graph(load_cache(cache, monitored.net), offline.graph)
+    start = header["reduction"]
+    monitored = build_monitored(read_reduction(payload[:start], env_to_pn(moved)))
+    assert net_digest(monitored.net) == header["digest"]
+    assert_same_graph(read_tree(payload[start:], header["markings"], monitored.net),
+                      offline.graph)
     with pytest.raises(CacheDigestError):
         load_offline(moved, path)

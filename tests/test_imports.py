@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, the
 package exports exactly the API its README documents, no package module
 reads the environment, the basis-graph layer imports only the net and
-error modules, and importing the CLI loads no module it does not use.
+error modules, the cache module alone owns the cache file's format, and
+importing the CLI loads no module it does not use.
 
 A stdlib ``ast`` scan over ``src/`` and ``tests/``: a name bound by an
 import statement must appear as a loaded name (``name`` or ``name.attr``)
@@ -123,6 +124,41 @@ def test_the_basis_graph_layer_imports_only_the_net_and_its_errors():
     path = ROOT / "src" / "tampnet" / "basis_graph.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert set(package_imports(tree)) <= {"errors", "petri"}
+
+
+def absolute_imports(tree: ast.Module):
+    """The top-level names of the modules a module imports by absolute
+    name: the standard library's, and ``tampnet`` for the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_scan_finds_an_absolute_import():
+    tree = ast.parse("import os.path\nfrom zlib import compress\nfrom .errors import CacheError\n"
+                     "import tampnet.cache\n")
+    assert absolute_imports(tree) == {"os", "zlib", "tampnet"}
+
+
+def _module(name: str) -> ast.Module:
+    path = ROOT / "src" / "tampnet" / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_cache_module_alone_owns_the_file_format():
+    # the header, the zlib body and the checksum are cache.py's; the tree
+    # and reduction layers write and read their sections as plain bytes,
+    # and report a bad section with ValueError, which cache.py raises as
+    # the file's cache error
+    assert not {"hashlib", "json", "os", "zlib"} & absolute_imports(_module("basis_graph"))
+    assert "errors" not in package_imports(_module("abstraction"))
+    deflating = [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
+                 if "zlib" in absolute_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert deflating == [os.path.join("src", "tampnet", "cache.py")]
 
 
 # what perfbench/ imports from the package

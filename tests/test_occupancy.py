@@ -15,14 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import Plan, build_graph, build_offline, parse, plan, save_cache, save_offline
-from tampnet.basis_graph import BasisGraph, load_cache
-from tampnet.planner import diagnose_infeasibility, load_offline, select_target, split_formula
+from tampnet import Plan, build_graph, build_offline, load_offline, parse, plan, save_offline
+from tampnet.basis_graph import BasisGraph
+from tampnet.planner import diagnose_infeasibility, select_target, split_formula
 from tampnet.taskspec import SpecVectors, compile_vectors
 
 from conftest import (EMPTY, assert_matches_reference,
                       assert_same_graph, end_label, hand_net, markings_of,
-                      occupancy, occupancy_reference, random_env, scan_diagnose,
+                      occupancy, occupancy_reference, random_env, replayed, scan_diagnose,
                       scan_select, square_env, two_byte_net, wide_net)
 from test_planner import HOPPING_SPEC
 
@@ -73,9 +73,8 @@ def assert_answers_like_scan(graphs, vectors, escapes):
         assert diagnose_infeasibility(graph, split) == families
 
 
-def loaded_copy(offline, path):
-    save_cache(offline.graph, offline.monitored.net, path)
-    graph = load_cache(path, offline.monitored.net)
+def loaded_copy(offline):
+    graph = replayed(offline.graph, offline.monitored.net)
     assert_same_graph(graph, offline.graph)
     return graph
 
@@ -96,28 +95,28 @@ def check_model(offline, loaded, rng, rounds, specs=()):
         assert_answers_like_scan(graphs, vectors, escapes)
 
 
-def test_demo_answers_like_scan(demo_offline, tmp_path):
-    loaded = loaded_copy(demo_offline, tmp_path / "demo.json")
+def test_demo_answers_like_scan(demo_offline):
+    loaded = loaded_copy(demo_offline)
     check_model(demo_offline, loaded, random.Random("occ:demo"), 200,
                 specs=("visit(2) & end(3) & !visit(1)", "visit(1) & !visit(2)",
                        "visit(2) & !end(3)", "true"))
 
 
-def test_plant_answers_like_scan(plant_offline, tmp_path):
-    loaded = loaded_copy(plant_offline, tmp_path / "plant.json")
+def test_plant_answers_like_scan(plant_offline):
+    loaded = loaded_copy(plant_offline)
     check_model(plant_offline, loaded, random.Random("occ:plant"), 12,
                 specs=(PLANT_SPEC, "visit(5) & !end(1) & !end(7)", "true"))
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_generated_maps_answer_like_scan(seed, tmp_path):
+def test_generated_maps_answer_like_scan(seed):
     rng = random.Random(f"occ:map:{seed}")
     offline = build_offline(random_env(rng))
-    loaded = loaded_copy(offline, tmp_path / "map.json")
+    loaded = loaded_copy(offline)
     check_model(offline, loaded, rng, 30)
 
 
-def test_walled_off_region_answers_like_scan(tmp_path):
+def test_walled_off_region_answers_like_scan():
     # the labeled corner is unreachable, so trajectory clauses can fail
     env = square_env(3, [{"name": "far", "cells": [[0, 2]],
                           "trajectory_props": ["far"], "final_props": ["fin"]},
@@ -125,7 +124,7 @@ def test_walled_off_region_answers_like_scan(tmp_path):
                           "trajectory_props": ["near"], "final_props": ["fin"]}],
                      agents=[(2, 0), (1, 0)], obstacles=[(0, 1), (1, 2)])
     offline = build_offline(env)
-    loaded = loaded_copy(offline, tmp_path / "island.json")
+    loaded = loaded_copy(offline)
     check_model(offline, loaded, random.Random("occ:island"), 60,
                 specs=("visit(far)", "visit(near) & end(fin)", "visit(far) & !end(fin)"))
 
@@ -146,13 +145,11 @@ def test_final_clause_emptied_by_soft_places(demo_offline):
     assert diagnose_infeasibility(graph, split) == scan_diagnose(graph, vectors, ())
 
 
-def check_hand_net(net, rng, rounds, tmp_path, pool):
+def check_hand_net(net, rng, rounds, pool):
     graph = build_graph(net)
     assert occupancy(graph) == occupancy_reference(markings_of(graph))
     assert_matches_reference(net, graph)
-    path = tmp_path / "hand.json"
-    save_cache(graph, net, path)
-    loaded = load_cache(path, net)
+    loaded = replayed(graph, net)
     assert_same_graph(loaded, graph)
     n = net.num_places
     for _ in range(rounds):
@@ -163,17 +160,17 @@ def check_hand_net(net, rng, rounds, tmp_path, pool):
     return graph
 
 
-def test_counts_above_one_byte(tmp_path):
+def test_counts_above_one_byte():
     net = two_byte_net()
-    graph = check_hand_net(net, random.Random("occ:byte"), 60, tmp_path, range(4))
+    graph = check_hand_net(net, random.Random("occ:byte"), 60, range(4))
     assert len(graph) == 261 * 2
     assert max(map(max, markings_of(graph))) == 260
 
 
-def test_net_wider_than_4096_bits(tmp_path):
+def test_net_wider_than_4096_bits():
     net = wide_net()
     pool = list(range(8)) + [500, 501, 1099] + list(range(1000, 1007))
-    graph = check_hand_net(net, random.Random("occ:wide"), 60, tmp_path, pool)
+    graph = check_hand_net(net, random.Random("occ:wide"), 60, pool)
     assert len(graph) == 7 * 6
 
 
@@ -291,21 +288,20 @@ def one_marking_net():
 
 
 @pytest.mark.parametrize("name", ["plant", "two-byte", "one-marking"])
-def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
+def test_occupied_equals_the_reference(plant_offline, name):
     if name == "plant":
         net, graph = plant_offline.monitored.net, plant_offline.graph
     else:
         net = two_byte_net() if name == "two-byte" else one_marking_net()
         graph = build_graph(net)
     expected = occupancy_reference(markings_of(graph))
-    save_cache(graph, net, tmp_path / "graph.bin")
-    loaded = load_cache(tmp_path / "graph.bin", net)
+    loaded = replayed(graph, net)
     assert occupancy(graph) == occupancy(loaded) == expected
     assert len(expected) == graph.places
     if name == "one-marking":
         assert len(graph) == 1 and expected == (1, 0)
     # each place alone, read first in descending order, gives its own bitset
-    fresh = load_cache(tmp_path / "graph.bin", net)
+    fresh = replayed(graph, net)
     assert [fresh.index[p] for p in reversed(range(graph.places))] == list(reversed(expected))
     for p in (-1, graph.places):
         with pytest.raises(KeyError):
@@ -313,11 +309,10 @@ def test_occupied_equals_the_reference(plant_offline, tmp_path, name):
 
 
 def test_built_and_loaded_graphs_compare_equal_whatever_places_each_has_filled(
-        demo_offline, tmp_path):
+        demo_offline):
     net = demo_offline.monitored.net
     built = build_graph(net)
-    save_cache(built, net, tmp_path / "demo.bin")
-    loaded = load_cache(tmp_path / "demo.bin", net)
+    loaded = replayed(built, net)
     assert built == loaded
     built.index[0]
     assert built == loaded

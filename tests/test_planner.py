@@ -10,9 +10,8 @@ import pytest
 
 from tampnet import (CacheError, Infeasible, Plan, StateBudgetError, build_graph,
                      build_offline, joint_search, load_env, load_offline, parse, parse_env,
-                     plan, planner, save_cache, save_offline)
+                     plan, planner, save_offline)
 from tampnet.abstraction import MinimalSequence, SimplifiedNet, build_simplified, lift
-from tampnet.basis_graph import load_cache
 from tampnet.bench import generate_instance
 from tampnet.errors import IntegrityError
 from tampnet.grid import (DIRECTIONS, cell_labels, cost_json, env_to_pn, free_cells,
@@ -21,16 +20,14 @@ from tampnet.petri import END, VISIT, Atom, enabled, fire, replay, sequence_cost
 from tampnet.planner import backtrack, select_target, split_formula, walk_route
 from tampnet.taskspec import SpecVectors, compile_vectors, holds
 
-from conftest import (EMPTY, end_label, hand_net, random_env, scan_diagnose,
+from conftest import (EMPTY, end_label, hand_net, random_env, replayed, scan_diagnose,
                       scan_select, square_env)
 from test_golden import REDUCE_MAP, formula_pool
 
 
 @pytest.fixture(scope="module")
-def demo_loaded(demo_offline, tmp_path_factory):
-    path = tmp_path_factory.mktemp("demo") / "cache.json"
-    save_cache(demo_offline.graph, demo_offline.monitored.net, path)
-    return load_cache(path, demo_offline.monitored.net)
+def demo_loaded(demo_offline):
+    return replayed(demo_offline.graph, demo_offline.monitored.net)
 
 
 def _timed_and_traced(call):
