@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from html import escape
-from itertools import repeat
+from itertools import chain, filterfalse, product, repeat
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError
@@ -103,9 +104,7 @@ def parse_env(data, source="<env>") -> Environment:
         if not isinstance(data.get(key, []), list):
             raise ValidationError(f"{source}: {key} must be a list")
 
-    obstacles = set()
-    for i, raw in enumerate(data.get("obstacles", [])):
-        obstacles.add(_cell(raw, rows, cols, f"{source}: obstacles[{i}]"))
+    obstacles = _cells(data.get("obstacles", []), rows, cols, f"{source}: obstacles")
 
     regions = []
     seen_names = set()
@@ -169,6 +168,19 @@ def _cell(raw, rows, cols, where) -> Cell:
     return (r, c)
 
 
+def _cells(raw, rows, cols, where) -> set:
+    """The set of cells of the list ``raw``, checked in whole-list passes
+    that run in C. When one fails, ``_cell`` checks the entries in turn and
+    names the first bad one as ``where[i]``."""
+    if all(map(isinstance, raw, repeat((list, tuple)))) and set(map(len, raw)) <= {2}:
+        rs, cs = list(map(itemgetter(0), raw)), list(map(itemgetter(1), raw))
+        if ({int}.issuperset(map(type, chain(rs, cs)))
+                and 0 <= min(rs, default=0) and max(rs, default=0) < rows
+                and 0 <= min(cs, default=0) and max(cs, default=0) < cols):
+            return set(zip(rs, cs))
+    return {_cell(cell, rows, cols, f"{where}[{i}]") for i, cell in enumerate(raw)}
+
+
 def _props(raw, where) -> frozenset:
     if not isinstance(raw, list):
         raise ValidationError(f"{where} must be a list of proposition names")
@@ -229,8 +241,8 @@ def env_digest(env: Environment) -> str:
 
 def free_cells(env: Environment) -> Tuple[Cell, ...]:
     """Free cells in row-major order; index = place id of the movement net."""
-    return tuple((r, c) for r in range(env.rows) for c in range(env.cols)
-                 if (r, c) not in env.obstacles)
+    return tuple(filterfalse(env.obstacles.__contains__,
+                             product(range(env.rows), range(env.cols))))
 
 
 def _grid_moves(env: Environment, cells: Tuple[Cell, ...]):
@@ -246,18 +258,33 @@ def _grid_moves(env: Environment, cells: Tuple[Cell, ...]):
     """
     width = env.cols + 2
     place = [-1] * ((env.rows + 2) * width)
-    for i, (r, c) in enumerate(cells):
-        place[(r + 1) * width + c + 1] = i
-    offsets = tuple((d, dr * width + dc) for d, (_, (dr, dc)) in enumerate(DIRECTIONS))
+    at = [(r + 1) * width + c + 1 for r, c in cells]
+    for i, k in enumerate(at):
+        place[k] = i
+    up, right, down, left = (dr * width + dc for _, (dr, dc) in DIRECTIONS)
     src, dst, direction = [], [], []
-    for i, (r, c) in enumerate(cells):
-        k = (r + 1) * width + c + 1
-        for d, off in offsets:
-            q = place[k + off]
-            if q >= 0:
-                src.append(i)
-                dst.append(q)
-                direction.append(d)
+    # each cell's four neighbours, unrolled in DIRECTIONS order
+    for i, k in enumerate(at):
+        q = place[k + up]
+        if q >= 0:
+            src.append(i)
+            dst.append(q)
+            direction.append(0)
+        q = place[k + right]
+        if q >= 0:
+            src.append(i)
+            dst.append(q)
+            direction.append(1)
+        q = place[k + down]
+        if q >= 0:
+            src.append(i)
+            dst.append(q)
+            direction.append(2)
+        q = place[k + left]
+        if q >= 0:
+            src.append(i)
+            dst.append(q)
+            direction.append(3)
     return place, src, dst, direction
 
 
@@ -281,20 +308,29 @@ def env_to_pn(env: Environment, cells: Optional[Tuple[Cell, ...]] = None) -> Pet
     if cells is None:
         cells = free_cells(env)
     place, src, dst, direction = _grid_moves(env, cells)
-    by_cell = cell_labels(env)
     width = env.cols + 2
+
+    def place_of(r, c) -> int:
+        """The place of cell (r, c), or -1 for a blocked cell or one off the grid."""
+        return place[(r + 1) * width + c + 1] if 0 <= r < env.rows and 0 <= c < env.cols else -1
+
     counts = [0] * len(cells)
     for r, c in env.agents:
-        p = place[(r + 1) * width + c + 1] if 0 <= r < env.rows and 0 <= c < env.cols else -1
+        p = place_of(r, c)
         if p < 0:
             raise ValidationError(f"agent start {[r, c]} is not a free cell")
         counts[p] += 1
+    # only the labeled cells are visited, not every free one
+    labels = [frozenset()] * len(cells)
+    for (r, c), atoms in cell_labels(env).items():
+        p = place_of(r, c)
+        if p >= 0:
+            labels[p] = atoms
     costs = {d: env.move_cost[d] for d in set(direction)}
     scale = math.lcm(*(cost.denominator for cost in costs.values()))
     weight = {d: cost.numerator * (scale // cost.denominator) for d, cost in costs.items()}
     return PetriNet(len(cells), tuple(src), tuple(dst), tuple(map(weight.__getitem__, direction)),
-                    ((),) * len(src), scale, tuple(map(by_cell.get, cells, repeat(frozenset()))),
-                    tuple(counts))
+                    ((),) * len(src), scale, tuple(labels), tuple(counts))
 
 
 def cost_text(value: Fraction) -> str:

@@ -29,8 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import le
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -123,15 +122,19 @@ class PetriNet:
 
         # (first bad transition, its fault), one entry per failed pass
         faults = []
-        if n and not (0 <= min(sources) and 0 <= min(targets)
-                      and max(sources) < places and max(targets) < places):
+        # one sort of an ascending column is one pass of C comparisons, and
+        # the sorted column has the sources' bounds at its ends
+        ordered = sorted(sources)
+        ascending = ordered == list(sources)
+        if n and not (0 <= ordered[0] and 0 <= min(targets)
+                      and ordered[-1] < places and max(targets) < places):
             t, p = next((t, p) for t, move in enumerate(zip(sources, targets))
                         for p in move if not 0 <= p < places)
             faults.append((t, f"references unknown place {p}"))
         if min(weights, default=1) <= 0:
             faults.append((next(t for t, w in enumerate(weights) if w <= 0),
                            "must have positive cost"))
-        if not all(map(le, sources, islice(sources, 1, None))):
+        if not ascending:
             faults.append((next(t for t in range(1, n) if sources[t] < sources[t - 1]),
                            "leaves a lower place than the transition before it"))
         if latches and not (latches.isdisjoint(sources) and latches.isdisjoint(targets)):

@@ -14,8 +14,10 @@ check is refused. Infeasibility is a first-class result, not an exception.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -72,8 +74,9 @@ def offline_model(env: Environment, reduction_for: Callable[[PetriNet], Simplifi
     net = env_to_pn(env, cells)
     simplified = reduction_for(net)
     monitored = build_monitored(simplified)
+    # the cells are sorted, and env_to_pn has checked that each start is one
     return OfflineModel(net, cells, simplified, monitored, graph_for(monitored.net),
-                        tuple(map(cells.index, env.agents)))
+                        tuple(map(partial(bisect_left, cells), env.agents)))
 
 
 def build_offline(env: Environment, state_cap: int = DEFAULT_STATE_CAP) -> OfflineModel:

@@ -122,6 +122,34 @@ def _random_envs():
     return [random_env(rng) for _ in range(200)]
 
 
+def degenerate_env(rows, cols, obstacles=(), agents=((0, 0),)):
+    """A ``rows`` x ``cols`` map with a labeled first agent cell and a
+    cost per direction, each with its own denominator."""
+    return parse_env({
+        "grid": {"rows": rows, "cols": cols},
+        "obstacles": [list(cell) for cell in obstacles],
+        "regions": [{"name": "a", "cells": [list(agents[0])], "trajectory_props": ["a"]}],
+        "agents": [list(cell) for cell in agents],
+        "move_cost": {"up": "1/2", "right": "2/3", "down": "3/5", "left": "4/7"},
+    })
+
+
+def _degenerate_envs():
+    walls = [(r, c) for r in range(5) for c in range(6) if r in (0, 4) or c in (0, 5)]
+    return [
+        degenerate_env(1, 1),
+        degenerate_env(5, 1, agents=((0, 0), (4, 0))),
+        degenerate_env(1, 5, agents=((0, 2),)),
+        # every free cell isolated: a net with no moves at all
+        degenerate_env(3, 3, obstacles=[(0, 1), (1, 0), (1, 2), (2, 1)],
+                       agents=((0, 0), (1, 1), (2, 2))),
+        degenerate_env(3, 4, obstacles=[(r, c) for r in range(3) for c in range(4)
+                                        if (r + c) % 2], agents=((2, 2),)),
+        # every border cell blocked
+        degenerate_env(5, 6, obstacles=walls, agents=((1, 1), (3, 4))),
+    ]
+
+
 @pytest.mark.parametrize("envs", [
     pytest.param(lambda: [load_env(fixture_path("plant_8x11.json"))], id="plant"),
     pytest.param(lambda: [load_env(REDUCE_MAP)], id="reduce_44x44"),
@@ -129,6 +157,7 @@ def _random_envs():
     pytest.param(lambda: [obstacle_env()], id="60x60"),
     pytest.param(lambda: [corridor_env()], id="corridor"),
     pytest.param(_random_envs, id="random"),
+    pytest.param(_degenerate_envs, id="degenerate"),
 ])
 def test_the_movement_net_equals_the_generic_construction(envs):
     for env in envs():
@@ -177,6 +206,18 @@ def test_env_to_pn_refuses_an_agent_off_the_free_cells(start):
      "trajectory_props must be a list"),
     ({"move_cost": [1, 1, 1, 1]}, "move_cost: cost must be a number"),
     ({"move_cost": None}, "move_cost: cost must be a number"),
+    # a malformed obstacle after two good ones is named by its index
+    *(({"obstacles": [[1, 0], [1, 2], bad]}, f"<env>: obstacles[2]: {text}") for bad, text in [
+        ([True, 0], "expected a [row, col] pair, got [True, 0]"),
+        ([0, 1.0], "expected a [row, col] pair, got [0, 1.0]"),
+        (["0", 1], "expected a [row, col] pair, got ['0', 1]"),
+        ([0], "expected a [row, col] pair, got [0]"),
+        ([0, 1, 2], "expected a [row, col] pair, got [0, 1, 2]"),
+        ({}, "expected a [row, col] pair, got {}"),
+        (None, "expected a [row, col] pair, got None"),
+        ([-1, 0], "cell [-1, 0] is outside the 3x3 grid"),
+        ([0, 3], "cell [0, 3] is outside the 3x3 grid"),
+    ]),
 ])
 def test_parse_env_rejects_bad_documents(patch, fragment):
     doc = {
@@ -190,6 +231,13 @@ def test_parse_env_rejects_bad_documents(patch, fragment):
     with pytest.raises(ValidationError) as err:
         parse_env(doc)
     assert fragment in str(err.value)
+
+
+def test_parse_env_accepts_obstacles_given_as_tuples():
+    doc = {"grid": {"rows": 3, "cols": 3}, "obstacles": [(1, 0), [1, 2], (0, 1)],
+           "agents": [[2, 2]]}
+    assert parse_env(doc).obstacles == {(1, 0), (1, 2), (0, 1)}
+    assert parse_env(dict(doc, obstacles=[(1, 0), (1, 0)])).obstacles == {(1, 0)}
 
 
 @pytest.mark.parametrize("doc", [[], "grid", None])

@@ -261,6 +261,12 @@ def test_construction_rejects_malformed_nets(bad, message):
     ((0, 1, 1), ((1,), (0,), (0, 2)), (1, 0, -1), "transition 1 must have positive cost"),
     ((0, 1, 0), ((1, 2), (0, 2, 2), (1,)), (1, 1, 0),
      "transition 1 repeats a latch, lists them out of order or sets a place that is no latch"),
+    # sources out of order and an unknown place: the lower transition is
+    # named, whichever of the two faults comes first
+    ((1, 0, 7), ((0,), (1,), (0,)), (1, 1, 1),
+     "transition 1 leaves a lower place than the transition before it"),
+    ((0, 7, 1), ((1,), (0,), (0,)), (1, 1, 1), "transition 1 references unknown place 7"),
+    ((0, 1, 0), ((1,), (-3,), (1,)), (1, 1, 1), "transition 1 references unknown place -3"),
 ])
 def test_construction_names_the_first_bad_transition(pre, post, cost, message):
     with pytest.raises(ValueError) as err:
