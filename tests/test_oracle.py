@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tampnet import StateBudgetError, joint_search, oracle, parse
+from tampnet import StateBudgetError, joint_search, load_env, oracle, parse
 from tampnet.bench import generate_instance
+from tampnet.data import fixture_path
 from tampnet.errors import UnknownPropositionError
 from tampnet.grid import DIRECTIONS, cell_labels, free_cells
 from tampnet.petri import END, VISIT
@@ -45,14 +46,55 @@ def _paths_from_moves(env, moves):
     return [tuple(p) for p in paths]
 
 
-def test_demo_query_is_frozen(demo_env):
-    result = joint_search(demo_env, parse("visit(2) & end(3) & !visit(1)"))
-    assert result.cost == 3
-    assert result.moves == (
-        (0, (0, 0), (1, 0)),
-        (0, (1, 0), (2, 0)),
-        (1, (2, 1), (2, 2)),
-    )
+def _shared_name_env():
+    # "p" is carried by two regions, "g" by two, "k" only by B; region C is
+    # three cells that the formula forbids entering
+    return square_env(4, [
+        {"name": "A", "cells": [[0, 2], [0, 3]], "trajectory_props": ["p"]},
+        {"name": "B", "cells": [[3, 0], [3, 1]], "trajectory_props": ["p"],
+         "final_props": ["g", "k"]},
+        {"name": "C", "cells": [[1, 1], [2, 1], [1, 2]], "trajectory_props": ["x"]},
+        {"name": "D", "cells": [[3, 3], [2, 3]], "final_props": ["g", "h"]},
+    ], agents=[(1, 0), (0, 1)])
+
+
+def _fractional_env():
+    return square_env(4, [
+        {"name": "A", "cells": [[0, 3]], "trajectory_props": ["a"]},
+        {"name": "B", "cells": [[3, 0], [2, 0]], "trajectory_props": ["b"], "final_props": ["b"]},
+        {"name": "C", "cells": [[3, 3]], "final_props": ["c"]},
+    ], agents=[(0, 0), (2, 2)], obstacles=[(1, 1), (1, 2)],
+        move_cost={"up": "1/3", "right": "2/7", "down": "1/2", "left": "1"})
+
+
+@pytest.mark.parametrize("make_env, text, cost, moves", [
+    pytest.param(
+        lambda: load_env(fixture_path("demo_3x3.json")), "visit(2) & end(3) & !visit(1)", 3,
+        ((0, (0, 0), (1, 0)), (0, (1, 0), (2, 0)), (1, (2, 1), (2, 2))), id="demo"),
+    pytest.param(
+        lambda: load_env(fixture_path("plant_8x11.json")),
+        "visit(2) & visit(8) & (end(5) | end(9)) & !visit(1) & !end(6)", 15,
+        ((0, (3, 5), (2, 5)), (0, (2, 5), (1, 5)), (0, (1, 5), (0, 5)), (0, (0, 5), (0, 6)),
+         (0, (0, 6), (0, 5)), (0, (0, 5), (0, 4)), (0, (0, 4), (0, 3)), (0, (0, 3), (0, 2)),
+         (0, (0, 2), (0, 1)), (1, (4, 5), (4, 6)), (1, (4, 6), (4, 7)), (1, (4, 7), (4, 8)),
+         (1, (4, 8), (5, 8)), (1, (5, 8), (6, 8)), (1, (6, 8), (6, 9))), id="plant"),
+    pytest.param(
+        _shared_name_env, "visit(p) & end(h) & end(k) & !visit(x)", 6,
+        ((1, (0, 1), (0, 2)), (1, (0, 2), (0, 3)), (1, (0, 3), (1, 3)), (0, (1, 0), (2, 0)),
+         (1, (1, 3), (2, 3)), (0, (2, 0), (3, 0))), id="shared-name"),
+    pytest.param(
+        _fractional_env, "visit(a) & visit(b) & end(c) & !end(b)", Fraction(139, 42),
+        ((1, (2, 2), (2, 3)), (0, (0, 0), (1, 0)), (0, (1, 0), (2, 0)), (0, (2, 0), (2, 1)),
+         (0, (2, 1), (2, 2)), (0, (2, 2), (2, 3)), (0, (2, 3), (1, 3)), (0, (1, 3), (0, 3)),
+         (1, (2, 3), (3, 3))), id="fractional"),
+])
+def test_demo_query_is_frozen(make_env, text, cost, moves):
+    # full witnesses, not only costs: ties between equal-cost runs are
+    # broken by the search's neighbour order and heap counter, and these
+    # pins catch a change to either
+    result = joint_search(make_env(), parse(text))
+    assert result.cost == cost
+    assert result.moves == moves
 
 
 def test_empty_formula_needs_no_motion(demo_env):
