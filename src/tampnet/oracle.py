@@ -41,63 +41,42 @@ def joint_search(env: Environment, spec: BooleanSpec,
         raise StateBudgetError(state_budget, what="oracle search")
     cells = free_cells(env)
     index = {cell: i for i, cell in enumerate(cells)}
-    by_cell = cell_labels(env)
+    # each (kind, name) to its free cells: every check and cell set below reads this
+    carriers: Dict[Tuple[str, str], set] = {}
+    for cell, atoms in cell_labels(env).items():
+        for atom in atoms:
+            carriers.setdefault(atom, set()).add(index[cell])
 
-    env_visit = set()
-    env_end = set()
-    for atoms in by_cell.values():
-        for a in atoms:
-            (env_visit if a.kind == VISIT else env_end).add(a.name)
-    for clause in spec.trajectory_clauses:
-        for name in clause:
-            if name not in env_visit:
+    # a fault names its smallest unknown atom, so the text does not
+    # depend on the order a frozenset iterates in
+    for kind, family, clauses in ((VISIT, "trajectory", spec.trajectory_clauses),
+                                  (END, "final", spec.final_clauses)):
+        for clause in clauses:
+            unknown = [name for name in clause if (kind, name) not in carriers]
+            if unknown:
                 raise UnknownPropositionError(
-                    f"trajectory proposition {name!r} is not defined by the environment")
-    for clause in spec.final_clauses:
-        for name in clause:
-            if name not in env_end:
-                raise UnknownPropositionError(
-                    f"final proposition {name!r} is not defined by the environment")
-    for atom in spec.forbidden:
-        known = env_visit if atom.kind == VISIT else env_end
-        if atom.name not in known:
-            raise UnknownPropositionError(
-                f"{atom.text()} names a proposition the environment does not define")
+                    f"{family} proposition {min(unknown)!r} is not defined by the environment")
+    unknown = [atom for atom in spec.forbidden if atom not in carriers]
+    if unknown:
+        raise UnknownPropositionError(
+            f"{min(unknown).text()} names a proposition the environment does not define")
 
-    tracked = sorted(set().union(*spec.trajectory_clauses)) if spec.trajectory_clauses else []
+    def cells_of(atoms) -> set:
+        return set().union(*(carriers[atom] for atom in atoms))
+
+    tracked = sorted(set().union(*spec.trajectory_clauses))
     bit_of = {name: 1 << i for i, name in enumerate(tracked)}
-    forbidden_visits = {a.name for a in spec.forbidden if a.kind == VISIT}
-    forbidden_ends = {a.name for a in spec.forbidden if a.kind == END}
-    forbidden_end_cells = frozenset(
-        i for i, cell in enumerate(cells)
-        if any(a.kind == END and a.name in forbidden_ends
-               for a in by_cell.get(cell, ())))
-    clause_masks = []
-    for clause in spec.trajectory_clauses:
-        mask = 0
-        for name in clause:
-            mask |= bit_of[name]
-        clause_masks.append(mask)
-    final_cell_sets = []
-    for clause in spec.final_clauses:
-        members = frozenset(i for i, cell in enumerate(cells)
-                            if any(a.kind == END and a.name in clause
-                                   for a in by_cell.get(cell, ())))
-        final_cell_sets.append(members)
-
+    clause_masks = [sum(bit_of[name] for name in clause) for clause in spec.trajectory_clauses]
     cell_bits = [0] * len(cells)
-    blocked = [False] * len(cells)
-    for i, cell in enumerate(cells):
-        for a in by_cell.get(cell, ()):
-            if a.kind != VISIT:
-                continue
-            if a.name in bit_of:
-                cell_bits[i] |= bit_of[a.name]
-            if a.name in forbidden_visits:
-                blocked[i] = True
+    for name, bit in bit_of.items():
+        for i in carriers[VISIT, name]:
+            cell_bits[i] |= bit
+    final_cell_sets = [cells_of((END, name) for name in clause) for clause in spec.final_clauses]
+    blocked = cells_of(a for a in spec.forbidden if a.kind == VISIT)
+    forbidden_end_cells = cells_of(a for a in spec.forbidden if a.kind == END)
 
     start = sorted(index[cell] for cell in env.agents)
-    if any(blocked[i] for i in start):
+    if blocked.intersection(start):
         return None
     bits0 = 0
     for i in start:
@@ -110,7 +89,7 @@ def joint_search(env: Environment, spec: BooleanSpec,
     for i, (r, c) in enumerate(cells):
         for d, (_, (dr, dc)) in enumerate(DIRECTIONS):
             j = index.get((r + dr, c + dc))
-            if j is not None and not blocked[j]:
+            if j is not None and j not in blocked:
                 neighbors[i].append((j, costs[d]))
 
     def is_goal(positions, bits) -> bool:

@@ -13,14 +13,16 @@ Costs are the integer weights over one ``scale`` that every net of a model
 shares: the movement net's, the LCM of the denominators of the direction
 costs its moves use. A reduced cost is a sum of movement weights, so it is
 exact at that scale too, and every search, sum and comparison runs in
-ints; :func:`sequence_cost` turns a sum back into a
-:class:`fractions.Fraction` for output.
+ints; a plan's output cost is the :class:`fractions.Fraction` that
+``planner.select_target`` makes of the tree's integer cost.
 
 Markings are plain tuples of non-negative token counts indexed by place;
-:func:`fire` and :func:`enabled` take them. A route is checked from the
-``{place: count}`` map of a marking's occupied places instead:
-:func:`replay` and :func:`tampnet.taskspec.holds` take only that form, so
-that checking a route reads the places its tokens touch and no others.
+:func:`fire` and :func:`enabled` take them, and :func:`replay` takes the
+``{place: count}`` map of a marking's occupied places instead. These
+three and :func:`sequence_cost` are the reference semantics that the
+tests check the planner against: the pipeline calls none of them, as
+``planner.walk_route`` fires and checks a plan's route itself, and
+:func:`tampnet.taskspec.holds` checks the formula on the run it makes.
 """
 
 from __future__ import annotations
@@ -255,12 +257,8 @@ def _check_transition(net: PetriNet, t) -> None:
 
 
 def _check_transitions(net: PetriNet, sigma: Sequence[int]) -> None:
-    """Raise the ValueError of ``_check_transition`` for the first bad id in
-    ``sigma``, after checking every id at once in passes that run in C."""
-    if sigma and not (all(map(isinstance, sigma, repeat(int)))
-                      and 0 <= min(sigma) and max(sigma) < len(net.sources)):
-        for t in sigma:
-            _check_transition(net, t)
+    for t in sigma:
+        _check_transition(net, t)
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:

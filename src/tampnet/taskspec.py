@@ -75,14 +75,16 @@ class BooleanSpec:
 def _canonical(spec: BooleanSpec, trajectory, final, forbidden: frozenset) -> BooleanSpec:
     """Write the fields of ``spec`` in canonical form, past the frozen
     ``__setattr__``: each family's clauses sorted by their sorted names,
-    each once. Raises SpecShapeError on an atom both required and forbidden.
+    each once. Raises SpecShapeError naming the smallest atom both required
+    and forbidden, so the text does not depend on the hash seed.
     The constructor calls this after its checks; ``parse``, whose token
     regex admits only valid names, calls it directly."""
     trajectory = tuple(sorted(set(trajectory), key=sorted))
     final = tuple(sorted(set(final), key=sorted))
-    for atom in forbidden:
-        if any(atom.name in clause for clause in (trajectory if atom.kind == VISIT else final)):
-            raise SpecShapeError(f"{atom.text()} is both required and forbidden")
+    clashes = [atom for atom in forbidden if any(
+        atom.name in clause for clause in (trajectory if atom.kind == VISIT else final))]
+    if clashes:
+        raise SpecShapeError(f"{min(clashes).text()} is both required and forbidden")
     vars(spec).update(trajectory_clauses=trajectory, final_clauses=final, forbidden=forbidden)
     return spec
 
@@ -202,31 +204,37 @@ def compile_vectors(spec: BooleanSpec, net: PetriNet,
     ``indicator_of``; end propositions bind to every place labeled with them
     (``PetriNet.end_places``, worked out once per net).
     Clauses keep the spec's order; each lists its places ascending and once.
-    Unbound names raise :class:`UnknownPropositionError`.
+    Unbound names raise :class:`UnknownPropositionError` (see ``_unbound``).
     """
-    def indicator(name: str) -> int:
-        try:
-            return indicator_of[name]
-        except KeyError:
-            raise UnknownPropositionError(
-                f"trajectory proposition {name!r} is not defined by the environment") from None
-
-    def end_places(name: str):
-        try:
-            return net.end_places[name]
-        except KeyError:
-            raise UnknownPropositionError(
-                f"final proposition {name!r} is not defined by the environment") from None
-
-    trajectory = tuple(tuple(sorted({indicator(name) for name in clause}))
-                       for clause in spec.trajectory_clauses)
-    final = tuple(tuple(sorted({p for name in clause for p in end_places(name)}))
-                  for clause in spec.final_clauses)
-    forbidden = set()
-    for atom in spec.forbidden:
-        forbidden.update([indicator(atom.name)] if atom.kind == VISIT
-                         else end_places(atom.name))
+    end_places = net.end_places
+    try:
+        trajectory = tuple(tuple(sorted({indicator_of[name] for name in clause}))
+                           for clause in spec.trajectory_clauses)
+        final = tuple(tuple(sorted({p for name in clause for p in end_places[name]}))
+                      for clause in spec.final_clauses)
+        forbidden = set()
+        for atom in spec.forbidden:
+            forbidden.update([indicator_of[atom.name]] if atom.kind == VISIT
+                             else end_places[atom.name])
+    except KeyError:
+        raise _unbound(spec, {VISIT: indicator_of, END: end_places}) from None
     return SpecVectors(trajectory, final, tuple(sorted(forbidden)))
+
+
+def _unbound(spec: BooleanSpec, bound: Mapping[str, Mapping]) -> UnknownPropositionError:
+    """The error for a formula with a name ``bound`` lacks: the smallest
+    such atom of the first clause that has one, in spec order, else of the
+    forbidden atoms, so the text does not depend on the hash seed."""
+    groups = chain(([Atom(VISIT, name) for name in clause] for clause in spec.trajectory_clauses),
+                   ([Atom(END, name) for name in clause] for clause in spec.final_clauses),
+                   [spec.forbidden])
+    for group in groups:
+        unbound = [atom for atom in group if atom.name not in bound[atom.kind]]
+        if unbound:
+            kind, name = min(unbound)
+            family = "trajectory" if kind == VISIT else "final"
+            return UnknownPropositionError(
+                f"{family} proposition {name!r} is not defined by the environment")
 
 
 def holds(spec: BooleanSpec, word: Sequence[frozenset],

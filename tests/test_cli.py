@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +264,30 @@ def test_a_cache_in_a_missing_directory_names_the_given_path(tmp_path, monkeypat
     assert err == "error: [Errno 2] No such file or directory: 'missing/x.bin'\n"
     assert ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# each formula has two faults; the error names the smallest, whatever order
+# the spec's frozensets iterate in under the process's hash seed
+SEEDED_FAULTS = [
+    (["plan", "visit(2) & end(3) & !visit(2) & !end(3)"],
+     "error: end(3) is both required and forbidden"),
+    (["plan", "(visit(zz) | visit(yy))"],
+     "error: trajectory proposition 'yy' is not defined by the environment"),
+    (["plan", "visit(1) & !end(qq) & !end(pp)"],
+     "error: final proposition 'pp' is not defined by the environment"),
+    (["oracle", "visit(1) & !end(qq) & !end(pp)"],
+     "error: end(pp) names a proposition the environment does not define"),
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "4"])
+def test_error_text_does_not_depend_on_the_hash_seed(seed):
+    commands = [[command, "--env", DEMO, "--spec", spec] for (command, spec), _ in SEEDED_FAULTS]
+    code = f"from tampnet.cli import main; print([main(args) for args in {commands!r}])"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                            check=True)
+    assert result.stdout == "[1, 1, 1, 1]\n"
+    assert result.stderr.splitlines() == [line for _, line in SEEDED_FAULTS]

@@ -126,6 +126,12 @@ def test_the_basis_graph_layer_imports_only_the_net_and_its_errors():
     assert set(package_imports(tree)) <= {"errors", "petri"}
 
 
+def test_the_oracle_is_independent_of_the_pipeline():
+    # the oracle judges the planner, so it reads the map, the formula and
+    # the atom kinds, and nothing of the reduction, the tree or the planner
+    assert set(package_imports(_module("oracle"))) <= {"errors", "grid", "petri", "taskspec"}
+
+
 def absolute_imports(tree: ast.Module):
     """The top-level names of the modules a module imports by absolute
     name: the standard library's, and ``tampnet`` for the package."""
